@@ -71,7 +71,7 @@ def _cmd_energy(args) -> int:
         rep = energy_e4(args.R, args.j, args.r, args.method)
     else:
         if args.h is None:
-            raise SystemExit(2)
+            raise ValueError("energy --kind f2 needs --h")
         rep = energy_f2(args.R, args.j, args.h, args.r, args.method)
     _emit(args, {"kind": rep.kind, "R": rep.R, "j": rep.j, "h": rep.h,
                  "r": rep.r, "energy": rep.energy, "bound": rep.hyp_bound,
@@ -119,7 +119,8 @@ def _cmd_charsum(args) -> int:
     if args.charsum_cmd == "s4":
         h = tuple(int(t) for t in args.h.split(","))
         if len(h) != 4:
-            raise SystemExit(2)
+            raise ValueError(f"charsum s4 --h needs four values h1,h2,h3,h4, "
+                             f"got {len(h)}")
         fn = s4_closed if args.closed else s4_direct
         _emit(args, _expsum_payload(fn(S4Input(args.j, h, args.r))))
     elif args.charsum_cmd == "cubic":
@@ -136,7 +137,7 @@ def _parse_grid(items: List[str]) -> Dict[str, List[int]]:
     for item in items:
         name, _, spec = item.partition("=")
         if not spec:
-            raise SystemExit(2)
+            raise ValueError(f"--param {item!r} is not NAME=VALUES")
         parts = spec.split(":")
         if len(parts) == 1:
             grid[name] = [int(v) for v in parts[0].split(",")]
@@ -177,9 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                        help="parallelism degree (all operations are pure; "
-                             "1 means fully serial)")
     common.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="work-unit cap (env SIEVELAB_BUDGET)")
     common.add_argument("--out", default=None, help="output path")

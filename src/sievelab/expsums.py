@@ -17,7 +17,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .arith import FactoredModulus, eps_q, factorize, is_prime, jacobi, mod_inverse
-from .sqrtmod import sqrt_mod_all
+from .sqrtmod import _vec_pow_mod, root_table, sqrt_mod_all
 
 TWO_PI = 2.0 * math.pi
 
@@ -129,7 +129,11 @@ def esum_jh(
             e_r(l(kt - k) + n * jbar * k^2).
     bare:   sum over a mod r and root pairs k^2 = ja, kt^2 = j(a+h) of
             e_r(l(kt - k) + n*a).
-    The two agree identically; both are kept as a cross-check.
+    The two are the same sum.  paired is the fast path: one vectorized
+    pass over the bulk root table (root_table), which needs r^2 < 2^63.
+    bare is the oracle: scalar sqrt_mod_all calls per a.  Their computed
+    values may differ in the last bits, since the terms are added in
+    another order; terms is equal.
     margin is |value| / (r^{4/5} (h,r) (l,r)^{1/5}), eps = 0.
     """
     fm = r if isinstance(r, FactoredModulus) else factorize(r)
@@ -139,12 +143,20 @@ def esum_jh(
     total = 0j
     terms = 0
     if form == "paired":
+        offsets, roots = root_table(fm)
         jinv = mod_inverse(j, rr) if rr > 1 else 0
-        for k in range(rr):
-            target = (k * k + j * h) % rr
-            for kt in sqrt_mod_all(target, fm).roots:
-                total += e_frac(l * (kt - k) + n * jinv * k * k, rr)
-                terms += 1
+        k = np.arange(rr, dtype=np.int64)
+        target = (k * k + j * h % rr) % rr
+        starts = offsets[target]
+        counts = offsets[target + 1] - starts
+        terms = int(counts.sum())
+        # gather every kt with kt^2 = k^2 + jh, grouped by k
+        first = np.cumsum(counts) - counts
+        kt = roots[np.repeat(starts - first, counts) + np.arange(terms)]
+        k = np.repeat(k, counts)
+        # each product is reduced mod r before adding, so nothing exceeds r^2
+        phase = (l % rr * (kt - k) % rr + n * jinv % rr * (k * k % rr) % rr) % rr
+        total = complex(np.exp(TWO_PI * 1j * (phase / rr)).sum())
     elif form == "bare":
         for a in range(1, rr + 1):
             ks = sqrt_mod_all(j * a % rr, fm).roots
@@ -165,17 +177,11 @@ def esum_jh(
 
 @lru_cache(maxsize=256)
 def _unit_inverses(q: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(units, inverses) arrays mod q via one batched inversion."""
-    units = [c for c in range(1, q + 1) if math.gcd(c, q) == 1]
-    prefix = [1]
-    for c in units:
-        prefix.append(prefix[-1] * c % q)
-    inv_all = mod_inverse(prefix[-1], q)
-    invs = [0] * len(units)
-    for i in range(len(units) - 1, -1, -1):
-        invs[i] = prefix[i] * inv_all % q
-        inv_all = inv_all * units[i] % q
-    return np.array(units, dtype=np.int64), np.array(invs, dtype=np.int64)
+    """(units, inverses) arrays mod q, the units c in [1, q] with gcd(c, q) = 1
+    and their inverses c^(phi(q) - 1) mod q, where phi(q) = len(units)."""
+    c = np.arange(1, q + 1, dtype=np.int64)
+    units = c[np.gcd(c, q) == 1]
+    return units, _vec_pow_mod(units, units.size - 1, q)
 
 
 def gcal(q: int, a: int, b: int, j: int, k: int, u: int, s: int) -> ExpSumValue:

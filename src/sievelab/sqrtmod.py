@@ -219,12 +219,34 @@ def root_pairs(r: int | FactoredModulus) -> np.ndarray:
     return np.stack([acc_m[order], acc_k[order]], axis=1)
 
 
+def _require_int64_square(n: int, name: str) -> None:
+    """Refuse n unless n**2 < 2**63, so products of residues mod n fit int64."""
+    if n * n >= 2 ** 63:
+        raise ValueError(f"{name} = {n} too large: {name}^2 must be < 2^63 "
+                         "for exact int64 arithmetic")
+
+
+def root_table(r: int | FactoredModulus) -> Tuple[np.ndarray, np.ndarray]:
+    """Compressed root_pairs(r): the roots of m are roots[offsets[m]:offsets[m+1]].
+
+    offsets has r + 1 entries and roots has r, both int64 and sorted as in
+    root_pairs.  Callers may square entries, so r^2 < 2^63 is required.
+    """
+    fm = r if isinstance(r, FactoredModulus) else factorize(r)
+    _require_int64_square(fm.n, "r")
+    pairs = root_pairs(fm)
+    offsets = np.searchsorted(pairs[:, 0], np.arange(fm.n + 1))
+    return offsets, pairs[:, 1]
+
+
+#: prime-power pair tables for q <= 10^4, stored as int32 to halve memory
 _PP_PAIR_CACHE: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _vec_pow_mod(base: np.ndarray, e: int, p: int) -> np.ndarray:
     """Elementwise base**e mod p by square-and-multiply (p**2 < 2**63)."""
-    result = np.ones_like(base)
+    _require_int64_square(p, "p")
+    result = np.full_like(base, 1 % p)
     b = base % p
     while e:
         if e & 1:
@@ -325,6 +347,7 @@ def _prime_power_pairs(p: int, a: int) -> Tuple[np.ndarray, np.ndarray]:
                 ks.append(k)
         out = (np.array(ms, dtype=np.int64), np.array(ks, dtype=np.int64))
     if q <= 10000:
+        out = (out[0].astype(np.int32), out[1].astype(np.int32))
         _PP_PAIR_CACHE[key] = out
     return out
 
@@ -363,9 +386,10 @@ def build_root_multiset(
     """Build the root multiset for m in [1, R].
 
     kind "plain" counts roots lam of j*m; kind "difference" counts
-    differences kt - k between roots of j(m+h) and jm.  method "fast"
-    iterates k in O(r) (plain) resp. uses bulk root tables (difference);
-    method "oracle" iterates m and calls sqrt_mod_all per value.
+    differences kt - k between roots of j(m+h) and jm.  For the plain kind
+    method "fast" iterates k in O(r) and method "oracle" iterates m and
+    calls sqrt_mod_all per value.  The difference kind has one path, which
+    calls sqrt_mod_all per m, whatever the method.
     """
     fm = r if isinstance(r, FactoredModulus) else factorize(r)
     n = fm.n
@@ -377,6 +401,8 @@ def build_root_multiset(
         raise ValueError(f"unknown kind {kind!r}")
     if kind == "difference" and h is None:
         raise ValueError("difference kind needs h")
+    if method not in ("fast", "oracle"):
+        raise ValueError(f"unknown method {method!r}")
 
     table: Dict[int, int] = {}
     jinv = mod_inverse(j, n) if n > 1 else 0

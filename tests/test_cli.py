@@ -124,3 +124,26 @@ def test_accept_suite_smoke(capsys):
     for n in (6, 7, 9):
         assert f"criterion {n}" in out
     assert "[PASS]" in out
+
+
+def test_f2_without_h_is_a_usage_error(capsys):
+    code = main(["energy", "--kind", "f2", "--R", "2", "--j", "1", "--r", "7"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "--h" in err
+    assert err.count("\n") == 1
+
+
+def test_s4_wrong_h_count_is_a_usage_error(capsys):
+    code = main(["charsum", "s4", "--r", "7", "--j", "1", "--h", "0,0,0"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "four" in err
+    assert err.count("\n") == 1
+
+
+def test_scan_param_without_values_is_a_usage_error(capsys):
+    code = main(["scan", "--op", "e2", "--param", "r"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1

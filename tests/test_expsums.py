@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from sievelab.expsums import (RationalFunctionModP, e_frac, esum_jh,
+from sievelab.expsums import (RationalFunctionModP, _unit_inverses,
+                              e_frac, esum_jh,
                               gauss_sum_closed, gauss_sum_direct, gcal,
                               gcal_bound, rational_expsum, unit_phases)
 
@@ -67,16 +68,20 @@ def test_gauss_closed_rejects_even():
 
 def test_esum_paired_equals_bare():
     rng = np.random.default_rng(0)
-    for r in (1, 2, 7, 12, 45, 90, 97):
-        for _ in range(3):
-            l = int(rng.integers(0, r))
-            n = int(rng.integers(0, r))
-            h = int(rng.integers(0, 3))
-            j = 1
-            p = esum_jh(l, n, j, h, r, form="paired")
-            b = esum_jh(l, n, j, h, r, form="bare")
-            assert abs(p.value - b.value) < 1e-9 * r
-            assert p.terms == b.terms
+    cases = [(r, int(rng.integers(0, r)), int(rng.integers(0, r)), 1,
+              int(rng.integers(0, 3)))
+             for r in (1, 2, 7, 12, 45, 90, 97) for _ in range(3)]
+    # (r, l, n, j, h): even r, prime powers, h = 0 or negative, l and n
+    # negative or >= r; each sum is far from 0, so a wrong phase shows
+    cases += [(1, 5, -3, 1, 2), (2, -1, 4, 1, 0), (12, -14, -3, 1, 0),
+              (12, -14, 14, 1, -1), (64, -66, 66, 1, 0), (27, 57, 29, 1, -1),
+              (27, 57, 29, 5, -1), (49, -1, 51, 1, -1), (125, -1, 127, 7, -1),
+              (360, -362, 362, 1, 0), (360, 720, -3, 1, 0)]
+    for r, l, n, j, h in cases:
+        p = esum_jh(l, n, j, h, r, form="paired")
+        b = esum_jh(l, n, j, h, r, form="bare")
+        assert abs(p.value - b.value) < 1e-9 * r, (r, l, n, j, h)
+        assert p.terms == b.terms
 
 
 def test_esum_margin_bound():
@@ -172,3 +177,20 @@ def test_bombieri_kloosterman():
 def test_bombieri_rejects_constant():
     with pytest.raises(ValueError):
         rational_expsum(RationalFunctionModP((3,), (1,), 7))
+
+
+def test_esum_paired_refuses_int64_overflow():
+    with pytest.raises(ValueError, match="2\\^63"):
+        esum_jh(1, 2, 1, 1, 3037000500)
+
+
+def test_unit_inverses():
+    assert [a.tolist() for a in _unit_inverses(1)] == [[1], [0]]
+    rng = np.random.default_rng(7)
+    qs = [2, 3, 4, 8, 9, 15, 97, 360, 1024, 9999, 39601]
+    qs += [int(q) for q in rng.integers(2, 40000, 20)]
+    for q in qs:
+        units, invs = _unit_inverses(q)
+        assert units.tolist() == [c for c in range(1, q + 1) if math.gcd(c, q) == 1]
+        assert np.all(units * invs % q == 1 % q)
+        assert invs.tolist() == [pow(int(u), -1, q) for u in units]

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from sievelab.arith import factorize
-from sievelab.sqrtmod import (RootSet, build_root_multiset, root_pairs,
+from sievelab.sqrtmod import (RootSet, _require_int64_square, _vec_pow_mod,
+                              build_root_multiset, root_pairs, root_table,
                               sqrt_mod_all, sqrt_mod_prime,
                               sqrt_mod_prime_power)
 
@@ -140,3 +141,32 @@ def test_build_root_multiset_validates():
         build_root_multiset(3, 7, 7, "plain")  # gcd(j, r) != 1
     with pytest.raises(ValueError):
         build_root_multiset(3, 1, 7, "difference")  # missing h
+    for kind, h in (("plain", None), ("difference", 1)):
+        with pytest.raises(ValueError, match="unknown method"):
+            build_root_multiset(3, 1, 7, kind, h=h, method="fsat")
+
+
+def test_root_table_slices_match_scalar_solver():
+    for r in (1, 2, 8, 9, 97, 360, 1024, 9601):
+        offsets, roots = root_table(r)
+        assert offsets.shape == (r + 1,) and roots.shape == (r,)
+        # the cached prime-power tables are int32; the CRT output is int64
+        assert offsets.dtype == roots.dtype == root_pairs(r).dtype == np.int64
+        assert offsets[0] == 0 and offsets[r] == r
+        fm = factorize(r)
+        for m in range(r):
+            got = tuple(int(k) for k in roots[offsets[m]:offsets[m + 1]])
+            assert got == sqrt_mod_all(m, fm).roots
+
+
+def test_int64_square_preconditions_at_boundary():
+    # 3037000499^2 < 2^63 <= 3037000500^2
+    base = np.array([2, 3], dtype=np.int64)
+    assert _vec_pow_mod(base, 2, 3037000499).tolist() == [4, 9]
+    with pytest.raises(ValueError, match="2\\^63"):
+        _vec_pow_mod(base, 2, 3037000500)
+    # the guard of root_table, hence of esum_jh's paired form, refuses
+    # before any table of that size is built
+    _require_int64_square(3037000499, "r")
+    with pytest.raises(ValueError, match="2\\^63"):
+        root_table(3037000500)
