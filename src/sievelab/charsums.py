@@ -259,19 +259,6 @@ def sharp_energy(R: int, j: int, r: int, metric: str = "fractional") -> int:
     return int(sum(int(c) ** 2 for c in g))
 
 
-def new_energy_monitor(R: int, j: int, r: int) -> Dict[str, float]:
-    """E2 against the section's improved bracket R^4/r + R^2 + r^{3/2}.
-
-    Constant-tracked: the ratio is reported, never asserted.
-    """
-    from .energies import energy_e2
-
-    e2 = energy_e2(R, j, r).energy
-    bound = R ** 4 / r + R ** 2 + r ** 1.5
-    return {"r": r, "R": R, "j": j, "e2": float(e2),
-            "bound": bound, "ratio": e2 / bound}
-
-
 def cubic_form_charsum(M: int, r: int, weight: TrigWeight,
                        budget: int = 10 ** 8) -> Dict[str, float]:
     """Weighted cubic-form Legendre sum with bound margins.

@@ -1,8 +1,12 @@
 """Exact additive energies E2, E4, F2 of modular square roots.
 
-Fast path: sparse integer cyclic convolution of the root multiset
-(exact, arbitrary precision).  Oracle path: dense enumeration of all
-pair sums with numpy bincount.  Both return exact integers.
+Fast path: cyclic self-convolution of the root multiset's sparse count
+vector in int64 numpy, in blocks of pair sums, once for E2/F2 and once
+more on the nonzero bins for E4.  Oracle path: expand the multiset and
+enumerate every pair sum densely with numpy bincount.  Both return exact
+integers; before either runs, the certificate mass^fold < 2^63 (mass =
+number of roots counted with multiplicity) proves that no int64 count
+or weight can wrap.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ import numpy as np
 from .arith import FactoredModulus, factorize, is_prime
 from .sqrtmod import RootMultiset, build_root_multiset
 
-ENERGY_LIMIT = 1 << 127
+#: pair sums per block of the fast convolution (about 1 MB of int64 temporaries)
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -47,20 +52,17 @@ class SpectrumCheck:
         return abs(self.fourier_E - self.exact_E)
 
 
-def _cyclic_convolve(a: Dict[int, int], b: Dict[int, int], r: int) -> Dict[int, int]:
-    """Sparse exact cyclic convolution over Z/rZ with Python integers."""
-    out: Dict[int, int] = {}
-    for la, ca in a.items():
-        for lb, cb in b.items():
-            s = la + lb
-            if s >= r:
-                s -= r
-            out[s] = out.get(s, 0) + ca * cb
-    return out
+def _self_convolve(lam: np.ndarray, cnt: np.ndarray, r: int) -> np.ndarray:
+    """h[s] = sum of cnt[a] * cnt[b] over lam[a] + lam[b] = s (mod r), int64.
 
-
-def _sum_of_squares(t: Dict[int, int]) -> int:
-    return sum(c * c for c in t.values())
+    Exact when every bin of the result fits int64; callers certify that.
+    """
+    h = np.zeros(r, dtype=np.int64)
+    rows = max(1, _BLOCK // max(1, lam.size))
+    for i in range(0, lam.size, rows):
+        sums = np.add.outer(lam[i:i + rows], lam) % r
+        np.add.at(h, sums, np.multiply.outer(cnt[i:i + rows], cnt))
+    return h
 
 
 def _dense_pair_hist(values: Sequence[int], r: int) -> np.ndarray:
@@ -80,12 +82,23 @@ def _expand(table: Dict[int, int]) -> List[int]:
 
 
 def _energy_from_multiset(table: Dict[int, int], r: int, fold: int, method: str) -> int:
-    """fold = 2 for E2/F2 (pair sums), 4 for E4 (quadruple sums)."""
+    """fold = 2 for E2/F2 (pair sums), 4 for E4 (quadruple sums).
+
+    Every count, weight and bin of either method is at most mass^fold, so
+    mass^fold < 2^63 is required before any work and int64 never wraps.
+    """
+    mass = sum(table.values())
+    if mass ** fold >= 2 ** 63:
+        raise ValueError(f"multiset mass = {mass} too large: mass^{fold} must "
+                         "be < 2^63 for exact int64 energies")
     if method == "conv":
-        c2 = _cyclic_convolve(table, table, r)
+        lam = np.fromiter(table.keys(), dtype=np.int64, count=len(table))
+        cnt = np.fromiter(table.values(), dtype=np.int64, count=len(table))
+        h = _self_convolve(lam, cnt, r)
         if fold == 4:
-            c2 = _cyclic_convolve(c2, c2, r)
-        e = _sum_of_squares(c2)
+            support = np.flatnonzero(h)
+            h = _self_convolve(support, h[support], r)
+        e = sum(c * c for c in h[h != 0].tolist())
     else:
         values = _expand(table)
         h2 = _dense_pair_hist(values, r)
@@ -98,8 +111,6 @@ def _energy_from_multiset(table: Dict[int, int], r: int, fold: int, method: str)
             e = sum(int(c) ** 2 for c in h4)
         else:
             e = sum(int(c) ** 2 for c in h2)
-    if e >= ENERGY_LIMIT:
-        raise OverflowError("energy exceeds 2^127")
     return e
 
 

@@ -138,6 +138,11 @@ def sqrt_mod_prime_power(m: int, p: int, alpha: int) -> RootSet:
         raise ValueError("alpha must be >= 1")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    return _sqrt_mod_prime_power(m, p, alpha)
+
+
+def _sqrt_mod_prime_power(m: int, p: int, alpha: int) -> RootSet:
+    """sqrt_mod_prime_power for a prime p and alpha >= 1 already validated."""
     q = p ** alpha
     m %= q
     if m == 0:
@@ -172,7 +177,7 @@ def sqrt_mod_all(m: int, r: int | FactoredModulus) -> RootSet:
         return RootSet(1, 0, (0,))
     partial: List[Tuple[int, ...]] = []
     for p, a in fm.factors:
-        rs = sqrt_mod_prime_power(m, p, a)
+        rs = _sqrt_mod_prime_power(m, p, a)
         if not rs.roots:
             return RootSet(n, m, ())
         partial.append(rs.roots)
@@ -244,7 +249,9 @@ _PP_PAIR_CACHE: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _vec_pow_mod(base: np.ndarray, e: int, p: int) -> np.ndarray:
-    """Elementwise base**e mod p by square-and-multiply (p**2 < 2**63)."""
+    """Elementwise base**e mod p by square-and-multiply (p**2 < 2**63, e >= 0)."""
+    if e < 0:
+        raise ValueError(f"exponent e = {e} must be >= 0")
     _require_int64_square(p, "p")
     result = np.full_like(base, 1 % p)
     b = base % p
@@ -342,7 +349,7 @@ def _prime_power_pairs(p: int, a: int) -> Tuple[np.ndarray, np.ndarray]:
         ms: List[int] = []
         ks: List[int] = []
         for m in range(q):
-            for k in sqrt_mod_prime_power(m, p, a).roots:
+            for k in _sqrt_mod_prime_power(m, p, a).roots:
                 ms.append(m)
                 ks.append(k)
         out = (np.array(ms, dtype=np.int64), np.array(ks, dtype=np.int64))

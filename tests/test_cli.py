@@ -147,3 +147,14 @@ def test_scan_param_without_values_is_a_usage_error(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_energy_beyond_int64_certificate_is_refused(capsys):
+    # 55109 is prime and R = r puts every residue in the multiset, so the
+    # mass is 55109 and 55109^4 >= 2^63: refused before any convolution
+    code = main(["energy", "--kind", "e4", "--R", "55109", "--j", "1",
+                 "--r", "55109"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "2^63" in err
+    assert err.count("\n") == 1

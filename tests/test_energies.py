@@ -1,10 +1,12 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sievelab.energies import (energy_e2, energy_e4, energy_f2,
-                               hypothesis_scan, kssz_check, parseval_check,
-                               scan_summary)
+from sievelab.energies import (_energy_from_multiset, energy_e2, energy_e4,
+                               energy_f2, hypothesis_scan, kssz_check,
+                               parseval_check, scan_summary)
 from sievelab.sqrtmod import sqrt_mod_all
 
 
@@ -20,6 +22,25 @@ def brute_e2(R, j, r):
                     if (a + b - c - d) % r == 0:
                         count += 1
     return count
+
+
+def literal_e4(table, r):
+    values = [lam for lam, c in table.items() for _ in range(c)]
+    sums = {}
+    for a in values:
+        for b in values:
+            for c in values:
+                for d in values:
+                    s = (a + b + c + d) % r
+                    sums[s] = sums.get(s, 0) + 1
+    return sum(n * n for n in sums.values())
+
+
+def sparse_tables(max_keys, max_count):
+    return st.integers(1, 400).flatmap(lambda r: st.tuples(
+        st.just(r),
+        st.dictionaries(st.integers(0, r - 1), st.integers(1, max_count),
+                        max_size=max_keys)))
 
 
 def test_e2_literal_quadruple_count():
@@ -89,3 +110,31 @@ def test_hypothesis_scan_skips_noncoprime_j():
     reports = hypothesis_scan("H3", [6], lambda r: 2, j_sample=(2, 5),
                               h_sample=(1,))
     assert all(rep.j == 5 for rep in reports)
+
+
+# one dense table whose 400 keys span several blocks of the fast kernel
+@example(case=(400, {k: 1 + k % 3 for k in range(400)}))
+@given(case=sparse_tables(max_keys=12, max_count=99))
+@settings(max_examples=60, deadline=None)
+def test_conv_equals_brute_on_sparse_tables(case):
+    r, table = case
+    for fold in (2, 4):
+        assert (_energy_from_multiset(table, r, fold, "conv")
+                == _energy_from_multiset(table, r, fold, "brute"))
+
+
+@given(case=sparse_tables(max_keys=4, max_count=3))
+@settings(max_examples=40, deadline=None)
+def test_conv_e4_equals_literal_four_sum_count(case):
+    r, table = case
+    assert _energy_from_multiset(table, r, 4, "conv") == literal_e4(table, r)
+
+
+def test_int64_certificate_at_boundary():
+    # 3037000499^2 < 2^63 <= 3037000500^2 and 55108^4 < 2^63 <= 55109^4;
+    # accepted cases run "conv" only, since "brute" expands the multiset
+    for fold, mass in ((2, 3037000499), (4, 55108)):
+        assert _energy_from_multiset({0: mass}, 7, fold, "conv") == mass ** (2 * fold)
+        for method in ("conv", "brute"):
+            with pytest.raises(ValueError, match="2\\^63"):
+                _energy_from_multiset({0: mass + 1}, 7, fold, method)

@@ -1,7 +1,10 @@
+import signal
+
 import numpy as np
 import pytest
 
-from sievelab.arith import factorize
+from sievelab import sqrtmod
+from sievelab.arith import factorize, is_prime
 from sievelab.sqrtmod import (RootSet, _require_int64_square, _vec_pow_mod,
                               build_root_multiset, root_pairs, root_table,
                               sqrt_mod_all, sqrt_mod_prime,
@@ -170,3 +173,40 @@ def test_int64_square_preconditions_at_boundary():
     _require_int64_square(3037000499, "r")
     with pytest.raises(ValueError, match="2\\^63"):
         root_table(3037000500)
+
+
+def test_vec_pow_mod_refuses_negative_exponent():
+    # e >>= 1 never leaves -1, so a missing check loops forever; the alarm
+    # turns that into a failure instead of a hung test run
+    def hang(signum, frame):
+        raise TimeoutError("_vec_pow_mod did not return")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        with pytest.raises(ValueError, match="exponent"):
+            _vec_pow_mod(np.array([2, 3], dtype=np.int64), -1, 7)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_sqrt_mod_all_trusts_factored_primes(monkeypatch):
+    calls = []
+
+    def counting_is_prime(p):
+        calls.append(p)
+        return is_prime(p)
+
+    monkeypatch.setattr(sqrtmod, "is_prime", counting_is_prime)
+    for r in (8, 9, 360, 1001):
+        fm = factorize(r)
+        for m in range(r):
+            assert sqrt_mod_all(m, fm).roots == oracle_roots(m, r)
+    assert calls == []
+    # the public prime-power solver keeps both of its checks
+    with pytest.raises(ValueError):
+        sqrt_mod_prime_power(0, 4, 1)
+    with pytest.raises(ValueError):
+        sqrt_mod_prime_power(0, 5, 0)
+    assert calls == [4]
