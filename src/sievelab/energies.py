@@ -2,11 +2,13 @@
 
 Fast path: cyclic self-convolution of the root multiset's sparse count
 vector in int64 numpy, in blocks of pair sums, once for E2/F2 and once
-more on the nonzero bins for E4.  Oracle path: expand the multiset and
-enumerate every pair sum densely with numpy bincount.  Both return exact
-integers; before either runs, the certificate mass^fold < 2^63 (mass =
-number of roots counted with multiplicity) proves that no int64 count
-or weight can wrap.
+more on the nonzero bins for E4.  The bins are a dense histogram only
+while r is small next to the pair count; otherwise they stay sparse and
+sorted, so neither time nor memory grows with r.  Oracle path: expand the
+multiset and enumerate every pair sum densely with numpy bincount.  Both
+return exact integers; before either runs, the certificate mass^fold <
+2^63 (mass = number of roots counted with multiplicity) proves that no
+int64 count or weight can wrap.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from .sqrtmod import RootMultiset, build_root_multiset
 
 #: pair sums per block of the fast convolution (about 1 MB of int64 temporaries)
 _BLOCK = 1 << 16
+#: largest dense histogram of the fast convolution (8 MB of int64)
+_DENSE_BINS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -52,17 +56,47 @@ class SpectrumCheck:
         return abs(self.fourier_E - self.exact_E)
 
 
-def _self_convolve(lam: np.ndarray, cnt: np.ndarray, r: int) -> np.ndarray:
-    """h[s] = sum of cnt[a] * cnt[b] over lam[a] + lam[b] = s (mod r), int64.
+def _self_convolve(lam: np.ndarray, cnt: np.ndarray,
+                   r: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Nonzero bins (keys, h) of the cyclic self-convolution, keys ascending:
+    h[k] = sum of cnt[a] * cnt[b] over lam[a] + lam[b] = keys[k] (mod r), int64.
 
-    Exact when every bin of the result fits int64; callers certify that.
+    Exact when every bin fits int64; callers certify that.  A dense
+    histogram of length r is used only when r is at most _DENSE_BINS and
+    no larger than the pair count (or one block); otherwise pending pair
+    sums are merged into the sorted bins whenever they outnumber them.
     """
-    h = np.zeros(r, dtype=np.int64)
     rows = max(1, _BLOCK // max(1, lam.size))
-    for i in range(0, lam.size, rows):
-        sums = np.add.outer(lam[i:i + rows], lam) % r
-        np.add.at(h, sums, np.multiply.outer(cnt[i:i + rows], cnt))
-    return h
+    blocks = ((np.add.outer(lam[i:i + rows], lam).ravel() % r,
+               np.multiply.outer(cnt[i:i + rows], cnt).ravel())
+              for i in range(0, lam.size, rows))
+    if r <= min(_DENSE_BINS, max(_BLOCK, lam.size * lam.size)):
+        h = np.zeros(r, dtype=np.int64)
+        for sums, weights in blocks:
+            np.add.at(h, sums, weights)
+        keys = np.flatnonzero(h)
+        return keys, h[keys]
+    keys = h = np.zeros(0, dtype=np.int64)
+    pending: List[Tuple[np.ndarray, np.ndarray]] = []
+    size = 0
+    for sums, weights in blocks:
+        pending.append((sums, weights))
+        size += sums.size
+        if size >= max(_BLOCK, keys.size):
+            keys, h = _merge_bins([(keys, h)] + pending)
+            pending, size = [], 0
+    return _merge_bins([(keys, h)] + pending) if pending else (keys, h)
+
+
+def _merge_bins(parts: Sequence[Tuple[np.ndarray, np.ndarray]]
+                ) -> Tuple[np.ndarray, np.ndarray]:
+    """Sum the weights of equal keys over several (keys, weights) parts."""
+    keys = np.concatenate([k for k, _ in parts])
+    weights = np.concatenate([w for _, w in parts])
+    order = np.argsort(keys)
+    keys, weights = keys[order], weights[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    return keys[starts], np.add.reduceat(weights, starts) if starts.size else weights
 
 
 def _dense_pair_hist(values: Sequence[int], r: int) -> np.ndarray:
@@ -94,11 +128,10 @@ def _energy_from_multiset(table: Dict[int, int], r: int, fold: int, method: str)
     if method == "conv":
         lam = np.fromiter(table.keys(), dtype=np.int64, count=len(table))
         cnt = np.fromiter(table.values(), dtype=np.int64, count=len(table))
-        h = _self_convolve(lam, cnt, r)
+        keys, h = _self_convolve(lam, cnt, r)
         if fold == 4:
-            support = np.flatnonzero(h)
-            h = _self_convolve(support, h[support], r)
-        e = sum(c * c for c in h[h != 0].tolist())
+            keys, h = _self_convolve(keys, h, r)
+        e = sum(c * c for c in h.tolist())
     else:
         values = _expand(table)
         h2 = _dense_pair_hist(values, r)

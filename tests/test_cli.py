@@ -25,6 +25,14 @@ def test_energy_command(capsys):
     assert json.loads(out)["energy"] == 6
 
 
+def test_energy_at_a_large_prime_modulus(capsys):
+    # the fast kernel's memory does not grow with r: exact at r ~ 1e9
+    code, out = run_cli(capsys, "energy", "--kind", "f2", "--R", "4",
+                        "--j", "1", "--h", "1", "--r", "1000000007")
+    assert code == 0
+    assert json.loads(out)["energy"] == 492
+
+
 def test_expsum_gauss_closed(capsys):
     code, out = run_cli(capsys, "expsum", "gauss", "--q", "5", "--a", "1",
                         "--b", "0", "--closed")

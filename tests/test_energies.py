@@ -1,13 +1,16 @@
 import math
+from collections import Counter
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
+from sievelab import energies
 from sievelab.energies import (_energy_from_multiset, energy_e2, energy_e4,
                                energy_f2, hypothesis_scan, kssz_check,
                                parseval_check, scan_summary)
-from sievelab.sqrtmod import sqrt_mod_all
+from sievelab.sqrtmod import build_root_multiset, sqrt_mod_all
+
+#: a prime far above any dense histogram of the fast kernel
+BIG_PRIME = 1000000007
 
 
 def brute_e2(R, j, r):
@@ -24,23 +27,16 @@ def brute_e2(R, j, r):
     return count
 
 
-def literal_e4(table, r):
-    values = [lam for lam, c in table.items() for _ in range(c)]
-    sums = {}
-    for a in values:
-        for b in values:
-            for c in values:
-                for d in values:
-                    s = (a + b + c + d) % r
-                    sums[s] = sums.get(s, 0) + 1
+def literal_energy(values, r, fold):
+    """Solutions of x1 + .. + x_fold = y1 + .. + y_fold (mod r), by counting."""
+    sums = Counter([0])
+    for _ in range(fold):
+        step = Counter()
+        for s, n in sums.items():
+            for v in values:
+                step[(s + v) % r] += n
+        sums = step
     return sum(n * n for n in sums.values())
-
-
-def sparse_tables(max_keys, max_count):
-    return st.integers(1, 400).flatmap(lambda r: st.tuples(
-        st.just(r),
-        st.dictionaries(st.integers(0, r - 1), st.integers(1, max_count),
-                        max_size=max_keys)))
 
 
 def test_e2_literal_quadruple_count():
@@ -112,22 +108,37 @@ def test_hypothesis_scan_skips_noncoprime_j():
     assert all(rep.j == 5 for rep in reports)
 
 
-# one dense table whose 400 keys span several blocks of the fast kernel
-@example(case=(400, {k: 1 + k % 3 for k in range(400)}))
-@given(case=sparse_tables(max_keys=12, max_count=99))
-@settings(max_examples=60, deadline=None)
-def test_conv_equals_brute_on_sparse_tables(case):
-    r, table = case
-    for fold in (2, 4):
-        assert (_energy_from_multiset(table, r, fold, "conv")
-                == _energy_from_multiset(table, r, fold, "brute"))
+def test_large_prime_energies_match_literal_counts():
+    # every bin lies far apart at r ~ 1e9, so the kernel keeps sparse bins
+    ms = build_root_multiset(8, 1, BIG_PRIME, "plain", method="oracle")
+    values = [lam for lam, c in ms.table.items() for _ in range(c)]
+    assert _energy_from_multiset(ms.table, BIG_PRIME, 2, "conv") == brute_e2(8, 1, BIG_PRIME)
+    assert (_energy_from_multiset(ms.table, BIG_PRIME, 4, "conv")
+            == literal_energy(values, BIG_PRIME, 4))
+    R, j, h = 6, 3, 1
+    diffs = [(kt - k) % BIG_PRIME
+             for m in range(1, R + 1)
+             for k in sqrt_mod_all(j * m % BIG_PRIME, BIG_PRIME).roots
+             for kt in sqrt_mod_all(j * (m + h) % BIG_PRIME, BIG_PRIME).roots]
+    assert energy_f2(R, j, h, BIG_PRIME).energy == literal_energy(diffs, BIG_PRIME, 2)
 
 
-@given(case=sparse_tables(max_keys=4, max_count=3))
-@settings(max_examples=40, deadline=None)
-def test_conv_e4_equals_literal_four_sum_count(case):
-    r, table = case
-    assert _energy_from_multiset(table, r, 4, "conv") == literal_e4(table, r)
+def test_sparse_bins_merge_across_blocks():
+    # 400 keys make 160000 pair sums, several merges of the sparse bins
+    r = 10 ** 12 + 39
+    table = {(k * 7919 ** 3) % r: 1 + k % 3 for k in range(400)}
+    values = [lam for lam, c in table.items() for _ in range(c)]
+    assert _energy_from_multiset(table, r, 2, "conv") == literal_energy(values, r, 2)
+
+
+def test_sparse_bins_match_brute_on_grid(monkeypatch):
+    monkeypatch.setattr(energies, "_DENSE_BINS", 0)
+    for r in (7, 35, 60):
+        for R in (1, 4, min(8, r)):
+            for kind in (energy_e2, energy_e4):
+                assert kind(R, 1, r, "conv").energy == kind(R, 1, r, "brute").energy
+            assert (energy_f2(R, 1, 2, r, "conv").energy
+                    == energy_f2(R, 1, 2, r, "brute").energy)
 
 
 def test_int64_certificate_at_boundary():

@@ -1,0 +1,54 @@
+"""Property tests of the fast energy kernel; skipped without hypothesis."""
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from sievelab.energies import _energy_from_multiset  # noqa: E402
+
+
+def literal_e4(table, r):
+    values = [lam for lam, c in table.items() for _ in range(c)]
+    sums = {}
+    for a in values:
+        for b in values:
+            for c in values:
+                for d in values:
+                    s = (a + b + c + d) % r
+                    sums[s] = sums.get(s, 0) + 1
+    return sum(n * n for n in sums.values())
+
+
+def sparse_tables(max_r, max_keys, max_count):
+    return st.integers(1, max_r).flatmap(lambda r: st.tuples(
+        st.just(r),
+        st.dictionaries(st.integers(0, r - 1), st.integers(1, max_count),
+                        max_size=max_keys)))
+
+
+# one dense table whose 400 keys span several blocks of the fast kernel
+@example(case=(400, {k: 1 + k % 3 for k in range(400)}))
+@given(case=sparse_tables(max_r=400, max_keys=12, max_count=99))
+@settings(max_examples=60, deadline=None)
+def test_conv_equals_brute_on_sparse_tables(case):
+    r, table = case
+    for fold in (2, 4):
+        assert (_energy_from_multiset(table, r, fold, "conv")
+                == _energy_from_multiset(table, r, fold, "brute"))
+
+
+@given(case=sparse_tables(max_r=400, max_keys=4, max_count=3))
+@settings(max_examples=40, deadline=None)
+def test_conv_e4_equals_literal_four_sum_count(case):
+    r, table = case
+    assert _energy_from_multiset(table, r, 4, "conv") == literal_e4(table, r)
+
+
+# moduli up to 1e12 reach the sparse bins, where "brute" would need r bins
+@given(case=sparse_tables(max_r=10 ** 12, max_keys=4, max_count=3))
+@settings(max_examples=40, deadline=None)
+def test_conv_e4_equals_literal_count_at_large_moduli(case):
+    r, table = case
+    assert _energy_from_multiset(table, r, 4, "conv") == literal_e4(table, r)
