@@ -62,6 +62,10 @@ def criterion_1_sqrt_oracle(r_max: int = 10 ** 4,
         if not np.all(np.bincount(rp[:, 1], minlength=r) == 1):
             return _result(1, "sqrt oracle", False,
                            f"r={r}: root table is not a permutation", t0)
+        dm, dk = np.diff(rp[:, 0]), np.diff(rp[:, 1])
+        if not np.all((dm > 0) | ((dm == 0) & (dk > 0))):
+            return _result(1, "sqrt oracle", False,
+                           f"r={r}: rows not strictly increasing in (m, k)", t0)
     # per-call spot checks of sqrt_mod_all against the squaring oracle
     rng = np.random.default_rng(20260823)
     checked = 0

@@ -149,8 +149,7 @@ def _parse_grid(items: List[str]) -> Dict[str, List[int]]:
 
 
 def _cmd_scan(args) -> int:
-    spec = ScanSpec(args.op, _parse_grid(args.param), seed=args.seed,
-                    budget=args.budget)
+    spec = ScanSpec(args.op, _parse_grid(args.param), budget=args.budget)
     records = run_scan(spec)
     text = (records_to_csv(records) if args.format == "csv"
             else records_to_json(records))

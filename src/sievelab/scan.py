@@ -22,7 +22,6 @@ from .sieve import px_monitor
 class ScanSpec:
     operation: str
     grid: Mapping[str, Sequence]
-    seed: int = 0
     budget: int = 10 ** 9
 
     def __post_init__(self):
@@ -30,6 +29,11 @@ class ScanSpec:
             raise ValueError(f"unknown operation {self.operation!r}")
         if not self.grid or any(len(v) == 0 for v in self.grid.values()):
             raise ValueError("grid must be non-empty in every parameter")
+        missing = [k for k in SCAN_PARAMETERS[self.operation]
+                   if k not in self.grid]
+        if missing:
+            raise ValueError(f"operation {self.operation!r} needs grid "
+                             f"parameters {', '.join(missing)}")
 
 
 @dataclass(frozen=True)
@@ -97,6 +101,17 @@ SCAN_OPERATIONS: Dict[str, Callable] = {
     "gauss": _op_gauss,
     "bombieri": _op_bombieri,
     "px": _op_px,
+}
+
+#: the grid parameters each operation reads
+SCAN_PARAMETERS: Dict[str, Tuple[str, ...]] = {
+    "e2": ("r", "j", "R"),
+    "e4": ("r", "j", "R"),
+    "f2": ("r", "j", "R", "h"),
+    "esum": ("l", "n", "j", "h", "r"),
+    "gauss": ("q", "a", "b"),
+    "bombieri": ("numerator", "denominator", "p"),
+    "px": ("x", "Q", "N"),
 }
 
 
@@ -178,7 +193,7 @@ def _decode_value(s: str):
 
 def records_to_csv(records: Sequence[ResultRecord], timing: bool = False) -> str:
     """Serialize records to CSV.  Timing is off by default so that a fixed
-    (spec, seed, version) yields byte-identical files across runs."""
+    (spec, version) yields byte-identical files across runs."""
     pkeys = sorted({k for r in records for k in r.parameters})
     okeys = sorted({k for r in records for k in r.outputs})
     cols = (["operation"] + [f"param_{k}" for k in pkeys]

@@ -197,31 +197,31 @@ def sqrt_mod_all(m: int, r: int | FactoredModulus) -> RootSet:
 
 
 def root_pairs(r: int | FactoredModulus) -> np.ndarray:
-    """All (m, k) with k^2 = m (mod r), as an (r, 2) array sorted by (m, k).
+    """All (m, k) with k^2 = m (mod r), as an (r, 2) int64 array sorted by (m, k).
 
-    Built from the prime-power solver plus a vectorized CRT outer product,
-    i.e. the same pipeline as sqrt_mod_all but amortized over every m.
-    There are exactly r pairs since every k is a root of exactly one m.
+    Built from the prime-power solver plus a vectorized CRT, i.e. the same
+    pipeline as sqrt_mod_all but amortized over every m.  The prime-power
+    pairs are recombined with the CRT idempotents e_i = (r/q_i) *
+    ((r/q_i)^-1 mod q_i) mod r: each factor's residues are scaled by e_i
+    once and outer-added into the accumulator, which is reduced mod r at
+    the end.  The rows are then sorted as one int64 key m*r + k, so
+    r^2 < 2^63 is required.  There are exactly r pairs since every k is
+    a root of exactly one m.
     """
     fm = r if isinstance(r, FactoredModulus) else factorize(r)
     n = fm.n
-    if n == 1:
-        return np.array([[0, 0]], dtype=np.int64)
-    acc_m = np.array([0], dtype=np.int64)
-    acc_k = np.array([0], dtype=np.int64)
-    acc_mod = 1
-    for p, a in fm.factors:
-        q = p ** a
+    _require_int64_square(n, "r")
+    acc_m = np.zeros(1, dtype=np.int64)
+    acc_k = np.zeros(1, dtype=np.int64)
+    for (p, a), q in zip(fm.factors, fm.prime_powers):
         ms, ks = _prime_power_pairs(p, a)
-        inv = mod_inverse(acc_mod % q, q) if q > 1 else 0
-        # CRT the accumulated pairs with the new prime-power pairs
-        tm = (np.subtract.outer(ms, acc_m % q) * inv) % q
-        tk = (np.subtract.outer(ks, acc_k % q) * inv) % q
-        acc_m = (acc_m[None, :] + acc_mod * tm).ravel()
-        acc_k = (acc_k[None, :] + acc_mod * tk).ravel()
-        acc_mod *= q
-    order = np.lexsort((acc_k, acc_m))
-    return np.stack([acc_m[order], acc_k[order]], axis=1)
+        e = n // q * mod_inverse(n // q % q, q) % n
+        # the cached tables are int32: widen before scaling by e < r
+        acc_m = np.add.outer(ms.astype(np.int64) * e % n, acc_m).ravel()
+        acc_k = np.add.outer(ks.astype(np.int64) * e % n, acc_k).ravel()
+    key = acc_m % n * n + acc_k % n
+    key.sort()
+    return np.stack(np.divmod(key, n), axis=1)
 
 
 def _require_int64_square(n: int, name: str) -> None:
@@ -235,10 +235,10 @@ def root_table(r: int | FactoredModulus) -> Tuple[np.ndarray, np.ndarray]:
     """Compressed root_pairs(r): the roots of m are roots[offsets[m]:offsets[m+1]].
 
     offsets has r + 1 entries and roots has r, both int64 and sorted as in
-    root_pairs.  Callers may square entries, so r^2 < 2^63 is required.
+    root_pairs.  root_pairs requires r^2 < 2^63, so callers may square
+    entries.
     """
     fm = r if isinstance(r, FactoredModulus) else factorize(r)
-    _require_int64_square(fm.n, "r")
     pairs = root_pairs(fm)
     offsets = np.searchsorted(pairs[:, 0], np.arange(fm.n + 1))
     return offsets, pairs[:, 1]
@@ -329,10 +329,9 @@ def _prime_pair_table(p: int) -> Tuple[np.ndarray, np.ndarray]:
     good = x >= 0
     mr = units[good]
     xr = x[good]
-    ms = np.concatenate([[0], mr, mr])
-    ks = np.concatenate([[0], xr, (p - xr) % p])
-    order = np.lexsort((ks, ms))
-    return ms[order], ks[order]
+    key = np.concatenate([[0], mr * p + xr, mr * p + (p - xr) % p])
+    key.sort()
+    return np.divmod(key, p)
 
 
 def _prime_power_pairs(p: int, a: int) -> Tuple[np.ndarray, np.ndarray]:

@@ -4,8 +4,10 @@ Each test runs one criterion end to end and emits a single pass/fail
 line; criterion 10 is a non-failing monitor that only reports ratios.
 """
 
+import numpy as np
 import pytest
 
+from sievelab import acceptance, sqrtmod
 from sievelab.acceptance import CRITERIA
 
 
@@ -20,6 +22,22 @@ def test_criterion_01_sqrt_oracle_all_moduli():
     # every r <= 10^4, every m mod r, zero mismatches, <= 60 s
     result = _run(1)
     assert result.elapsed_s <= 60
+
+
+def test_criterion_01_rejects_misordered_rows(monkeypatch):
+    # root_table's searchsorted needs rows strictly increasing in (m, k)
+    def m_descending(r):
+        return sqrtmod.root_pairs(r)[::-1]
+
+    def k_descending_in_m(r):
+        rp = sqrtmod.root_pairs(r)
+        return rp[np.lexsort((-rp[:, 1], rp[:, 0]))]
+
+    for bad, r in ((m_descending, 2), (k_descending_in_m, 3)):
+        monkeypatch.setattr(acceptance, "root_pairs", bad)
+        result = acceptance.criterion_1_sqrt_oracle(r_max=12, sample=0)
+        assert not result.passed
+        assert result.detail == f"r={r}: rows not strictly increasing in (m, k)"
 
 
 def test_criterion_02_root_count_formula():

@@ -157,6 +157,16 @@ def test_scan_param_without_values_is_a_usage_error(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_scan_missing_grid_parameter_is_a_usage_error(capsys):
+    for argv in (("--op", "e2", "--param", "r=7"),
+                 ("--op", "bombieri", "--param", "p=5")):
+        code = main(["scan", *argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "needs grid parameters" in err
+        assert err.count("\n") == 1
+
+
 def test_energy_beyond_int64_certificate_is_refused(capsys):
     # 55109 is prime and R = r puts every residue in the multiset, so the
     # mass is 55109 and 55109^4 >= 2^63: refused before any convolution

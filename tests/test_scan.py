@@ -14,6 +14,15 @@ def test_scanspec_validates():
         ScanSpec("e2", {"r": []})
     with pytest.raises(ValueError):
         ScanSpec("no_such_op", {"r": [3]})
+    # each op names the grid parameters it reads but the grid lacks
+    with pytest.raises(ValueError, match="j, R$"):
+        ScanSpec("e2", {"r": [7]})
+    with pytest.raises(ValueError, match="needs grid parameters h$"):
+        ScanSpec("f2", {"r": [7], "j": [1], "R": [2]})
+    with pytest.raises(ValueError, match="numerator, denominator$"):
+        ScanSpec("bombieri", {"p": [5]})
+    with pytest.raises(ValueError, match="x, Q, N$"):
+        ScanSpec("px", {"q": [5]})
 
 
 def test_single_point_scan():

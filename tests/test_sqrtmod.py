@@ -5,7 +5,8 @@ import pytest
 
 from sievelab import sqrtmod
 from sievelab.arith import factorize, is_prime
-from sievelab.sqrtmod import (RootSet, _require_int64_square, _vec_pow_mod,
+from sievelab.sqrtmod import (RootSet, _prime_pair_table,
+                              _require_int64_square, _vec_pow_mod,
                               build_root_multiset, root_pairs, root_table,
                               sqrt_mod_all, sqrt_mod_prime,
                               sqrt_mod_prime_power)
@@ -14,6 +15,14 @@ from sievelab.sqrtmod import (RootSet, _require_int64_square, _vec_pow_mod,
 def oracle_roots(m, r):
     ks = np.arange(r, dtype=np.int64)
     return tuple(int(k) for k in ks[ks * ks % r == m % r])
+
+
+def squaring_pairs(r):
+    """Every (m, k) with m = k^2 mod r, by squaring, sorted by (m, k)."""
+    ks = np.arange(r, dtype=np.int64)
+    ms = ks * ks % r
+    order = np.lexsort((ks, ms))
+    return np.stack([ms[order], ks[order]], axis=1)
 
 
 def test_rootset_validates():
@@ -89,15 +98,25 @@ def test_roots_closed_under_negation():
 
 
 def test_root_pairs_matches_squaring():
-    for r in (1, 2, 5, 8, 16, 36, 97, 243, 360, 1009, 5040):
+    # every r <= 2000, then prime powers, smooth r, a prime = 1 mod 8, a
+    # prime above 10^4 and twice it; 967381 = 97 * 9973 has two
+    # int32-cached factor tables and idempotents near 10^6, so a CRT that
+    # scales them without widening to int64 wraps
+    rs = list(range(1, 2001)) + [5040, 6561, 8192, 9240, 9601, 10007,
+                                 2 * 10007, 967381]
+    for r in rs:
         rp = root_pairs(r)
-        assert rp.shape == (r, 2)
-        assert np.all((rp[:, 1] * rp[:, 1] - rp[:, 0]) % r == 0)
-        # every k is a root of exactly one m
-        assert np.all(np.bincount(rp[:, 1], minlength=r) == 1)
-        # sorted by (m, k)
-        keys = rp[:, 0] * r + rp[:, 1]
-        assert np.all(np.diff(keys) > 0)
+        assert rp.dtype == np.int64
+        assert np.array_equal(rp, squaring_pairs(r)), r
+
+
+def test_prime_pair_table_equals_squaring():
+    # p = 1 mod 8 takes Tonelli-Shanks, p = 3 mod 4 the (p+1)/4 power and
+    # p = 5 mod 8 the (p+3)/8 power; two primes from each class mod 8
+    for p in (17, 9601, 3, 11, 5, 9973, 7, 10007):
+        ms, ks = _prime_pair_table(p)
+        assert ms.dtype == ks.dtype == np.int64
+        assert np.array_equal(np.stack([ms, ks], axis=1), squaring_pairs(p)), p
 
 
 def test_root_pairs_tonelli_prime():
@@ -173,6 +192,9 @@ def test_int64_square_preconditions_at_boundary():
     _require_int64_square(3037000499, "r")
     with pytest.raises(ValueError, match="2\\^63"):
         root_table(3037000500)
+    # root_pairs sorts on the key m*r + k, so it refuses the same r itself
+    with pytest.raises(ValueError, match="2\\^63"):
+        root_pairs(3037000500)
 
 
 def test_vec_pow_mod_refuses_negative_exponent():
