@@ -26,7 +26,6 @@ from .sqrtmod import (  # noqa: F401
     build_root_multiset,
     root_pairs,
     sqrt_mod_all,
-    sqrt_mod_prime,
     sqrt_mod_prime_power,
 )
 from .energies import (  # noqa: F401
@@ -35,10 +34,8 @@ from .energies import (  # noqa: F401
     energy_e2,
     energy_e4,
     energy_f2,
-    hypothesis_scan,
     kssz_check,
     parseval_check,
-    scan_summary,
 )
 from .expsums import (  # noqa: F401
     ExpSumValue,

@@ -16,13 +16,10 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .arith import eps_q, is_prime, jacobi, mod_inverse
-from .expsums import TWO_PI, ExpSumValue, e_frac
+from .expsums import ExpSumValue, e_frac
+from .sieve import DEFAULT_BUDGET, BudgetExceeded
 
 S4_DIRECT_CAP = 150
-
-
-class BudgetError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -55,7 +52,7 @@ class TrigWeight:
     def phi(self, y: float) -> float:
         out = self.coeffs[0]
         for h in range(1, len(self.coeffs)):
-            out += 2 * self.coeffs[h] * math.cos(TWO_PI * h * y)
+            out += 2 * self.coeffs[h] * math.cos(math.tau * h * y)
         return out
 
     def profile(self, t: float) -> float:
@@ -95,8 +92,8 @@ def _pair_sum_table(r: int, j: int, a1: int, a2: int) -> np.ndarray:
     jinv = mod_inverse(j, r)
     ks = np.arange(r, dtype=np.int64)
     sq = ks * ks % r
-    w1 = np.exp(TWO_PI * 1j * (jinv * a1 % r) * sq / r)
-    w2 = np.exp(TWO_PI * 1j * (jinv * a2 % r) * sq / r)
+    w1 = np.exp(math.tau * 1j * (jinv * a1 % r) * sq / r)
+    w2 = np.exp(math.tau * 1j * (jinv * a2 % r) * sq / r)
     # cyclic pair-sum histogram: T[l] = sum_k w1[k] * w2[(l-k) mod r]
     return np.fft.ifft(np.fft.fft(w1) * np.fft.fft(w2))
 
@@ -114,7 +111,7 @@ def s4_direct(inp: S4Input, via: str = "pairs") -> ExpSumValue:
     h1, h2, h3, h4 = inp.h
     if via == "loops":
         if r > S4_DIRECT_CAP:
-            raise BudgetError(f"triple loop refused for r > {S4_DIRECT_CAP}")
+            raise BudgetExceeded(r ** 3, S4_DIRECT_CAP ** 3)
         jinv = mod_inverse(j, r)
         total = 0j
         for k1 in range(r):
@@ -128,7 +125,7 @@ def s4_direct(inp: S4Input, via: str = "pairs") -> ExpSumValue:
     if via != "pairs":
         raise ValueError(f"unknown evaluation path {via!r}")
     if r * r > 10 ** 9:
-        raise BudgetError("pair tables refused for r^2 > 1e9")
+        raise BudgetExceeded(r * r, 10 ** 9)
     t12 = _pair_sum_table(r, j, h1, h2)
     t34 = _pair_sum_table(r, j, h3, h4)
     return ExpSumValue(complex(np.sum(t12 * t34)), r ** 3, r)
@@ -191,7 +188,7 @@ def s4_closed(inp: S4Input) -> ExpSumValue:
 
 
 def weighted_energy(R: int, j: int, r: int, weight: TrigWeight,
-                    budget: int = 10 ** 8) -> Dict[str, float]:
+                    budget: int = DEFAULT_BUDGET) -> Dict[str, float]:
     """Weighted quadruple energy, evaluated two independent ways.
 
     direct: sum over k1 + k2 = k3 + k4 (mod r) of the product of the four
@@ -204,8 +201,9 @@ def weighted_energy(R: int, j: int, r: int, weight: TrigWeight,
         raise ValueError("r must be an odd prime")
     if not 1 <= R <= r:
         raise ValueError("need 1 <= R <= r")
-    if r * r > budget or (2 * weight.width + 1) ** 4 > budget:
-        raise BudgetError("weighted energy budget exceeded")
+    cost = max(r * r, (2 * weight.width + 1) ** 4)
+    if cost > budget:
+        raise BudgetExceeded(cost, budget)
     nu = R / r
     jinv = mod_inverse(j, r)
     v = np.array([nu * weight.phi((jinv * k * k % r) / r) for k in range(r)])
@@ -260,7 +258,7 @@ def sharp_energy(R: int, j: int, r: int, metric: str = "fractional") -> int:
 
 
 def cubic_form_charsum(M: int, r: int, weight: TrigWeight,
-                       budget: int = 10 ** 8) -> Dict[str, float]:
+                       budget: int = DEFAULT_BUDGET) -> Dict[str, float]:
     """Weighted cubic-form Legendre sum with bound margins.
 
     sum over the truncated h-lattice of prod W(h_i / M) times the Jacobi
@@ -274,8 +272,9 @@ def cubic_form_charsum(M: int, r: int, weight: TrigWeight,
     if M < 1:
         raise ValueError("M must be >= 1")
     half = M * weight.width
-    if (2 * half + 1) ** 4 > budget:
-        raise BudgetError("cubic form lattice exceeds budget")
+    cost = (2 * half + 1) ** 4
+    if cost > budget:
+        raise BudgetExceeded(cost, budget)
     hs: List[int] = []
     wt: Dict[int, float] = {}
     for h in range(-half, half + 1):

@@ -17,17 +17,15 @@ import numpy as np
 
 from . import __version__
 from .acceptance import SUITES, run_suite
-from .charsums import (BudgetError, S4Input, TrigWeight, cubic_form_charsum,
-                       s4_closed, s4_direct, weighted_energy)
+from .charsums import (S4Input, TrigWeight, cubic_form_charsum, s4_closed,
+                       s4_direct, weighted_energy)
 from .energies import energy_e2, energy_e4, energy_f2
 from .expsums import ExpSumValue, esum_jh, gauss_sum_closed, gauss_sum_direct, gcal
 from .scan import (ScanSpec, records_to_csv, records_to_json, run_scan,
                    SCAN_OPERATIONS)
-from .sieve import (BudgetExceeded, SieveInstance, build_frame, ls_bound_table,
-                    ls_lhs, px_monitor)
+from .sieve import (DEFAULT_BUDGET, BudgetExceeded, SieveInstance, build_frame,
+                    ls_bound_table, ls_lhs, px_monitor)
 from .sqrtmod import sqrt_mod_all
-
-DEFAULT_BUDGET = int(os.environ.get("SIEVELAB_BUDGET", 10 ** 9))
 
 
 def _parse_rational(text: str) -> float:
@@ -48,13 +46,16 @@ def _expsum_payload(v: ExpSumValue) -> Dict[str, object]:
             "margin": v.margin, "terms": v.terms}
 
 
-def _emit(args, payload) -> None:
-    text = json.dumps(payload, indent=1, sort_keys=True, default=str) + "\n"
+def _write(args, text: str) -> None:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(args, payload) -> None:
+    _write(args, json.dumps(payload, indent=1, sort_keys=True, default=str) + "\n")
 
 
 def _cmd_sqrt(args) -> int:
@@ -151,13 +152,8 @@ def _parse_grid(items: List[str]) -> Dict[str, List[int]]:
 def _cmd_scan(args) -> int:
     spec = ScanSpec(args.op, _parse_grid(args.param), budget=args.budget)
     records = run_scan(spec)
-    text = (records_to_csv(records) if args.format == "csv"
-            else records_to_json(records))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, records_to_csv(records) if args.format == "csv"
+           else records_to_json(records))
     return 0
 
 
@@ -175,95 +171,99 @@ def build_parser() -> argparse.ArgumentParser:
                     "additive energies, exponential sums and sieve "
                     "inequalities")
     parser.add_argument("--version", action="version", version=__version__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    # each option goes only on the leaf commands that read it
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="output path")
+    budget = argparse.ArgumentParser(add_help=False)
+    # argparse converts a string default with type, so a malformed
+    # SIEVELAB_BUDGET is a usage error like a malformed --budget
+    budget.add_argument("--budget", type=int,
+                        default=os.environ.get("SIEVELAB_BUDGET", DEFAULT_BUDGET),
                         help="work-unit cap (env SIEVELAB_BUDGET)")
-    common.add_argument("--out", default=None, help="output path")
-    common.add_argument("--format", choices=("csv", "json"), default="json")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("sqrt", parents=[common])
+    p = sub.add_parser("sqrt", parents=[out])
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.set_defaults(fn=_cmd_sqrt)
 
-    p = sub.add_parser("energy", parents=[common])
+    p = sub.add_parser("energy", parents=[out])
     p.add_argument("--kind", choices=("e2", "e4", "f2"), required=True)
     p.add_argument("--R", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--h", type=int, default=None)
-    p.add_argument("--method", choices=("auto", "conv", "brute"),
-                   default="auto")
+    p.add_argument("--method", choices=("conv", "brute"), default="conv")
     p.set_defaults(fn=_cmd_energy)
 
-    p = sub.add_parser("scan", parents=[common])
+    p = sub.add_parser("scan", parents=[out, budget])
     p.add_argument("--op", choices=sorted(SCAN_OPERATIONS), required=True)
     p.add_argument("--param", action="append", default=[],
                    metavar="NAME=START:STOP[:STEP] | NAME=v1,v2,...")
+    p.add_argument("--format", choices=("csv", "json"), default="json")
     p.set_defaults(fn=_cmd_scan)
 
-    p = sub.add_parser("expsum", parents=[common])
+    p = sub.add_parser("expsum")
     esub = p.add_subparsers(dest="expsum_cmd", required=True)
-    pj = esub.add_parser("jh", parents=[common])
+    pj = esub.add_parser("jh", parents=[out])
     for flag in ("--l", "--n", "--j", "--h", "--r"):
         pj.add_argument(flag, type=int, required=True)
     pj.add_argument("--form", choices=("paired", "bare"), default="paired")
     pj.set_defaults(fn=_cmd_expsum)
-    pg = esub.add_parser("gauss", parents=[common])
+    pg = esub.add_parser("gauss", parents=[out])
     for flag in ("--q", "--a", "--b"):
         pg.add_argument(flag, type=int, required=True)
     pg.add_argument("--closed", action="store_true")
     pg.set_defaults(fn=_cmd_expsum)
-    pc = esub.add_parser("gcal", parents=[common])
+    pc = esub.add_parser("gcal", parents=[out])
     for flag in ("--q", "--a", "--b", "--j", "--k", "--u", "--s"):
         pc.add_argument(flag, type=int, required=True)
     pc.set_defaults(fn=_cmd_expsum)
 
-    p = sub.add_parser("sieve", parents=[common])
+    p = sub.add_parser("sieve")
     ssub = p.add_subparsers(dest="sieve_cmd", required=True)
-    pl = ssub.add_parser("lhs", parents=[common])
+    pl = ssub.add_parser("lhs", parents=[out, budget])
     pl.add_argument("--Q", type=int, required=True)
     pl.add_argument("--N", type=int, required=True)
     pl.add_argument("--M", type=int, default=0)
     pl.add_argument("--moduli", choices=("classical", "squares"),
                     default="classical")
+    pl.add_argument("--seed", type=int, default=0)
     pl.set_defaults(fn=_cmd_sieve)
 
-    p = sub.add_parser("px", parents=[common])
+    p = sub.add_parser("px", parents=[out, budget])
     p.add_argument("--x", type=_parse_rational, required=True)
     p.add_argument("--Q", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
     p.set_defaults(fn=_cmd_px)
 
-    p = sub.add_parser("approx", parents=[common])
+    p = sub.add_parser("approx", parents=[out])
     p.add_argument("--x", type=_parse_rational, required=True)
     p.add_argument("--N", type=int, required=True,
                    help="window length; tau = floor(sqrt(N))")
     p.set_defaults(fn=_cmd_approx)
 
-    p = sub.add_parser("charsum", parents=[common])
+    p = sub.add_parser("charsum")
     csub = p.add_subparsers(dest="charsum_cmd", required=True)
-    ps = csub.add_parser("s4", parents=[common])
+    ps = csub.add_parser("s4", parents=[out])
     ps.add_argument("--r", type=int, required=True)
     ps.add_argument("--j", type=int, required=True)
     ps.add_argument("--h", required=True, metavar="h1,h2,h3,h4")
     ps.add_argument("--closed", action="store_true")
     ps.set_defaults(fn=_cmd_charsum)
-    pcu = csub.add_parser("cubic", parents=[common])
+    pcu = csub.add_parser("cubic", parents=[out, budget])
     pcu.add_argument("--r", type=int, required=True)
     pcu.add_argument("--M", type=int, required=True)
     pcu.add_argument("--weight", type=_parse_weight, default=TrigWeight.fejer(3))
     pcu.set_defaults(fn=_cmd_charsum)
-    pe = csub.add_parser("energy", parents=[common])
+    pe = csub.add_parser("energy", parents=[out, budget])
     pe.add_argument("--r", type=int, required=True)
     pe.add_argument("--R", type=int, required=True)
     pe.add_argument("--j", type=int, required=True)
     pe.add_argument("--weight", type=_parse_weight, default=TrigWeight.fejer(3))
     pe.set_defaults(fn=_cmd_charsum)
 
-    p = sub.add_parser("accept", parents=[common])
+    p = sub.add_parser("accept")
     p.add_argument("suite", nargs="?", default="all",
                    choices=sorted(SUITES))
     p.set_defaults(fn=_cmd_accept)
@@ -275,7 +275,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (BudgetError, BudgetExceeded) as exc:
+    except BudgetExceeded as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -14,14 +14,13 @@ int64 count or weight can wrap.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .arith import FactoredModulus, factorize, is_prime
-from .sqrtmod import RootMultiset, build_root_multiset
+from .arith import factorize, is_prime
+from .sqrtmod import build_root_multiset
 
 #: pair sums per block of the fast convolution (about 1 MB of int64 temporaries)
 _BLOCK = 1 << 16
@@ -147,45 +146,42 @@ def _energy_from_multiset(table: Dict[int, int], r: int, fold: int, method: str)
     return e
 
 
-def _resolve_method(method: str) -> str:
-    if method == "auto":
-        return "conv"
-    if method in ("conv", "brute"):
-        return method
-    raise ValueError(f"unknown method {method!r}")
+def _check_method(method: str) -> None:
+    if method not in ("conv", "brute"):
+        raise ValueError(f"unknown method {method!r}")
 
 
-def energy_e2(R: int, j: int, r: int, method: str = "auto") -> EnergyReport:
+def energy_e2(R: int, j: int, r: int, method: str = "conv") -> EnergyReport:
     """Quadruples (k1..k4) with ki^2 = j*mi, mi in [1,R], k1+k2 = k3+k4 mod r."""
-    meth = _resolve_method(method)
+    _check_method(method)
     fm = factorize(r) if isinstance(r, int) else r
     ms = build_root_multiset(R, j, fm, "plain",
-                             method="fast" if meth == "conv" else "oracle")
-    e = _energy_from_multiset(ms.table, fm.n, 2, meth)
+                             method="fast" if method == "conv" else "oracle")
+    e = _energy_from_multiset(ms.table, fm.n, 2, method)
     bound = R ** 4 / fm.n + R ** 2
-    return EnergyReport("E2", R, j, None, fm.n, e, bound, meth)
+    return EnergyReport("E2", R, j, None, fm.n, e, bound, method)
 
 
-def energy_e4(R: int, j: int, r: int, method: str = "auto") -> EnergyReport:
+def energy_e4(R: int, j: int, r: int, method: str = "conv") -> EnergyReport:
     """8-tuple analogue of energy_e2 (4-vs-4 sums)."""
-    meth = _resolve_method(method)
+    _check_method(method)
     fm = factorize(r) if isinstance(r, int) else r
     ms = build_root_multiset(R, j, fm, "plain",
-                             method="fast" if meth == "conv" else "oracle")
-    e = _energy_from_multiset(ms.table, fm.n, 4, meth)
+                             method="fast" if method == "conv" else "oracle")
+    e = _energy_from_multiset(ms.table, fm.n, 4, method)
     bound = R ** 8 / fm.n + R ** 4
-    return EnergyReport("E4", R, j, None, fm.n, e, bound, meth)
+    return EnergyReport("E4", R, j, None, fm.n, e, bound, method)
 
 
-def energy_f2(R: int, j: int, h: int, r: int, method: str = "auto") -> EnergyReport:
+def energy_f2(R: int, j: int, h: int, r: int, method: str = "conv") -> EnergyReport:
     """Additive energy of root differences f(m) = sqrt(j(m+h)) - sqrt(jm)."""
-    meth = _resolve_method(method)
+    _check_method(method)
     fm = factorize(r) if isinstance(r, int) else r
     ms = build_root_multiset(R, j, fm, "difference", h=h)
-    e = _energy_from_multiset(ms.table, fm.n, 2, meth)
+    e = _energy_from_multiset(ms.table, fm.n, 2, method)
     hr = math.gcd(h % fm.n, fm.n) if (h % fm.n) != 0 else fm.n
     bound = hr * R ** 4 / fm.n + R ** 2
-    return EnergyReport("F2", R, j, h, fm.n, e, bound, meth)
+    return EnergyReport("F2", R, j, h, fm.n, e, bound, method)
 
 
 def parseval_check(R: int, j: int, r: int, fold: int = 2) -> SpectrumCheck:
@@ -222,48 +218,3 @@ def kssz_check(r: int, j: int, R: int, with_e4: bool = False) -> Dict[str, float
         out.update({"e4": e4, "e4_bound": b4, "e4_ratio": e4 / b4})
     return out
 
-
-def hypothesis_scan(
-    kind: str,
-    r_values: Iterable[int],
-    R_rule: Callable[[int], int],
-    j_sample: Sequence[int] = (1,),
-    h_sample: Sequence[int] = (1,),
-    work_cap: int = 10 ** 8,
-) -> List[EnergyReport]:
-    """Empirical stress test of the expected-bound hypotheses H1/H2/H3.
-
-    Evaluates the relevant energy on the (r, R, j[, h]) grid and records
-    the ratio against the bracketed expected bound with eps = 0.
-    Infeasible grid points (work above work_cap) are skipped.
-    """
-    if kind not in ("H1", "H2", "H3"):
-        raise ValueError(f"unknown hypothesis {kind!r}")
-    reports: List[EnergyReport] = []
-    for r in r_values:
-        R = max(1, min(r, R_rule(r)))
-        if r * R * R > work_cap:
-            continue
-        for j in j_sample:
-            if math.gcd(j, r) != 1:
-                continue
-            if kind == "H1":
-                reports.append(energy_e2(R, j, r))
-            elif kind == "H2":
-                reports.append(energy_e4(R, j, r))
-            else:
-                for h in h_sample:
-                    reports.append(energy_f2(R, j, h, r))
-    return reports
-
-
-def scan_summary(reports: Sequence[EnergyReport]) -> Dict[str, object]:
-    if not reports:
-        return {"count": 0, "max_ratio": None, "argmax": None}
-    best = max(reports, key=lambda rep: rep.ratio)
-    return {
-        "count": len(reports),
-        "max_ratio": best.ratio,
-        "argmax": {"kind": best.kind, "r": best.r, "R": best.R,
-                   "j": best.j, "h": best.h, "energy": best.energy},
-    }

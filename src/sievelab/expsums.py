@@ -12,24 +12,22 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .arith import FactoredModulus, eps_q, factorize, is_prime, jacobi, mod_inverse
 from .sqrtmod import _vec_pow_mod, root_table, sqrt_mod_all
 
-TWO_PI = 2.0 * math.pi
-
 
 def e_frac(num: int, den: int) -> complex:
     """e(num/den) with the argument reduced exactly in integers."""
-    return cmath.exp(TWO_PI * 1j * ((num % den) / den))
+    return cmath.exp(math.tau * 1j * ((num % den) / den))
 
 
 def unit_phases(q: int) -> np.ndarray:
     """Array of e_q(t) for t in [0, q)."""
-    return np.exp(TWO_PI * 1j * np.arange(q) / q)
+    return np.exp(math.tau * 1j * np.arange(q) / q)
 
 
 @dataclass(frozen=True)
@@ -89,7 +87,7 @@ def gauss_sum_direct(q: int, a: int, b: int) -> ExpSumValue:
         raise ValueError("q must be >= 1")
     n = np.arange(1, q + 1, dtype=np.int64)
     phases = ((a % q) * (n * n % q) + (b % q) * n) % q
-    value = complex(np.exp(TWO_PI * 1j * phases / q).sum())
+    value = complex(np.exp(math.tau * 1j * phases / q).sum())
     return ExpSumValue(value, q, q)
 
 
@@ -156,7 +154,7 @@ def esum_jh(
         k = np.repeat(k, counts)
         # each product is reduced mod r before adding, so nothing exceeds r^2
         phase = (l % rr * (kt - k) % rr + n * jinv % rr * (k * k % rr) % rr) % rr
-        total = complex(np.exp(TWO_PI * 1j * (phase / rr)).sum())
+        total = complex(np.exp(math.tau * 1j * (phase / rr)).sum())
     elif form == "bare":
         for a in range(1, rr + 1):
             ks = sqrt_mod_all(j * a % rr, fm).roots
@@ -206,7 +204,7 @@ def gcal(q: int, a: int, b: int, j: int, k: int, u: int, s: int) -> ExpSumValue:
     num2 = num * num % q
     inv_c2 = invs * invs % q
     phase = (a % q * units + b % q * num2 % q * inv_base % q * inv_c2) % q
-    value = complex(np.exp(TWO_PI * 1j * phase / q).sum())
+    value = complex(np.exp(math.tau * 1j * phase / q).sum())
     return ExpSumValue(value, len(units), q)
 
 
@@ -231,7 +229,7 @@ def rational_expsum(f: RationalFunctionModP) -> ExpSumValue:
     inv_table = np.zeros(p, dtype=np.int64)
     inv_table[units % p] = invs
     phase = v1[keep] * inv_table[v2[keep]] % p
-    value = complex(np.exp(TWO_PI * 1j * phase / p).sum())
+    value = complex(np.exp(math.tau * 1j * phase / p).sum())
     bound = 2 * f.total_degree() * math.sqrt(p)
     return ExpSumValue(value, int(keep.sum()), p, abs(value) / bound)
 

@@ -6,23 +6,22 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 from . import __version__
 from .energies import energy_e2, energy_e4, energy_f2
 from .expsums import esum_jh, gauss_sum_closed, gauss_sum_direct, rational_expsum
-from .sieve import px_monitor
+from .sieve import DEFAULT_BUDGET, px_monitor
 
 
 @dataclass(frozen=True)
 class ScanSpec:
     operation: str
     grid: Mapping[str, Sequence]
-    budget: int = 10 ** 9
+    budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
         if self.operation not in SCAN_OPERATIONS:

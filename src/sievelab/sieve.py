@@ -12,13 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from .arith import mod_inverse
-
-TWO_PI = 2.0 * math.pi
 
 
 class BudgetExceeded(RuntimeError):
@@ -77,7 +75,7 @@ def ls_lhs(inst: SieveInstance, moduli: str = "classical",
         a_vals = np.array([a for a in range(1, den + 1) if math.gcd(a, q) == 1],
                           dtype=np.int64)
         phases = (np.multiply.outer(a_vals, ns % den)) % den
-        inner = np.exp(TWO_PI * 1j * phases / den) @ inst.coefficients
+        inner = np.exp(math.tau * 1j * phases / den) @ inst.coefficients
         total += float(np.sum(np.abs(inner) ** 2))
     return total
 
@@ -297,7 +295,7 @@ def double_sieve_check(
     if np.max(np.abs(al), initial=0.0) > A or np.max(np.abs(be), initial=0.0) > B:
         raise ValueError("|alpha| <= A and |beta| <= B are required")
     lhs = abs(np.sum(av[:, None] * bv[None, :]
-                     * np.exp(TWO_PI * 1j * np.outer(al, be))))
+                     * np.exp(math.tau * 1j * np.outer(al, be))))
     close_a = np.abs(al[:, None] - al[None, :]) < 1.0 / B
     close_b = np.abs(be[:, None] - be[None, :]) < 1.0 / A
     pa = float(np.sum(np.abs(av)[:, None] * np.abs(av)[None, :] * close_a))
@@ -316,7 +314,7 @@ def lsreduce_check(alphas: Sequence[float], inst: SieveInstance) -> Dict[str, fl
     al = np.mod(np.asarray(alphas, dtype=float), 1.0)
     N = inst.N
     ns = np.arange(inst.M + 1, inst.M + N + 1)
-    inner = np.exp(TWO_PI * 1j * np.outer(al, ns)) @ inst.coefficients
+    inner = np.exp(math.tau * 1j * np.outer(al, ns)) @ inst.coefficients
     lhs = float(np.sum(np.abs(inner) ** 2))
     maxcount = _max_window_count(al, 1.0 / N)
     z = inst.Z

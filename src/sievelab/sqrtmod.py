@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -39,25 +39,7 @@ class RootSet:
         return k in self.roots
 
 
-def sqrt_mod_prime(m: int, p: int) -> RootSet:
-    """Square roots of m modulo an odd prime p.
-
-    0, 1 or 2 roots; a single root only for m = 0.
-    """
-    if p == 2:
-        raise ValueError("p = 2 is handled by sqrt_mod_prime_power")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    m %= p
-    if m == 0:
-        return RootSet(p, 0, (0,))
-    x = _unit_sqrt_mod_prime(m, p)
-    if x is None:
-        return RootSet(p, m, ())
-    return RootSet(p, m, tuple(sorted({x, p - x})))
-
-
-def _unit_sqrt_mod_prime(m: int, p: int) -> int | None:
+def _unit_root_mod_prime(m: int, p: int) -> int | None:
     """One square root of a unit m mod odd prime p, or None if non-residue."""
     if p % 4 == 3:
         x = pow(m, (p + 1) // 4, p)
@@ -114,7 +96,7 @@ def _unit_roots_mod_2power(m: int, gamma: int) -> List[int]:
 
 def _unit_roots_mod_odd_prime_power(m: int, p: int, gamma: int) -> List[int]:
     """All roots of a unit m modulo p^gamma, p odd."""
-    x = _unit_sqrt_mod_prime(m % p, p)
+    x = _unit_root_mod_prime(m % p, p)
     if x is None:
         return []
     mod = p
@@ -263,10 +245,10 @@ def _vec_pow_mod(base: np.ndarray, e: int, p: int) -> np.ndarray:
     return result
 
 
-def _vec_unit_sqrt_mod_prime(m: np.ndarray, p: int) -> np.ndarray:
+def _vec_unit_root_mod_prime(m: np.ndarray, p: int) -> np.ndarray:
     """One root for each unit entry of m mod odd prime p, -1 for non-residues.
 
-    Same case split as _unit_sqrt_mod_prime (direct exponentiation for
+    Same case split as _unit_root_mod_prime (direct exponentiation for
     p = 3 mod 4 and p = 5 mod 8, Tonelli-Shanks otherwise), vectorized
     with masked array updates.
     """
@@ -325,7 +307,7 @@ def _vec_unit_sqrt_mod_prime(m: np.ndarray, p: int) -> np.ndarray:
 def _prime_pair_table(p: int) -> Tuple[np.ndarray, np.ndarray]:
     """(m, k) root pairs mod an odd prime p via the vectorized solver."""
     units = np.arange(1, p, dtype=np.int64)
-    x = _vec_unit_sqrt_mod_prime(units, p)
+    x = _vec_unit_root_mod_prime(units, p)
     good = x >= 0
     mr = units[good]
     xr = x[good]

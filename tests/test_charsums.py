@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from sievelab.charsums import (BudgetError, S4Input, TrigWeight,
+from sievelab.charsums import (S4_DIRECT_CAP, S4Input, TrigWeight,
                                cubic_form_charsum, s4_closed, s4_direct,
                                sharp_energy, weighted_energy)
+from sievelab.sieve import BudgetExceeded
 
 
 def test_trigweight_fejer():
@@ -61,8 +62,9 @@ def test_s4_pairs_path_matches_loops():
 
 
 def test_s4_loops_budget():
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetExceeded) as exc:
         s4_direct(S4Input(1, (1, 1, 1, 1), 151), via="loops")
+    assert (exc.value.cost, exc.value.budget) == (151 ** 3, S4_DIRECT_CAP ** 3)
 
 
 def test_s4_closed_full_sweep_small():
@@ -114,8 +116,13 @@ def test_weighted_energy_constant_weight():
 def test_weighted_energy_validates():
     with pytest.raises(ValueError):
         weighted_energy(3, 1, 9, TrigWeight.fejer(2))
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetExceeded) as exc:
         weighted_energy(3, 1, 61, TrigWeight.fejer(2), budget=10)
+    assert (exc.value.cost, exc.value.budget) == (61 ** 2, 10)
+    # the cost is max(r^2, lattice size), refused only when it exceeds the budget
+    weighted_energy(3, 1, 61, TrigWeight.fejer(2), budget=61 ** 2)
+    with pytest.raises(BudgetExceeded):
+        weighted_energy(3, 1, 61, TrigWeight.fejer(2), budget=61 ** 2 - 1)
 
 
 def test_sharp_energy_sandwich():
@@ -147,5 +154,7 @@ def test_cubic_form_sqrt_margin():
 
 
 def test_cubic_form_budget():
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetExceeded) as exc:
         cubic_form_charsum(50, 101, TrigWeight.fejer(5), budget=100)
+    # M * width = 200, so the lattice has 401^4 points
+    assert (exc.value.cost, exc.value.budget) == (401 ** 4, 100)

@@ -1,8 +1,11 @@
+import argparse
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from sievelab.cli import main
+from sievelab.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -176,3 +179,172 @@ def test_energy_beyond_int64_certificate_is_refused(capsys):
     assert code == 2
     assert err.startswith("error: ") and "2^63" in err
     assert err.count("\n") == 1
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_cli_lines():
+    block = README.read_text().split("## CLI", 1)[1]
+    block = block.split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines
+            if line.strip().startswith("sievelab ")]
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    examples = readme_cli_lines()
+    assert len(examples) >= 10
+    for argv in examples:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    assert (tmp_path / "e2.csv").read_text().startswith("operation,")
+
+
+#: the one small invocation of every leaf command used below
+LEAVES = {
+    ("sqrt",): ["--m", "4", "--r", "15"],
+    ("energy",): ["--kind", "e2", "--R", "1", "--j", "1", "--r", "7"],
+    ("scan",): ["--op", "gauss", "--param", "q=3:9:2", "--param", "a=1",
+                "--param", "b=0"],
+    ("expsum", "jh"): ["--l", "1", "--n", "2", "--j", "1", "--h", "1",
+                       "--r", "45"],
+    ("expsum", "gauss"): ["--q", "5", "--a", "1", "--b", "0"],
+    ("expsum", "gcal"): ["--q", "9", "--a", "1", "--b", "2", "--j", "1",
+                         "--k", "3", "--u", "2", "--s", "1"],
+    ("sieve", "lhs"): ["--Q", "3", "--N", "20"],
+    ("px",): ["--x", "3/10", "--Q", "8", "--N", "512"],
+    ("approx",): ["--x", "3/10", "--N", "10"],
+    ("charsum", "s4"): ["--r", "7", "--j", "1", "--h", "0,0,0,0"],
+    ("charsum", "cubic"): ["--r", "11", "--M", "2", "--weight", "fejer:2"],
+    ("charsum", "energy"): ["--r", "13", "--R", "5", "--j", "2"],
+    ("accept",): ["constants"],
+}
+
+#: the shared options each leaf command takes; group parsers take none
+OPTIONS = {
+    ("sqrt",): {"--out"},
+    ("energy",): {"--out"},
+    ("scan",): {"--out", "--budget", "--format"},
+    ("expsum", "jh"): {"--out"},
+    ("expsum", "gauss"): {"--out"},
+    ("expsum", "gcal"): {"--out"},
+    ("sieve", "lhs"): {"--out", "--budget", "--seed"},
+    ("px",): {"--out", "--budget"},
+    ("approx",): {"--out"},
+    ("charsum", "s4"): {"--out"},
+    ("charsum", "cubic"): {"--out", "--budget"},
+    ("charsum", "energy"): {"--out", "--budget"},
+    ("accept",): set(),
+    ("expsum",): set(),
+    ("sieve",): set(),
+    ("charsum",): set(),
+}
+
+
+def parser_tree(parser, path=()):
+    """(command path, parser) of every subcommand parser, depth first."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield path + (name,), sub
+                yield from parser_tree(sub, path + (name,))
+
+
+def test_shared_options_only_on_the_commands_that_read_them():
+    shared = {"--seed", "--budget", "--out", "--format"}
+    found = {path: {s for a in sub._actions for s in a.option_strings} & shared
+             for path, sub in parser_tree(build_parser())}
+    assert found == OPTIONS
+    assert set(OPTIONS) - set(LEAVES) == {("expsum",), ("sieve",), ("charsum",)}
+    assert sum(len(opts) for opts in found.values()) == 19
+
+
+@pytest.mark.parametrize("path", [p for p in LEAVES if "--out" in OPTIONS[p]],
+                         ids=" ".join)
+def test_out_writes_the_file_instead_of_stdout(path, tmp_path, capsys):
+    target = tmp_path / "out.txt"
+    code, out = run_cli(capsys, *path, *LEAVES[path], "--out", str(target))
+    assert code == 0 and out == ""
+    code, printed = run_cli(capsys, *path, *LEAVES[path])
+    assert code == 0 and target.read_text() == printed
+
+
+@pytest.mark.parametrize("path", [p for p in LEAVES if "--budget" in OPTIONS[p]
+                                  and p != ("scan",)], ids=" ".join)
+def test_budget_is_read(path, capsys):
+    code, out = run_cli(capsys, *path, *LEAVES[path], "--budget", "1")
+    assert code == 3 and out == ""
+
+
+def test_budget_environment_override(monkeypatch, capsys):
+    path = ("px",)
+    monkeypatch.setenv("SIEVELAB_BUDGET", "1")
+    code, out = run_cli(capsys, *path, *LEAVES[path])
+    assert code == 3 and out == ""
+    code, _ = run_cli(capsys, *path, *LEAVES[path], "--budget", "1000000")
+    assert code == 0
+    monkeypatch.setenv("SIEVELAB_BUDGET", "lots")
+    with pytest.raises(SystemExit) as exc:
+        main([*path, *LEAVES[path]])
+    assert exc.value.code == 2
+    # commands without --budget do not read it
+    code, _ = run_cli(capsys, "sqrt", *LEAVES[("sqrt",)])
+    assert code == 0
+
+
+def test_scan_budget_truncates(capsys):
+    code, out = run_cli(capsys, "scan", *LEAVES[("scan",)], "--budget", "1")
+    assert code == 0 and '"operation": "truncated"' in out
+
+
+def test_sieve_seed_is_read(capsys):
+    _, default = run_cli(capsys, "sieve", "lhs", "--Q", "3", "--N", "20")
+    _, zero = run_cli(capsys, "sieve", "lhs", "--Q", "3", "--N", "20",
+                      "--seed", "0")
+    _, seven = run_cli(capsys, "sieve", "lhs", "--Q", "3", "--N", "20",
+                       "--seed", "7")
+    assert default == zero
+    assert json.loads(seven)["lhs"] != json.loads(zero)["lhs"]
+
+
+@pytest.mark.parametrize("argv", [
+    # options given to a group parser used to be overwritten silently by the
+    # subcommand's default
+    pytest.param(["expsum", "--out", "x.json", "jh", "--l", "1", "--n", "2",
+                  "--j", "1", "--h", "1", "--r", "45"], id="expsum-out"),
+    pytest.param(["sieve", "--seed", "7", "lhs", "--Q", "3", "--N", "20"],
+                 id="sieve-seed"),
+    pytest.param(["charsum", "--budget", "10", "energy", "--r", "31",
+                  "--R", "10", "--j", "3"], id="charsum-budget"),
+    # options no code of the command reads
+    pytest.param(["sqrt", "--m", "4", "--r", "15", "--format", "csv"],
+                 id="sqrt-format"),
+    pytest.param(["energy", *LEAVES[("energy",)], "--format", "csv"],
+                 id="energy-format"),
+    pytest.param(["energy", *LEAVES[("energy",)], "--seed", "5"],
+                 id="energy-seed"),
+    pytest.param(["expsum", "gauss", *LEAVES[("expsum", "gauss")],
+                  "--budget", "10"], id="gauss-budget"),
+    pytest.param(["scan", *LEAVES[("scan",)], "--seed", "5"], id="scan-seed"),
+    pytest.param(["accept", "constants", "--out", "a.txt"], id="accept-out"),
+    pytest.param(["energy", *LEAVES[("energy",)], "--method", "auto"],
+                 id="energy-method-auto"),
+])
+def test_unread_or_misplaced_option_is_a_usage_error(argv, tmp_path,
+                                                     monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_charsum_energy_budget_refusal(capsys):
+    code = main(["charsum", "energy", "--r", "31", "--R", "10", "--j", "3",
+                 "--budget", "10"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == "budget refusal: estimated cost 961 exceeds budget 10\n"

@@ -5,8 +5,7 @@ import pytest
 
 from sievelab import energies
 from sievelab.energies import (_energy_from_multiset, energy_e2, energy_e4,
-                               energy_f2, hypothesis_scan, kssz_check,
-                               parseval_check, scan_summary)
+                               energy_f2, kssz_check, parseval_check)
 from sievelab.sqrtmod import build_root_multiset, sqrt_mod_all
 
 #: a prime far above any dense histogram of the fast kernel
@@ -91,21 +90,6 @@ def test_kssz_requires_prime():
     out = kssz_check(29, 1, 3, with_e4=True)
     assert out["e2"] == energy_e2(3, 1, 29).energy
     assert out["e4_ratio"] >= 0
-
-
-def test_hypothesis_scan_and_summary():
-    reports = hypothesis_scan("H1", [7, 11, 13], lambda r: 2)
-    assert len(reports) == 3
-    summary = scan_summary(reports)
-    assert summary["count"] == 3
-    assert summary["max_ratio"] == max(rep.ratio for rep in reports)
-    assert scan_summary([]) == {"count": 0, "max_ratio": None, "argmax": None}
-
-
-def test_hypothesis_scan_skips_noncoprime_j():
-    reports = hypothesis_scan("H3", [6], lambda r: 2, j_sample=(2, 5),
-                              h_sample=(1,))
-    assert all(rep.j == 5 for rep in reports)
 
 
 def test_large_prime_energies_match_literal_counts():

@@ -8,8 +8,7 @@ from sievelab.arith import factorize, is_prime
 from sievelab.sqrtmod import (RootSet, _prime_pair_table,
                               _require_int64_square, _vec_pow_mod,
                               build_root_multiset, root_pairs, root_table,
-                              sqrt_mod_all, sqrt_mod_prime,
-                              sqrt_mod_prime_power)
+                              sqrt_mod_all, sqrt_mod_prime_power)
 
 
 def oracle_roots(m, r):
@@ -35,16 +34,26 @@ def test_rootset_validates():
 
 
 def test_sqrt_mod_prime_exhaustive():
+    # exponent 1 of the prime-power solver; 17, 97 and 257 are 1 mod 8
+    # (Tonelli-Shanks), 101 is 5 mod 8
     for p in (3, 5, 7, 11, 13, 17, 97, 101, 257):
         for m in range(p):
-            assert sqrt_mod_prime(m, p).roots == oracle_roots(m, p)
+            assert sqrt_mod_prime_power(m, p, 1).roots == oracle_roots(m, p)
 
 
-def test_sqrt_mod_prime_rejects_two_and_composites():
-    with pytest.raises(ValueError):
-        sqrt_mod_prime(1, 2)
-    with pytest.raises(ValueError):
-        sqrt_mod_prime(1, 15)
+def test_sqrt_mod_prime_rejects_two_and_composites(monkeypatch):
+    for n in (1, 9, 15):
+        with pytest.raises(ValueError):
+            sqrt_mod_prime_power(1, n, 1)
+
+    # p = 2 never reaches the odd-prime solver: the 2-power branch takes it
+    def odd_only(m, p):
+        raise AssertionError(f"odd-prime solver called with p = {p}")
+
+    monkeypatch.setattr(sqrtmod, "_unit_root_mod_prime", odd_only)
+    for a in range(1, 5):
+        for m in range(2 ** a):
+            assert sqrt_mod_prime_power(m, 2, a).roots == oracle_roots(m, 2 ** a)
 
 
 def test_sqrt_mod_prime_power_exhaustive():
