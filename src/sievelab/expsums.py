@@ -17,7 +17,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .arith import FactoredModulus, eps_q, factorize, is_prime, jacobi, mod_inverse
-from .sqrtmod import _vec_pow_mod, root_table, sqrt_mod_all
+from .sqrtmod import _require_int64_square, _vec_pow_mod, root_table, sqrt_mod_all
 
 
 def e_frac(num: int, den: int) -> complex:
@@ -82,10 +82,15 @@ def _trim(coeffs: List[int]) -> List[int]:
 
 
 def gauss_sum_direct(q: int, a: int, b: int) -> ExpSumValue:
-    """G(q;a,b) = sum_{n=1..q} e_q(a n^2 + b n), by literal summation."""
+    """G(q;a,b) = sum_{n=1..q} e_q(a n^2 + b n), by literal summation.
+
+    The phases are exact integer residues: q^2 < 2^63 is required, so each
+    product is below 2^63 and their sum, taken in uint64, below 2^64.
+    """
     if q < 1:
         raise ValueError("q must be >= 1")
-    n = np.arange(1, q + 1, dtype=np.int64)
+    _require_int64_square(q, "q")
+    n = np.arange(1, q + 1, dtype=np.uint64)
     phases = ((a % q) * (n * n % q) + (b % q) * n) % q
     value = complex(np.exp(math.tau * 1j * phases / q).sum())
     return ExpSumValue(value, q, q)

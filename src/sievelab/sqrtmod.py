@@ -340,6 +340,10 @@ def _prime_power_pairs(p: int, a: int) -> Tuple[np.ndarray, np.ndarray]:
     return out
 
 
+#: residues squared per numpy pass of the fast plain multiset (flat memory in r)
+_MULTISET_BLOCK = 1 << 16
+
+
 @dataclass(frozen=True)
 class RootMultiset:
     """Residue -> count table of square roots (plain) or root differences.
@@ -375,9 +379,12 @@ def build_root_multiset(
 
     kind "plain" counts roots lam of j*m; kind "difference" counts
     differences kt - k between roots of j(m+h) and jm.  For the plain kind
-    method "fast" iterates k in O(r) and method "oracle" iterates m and
-    calls sqrt_mod_all per value.  The difference kind has one path, which
-    calls sqrt_mod_all per m, whatever the method.
+    method "fast" squares every k in [0, r) in blocked numpy passes of at
+    most _MULTISET_BLOCK residues, keeping k when m = j^-1 k^2 mod r (with
+    0 read as r) is at most R; it requires r^2 < 2^63 and returns its keys
+    ascending.  Method "oracle" iterates m and calls sqrt_mod_all per
+    value.  The difference kind has one path, which calls sqrt_mod_all per
+    m, whatever the method.
     """
     fm = r if isinstance(r, FactoredModulus) else factorize(r)
     n = fm.n
@@ -393,15 +400,16 @@ def build_root_multiset(
         raise ValueError(f"unknown method {method!r}")
 
     table: Dict[int, int] = {}
-    jinv = mod_inverse(j, n) if n > 1 else 0
     if kind == "plain":
         if method == "fast":
-            for k in range(n):
-                m = (jinv * k * k) % n
-                if m == 0:
-                    m = n
-                if m <= R:
-                    table[k] = table.get(k, 0) + 1
+            # every k is a root of exactly one m, so each kept k counts once
+            _require_int64_square(n, "r")
+            jinv = mod_inverse(j, n) if n > 1 else 0
+            for lo in range(0, n, _MULTISET_BLOCK):
+                k = np.arange(lo, min(lo + _MULTISET_BLOCK, n), dtype=np.int64)
+                m = k * k % n * jinv % n
+                m[m == 0] = n
+                table.update(dict.fromkeys(k[m <= R].tolist(), 1))
         else:
             for m in range(1, R + 1):
                 for k in sqrt_mod_all(j * m % n, fm).roots:

@@ -1,10 +1,37 @@
 import math
+import signal
 
+import numpy as np
 import pytest
 
+from sievelab import arith
 from sievelab.arith import (FactoredModulus, crt_combine, divisor_count, eps_q,
                             factorize, gcd_power_sum, is_prime, jacobi,
                             mod_inverse)
+
+#: the ten smallest primes above the trial-division bound 10^3
+PRIMES_ABOVE_TRIAL = (1009, 1013, 1019, 1021, 1031, 1033, 1039, 1049, 1051, 1061)
+
+
+def spf_sieve(limit):
+    """Smallest prime factor of every n <= limit, by a numpy sieve."""
+    spf = np.zeros(limit + 1, dtype=np.int64)
+    for p in range(2, math.isqrt(limit) + 1):
+        if spf[p] == 0:
+            block = spf[p * p::p]
+            block[block == 0] = p
+    unset = np.flatnonzero(spf == 0)
+    spf[unset] = unset
+    return spf
+
+
+def sieve_factors(n, spf):
+    fac = {}
+    while n > 1:
+        p = int(spf[n])
+        fac[p] = fac.get(p, 0) + 1
+        n //= p
+    return tuple(sorted(fac.items()))
 
 
 def test_is_prime_small():
@@ -24,6 +51,18 @@ def test_is_prime_large():
         assert not is_prime(n)
 
 
+def test_is_prime_beyond_twelve_bases():
+    # psi_12 is a strong pseudoprime to every prime base up to 37
+    psi12 = 318665857834031151167461
+    assert psi12 == 399165290221 * 798330580441
+    assert not is_prime(psi12)
+    # psi_13 fools the 13 bases up to 41 as well, so it is refused
+    psi13 = 3317044064679887385961981
+    assert not is_prime(psi13 - 1)
+    with pytest.raises(ValueError, match="proven only below"):
+        is_prime(psi13)
+
+
 def test_factorize_reconstructs():
     for n in list(range(1, 200)) + [360, 1024, 9973, 2 ** 20 - 1, 10 ** 9 + 6]:
         fm = factorize(n)
@@ -32,6 +71,76 @@ def test_factorize_reconstructs():
             assert is_prime(p)
             prod *= p ** a
         assert prod == n
+
+
+def test_factorize_matches_spf_sieve():
+    # below 10^6 trial division to 10^3 factors alone; just above it the
+    # first cofactors reach Miller-Rabin and rho
+    lo, hi = 10 ** 6 - 2 * 10 ** 3, 10 ** 6 + 2 * 10 ** 4
+    spf = spf_sieve(hi)
+    for n in list(range(1, 2 * 10 ** 4 + 1)) + list(range(lo, hi + 1)):
+        assert factorize(n).factors == sieve_factors(n, spf), n
+
+
+def test_factorize_prime_powers_above_trial_bound():
+    for p in PRIMES_ABOVE_TRIAL:
+        a = 1
+        while p ** a <= 2 ** 63:
+            assert factorize(p ** a).factors == ((p, a),)
+            a += 1
+
+
+def test_factorize_products_above_trial_bound():
+    ps = PRIMES_ABOVE_TRIAL
+    for i, p in enumerate(ps):
+        for q in ps[i + 1:]:
+            assert factorize(p * q).factors == ((p, 1), (q, 1))
+            assert factorize(p * p * q).factors == ((p, 2), (q, 1))
+            assert factorize(p * q * q).factors == ((p, 1), (q, 2))
+            for s in ps[ps.index(q) + 1:]:
+                assert factorize(p * q * s).factors == ((p, 1), (q, 1), (s, 1))
+    # a Carmichael number (6k+1)(12k+1)(18k+1), k = 195, all factors > 10^3
+    carmichael = 1171 * 2341 * 3511
+    assert pow(2, carmichael - 1, carmichael) == 1
+    assert factorize(carmichael).factors == ((1171, 1), (2341, 1), (3511, 1))
+
+
+def test_factorize_near_10_12():
+    # one modulus from each class of the large queries: a prime, p*q with
+    # both primes near 10^6, and p*q with p in [10^3, 10^4]
+    assert factorize(999999999989).factors == ((999999999989, 1),)
+    assert factorize(999983 * 1000003).factors == ((999983, 1), (1000003, 1))
+    assert factorize(1009 * 991080257).factors == ((1009, 1), (991080257, 1))
+
+
+def test_factorize_balanced_semiprime_near_2_63():
+    def hang(signum, frame):
+        raise TimeoutError("factorize did not return")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        fm = factorize(3000000019 * 3000001003)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert fm.factors == ((3000000019, 1), (3000001003, 1))
+
+
+def test_pollard_rho_only_past_trial_division(monkeypatch):
+    calls = []
+    rho = arith._pollard_rho
+
+    def counting_rho(n):
+        calls.append(n)
+        return rho(n)
+
+    monkeypatch.setattr(arith, "_pollard_rho", counting_rho)
+    for n in [991 * 997, 997 ** 2, 999983] + list(range(10 ** 6 - 2000, 10 ** 6)):
+        factorize(n)
+    assert calls == []
+    assert factorize(1009 * 1013).factors == ((1009, 1), (1013, 1))
+    assert calls == [1009 * 1013]
 
 
 def test_factorize_rejects_bad_input():

@@ -170,6 +170,14 @@ def test_scan_missing_grid_parameter_is_a_usage_error(capsys):
         assert err.count("\n") == 1
 
 
+def test_gauss_direct_beyond_int64_is_refused(capsys):
+    code = main(["expsum", "gauss", "--q", "3037000500", "--a", "1", "--b", "0"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "2^63" in err
+    assert err.count("\n") == 1
+
+
 def test_energy_beyond_int64_certificate_is_refused(capsys):
     # 55109 is prime and R = r puts every residue in the multiset, so the
     # mass is 55109 and 55109^4 >= 2^63: refused before any convolution

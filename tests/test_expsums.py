@@ -28,6 +28,16 @@ def test_gauss_direct_small():
     assert abs(gauss_sum_direct(3, 1, 0).value - want) < 1e-12
 
 
+def test_gauss_direct_refuses_int64_overflow(monkeypatch):
+    # 3037000500^2 >= 2^63: refused before the length-q array is built
+    def no_arrays(*args, **kwargs):
+        raise AssertionError("allocated before the int64 check")
+
+    monkeypatch.setattr(np, "arange", no_arrays)
+    with pytest.raises(ValueError, match="2\\^63"):
+        gauss_sum_direct(3037000500, 1, 0)
+
+
 def test_gauss_closed_examples():
     # eps_5 = 1, (1/5) = 1: G(5;1,0) = sqrt(5)
     assert abs(gauss_sum_closed(5, 1, 0).value - math.sqrt(5)) < 1e-12

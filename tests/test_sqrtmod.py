@@ -145,6 +145,34 @@ def test_build_root_multiset_plain_methods_agree():
                 fast = build_root_multiset(R, j, r, "plain", method="fast")
                 oracle = build_root_multiset(R, j, r, "plain", method="oracle")
                 assert fast.table == oracle.table
+                assert list(fast.table) == sorted(oracle.table)
+
+
+@pytest.mark.parametrize("r", [2 ** 16 - 1, 2 ** 16 + 1, 3 * 2 ** 16 + 5, 200003])
+def test_build_root_multiset_plain_blocks(r):
+    # moduli on either side of one and of three numpy blocks (2^16 residues);
+    # r = 200003 runs only at R = 1 to keep the oracle cheap
+    assert sqrtmod._MULTISET_BLOCK == 2 ** 16
+    oracles = {}
+    for R in ((1,) if r == 200003 else (1, r // 2, r)):
+        for j in (1, 2):  # 2 is a unit: every r here is odd
+            # at R = r every residue is counted whatever j is
+            key = (R, j if R < r else 1)
+            if key not in oracles:
+                oracles[key] = build_root_multiset(R, key[1], r, "plain",
+                                                   method="oracle").table
+            fast = build_root_multiset(R, j, r, "plain", method="fast").table
+            assert fast == oracles[key]
+            assert list(fast) == sorted(fast)
+
+
+def test_build_root_multiset_plain_refuses_int64_overflow(monkeypatch):
+    def no_arrays(*args, **kwargs):
+        raise AssertionError("allocated before the int64 check")
+
+    monkeypatch.setattr(np, "arange", no_arrays)
+    with pytest.raises(ValueError, match="2\\^63"):
+        build_root_multiset(1, 1, 3037000500, "plain", method="fast")
 
 
 def test_build_root_multiset_plain_mass():
