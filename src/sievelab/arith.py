@@ -190,20 +190,12 @@ def jacobi(a: int, q: int) -> int:
 
 
 def mod_inverse(a: int, m: int) -> int:
-    """Inverse of a modulo m; raises if gcd(a, m) > 1."""
-    g, x = _xgcd(a % m, m)
-    if g != 1:
-        raise ValueError(f"{a} has no inverse mod {m}")
-    return x % m
-
-
-def _xgcd(a: int, b: int) -> Tuple[int, int]:
-    x0, x1 = 1, 0
-    a0, b0 = a, b
-    while b0:
-        q, a0, b0 = a0 // b0, b0, a0 % b0
-        x0, x1 = x1, x0 - q * x1
-    return a0, x0
+    """Inverse of a modulo m >= 1, in [0, m) (0 when m = 1); raises
+    ValueError if gcd(a, m) > 1."""
+    try:
+        return pow(a % m, -1, m)
+    except ValueError:
+        raise ValueError(f"{a} has no inverse mod {m}") from None
 
 
 def crt_combine(residues: Sequence[Tuple[int, int]]) -> Tuple[int, int]:

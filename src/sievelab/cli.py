@@ -21,8 +21,9 @@ from .charsums import (S4Input, TrigWeight, cubic_form_charsum, s4_closed,
                        s4_direct, weighted_energy)
 from .energies import energy_e2, energy_e4, energy_f2
 from .expsums import ExpSumValue, esum_jh, gauss_sum_closed, gauss_sum_direct, gcal
-from .scan import (ScanSpec, records_to_csv, records_to_json, run_scan,
-                   SCAN_OPERATIONS)
+from .scan import (ScanSpec, parse_coefficients, records_to_csv,
+                   records_to_json, run_scan, SCAN_OPERATIONS,
+                   SCAN_TUPLE_PARAMETERS)
 from .sieve import (DEFAULT_BUDGET, BudgetExceeded, SieveInstance, build_frame,
                     ls_bound_table, ls_lhs, px_monitor)
 from .sqrtmod import sqrt_mod_all
@@ -133,15 +134,20 @@ def _cmd_charsum(args) -> int:
     return 0
 
 
-def _parse_grid(items: List[str]) -> Dict[str, List[int]]:
-    grid: Dict[str, List[int]] = {}
+def _parse_grid(items: List[str]) -> Dict[str, list]:
+    grid: Dict[str, list] = {}
     for item in items:
         name, _, spec = item.partition("=")
         if not spec:
             raise ValueError(f"--param {item!r} is not NAME=VALUES")
         parts = spec.split(":")
+        tuples = name in SCAN_TUPLE_PARAMETERS
         if len(parts) == 1:
-            grid[name] = [int(v) for v in parts[0].split(",")]
+            parse = parse_coefficients if tuples else int
+            grid[name] = [parse(v) for v in parts[0].split(",")]
+        elif tuples:
+            raise ValueError(f"--param {name} takes c0;c1;... values, "
+                             "not a range")
         else:
             start, stop = int(parts[0]), int(parts[1])
             step = int(parts[2]) if len(parts) > 2 else 1
@@ -199,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", parents=[out, budget])
     p.add_argument("--op", choices=sorted(SCAN_OPERATIONS), required=True)
     p.add_argument("--param", action="append", default=[],
-                   metavar="NAME=START:STOP[:STEP] | NAME=v1,v2,...")
+                   metavar="NAME=START:STOP[:STEP] | NAME=v1,v2,... "
+                           "(coefficients c0;c1;...)")
     p.add_argument("--format", choices=("csv", "json"), default="json")
     p.set_defaults(fn=_cmd_scan)
 

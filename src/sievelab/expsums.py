@@ -17,7 +17,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .arith import FactoredModulus, eps_q, factorize, is_prime, jacobi, mod_inverse
-from .sqrtmod import _require_int64_square, _vec_pow_mod, root_table, sqrt_mod_all
+from .sqrtmod import _require_int64_square, root_table, sqrt_mod_all
 
 
 def e_frac(num: int, den: int) -> complex:
@@ -180,18 +180,55 @@ def esum_jh(
 
 @lru_cache(maxsize=256)
 def _unit_inverses(q: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(units, inverses) arrays mod q, the units c in [1, q] with gcd(c, q) = 1
-    and their inverses c^(phi(q) - 1) mod q, where phi(q) = len(units)."""
-    c = np.arange(1, q + 1, dtype=np.int64)
-    units = c[np.gcd(c, q) == 1]
-    return units, _vec_pow_mod(units, units.size - 1, q)
+    """(units, inverses) int64 arrays mod q: the units c in [1, q] with
+    gcd(c, q) = 1, ascending, and their inverses mod q (0 at q = 1).
+
+    O(phi(q)) work.  The units are what remains of [1, q] once the
+    multiples of each prime of q are struck out.  The inverses come from
+    one batch inversion (Montgomery's trick) over a product tree: pairs
+    are multiplied mod q level by level up to the root, odd levels padded
+    with 1; the root is inverted once, and each node hands its inverse
+    down as inv(left) = inv(node) * right and inv(right) = inv(node) *
+    left.  Every product is of two residues, so q^2 < 2^63 is required
+    and refused before anything is allocated.  tests/test_expsums.py
+    checks the tables against pow(c, -1, q) for every q <= 2000 (each
+    padding pattern up to about a thousand leaves) and for q = 2^k + 1
+    (phi(q) = 2^k, no padding), 2^k - 1 and 2^k + 3.
+    """
+    _require_int64_square(q, "q")
+    keep = np.ones(q + 1, dtype=bool)
+    keep[0] = False
+    for p, _ in factorize(q).factors:
+        keep[::p] = False
+    units = np.flatnonzero(keep).astype(np.int64)
+    levels = [units]
+    while levels[-1].size > 1:
+        level = levels[-1]
+        if level.size % 2:
+            level = levels[-1] = np.append(level, 1)
+        levels.append(level[0::2] * level[1::2] % q)
+    inv = np.array([pow(int(levels[-1][0]), -1, q)], dtype=np.int64)
+    for level in reversed(levels[:-1]):
+        inv = inv[:level.size // 2]  # a padding 1 has no children
+        down = np.empty(level.size, dtype=np.int64)
+        down[0::2] = inv * level[1::2] % q
+        down[1::2] = inv * level[0::2] % q
+        inv = down
+    return units, inv[:units.size]
 
 
 def gcal(q: int, a: int, b: int, j: int, k: int, u: int, s: int) -> ExpSumValue:
     """G(q;a,b,j,k,u,s): sum over reduced residues c mod q of
     e_q(a c + b (j k - u s^2 c^2)^2 / (4 j s^3 c^2)).
 
-    Odd q only; requires gcd(js, q) = 1.  q = 1 returns the single term 1.
+    Odd q only; requires gcd(js, q) = 1 and q^2 < 2^63 (refused before any
+    array is built).  q = 1 returns the single term 1.  Expanding the
+    square, the phase is a c + A c^-2 + C c^2 + D mod q with
+    B = b (4 j s^3)^-1, A = B (jk)^2, C = B u^2 s^4 and D = -2 B jk u s^2
+    reduced as Python ints; the terms run over the cached _unit_inverses
+    table in uint64, where each sum of two products below q^2 cannot wrap.
+    tests/test_expsums.py checks it against a literal scalar sum with
+    pow(c, -1, q) per term.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -202,13 +239,12 @@ def gcal(q: int, a: int, b: int, j: int, k: int, u: int, s: int) -> ExpSumValue:
     if math.gcd(j * s, q) != 1:
         raise ValueError("need gcd(js, q) = 1")
     units, invs = _unit_inverses(q)
-    inv_base = mod_inverse(4 * j * s % q * s % q * s % q, q)
-    # phase(c) = a c + b (jk - u s^2 c^2)^2 * inv(4 j s^3) * inv(c)^2, all mod q
-    c2 = units * units % q
-    num = (j * k - u * (s * s % q) % q * c2) % q
-    num2 = num * num % q
-    inv_c2 = invs * invs % q
-    phase = (a % q * units + b % q * num2 % q * inv_base % q * inv_c2) % q
+    B = b * mod_inverse(4 * j * s ** 3, q)
+    jk, us2 = j * k, u * s * s
+    A, C, D = B * jk * jk % q, B * us2 * us2 % q, -2 * B * jk * us2 % q
+    c = units.view(np.uint64)
+    ic = invs.view(np.uint64)
+    phase = ((a % q * c + A * (ic * ic % q)) % q + C * (c * c % q) + D) % q
     value = complex(np.exp(math.tau * 1j * phase / q).sum())
     return ExpSumValue(value, len(units), q)
 
@@ -225,6 +261,7 @@ def rational_expsum(f: RationalFunctionModP) -> ExpSumValue:
     if f.is_constant():
         raise ValueError("bound requires f nonconstant mod p")
     p = f.p
+    _require_int64_square(p, "p")
     f1, f2 = f.reduced()
     ns = np.arange(p, dtype=np.int64)
     v1 = _poly_eval_mod(f1, ns, p)

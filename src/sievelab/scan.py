@@ -13,7 +13,8 @@ from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 from . import __version__
 from .energies import energy_e2, energy_e4, energy_f2
-from .expsums import esum_jh, gauss_sum_closed, gauss_sum_direct, rational_expsum
+from .expsums import (RationalFunctionModP, esum_jh, gauss_sum_closed,
+                      gauss_sum_direct, rational_expsum)
 from .sieve import DEFAULT_BUDGET, px_monitor
 
 
@@ -79,8 +80,6 @@ def _op_gauss(p):
 
 
 def _op_bombieri(p):
-    from .expsums import RationalFunctionModP
-
     f = RationalFunctionModP(tuple(p["numerator"]), tuple(p["denominator"]), p["p"])
     v = rational_expsum(f)
     return {"abs": v.abs, "ratio": v.margin}, p["p"]
@@ -112,6 +111,16 @@ SCAN_PARAMETERS: Dict[str, Tuple[str, ...]] = {
     "bombieri": ("numerator", "denominator", "p"),
     "px": ("x", "Q", "N"),
 }
+
+#: grid parameters whose values are integer coefficient tuples in ascending
+#: powers, written c0;c1;... on the command line and in CSV/JSON files;
+#: every other grid value is an int
+SCAN_TUPLE_PARAMETERS: Tuple[str, ...] = ("numerator", "denominator")
+
+
+def parse_coefficients(text: str) -> Tuple[int, ...]:
+    """The coefficient tuple written c0;c1;... ("0;1" is (0, 1))."""
+    return tuple(int(c) for c in text.split(";"))
 
 
 def run_scan(spec: ScanSpec) -> List[ResultRecord]:
@@ -159,6 +168,8 @@ def _encode_value(v) -> str:
         return f"{v.numerator}/{v.denominator}"
     if isinstance(v, complex):
         return f"{format(v.real, '.17g')}+{format(v.imag, '.17g')}i"
+    if isinstance(v, tuple):
+        return ";".join(str(c) for c in v)
     return str(v)
 
 
@@ -188,6 +199,15 @@ def _decode_value(s: str):
         return float(s)
     except ValueError:
         return s
+
+
+def _decode_param(name: str, v):
+    """The value v of column name: a coefficient tuple for the
+    SCAN_TUPLE_PARAMETERS and the summary's argmax_ of them, else as
+    _decode_value reads it."""
+    if name.removeprefix("argmax_") in SCAN_TUPLE_PARAMETERS:
+        return parse_coefficients(v)
+    return _decode_value(v) if isinstance(v, str) else v
 
 
 def records_to_csv(records: Sequence[ResultRecord], timing: bool = False) -> str:
@@ -228,9 +248,9 @@ def records_from_csv(text: str) -> List[ResultRecord]:
             elif col == "version":
                 rec["version"] = cell
             elif col.startswith("param_") and cell != "":
-                params[col[6:]] = _decode_value(cell)
+                params[col[6:]] = _decode_param(col[6:], cell)
             elif col.startswith("out_") and cell != "":
-                outputs[col[4:]] = _decode_value(cell)
+                outputs[col[4:]] = _decode_param(col[4:], cell)
         out.append(ResultRecord(rec["operation"], params, outputs,
                                 rec["elapsed_ms"], rec["version"]))
     return out
@@ -239,7 +259,8 @@ def records_from_csv(text: str) -> List[ResultRecord]:
 def records_to_json(records: Sequence[ResultRecord], timing: bool = False) -> str:
     """Serialize records to JSON; see records_to_csv for the timing rule."""
     def enc(d):
-        return {k: _encode_value(v) if isinstance(v, (float, Fraction, complex, bool))
+        return {k: _encode_value(v)
+                if isinstance(v, (float, Fraction, complex, bool, tuple))
                 else v for k, v in d.items()}
 
     payload = []
@@ -255,10 +276,8 @@ def records_to_json(records: Sequence[ResultRecord], timing: bool = False) -> st
 def records_from_json(text: str) -> List[ResultRecord]:
     out = []
     for item in json.loads(text):
-        params = {k: _decode_value(v) if isinstance(v, str) else v
-                  for k, v in item["parameters"].items()}
-        outputs = {k: _decode_value(v) if isinstance(v, str) else v
-                   for k, v in item["outputs"].items()}
+        params = {k: _decode_param(k, v) for k, v in item["parameters"].items()}
+        outputs = {k: _decode_param(k, v) for k, v in item["outputs"].items()}
         out.append(ResultRecord(item["operation"], params, outputs,
                                 float(item.get("elapsed_ms", 0.0)),
                                 item["version"]))

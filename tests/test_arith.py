@@ -183,6 +183,11 @@ def test_mod_inverse():
                     mod_inverse(a, q)
             else:
                 assert a * mod_inverse(a, q) % q == 1
+    with pytest.raises(ValueError, match="^6 has no inverse mod 10$"):
+        mod_inverse(6, 10)
+    # every a is a unit mod 1, with inverse 0
+    assert [mod_inverse(a, 1) for a in (-5, 0, 1, 7)] == [0, 0, 0, 0]
+    assert mod_inverse(-3, 7) == 2 and mod_inverse(10 ** 20 + 1, 97) == 59
 
 
 def test_crt_combine():

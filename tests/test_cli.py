@@ -170,6 +170,31 @@ def test_scan_missing_grid_parameter_is_a_usage_error(capsys):
         assert err.count("\n") == 1
 
 
+def test_gcal_beyond_int64_is_refused(capsys):
+    code = main(["expsum", "gcal", "--q", "3037000501", "--a", "1", "--b", "1",
+                 "--j", "1", "--k", "1", "--u", "1", "--s", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "2^63" in err
+    assert err.count("\n") == 1
+
+
+def test_scan_bombieri_coefficient_grid(capsys):
+    code, out = run_cli(capsys, "scan", "--op", "bombieri", "--param",
+                        "p=5,7,11", "--param", "numerator=0;1", "--param",
+                        "denominator=1")
+    assert code == 0
+    rows = json.loads(out)
+    assert [r["parameters"]["numerator"] for r in rows[:3]] == ["0;1"] * 3
+    assert rows[-1]["outputs"]["count"] == 3
+    # a coefficient tuple has no range form
+    code = main(["scan", "--op", "bombieri", "--param", "p=5",
+                 "--param", "numerator=0:1", "--param", "denominator=1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_gauss_direct_beyond_int64_is_refused(capsys):
     code = main(["expsum", "gauss", "--q", "3037000500", "--a", "1", "--b", "0"])
     err = capsys.readouterr().err

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from sievelab.acceptance import BOMBIERI_CORPUS
 from sievelab.expsums import (RationalFunctionModP, _unit_inverses,
                               e_frac, esum_jh,
                               gauss_sum_closed, gauss_sum_direct, gcal,
@@ -196,11 +197,90 @@ def test_esum_paired_refuses_int64_overflow():
 
 def test_unit_inverses():
     assert [a.tolist() for a in _unit_inverses(1)] == [[1], [0]]
+    # every q <= 2000 covers each padding pattern of the product tree up
+    # to about a thousand leaves; phi(q) is even for q > 2, so odd level
+    # sizes come from halving (phi = 6: 6 -> 3 -> 2 -> 1).  Beyond that:
+    # phi(q) = 2^k (q = 17, 257, 65537: no padding at any level), q next
+    # to 2^k, and moduli near 4e4 as the benchmark's cold gcal calls use
     rng = np.random.default_rng(7)
-    qs = [2, 3, 4, 8, 9, 15, 97, 360, 1024, 9999, 39601]
-    qs += [int(q) for q in rng.integers(2, 40000, 20)]
+    qs = list(range(1, 2001))
+    qs += [2 ** e + d for e in (8, 12, 16) for d in (-1, 1, 3)]
+    qs += [9999, 39601] + [int(q) for q in rng.integers(2, 40000, 20)]
     for q in qs:
         units, invs = _unit_inverses(q)
-        assert units.tolist() == [c for c in range(1, q + 1) if math.gcd(c, q) == 1]
-        assert np.all(units * invs % q == 1 % q)
-        assert invs.tolist() == [pow(int(u), -1, q) for u in units]
+        assert units.dtype == invs.dtype == np.int64
+        want = [c for c in range(1, q + 1) if math.gcd(c, q) == 1]
+        assert units.tolist() == want, q
+        assert invs.tolist() == [pow(c, -1, q) for c in want], q
+
+
+def test_unit_inverses_refuses_int64_overflow(monkeypatch):
+    # 3037000501^2 >= 2^63: gcal and rational_expsum refuse q (a product
+    # 313 * 9702877) and the prime p before any length-q array is built
+    def no_arrays(*args, **kwargs):
+        raise AssertionError("allocated before the int64 check")
+
+    monkeypatch.setattr(np, "arange", no_arrays)
+    monkeypatch.setattr(np, "ones", no_arrays)
+    with pytest.raises(ValueError, match="2\\^63"):
+        gcal(3037000501, 1, 1, 1, 1, 1, 1)
+    with pytest.raises(ValueError, match="2\\^63"):
+        rational_expsum(RationalFunctionModP((0, 1), (1,), 3037000507))
+
+
+def gcal_literal(q, a, b, j, k, u, s):
+    """G(q;a,b,j,k,u,s) term by term, one pow(., -1, q) and e_frac each."""
+    total = 0j
+    for c in range(1, q + 1):
+        if math.gcd(c, q) == 1:
+            inv = pow(4 * j * s ** 3 * c * c, -1, q)
+            total += e_frac(a * c + b * (j * k - u * s * s * c * c) ** 2 * inv, q)
+    return total
+
+
+def test_gcal_matches_literal_sum():
+    rng = np.random.default_rng(8)
+    for q in range(1, 302, 2):
+        done = 0
+        while done < 2:
+            a, b, k, u = (int(rng.integers(-3 * q, 3 * q)) for _ in range(4))
+            j, s = (int(rng.integers(-3 * q, 3 * q)) for _ in range(2))
+            if math.gcd(j * s, q) != 1:
+                continue
+            v = gcal(q, a, b, j, k, u, s)
+            assert abs(v.value - gcal_literal(q, a, b, j, k, u, s)) < 1e-9 * q, \
+                (q, a, b, j, k, u, s)
+            assert v.terms == sum(math.gcd(c, q) == 1 for c in range(1, q + 1))
+            done += 1
+
+
+def rational_literal(num, den, p):
+    """(S(f,p), terms) over n mod p with f2(n) != 0, term by term."""
+    total, terms = 0j, 0
+    for n in range(p):
+        f2 = sum(c * n ** i for i, c in enumerate(den)) % p
+        if f2:
+            f1 = sum(c * n ** i for i, c in enumerate(num))
+            total += e_frac(f1 * pow(f2, -1, p), p)
+            terms += 1
+    return total, terms
+
+
+def test_rational_expsum_matches_literal_sum():
+    # criterion 7's corpus at every p <= 101 (p = 2 included) and
+    # negative coefficients
+    corpus = list(BOMBIERI_CORPUS) + [((-3, 5, -1), (0, -2)),
+                                      ((7, 0, -4, 1), (-1, 0, 3))]
+    compared = 0
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
+              59, 61, 67, 71, 73, 79, 83, 89, 97, 101):
+        for num, den in corpus:
+            try:
+                v = rational_expsum(RationalFunctionModP(num, den, p))
+            except ValueError:
+                continue  # constant mod p or vanishing denominator
+            want, terms = rational_literal(num, den, p)
+            assert abs(v.value - want) < 1e-9 * p, (p, num, den)
+            assert v.terms == terms
+            compared += 1
+    assert compared > 400

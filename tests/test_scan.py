@@ -89,3 +89,19 @@ def test_csv_and_json_decode_equal():
         assert x.operation == y.operation
         assert x.parameters == y.parameters
         assert x.outputs == y.outputs
+
+
+def test_coefficient_parameters_round_trip():
+    spec = ScanSpec("bombieri", {"p": [5, 7],
+                                 "numerator": [(1, 0, 1), (0, 0, 1, 1)],
+                                 "denominator": [(0, 1), (1,)]})
+    records = run_scan(spec)
+    assert records[0].parameters["numerator"] == (0, 0, 1, 1)
+    assert records[-1].outputs["argmax_denominator"] in ((0, 1), (1,))
+    text = records_to_csv(records)
+    assert "bombieri,0;1,0;0;1;1,5," in text
+    for back in (records_from_csv(text),
+                 records_from_json(records_to_json(records))):
+        for x, y in zip(records, back):
+            assert x.parameters == y.parameters
+            assert x.outputs == y.outputs
