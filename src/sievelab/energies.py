@@ -140,9 +140,9 @@ def _energy_from_multiset(table: Dict[int, int], r: int, fold: int, method: str)
             weights = np.multiply.outer(h2[support], h2[support]).ravel()
             h4 = np.zeros(r, dtype=np.int64)
             np.add.at(h4, sums, weights)
-            e = sum(int(c) ** 2 for c in h4)
+            e = sum(c * c for c in h4.tolist())
         else:
-            e = sum(int(c) ** 2 for c in h2)
+            e = sum(c * c for c in h2.tolist())
     return e
 
 

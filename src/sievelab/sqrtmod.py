@@ -3,13 +3,16 @@
 A "square root of m mod r" means every k in [0, r) with k^2 = m (mod r).
 Prime-power moduli are handled by Tonelli-Shanks / direct exponentiation
 plus Hensel lifting (explicit case analysis at p = 2); composite moduli by
-CRT recombination of the prime-power root sets.
+CRT recombination of the prime-power root sets with the idempotents
+e_i = (r/q_i) * ((r/q_i)^-1 mod q_i) mod r, in the scalar solver and in
+the bulk root tables alike.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -120,62 +123,75 @@ def sqrt_mod_prime_power(m: int, p: int, alpha: int) -> RootSet:
         raise ValueError("alpha must be >= 1")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return _sqrt_mod_prime_power(m, p, alpha)
+    q = p ** alpha
+    return RootSet(q, m % q, _sqrt_mod_prime_power(m, p, alpha))
 
 
-def _sqrt_mod_prime_power(m: int, p: int, alpha: int) -> RootSet:
-    """sqrt_mod_prime_power for a prime p and alpha >= 1 already validated."""
+def _sqrt_mod_prime_power(m: int, p: int, alpha: int) -> Tuple[int, ...]:
+    """The sorted roots of m mod p^alpha, for a prime p and alpha >= 1
+    already validated.
+
+    A bare tuple, not a RootSet: sqrt_mod_all validates only the
+    recombined roots, and sqrt_mod_prime_power wraps the tuple itself.
+    """
     q = p ** alpha
     m %= q
     if m == 0:
-        step = p ** ((alpha + 1) // 2)
-        return RootSet(q, 0, tuple(range(0, q, step)))
+        return tuple(range(0, q, p ** ((alpha + 1) // 2)))
     beta = 0
     m1 = m
     while m1 % p == 0:
         m1 //= p
         beta += 1
     if beta % 2 != 0:
-        return RootSet(q, m, ())
+        return ()
     gamma = alpha - beta
     if p == 2:
         base = _unit_roots_mod_2power(m1, gamma)
     else:
         base = _unit_roots_mod_odd_prime_power(m1, p, gamma)
-    if not base:
-        return RootSet(q, m, ())
     half = p ** (beta // 2)
     pg = p ** gamma
-    roots = sorted(half * (x + t * pg) for x in base for t in range(half))
-    return RootSet(q, m, tuple(roots))
+    return tuple(sorted(half * (x + t * pg) for x in base for t in range(half)))
 
 
 def sqrt_mod_all(m: int, r: int | FactoredModulus) -> RootSet:
-    """All square roots of m modulo r, via CRT over the prime powers of r."""
+    """All square roots of m modulo r, via CRT over the prime powers of r.
+
+    An int r is factorized on every call; the roots come from
+    _sqrt_mod_all, a memo of at most 256 entries (the bound of
+    expsums._unit_inverses) keyed on the reduced residue m mod r and the
+    FactoredModulus, so m, m + r and m - r share one entry.  The RootSet
+    returned is the cached object itself: it is frozen and holds a tuple,
+    so callers share it safely.
+    """
     fm = r if isinstance(r, FactoredModulus) else factorize(r)
+    return _sqrt_mod_all(m % fm.n, fm)
+
+
+@lru_cache(maxsize=256)
+def _sqrt_mod_all(m: int, fm: FactoredModulus) -> RootSet:
+    """sqrt_mod_all for a residue 0 <= m < fm.n.
+
+    Each prime power q_i contributes its roots x scaled by the CRT
+    idempotent e_i = (n/q_i) * ((n/q_i)^-1 mod q_i) mod n, and the
+    combined roots are the sums over one root per factor, reduced mod n.
+    Only the result is validated: k^2 = m (mod n) implies the congruence
+    mod every q_i, and CRT is a bijection, so the combined roots are
+    distinct exactly when each factor's roots are.
+    """
     n = fm.n
-    m %= n
-    if n == 1:
-        return RootSet(1, 0, (0,))
     partial: List[Tuple[int, ...]] = []
     for p, a in fm.factors:
-        rs = _sqrt_mod_prime_power(m, p, a)
-        if not rs.roots:
+        roots = _sqrt_mod_prime_power(m, p, a)
+        if not roots:
             return RootSet(n, m, ())
-        partial.append(rs.roots)
-    mods = fm.prime_powers
+        partial.append(roots)
     combos = [0]
-    combo_mod = 1
-    for roots_i, q_i in zip(partial, mods):
-        inv1 = mod_inverse(combo_mod % q_i, q_i) if q_i > 1 else 0
-        new = []
-        for v in combos:
-            for x in roots_i:
-                t = ((x - v) * inv1) % q_i
-                new.append(v + combo_mod * t)
-        combos = new
-        combo_mod *= q_i
-    return RootSet(n, m, tuple(sorted(combos)))
+    for roots, q in zip(partial, fm.prime_powers):
+        e = n // q * mod_inverse(n // q % q, q) % n
+        combos = [v + x * e for v in combos for x in roots]
+    return RootSet(n, m, tuple(sorted(v % n for v in combos)))
 
 
 def root_pairs(r: int | FactoredModulus) -> np.ndarray:
@@ -330,7 +346,7 @@ def _prime_power_pairs(p: int, a: int) -> Tuple[np.ndarray, np.ndarray]:
         ms: List[int] = []
         ks: List[int] = []
         for m in range(q):
-            for k in _sqrt_mod_prime_power(m, p, a).roots:
+            for k in _sqrt_mod_prime_power(m, p, a):
                 ms.append(m)
                 ks.append(k)
         out = (np.array(ms, dtype=np.int64), np.array(ks, dtype=np.int64))

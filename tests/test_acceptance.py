@@ -2,19 +2,31 @@
 
 Each test runs one criterion end to end and emits a single pass/fail
 line; criterion 10 is a non-failing monitor that only reports ratios.
+The detail strings of criteria 1-9 must equal the ones pinned in
+bench/reference/accept_details.json.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
-import pytest
 
 from sievelab import acceptance, sqrtmod
 from sievelab.acceptance import CRITERIA
+
+#: the pinned detail string of every criterion; criterion 10's floats may
+#: differ in the last bits across platforms, so it is not compared
+REFERENCE_DETAILS = json.loads(
+    (Path(__file__).resolve().parents[1] / "bench" / "reference"
+     / "accept_details.json").read_text())
 
 
 def _run(number):
     result = CRITERIA[number]()
     print(result.line)
     assert result.monitor or result.passed, result.line
+    if number != 10:
+        assert result.detail == REFERENCE_DETAILS[str(number)]
     return result
 
 

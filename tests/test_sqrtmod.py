@@ -16,6 +16,15 @@ def oracle_roots(m, r):
     return tuple(int(k) for k in ks[ks * ks % r == m % r])
 
 
+@pytest.fixture
+def cold_memo():
+    """Clear sqrt_mod_all's memo before and after a test that patches solver
+    internals, so cached roots neither mask nor outlive a patched solver."""
+    sqrtmod._sqrt_mod_all.cache_clear()
+    yield
+    sqrtmod._sqrt_mod_all.cache_clear()
+
+
 def squaring_pairs(r):
     """Every (m, k) with m = k^2 mod r, by squaring, sorted by (m, k)."""
     ks = np.arange(r, dtype=np.int64)
@@ -41,7 +50,7 @@ def test_sqrt_mod_prime_exhaustive():
             assert sqrt_mod_prime_power(m, p, 1).roots == oracle_roots(m, p)
 
 
-def test_sqrt_mod_prime_rejects_two_and_composites(monkeypatch):
+def test_sqrt_mod_prime_rejects_two_and_composites(monkeypatch, cold_memo):
     for n in (1, 9, 15):
         with pytest.raises(ValueError):
             sqrt_mod_prime_power(1, n, 1)
@@ -97,6 +106,52 @@ def test_sqrt_mod_all_accepts_factored_modulus():
     fm = factorize(360)
     for m in (0, 1, 4, 81, 100, 359):
         assert sqrt_mod_all(m, fm).roots == oracle_roots(m, 360)
+
+
+def test_sqrt_mod_all_memo_keys_on_the_residue(cold_memo):
+    for r in (1, 2, 15, 24, 97, 360):
+        fm = factorize(r)
+        for m in range(-3, r + 3):
+            rs = sqrt_mod_all(m, r)
+            assert rs == sqrt_mod_all(m + r, r) == sqrt_mod_all(m - r, r)
+            assert rs == sqrt_mod_all(m, fm)
+            assert rs.m == m % r
+    info = sqrtmod._sqrt_mod_all.cache_info()
+    assert info.maxsize == 256 and info.hits > 0
+
+
+def test_sqrt_mod_all_memo_cold_and_warm_equal_oracle(cold_memo):
+    # r <= 256 residues stay cached, so the second pass is all hits; a
+    # larger r scans through evictions and misses again
+    memo = sqrtmod._sqrt_mod_all
+    for r in (12, 35, 97, 256, 1001, 1024):
+        memo.cache_clear()
+        for _ in ("cold", "warm"):
+            for m in range(r):
+                assert sqrt_mod_all(m, r).roots == oracle_roots(m, r), (m, r)
+        info = memo.cache_info()
+        assert (info.hits, info.misses) == ((r, r) if r <= 256 else (0, 2 * r))
+
+
+@pytest.mark.parametrize("fault", ["non-root", "duplicate"])
+def test_sqrt_mod_all_validates_recombined_roots(monkeypatch, cold_memo, fault):
+    # the per-factor roots are no longer wrapped in RootSets: the final
+    # RootSet must catch a bad factor root through the recombined ones
+    solver = sqrtmod._sqrt_mod_prime_power
+
+    def mutant(m, p, a):
+        roots = solver(m, p, a)
+        q = p ** a
+        if fault == "duplicate":
+            return roots + roots[-1:]
+        bad = next(k for k in range(q) if (k * k - m) % q)
+        return tuple(sorted(set(roots[1:]) | {bad}))
+
+    monkeypatch.setattr(sqrtmod, "_sqrt_mod_prime_power", mutant)
+    match = "not a root" if fault == "non-root" else "duplicate-free"
+    for m, r in ((4, 15), (1, 24), (0, 9), (2, 7)):
+        with pytest.raises(ValueError, match=match):
+            sqrt_mod_all(m, r)
 
 
 def test_roots_closed_under_negation():
@@ -250,7 +305,7 @@ def test_vec_pow_mod_refuses_negative_exponent():
         signal.signal(signal.SIGALRM, previous)
 
 
-def test_sqrt_mod_all_trusts_factored_primes(monkeypatch):
+def test_sqrt_mod_all_trusts_factored_primes(monkeypatch, cold_memo):
     calls = []
 
     def counting_is_prime(p):
