@@ -16,7 +16,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .arith import eps_q, is_prime, jacobi, mod_inverse
-from .expsums import ExpSumValue, e_frac
+from .expsums import ExpSumValue, e_frac, unit_phases
 from .sieve import DEFAULT_BUDGET, BudgetExceeded
 
 S4_DIRECT_CAP = 150
@@ -88,12 +88,16 @@ class S4Input:
 
 
 def _pair_sum_table(r: int, j: int, a1: int, a2: int) -> np.ndarray:
-    """T[l] = sum over k1 + k2 = l (mod r) of e_r(jbar(a1 k1^2 + a2 k2^2))."""
+    """T[l] = sum over k1 + k2 = l (mod r) of e_r(jbar(a1 k1^2 + a2 k2^2)).
+
+    The weights e_r(c k^2) are gathered from unit_phases(r) at the exact
+    residues c k^2 mod r (products below r^2)."""
     jinv = mod_inverse(j, r)
     ks = np.arange(r, dtype=np.int64)
     sq = ks * ks % r
-    w1 = np.exp(math.tau * 1j * (jinv * a1 % r) * sq / r)
-    w2 = np.exp(math.tau * 1j * (jinv * a2 % r) * sq / r)
+    phases = unit_phases(r)
+    w1 = phases[jinv * a1 % r * sq % r]
+    w2 = phases[jinv * a2 % r * sq % r]
     # cyclic pair-sum histogram: T[l] = sum_k w1[k] * w2[(l-k) mod r]
     return np.fft.ifft(np.fft.fft(w1) * np.fft.fft(w2))
 

@@ -23,7 +23,7 @@ from .energies import energy_e2, energy_e4, energy_f2
 from .expsums import ExpSumValue, esum_jh, gauss_sum_closed, gauss_sum_direct, gcal
 from .scan import (ScanSpec, parse_coefficients, records_to_csv,
                    records_to_json, run_scan, SCAN_OPERATIONS,
-                   SCAN_TUPLE_PARAMETERS)
+                   SCAN_RATIONAL_PARAMETERS, SCAN_TUPLE_PARAMETERS)
 from .sieve import (DEFAULT_BUDGET, BudgetExceeded, SieveInstance, build_frame,
                     ls_bound_table, ls_lhs, px_monitor)
 from .sqrtmod import sqrt_mod_all
@@ -31,7 +31,10 @@ from .sqrtmod import sqrt_mod_all
 
 def _parse_rational(text: str) -> float:
     if "/" in text:
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"{text!r} has a zero denominator") from None
     return float(text)
 
 
@@ -141,12 +144,16 @@ def _parse_grid(items: List[str]) -> Dict[str, list]:
         if not spec:
             raise ValueError(f"--param {item!r} is not NAME=VALUES")
         parts = spec.split(":")
-        tuples = name in SCAN_TUPLE_PARAMETERS
+        if name in SCAN_TUPLE_PARAMETERS:
+            parse, form = parse_coefficients, "c0;c1;..."
+        elif name in SCAN_RATIONAL_PARAMETERS:
+            parse, form = _parse_rational, "p/q"
+        else:
+            parse, form = int, None
         if len(parts) == 1:
-            parse = parse_coefficients if tuples else int
             grid[name] = [parse(v) for v in parts[0].split(",")]
-        elif tuples:
-            raise ValueError(f"--param {name} takes c0;c1;... values, "
+        elif form:
+            raise ValueError(f"--param {name} takes {form} values, "
                              "not a range")
         else:
             start, stop = int(parts[0]), int(parts[1])
@@ -206,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--op", choices=sorted(SCAN_OPERATIONS), required=True)
     p.add_argument("--param", action="append", default=[],
                    metavar="NAME=START:STOP[:STEP] | NAME=v1,v2,... "
-                           "(coefficients c0;c1;...)")
+                           "(coefficients c0;c1;..., x as p/q)")
     p.add_argument("--format", choices=("csv", "json"), default="json")
     p.set_defaults(fn=_cmd_scan)
 

@@ -2,8 +2,11 @@
 sum E_{j,h}(l,n), the appendix sum G(q;a,b,j,k,u,s) and rational-function
 sums modulo primes, each with its explicit-constant bound margin.
 
-All phases are reduced exactly in integers before the single conversion
-to double, so the phase error is machine epsilon regardless of modulus.
+Every fast path reduces its phases exactly to integer residues t mod q
+and gathers e_q(t) from one table, unit_phases(q), instead of calling
+exp per term; _phase_sum adds the gathered values.  The table entries are
+within a few ulp of e_q(t) whatever the modulus.  The scalar oracles
+(gauss_sum_closed, esum_jh(form="bare")) call e_frac per term instead.
 """
 
 from __future__ import annotations
@@ -26,8 +29,23 @@ def e_frac(num: int, den: int) -> complex:
 
 
 def unit_phases(q: int) -> np.ndarray:
-    """Array of e_q(t) for t in [0, q)."""
-    return np.exp(math.tau * 1j * np.arange(q) / q)
+    """Array of e_q(t) for t in [0, q), q >= 1.
+
+    Built from 2 ceil(sqrt q) exponentials: with B = ceil(sqrt q) and
+    t = aB + b (0 <= b < B), e_q(t) = e_q(aB) e_q(b), so the table is the
+    flattened outer product of the two short rows cut to length q: q
+    complex multiplies, each entry within a few ulp of e_q(t), and entry
+    0 exactly 1.
+    """
+    B = math.isqrt(q - 1) + 1
+    low = np.exp(math.tau * 1j * (np.arange(B) / q))
+    high = np.exp(math.tau * 1j * (np.arange(0, q, B) / q))
+    return np.multiply.outer(high, low).ravel()[:q]
+
+
+def _phase_sum(t: np.ndarray, q: int) -> complex:
+    """Sum of e_q(t) over an int array t of residues in [0, q)."""
+    return complex(unit_phases(q)[t].sum())
 
 
 @dataclass(frozen=True)
@@ -84,16 +102,16 @@ def _trim(coeffs: List[int]) -> List[int]:
 def gauss_sum_direct(q: int, a: int, b: int) -> ExpSumValue:
     """G(q;a,b) = sum_{n=1..q} e_q(a n^2 + b n), by literal summation.
 
-    The phases are exact integer residues: q^2 < 2^63 is required, so each
-    product is below 2^63 and their sum, taken in uint64, below 2^64.
+    The phases are exact integer residues, summed through the unit_phases
+    table: q^2 < 2^63 is required, so each product is below 2^63 and
+    their sum, taken in uint64, below 2^64.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
     _require_int64_square(q, "q")
     n = np.arange(1, q + 1, dtype=np.uint64)
     phases = ((a % q) * (n * n % q) + (b % q) * n) % q
-    value = complex(np.exp(math.tau * 1j * phases / q).sum())
-    return ExpSumValue(value, q, q)
+    return ExpSumValue(_phase_sum(phases, q), q, q)
 
 
 def gauss_sum_closed(q: int, a: int, b: int) -> ExpSumValue:
@@ -133,10 +151,11 @@ def esum_jh(
     bare:   sum over a mod r and root pairs k^2 = ja, kt^2 = j(a+h) of
             e_r(l(kt - k) + n*a).
     The two are the same sum.  paired is the fast path: one vectorized
-    pass over the bulk root table (root_table), which needs r^2 < 2^63.
-    bare is the oracle: scalar sqrt_mod_all calls per a.  Their computed
-    values may differ in the last bits, since the terms are added in
-    another order; terms is equal.
+    pass over the bulk root table (root_table), which needs r^2 < 2^63,
+    with the exact residue phases summed through unit_phases(r).  bare is
+    the oracle: scalar sqrt_mod_all calls and one e_frac per term.  Their
+    computed values may differ in the last bits, since the terms are added
+    in another order; terms is equal.
     margin is |value| / (r^{4/5} (h,r) (l,r)^{1/5}), eps = 0.
     """
     fm = r if isinstance(r, FactoredModulus) else factorize(r)
@@ -159,7 +178,7 @@ def esum_jh(
         k = np.repeat(k, counts)
         # each product is reduced mod r before adding, so nothing exceeds r^2
         phase = (l % rr * (kt - k) % rr + n * jinv % rr * (k * k % rr) % rr) % rr
-        total = complex(np.exp(math.tau * 1j * (phase / rr)).sum())
+        total = _phase_sum(phase, rr)
     elif form == "bare":
         for a in range(1, rr + 1):
             ks = sqrt_mod_all(j * a % rr, fm).roots
@@ -226,9 +245,10 @@ def gcal(q: int, a: int, b: int, j: int, k: int, u: int, s: int) -> ExpSumValue:
     square, the phase is a c + A c^-2 + C c^2 + D mod q with
     B = b (4 j s^3)^-1, A = B (jk)^2, C = B u^2 s^4 and D = -2 B jk u s^2
     reduced as Python ints; the terms run over the cached _unit_inverses
-    table in uint64, where each sum of two products below q^2 cannot wrap.
+    table in uint64, where each sum of two products below q^2 cannot wrap,
+    and the residue phases are summed through unit_phases(q).
     tests/test_expsums.py checks it against a literal scalar sum with
-    pow(c, -1, q) per term.
+    pow(c, -1, q) and e_frac per term.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -245,8 +265,7 @@ def gcal(q: int, a: int, b: int, j: int, k: int, u: int, s: int) -> ExpSumValue:
     c = units.view(np.uint64)
     ic = invs.view(np.uint64)
     phase = ((a % q * c + A * (ic * ic % q)) % q + C * (c * c % q) + D) % q
-    value = complex(np.exp(math.tau * 1j * phase / q).sum())
-    return ExpSumValue(value, len(units), q)
+    return ExpSumValue(_phase_sum(phase, q), len(units), q)
 
 
 def gcal_bound(q: int, a: int, b: int, k: int, u: int) -> float:
@@ -257,7 +276,10 @@ def gcal_bound(q: int, a: int, b: int, k: int, u: int) -> float:
 
 
 def rational_expsum(f: RationalFunctionModP) -> ExpSumValue:
-    """S(f,p) over n mod p with f2(n) != 0; margin against 2 d_p(f) sqrt(p)."""
+    """S(f,p) over n mod p with f2(n) != 0; margin against 2 d_p(f) sqrt(p).
+
+    The phases f1(n) f2(n)^-1 are exact residues mod p (p^2 < 2^63),
+    summed through unit_phases(p)."""
     if f.is_constant():
         raise ValueError("bound requires f nonconstant mod p")
     p = f.p
@@ -271,7 +293,7 @@ def rational_expsum(f: RationalFunctionModP) -> ExpSumValue:
     inv_table = np.zeros(p, dtype=np.int64)
     inv_table[units % p] = invs
     phase = v1[keep] * inv_table[v2[keep]] % p
-    value = complex(np.exp(math.tau * 1j * phase / p).sum())
+    value = _phase_sum(phase, p)
     bound = 2 * f.total_degree() * math.sqrt(p)
     return ExpSumValue(value, int(keep.sum()), p, abs(value) / bound)
 

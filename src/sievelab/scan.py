@@ -113,9 +113,13 @@ SCAN_PARAMETERS: Dict[str, Tuple[str, ...]] = {
 }
 
 #: grid parameters whose values are integer coefficient tuples in ascending
-#: powers, written c0;c1;... on the command line and in CSV/JSON files;
-#: every other grid value is an int
+#: powers, written c0;c1;... on the command line and in CSV/JSON files
 SCAN_TUPLE_PARAMETERS: Tuple[str, ...] = ("numerator", "denominator")
+
+#: grid parameters whose values are rationals, written p/q (a Fraction) or
+#: as a decimal on the command line and p/q in CSV/JSON files; every grid
+#: value not named here or above is an int
+SCAN_RATIONAL_PARAMETERS: Tuple[str, ...] = ("x",)
 
 
 def parse_coefficients(text: str) -> Tuple[int, ...]:

@@ -4,7 +4,8 @@ approximation frames and the explicit-constant inequality checks
 constant 5).
 
 x, Delta, z and b/r are exact rationals end to end; doubles appear only
-in the final trigonometric evaluations.
+in the final trigonometric evaluations.  The large-sieve phases na/q are
+exact residues, gathered from the expsums.unit_phases table.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from .arith import mod_inverse
+from .expsums import unit_phases
 
 
 class BudgetExceeded(RuntimeError):
@@ -61,6 +63,8 @@ def ls_lhs(inst: SieveInstance, moduli: str = "classical",
 
     classical: sum over q <= Q and reduced a <= q of |sum a_n e(na/q)|^2.
     squares:   denominators q^2 with reduced numerators a <= q^2.
+    Each denominator's phases n a mod q (or q^2) are exact residues, and
+    e(na/q) is gathered from unit_phases of the denominator.
     """
     if moduli not in ("classical", "squares"):
         raise ValueError(f"unknown moduli family {moduli!r}")
@@ -72,10 +76,10 @@ def ls_lhs(inst: SieveInstance, moduli: str = "classical",
     total = 0.0
     for q in range(1, Q + 1):
         den = q if moduli == "classical" else q * q
-        a_vals = np.array([a for a in range(1, den + 1) if math.gcd(a, q) == 1],
-                          dtype=np.int64)
-        phases = (np.multiply.outer(a_vals, ns % den)) % den
-        inner = np.exp(math.tau * 1j * phases / den) @ inst.coefficients
+        a_vals = np.arange(1, den + 1, dtype=np.int64)
+        a_vals = a_vals[np.gcd(a_vals, q) == 1]
+        phases = np.multiply.outer(a_vals, ns % den) % den
+        inner = unit_phases(den)[phases] @ inst.coefficients
         total += float(np.sum(np.abs(inner) ** 2))
     return total
 

@@ -1,11 +1,13 @@
 import argparse
 import json
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from sievelab.cli import build_parser, main
+from sievelab.scan import records_from_csv
 
 
 def run_cli(capsys, *argv):
@@ -193,6 +195,30 @@ def test_scan_bombieri_coefficient_grid(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_scan_px_rational_grid(capsys):
+    code, out = run_cli(capsys, "scan", "--op", "px", "--param", "x=1/3,2/7",
+                        "--param", "Q=4", "--param", "N=64", "--format", "csv")
+    assert code == 0
+    rows = records_from_csv(out)
+    assert [r.parameters["x"] for r in rows[:2]] == [Fraction(2, 7),
+                                                     Fraction(1, 3)]
+    assert rows[2].outputs["count"] == 2
+    # a rational has no range form; a malformed one is a usage error too
+    for spec in ("x=1:3", "x=1/0", "x=one"):
+        code = main(["scan", "--op", "px", "--param", spec, "--param", "Q=4",
+                     "--param", "N=64"])
+        err = capsys.readouterr().err
+        assert code == 2, spec
+        assert err.startswith("error: ") and err.count("\n") == 1, spec
+
+
+def test_px_zero_denominator_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["px", "--x", "1/0", "--Q", "4", "--N", "64"])
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_gauss_direct_beyond_int64_is_refused(capsys):

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -18,9 +19,20 @@ def test_e_frac_exact_reduction():
 
 
 def test_unit_phases():
-    ph = unit_phases(8)
-    assert ph.shape == (8,)
-    assert abs(ph[2] - 1j) < 1e-12
+    assert abs(unit_phases(8)[2] - 1j) < 1e-12
+    # every q <= 1000, q next to 2^k (so q = B^2 and q = B^2 + 1, the
+    # edges where the last row of the sqrt-split table is cut), and two
+    # large primes; each entry against the scalar e_frac
+    qs = set(range(1, 1001))
+    qs |= {2 ** k + d for k in range(1, 18) for d in (-1, 0, 1)}
+    qs |= {99991, 10 ** 6 + 3}
+    for q in sorted(qs):
+        ph = unit_phases(q)
+        assert ph.shape == (q,)
+        assert ph[0] == 1
+        want = np.fromiter(map(e_frac, range(q), itertools.repeat(q, q)),
+                           dtype=complex, count=q)
+        assert np.abs(ph - want).max() < 1e-14, q
 
 
 def test_gauss_direct_small():

@@ -105,3 +105,17 @@ def test_coefficient_parameters_round_trip():
         for x, y in zip(records, back):
             assert x.parameters == y.parameters
             assert x.outputs == y.outputs
+
+
+def test_rational_parameters_round_trip():
+    spec = ScanSpec("px", {"x": [Fraction(1, 3), Fraction(2, 7)], "Q": [4],
+                           "N": [64]})
+    records = run_scan(spec)
+    assert records[-1].outputs["argmax_x"] == Fraction(1, 3)
+    text = records_to_csv(records)
+    assert "px,64,4,1/3," in text
+    for back in (records_from_csv(text),
+                 records_from_json(records_to_json(records))):
+        for x, y in zip(records, back):
+            assert x.parameters == y.parameters
+        assert back[-1].outputs == records[-1].outputs
