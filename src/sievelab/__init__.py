@@ -11,7 +11,6 @@ __version__ = "1.0.0"
 
 from .arith import (  # noqa: E402,F401
     FactoredModulus,
-    crt_combine,
     divisor_count,
     eps_q,
     factorize,
@@ -30,12 +29,10 @@ from .sqrtmod import (  # noqa: F401
 )
 from .energies import (  # noqa: F401
     EnergyReport,
-    SpectrumCheck,
     energy_e2,
     energy_e4,
     energy_f2,
     kssz_check,
-    parseval_check,
 )
 from .expsums import (  # noqa: F401
     ExpSumValue,
@@ -68,6 +65,5 @@ from .charsums import (  # noqa: F401
     cubic_form_charsum,
     s4_closed,
     s4_direct,
-    sharp_energy,
     weighted_energy,
 )

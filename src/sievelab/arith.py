@@ -1,7 +1,7 @@
 """Exact integer / modular arithmetic primitives.
 
 Everything in this module is pure integer arithmetic: factorization,
-Jacobi symbols, CRT recombination and gcd power sums.  No floating point
+Jacobi symbols, CRT idempotents and gcd power sums.  No floating point
 except in the final value of gcd_power_sum (whose exponent may be
 fractional).
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -112,6 +112,13 @@ class FactoredModulus:
     def prime_powers(self) -> List[int]:
         return [p ** a for p, a in self.factors]
 
+    @property
+    def crt_idempotents(self) -> List[int]:
+        """e_i = (n/q_i) * ((n/q_i)^-1 mod q_i) mod n for each prime power
+        q_i: e_i = 1 (mod q_i) and e_i = 0 (mod every other q_k)."""
+        n = self.n
+        return [n // q * mod_inverse(n // q % q, q) % n for q in self.prime_powers]
+
     def divisor_count(self) -> int:
         out = 1
         for _, a in self.factors:
@@ -196,28 +203,6 @@ def mod_inverse(a: int, m: int) -> int:
         return pow(a % m, -1, m)
     except ValueError:
         raise ValueError(f"{a} has no inverse mod {m}") from None
-
-
-def crt_combine(residues: Sequence[Tuple[int, int]]) -> Tuple[int, int]:
-    """Combine (value, modulus) pairs with pairwise coprime moduli.
-
-    Returns (value, modulus) with modulus the product.  Rejects
-    non-coprime moduli.
-    """
-    v, m = 0, 1
-    for value, modulus in residues:
-        if modulus < 1:
-            raise ValueError("moduli must be positive")
-        g = math.gcd(m, modulus)
-        if g != 1:
-            raise ValueError(f"moduli not coprime (gcd {g})")
-        # v' = v mod m, value mod modulus
-        inv = mod_inverse(m % modulus, modulus) if modulus > 1 else 0
-        t = ((value - v) * inv) % modulus
-        v = v + m * t
-        m *= modulus
-        v %= m
-    return v, m
 
 
 def divisor_count(r: int) -> int:

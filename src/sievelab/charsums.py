@@ -233,34 +233,6 @@ def weighted_energy(R: int, j: int, r: int, weight: TrigWeight,
             "rel_error": abs(direct - spectral_val) / max(abs(direct), 1e-300)}
 
 
-def sharp_energy(R: int, j: int, r: int, metric: str = "fractional") -> int:
-    """Sharp-cutoff quadruple energy counter, exact integer.
-
-    fractional: admits k when jbar k^2 mod r lies in [1, R] (the plain
-    additive energy for R < r).  nearest: admits k when the distance of
-    jbar k^2 to the nearest multiple of r is at most R (the primed
-    variant, a superset, so its energy dominates pointwise).
-    """
-    if math.gcd(j, r) != 1:
-        raise ValueError("need gcd(j, r) = 1")
-    jinv = mod_inverse(j, r) if r > 1 else 0
-    v = np.zeros(r, dtype=np.int64)
-    for k in range(r):
-        t = jinv * k * k % r
-        if metric == "fractional":
-            ok = 1 <= t <= R
-        elif metric == "nearest":
-            ok = min(t, r - t) <= R
-        else:
-            raise ValueError(f"unknown metric {metric!r}")
-        if ok:
-            v[k] = 1
-    ks = np.arange(r)
-    g = np.zeros(r, dtype=np.int64)
-    np.add.at(g, np.add.outer(ks, ks) % r, np.multiply.outer(v, v))
-    return int(sum(int(c) ** 2 for c in g))
-
-
 def cubic_form_charsum(M: int, r: int, weight: TrigWeight,
                        budget: int = DEFAULT_BUDGET) -> Dict[str, float]:
     """Weighted cubic-form Legendre sum with bound margins.

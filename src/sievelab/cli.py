@@ -29,13 +29,12 @@ from .sieve import (DEFAULT_BUDGET, BudgetExceeded, SieveInstance, build_frame,
 from .sqrtmod import sqrt_mod_all
 
 
-def _parse_rational(text: str) -> float:
-    if "/" in text:
-        try:
-            return Fraction(text)
-        except ZeroDivisionError:
-            raise ValueError(f"{text!r} has a zero denominator") from None
-    return float(text)
+def _parse_rational(text: str) -> Fraction:
+    """p/q or a decimal, exactly (0.1 is 1/10, not the nearest double)."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{text!r} has a zero denominator") from None
 
 
 def _parse_weight(text: str) -> TrigWeight:

@@ -4,11 +4,11 @@ Fast path: cyclic self-convolution of the root multiset's sparse count
 vector in int64 numpy, in blocks of pair sums, once for E2/F2 and once
 more on the nonzero bins for E4.  The bins are a dense histogram only
 while r is small next to the pair count; otherwise they stay sparse and
-sorted, so neither time nor memory grows with r.  Oracle path: expand the
-multiset and enumerate every pair sum densely with numpy bincount.  Both
-return exact integers; before either runs, the certificate mass^fold <
-2^63 (mass = number of roots counted with multiplicity) proves that no
-int64 count or weight can wrap.
+sorted, so neither time nor memory grows with r.  Oracle path: take the
+multiset from build_root_multiset's oracle, expand it and enumerate every
+pair sum densely with numpy bincount.  Both return exact integers; before
+either runs, the certificate mass^fold < 2^63 (mass = number of roots
+counted with multiplicity) proves that no int64 count or weight can wrap.
 """
 
 from __future__ import annotations
@@ -42,17 +42,6 @@ class EnergyReport:
     @property
     def ratio(self) -> float:
         return self.energy / self.hyp_bound if self.hyp_bound > 0 else float("inf")
-
-
-@dataclass(frozen=True)
-class SpectrumCheck:
-    r: int
-    fourier_E: float
-    exact_E: int
-
-    @property
-    def abs_error(self) -> float:
-        return abs(self.fourier_E - self.exact_E)
 
 
 def _self_convolve(lam: np.ndarray, cnt: np.ndarray,
@@ -146,17 +135,19 @@ def _energy_from_multiset(table: Dict[int, int], r: int, fold: int, method: str)
     return e
 
 
-def _check_method(method: str) -> None:
+def _check_method(method: str) -> str:
+    """The multiset builder an energy method reads: conv the fast one,
+    brute the oracle."""
     if method not in ("conv", "brute"):
         raise ValueError(f"unknown method {method!r}")
+    return "fast" if method == "conv" else "oracle"
 
 
 def energy_e2(R: int, j: int, r: int, method: str = "conv") -> EnergyReport:
     """Quadruples (k1..k4) with ki^2 = j*mi, mi in [1,R], k1+k2 = k3+k4 mod r."""
-    _check_method(method)
+    builder = _check_method(method)
     fm = factorize(r) if isinstance(r, int) else r
-    ms = build_root_multiset(R, j, fm, "plain",
-                             method="fast" if method == "conv" else "oracle")
+    ms = build_root_multiset(R, j, fm, "plain", method=builder)
     e = _energy_from_multiset(ms.table, fm.n, 2, method)
     bound = R ** 4 / fm.n + R ** 2
     return EnergyReport("E2", R, j, None, fm.n, e, bound, method)
@@ -164,10 +155,9 @@ def energy_e2(R: int, j: int, r: int, method: str = "conv") -> EnergyReport:
 
 def energy_e4(R: int, j: int, r: int, method: str = "conv") -> EnergyReport:
     """8-tuple analogue of energy_e2 (4-vs-4 sums)."""
-    _check_method(method)
+    builder = _check_method(method)
     fm = factorize(r) if isinstance(r, int) else r
-    ms = build_root_multiset(R, j, fm, "plain",
-                             method="fast" if method == "conv" else "oracle")
+    ms = build_root_multiset(R, j, fm, "plain", method=builder)
     e = _energy_from_multiset(ms.table, fm.n, 4, method)
     bound = R ** 8 / fm.n + R ** 4
     return EnergyReport("E4", R, j, None, fm.n, e, bound, method)
@@ -175,27 +165,13 @@ def energy_e4(R: int, j: int, r: int, method: str = "conv") -> EnergyReport:
 
 def energy_f2(R: int, j: int, h: int, r: int, method: str = "conv") -> EnergyReport:
     """Additive energy of root differences f(m) = sqrt(j(m+h)) - sqrt(jm)."""
-    _check_method(method)
+    builder = _check_method(method)
     fm = factorize(r) if isinstance(r, int) else r
-    ms = build_root_multiset(R, j, fm, "difference", h=h)
+    ms = build_root_multiset(R, j, fm, "difference", h=h, method=builder)
     e = _energy_from_multiset(ms.table, fm.n, 2, method)
     hr = math.gcd(h % fm.n, fm.n) if (h % fm.n) != 0 else fm.n
     bound = hr * R ** 4 / fm.n + R ** 2
     return EnergyReport("F2", R, j, h, fm.n, e, bound, method)
-
-
-def parseval_check(R: int, j: int, r: int, fold: int = 2) -> SpectrumCheck:
-    """Float Parseval cross-check: (1/r) sum |a_hat(t)|^(2*fold) vs exact energy."""
-    fm = factorize(r) if isinstance(r, int) else r
-    n = fm.n
-    ms = build_root_multiset(R, j, fm, "plain")
-    dense = np.zeros(n)
-    for lam, c in ms.table.items():
-        dense[lam] = c
-    spec = np.abs(np.fft.fft(dense)) ** (2 * fold)
-    fourier = float(spec.sum() / n)
-    exact = _energy_from_multiset(ms.table, n, fold, "conv")
-    return SpectrumCheck(n, fourier, exact)
 
 
 def kssz_check(r: int, j: int, R: int, with_e4: bool = False) -> Dict[str, float]:

@@ -116,9 +116,9 @@ SCAN_PARAMETERS: Dict[str, Tuple[str, ...]] = {
 #: powers, written c0;c1;... on the command line and in CSV/JSON files
 SCAN_TUPLE_PARAMETERS: Tuple[str, ...] = ("numerator", "denominator")
 
-#: grid parameters whose values are rationals, written p/q (a Fraction) or
-#: as a decimal on the command line and p/q in CSV/JSON files; every grid
-#: value not named here or above is an int
+#: grid parameters whose values are rationals, written p/q or as a decimal
+#: (both parsed exactly) on the command line and p/q in CSV/JSON files;
+#: every grid value not named here or above is an int
 SCAN_RATIONAL_PARAMETERS: Tuple[str, ...] = ("x",)
 
 

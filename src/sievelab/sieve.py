@@ -179,15 +179,12 @@ class PxQuery:
     x: Fraction
     Q: int
     delta: Fraction
-    numerator_range: str = "squares"  # "squares": a <= q^2; "literal": a <= q
 
     def __post_init__(self):
         if self.delta <= 0:
             raise ValueError("Delta must be positive")
         if self.Q < 1:
             raise ValueError("Q must be >= 1")
-        if self.numerator_range not in ("squares", "literal"):
-            raise ValueError(f"unknown numerator range {self.numerator_range!r}")
 
 
 def px_count(query: PxQuery, budget: int = DEFAULT_BUDGET) -> int:
@@ -197,19 +194,18 @@ def px_count(query: PxQuery, budget: int = DEFAULT_BUDGET) -> int:
     Window membership is decided in exact rational arithmetic.
     """
     x, Q, delta = Fraction(query.x), query.Q, Fraction(query.delta)
-    cost = sum(min((q if query.numerator_range == "literal" else q * q),
-                   int(2 * delta * q * q) + 4) for q in range(Q + 1, 2 * Q + 1))
+    cost = sum(min(q * q, int(2 * delta * q * q) + 4)
+               for q in range(Q + 1, 2 * Q + 1))
     if cost > budget:
         raise BudgetExceeded(cost, budget)
     seen = set()
     for q in range(Q + 1, 2 * Q + 1):
         q2 = q * q
-        a_max = q if query.numerator_range == "literal" else q2
         for shift in (-1, 0, 1):
             lo = (x + shift - delta) * q2
             hi = (x + shift + delta) * q2
             a_lo = max(1, math.ceil(lo))
-            a_hi = min(a_max, math.floor(hi))
+            a_hi = min(q2, math.floor(hi))
             for a in range(a_lo, a_hi + 1):
                 if math.gcd(a, q) != 1:
                     continue
@@ -255,13 +251,12 @@ def propmain_bounds(Q: int, delta: float, r: int, z: float) -> Dict[str, float]:
 
 
 def px_monitor(x: Fraction, Q: int, N: int,
-               numerator_range: str = "squares",
                budget: int = DEFAULT_BUDGET) -> Dict[str, object]:
     """P(x) against the published brackets at eps = 0 (ratios, not pass/fail)."""
     x = Fraction(x)
     delta = Fraction(1, N)
     frame = build_frame(x, N, Q)
-    count = px_count(PxQuery(x, Q, delta, numerator_range), budget=budget)
+    count = px_count(PxQuery(x, Q, delta), budget=budget)
     out: Dict[str, object] = {
         "x": str(x), "Q": Q, "N": N, "count": count,
         "r": frame.r, "b": frame.b, "z": str(frame.z), "j": frame.j,

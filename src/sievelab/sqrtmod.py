@@ -4,8 +4,8 @@ A "square root of m mod r" means every k in [0, r) with k^2 = m (mod r).
 Prime-power moduli are handled by Tonelli-Shanks / direct exponentiation
 plus Hensel lifting (explicit case analysis at p = 2); composite moduli by
 CRT recombination of the prime-power root sets with the idempotents
-e_i = (r/q_i) * ((r/q_i)^-1 mod q_i) mod r, in the scalar solver and in
-the bulk root tables alike.
+FactoredModulus.crt_idempotents, in the scalar solver and in the bulk
+root tables alike.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -174,7 +174,7 @@ def _sqrt_mod_all(m: int, fm: FactoredModulus) -> RootSet:
     """sqrt_mod_all for a residue 0 <= m < fm.n.
 
     Each prime power q_i contributes its roots x scaled by the CRT
-    idempotent e_i = (n/q_i) * ((n/q_i)^-1 mod q_i) mod n, and the
+    idempotent e_i of FactoredModulus.crt_idempotents, and the
     combined roots are the sums over one root per factor, reduced mod n.
     Only the result is validated: k^2 = m (mod n) implies the congruence
     mod every q_i, and CRT is a bijection, so the combined roots are
@@ -188,8 +188,7 @@ def _sqrt_mod_all(m: int, fm: FactoredModulus) -> RootSet:
             return RootSet(n, m, ())
         partial.append(roots)
     combos = [0]
-    for roots, q in zip(partial, fm.prime_powers):
-        e = n // q * mod_inverse(n // q % q, q) % n
+    for roots, e in zip(partial, fm.crt_idempotents):
         combos = [v + x * e for v in combos for x in roots]
     return RootSet(n, m, tuple(sorted(v % n for v in combos)))
 
@@ -199,8 +198,8 @@ def root_pairs(r: int | FactoredModulus) -> np.ndarray:
 
     Built from the prime-power solver plus a vectorized CRT, i.e. the same
     pipeline as sqrt_mod_all but amortized over every m.  The prime-power
-    pairs are recombined with the CRT idempotents e_i = (r/q_i) *
-    ((r/q_i)^-1 mod q_i) mod r: each factor's residues are scaled by e_i
+    pairs are recombined with the CRT idempotents e_i of
+    FactoredModulus.crt_idempotents: each factor's residues are scaled by e_i
     once and outer-added into the accumulator, which is reduced mod r at
     the end.  The rows are then sorted as one int64 key m*r + k, so
     r^2 < 2^63 is required.  There are exactly r pairs since every k is
@@ -211,9 +210,8 @@ def root_pairs(r: int | FactoredModulus) -> np.ndarray:
     _require_int64_square(n, "r")
     acc_m = np.zeros(1, dtype=np.int64)
     acc_k = np.zeros(1, dtype=np.int64)
-    for (p, a), q in zip(fm.factors, fm.prime_powers):
+    for (p, a), e in zip(fm.factors, fm.crt_idempotents):
         ms, ks = _prime_power_pairs(p, a)
-        e = n // q * mod_inverse(n // q % q, q) % n
         # the cached tables are int32: widen before scaling by e < r
         acc_m = np.add.outer(ms.astype(np.int64) * e % n, acc_m).ravel()
         acc_k = np.add.outer(ks.astype(np.int64) * e % n, acc_k).ravel()
@@ -399,8 +397,10 @@ def build_root_multiset(
     most _MULTISET_BLOCK residues, keeping k when m = j^-1 k^2 mod r (with
     0 read as r) is at most R; it requires r^2 < 2^63 and returns its keys
     ascending.  Method "oracle" iterates m and calls sqrt_mod_all per
-    value.  The difference kind has one path, which calls sqrt_mod_all per
-    m, whatever the method.
+    value.  The difference kind mirrors this: method "fast" calls
+    sqrt_mod_all per m, so it serves r far beyond any table, and method
+    "oracle" squares every k in [0, r) once, groups k by m = j^-1 k^2 mod r
+    and pairs the k of m with the kt of m + h, with no solver call.
     """
     fm = r if isinstance(r, FactoredModulus) else factorize(r)
     n = fm.n
@@ -420,7 +420,7 @@ def build_root_multiset(
         if method == "fast":
             # every k is a root of exactly one m, so each kept k counts once
             _require_int64_square(n, "r")
-            jinv = mod_inverse(j, n) if n > 1 else 0
+            jinv = mod_inverse(j, n)
             for lo in range(0, n, _MULTISET_BLOCK):
                 k = np.arange(lo, min(lo + _MULTISET_BLOCK, n), dtype=np.int64)
                 m = k * k % n * jinv % n
@@ -433,11 +433,22 @@ def build_root_multiset(
         return RootMultiset(n, R, j, "plain", None, table)
 
     assert h is not None
+    if method == "fast":
+        def roots_of(m: int) -> Sequence[int]:
+            return sqrt_mod_all(j * m % n, fm).roots
+    else:
+        jinv = mod_inverse(j, n)
+        groups: Dict[int, List[int]] = {}
+        for k in range(n):
+            groups.setdefault(k * k * jinv % n, []).append(k)
+
+        def roots_of(m: int) -> Sequence[int]:
+            return groups.get(m % n, [])
     for m in range(1, R + 1):
-        ks = sqrt_mod_all(j * m % n, fm).roots
+        ks = roots_of(m)
         if not ks:
             continue
-        kts = sqrt_mod_all(j * (m + h) % n, fm).roots
+        kts = roots_of(m + h)
         for k in ks:
             for kt in kts:
                 lam = (kt - k) % n

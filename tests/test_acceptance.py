@@ -6,12 +6,13 @@ The detail strings of criteria 1-9 must equal the ones pinned in
 bench/reference/accept_details.json.
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 
-from sievelab import acceptance, sqrtmod
+from sievelab import acceptance, energies, sqrtmod
 from sievelab.acceptance import CRITERIA
 
 #: the pinned detail string of every criterion; criterion 10's floats may
@@ -62,6 +63,28 @@ def test_criterion_03_energy_oracle_full_grid():
     # h in {0,1,2}, <= 120 s
     result = _run(3)
     assert result.elapsed_s <= 120
+
+
+def test_criterion_03_rejects_a_moved_root_difference(monkeypatch):
+    # a fast difference builder that moves one difference to the next
+    # residue keeps the mass; brute reads the oracle builder, so F2 differs
+    build = energies.build_root_multiset
+
+    def moved(R, j, r, kind="plain", h=None, method="fast"):
+        ms = build(R, j, r, kind, h=h, method=method)
+        if kind != "difference" or method != "fast" or not ms.table:
+            return ms
+        table = dict(ms.table)
+        lam = min(table)
+        table[lam] -= 1
+        target = (lam + 1) % ms.modulus
+        table[target] = table.get(target, 0) + 1
+        return dataclasses.replace(ms, table={k: c for k, c in table.items() if c})
+
+    monkeypatch.setattr(energies, "build_root_multiset", moved)
+    result = acceptance.criterion_3_energy_oracle(r_max=12, R_max=4)
+    assert not result.passed
+    assert result.detail.startswith("F2 mismatch"), result.detail
 
 
 def test_criterion_04_gauss_closed_form():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sievelab import arith
-from sievelab.arith import (FactoredModulus, crt_combine, divisor_count, eps_q,
+from sievelab.arith import (FactoredModulus, divisor_count, eps_q,
                             factorize, gcd_power_sum, is_prime, jacobi,
                             mod_inverse)
 
@@ -190,12 +190,17 @@ def test_mod_inverse():
     assert mod_inverse(-3, 7) == 2 and mod_inverse(10 ** 20 + 1, 97) == 59
 
 
-def test_crt_combine():
-    value, modulus = crt_combine([(2, 3), (3, 5), (2, 7)])
-    assert modulus == 105
-    assert value % 3 == 2 and value % 5 == 3 and value % 7 == 2
-    with pytest.raises(ValueError):
-        crt_combine([(1, 6), (2, 4)])  # moduli not coprime
+def test_crt_idempotents():
+    # e_i = 1 mod q_i, 0 mod every other q_k, and the e_i sum to 1 mod n
+    for n in (1, 2, 2 ** 10, 3 ** 7, 97, 360, 255255, 999983 * 1000003):
+        fm = factorize(n)
+        es, qs = fm.crt_idempotents, fm.prime_powers
+        assert len(es) == len(qs)
+        for i, e in enumerate(es):
+            assert 0 <= e < n
+            for k, q in enumerate(qs):
+                assert e % q == (1 if k == i else 0), (n, i, q)
+        assert sum(es) % n == 1 % n
 
 
 def test_divisor_count():

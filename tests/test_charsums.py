@@ -6,7 +6,7 @@ import pytest
 
 from sievelab.charsums import (S4_DIRECT_CAP, S4Input, TrigWeight,
                                cubic_form_charsum, s4_closed, s4_direct,
-                               sharp_energy, weighted_energy)
+                               weighted_energy)
 from sievelab.sieve import BudgetExceeded
 
 
@@ -123,21 +123,6 @@ def test_weighted_energy_validates():
     weighted_energy(3, 1, 61, TrigWeight.fejer(2), budget=61 ** 2)
     with pytest.raises(BudgetExceeded):
         weighted_energy(3, 1, 61, TrigWeight.fejer(2), budget=61 ** 2 - 1)
-
-
-def test_sharp_energy_sandwich():
-    # fractional-part window is a subset of the nearest-distance window
-    for (R, j, r) in ((3, 1, 29), (5, 2, 31), (10, 1, 61)):
-        e2 = sharp_energy(R, j, r, metric="fractional")
-        e2p = sharp_energy(R, j, r, metric="nearest")
-        assert e2 <= e2p
-
-
-def test_sharp_energy_matches_plain_e2():
-    from sievelab.energies import energy_e2
-
-    for (R, j, r) in ((3, 1, 29), (5, 2, 31)):
-        assert sharp_energy(R, j, r) == energy_e2(R, j, r).energy
 
 
 def test_cubic_form_small():

@@ -1,4 +1,6 @@
 import argparse
+import csv
+import io
 import json
 import shlex
 from fractions import Fraction
@@ -212,6 +214,18 @@ def test_scan_px_rational_grid(capsys):
         err = capsys.readouterr().err
         assert code == 2, spec
         assert err.startswith("error: ") and err.count("\n") == 1, spec
+
+
+def test_decimal_x_is_parsed_exactly(capsys):
+    # 0.1 is 1/10, not the double 3602879701896397/36028797018963968
+    code, out = run_cli(capsys, "px", "--x", "0.1", "--Q", "4", "--N", "64")
+    assert code == 0
+    assert json.loads(out)["x"] == "1/10"
+    code, out = run_cli(capsys, "scan", "--op", "px", "--param", "x=0.1",
+                        "--param", "Q=4", "--param", "N=64", "--format", "csv")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert rows[0]["param_x"] == "1/10"
 
 
 def test_px_zero_denominator_is_a_usage_error(capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from sievelab import energies
 from sievelab.energies import (_energy_from_multiset, energy_e2, energy_e4,
-                               energy_f2, kssz_check, parseval_check)
+                               energy_f2, kssz_check)
 from sievelab.sqrtmod import build_root_multiset, sqrt_mod_all
 
 #: a prime far above any dense histogram of the fast kernel
@@ -75,13 +75,6 @@ def test_f2_bound_uses_gcd_h_r():
     # h = 0 mod r uses (0, r) = r
     rep0 = energy_f2(4, 1, 0, 15)
     assert rep0.hyp_bound == pytest.approx(15 * 4 ** 4 / 15 + 16)
-
-
-def test_parseval_cross_check():
-    for (R, j, r) in ((3, 1, 29), (6, 2, 35), (8, 1, 60)):
-        for fold in (2, 4):
-            pc = parseval_check(R, j, r, fold)
-            assert pc.abs_error <= 1e-6 * max(1, pc.exact_E)
 
 
 def test_kssz_requires_prime():

@@ -1,10 +1,16 @@
-"""The scalar oracles stay off the phase table that the fast paths use.
+"""Each oracle stays off the kernel of the fast path it checks.
 
-Every fast complete sum gathers e_q(t) from expsums.unit_phases; every
-oracle that checks one evaluates e_frac term by term.  With unit_phases
-patched to raise wherever it is bound, the oracles must still return and
-the fast paths must raise, so a later speed-up cannot route an oracle
-through the path it checks.
+With a fast path's kernel patched to raise wherever it is bound, the
+oracle must still return and the fast path must raise, so a later speed-up
+cannot route an oracle through the path it checks.  The pairs:
+
+- complete sums: every fast sum gathers e_q(t) from expsums.unit_phases,
+  every scalar oracle evaluates e_frac term by term;
+- energies: conv self-convolves (_self_convolve), brute enumerates every
+  pair sum (_dense_pair_hist);
+- root multisets: the plain fast builder and the difference oracle square
+  every residue, the plain oracle and the difference fast builder call the
+  solver sqrt_mod_all.
 """
 
 import sys
@@ -12,8 +18,9 @@ import sys
 import numpy as np
 import pytest
 
-from sievelab import expsums
+from sievelab import energies, expsums, sqrtmod
 from sievelab.charsums import S4Input, s4_closed, s4_direct
+from sievelab.energies import energy_e2, energy_e4, energy_f2
 from sievelab.expsums import (RationalFunctionModP, esum_jh, gauss_sum_closed,
                               gauss_sum_direct, gcal, rational_expsum)
 from sievelab.sieve import SieveInstance, ls_lhs
@@ -28,17 +35,30 @@ def _kernel_called(*args, **kwargs):
     raise KernelCalled
 
 
-@pytest.fixture
-def no_phase_table(monkeypatch):
-    kernel = expsums.unit_phases
+def _patch_everywhere(monkeypatch, module, attr):
+    """Make module.attr raise in every sievelab namespace that binds it."""
+    kernel = getattr(module, attr)
     patched = set()
     for name, mod in list(sys.modules.items()):
         if name.split(".")[0] == "sievelab" and \
-                getattr(mod, "unit_phases", None) is kernel:
-            monkeypatch.setattr(mod, "unit_phases", _kernel_called)
+                getattr(mod, attr, None) is kernel:
+            monkeypatch.setattr(mod, attr, _kernel_called)
             patched.add(name)
+    return patched
+
+
+@pytest.fixture
+def no_phase_table(monkeypatch):
+    patched = _patch_everywhere(monkeypatch, expsums, "unit_phases")
     assert {"sievelab.expsums", "sievelab.sieve",
             "sievelab.charsums"} <= patched
+
+
+@pytest.fixture
+def no_solver(monkeypatch):
+    patched = _patch_everywhere(monkeypatch, sqrtmod, "sqrt_mod_all")
+    assert {"sievelab.sqrtmod", "sievelab.expsums"} <= patched
+    _patch_everywhere(monkeypatch, sqrtmod, "root_pairs")
 
 
 ORACLES = {
@@ -72,3 +92,43 @@ def test_oracle_does_not_use_the_phase_table(name, no_phase_table):
 def test_fast_path_uses_the_phase_table(name, no_phase_table):
     with pytest.raises(KernelCalled):
         FAST_PATHS[name]()
+
+
+ENERGIES = {
+    "E2": lambda method: energy_e2(8, 2, 21, method),
+    "E4": lambda method: energy_e4(8, 2, 21, method),
+    "F2": lambda method: energy_f2(8, 2, 1, 21, method),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENERGIES))
+def test_brute_energy_does_not_convolve(name, monkeypatch):
+    monkeypatch.setattr(energies, "_self_convolve", _kernel_called)
+    assert ENERGIES[name]("brute").energy > 0
+    with pytest.raises(KernelCalled):
+        ENERGIES[name]("conv")
+
+
+@pytest.mark.parametrize("name", sorted(ENERGIES))
+def test_conv_energy_does_not_enumerate_pairs(name, monkeypatch):
+    monkeypatch.setattr(energies, "_dense_pair_hist", _kernel_called)
+    assert ENERGIES[name]("conv").energy > 0
+    with pytest.raises(KernelCalled):
+        ENERGIES[name]("brute")
+
+
+def _multiset(kind, method):
+    return sqrtmod.build_root_multiset(8, 2, 21, kind, h=1, method=method)
+
+
+@pytest.mark.parametrize("kind, method", [("plain", "fast"),
+                                          ("difference", "oracle")])
+def test_squaring_builder_does_not_use_the_solver(kind, method, no_solver):
+    assert _multiset(kind, method).mass() > 0
+
+
+@pytest.mark.parametrize("kind, method", [("plain", "oracle"),
+                                          ("difference", "fast")])
+def test_solver_builder_uses_the_solver(kind, method, no_solver):
+    with pytest.raises(KernelCalled):
+        _multiset(kind, method)

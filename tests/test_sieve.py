@@ -112,7 +112,6 @@ def test_px_count_wraparound():
     # q in (3, 4): fractions a/9 and a/16 within 1/16 of 0 (circularly)
     # a/9: none with gcd(a,3)=1 within 9/16... |a/9| <= 1/16 -> none; 8/9 is
     # 1/9 away (> 1/16). a/16: 1/16 and 15/16 qualify exactly
-    assert q2.numerator_range == "squares"
     assert px_count(q2) == 2
 
 

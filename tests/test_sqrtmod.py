@@ -238,14 +238,28 @@ def test_build_root_multiset_plain_mass():
 
 
 def test_build_root_multiset_difference():
-    r, j, h, R = 21, 2, 1, 5
+    r, j, h, R = 21, 2, 1, 8
     ms = build_root_multiset(R, j, r, "difference", h=h)
     count = 0
     for m in range(1, R + 1):
         ks = sqrt_mod_all(j * m % r, r).roots
         kts = sqrt_mod_all(j * (m + h) % r, r).roots
         count += len(ks) * len(kts)
-    assert ms.mass() == count
+    assert ms.mass() == count == 8
+
+
+def test_build_root_multiset_difference_methods_agree():
+    # the oracle squares every residue; the fast builder calls the solver
+    for r in (1, 2, 8, 12, 21, 45, 63, 97, 128, 360):
+        for j in (1, 2, 5):
+            if np.gcd(j, r) != 1:
+                continue
+            for R in {1, min(4, r), min(8, r), r}:
+                for h in (-3, 0, 1, 2, r + 1):
+                    fast = build_root_multiset(R, j, r, "difference", h=h)
+                    oracle = build_root_multiset(R, j, r, "difference", h=h,
+                                                 method="oracle")
+                    assert fast.table == oracle.table, (r, j, R, h)
 
 
 def test_build_root_multiset_validates():
