@@ -54,7 +54,6 @@ from .sieve import (  # noqa: F401
     double_sieve_check,
     ls_bound_table,
     ls_lhs,
-    lsreduce_check,
     propmain_bounds,
     px_count,
     px_monitor,

@@ -14,7 +14,8 @@ from typing import Callable, Dict, List, Sequence
 import numpy as np
 
 from .arith import divisor_count, factorize, is_prime
-from .charsums import S4Input, TrigWeight, s4_closed, s4_direct, weighted_energy
+from .charsums import (S4Input, TrigWeight, s4_closed, s4_closed_rows,
+                       s4_direct, weighted_energy)
 from .charsums import _pair_sum_table
 from .energies import energy_e2, energy_e4, energy_f2, kssz_check
 from .expsums import (RationalFunctionModP, esum_jh, gauss_sum_closed,
@@ -332,22 +333,26 @@ def criterion_8_s4(full_rs: Sequence[int] = (3, 5, 7, 11, 13),
     t0 = time.perf_counter()
     compared = 0
     for r in full_rs:
+        pairs = [(a, b) for a in range(r) for b in range(r)]
         for j in (1, r - 1) if r > 2 else (1,):
             # batch all r^4 direct values through the pair-sum tables
             tables = np.stack([_pair_sum_table(r, j, h1, h2)
-                               for h1 in range(r) for h2 in range(r)])
+                               for h1, h2 in pairs])
             direct = tables @ tables.T  # direct[(h1,h2),(h3,h4)]
-            for i1, (h1, h2) in enumerate((a, b) for a in range(r)
-                                          for b in range(r)):
-                for i2, (h3, h4) in enumerate((a, b) for a in range(r)
-                                              for b in range(r)):
-                    c = s4_closed(S4Input(j, (h1, h2, h3, h4), r)).value
-                    if abs(c - direct[i1, i2]) > 1e-9 * r ** 3:
-                        return _result(8, "S4 closed form", False,
-                                       f"r={r} j={j} h=({h1},{h2},{h3},{h4}): "
-                                       f"closed={c} direct={direct[i1, i2]}",
-                                       t0)
-                    compared += 1
+            closed = list(s4_closed_rows(j, r, (p12 + p34 for p12 in pairs
+                                                for p34 in pairs)))
+            bad = (np.abs(np.reshape(closed, direct.shape) - direct)
+                   > 1e-9 * r ** 3)
+            if bad.any():
+                # the first failing h in (h1, h2)-major scan order
+                first = int(np.argmax(bad))
+                i1, i2 = divmod(first, len(pairs))
+                (h1, h2), (h3, h4) = pairs[i1], pairs[i2]
+                return _result(8, "S4 closed form", False,
+                               f"r={r} j={j} h=({h1},{h2},{h3},{h4}): "
+                               f"closed={closed[first]} "
+                               f"direct={direct[i1, i2]}", t0)
+            compared += len(closed)
     rng = np.random.default_rng(8)
     for _ in range(samples):
         r = int(rng.choice(sampled_rs))
@@ -388,15 +393,17 @@ def criterion_9_gcd_sums(H_max: int = 1000, r_max: int = 10 ** 4) -> CriterionRe
         tau = divisor_count(r)
         rhs = hs.astype(np.float64) * tau
         exact = np.cumsum(g)  # sigma = 1, exact integers
-        if np.any(exact > hs * tau):
-            H = int(np.argmax(exact > hs * tau)) + 1
+        over = exact > hs * tau
+        if over.any():
+            H = int(np.argmax(over)) + 1
             return _result(9, "gcd power sums", False,
                            f"sigma=1 fails at r={r} H={H}", t0)
         gf = g.astype(np.float64)
         for sigma in (0.2, 0.5):
             lhs = np.cumsum(gf ** sigma)
-            if np.any(lhs > rhs * (1 + 1e-12)):
-                H = int(np.argmax(lhs > rhs)) + 1
+            over = lhs > rhs * (1 + 1e-12)
+            if over.any():
+                H = int(np.argmax(over)) + 1
                 return _result(9, "gcd power sums", False,
                                f"sigma={sigma} fails at r={r} H={H}", t0)
     return _result(9, "gcd power sums", True,

@@ -2,6 +2,10 @@
 with its exact closed form, weighted additive energies evaluated two
 ways (a finite Poisson identity), and the cubic-form Legendre sum.
 
+The closed form has one evaluator, s4_closed_rows, over many h rows at
+one (j, r): the pair profiles and Gauss-sum Legendre values are shared
+across its rows, and s4_closed is its one-row call.
+
 Schwartz cutoffs are replaced throughout by finitely supported Fourier
 data, which turns every Poisson-summation step into a finite exact
 identity.
@@ -9,9 +13,10 @@ identity.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -74,6 +79,13 @@ class TrigWeight:
         return TrigWeight(tuple(max(0.0, 1 - h / width) for h in range(width)))
 
 
+def _check_s4_modulus(j: int, r: int) -> None:
+    if r % 2 == 0 or not is_prime(r):
+        raise ValueError("r must be an odd prime")
+    if math.gcd(j, r) != 1:
+        raise ValueError("need gcd(j, r) = 1")
+
+
 @dataclass(frozen=True)
 class S4Input:
     j: int
@@ -81,10 +93,7 @@ class S4Input:
     r: int
 
     def __post_init__(self):
-        if self.r % 2 == 0 or not is_prime(self.r):
-            raise ValueError("r must be an odd prime")
-        if math.gcd(self.j, self.r) != 1:
-            raise ValueError("need gcd(j, r) = 1")
+        _check_s4_modulus(self.j, self.r)
 
 
 def _pair_sum_table(r: int, j: int, a1: int, a2: int) -> np.ndarray:
@@ -142,9 +151,11 @@ _DELTA = "delta"    # a + b = 0, b != 0: r at l = 0, else 0
 _GAUSS = "gauss"    # a + b != 0: pref * e_r(jbar * c * l^2)
 
 
-def _s2_profile(j: int, a: int, b: int, r: int):
-    a %= r
-    b %= r
+def _s2_profile(a: int, b: int, r: int, legendre: Callable[[int], complex]):
+    """The profile of the pair sum for residues a, b mod r.
+
+    legendre(s) is the quadratic Gauss sum over l of e_r(jbar s l^2) for
+    a residue s != 0, i.e. eps_r sqrt(r) (j/r) (s/r)."""
     if (a + b) % r == 0:
         if b == 0:
             return (_CONST, 0, 0j)
@@ -152,19 +163,71 @@ def _s2_profile(j: int, a: int, b: int, r: int):
     # completing the square: c = a*b / (a+b), with the prefactor a plain
     # quadratic Gauss sum in the leading coefficient a + b
     c = a * b * mod_inverse(a + b, r) % r
-    pref = eps_q(r) * math.sqrt(r) * jacobi(j, r) * jacobi((a + b) % r, r)
-    return (_GAUSS, c, pref)
+    return (_GAUSS, c, legendre((a + b) % r))
 
 
-def _quad_sum(c: int, j: int, r: int) -> complex:
-    """sum over l mod r of e_r(jbar * c * l^2), in closed form."""
-    if c % r == 0:
-        return complex(r)
-    return eps_q(r) * math.sqrt(r) * jacobi(j, r) * jacobi(c % r, r)
+def s4_closed_rows(j: int, r: int,
+                   rows: Iterable[Sequence[int]]) -> Iterator[complex]:
+    """s4_closed's value for every row h = (h1, h2, h3, h4), at one (j, r).
+
+    Validates (j, r) once, on the call, then shares the work across rows:
+    the profile of each distinct pair (h_a mod r, h_b mod r) and each
+    Gauss-sum Legendre value are computed once, and only their
+    combination runs per row.  The values are yielded as the rows are
+    read, so a lattice of any size streams: memory grows only with the
+    distinct pairs and residues seen.  Rows may hold any integers,
+    negative or >= r, and r may exceed 2^31: every residue is a Python
+    int.
+    """
+    _check_s4_modulus(j, r)
+    return _s4_closed_values(j, r, rows)
+
+
+def _s4_closed_values(j: int, r: int,
+                      rows: Iterable[Sequence[int]]) -> Iterator[complex]:
+    """s4_closed_rows for a (j, r) already validated."""
+    gauss = eps_q(r) * math.sqrt(r) * jacobi(j, r)
+    legendre_memo: Dict[int, complex] = {}
+
+    def legendre(s: int) -> complex:
+        v = legendre_memo.get(s)
+        if v is None:
+            v = legendre_memo[s] = gauss * jacobi(s, r)
+        return v
+
+    def quad_sum(c: int) -> complex:
+        """sum over l mod r of e_r(jbar * c * l^2), in closed form."""
+        c %= r
+        return complex(r) if c == 0 else legendre(c)
+
+    profiles: Dict[Tuple[int, int], tuple] = {}
+
+    def profile(a: int, b: int) -> tuple:
+        key = (a % r, b % r)
+        prof = profiles.get(key)
+        if prof is None:
+            prof = profiles[key] = _s2_profile(key[0], key[1], r, legendre)
+        return prof
+
+    for h1, h2, h3, h4 in rows:
+        kind1, c1, p1 = profile(h1, h2)
+        kind2, c2, p2 = profile(h3, h4)
+        if kind1 == _GAUSS and kind2 == _GAUSS:
+            value = p1 * p2 * quad_sum(c1 + c2)
+        elif kind1 == _GAUSS:   # kind2 const or delta
+            value = r * p1 * (quad_sum(c1) if kind2 == _CONST else 1.0)
+        elif kind2 == _GAUSS:
+            value = r * p2 * (quad_sum(c2) if kind1 == _CONST else 1.0)
+        elif kind1 == _CONST and kind2 == _CONST:
+            value = complex(r ** 3)
+        else:                   # const x delta, delta x const, delta x delta
+            value = complex(r * r)
+        yield complex(value)
 
 
 def s4_closed(inp: S4Input) -> ExpSumValue:
-    """Exact closed form of s4_direct for odd prime r.
+    """Exact closed form of s4_direct for odd prime r: the one-row case of
+    s4_closed_rows.
 
     Factors the constrained sum through the two pair sums, each of which
     collapses (by completing the square, with the convention
@@ -174,21 +237,8 @@ def s4_closed(inp: S4Input) -> ExpSumValue:
     every h, including the degenerate patterns where exactly one entry of
     a pair vanishes.
     """
-    r, j = inp.r, inp.j
-    h1, h2, h3, h4 = inp.h
-    kind1, c1, p1 = _s2_profile(j, h1, h2, r)
-    kind2, c2, p2 = _s2_profile(j, h3, h4, r)
-    if kind1 == _GAUSS and kind2 == _GAUSS:
-        value = p1 * p2 * _quad_sum(c1 + c2, j, r)
-    elif kind1 == _GAUSS:   # kind2 const or delta
-        value = r * p1 * (_quad_sum(c1, j, r) if kind2 == _CONST else 1.0)
-    elif kind2 == _GAUSS:
-        value = r * p2 * (_quad_sum(c2, j, r) if kind1 == _CONST else 1.0)
-    elif kind1 == _CONST and kind2 == _CONST:
-        value = complex(r ** 3)
-    else:                   # const x delta, delta x const, delta x delta
-        value = complex(r * r)
-    return ExpSumValue(complex(value), r ** 3, r)
+    r = inp.r
+    return ExpSumValue(next(_s4_closed_values(inp.j, r, (inp.h,))), r ** 3, r)
 
 
 def weighted_energy(R: int, j: int, r: int, weight: TrigWeight,
@@ -198,7 +248,8 @@ def weighted_energy(R: int, j: int, r: int, weight: TrigWeight,
     direct: sum over k1 + k2 = k3 + k4 (mod r) of the product of the four
     pointwise weights v(k) = (R/r) * phi(jbar k^2 / r).
     spectral: (R/r)^4 * sum over the finite h-lattice of the coefficient
-    products times S4(j; h) from the closed form.
+    products times S4(j; h) from the closed form, all nonzero-coefficient
+    rows in one s4_closed_rows call, accumulated in lattice order.
     The two agree exactly up to floating error (finite Poisson identity).
     """
     if not is_prime(r) or r % 2 == 0:
@@ -215,19 +266,26 @@ def weighted_energy(R: int, j: int, r: int, weight: TrigWeight,
     g = np.zeros(r)
     np.add.at(g, np.add.outer(ks, ks) % r, np.multiply.outer(v, v))
     direct = float(np.dot(g, g))
-    spectral = 0j
     hs = list(weight.support())
-    for h1 in hs:
-        cf1 = weight.c(h1)
-        for h2 in hs:
-            cf12 = cf1 * weight.c(h2)
-            for h3 in hs:
-                cf123 = cf12 * weight.c(h3)
-                for h4 in hs:
-                    cf = cf123 * weight.c(h4)
-                    if cf == 0.0:
-                        continue
-                    spectral += cf * s4_closed(S4Input(j, (h1, h2, h3, h4), r)).value
+
+    def lattice():
+        for h1 in hs:
+            cf1 = weight.c(h1)
+            for h2 in hs:
+                cf12 = cf1 * weight.c(h2)
+                for h3 in hs:
+                    cf123 = cf12 * weight.c(h3)
+                    for h4 in hs:
+                        cf = cf123 * weight.c(h4)
+                        if cf != 0.0:
+                            yield cf, (h1, h2, h3, h4)
+
+    # both lattice copies advance in step, so tee buffers one term
+    terms, rows = itertools.tee(lattice())
+    values = s4_closed_rows(j, r, (h for _, h in rows))
+    spectral = 0j
+    for (cf, _), value in zip(terms, values):
+        spectral += cf * value
     spectral_val = nu ** 4 * spectral.real
     return {"direct": direct, "spectral": spectral_val,
             "rel_error": abs(direct - spectral_val) / max(abs(direct), 1e-300)}

@@ -302,37 +302,3 @@ def double_sieve_check(
     rhs = 5.0 * math.sqrt(A * B + 1) * math.sqrt(pa) * math.sqrt(pb)
     return {"lhs": float(lhs), "rhs": rhs, "slack": rhs - float(lhs)}
 
-
-def lsreduce_check(alphas: Sequence[float], inst: SieveInstance) -> Dict[str, float]:
-    """Empirical constant in the spacing-count reduction.
-
-    LHS = sum_k |sum_n a_n e(n alpha_k)|^2, compared against
-    maxcount * N * Z where maxcount is the exact maximal number of
-    alpha_k within circular distance 1/N of a single point.
-    """
-    al = np.mod(np.asarray(alphas, dtype=float), 1.0)
-    N = inst.N
-    ns = np.arange(inst.M + 1, inst.M + N + 1)
-    inner = np.exp(math.tau * 1j * np.outer(al, ns)) @ inst.coefficients
-    lhs = float(np.sum(np.abs(inner) ** 2))
-    maxcount = _max_window_count(al, 1.0 / N)
-    z = inst.Z
-    denom = maxcount * N * z
-    return {"lhs": lhs, "maxcount": maxcount, "NZ": N * z,
-            "constant": lhs / denom if denom > 0 else 0.0}
-
-
-def _max_window_count(points: np.ndarray, half_width: float) -> int:
-    """Max number of points within circular distance half_width of any x."""
-    if points.size == 0:
-        return 0
-    s = np.sort(points)
-    ext = np.concatenate([s, s + 1.0])
-    best = 1
-    jj = 0
-    for i in range(s.size):
-        lo = s[i]
-        while jj < ext.size and ext[jj] <= lo + 2 * half_width + 1e-15:
-            jj += 1
-        best = max(best, jj - i)
-    return min(best, s.size)

@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -240,7 +241,10 @@ def root_table(r: int | FactoredModulus) -> Tuple[np.ndarray, np.ndarray]:
     return offsets, pairs[:, 1]
 
 
-#: prime-power pair tables for q <= 10^4, stored as int32 to halve memory
+#: prime-power pair tables for q <= _PP_CACHE_MAX, Hensel-lifted from the
+#: prime tables and built straight into int32 (q^2 < 2^31), so no int64
+#: copy is ever allocated for them
+_PP_CACHE_MAX = 10 ** 4
 _PP_PAIR_CACHE: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -318,38 +322,80 @@ def _vec_unit_root_mod_prime(m: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _prime_pair_table(p: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(m, k) root pairs mod an odd prime p via the vectorized solver."""
-    units = np.arange(1, p, dtype=np.int64)
+def _unit_root_pairs(p: int, gamma: int,
+                     dtype: type) -> Tuple[np.ndarray, np.ndarray]:
+    """(m, x) for every unit m mod p^gamma and every root x of m, unsorted.
+
+    Odd p: the roots mod p from _vec_unit_root_mod_prime, lifted by
+    Hensel to every unit m = u + s p above each square u; the root of m
+    mod p^(k+1) is x + t p^k with t = -((x^2 - m) / p^k) (2x)^-1 mod p,
+    and -x is the other root.  p = 2: the case analysis of
+    _unit_roots_mod_2power, with the lift from mod 8 run on every
+    m = 1 mod 8 at once.  Every product stays below p^(2 gamma).
+    """
+    pg = p ** gamma
+    if p == 2:
+        if gamma == 1:
+            return np.array([1], dtype=dtype), np.array([1], dtype=dtype)
+        if gamma == 2:
+            return np.array([1, 1], dtype=dtype), np.array([1, 3], dtype=dtype)
+        m = np.arange(1, pg, 8, dtype=dtype)
+        x = np.ones_like(m)
+        for k in range(3, gamma):
+            x += np.where((x * x - m) % (1 << (k + 1)) != 0, 1 << (k - 1), 0)
+        half = pg // 2
+        return (np.tile(m, 4),
+                np.concatenate([x, pg - x, (x + half) % pg, (half - x) % pg]))
+    units = np.arange(1, p, dtype=dtype)
     x = _vec_unit_root_mod_prime(units, p)
-    good = x >= 0
-    mr = units[good]
-    xr = x[good]
-    key = np.concatenate([[0], mr * p + xr, mr * p + (p - xr) % p])
-    key.sort()
-    return np.divmod(key, p)
+    m = units[x >= 0]
+    x = x[x >= 0]
+    if gamma > 1:
+        lifts = p ** (gamma - 1)
+        m = (m[:, None] + np.arange(lifts, dtype=dtype) * p).ravel()
+        x = np.repeat(x, lifts)
+        inv2x = _vec_pow_mod(2 * x % p, p - 2, p)
+        pk = p
+        for _ in range(gamma - 1):
+            x = x + (-((x * x - m) // pk) * inv2x % p) * pk
+            pk *= p
+    return np.concatenate([m, m]), np.concatenate([x, pg - x])
 
 
 def _prime_power_pairs(p: int, a: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Every (m, k) with k^2 = m (mod p^a), sorted by (m, k).
+
+    The roots follow _sqrt_mod_prime_power, for every m at once: m = 0
+    has the roots t p^ceil(a/2), and m = m1 p^beta (m1 a unit, beta even,
+    gamma = a - beta) has p^(beta/2) (x + t p^gamma) for every root x of
+    m1 mod p^gamma (_unit_root_pairs) and 0 <= t < p^(beta/2).  No
+    table is built by squaring every residue: that is how criterion 1
+    checks it.
+    Tables with p^a <= 10^4 are built straight into int32 and cached;
+    larger ones are int64 and built on each call.
+    """
     key = (p, a)
     hit = _PP_PAIR_CACHE.get(key)
     if hit is not None:
         return hit
     q = p ** a
-    if a == 1 and p > 2:
-        out = _prime_pair_table(p)
-    elif a == 1:
-        out = (np.array([0, 1], dtype=np.int64), np.array([0, 1], dtype=np.int64))
-    else:
-        ms: List[int] = []
-        ks: List[int] = []
-        for m in range(q):
-            for k in _sqrt_mod_prime_power(m, p, a):
-                ms.append(m)
-                ks.append(k)
-        out = (np.array(ms, dtype=np.int64), np.array(ks, dtype=np.int64))
-    if q <= 10000:
-        out = (out[0].astype(np.int32), out[1].astype(np.int32))
+    dtype = np.int32 if q <= _PP_CACHE_MAX else np.int64
+    # every k is a root of one m, so the table has q rows; allocating it
+    # before the temporaries leaves their freed memory above it
+    table = np.empty((2, q), dtype=dtype)
+    ms = [np.zeros(p ** (a // 2), dtype=dtype)]
+    ks = [np.arange(0, q, p ** ((a + 1) // 2), dtype=dtype)]
+    for beta in range(0, a, 2):
+        gamma = a - beta
+        half = p ** (beta // 2)
+        m1, x = _unit_root_pairs(p, gamma, dtype)
+        ms.append(np.repeat(m1 * p ** beta, half))
+        ks.append((half * (x[:, None] + np.arange(half, dtype=dtype)
+                           * p ** gamma)).ravel())
+    keys = np.concatenate(ms) * q + np.concatenate(ks)
+    keys.sort()
+    out = np.divmod(keys, q, out=(table[0], table[1]))
+    if q <= _PP_CACHE_MAX:
         _PP_PAIR_CACHE[key] = out
     return out
 
@@ -399,8 +445,10 @@ def build_root_multiset(
     ascending.  Method "oracle" iterates m and calls sqrt_mod_all per
     value.  The difference kind mirrors this: method "fast" calls
     sqrt_mod_all per m, so it serves r far beyond any table, and method
-    "oracle" squares every k in [0, r) once, groups k by m = j^-1 k^2 mod r
-    and pairs the k of m with the kt of m + h, with no solver call.
+    "oracle" squares every k in [0, r), groups k by m = j^-1 k^2 mod r
+    and pairs the k of m with the kt of m + h, with no solver call.  The
+    oracle's groups are memoized per (r, j), most recent key only, so the
+    (R, h) points of one (r, j) square the residues once.
     """
     fm = r if isinstance(r, FactoredModulus) else factorize(r)
     n = fm.n
@@ -437,13 +485,10 @@ def build_root_multiset(
         def roots_of(m: int) -> Sequence[int]:
             return sqrt_mod_all(j * m % n, fm).roots
     else:
-        jinv = mod_inverse(j, n)
-        groups: Dict[int, List[int]] = {}
-        for k in range(n):
-            groups.setdefault(k * k * jinv % n, []).append(k)
+        groups = _square_groups(n, j % n)
 
         def roots_of(m: int) -> Sequence[int]:
-            return groups.get(m % n, [])
+            return groups.get(m % n, ())
     for m in range(1, R + 1):
         ks = roots_of(m)
         if not ks:
@@ -454,3 +499,19 @@ def build_root_multiset(
                 lam = (kt - k) % n
                 table[lam] = table.get(lam, 0) + 1
     return RootMultiset(n, R, j, "difference", h, table)
+
+
+@lru_cache(maxsize=1)
+def _square_groups(n: int, j: int) -> Mapping[int, Tuple[int, ...]]:
+    """Every k in [0, n), grouped by m = j^-1 k^2 mod n, ascending in k.
+
+    The squaring side of the difference oracle.  It depends only on
+    (n, j mod n), so criterion 3's (R, h) points of one (r, j) share it;
+    the memo keeps the most recent key only.  The groups are read-only
+    (a mapping proxy over tuples), so no caller can corrupt them.
+    """
+    jinv = mod_inverse(j, n)
+    groups: Dict[int, List[int]] = {}
+    for k in range(n):
+        groups.setdefault(k * k * jinv % n, []).append(k)
+    return MappingProxyType({m: tuple(ks) for m, ks in groups.items()})

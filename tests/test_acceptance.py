@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from sievelab import acceptance, energies, sqrtmod
+from sievelab import acceptance, charsums, energies, sqrtmod
 from sievelab.acceptance import CRITERIA
 
 #: the pinned detail string of every criterion; criterion 10's floats may
@@ -115,6 +115,43 @@ def test_criterion_08_s4_closed_form():
     _run(8)
 
 
+def _s4_mutant_detail(monkeypatch, module, name, wrap):
+    """Criterion 8's detail with module.name wrapped by wrap, at reduced
+    parameters: a full sweep at r = 3 only, no samples."""
+    monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+    result = acceptance.criterion_8_s4(full_rs=(3,), sampled_rs=(3,),
+                                       samples=0)
+    assert not result.passed
+    return result.detail
+
+
+def test_criterion_08_rejects_a_conjugated_closed_form(monkeypatch):
+    # at r = 3 (eps_3 = i) the first row in (h1, h2)-major order with an
+    # imaginary S4 is h = (0, 0, 0, 1), where S4 = r * (i sqrt 3) * r
+    def conjugated(rows_fn):
+        return lambda j, r, rows: [v.conjugate() for v in rows_fn(j, r, rows)]
+
+    detail = _s4_mutant_detail(monkeypatch, acceptance, "s4_closed_rows",
+                               conjugated)
+    assert detail.startswith("r=3 j=1 h=(0,0,0,1): "), detail
+
+
+def test_criterion_08_rejects_an_off_by_one_pair_profile(monkeypatch):
+    # the pair (1, 2) read as (2, 2): a point mass (1 + 2 = 0 mod 3)
+    # becomes a Gauss profile; its first row in scan order is h = (0,0,1,2),
+    # where S4 = r^2 = 9 turns into -9
+    def off_by_one(profile):
+        def mutant(a, b, r, legendre):
+            if (a, b) == (1, 2):
+                a += 1
+            return profile(a, b, r, legendre)
+        return mutant
+
+    detail = _s4_mutant_detail(monkeypatch, charsums, "_s2_profile",
+                               off_by_one)
+    assert detail.startswith("r=3 j=1 h=(0,0,1,2): closed=(-9"), detail
+
+
 def test_criterion_09_gcd_power_sums():
     # sum gcd(h,r)^sigma <= H tau(r), H <= 10^3, r <= 10^4,
     # sigma in {1/5, 1/2, 1}
@@ -127,3 +164,26 @@ def test_criterion_10_monitors_report():
     result = _run(10)
     assert result.monitor
     assert result.elapsed_s <= 600
+
+
+def test_criterion_09_reports_the_failing_H(monkeypatch):
+    # at r = 1 every gcd is 1, so each sigma sum is exactly H = rhs.  The
+    # float sums are bumped within tolerance at H = 3 and past it at
+    # H = 7: the criterion must name H = 7, the first H it rejects
+    bump = np.ones(10)
+    bump[2] = 1 + 5e-13
+    bump[6] = 1 + 1e-9
+
+    class BumpedNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def cumsum(a):
+            out = np.cumsum(a)
+            return out * bump if out.dtype == np.float64 else out
+
+    monkeypatch.setattr(acceptance, "np", BumpedNumpy())
+    result = acceptance.criterion_9_gcd_sums(H_max=10, r_max=1)
+    assert not result.passed
+    assert result.detail == "sigma=0.2 fails at r=1 H=7"

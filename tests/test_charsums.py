@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from sievelab.charsums import (S4_DIRECT_CAP, S4Input, TrigWeight,
-                               cubic_form_charsum, s4_closed, s4_direct,
-                               weighted_energy)
+                               cubic_form_charsum, s4_closed, s4_closed_rows,
+                               s4_direct, weighted_energy)
 from sievelab.sieve import BudgetExceeded
 
 
@@ -94,6 +94,68 @@ def test_s4_symmetries():
     assert abs(s4_closed(S4Input(3, (1, 2, 4, 3), r)).value - base) < 1e-9
     swapped = s4_closed(S4Input(3, (3, 4, 1, 2), r)).value
     assert abs(swapped - base) < 1e-9
+
+
+@pytest.mark.parametrize("r", [3, 7, 13, 31, 101])
+def test_s4_closed_rows_equals_one_row_calls(r):
+    # rows with negative entries and entries >= r share pair profiles
+    # across residues; every value equals the one-row call exactly
+    rng = np.random.default_rng(r)
+    rows = [tuple(int(x) for x in rng.integers(-2 * r, 3 * r, 4))
+            for _ in range(400)]
+    rows += [(0, 0, 0, 0), (1, -1, 0, 0), (0, r, 0, 1), (1, r - 1, 2, -2)]
+    for j in sorted({1, 2, r - 1}):
+        values = list(s4_closed_rows(j, r, rows))
+        assert len(values) == len(rows)
+        for h, v in zip(rows, values):
+            assert v == s4_closed(S4Input(j, h, r)).value, (j, h)
+    assert list(s4_closed_rows(1, r, [])) == []
+
+
+def test_s4_closed_rows_validates_on_the_call_and_streams():
+    # (j, r) is refused before any row is read; the values are yielded
+    # as rows arrive, so an endless row stream is fine
+    with pytest.raises(ValueError, match="odd prime"):
+        s4_closed_rows(1, 9, [(0, 0, 0, 0)])
+    with pytest.raises(ValueError, match="gcd"):
+        s4_closed_rows(7, 7, [(0, 0, 0, 0)])
+    endless = ((h, 0, 0, 1) for h in itertools.count())
+    first = list(itertools.islice(s4_closed_rows(1, 7, endless), 8))
+    assert first == [s4_closed(S4Input(1, (h, 0, 0, 1), 7)).value
+                     for h in range(8)]
+
+
+#: s4_closed at r = 4294967311, where r^2 > 2^63, as the repr of each
+#: value (bit-exact, signed zeros included): every residue in the closed
+#: form is a Python int, so r past int64 keeps working
+S4_LARGE_R = 4294967311
+S4_LARGE_R_VALUES = {
+    (2, (1, 2, 3, 4)): "(-0-281474978185216j)",
+    (2, (0, 0, 0, 1)): "1.2089258301699408e+24j",
+    (2, (1, -1, 2, -2)): "(1.844674420255857e+19+0j)",
+    (2, (0, 0, 0, 0)): "(7.922816334436782e+28+0j)",
+    (2, (-5, S4_LARGE_R + 7, 11, 3 * S4_LARGE_R - 13)): "(-0-281474978185216j)",
+    (S4_LARGE_R - 1, (1, 2, 3, 4)): "281474978185216j",
+    (S4_LARGE_R - 1, (0, 0, 0, 1)): "-1.2089258301699408e+24j",
+}
+
+
+def test_s4_closed_large_modulus():
+    for (j, h), want in S4_LARGE_R_VALUES.items():
+        assert repr(s4_closed(S4Input(j, h, S4_LARGE_R)).value) == want, (j, h)
+    rows = [h for j, h in S4_LARGE_R_VALUES if j == 2]
+    assert [repr(v) for v in s4_closed_rows(2, S4_LARGE_R, rows)] == [
+        S4_LARGE_R_VALUES[2, h] for h in rows]
+
+
+def test_weighted_energy_spectral_is_pinned():
+    # the values a per-row closed form gave, summed in lattice order:
+    # sharing pair profiles across rows must not move a bit
+    for (r, R, j, width), want in (((13, 5, 2, 2), 14.598375711855846),
+                                   ((31, 10, 3, 4), 395.25884495317376),
+                                   ((61, 20, 7, 5), 1366.3459523122913)):
+        out = weighted_energy(R, j, r, TrigWeight.fejer(width))
+        assert out["spectral"] == want, (r, R, j, width)
 
 
 def test_weighted_energy_paths_agree():

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from sievelab import energies, expsums, sqrtmod
-from sievelab.charsums import S4Input, s4_closed, s4_direct
+from sievelab.charsums import S4Input, s4_closed, s4_closed_rows, s4_direct
 from sievelab.energies import energy_e2, energy_e4, energy_f2
 from sievelab.expsums import (RationalFunctionModP, esum_jh, gauss_sum_closed,
                               gauss_sum_direct, gcal, rational_expsum)
@@ -65,6 +65,8 @@ ORACLES = {
     "gauss_sum_closed": lambda: gauss_sum_closed(45, 2, 3),
     "esum_jh bare": lambda: esum_jh(3, 5, 2, 1, 45, form="bare"),
     "s4_closed": lambda: s4_closed(S4Input(2, (1, 2, 3, 4), 7)),
+    "s4_closed_rows": lambda: list(s4_closed_rows(2, 7, [(1, 2, 3, 4),
+                                                         (0, 5, -1, 9)])),
     "s4_direct loops": lambda: s4_direct(S4Input(2, (1, 2, 3, 4), 7),
                                          via="loops"),
     "gcal literal": lambda: gcal_literal(45, 1, 2, 1, 3, 4, 2),

@@ -1,7 +1,11 @@
+import hashlib
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from sievelab.cli import _parse_grid
 from sievelab.scan import (ResultRecord, ScanSpec, records_from_csv,
                            records_from_json, records_to_csv, records_to_json,
                            run_scan)
@@ -119,3 +123,17 @@ def test_rational_parameters_round_trip():
         for x, y in zip(records, back):
             assert x.parameters == y.parameters
         assert back[-1].outputs == records[-1].outputs
+
+
+#: the seven grids of CI's byte-identity step, as (op, --param values),
+#: with the sha256 of the CSV each wrote before this pin was added
+SCAN_SHA256 = json.loads((Path(__file__).parent / "reference"
+                          / "scan_sha256.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_SHA256))
+def test_ci_scan_grids_are_pinned(name):
+    ref = SCAN_SHA256[name]
+    spec = ScanSpec(ref["op"], _parse_grid(ref["param"]))
+    csv_text = records_to_csv(run_scan(spec))
+    assert hashlib.sha256(csv_text.encode()).hexdigest() == ref["sha256"]

@@ -7,8 +7,7 @@ import pytest
 from sievelab.sieve import (ApproxFrame, BudgetExceeded, PxQuery,
                             SieveInstance, build_frame, dirichlet_approx,
                             double_sieve_check, ls_bound_table, ls_lhs,
-                            lsreduce_check, propmain_bounds, px_count,
-                            px_monitor)
+                            propmain_bounds, px_count, px_monitor)
 
 
 def make_instance(rng, N, Q, M=0):
@@ -152,12 +151,3 @@ def test_double_sieve_rejects_out_of_range():
     with pytest.raises(ValueError):
         double_sieve_check([2.0], [1.0], [0.0], [1.0], 1.0, 1.0)
 
-
-def test_lsreduce_reports_constant():
-    rng = np.random.default_rng(7)
-    inst = make_instance(rng, 32, 4)
-    out = lsreduce_check(rng.random(20), inst)
-    assert out["maxcount"] >= 1
-    assert out["lhs"] >= 0
-    assert out["constant"] == pytest.approx(
-        out["lhs"] / (out["maxcount"] * out["NZ"]))

@@ -1,3 +1,4 @@
+import hashlib
 import signal
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from sievelab import sqrtmod
 from sievelab.arith import factorize, is_prime
-from sievelab.sqrtmod import (RootSet, _prime_pair_table,
+from sievelab.sqrtmod import (RootSet, _prime_power_pairs,
                               _require_int64_square, _vec_pow_mod,
                               build_root_multiset, root_pairs, root_table,
                               sqrt_mod_all, sqrt_mod_prime_power)
@@ -176,11 +177,53 @@ def test_root_pairs_matches_squaring():
 
 def test_prime_pair_table_equals_squaring():
     # p = 1 mod 8 takes Tonelli-Shanks, p = 3 mod 4 the (p+1)/4 power and
-    # p = 5 mod 8 the (p+3)/8 power; two primes from each class mod 8
+    # p = 5 mod 8 the (p+3)/8 power; two primes from each class mod 8.
+    # The a = 1 tables are int32 when cached (p <= 10^4), else int64
     for p in (17, 9601, 3, 11, 5, 9973, 7, 10007):
-        ms, ks = _prime_pair_table(p)
-        assert ms.dtype == ks.dtype == np.int64
+        ms, ks = _prime_power_pairs(p, 1)
+        assert ms.dtype == ks.dtype == (np.int32 if p <= 10 ** 4 else np.int64)
         assert np.array_equal(np.stack([ms, ks], axis=1), squaring_pairs(p)), p
+
+
+def loop_built_pairs(p, a):
+    """The (m, k) table of p^a from the scalar solver, one m at a time."""
+    rows = [(m, k) for m in range(p ** a)
+            for k in sqrtmod._sqrt_mod_prime_power(m, p, a)]
+    return np.array(rows, dtype=np.int64)
+
+
+#: sha256 of every cached table (p ascending, then a; ms bytes, then ks
+#: bytes, int32) as the scalar solver's loop over m built them
+PP_TABLES_SHA256 = ("45541a75a5eafc4a4ddaeb604048f598"
+                    "4d39837abc3cbb2db6d979885f346df4")
+
+
+def test_prime_power_tables_equal_the_loop_built_ones(monkeypatch):
+    # the Hensel-lifted tables, built cold: int32 and cached for q <= 10^4,
+    # int64 and uncached beyond (3^9, 5^6)
+    monkeypatch.setattr(sqrtmod, "_PP_PAIR_CACHE", {})
+    digest = hashlib.sha256()
+    for p in range(2, 10 ** 4 + 1):
+        if not is_prime(p):
+            continue
+        for a in range(1, 14):
+            if p ** a > 10 ** 4:
+                break
+            ms, ks = sqrtmod._prime_power_pairs(p, a)
+            assert ms.dtype == ks.dtype == np.int32
+            assert sqrtmod._PP_PAIR_CACHE[p, a][0] is ms
+            if a >= 2:
+                assert np.array_equal(np.stack([ms, ks], axis=1),
+                                      loop_built_pairs(p, a)), (p, a)
+            digest.update(ms.tobytes())
+            digest.update(ks.tobytes())
+    assert digest.hexdigest() == PP_TABLES_SHA256
+    for p, a in ((3, 9), (5, 6)):
+        ms, ks = sqrtmod._prime_power_pairs(p, a)
+        assert ms.dtype == ks.dtype == np.int64
+        assert (p, a) not in sqrtmod._PP_PAIR_CACHE
+        assert np.array_equal(np.stack([ms, ks], axis=1),
+                              loop_built_pairs(p, a)), (p, a)
 
 
 def test_root_pairs_tonelli_prime():
@@ -260,6 +303,35 @@ def test_build_root_multiset_difference_methods_agree():
                     oracle = build_root_multiset(R, j, r, "difference", h=h,
                                                  method="oracle")
                     assert fast.table == oracle.table, (r, j, R, h)
+
+
+def test_difference_oracle_groups_are_memoized_read_only():
+    # one (r, j) at a time: a warm build equals a cold one, and a caller
+    # cannot change the cached groups
+    memo = sqrtmod._square_groups
+    assert memo.cache_info().maxsize == 1
+    points = [(R, h) for R in (1, 4, 8) for h in (0, 1, 2, -5)]
+    for r, j in ((21, 2), (45, 7), (97, 5), (128, 3)):
+        cold = []
+        for R, h in points:
+            memo.cache_clear()
+            cold.append(build_root_multiset(R, j, r, "difference", h=h,
+                                            method="oracle").table)
+        memo.cache_clear()
+        warm = [build_root_multiset(R, j, r, "difference", h=h,
+                                    method="oracle").table for R, h in points]
+        assert warm == cold, (r, j)
+        info = memo.cache_info()
+        assert (info.hits, info.misses) == (len(points) - 1, 1)
+        groups = memo(r, j % r)
+        m, ks = next(iter(groups.items()))
+        with pytest.raises(TypeError):
+            groups[m] = ks + (0,)
+        with pytest.raises(TypeError):
+            del groups[m]
+        with pytest.raises(AttributeError):
+            ks.append(0)
+        assert groups == memo(r, j % r) and groups[m] == ks
 
 
 def test_build_root_multiset_validates():
