@@ -125,9 +125,6 @@ class FactoredModulus:
             out *= a + 1
         return out
 
-    def omega(self) -> int:
-        return len(self.factors)
-
 
 _TRIAL_LIMIT = 10 ** 3
 

@@ -10,8 +10,7 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
@@ -21,20 +20,11 @@ from .charsums import (S4Input, TrigWeight, cubic_form_charsum, s4_closed,
                        s4_direct, weighted_energy)
 from .energies import energy_e2, energy_e4, energy_f2
 from .expsums import ExpSumValue, esum_jh, gauss_sum_closed, gauss_sum_direct, gcal
-from .scan import (ScanSpec, parse_coefficients, records_to_csv,
-                   records_to_json, run_scan, SCAN_OPERATIONS,
-                   SCAN_RATIONAL_PARAMETERS, SCAN_TUPLE_PARAMETERS)
+from .scan import (ScanSpec, parse_grid, parse_rational, records_to_csv,
+                   records_to_json, run_scan, SCAN_OPERATIONS)
 from .sieve import (DEFAULT_BUDGET, BudgetExceeded, SieveInstance, build_frame,
                     ls_bound_table, ls_lhs, px_monitor)
 from .sqrtmod import sqrt_mod_all
-
-
-def _parse_rational(text: str) -> Fraction:
-    """p/q or a decimal, exactly (0.1 is 1/10, not the nearest double)."""
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"{text!r} has a zero denominator") from None
 
 
 def _parse_weight(text: str) -> TrigWeight:
@@ -100,8 +90,7 @@ def _cmd_sieve(args) -> int:
     coeffs = rng.standard_normal(args.N) + 1j * rng.standard_normal(args.N)
     inst = SieveInstance(M=args.M, coefficients=tuple(coeffs), Q=args.Q)
     lhs = ls_lhs(inst, moduli=args.moduli, budget=args.budget)
-    payload = {"lhs": lhs, "moduli": args.moduli,
-               "Z": float(np.sum(np.abs(coeffs) ** 2))}
+    payload = {"lhs": lhs, "moduli": args.moduli, "Z": inst.Z}
     payload.update(ls_bound_table(args.Q, args.N))
     _emit(args, payload)
     return 0
@@ -136,33 +125,8 @@ def _cmd_charsum(args) -> int:
     return 0
 
 
-def _parse_grid(items: List[str]) -> Dict[str, list]:
-    grid: Dict[str, list] = {}
-    for item in items:
-        name, _, spec = item.partition("=")
-        if not spec:
-            raise ValueError(f"--param {item!r} is not NAME=VALUES")
-        parts = spec.split(":")
-        if name in SCAN_TUPLE_PARAMETERS:
-            parse, form = parse_coefficients, "c0;c1;..."
-        elif name in SCAN_RATIONAL_PARAMETERS:
-            parse, form = _parse_rational, "p/q"
-        else:
-            parse, form = int, None
-        if len(parts) == 1:
-            grid[name] = [parse(v) for v in parts[0].split(",")]
-        elif form:
-            raise ValueError(f"--param {name} takes {form} values, "
-                             "not a range")
-        else:
-            start, stop = int(parts[0]), int(parts[1])
-            step = int(parts[2]) if len(parts) > 2 else 1
-            grid[name] = list(range(start, stop + 1, step))
-    return grid
-
-
 def _cmd_scan(args) -> int:
-    spec = ScanSpec(args.op, _parse_grid(args.param), budget=args.budget)
+    spec = ScanSpec(args.op, parse_grid(args.op, args.param), budget=args.budget)
     records = run_scan(spec)
     _write(args, records_to_csv(records) if args.format == "csv"
            else records_to_json(records))
@@ -211,8 +175,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", parents=[out, budget])
     p.add_argument("--op", choices=sorted(SCAN_OPERATIONS), required=True)
     p.add_argument("--param", action="append", default=[],
-                   metavar="NAME=START:STOP[:STEP] | NAME=v1,v2,... "
-                           "(coefficients c0;c1;..., x as p/q)")
+                   metavar="NAME=START:STOP[:STEP] | NAME=v1,v2,...",
+                   help="a grid parameter the operation reads, its values "
+                        "written as scan.SCAN_PARAMETERS parses them")
     p.add_argument("--format", choices=("csv", "json"), default="json")
     p.set_defaults(fn=_cmd_scan)
 
@@ -245,13 +210,13 @@ def build_parser() -> argparse.ArgumentParser:
     pl.set_defaults(fn=_cmd_sieve)
 
     p = sub.add_parser("px", parents=[out, budget])
-    p.add_argument("--x", type=_parse_rational, required=True)
+    p.add_argument("--x", type=parse_rational, required=True)
     p.add_argument("--Q", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
     p.set_defaults(fn=_cmd_px)
 
     p = sub.add_parser("approx", parents=[out])
-    p.add_argument("--x", type=_parse_rational, required=True)
+    p.add_argument("--x", type=parse_rational, required=True)
     p.add_argument("--N", type=int, required=True,
                    help="window length; tau = floor(sqrt(N))")
     p.set_defaults(fn=_cmd_approx)

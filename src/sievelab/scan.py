@@ -1,12 +1,16 @@
 """Parameter-grid scan driver with deterministic ordering and lossless
-CSV/JSON persistence."""
+CSV/JSON persistence.
+
+SCAN_PARAMETERS is the one table of each operation's grid parameters and
+of how their values are written; parse_grid reads the command-line form
+from it, and ScanSpec refuses a grid that lacks a parameter its operation
+reads or names one it does not."""
 
 from __future__ import annotations
 
 import csv
 import itertools
 import json
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple
@@ -29,11 +33,15 @@ class ScanSpec:
             raise ValueError(f"unknown operation {self.operation!r}")
         if not self.grid or any(len(v) == 0 for v in self.grid.values()):
             raise ValueError("grid must be non-empty in every parameter")
-        missing = [k for k in SCAN_PARAMETERS[self.operation]
-                   if k not in self.grid]
+        declared = SCAN_PARAMETERS[self.operation]
+        missing = [k for k in declared if k not in self.grid]
         if missing:
             raise ValueError(f"operation {self.operation!r} needs grid "
                              f"parameters {', '.join(missing)}")
+        unread = [k for k in self.grid if k not in declared]
+        if unread:
+            raise ValueError(f"operation {self.operation!r} reads no grid "
+                             f"parameters {', '.join(unread)}")
 
 
 @dataclass(frozen=True)
@@ -41,7 +49,6 @@ class ResultRecord:
     operation: str
     parameters: Dict[str, object]
     outputs: Dict[str, object]
-    elapsed_ms: float
     version: str = __version__
 
 
@@ -101,30 +108,63 @@ SCAN_OPERATIONS: Dict[str, Callable] = {
     "px": _op_px,
 }
 
-#: the grid parameters each operation reads
-SCAN_PARAMETERS: Dict[str, Tuple[str, ...]] = {
-    "e2": ("r", "j", "R"),
-    "e4": ("r", "j", "R"),
-    "f2": ("r", "j", "R", "h"),
-    "esum": ("l", "n", "j", "h", "r"),
-    "gauss": ("q", "a", "b"),
-    "bombieri": ("numerator", "denominator", "p"),
-    "px": ("x", "Q", "N"),
-}
-
-#: grid parameters whose values are integer coefficient tuples in ascending
-#: powers, written c0;c1;... on the command line and in CSV/JSON files
-SCAN_TUPLE_PARAMETERS: Tuple[str, ...] = ("numerator", "denominator")
-
-#: grid parameters whose values are rationals, written p/q or as a decimal
-#: (both parsed exactly) on the command line and p/q in CSV/JSON files;
-#: every grid value not named here or above is an int
-SCAN_RATIONAL_PARAMETERS: Tuple[str, ...] = ("x",)
-
-
 def parse_coefficients(text: str) -> Tuple[int, ...]:
     """The coefficient tuple written c0;c1;... ("0;1" is (0, 1))."""
     return tuple(int(c) for c in text.split(";"))
+
+
+def parse_rational(text: str) -> Fraction:
+    """p/q or a decimal, exactly (0.1 is 1/10, not the nearest double)."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{text!r} has a zero denominator") from None
+
+
+#: each operation's grid parameters, in the order a missing one is named,
+#: with the parser of its command-line values: int (the only one with a
+#: start:stop[:step] range form), parse_coefficients (c0;c1;... integer
+#: tuples, ascending powers) or parse_rational (p/q or a decimal, exactly);
+#: CSV/JSON files write tuples c0;c1;... and rationals p/q
+SCAN_PARAMETERS: Dict[str, Dict[str, Callable]] = {
+    "e2": {"r": int, "j": int, "R": int},
+    "e4": {"r": int, "j": int, "R": int},
+    "f2": {"r": int, "j": int, "R": int, "h": int},
+    "esum": {"l": int, "n": int, "j": int, "h": int, "r": int},
+    "gauss": {"q": int, "a": int, "b": int},
+    "bombieri": {"numerator": parse_coefficients,
+                 "denominator": parse_coefficients, "p": int},
+    "px": {"x": parse_rational, "Q": int, "N": int},
+}
+
+_COEFFICIENT_PARAMETERS = {k for params in SCAN_PARAMETERS.values()
+                           for k, parse in params.items()
+                           if parse is parse_coefficients}
+
+
+def parse_grid(op: str, items: Sequence[str]) -> Dict[str, list]:
+    """The grid of op from NAME=v1,v2,... items, or NAME=START:STOP[:STEP]
+    (STOP included) for an int parameter.  A name op does not read keeps
+    its text unparsed, for ScanSpec to refuse by name."""
+    grid: Dict[str, list] = {}
+    for item in items:
+        name, _, spec = item.partition("=")
+        if not spec:
+            raise ValueError(f"--param {item!r} is not NAME=VALUES")
+        parse = SCAN_PARAMETERS[op].get(name)
+        parts = spec.split(":")
+        if parse is None:
+            grid[name] = [spec]
+        elif len(parts) == 1:
+            grid[name] = [parse(v) for v in parts[0].split(",")]
+        elif parse is not int:
+            raise ValueError(f"--param {name} has no range form; only int "
+                             "parameters do")
+        else:
+            start, stop = int(parts[0]), int(parts[1])
+            step = int(parts[2]) if len(parts) > 2 else 1
+            grid[name] = list(range(start, stop + 1, step))
+    return grid
 
 
 def run_scan(spec: ScanSpec) -> List[ResultRecord]:
@@ -139,11 +179,9 @@ def run_scan(spec: ScanSpec) -> List[ResultRecord]:
     truncated = False
     for values in points:
         params = dict(zip(keys, values))
-        t0 = time.perf_counter()
         outputs, cost = op(params)
-        elapsed = (time.perf_counter() - t0) * 1e3
         spent += cost
-        records.append(ResultRecord(spec.operation, params, outputs, elapsed))
+        records.append(ResultRecord(spec.operation, params, outputs))
         if spent > spec.budget:
             truncated = True
             break
@@ -156,10 +194,10 @@ def run_scan(spec: ScanSpec) -> List[ResultRecord]:
     if best is not None:
         summary_out["max_ratio"] = best.outputs["ratio"]
         summary_out.update({f"argmax_{k}": v for k, v in best.parameters.items()})
-    records.append(ResultRecord("summary", {}, summary_out, 0.0))
+    records.append(ResultRecord("summary", {}, summary_out))
     if truncated:
         records.append(ResultRecord("truncated", {}, {"budget": spec.budget,
-                                                      "spent": spent}, 0.0))
+                                                      "spent": spent}))
     return records
 
 
@@ -207,21 +245,20 @@ def _decode_value(s: str):
 
 def _decode_param(name: str, v):
     """The value v of column name: a coefficient tuple for the
-    SCAN_TUPLE_PARAMETERS and the summary's argmax_ of them, else as
-    _decode_value reads it."""
-    if name.removeprefix("argmax_") in SCAN_TUPLE_PARAMETERS:
+    parameters SCAN_PARAMETERS parses with parse_coefficients and the
+    summary's argmax_ of them, else as _decode_value reads it."""
+    if name.removeprefix("argmax_") in _COEFFICIENT_PARAMETERS:
         return parse_coefficients(v)
     return _decode_value(v) if isinstance(v, str) else v
 
 
-def records_to_csv(records: Sequence[ResultRecord], timing: bool = False) -> str:
-    """Serialize records to CSV.  Timing is off by default so that a fixed
-    (spec, version) yields byte-identical files across runs."""
+def records_to_csv(records: Sequence[ResultRecord]) -> str:
+    """Serialize records to CSV.  A fixed (spec, version) yields
+    byte-identical files across runs."""
     pkeys = sorted({k for r in records for k in r.parameters})
     okeys = sorted({k for r in records for k in r.outputs})
     cols = (["operation"] + [f"param_{k}" for k in pkeys]
-            + [f"out_{k}" for k in okeys]
-            + (["elapsed_ms"] if timing else []) + ["version"])
+            + [f"out_{k}" for k in okeys] + ["version"])
     rows = [",".join(cols)]
     for r in records:
         cells = [r.operation]
@@ -229,8 +266,6 @@ def records_to_csv(records: Sequence[ResultRecord], timing: bool = False) -> str
                   for k in pkeys]
         cells += [_encode_value(r.outputs[k]) if k in r.outputs else ""
                   for k in okeys]
-        if timing:
-            cells.append(format(r.elapsed_ms, ".17g"))
         cells.append(r.version)
         rows.append(",".join(cells))
     return "\n".join(rows) + "\n"
@@ -243,12 +278,10 @@ def records_from_csv(text: str) -> List[ResultRecord]:
     for row in lines[1:]:
         params: Dict[str, object] = {}
         outputs: Dict[str, object] = {}
-        rec = {"operation": "", "elapsed_ms": 0.0, "version": ""}
+        rec = {"operation": "", "version": ""}
         for col, cell in zip(header, row):
             if col == "operation":
                 rec["operation"] = cell
-            elif col == "elapsed_ms":
-                rec["elapsed_ms"] = float(cell)
             elif col == "version":
                 rec["version"] = cell
             elif col.startswith("param_") and cell != "":
@@ -256,24 +289,20 @@ def records_from_csv(text: str) -> List[ResultRecord]:
             elif col.startswith("out_") and cell != "":
                 outputs[col[4:]] = _decode_param(col[4:], cell)
         out.append(ResultRecord(rec["operation"], params, outputs,
-                                rec["elapsed_ms"], rec["version"]))
+                                rec["version"]))
     return out
 
 
-def records_to_json(records: Sequence[ResultRecord], timing: bool = False) -> str:
-    """Serialize records to JSON; see records_to_csv for the timing rule."""
+def records_to_json(records: Sequence[ResultRecord]) -> str:
+    """Serialize records to JSON, byte-identical as records_to_csv is."""
     def enc(d):
         return {k: _encode_value(v)
                 if isinstance(v, (float, Fraction, complex, bool, tuple))
                 else v for k, v in d.items()}
 
-    payload = []
-    for r in records:
-        item = {"operation": r.operation, "parameters": enc(r.parameters),
+    payload = [{"operation": r.operation, "parameters": enc(r.parameters),
                 "outputs": enc(r.outputs), "version": r.version}
-        if timing:
-            item["elapsed_ms"] = format(r.elapsed_ms, ".17g")
-        payload.append(item)
+               for r in records]
     return json.dumps(payload, indent=1, sort_keys=True) + "\n"
 
 
@@ -283,6 +312,5 @@ def records_from_json(text: str) -> List[ResultRecord]:
         params = {k: _decode_param(k, v) for k, v in item["parameters"].items()}
         outputs = {k: _decode_param(k, v) for k, v in item["outputs"].items()}
         out.append(ResultRecord(item["operation"], params, outputs,
-                                float(item.get("elapsed_ms", 0.0)),
                                 item["version"]))
     return out

@@ -216,10 +216,7 @@ def px_count(query: PxQuery, budget: int = DEFAULT_BUDGET) -> int:
     return len(seen)
 
 
-_PROPMAIN_GENERAL = "general"
-
-
-def propmain_bounds(Q: int, delta: float, r: int, z: float) -> Dict[str, float]:
+def propmain_bounds(Q: int, delta: float, r: int) -> Dict[str, float]:
     """The four conditional P(x) regime brackets at eps = 0.
 
     Thresholds (general form): r-ranges split at Q^{-71/33} delta^{-12/11},
@@ -270,7 +267,7 @@ def px_monitor(x: Fraction, Q: int, N: int,
     prev = 1 + Q ** 2 * frame.r * zf + Q ** 3 * float(delta)
     out["previous_bound"] = prev
     out["previous_ratio"] = count / prev
-    pm = propmain_bounds(Q, float(delta), frame.r, zf)
+    pm = propmain_bounds(Q, float(delta), frame.r)
     out["propmain_regime"] = pm["regime"]
     out["propmain_bound"] = pm["bound"]
     out["propmain_ratio"] = count / pm["bound"]

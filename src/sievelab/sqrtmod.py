@@ -423,9 +423,6 @@ class RootMultiset:
     def mass(self) -> int:
         return sum(self.table.values())
 
-    def count(self, lam: int) -> int:
-        return self.table.get(lam % self.modulus, 0)
-
 
 def build_root_multiset(
     R: int,

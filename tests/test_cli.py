@@ -174,6 +174,19 @@ def test_scan_missing_grid_parameter_is_a_usage_error(capsys):
         assert err.count("\n") == 1
 
 
+def test_scan_unread_grid_parameter_is_a_usage_error(tmp_path, capsys):
+    out_path = tmp_path / "e2.csv"
+    # refused by name, whatever the form of its values
+    for spec in ("foo=1,2", "foo=1:3", "foo=one"):
+        code = main(["scan", "--op", "e2", "--param", "r=5", "--param", "j=1",
+                     "--param", "R=4", "--param", spec, "--format", "csv",
+                     "--out", str(out_path)])
+        err = capsys.readouterr().err
+        assert code == 2, spec
+        assert err == "error: operation 'e2' reads no grid parameters foo\n"
+        assert not out_path.exists()
+
+
 def test_gcal_beyond_int64_is_refused(capsys):
     code = main(["expsum", "gcal", "--q", "3037000501", "--a", "1", "--b", "1",
                  "--j", "1", "--k", "1", "--u", "1", "--s", "1"])

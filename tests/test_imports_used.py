@@ -1,4 +1,6 @@
-"""Every module-level import in the package modules is used."""
+"""Every module-level import in the package modules is used, every
+function parameter is read, and every module-level private name is read
+somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -7,8 +9,8 @@ import pytest
 
 import sievelab
 
-MODULES = sorted(p for p in Path(sievelab.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = sorted(Path(sievelab.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def unused_imports(source: str):
@@ -26,11 +28,85 @@ def unused_imports(source: str):
                   if name not in used)
 
 
+def unread_parameters(source: str):
+    """(line, function, parameter) of each parameter, other than self and
+    cls, that its function or lambda body never reads."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        a = node.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                  a.vararg, a.kwarg) if p is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [(node.lineno, getattr(node, "name", "<lambda>"), p)
+                  for p in params if p not in ("self", "cls", *read)]
+    return sorted(found)
+
+
+def unread_private_names(sources):
+    """(module, line, name) of each module-level _private name (dunders
+    aside) that no module of sources reads, as a name or an attribute."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    read = {n.id if isinstance(n, ast.Name) else n.attr
+            for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute))
+            and isinstance(n.ctx, ast.Load)}
+    found = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            found += [(mod, node.lineno, name) for name in names
+                      if name.startswith("_") and not name.startswith("__")
+                      and name not in read]
+    return sorted(found)
+
+
 def test_checker_finds_an_unused_import():
     src = "import os\nimport sys\nfrom typing import Dict, List\nx: List = sys.argv\n"
     assert unused_imports(src) == [(1, "os"), (3, "Dict")]
 
 
+def test_checker_finds_an_unread_parameter():
+    src = ("class C:\n"
+           "    def f(self, a, b, *rest, c=1, **kw):\n"
+           "        return a + len(kw)\n"
+           "    @classmethod\n"
+           "    def g(cls, d):\n"
+           "        return lambda e, f: f * d\n")
+    assert unread_parameters(src) == [(2, "f", "b"), (2, "f", "c"),
+                                      (2, "f", "rest"), (6, "<lambda>", "e")]
+
+
+def test_checker_finds_an_unread_private_name():
+    sources = {"a": "_A = 1\n_B, _C = 2, 3\n__all__ = []\n"
+                    "def _f():\n    return _B\n",
+               "b": "import a\n_D: int = a._C\n"}
+    assert unread_private_names(sources) == [("a", 1, "_A"), ("a", 4, "_f"),
+                                             ("b", 2, "_D")]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_function_parameters_are_read(path):
+    assert unread_parameters(path.read_text()) == []
+
+
+def test_private_names_are_read_in_the_package():
+    assert unread_private_names({p.name: p.read_text() for p in PACKAGE}) == []

@@ -5,10 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from sievelab.cli import _parse_grid
-from sievelab.scan import (ResultRecord, ScanSpec, records_from_csv,
-                           records_from_json, records_to_csv, records_to_json,
-                           run_scan)
+from sievelab.scan import (ResultRecord, ScanSpec, parse_grid,
+                           records_from_csv, records_from_json, records_to_csv,
+                           records_to_json, run_scan)
 
 
 def test_scanspec_validates():
@@ -27,6 +26,11 @@ def test_scanspec_validates():
         ScanSpec("bombieri", {"p": [5]})
     with pytest.raises(ValueError, match="x, Q, N$"):
         ScanSpec("px", {"q": [5]})
+    # and refuses a grid parameter the operation does not read
+    with pytest.raises(ValueError, match="reads no grid parameters foo$"):
+        ScanSpec("e2", {"r": [5], "j": [1], "R": [4], "foo": [1]})
+    with pytest.raises(ValueError, match="reads no grid parameters h$"):
+        ScanSpec("e4", {"r": [5], "j": [1], "R": [4], "h": [1]})
 
 
 def test_single_point_scan():
@@ -76,8 +80,7 @@ def test_csv_round_trip():
 
 def test_json_round_trip():
     records = [ResultRecord("demo", {"x": Fraction(1, 3), "n": 4},
-                            {"ratio": 0.1234567890123456789, "flag": True},
-                            1.5)]
+                            {"ratio": 0.1234567890123456789, "flag": True})]
     back = records_from_json(records_to_json(records))
     assert back[0].parameters == {"x": Fraction(1, 3), "n": 4}
     assert back[0].outputs["ratio"] == records[0].outputs["ratio"]
@@ -134,6 +137,6 @@ SCAN_SHA256 = json.loads((Path(__file__).parent / "reference"
 @pytest.mark.parametrize("name", sorted(SCAN_SHA256))
 def test_ci_scan_grids_are_pinned(name):
     ref = SCAN_SHA256[name]
-    spec = ScanSpec(ref["op"], _parse_grid(ref["param"]))
+    spec = ScanSpec(ref["op"], parse_grid(ref["op"], ref["param"]))
     csv_text = records_to_csv(run_scan(spec))
     assert hashlib.sha256(csv_text.encode()).hexdigest() == ref["sha256"]

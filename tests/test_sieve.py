@@ -129,7 +129,7 @@ def test_px_monitor_keys():
 
 
 def test_propmain_regime_selection():
-    out = propmain_bounds(10, 1e-3, 5, 1e-4)
+    out = propmain_bounds(10, 1e-3, 5)
     assert out["regime"] in (1, 2, 3, 4)
     assert out["bound"] == out["all_bounds"][out["regime"] - 1]
     t1, t2, t3 = out["thresholds"]
