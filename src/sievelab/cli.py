@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from fractions import Fraction
 from typing import Dict
 
 import numpy as np
@@ -32,6 +33,14 @@ def _parse_weight(text: str) -> TrigWeight:
     if kind == "fejer":
         return TrigWeight.fejer(int(arg))
     raise argparse.ArgumentTypeError(f"unknown weight {text!r} (try fejer:<width>)")
+
+
+def _parse_x(text: str) -> Fraction:
+    """parse_rational with its reason shown in argparse's usage error."""
+    try:
+        return parse_rational(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _expsum_payload(v: ExpSumValue) -> Dict[str, object]:
@@ -210,13 +219,13 @@ def build_parser() -> argparse.ArgumentParser:
     pl.set_defaults(fn=_cmd_sieve)
 
     p = sub.add_parser("px", parents=[out, budget])
-    p.add_argument("--x", type=parse_rational, required=True)
+    p.add_argument("--x", type=_parse_x, required=True)
     p.add_argument("--Q", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
     p.set_defaults(fn=_cmd_px)
 
     p = sub.add_parser("approx", parents=[out])
-    p.add_argument("--x", type=parse_rational, required=True)
+    p.add_argument("--x", type=_parse_x, required=True)
     p.add_argument("--N", type=int, required=True,
                    help="window length; tau = floor(sqrt(N))")
     p.set_defaults(fn=_cmd_approx)

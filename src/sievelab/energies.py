@@ -2,13 +2,18 @@
 
 Fast path: cyclic self-convolution of the root multiset's sparse count
 vector in int64 numpy, in blocks of pair sums, once for E2/F2 and once
-more on the nonzero bins for E4.  The bins are a dense histogram only
-while r is small next to the pair count; otherwise they stay sparse and
-sorted, so neither time nor memory grows with r.  Oracle path: take the
-multiset from build_root_multiset's oracle, expand it and enumerate every
-pair sum densely with numpy bincount.  Both return exact integers; before
-either runs, the certificate mass^fold < 2^63 (mass = number of roots
-counted with multiplicity) proves that no int64 count or weight can wrap.
+more on the nonzero bins for E4.  Each pair sum is formed as
+lam[a] + (lam[b] - r), which lies in [-r, r) and so fits int64 for every
+r <= 2^63 with no division.  The bins are a dense histogram, indexed by
+these sums directly, only while r is small next to the pair count;
+otherwise they stay sparse and sorted, so neither time nor memory grows
+with r.  The sum of squared bins is one int64 dot whenever
+max(h) * sum(h) < 2^63 certifies it, and Python ints otherwise.  Oracle
+path: take the multiset from build_root_multiset's oracle, expand it and
+enumerate every pair sum densely with numpy bincount.  Both return exact
+integers; before either runs, the certificate mass^fold < 2^63 (mass =
+number of roots counted with multiplicity) proves that no int64 count or
+weight can wrap.
 """
 
 from __future__ import annotations
@@ -49,13 +54,21 @@ def _self_convolve(lam: np.ndarray, cnt: np.ndarray,
     """Nonzero bins (keys, h) of the cyclic self-convolution, keys ascending:
     h[k] = sum of cnt[a] * cnt[b] over lam[a] + lam[b] = keys[k] (mod r), int64.
 
-    Exact when every bin fits int64; callers certify that.  A dense
+    Exact when every bin fits int64; callers certify that.  lam holds
+    residues in [0, r), r <= 2^63.  Each block's rows are added to
+    lam - r, so every pair sum s lies in [-r, r) and fits int64; r itself
+    is never converted to int64 (2^63 does not fit, -2^63 does).  A dense
     histogram of length r is used only when r is at most _DENSE_BINS and
-    no larger than the pair count (or one block); otherwise pending pair
-    sums are merged into the sorted bins whenever they outnumber them.
+    no larger than the pair count (or one block); it takes s as an index
+    unreduced, since numpy reads a negative index s as r + s, which is
+    (a + b) mod r.  Otherwise each block adds r back to its negative sums,
+    and pending sums are merged into the sorted bins whenever they
+    outnumber them.
     """
+    minus_r = np.int64(-r)
+    shifted = lam + minus_r
     rows = max(1, _BLOCK // max(1, lam.size))
-    blocks = ((np.add.outer(lam[i:i + rows], lam).ravel() % r,
+    blocks = ((np.add.outer(lam[i:i + rows], shifted).ravel(),
                np.multiply.outer(cnt[i:i + rows], cnt).ravel())
               for i in range(0, lam.size, rows))
     if r <= min(_DENSE_BINS, max(_BLOCK, lam.size * lam.size)):
@@ -68,6 +81,7 @@ def _self_convolve(lam: np.ndarray, cnt: np.ndarray,
     pending: List[Tuple[np.ndarray, np.ndarray]] = []
     size = 0
     for sums, weights in blocks:
+        sums -= (sums >> 63) & minus_r  # s < 0 becomes s + r
         pending.append((sums, weights))
         size += sums.size
         if size >= max(_BLOCK, keys.size):
@@ -85,6 +99,18 @@ def _merge_bins(parts: Sequence[Tuple[np.ndarray, np.ndarray]]
     keys, weights = keys[order], weights[order]
     starts = np.flatnonzero(np.diff(keys, prepend=-1))
     return keys[starts], np.add.reduceat(weights, starts) if starts.size else weights
+
+
+def _square_sum(h: np.ndarray, total: int) -> int:
+    """Sum of h^2 over nonnegative int64 bins h whose sum is total, exactly.
+
+    sum(h^2) <= max(h) * total, so an int64 dot cannot wrap when total^2
+    (a test free of numpy calls) or max(h) * total is below 2^63;
+    otherwise the squares are summed as Python ints.
+    """
+    if total * total < 2 ** 63 or int(h.max()) * total < 2 ** 63:
+        return int(np.dot(h, h))
+    return sum(c * c for c in h.tolist())
 
 
 def _dense_pair_hist(values: Sequence[int], r: int) -> np.ndarray:
@@ -119,7 +145,7 @@ def _energy_from_multiset(table: Dict[int, int], r: int, fold: int, method: str)
         keys, h = _self_convolve(lam, cnt, r)
         if fold == 4:
             keys, h = _self_convolve(keys, h, r)
-        e = sum(c * c for c in h.tolist())
+        e = _square_sum(h, mass ** fold)
     else:
         values = _expand(table)
         h2 = _dense_pair_hist(values, r)

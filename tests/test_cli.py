@@ -248,6 +248,20 @@ def test_px_zero_denominator_is_a_usage_error(capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["px", "--x", "1/0", "--Q", "4", "--N", "64"],
+     "sievelab px: error: argument --x: '1/0' has a zero denominator"),
+    (["approx", "--x", "one", "--N", "10"],
+     "sievelab approx: error: argument --x: "
+     "Invalid literal for Fraction: 'one'"),
+])
+def test_malformed_x_names_the_reason(argv, line, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == line
+
+
 def test_gauss_direct_beyond_int64_is_refused(capsys):
     code = main(["expsum", "gauss", "--q", "3037000500", "--a", "1", "--b", "0"])
     err = capsys.readouterr().err
@@ -265,6 +279,16 @@ def test_energy_beyond_int64_certificate_is_refused(capsys):
     assert code == 2
     assert err.startswith("error: ") and "2^63" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("r, energy", [(2 ** 63 - 25, 44), (2 ** 63, 45056)])
+def test_energy_near_2_63_is_exact(r, energy, capsys):
+    # a + b of two roots passes 2^63 here, and r = 2^63 is not an int64;
+    # the values are tests/test_energies.py's literal counts
+    code, out = run_cli(capsys, "energy", "--kind", "f2", "--R", "12",
+                        "--j", "1", "--h", "3", "--r", str(r))
+    assert code == 0
+    assert json.loads(out)["energy"] == energy
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

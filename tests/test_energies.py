@@ -1,15 +1,18 @@
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from sievelab import energies
-from sievelab.energies import (_energy_from_multiset, energy_e2, energy_e4,
-                               energy_f2, kssz_check)
+from sievelab.energies import (_energy_from_multiset, _square_sum, energy_e2,
+                               energy_e4, energy_f2, kssz_check)
 from sievelab.sqrtmod import build_root_multiset, sqrt_mod_all
 
 #: a prime far above any dense histogram of the fast kernel
 BIG_PRIME = 1000000007
+#: the largest prime below 2^63; 2^63 is the largest modulus factorize takes
+PRIME_BELOW_2_63 = 2 ** 63 - 25
 
 
 def brute_e2(R, j, r):
@@ -36,6 +39,14 @@ def literal_energy(values, r, fold):
                 step[(s + v) % r] += n
         sums = step
     return sum(n * n for n in sums.values())
+
+
+def root_differences(R, j, h, r):
+    """kt - k mod r over every root k of jm and kt of j(m + h), m in [1, R]."""
+    return [(kt - k) % r
+            for m in range(1, R + 1)
+            for k in sqrt_mod_all(j * m % r, r).roots
+            for kt in sqrt_mod_all(j * (m + h) % r, r).roots]
 
 
 def test_e2_literal_quadruple_count():
@@ -93,11 +104,28 @@ def test_large_prime_energies_match_literal_counts():
     assert (_energy_from_multiset(ms.table, BIG_PRIME, 4, "conv")
             == literal_energy(values, BIG_PRIME, 4))
     R, j, h = 6, 3, 1
-    diffs = [(kt - k) % BIG_PRIME
-             for m in range(1, R + 1)
-             for k in sqrt_mod_all(j * m % BIG_PRIME, BIG_PRIME).roots
-             for kt in sqrt_mod_all(j * (m + h) % BIG_PRIME, BIG_PRIME).roots]
-    assert energy_f2(R, j, h, BIG_PRIME).energy == literal_energy(diffs, BIG_PRIME, 2)
+    assert (energy_f2(R, j, h, BIG_PRIME).energy
+            == literal_energy(root_differences(R, j, h, BIG_PRIME), BIG_PRIME, 2))
+
+
+@pytest.mark.parametrize("r", [PRIME_BELOW_2_63, 2 ** 63])
+def test_f2_pair_sums_near_2_63_do_not_wrap(r):
+    # here a + b of two roots passes 2^63: the kernel's pair sums must not
+    # wrap int64 (at 2^63 - 25, (12, 3) once gave 40 for 44), and r = 2^63
+    # itself must not be converted to int64
+    for R, h in ((12, 3), (8, 7), (16, 2)):
+        assert (energy_f2(R, 1, h, r).energy
+                == literal_energy(root_differences(R, 1, h, r), r, 2))
+
+
+@pytest.mark.parametrize("r", [PRIME_BELOW_2_63, 2 ** 63])
+def test_tables_near_2_63_do_not_wrap(r):
+    # both convolutions see keys near r; the plain builders refuse such r
+    table = {r - 1: 2, r - 2: 1, r // 2: 3, r // 3: 1, 5: 2}
+    values = [lam for lam, c in table.items() for _ in range(c)]
+    for fold in (2, 4):
+        assert (_energy_from_multiset(table, r, fold, "conv")
+                == literal_energy(values, r, fold))
 
 
 def test_sparse_bins_merge_across_blocks():
@@ -106,6 +134,15 @@ def test_sparse_bins_merge_across_blocks():
     table = {(k * 7919 ** 3) % r: 1 + k % 3 for k in range(400)}
     values = [lam for lam, c in table.items() for _ in range(c)]
     assert _energy_from_multiset(table, r, 2, "conv") == literal_energy(values, r, 2)
+
+
+def test_conv_matches_brute_at_scan_sizes():
+    # the dense bins over many blocks of pair sums, at the scan-energy
+    # workload's sizes: E4 at r = 13 * 17 * 19, E2 and F2 at r ~ 1e5
+    for rep in (lambda m: energy_e4(48, 1, 4199, m),
+                lambda m: energy_e2(600, 1, 99991, m),
+                lambda m: energy_f2(600, 1, 1, 100005, m)):
+        assert rep("conv").energy == rep("brute").energy
 
 
 def test_sparse_bins_match_brute_on_grid(monkeypatch):
@@ -126,3 +163,29 @@ def test_int64_certificate_at_boundary():
         for method in ("conv", "brute"):
             with pytest.raises(ValueError, match="2\\^63"):
                 _energy_from_multiset({0: mass + 1}, 7, fold, method)
+
+
+@pytest.mark.parametrize("fold, a, dot", [(2, 32767, True), (2, 32768, False),
+                                          (4, 132, True), (4, 133, False)])
+def test_square_sum_certificate_on_both_sides(fold, a, dot, monkeypatch):
+    # {0: a, 1: a} has mass^(2 fold) >= 2^63, so only max(h) * mass^fold
+    # < 2^63 can certify the int64 dot: 8 a^4 for fold 2 (2^63 - 1.1e15 at
+    # a = 32767) and 96 a^8 for fold 4; one step further is refused
+    mass = 2 * a
+    assert mass ** (2 * fold) >= 2 ** 63
+    h2 = np.array([a * a, 2 * a * a, a * a], dtype=np.int64)
+    h = h2 if fold == 2 else np.convolve(h2, h2)
+    assert (int(h.max()) * mass ** fold < 2 ** 63) == dot
+    python_sum = sum(c * c for c in h.tolist())
+    dots, numpy_dot = [], np.dot
+    monkeypatch.setattr(np, "dot", lambda x, y: dots.append(1) or numpy_dot(x, y))
+    assert _square_sum(h, mass ** fold) == python_sum
+    monkeypatch.undo()
+    assert len(dots) == dot
+    assert _energy_from_multiset({0: a, 1: a}, 7, fold, "conv") == python_sum
+    assert python_sum == (6 * a ** 4 if fold == 2 else 70 * a ** 8)
+
+
+def test_square_sum_of_an_empty_table():
+    assert _square_sum(np.zeros(0, dtype=np.int64), 0) == 0
+    assert _energy_from_multiset({}, 7, 4, "conv") == 0

@@ -6,8 +6,9 @@ cannot route an oracle through the path it checks.  The pairs:
 
 - complete sums: every fast sum gathers e_q(t) from expsums.unit_phases,
   every scalar oracle evaluates e_frac term by term;
-- energies: conv self-convolves (_self_convolve), brute enumerates every
-  pair sum (_dense_pair_hist);
+- energies: conv self-convolves (_self_convolve) and sums the squared bins
+  with a certified int64 dot (_square_sum), brute enumerates every pair
+  sum (_dense_pair_hist);
 - root multisets: the plain fast builder and the difference oracle square
   every residue, the plain oracle and the difference fast builder call the
   solver sqrt_mod_all.
@@ -106,6 +107,14 @@ ENERGIES = {
 @pytest.mark.parametrize("name", sorted(ENERGIES))
 def test_brute_energy_does_not_convolve(name, monkeypatch):
     monkeypatch.setattr(energies, "_self_convolve", _kernel_called)
+    assert ENERGIES[name]("brute").energy > 0
+    with pytest.raises(KernelCalled):
+        ENERGIES[name]("conv")
+
+
+@pytest.mark.parametrize("name", sorted(ENERGIES))
+def test_brute_energy_does_not_use_the_certified_dot(name, monkeypatch):
+    monkeypatch.setattr(energies, "_square_sum", _kernel_called)
     assert ENERGIES[name]("brute").energy > 0
     with pytest.raises(KernelCalled):
         ENERGIES[name]("conv")
