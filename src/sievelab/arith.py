@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import List, Tuple
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -112,12 +113,16 @@ class FactoredModulus:
     def prime_powers(self) -> List[int]:
         return [p ** a for p, a in self.factors]
 
-    @property
-    def crt_idempotents(self) -> List[int]:
+    @cached_property
+    def crt_idempotents(self) -> Tuple[int, ...]:
         """e_i = (n/q_i) * ((n/q_i)^-1 mod q_i) mod n for each prime power
-        q_i: e_i = 1 (mod q_i) and e_i = 0 (mod every other q_k)."""
+        q_i: e_i = 1 (mod q_i) and e_i = 0 (mod every other q_k).
+
+        Computed once per instance; not a field, so equality and hashing
+        still read n and factors only."""
         n = self.n
-        return [n // q * mod_inverse(n // q % q, q) % n for q in self.prime_powers]
+        return tuple(n // q * mod_inverse(n // q % q, q) % n
+                     for q in self.prime_powers)
 
     def divisor_count(self) -> int:
         out = 1

@@ -10,7 +10,8 @@ otherwise they stay sparse and sorted, so neither time nor memory grows
 with r.  The sum of squared bins is one int64 dot whenever
 max(h) * sum(h) < 2^63 certifies it, and Python ints otherwise.  Oracle
 path: take the multiset from build_root_multiset's oracle, expand it and
-enumerate every pair sum densely with numpy bincount.  Both return exact
+enumerate every pair sum densely with numpy bincount into r bins, so it
+refuses r > 2^20 before any work.  Both return exact
 integers; before either runs, the certificate mass^fold < 2^63 (mass =
 number of roots counted with multiplicity) proves that no int64 count or
 weight can wrap.
@@ -24,13 +25,16 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .arith import factorize, is_prime
+from .arith import FactoredModulus, factorize, is_prime
 from .sqrtmod import build_root_multiset
 
 #: pair sums per block of the fast convolution (about 1 MB of int64 temporaries)
 _BLOCK = 1 << 16
 #: largest dense histogram of the fast convolution (8 MB of int64)
 _DENSE_BINS = 1 << 20
+#: largest r of method "brute", which histograms its pair sums into r bins
+#: (8 MB of int64) and, for F2, squares every residue in [0, r)
+_BRUTE_MAX_R = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -161,17 +165,22 @@ def _energy_from_multiset(table: Dict[int, int], r: int, fold: int, method: str)
     return e
 
 
-def _check_method(method: str) -> str:
+def _check_method(method: str, r: int | FactoredModulus) -> str:
     """The multiset builder an energy method reads: conv the fast one,
-    brute the oracle."""
+    brute the oracle.  brute refuses r > _BRUTE_MAX_R before any work,
+    factorization included."""
     if method not in ("conv", "brute"):
         raise ValueError(f"unknown method {method!r}")
+    n = r.n if isinstance(r, FactoredModulus) else r
+    if method == "brute" and n > _BRUTE_MAX_R:
+        raise ValueError(f"r = {n} too large for method 'brute': it counts "
+                         f"pair sums in r bins, so r must be <= {_BRUTE_MAX_R}")
     return "fast" if method == "conv" else "oracle"
 
 
 def energy_e2(R: int, j: int, r: int, method: str = "conv") -> EnergyReport:
     """Quadruples (k1..k4) with ki^2 = j*mi, mi in [1,R], k1+k2 = k3+k4 mod r."""
-    builder = _check_method(method)
+    builder = _check_method(method, r)
     fm = factorize(r) if isinstance(r, int) else r
     ms = build_root_multiset(R, j, fm, "plain", method=builder)
     e = _energy_from_multiset(ms.table, fm.n, 2, method)
@@ -181,7 +190,7 @@ def energy_e2(R: int, j: int, r: int, method: str = "conv") -> EnergyReport:
 
 def energy_e4(R: int, j: int, r: int, method: str = "conv") -> EnergyReport:
     """8-tuple analogue of energy_e2 (4-vs-4 sums)."""
-    builder = _check_method(method)
+    builder = _check_method(method, r)
     fm = factorize(r) if isinstance(r, int) else r
     ms = build_root_multiset(R, j, fm, "plain", method=builder)
     e = _energy_from_multiset(ms.table, fm.n, 4, method)
@@ -191,7 +200,7 @@ def energy_e4(R: int, j: int, r: int, method: str = "conv") -> EnergyReport:
 
 def energy_f2(R: int, j: int, h: int, r: int, method: str = "conv") -> EnergyReport:
     """Additive energy of root differences f(m) = sqrt(j(m+h)) - sqrt(jm)."""
-    builder = _check_method(method)
+    builder = _check_method(method, r)
     fm = factorize(r) if isinstance(r, int) else r
     ms = build_root_multiset(R, j, fm, "difference", h=h, method=builder)
     e = _energy_from_multiset(ms.table, fm.n, 2, method)

@@ -20,7 +20,8 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .arith import FactoredModulus, eps_q, factorize, is_prime, jacobi, mod_inverse
-from .sqrtmod import _require_int64_square, root_table, sqrt_mod_all
+from .sqrtmod import (_fits_int32_square, _require_int64_square, root_table,
+                      sqrt_mod_all)
 
 
 def e_frac(num: int, den: int) -> complex:
@@ -104,12 +105,14 @@ def gauss_sum_direct(q: int, a: int, b: int) -> ExpSumValue:
 
     The phases are exact integer residues, summed through the unit_phases
     table: q^2 < 2^63 is required, so each product is below 2^63 and
-    their sum, taken in uint64, below 2^64.
+    their sum, taken in uint64, below 2^64; when q^2 < 2^31 the same
+    bounds hold in uint32, and the phases are taken there.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
     _require_int64_square(q, "q")
-    n = np.arange(1, q + 1, dtype=np.uint64)
+    dtype = np.uint32 if _fits_int32_square(q) else np.uint64
+    n = np.arange(1, q + 1, dtype=dtype)
     phases = ((a % q) * (n * n % q) + (b % q) * n) % q
     return ExpSumValue(_phase_sum(phases, q), q, q)
 
@@ -199,8 +202,9 @@ def esum_jh(
 
 @lru_cache(maxsize=256)
 def _unit_inverses(q: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(units, inverses) int64 arrays mod q: the units c in [1, q] with
-    gcd(c, q) = 1, ascending, and their inverses mod q (0 at q = 1).
+    """(units, inverses) unsigned arrays mod q: the units c in [1, q] with
+    gcd(c, q) = 1, ascending, and their inverses mod q (0 at q = 1);
+    uint32 when q^2 < 2^31, uint64 otherwise.
 
     O(phi(q)) work.  The units are what remains of [1, q] once the
     multiples of each prime of q are struck out.  The inverses come from
@@ -208,28 +212,30 @@ def _unit_inverses(q: int) -> Tuple[np.ndarray, np.ndarray]:
     are multiplied mod q level by level up to the root, odd levels padded
     with 1; the root is inverted once, and each node hands its inverse
     down as inv(left) = inv(node) * right and inv(right) = inv(node) *
-    left.  Every product is of two residues, so q^2 < 2^63 is required
-    and refused before anything is allocated.  tests/test_expsums.py
-    checks the tables against pow(c, -1, q) for every q <= 2000 (each
-    padding pattern up to about a thousand leaves) and for q = 2^k + 1
-    (phi(q) = 2^k, no padding), 2^k - 1 and 2^k + 3.
+    left.  Every product is of two residues, so it fits the dtype;
+    q^2 < 2^63 is required and refused before anything is allocated.
+    tests/test_expsums.py checks the tables against pow(c, -1, q) for
+    every q <= 2000 (each padding pattern up to about a thousand leaves),
+    for q = 2^k + 1 (phi(q) = 2^k, no padding), 2^k - 1 and 2^k + 3, and
+    on both sides of the uint32 bound.
     """
     _require_int64_square(q, "q")
+    dtype = np.uint32 if _fits_int32_square(q) else np.uint64
     keep = np.ones(q + 1, dtype=bool)
     keep[0] = False
     for p, _ in factorize(q).factors:
         keep[::p] = False
-    units = np.flatnonzero(keep).astype(np.int64)
+    units = np.flatnonzero(keep).astype(dtype)
     levels = [units]
     while levels[-1].size > 1:
         level = levels[-1]
         if level.size % 2:
-            level = levels[-1] = np.append(level, 1)
+            level = levels[-1] = np.append(level, dtype(1))
         levels.append(level[0::2] * level[1::2] % q)
-    inv = np.array([pow(int(levels[-1][0]), -1, q)], dtype=np.int64)
+    inv = np.array([pow(int(levels[-1][0]), -1, q)], dtype=dtype)
     for level in reversed(levels[:-1]):
         inv = inv[:level.size // 2]  # a padding 1 has no children
-        down = np.empty(level.size, dtype=np.int64)
+        down = np.empty(level.size, dtype=dtype)
         down[0::2] = inv * level[1::2] % q
         down[1::2] = inv * level[0::2] % q
         inv = down
@@ -245,8 +251,9 @@ def gcal(q: int, a: int, b: int, j: int, k: int, u: int, s: int) -> ExpSumValue:
     square, the phase is a c + A c^-2 + C c^2 + D mod q with
     B = b (4 j s^3)^-1, A = B (jk)^2, C = B u^2 s^4 and D = -2 B jk u s^2
     reduced as Python ints; the terms run over the cached _unit_inverses
-    table in uint64, where each sum of two products below q^2 cannot wrap,
-    and the residue phases are summed through unit_phases(q).
+    table in its own unsigned dtype (uint32 when q^2 < 2^31, else
+    uint64), where each sum of two products below q^2 cannot wrap, and
+    the residue phases are summed through unit_phases(q).
     tests/test_expsums.py checks it against a literal scalar sum with
     pow(c, -1, q) and e_frac per term.
     """
@@ -258,14 +265,12 @@ def gcal(q: int, a: int, b: int, j: int, k: int, u: int, s: int) -> ExpSumValue:
         raise ValueError("gcal handles odd q only")
     if math.gcd(j * s, q) != 1:
         raise ValueError("need gcd(js, q) = 1")
-    units, invs = _unit_inverses(q)
+    c, ic = _unit_inverses(q)
     B = b * mod_inverse(4 * j * s ** 3, q)
     jk, us2 = j * k, u * s * s
     A, C, D = B * jk * jk % q, B * us2 * us2 % q, -2 * B * jk * us2 % q
-    c = units.view(np.uint64)
-    ic = invs.view(np.uint64)
     phase = ((a % q * c + A * (ic * ic % q)) % q + C * (c * c % q) + D) % q
-    return ExpSumValue(_phase_sum(phase, q), len(units), q)
+    return ExpSumValue(_phase_sum(phase, q), len(c), q)
 
 
 def gcal_bound(q: int, a: int, b: int, k: int, u: int) -> float:

@@ -202,23 +202,28 @@ def root_pairs(r: int | FactoredModulus) -> np.ndarray:
     pairs are recombined with the CRT idempotents e_i of
     FactoredModulus.crt_idempotents: each factor's residues are scaled by e_i
     once and outer-added into the accumulator, which is reduced mod r at
-    the end.  The rows are then sorted as one int64 key m*r + k, so
-    r^2 < 2^63 is required.  There are exactly r pairs since every k is
-    a root of exactly one m.
+    the end.  The rows are then sorted as one key m*r + k, so r^2 < 2^63
+    is required.  Every step runs in int32 when r^2 < 2^31 (each scaled
+    residue is below r^2, each key too) and in int64 otherwise; the
+    int64 columns are written by the final divmod either way.  There are
+    exactly r pairs since every k is a root of exactly one m.
     """
     fm = r if isinstance(r, FactoredModulus) else factorize(r)
     n = fm.n
     _require_int64_square(n, "r")
-    acc_m = np.zeros(1, dtype=np.int64)
-    acc_k = np.zeros(1, dtype=np.int64)
+    dtype = np.int32 if _fits_int32_square(n) else np.int64
+    acc_m = np.zeros(1, dtype=dtype)
+    acc_k = np.zeros(1, dtype=dtype)
     for (p, a), e in zip(fm.factors, fm.crt_idempotents):
         ms, ks = _prime_power_pairs(p, a)
-        # the cached tables are int32: widen before scaling by e < r
-        acc_m = np.add.outer(ms.astype(np.int64) * e % n, acc_m).ravel()
-        acc_k = np.add.outer(ks.astype(np.int64) * e % n, acc_k).ravel()
+        # int32 factor tables of an int64 r widen before scaling by e < r
+        acc_m = np.add.outer(ms.astype(dtype, copy=False) * e % n, acc_m).ravel()
+        acc_k = np.add.outer(ks.astype(dtype, copy=False) * e % n, acc_k).ravel()
     key = acc_m % n * n + acc_k % n
     key.sort()
-    return np.stack(np.divmod(key, n), axis=1)
+    pairs = np.empty((n, 2), dtype=np.int64)
+    np.divmod(key, n, out=(pairs[:, 0], pairs[:, 1]))
+    return pairs
 
 
 def _require_int64_square(n: int, name: str) -> None:
@@ -226,6 +231,13 @@ def _require_int64_square(n: int, name: str) -> None:
     if n * n >= 2 ** 63:
         raise ValueError(f"{name} = {n} too large: {name}^2 must be < 2^63 "
                          "for exact int64 arithmetic")
+
+
+def _fits_int32_square(n: int) -> bool:
+    """Whether n**2 < 2**31 (n <= 46340), so the residue kernels may run in
+    32 bits: a product of two residues mod n, or a difference of such
+    products, fits int32, and a sum of two products fits uint32."""
+    return n * n < 2 ** 31
 
 
 def root_table(r: int | FactoredModulus) -> Tuple[np.ndarray, np.ndarray]:
@@ -241,10 +253,10 @@ def root_table(r: int | FactoredModulus) -> Tuple[np.ndarray, np.ndarray]:
     return offsets, pairs[:, 1]
 
 
-#: prime-power pair tables for q <= _PP_CACHE_MAX, Hensel-lifted from the
-#: prime tables and built straight into int32 (q^2 < 2^31), so no int64
-#: copy is ever allocated for them
-_PP_CACHE_MAX = 10 ** 4
+#: prime-power pair tables for q <= _PP_CACHE_MAX: criterion 1 asks for
+#: each larger one once (at r = q, since 2q > 10^4), so caching it would
+#: only hold memory
+_PP_CACHE_MAX = 5 * 10 ** 3
 _PP_PAIR_CACHE: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -371,15 +383,15 @@ def _prime_power_pairs(p: int, a: int) -> Tuple[np.ndarray, np.ndarray]:
     m1 mod p^gamma (_unit_root_pairs) and 0 <= t < p^(beta/2).  No
     table is built by squaring every residue: that is how criterion 1
     checks it.
-    Tables with p^a <= 10^4 are built straight into int32 and cached;
-    larger ones are int64 and built on each call.
+    Tables are built straight into int32 when (p^a)^2 < 2^31, else into
+    int64; those with p^a <= _PP_CACHE_MAX are cached.
     """
     key = (p, a)
     hit = _PP_PAIR_CACHE.get(key)
     if hit is not None:
         return hit
     q = p ** a
-    dtype = np.int32 if q <= _PP_CACHE_MAX else np.int64
+    dtype = np.int32 if _fits_int32_square(q) else np.int64
     # every k is a root of one m, so the table has q rows; allocating it
     # before the temporaries leaves their freed memory above it
     table = np.empty((2, q), dtype=dtype)

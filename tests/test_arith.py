@@ -201,6 +201,9 @@ def test_crt_idempotents():
             for k, q in enumerate(qs):
                 assert e % q == (1 if k == i else 0), (n, i, q)
         assert sum(es) % n == 1 % n
+        # computed once, and never part of equality or the hash
+        assert isinstance(es, tuple) and fm.crt_idempotents is es
+        assert fm == factorize(n) and hash(fm) == hash(factorize(n))
 
 
 def test_divisor_count():

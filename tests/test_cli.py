@@ -281,6 +281,16 @@ def test_energy_beyond_int64_certificate_is_refused(capsys):
     assert err.count("\n") == 1
 
 
+def test_brute_energy_at_a_huge_modulus_is_refused(capsys):
+    # brute counts pair sums in r bins: refused at once, not run for ever
+    code = main(["energy", "--kind", "f2", "--R", "12", "--j", "1", "--h", "3",
+                 "--r", str(2 ** 63), "--method", "brute"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: r = 9223372036854775808 too large for method 'brute': it "
+        "counts pair sums in r bins, so r must be <= 1048576\n")
+
+
 @pytest.mark.parametrize("r, energy", [(2 ** 63 - 25, 44), (2 ** 63, 45056)])
 def test_energy_near_2_63_is_exact(r, energy, capsys):
     # a + b of two roots passes 2^63 here, and r = 2^63 is not an int64;

@@ -155,6 +155,24 @@ def test_sparse_bins_match_brute_on_grid(monkeypatch):
                     == energy_f2(R, 1, 2, r, "brute").energy)
 
 
+def test_brute_refuses_r_above_its_bins_before_any_work(monkeypatch):
+    # 2^20 bins are allowed (2^20 + 1 is 17 * 61681); the refusal comes
+    # before factorize, so even r = 2^63 costs nothing
+    assert (energy_e2(1, 1, 2 ** 20, "brute").energy
+            == energy_e2(1, 1, 2 ** 20, "conv").energy)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked before the brute size check")
+
+    monkeypatch.setattr(energies, "factorize", no_work)
+    for r in (2 ** 20 + 1, 2 ** 63):
+        for rep in (lambda m: energy_e2(1, 1, r, m),
+                    lambda m: energy_e4(1, 1, r, m),
+                    lambda m: energy_f2(1, 1, 1, r, m)):
+            with pytest.raises(ValueError, match="must be <= 1048576"):
+                rep("brute")
+
+
 def test_int64_certificate_at_boundary():
     # 3037000499^2 < 2^63 <= 3037000500^2 and 55108^4 < 2^63 <= 55109^4;
     # accepted cases run "conv" only, since "brute" expands the multiset

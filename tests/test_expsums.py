@@ -60,7 +60,9 @@ def test_gauss_closed_examples():
 
 
 def test_gauss_closed_matches_direct():
-    for q in (1, 3, 9, 15, 21, 45, 225, 1001):
+    # 46339 and 46341 sit on either side of q^2 < 2^31, where the direct
+    # sum leaves uint32 for uint64; at 65537, n^2 passes 2^32
+    for q in (1, 3, 9, 15, 21, 45, 225, 1001, 46339, 46341, 65537):
         for a in (0, 1, 2, 3, 5, 7, 15):
             for b in (0, 1, 3, 6, 10):
                 d = gauss_sum_direct(q, a, b).value
@@ -213,14 +215,18 @@ def test_unit_inverses():
     # to about a thousand leaves; phi(q) is even for q > 2, so odd level
     # sizes come from halving (phi = 6: 6 -> 3 -> 2 -> 1).  Beyond that:
     # phi(q) = 2^k (q = 17, 257, 65537: no padding at any level), q next
-    # to 2^k, and moduli near 4e4 as the benchmark's cold gcal calls use
+    # to 2^k, and moduli near 4e4 as the benchmark's cold gcal calls use.
+    # The tables are uint32 while q^2 < 2^31 (46339 below, 46341 above)
+    # and uint64 beyond, where products mod 2^16 + 3 pass 2^32
     rng = np.random.default_rng(7)
     qs = list(range(1, 2001))
     qs += [2 ** e + d for e in (8, 12, 16) for d in (-1, 1, 3)]
-    qs += [9999, 39601] + [int(q) for q in rng.integers(2, 40000, 20)]
+    qs += [9999, 39601, 46339, 46341]
+    qs += [int(q) for q in rng.integers(2, 40000, 20)]
     for q in qs:
         units, invs = _unit_inverses(q)
-        assert units.dtype == invs.dtype == np.int64
+        assert units.dtype == invs.dtype == (np.uint32 if q <= 46340
+                                             else np.uint64)
         want = [c for c in range(1, q + 1) if math.gcd(c, q) == 1]
         assert units.tolist() == want, q
         assert invs.tolist() == [pow(c, -1, q) for c in want], q
@@ -264,6 +270,16 @@ def test_gcal_matches_literal_sum():
                 (q, a, b, j, k, u, s)
             assert v.terms == sum(math.gcd(c, q) == 1 for c in range(1, q + 1))
             done += 1
+
+
+@pytest.mark.parametrize("q", [46339, 46341, 65537])
+def test_gcal_matches_literal_sum_at_the_uint32_bound(q):
+    # the phases run in uint32 below q^2 = 2^31 (46339) and in uint64
+    # above it (46341); at 65537 a product of two residues reaches 2^32
+    rng = np.random.default_rng(q)
+    a, b, k, u = (int(v) for v in rng.integers(0, q, 4))
+    v = gcal(q, a, b, 1, k, u, 1)
+    assert abs(v.value - gcal_literal(q, a, b, 1, k, u, 1)) < 1e-9 * q
 
 
 def rational_literal(num, den, p):

@@ -11,7 +11,9 @@ cannot route an oracle through the path it checks.  The pairs:
   sum (_dense_pair_hist);
 - root multisets: the plain fast builder and the difference oracle square
   every residue, the plain oracle and the difference fast builder call the
-  solver sqrt_mod_all.
+  solver sqrt_mod_all;
+- 32-bit residue kernels: the fast tables and sums choose their dtype by
+  sqrtmod._fits_int32_square, which no oracle consults.
 """
 
 import sys
@@ -143,3 +145,39 @@ def test_squaring_builder_does_not_use_the_solver(kind, method, no_solver):
 def test_solver_builder_uses_the_solver(kind, method, no_solver):
     with pytest.raises(KernelCalled):
         _multiset(kind, method)
+
+
+@pytest.fixture
+def no_width_predicate(monkeypatch):
+    patched = _patch_everywhere(monkeypatch, sqrtmod, "_fits_int32_square")
+    assert {"sievelab.sqrtmod", "sievelab.expsums"} <= patched
+    # cached unit tables would skip the predicate
+    expsums._unit_inverses.cache_clear()
+    yield
+    expsums._unit_inverses.cache_clear()
+
+
+WIDTH_ORACLES = dict(ORACLES, **{
+    "E2 brute": lambda: ENERGIES["E2"]("brute"),
+    "E4 brute": lambda: ENERGIES["E4"]("brute"),
+    "F2 brute": lambda: ENERGIES["F2"]("brute"),
+})
+
+WIDTH_FAST_PATHS = {
+    "root_pairs": lambda: sqrtmod.root_pairs(45),
+    "gauss_sum_direct": FAST_PATHS["gauss_sum_direct"],
+    "esum_jh paired": FAST_PATHS["esum_jh paired"],
+    "gcal": FAST_PATHS["gcal"],
+    "rational_expsum": FAST_PATHS["rational_expsum"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIDTH_ORACLES))
+def test_oracle_does_not_use_the_width_predicate(name, no_width_predicate):
+    assert WIDTH_ORACLES[name]() is not None
+
+
+@pytest.mark.parametrize("name", sorted(WIDTH_FAST_PATHS))
+def test_fast_path_uses_the_width_predicate(name, no_width_predicate):
+    with pytest.raises(KernelCalled):
+        WIDTH_FAST_PATHS[name]()

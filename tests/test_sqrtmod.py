@@ -164,11 +164,13 @@ def test_roots_closed_under_negation():
 
 def test_root_pairs_matches_squaring():
     # every r <= 2000, then prime powers, smooth r, a prime = 1 mod 8, a
-    # prime above 10^4 and twice it; 967381 = 97 * 9973 has two
-    # int32-cached factor tables and idempotents near 10^6, so a CRT that
-    # scales them without widening to int64 wraps
+    # prime above 10^4 and twice it; 967381 = 97 * 9973 has two int32
+    # factor tables and idempotents near 10^6, so a CRT that scales them
+    # without widening to int64 wraps.  46340 and 46341 sit on either
+    # side of r^2 < 2^31, where root_pairs leaves int32 for int64, and
+    # the keys m*r + k of 46349 pass 2^31, so an int32 run there wraps
     rs = list(range(1, 2001)) + [5040, 6561, 8192, 9240, 9601, 10007,
-                                 2 * 10007, 967381]
+                                 2 * 10007, 46340, 46341, 46349, 967381]
     for r in rs:
         rp = root_pairs(r)
         assert rp.dtype == np.int64
@@ -177,12 +179,26 @@ def test_root_pairs_matches_squaring():
 
 def test_prime_pair_table_equals_squaring():
     # p = 1 mod 8 takes Tonelli-Shanks, p = 3 mod 4 the (p+1)/4 power and
-    # p = 5 mod 8 the (p+3)/8 power; two primes from each class mod 8.
-    # The a = 1 tables are int32 when cached (p <= 10^4), else int64
+    # p = 5 mod 8 the (p+3)/8 power; two primes from each class mod 8,
+    # all int32 since p^2 < 2^31
     for p in (17, 9601, 3, 11, 5, 9973, 7, 10007):
         ms, ks = _prime_power_pairs(p, 1)
-        assert ms.dtype == ks.dtype == (np.int32 if p <= 10 ** 4 else np.int64)
+        assert ms.dtype == ks.dtype == np.int32
         assert np.array_equal(np.stack([ms, ks], axis=1), squaring_pairs(p)), p
+
+
+@pytest.mark.parametrize("p, a, dtype", [
+    (10007, 1, np.int32), (46337, 1, np.int32), (3, 9, np.int32),
+    (211, 2, np.int32), (46349, 1, np.int64), (3, 10, np.int64),
+    (2, 16, np.int64)])
+def test_pair_tables_on_both_sides_of_the_int32_bound(p, a, dtype):
+    # int32 exactly when q^2 < 2^31 (q <= 46340): 46337 = 1 mod 8 is the
+    # largest prime below the bound, 46349 = 5 mod 8 the least above it,
+    # and 3^10, 2^16 whose keys m*q + k pass 2^31 must not run in int32
+    ms, ks = _prime_power_pairs(p, a)
+    assert ms.dtype == ks.dtype == dtype
+    assert np.array_equal(np.stack([ms, ks], axis=1),
+                          squaring_pairs(p ** a)), (p, a)
 
 
 def loop_built_pairs(p, a):
@@ -192,15 +208,15 @@ def loop_built_pairs(p, a):
     return np.array(rows, dtype=np.int64)
 
 
-#: sha256 of every cached table (p ascending, then a; ms bytes, then ks
-#: bytes, int32) as the scalar solver's loop over m built them
+#: sha256 of every table with p^a <= 10^4 (p ascending, then a; ms bytes,
+#: then ks bytes, int32) as the scalar solver's loop over m built them
 PP_TABLES_SHA256 = ("45541a75a5eafc4a4ddaeb604048f598"
                     "4d39837abc3cbb2db6d979885f346df4")
 
 
 def test_prime_power_tables_equal_the_loop_built_ones(monkeypatch):
-    # the Hensel-lifted tables, built cold: int32 and cached for q <= 10^4,
-    # int64 and uncached beyond (3^9, 5^6)
+    # the Hensel-lifted tables, built cold: int32 for q^2 < 2^31 and
+    # cached for q <= 5000 only, int64 and uncached beyond (3^10, 2^16)
     monkeypatch.setattr(sqrtmod, "_PP_PAIR_CACHE", {})
     digest = hashlib.sha256()
     for p in range(2, 10 ** 4 + 1):
@@ -211,14 +227,17 @@ def test_prime_power_tables_equal_the_loop_built_ones(monkeypatch):
                 break
             ms, ks = sqrtmod._prime_power_pairs(p, a)
             assert ms.dtype == ks.dtype == np.int32
-            assert sqrtmod._PP_PAIR_CACHE[p, a][0] is ms
+            if p ** a <= 5000:
+                assert sqrtmod._PP_PAIR_CACHE[p, a][0] is ms
+            else:
+                assert (p, a) not in sqrtmod._PP_PAIR_CACHE
             if a >= 2:
                 assert np.array_equal(np.stack([ms, ks], axis=1),
                                       loop_built_pairs(p, a)), (p, a)
             digest.update(ms.tobytes())
             digest.update(ks.tobytes())
     assert digest.hexdigest() == PP_TABLES_SHA256
-    for p, a in ((3, 9), (5, 6)):
+    for p, a in ((3, 10), (2, 16)):
         ms, ks = sqrtmod._prime_power_pairs(p, a)
         assert ms.dtype == ks.dtype == np.int64
         assert (p, a) not in sqrtmod._PP_PAIR_CACHE
