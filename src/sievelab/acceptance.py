@@ -49,7 +49,15 @@ def _result(number, name, passed, detail, t0, monitor=False) -> CriterionResult:
 
 def criterion_1_sqrt_oracle(r_max: int = 10 ** 4,
                             sample: int = 2000) -> CriterionResult:
-    """sqrt_mod_all equals exhaustive squaring for every r <= r_max, all m."""
+    """The square-root tables and solver against squaring.
+
+    For every r <= r_max, root_pairs(r) is checked by property: r rows,
+    k^2 = m (mod r) in every row, the k a permutation of [0, r), and the
+    rows strictly increasing in (m, k).  sqrt_mod_all is checked by about
+    2,300 spot calls (fixed moduli, then `sample` random (m, r)) against
+    exhaustive squaring.  Both run the same Tonelli-Shanks schedule at
+    odd primes, scalar and over arrays.
+    """
     t0 = time.perf_counter()
     for r in range(1, r_max + 1):
         rp = root_pairs(r)

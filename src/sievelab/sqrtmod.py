@@ -1,11 +1,11 @@
 """Complete sets of square roots of m modulo r, for arbitrary composite r.
 
 A "square root of m mod r" means every k in [0, r) with k^2 = m (mod r).
-Prime-power moduli are handled by Tonelli-Shanks / direct exponentiation
-plus Hensel lifting (explicit case analysis at p = 2); composite moduli by
-CRT recombination of the prime-power root sets with the idempotents
-FactoredModulus.crt_idempotents, in the scalar solver and in the bulk
-root tables alike.
+Prime-power moduli are handled by one fixed-schedule Tonelli-Shanks, for
+a Python int and over a numpy array, plus Hensel lifting (explicit case
+analysis at p = 2); composite moduli by CRT recombination of the
+prime-power root sets with the idempotents FactoredModulus.crt_idempotents,
+in the scalar solver and in the bulk root tables alike.
 """
 
 from __future__ import annotations
@@ -43,40 +43,47 @@ class RootSet:
         return k in self.roots
 
 
-def _unit_root_mod_prime(m: int, p: int) -> int | None:
-    """One square root of a unit m mod odd prime p, or None if non-residue."""
-    if p % 4 == 3:
-        x = pow(m, (p + 1) // 4, p)
-        return x if x * x % p == m else None
-    if p % 8 == 5:
-        x = pow(m, (p + 3) // 8, p)
-        if x * x % p != m:
-            x = x * pow(2, (p - 1) // 4, p) % p
-        return x if x * x % p == m else None
-    # Tonelli-Shanks for p = 1 mod 8
-    if pow(m, (p - 1) // 2, p) != 1:
-        return None
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
+def _two_adic(p: int) -> Tuple[int, int]:
+    """(q, s) with p - 1 = q * 2^s and q odd, for an odd prime p."""
+    s = ((p - 1) & -(p - 1)).bit_length() - 1
+    return (p - 1) >> s, s
+
+
+def _nonresidue_power(p: int, q: int) -> int:
+    """z^q mod p for the least quadratic non-residue z mod odd prime p,
+    where p - 1 = q 2^s; Euler's criterion z^((p-1)/2) = -1 is read from
+    z^q by s - 1 squarings."""
     z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
+    while True:
+        c = pow(z, q, p)
+        if pow(c, (p - 1) // (2 * q), p) == p - 1:
+            return c
         z += 1
-    c = pow(z, q, p)
-    x = pow(m, (q + 1) // 2, p)
-    t = pow(m, q, p)
-    while t != 1:
-        t2 = t
-        i = 0
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (s - i - 1), p)
-        x = x * b % p
-        t = t * b * b % p
-        c = b * b % p
-        s = i
+
+
+def _unit_root_mod_prime(m: int, p: int) -> int | None:
+    """One square root of a unit m mod odd prime p, or None if non-residue.
+
+    Tonelli-Shanks (Shanks 1973) on a fixed schedule, with p - 1 = q 2^s:
+    y = m^((q-1)/2) gives x = m y and t = x y, so x^2 = m t.  m is a
+    residue iff t^(2^(s-1)) = 1 (Euler's criterion).  Then for
+    i = s-1, ..., 1, with c = z^(q 2^(s-1-i)) of order 2^(i+1): when
+    t^(2^(i-1)) != 1, x <- x c and t <- t c^2, so t^(2^(i-1)) = 1 after
+    the step.  t = 1 at the end.  s = 1 is the direct power m^((p+1)/4).
+    """
+    q, s = _two_adic(p)
+    y = pow(m, (q - 1) // 2, p)
+    x = m * y % p
+    t = x * y % p
+    if pow(t, 1 << (s - 1), p) != 1:
+        return None
+    if s > 1:
+        c = _nonresidue_power(p, q)
+        for i in range(s - 1, 0, -1):
+            if pow(t, 1 << (i - 1), p) != 1:
+                x = x * c % p
+                t = t * c * c % p
+            c = c * c % p
     return x
 
 
@@ -103,13 +110,14 @@ def _unit_roots_mod_odd_prime_power(m: int, p: int, gamma: int) -> List[int]:
     x = _unit_root_mod_prime(m % p, p)
     if x is None:
         return []
-    mod = p
+    # Hensel, as in _unit_root_pairs: the root of m mod p^(k+1) is x + t p^k
+    # with t = -((x^2 - m) / p^k) (2x)^-1 mod p, and x stays x mod p
+    inv2x = mod_inverse(2 * x, p)
+    pk = p
     for _ in range(gamma - 1):
-        # Hensel: x -> x - (x^2 - m) / (2x), unique lift since p is odd
-        newmod = mod * p
-        x = (x - (x * x - m) * mod_inverse(2 * x, newmod)) % newmod
-        mod = newmod
-    return sorted({x, (p ** gamma - x) % p ** gamma})
+        x += -((x * x - m) // pk) * inv2x % p * pk
+        pk *= p
+    return sorted((x, pk - x))
 
 
 def sqrt_mod_prime_power(m: int, p: int, alpha: int) -> RootSet:
@@ -278,60 +286,22 @@ def _vec_pow_mod(base: np.ndarray, e: int, p: int) -> np.ndarray:
 def _vec_unit_root_mod_prime(m: np.ndarray, p: int) -> np.ndarray:
     """One root for each unit entry of m mod odd prime p, -1 for non-residues.
 
-    Same case split as _unit_root_mod_prime (direct exponentiation for
-    p = 3 mod 4 and p = 5 mod 8, Tonelli-Shanks otherwise), vectorized
-    with masked array updates.
+    The schedule of _unit_root_mod_prime over an array: c is one Python
+    int per step, and only the x, t update is masked.
     """
-    if p % 4 == 3:
-        x = _vec_pow_mod(m, (p + 1) // 4, p)
-        return np.where(x * x % p == m, x, -1)
-    if p % 8 == 5:
-        x = _vec_pow_mod(m, (p + 3) // 8, p)
-        fix = x * x % p != m
-        x[fix] = x[fix] * pow(2, (p - 1) // 4, p) % p
-        return np.where(x * x % p == m, x, -1)
-    out = np.full_like(m, -1)
-    residue = _vec_pow_mod(m, (p - 1) // 2, p) == 1
-    mr = m[residue]
-    if mr.size == 0:
-        return out
-    q, s0 = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s0 += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    x = _vec_pow_mod(mr, (q + 1) // 2, p)
-    t = _vec_pow_mod(mr, q, p)
-    c = np.full_like(mr, pow(z, q, p))
-    s = np.full_like(mr, s0)
-    while True:
-        active = t != 1
-        if not active.any():
-            break
-        # order of t: least i with t^(2^i) = 1
-        t2 = t.copy()
-        i = np.zeros_like(t)
-        mask = active & (t2 != 1)
-        while mask.any():
-            t2[mask] = t2[mask] * t2[mask] % p
-            i[mask] += 1
-            mask &= t2 != 1
-        # b = c^(2^(s-i-1)) by repeated squaring with per-element exponent
-        e = np.where(active, s - i - 1, 0)
-        b = c.copy()
-        while (e > 0).any():
-            sel = e > 0
-            b[sel] = b[sel] * b[sel] % p
-            e[sel] -= 1
-        x[active] = x[active] * b[active] % p
-        bb = b * b % p
-        t[active] = t[active] * bb[active] % p
-        c[active] = bb[active]
-        s[active] = i[active]
-    out[residue] = x
-    return out
+    q, s = _two_adic(p)
+    y = _vec_pow_mod(m, (q - 1) // 2, p)
+    x = m * y % p
+    t = x * y % p
+    residue = _vec_pow_mod(t, 1 << (s - 1), p) == 1
+    if s > 1:
+        c = _nonresidue_power(p, q)
+        for i in range(s - 1, 0, -1):
+            flip = _vec_pow_mod(t, 1 << (i - 1), p) != 1
+            x = np.where(flip, x * c % p, x)
+            t = np.where(flip, t * (c * c % p) % p, t)
+            c = c * c % p
+    return np.where(residue, x, -1)
 
 
 def _unit_root_pairs(p: int, gamma: int,

@@ -44,11 +44,36 @@ def test_rootset_validates():
 
 
 def test_sqrt_mod_prime_exhaustive():
-    # exponent 1 of the prime-power solver; 17, 97 and 257 are 1 mod 8
-    # (Tonelli-Shanks), 101 is 5 mod 8
+    # exponent 1 of the prime-power solver, over 2-adic valuations
+    # s = v(p - 1) from 1 (3, 7, 11) through 2 (5, 13, 101) to 4 (17),
+    # 5 (97) and 8 (257)
     for p in (3, 5, 7, 11, 13, 17, 97, 101, 257):
         for m in range(p):
             assert sqrt_mod_prime_power(m, p, 1).roots == oracle_roots(m, p)
+
+
+def test_unit_root_mod_prime_at_large_two_adic_valuations():
+    # 65537 = 2^16 + 1: every unit against the set of squares
+    p = 65537
+    squares = {k * k % p for k in range(1, p)}
+    for m in range(1, p):
+        x = sqrtmod._unit_root_mod_prime(m, p)
+        if m in squares:
+            assert x is not None and x * x % p == m, m
+        else:
+            assert x is None, m
+    # 998244353 = 119 * 2^23 + 1 and 29 * 2^57 + 1: seeded m against
+    # Euler's criterion, squares of seeded k as well
+    rng = np.random.default_rng(15)
+    for p in (998244353, 4179340454199820289):
+        assert is_prime(p)
+        for k in rng.integers(1, 2 ** 62, size=200):
+            for m in (int(k) % p, int(k) * int(k) % p):
+                x = sqrtmod._unit_root_mod_prime(m, p)
+                if pow(m, (p - 1) // 2, p) == 1:
+                    assert x is not None and x * x % p == m, (m, p)
+                else:
+                    assert x is None, (m, p)
 
 
 def test_sqrt_mod_prime_rejects_two_and_composites(monkeypatch, cold_memo):
@@ -168,9 +193,12 @@ def test_root_pairs_matches_squaring():
     # factor tables and idempotents near 10^6, so a CRT that scales them
     # without widening to int64 wraps.  46340 and 46341 sit on either
     # side of r^2 < 2^31, where root_pairs leaves int32 for int64, and
-    # the keys m*r + k of 46349 pass 2^31, so an int32 run there wraps
+    # the keys m*r + k of 46349 pass 2^31, so an int32 run there wraps.
+    # 40961, 65537 and 786433 have 2-adic valuations s = 13, 16 and 18 in
+    # p - 1: every step of the Tonelli-Shanks schedule runs
     rs = list(range(1, 2001)) + [5040, 6561, 8192, 9240, 9601, 10007,
-                                 2 * 10007, 46340, 46341, 46349, 967381]
+                                 2 * 10007, 40961, 46340, 46341, 46349,
+                                 65537, 786433, 967381]
     for r in rs:
         rp = root_pairs(r)
         assert rp.dtype == np.int64
@@ -178,9 +206,9 @@ def test_root_pairs_matches_squaring():
 
 
 def test_prime_pair_table_equals_squaring():
-    # p = 1 mod 8 takes Tonelli-Shanks, p = 3 mod 4 the (p+1)/4 power and
-    # p = 5 mod 8 the (p+3)/8 power; two primes from each class mod 8,
-    # all int32 since p^2 < 2^31
+    # two primes from each class mod 8: s = v(p - 1) is 1 for p = 3 mod 4,
+    # 2 for p = 5 mod 8 and at least 3 for p = 1 mod 8; all int32 since
+    # p^2 < 2^31
     for p in (17, 9601, 3, 11, 5, 9973, 7, 10007):
         ms, ks = _prime_power_pairs(p, 1)
         assert ms.dtype == ks.dtype == np.int32
