@@ -20,7 +20,6 @@ from .arith import (  # noqa: E402,F401
     mod_inverse,
 )
 from .sqrtmod import (  # noqa: F401
-    RootMultiset,
     RootSet,
     build_root_multiset,
     root_pairs,

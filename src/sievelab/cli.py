@@ -68,14 +68,16 @@ def _cmd_sqrt(args) -> int:
 
 
 def _cmd_energy(args) -> int:
-    if args.kind == "e2":
-        rep = energy_e2(args.R, args.j, args.r, args.method)
-    elif args.kind == "e4":
-        rep = energy_e4(args.R, args.j, args.r, args.method)
-    else:
+    if args.kind == "f2":
         if args.h is None:
             raise ValueError("energy --kind f2 needs --h")
         rep = energy_f2(args.R, args.j, args.h, args.r, args.method)
+    elif args.h is not None:
+        raise ValueError(f"energy --kind {args.kind} does not read --h")
+    elif args.kind == "e2":
+        rep = energy_e2(args.R, args.j, args.r, args.method)
+    else:
+        rep = energy_e4(args.R, args.j, args.r, args.method)
     _emit(args, {"kind": rep.kind, "R": rep.R, "j": rep.j, "h": rep.h,
                  "r": rep.r, "energy": rep.energy, "bound": rep.hyp_bound,
                  "ratio": rep.ratio, "method": rep.method})

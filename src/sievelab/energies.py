@@ -9,12 +9,12 @@ these sums directly, only while r is small next to the pair count;
 otherwise they stay sparse and sorted, so neither time nor memory grows
 with r.  The sum of squared bins is one int64 dot whenever
 max(h) * sum(h) < 2^63 certifies it, and Python ints otherwise.  Oracle
-path: take the multiset from build_root_multiset's oracle, expand it and
-enumerate every pair sum densely with numpy bincount into r bins, so it
-refuses r > 2^20 before any work.  Both return exact
-integers; before either runs, the certificate mass^fold < 2^63 (mass =
-number of roots counted with multiplicity) proves that no int64 count or
-weight can wrap.
+path: repeat each key of build_root_multiset's oracle multiset by its
+count and enumerate every pair sum densely with numpy bincount into r
+bins, so it refuses r > 2^20 before any work.  Both read the multiset
+as sorted int64 (keys, counts) and return exact integers; before either
+runs, the certificate mass^fold < 2^63 (mass = number of roots counted
+with multiplicity) proves that no int64 count or weight can wrap.
 """
 
 from __future__ import annotations
@@ -117,57 +117,49 @@ def _square_sum(h: np.ndarray, total: int) -> int:
     return sum(c * c for c in h.tolist())
 
 
-def _dense_pair_hist(values: Sequence[int], r: int) -> np.ndarray:
+def _dense_pair_hist(values: np.ndarray, r: int) -> np.ndarray:
     """Histogram of (v1 + v2) mod r over all ordered pairs, by enumeration."""
-    v = np.asarray(values, dtype=np.int64)
-    if v.size == 0:
+    if values.size == 0:
         return np.zeros(r, dtype=np.int64)
-    sums = np.add.outer(v, v).ravel() % r
+    sums = np.add.outer(values, values).ravel() % r
     return np.bincount(sums, minlength=r).astype(np.int64)
 
 
-def _expand(table: Dict[int, int]) -> List[int]:
-    out: List[int] = []
-    for lam, c in table.items():
-        out.extend([lam] * c)
-    return out
-
-
-def _energy_from_multiset(table: Dict[int, int], r: int, fold: int, method: str) -> int:
-    """fold = 2 for E2/F2 (pair sums), 4 for E4 (quadruple sums).
+def _energy_from_multiset(keys: np.ndarray, counts: np.ndarray, r: int,
+                          fold: int, method: str) -> int:
+    """fold = 2 for E2/F2 (pair sums), 4 for E4 (quadruple sums), of the
+    multiset build_root_multiset returns: int64 keys strictly ascending in
+    [0, r) and their int64 counts.
 
     Every count, weight and bin of either method is at most mass^fold, so
-    mass^fold < 2^63 is required before any work and int64 never wraps.
+    mass^fold < 2^63 is required before any work and int64 never wraps;
+    the mass is summed as Python ints, so a wrapping int64 sum of the
+    counts cannot pass the test.
     """
-    mass = sum(table.values())
+    mass = sum(counts.tolist())
     if mass ** fold >= 2 ** 63:
         raise ValueError(f"multiset mass = {mass} too large: mass^{fold} must "
                          "be < 2^63 for exact int64 energies")
     if method == "conv":
-        lam = np.fromiter(table.keys(), dtype=np.int64, count=len(table))
-        cnt = np.fromiter(table.values(), dtype=np.int64, count=len(table))
-        keys, h = _self_convolve(lam, cnt, r)
+        keys, h = _self_convolve(keys, counts, r)
         if fold == 4:
             keys, h = _self_convolve(keys, h, r)
-        e = _square_sum(h, mass ** fold)
-    else:
-        values = _expand(table)
-        h2 = _dense_pair_hist(values, r)
-        if fold == 4:
-            support = np.nonzero(h2)[0]
-            sums = np.add.outer(support, support).ravel() % r
-            weights = np.multiply.outer(h2[support], h2[support]).ravel()
-            h4 = np.zeros(r, dtype=np.int64)
-            np.add.at(h4, sums, weights)
-            e = sum(c * c for c in h4.tolist())
-        else:
-            e = sum(c * c for c in h2.tolist())
-    return e
+        return _square_sum(h, mass ** fold)
+    h = _dense_pair_hist(np.repeat(keys, counts), r)
+    if fold == 4:
+        support = np.nonzero(h)[0]
+        sums = np.add.outer(support, support).ravel() % r
+        weights = np.multiply.outer(h[support], h[support]).ravel()
+        h = np.zeros(r, dtype=np.int64)
+        np.add.at(h, sums, weights)
+    return sum(c * c for c in h.tolist())
 
 
-def _check_method(method: str, r: int | FactoredModulus) -> str:
-    """The multiset builder an energy method reads: conv the fast one,
-    brute the oracle.  brute refuses r > _BRUTE_MAX_R before any work,
+def _energy(R: int, j: int, h: int | None, r: int | FactoredModulus,
+            fold: int, method: str) -> Tuple[int, int]:
+    """(energy, r as an int) of the plain multiset (h None) or the
+    difference multiset of h.  Method conv reads the fast builder, brute
+    the oracle; brute refuses r > _BRUTE_MAX_R before any work,
     factorization included."""
     if method not in ("conv", "brute"):
         raise ValueError(f"unknown method {method!r}")
@@ -175,38 +167,30 @@ def _check_method(method: str, r: int | FactoredModulus) -> str:
     if method == "brute" and n > _BRUTE_MAX_R:
         raise ValueError(f"r = {n} too large for method 'brute': it counts "
                          f"pair sums in r bins, so r must be <= {_BRUTE_MAX_R}")
-    return "fast" if method == "conv" else "oracle"
+    fm = factorize(r) if isinstance(r, int) else r
+    keys, counts = build_root_multiset(
+        R, j, fm, "plain" if h is None else "difference", h=h,
+        method="fast" if method == "conv" else "oracle")
+    return _energy_from_multiset(keys, counts, fm.n, fold, method), fm.n
 
 
 def energy_e2(R: int, j: int, r: int, method: str = "conv") -> EnergyReport:
     """Quadruples (k1..k4) with ki^2 = j*mi, mi in [1,R], k1+k2 = k3+k4 mod r."""
-    builder = _check_method(method, r)
-    fm = factorize(r) if isinstance(r, int) else r
-    ms = build_root_multiset(R, j, fm, "plain", method=builder)
-    e = _energy_from_multiset(ms.table, fm.n, 2, method)
-    bound = R ** 4 / fm.n + R ** 2
-    return EnergyReport("E2", R, j, None, fm.n, e, bound, method)
+    e, n = _energy(R, j, None, r, 2, method)
+    return EnergyReport("E2", R, j, None, n, e, R ** 4 / n + R ** 2, method)
 
 
 def energy_e4(R: int, j: int, r: int, method: str = "conv") -> EnergyReport:
     """8-tuple analogue of energy_e2 (4-vs-4 sums)."""
-    builder = _check_method(method, r)
-    fm = factorize(r) if isinstance(r, int) else r
-    ms = build_root_multiset(R, j, fm, "plain", method=builder)
-    e = _energy_from_multiset(ms.table, fm.n, 4, method)
-    bound = R ** 8 / fm.n + R ** 4
-    return EnergyReport("E4", R, j, None, fm.n, e, bound, method)
+    e, n = _energy(R, j, None, r, 4, method)
+    return EnergyReport("E4", R, j, None, n, e, R ** 8 / n + R ** 4, method)
 
 
 def energy_f2(R: int, j: int, h: int, r: int, method: str = "conv") -> EnergyReport:
     """Additive energy of root differences f(m) = sqrt(j(m+h)) - sqrt(jm)."""
-    builder = _check_method(method, r)
-    fm = factorize(r) if isinstance(r, int) else r
-    ms = build_root_multiset(R, j, fm, "difference", h=h, method=builder)
-    e = _energy_from_multiset(ms.table, fm.n, 2, method)
-    hr = math.gcd(h % fm.n, fm.n) if (h % fm.n) != 0 else fm.n
-    bound = hr * R ** 4 / fm.n + R ** 2
-    return EnergyReport("F2", R, j, h, fm.n, e, bound, method)
+    e, n = _energy(R, j, h, r, 2, method)
+    hr = math.gcd(h % n, n) if (h % n) != 0 else n
+    return EnergyReport("F2", R, j, h, n, e, hr * R ** 4 / n + R ** 2, method)
 
 
 def kssz_check(r: int, j: int, R: int, with_e4: bool = False) -> Dict[str, float]:

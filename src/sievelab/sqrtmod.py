@@ -11,7 +11,7 @@ in the scalar solver and in the bulk root tables alike.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Sequence, Tuple
@@ -386,26 +386,6 @@ def _prime_power_pairs(p: int, a: int) -> Tuple[np.ndarray, np.ndarray]:
 _MULTISET_BLOCK = 1 << 16
 
 
-@dataclass(frozen=True)
-class RootMultiset:
-    """Residue -> count table of square roots (plain) or root differences.
-
-    plain:       count(lam) = #{m in [1,R] : lam^2 = j*m (mod r)}
-    difference:  count(lam) = #{(m,k,kt) : 1<=m<=R, k^2=jm, kt^2=j(m+h),
-                                kt-k = lam (mod r)}
-    """
-
-    modulus: int
-    R: int
-    j: int
-    kind: str
-    h: int | None
-    table: Dict[int, int] = field(compare=False)
-
-    def mass(self) -> int:
-        return sum(self.table.values())
-
-
 def build_root_multiset(
     R: int,
     j: int,
@@ -413,21 +393,31 @@ def build_root_multiset(
     kind: str = "plain",
     h: int | None = None,
     method: str = "fast",
-) -> RootMultiset:
-    """Build the root multiset for m in [1, R].
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The root multiset for m in [1, R], as int64 arrays (keys, counts).
 
-    kind "plain" counts roots lam of j*m; kind "difference" counts
-    differences kt - k between roots of j(m+h) and jm.  For the plain kind
-    method "fast" squares every k in [0, r) in blocked numpy passes of at
-    most _MULTISET_BLOCK residues, keeping k when m = j^-1 k^2 mod r (with
-    0 read as r) is at most R; it requires r^2 < 2^63 and returns its keys
-    ascending.  Method "oracle" iterates m and calls sqrt_mod_all per
+    kind "plain" counts the roots lam of j*m:
+        count(lam) = #{m in [1,R] : lam^2 = j*m (mod r)};
+    kind "difference" counts the differences kt - k between roots of
+    j(m+h) and jm:
+        count(lam) = #{(m,k,kt) : 1<=m<=R, k^2=jm, kt^2=j(m+h),
+                                  kt-k = lam (mod r)}.
+    For every kind and method the keys are the residues lam in [0, r)
+    with count(lam) >= 1, strictly ascending, and counts holds their
+    counts; an empty multiset is two empty arrays.
+
+    For the plain kind method "fast" squares every k in [0, r) in blocked
+    numpy passes of at most _MULTISET_BLOCK residues, keeping k (count 1)
+    when m = j^-1 k^2 mod r (with 0 read as r) is at most R; it requires
+    r^2 < 2^63.  Method "oracle" iterates m and calls sqrt_mod_all per
     value.  The difference kind mirrors this: method "fast" calls
     sqrt_mod_all per m, so it serves r far beyond any table, and method
     "oracle" squares every k in [0, r), groups k by m = j^-1 k^2 mod r
     and pairs the k of m with the kt of m + h, with no solver call.  The
     oracle's groups are memoized per (r, j), most recent key only, so the
-    (R, h) points of one (r, j) square the residues once.
+    (R, h) points of one (r, j) square the residues once.  Every path but
+    the plain fast one counts its residues in a dict and sorts the keys
+    once.
     """
     fm = r if isinstance(r, FactoredModulus) else factorize(r)
     n = fm.n
@@ -442,42 +432,46 @@ def build_root_multiset(
     if method not in ("fast", "oracle"):
         raise ValueError(f"unknown method {method!r}")
 
+    if kind == "plain" and method == "fast":
+        # every k is a root of exactly one m, so each kept k counts once
+        _require_int64_square(n, "r")
+        jinv = mod_inverse(j, n)
+        kept = []
+        for lo in range(0, n, _MULTISET_BLOCK):
+            k = np.arange(lo, min(lo + _MULTISET_BLOCK, n), dtype=np.int64)
+            m = k * k % n * jinv % n
+            m[m == 0] = n
+            kept.append(k[m <= R])
+        keys = np.concatenate(kept)
+        return keys, np.ones_like(keys)
+
     table: Dict[int, int] = {}
     if kind == "plain":
-        if method == "fast":
-            # every k is a root of exactly one m, so each kept k counts once
-            _require_int64_square(n, "r")
-            jinv = mod_inverse(j, n)
-            for lo in range(0, n, _MULTISET_BLOCK):
-                k = np.arange(lo, min(lo + _MULTISET_BLOCK, n), dtype=np.int64)
-                m = k * k % n * jinv % n
-                m[m == 0] = n
-                table.update(dict.fromkeys(k[m <= R].tolist(), 1))
-        else:
-            for m in range(1, R + 1):
-                for k in sqrt_mod_all(j * m % n, fm).roots:
-                    table[k] = table.get(k, 0) + 1
-        return RootMultiset(n, R, j, "plain", None, table)
-
-    assert h is not None
-    if method == "fast":
-        def roots_of(m: int) -> Sequence[int]:
-            return sqrt_mod_all(j * m % n, fm).roots
+        for m in range(1, R + 1):
+            for k in sqrt_mod_all(j * m % n, fm).roots:
+                table[k] = table.get(k, 0) + 1
     else:
-        groups = _square_groups(n, j % n)
+        assert h is not None
+        if method == "fast":
+            def roots_of(m: int) -> Sequence[int]:
+                return sqrt_mod_all(j * m % n, fm).roots
+        else:
+            groups = _square_groups(n, j % n)
 
-        def roots_of(m: int) -> Sequence[int]:
-            return groups.get(m % n, ())
-    for m in range(1, R + 1):
-        ks = roots_of(m)
-        if not ks:
-            continue
-        kts = roots_of(m + h)
-        for k in ks:
-            for kt in kts:
-                lam = (kt - k) % n
-                table[lam] = table.get(lam, 0) + 1
-    return RootMultiset(n, R, j, "difference", h, table)
+            def roots_of(m: int) -> Sequence[int]:
+                return groups.get(m % n, ())
+        for m in range(1, R + 1):
+            ks = roots_of(m)
+            if not ks:
+                continue
+            kts = roots_of(m + h)
+            for k in ks:
+                for kt in kts:
+                    lam = (kt - k) % n
+                    table[lam] = table.get(lam, 0) + 1
+    keys = sorted(table)
+    return (np.array(keys, dtype=np.int64),
+            np.array([table[k] for k in keys], dtype=np.int64))
 
 
 @lru_cache(maxsize=1)

@@ -6,7 +6,6 @@ The detail strings of criteria 1-9 must equal the ones pinned in
 bench/reference/accept_details.json.
 """
 
-import dataclasses
 import json
 from pathlib import Path
 
@@ -71,15 +70,14 @@ def test_criterion_03_rejects_a_moved_root_difference(monkeypatch):
     build = energies.build_root_multiset
 
     def moved(R, j, r, kind="plain", h=None, method="fast"):
-        ms = build(R, j, r, kind, h=h, method=method)
-        if kind != "difference" or method != "fast" or not ms.table:
-            return ms
-        table = dict(ms.table)
-        lam = min(table)
-        table[lam] -= 1
-        target = (lam + 1) % ms.modulus
-        table[target] = table.get(target, 0) + 1
-        return dataclasses.replace(ms, table={k: c for k, c in table.items() if c})
+        keys, counts = build(R, j, r, kind, h=h, method=method)
+        if kind != "difference" or method != "fast" or not keys.size:
+            return keys, counts
+        # r is the FactoredModulus the energies pass on
+        values = np.repeat(keys, counts)
+        values[0] = (values[0] + 1) % r.n
+        keys, counts = np.unique(values, return_counts=True)
+        return keys, counts.astype(np.int64)
 
     monkeypatch.setattr(energies, "build_root_multiset", moved)
     result = acceptance.criterion_3_energy_oracle(r_max=12, R_max=4)

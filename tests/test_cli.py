@@ -149,6 +149,16 @@ def test_f2_without_h_is_a_usage_error(capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("kind", ["e2", "e4"])
+def test_h_without_f2_is_a_usage_error(kind, capsys):
+    # only F2 reads --h, so E2 and E4 refuse it instead of ignoring it
+    code = main(["energy", "--kind", kind, "--R", "3", "--j", "1",
+                 "--r", "35", "--h", "7"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: energy --kind {kind} does not read --h\n"
+
+
 def test_s4_wrong_h_count_is_a_usage_error(capsys):
     code = main(["charsum", "s4", "--r", "7", "--j", "1", "--h", "0,0,0"])
     err = capsys.readouterr().err

@@ -15,6 +15,14 @@ BIG_PRIME = 1000000007
 PRIME_BELOW_2_63 = 2 ** 63 - 25
 
 
+def multiset(table):
+    """A {residue: count} table as build_root_multiset's sorted int64
+    (keys, counts)."""
+    keys = sorted(table)
+    return (np.array(keys, dtype=np.int64),
+            np.array([table[k] for k in keys], dtype=np.int64))
+
+
 def brute_e2(R, j, r):
     values = []
     for m in range(1, R + 1):
@@ -98,10 +106,11 @@ def test_kssz_requires_prime():
 
 def test_large_prime_energies_match_literal_counts():
     # every bin lies far apart at r ~ 1e9, so the kernel keeps sparse bins
-    ms = build_root_multiset(8, 1, BIG_PRIME, "plain", method="oracle")
-    values = [lam for lam, c in ms.table.items() for _ in range(c)]
-    assert _energy_from_multiset(ms.table, BIG_PRIME, 2, "conv") == brute_e2(8, 1, BIG_PRIME)
-    assert (_energy_from_multiset(ms.table, BIG_PRIME, 4, "conv")
+    keys, counts = build_root_multiset(8, 1, BIG_PRIME, "plain", method="oracle")
+    values = np.repeat(keys, counts).tolist()
+    assert (_energy_from_multiset(keys, counts, BIG_PRIME, 2, "conv")
+            == brute_e2(8, 1, BIG_PRIME))
+    assert (_energy_from_multiset(keys, counts, BIG_PRIME, 4, "conv")
             == literal_energy(values, BIG_PRIME, 4))
     R, j, h = 6, 3, 1
     assert (energy_f2(R, j, h, BIG_PRIME).energy
@@ -124,7 +133,7 @@ def test_tables_near_2_63_do_not_wrap(r):
     table = {r - 1: 2, r - 2: 1, r // 2: 3, r // 3: 1, 5: 2}
     values = [lam for lam, c in table.items() for _ in range(c)]
     for fold in (2, 4):
-        assert (_energy_from_multiset(table, r, fold, "conv")
+        assert (_energy_from_multiset(*multiset(table), r, fold, "conv")
                 == literal_energy(values, r, fold))
 
 
@@ -133,7 +142,8 @@ def test_sparse_bins_merge_across_blocks():
     r = 10 ** 12 + 39
     table = {(k * 7919 ** 3) % r: 1 + k % 3 for k in range(400)}
     values = [lam for lam, c in table.items() for _ in range(c)]
-    assert _energy_from_multiset(table, r, 2, "conv") == literal_energy(values, r, 2)
+    assert (_energy_from_multiset(*multiset(table), r, 2, "conv")
+            == literal_energy(values, r, 2))
 
 
 def test_conv_matches_brute_at_scan_sizes():
@@ -177,10 +187,31 @@ def test_int64_certificate_at_boundary():
     # 3037000499^2 < 2^63 <= 3037000500^2 and 55108^4 < 2^63 <= 55109^4;
     # accepted cases run "conv" only, since "brute" expands the multiset
     for fold, mass in ((2, 3037000499), (4, 55108)):
-        assert _energy_from_multiset({0: mass}, 7, fold, "conv") == mass ** (2 * fold)
+        assert (_energy_from_multiset(*multiset({0: mass}), 7, fold, "conv")
+                == mass ** (2 * fold))
         for method in ("conv", "brute"):
             with pytest.raises(ValueError, match="2\\^63"):
-                _energy_from_multiset({0: mass + 1}, 7, fold, method)
+                _energy_from_multiset(*multiset({0: mass + 1}), 7, fold, method)
+
+
+@pytest.mark.parametrize("method", ["conv", "brute"])
+def test_int64_certificate_sums_counts_without_wrapping(method, monkeypatch):
+    # four counts of 2^62 sum to 0 in int64, which would pass mass^fold <
+    # 2^63; the exact mass 2^64 is refused before either kernel runs, and
+    # before brute repeats the keys by such counts
+    keys = np.arange(4, dtype=np.int64)
+    counts = np.full(4, 2 ** 62, dtype=np.int64)
+    assert counts.sum() == 0
+
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("a kernel ran before the certificate")
+
+    monkeypatch.setattr(energies, "_self_convolve", no_kernel)
+    monkeypatch.setattr(energies, "_dense_pair_hist", no_kernel)
+    monkeypatch.setattr(np, "repeat", no_kernel)
+    for fold in (2, 4):
+        with pytest.raises(ValueError, match="mass = 18446744073709551616"):
+            _energy_from_multiset(keys, counts, 7, fold, method)
 
 
 @pytest.mark.parametrize("fold, a, dot", [(2, 32767, True), (2, 32768, False),
@@ -200,10 +231,11 @@ def test_square_sum_certificate_on_both_sides(fold, a, dot, monkeypatch):
     assert _square_sum(h, mass ** fold) == python_sum
     monkeypatch.undo()
     assert len(dots) == dot
-    assert _energy_from_multiset({0: a, 1: a}, 7, fold, "conv") == python_sum
+    assert (_energy_from_multiset(*multiset({0: a, 1: a}), 7, fold, "conv")
+            == python_sum)
     assert python_sum == (6 * a ** 4 if fold == 2 else 70 * a ** 8)
 
 
 def test_square_sum_of_an_empty_table():
     assert _square_sum(np.zeros(0, dtype=np.int64), 0) == 0
-    assert _energy_from_multiset({}, 7, 4, "conv") == 0
+    assert _energy_from_multiset(*multiset({}), 7, 4, "conv") == 0

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from sievelab.energies import _energy_from_multiset  # noqa: E402
+from test_energies import multiset  # noqa: E402
 
 
 def literal_e4(table, r):
@@ -35,15 +36,16 @@ def sparse_tables(max_r, max_keys, max_count):
 def test_conv_equals_brute_on_sparse_tables(case):
     r, table = case
     for fold in (2, 4):
-        assert (_energy_from_multiset(table, r, fold, "conv")
-                == _energy_from_multiset(table, r, fold, "brute"))
+        assert (_energy_from_multiset(*multiset(table), r, fold, "conv")
+                == _energy_from_multiset(*multiset(table), r, fold, "brute"))
 
 
 @given(case=sparse_tables(max_r=400, max_keys=4, max_count=3))
 @settings(max_examples=40, deadline=None)
 def test_conv_e4_equals_literal_four_sum_count(case):
     r, table = case
-    assert _energy_from_multiset(table, r, 4, "conv") == literal_e4(table, r)
+    assert (_energy_from_multiset(*multiset(table), r, 4, "conv")
+            == literal_e4(table, r))
 
 
 # moduli up to 1e12 reach the sparse bins, where "brute" would need r bins
@@ -51,4 +53,5 @@ def test_conv_e4_equals_literal_four_sum_count(case):
 @settings(max_examples=40, deadline=None)
 def test_conv_e4_equals_literal_count_at_large_moduli(case):
     r, table = case
-    assert _energy_from_multiset(table, r, 4, "conv") == literal_e4(table, r)
+    assert (_energy_from_multiset(*multiset(table), r, 4, "conv")
+            == literal_e4(table, r))

@@ -137,7 +137,8 @@ def _multiset(kind, method):
 @pytest.mark.parametrize("kind, method", [("plain", "fast"),
                                           ("difference", "oracle")])
 def test_squaring_builder_does_not_use_the_solver(kind, method, no_solver):
-    assert _multiset(kind, method).mass() > 0
+    keys, _ = _multiset(kind, method)
+    assert keys.size > 0
 
 
 @pytest.mark.parametrize("kind, method", [("plain", "oracle"),

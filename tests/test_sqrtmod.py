@@ -1,5 +1,6 @@
 import hashlib
 import signal
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -281,16 +282,35 @@ def test_root_pairs_tonelli_prime():
     assert np.all(np.bincount(rp[:, 1], minlength=p) == 1)
 
 
+def checked_multiset(R, j, r, kind, h=None, method="fast"):
+    """build_root_multiset's (keys, counts), after checking its format:
+    int64 arrays, keys strictly ascending in [0, r), every count >= 1."""
+    keys, counts = build_root_multiset(R, j, r, kind, h=h, method=method)
+    assert keys.dtype == counts.dtype == np.int64
+    assert keys.ndim == 1 and keys.shape == counts.shape
+    assert np.all(np.diff(keys) > 0)
+    assert keys.size == 0 or (keys[0] >= 0 and int(keys[-1]) < r)
+    assert np.all(counts >= 1)
+    return keys, counts
+
+
+def same_multiset(a, b):
+    return np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
 def test_build_root_multiset_plain_methods_agree():
     for r in (7, 12, 45, 97):
         for j in (1, 5):
             if np.gcd(j, r) != 1:
                 continue
             for R in (1, 3, r):
-                fast = build_root_multiset(R, j, r, "plain", method="fast")
-                oracle = build_root_multiset(R, j, r, "plain", method="oracle")
-                assert fast.table == oracle.table
-                assert list(fast.table) == sorted(oracle.table)
+                fast = checked_multiset(R, j, r, "plain", method="fast")
+                oracle = checked_multiset(R, j, r, "plain", method="oracle")
+                assert same_multiset(fast, oracle), (r, j, R)
+    # 3 is a non-residue mod 7, so m = 1 has no root at j = 3
+    for method in ("fast", "oracle"):
+        keys, _ = checked_multiset(1, 3, 7, "plain", method=method)
+        assert keys.size == 0
 
 
 @pytest.mark.parametrize("r", [2 ** 16 - 1, 2 ** 16 + 1, 3 * 2 ** 16 + 5, 200003])
@@ -304,11 +324,10 @@ def test_build_root_multiset_plain_blocks(r):
             # at R = r every residue is counted whatever j is
             key = (R, j if R < r else 1)
             if key not in oracles:
-                oracles[key] = build_root_multiset(R, key[1], r, "plain",
-                                                   method="oracle").table
-            fast = build_root_multiset(R, j, r, "plain", method="fast").table
-            assert fast == oracles[key]
-            assert list(fast) == sorted(fast)
+                oracles[key] = checked_multiset(R, key[1], r, "plain",
+                                                method="oracle")
+            fast = checked_multiset(R, j, r, "plain", method="fast")
+            assert same_multiset(fast, oracles[key]), (R, j)
 
 
 def test_build_root_multiset_plain_refuses_int64_overflow(monkeypatch):
@@ -322,20 +341,30 @@ def test_build_root_multiset_plain_refuses_int64_overflow(monkeypatch):
 
 def test_build_root_multiset_plain_mass():
     # mass = number of (m, k) pairs with m <= R
-    ms = build_root_multiset(8, 1, 15, "plain")
+    _, counts = checked_multiset(8, 1, 15, "plain")
     direct = sum(len(sqrt_mod_all(m, 15).roots) for m in range(1, 9))
-    assert ms.mass() == direct
+    assert sum(counts.tolist()) == direct
 
 
 def test_build_root_multiset_difference():
     r, j, h, R = 21, 2, 1, 8
-    ms = build_root_multiset(R, j, r, "difference", h=h)
+    _, counts = checked_multiset(R, j, r, "difference", h=h)
     count = 0
     for m in range(1, R + 1):
         ks = sqrt_mod_all(j * m % r, r).roots
         kts = sqrt_mod_all(j * (m + h) % r, r).roots
         count += len(ks) * len(kts)
-    assert ms.mass() == count == 8
+    assert sum(counts.tolist()) == count == 8
+    # differences past 2^62 and r = 2^63 itself, as in
+    # test_f2_pair_sums_near_2_63_do_not_wrap
+    for r in (2 ** 63 - 25, 2 ** 63):
+        for R, h in ((12, 3), (8, 7), (16, 2)):
+            keys, counts = checked_multiset(R, 1, r, "difference", h=h)
+            literal = Counter((kt - k) % r for m in range(1, R + 1)
+                              for k in sqrt_mod_all(m, r).roots
+                              for kt in sqrt_mod_all(m + h, r).roots)
+            assert (list(zip(keys.tolist(), counts.tolist()))
+                    == sorted(literal.items())), (r, R, h)
 
 
 def test_build_root_multiset_difference_methods_agree():
@@ -346,10 +375,14 @@ def test_build_root_multiset_difference_methods_agree():
                 continue
             for R in {1, min(4, r), min(8, r), r}:
                 for h in (-3, 0, 1, 2, r + 1):
-                    fast = build_root_multiset(R, j, r, "difference", h=h)
-                    oracle = build_root_multiset(R, j, r, "difference", h=h,
-                                                 method="oracle")
-                    assert fast.table == oracle.table, (r, j, R, h)
+                    fast = checked_multiset(R, j, r, "difference", h=h)
+                    oracle = checked_multiset(R, j, r, "difference", h=h,
+                                              method="oracle")
+                    assert same_multiset(fast, oracle), (r, j, R, h)
+    # 3 is a non-residue mod 7, so m = 1 has no root at j = 3
+    for method in ("fast", "oracle"):
+        keys, _ = checked_multiset(1, 3, 7, "difference", h=1, method=method)
+        assert keys.size == 0
 
 
 def test_difference_oracle_groups_are_memoized_read_only():
@@ -363,11 +396,11 @@ def test_difference_oracle_groups_are_memoized_read_only():
         for R, h in points:
             memo.cache_clear()
             cold.append(build_root_multiset(R, j, r, "difference", h=h,
-                                            method="oracle").table)
+                                            method="oracle"))
         memo.cache_clear()
         warm = [build_root_multiset(R, j, r, "difference", h=h,
-                                    method="oracle").table for R, h in points]
-        assert warm == cold, (r, j)
+                                    method="oracle") for R, h in points]
+        assert all(map(same_multiset, warm, cold)), (r, j)
         info = memo.cache_info()
         assert (info.hits, info.misses) == (len(points) - 1, 1)
         groups = memo(r, j % r)
