@@ -26,15 +26,12 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .arith import FactoredModulus, factorize, is_prime
-from .sqrtmod import build_root_multiset
+from .sqrtmod import _ORACLE_MAX_R, build_root_multiset
 
 #: pair sums per block of the fast convolution (about 1 MB of int64 temporaries)
 _BLOCK = 1 << 16
 #: largest dense histogram of the fast convolution (8 MB of int64)
 _DENSE_BINS = 1 << 20
-#: largest r of method "brute", which histograms its pair sums into r bins
-#: (8 MB of int64) and, for F2, squares every residue in [0, r)
-_BRUTE_MAX_R = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -159,14 +156,14 @@ def _energy(R: int, j: int, h: int | None, r: int | FactoredModulus,
             fold: int, method: str) -> Tuple[int, int]:
     """(energy, r as an int) of the plain multiset (h None) or the
     difference multiset of h.  Method conv reads the fast builder, brute
-    the oracle; brute refuses r > _BRUTE_MAX_R before any work,
+    the oracle; brute refuses r > _ORACLE_MAX_R before any work,
     factorization included."""
     if method not in ("conv", "brute"):
         raise ValueError(f"unknown method {method!r}")
     n = r.n if isinstance(r, FactoredModulus) else r
-    if method == "brute" and n > _BRUTE_MAX_R:
+    if method == "brute" and n > _ORACLE_MAX_R:
         raise ValueError(f"r = {n} too large for method 'brute': it counts "
-                         f"pair sums in r bins, so r must be <= {_BRUTE_MAX_R}")
+                         f"pair sums in r bins, so r must be <= {_ORACLE_MAX_R}")
     fm = factorize(r) if isinstance(r, int) else r
     keys, counts = build_root_multiset(
         R, j, fm, "plain" if h is None else "difference", h=h,

@@ -6,7 +6,9 @@ Every fast path reduces its phases exactly to integer residues t mod q
 and gathers e_q(t) from one table, unit_phases(q), instead of calling
 exp per term; _phase_sum adds the gathered values.  The table entries are
 within a few ulp of e_q(t) whatever the modulus.  The scalar oracles
-(gauss_sum_closed, esum_jh(form="bare")) call e_frac per term instead.
+(gauss_sum_closed, esum_jh(form="bare")) call e_frac per term instead;
+the bare sum reads its roots from sqrtmod._square_groups, which squares
+every residue once, and calls no square-root solver.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .arith import FactoredModulus, eps_q, factorize, is_prime, jacobi, mod_inverse
-from .sqrtmod import (_fits_int32_square, _require_int64_square, root_table,
-                      sqrt_mod_all)
+from .sqrtmod import (_ORACLE_MAX_R, _fits_int32_square, _require_int64_square,
+                      _square_groups, root_table)
 
 
 def e_frac(num: int, den: int) -> complex:
@@ -156,13 +158,18 @@ def esum_jh(
     The two are the same sum.  paired is the fast path: one vectorized
     pass over the bulk root table (root_table), which needs r^2 < 2^63,
     with the exact residue phases summed through unit_phases(r).  bare is
-    the oracle: scalar sqrt_mod_all calls and one e_frac per term.  Their
-    computed values may differ in the last bits, since the terms are added
-    in another order; terms is equal.
+    the oracle: it squares every k in [0, r) once (sqrtmod._square_groups,
+    k grouped by j^-1 k^2), calls no square-root solver, and adds one
+    e_frac per term; it refuses r > _ORACLE_MAX_R = 2^20 before any work.
+    Their computed values may differ in the last bits, since the terms are
+    added in another order; terms is equal.
     margin is |value| / (r^{4/5} (h,r) (l,r)^{1/5}), eps = 0.
     """
+    rr = r.n if isinstance(r, FactoredModulus) else r
+    if form == "bare" and rr > _ORACLE_MAX_R:
+        raise ValueError(f"r = {rr} too large for form 'bare': it squares "
+                         f"every residue mod r, so r must be <= {_ORACLE_MAX_R}")
     fm = r if isinstance(r, FactoredModulus) else factorize(r)
-    rr = fm.n
     if math.gcd(j, rr) != 1:
         raise ValueError("need gcd(j, r) = 1")
     total = 0j
@@ -183,11 +190,13 @@ def esum_jh(
         phase = (l % rr * (kt - k) % rr + n * jinv % rr * (k * k % rr) % rr) % rr
         total = _phase_sum(phase, rr)
     elif form == "bare":
+        # the k with k^2 = j*m mod r are the group of m
+        groups = _square_groups(rr, j % rr)
         for a in range(1, rr + 1):
-            ks = sqrt_mod_all(j * a % rr, fm).roots
+            ks = groups.get(a % rr, ())
             if not ks:
                 continue
-            kts = sqrt_mod_all(j * (a + h) % rr, fm).roots
+            kts = groups.get((a + h) % rr, ())
             for k in ks:
                 for kt in kts:
                     total += e_frac(l * (kt - k) + n * a, rr)

@@ -384,6 +384,11 @@ def _prime_power_pairs(p: int, a: int) -> Tuple[np.ndarray, np.ndarray]:
 
 #: residues squared per numpy pass of the fast plain multiset (flat memory in r)
 _MULTISET_BLOCK = 1 << 16
+#: largest r of the oracles that read _square_groups, whose groups hold
+#: O(r) Python tuples: energies' brute method (which also counts its pair
+#: sums in r bins, 8 MB of int64) and esum_jh's bare form refuse a larger
+#: r before any work
+_ORACLE_MAX_R = 1 << 20
 
 
 def build_root_multiset(
@@ -478,10 +483,14 @@ def build_root_multiset(
 def _square_groups(n: int, j: int) -> Mapping[int, Tuple[int, ...]]:
     """Every k in [0, n), grouped by m = j^-1 k^2 mod n, ascending in k.
 
-    The squaring side of the difference oracle.  It depends only on
-    (n, j mod n), so criterion 3's (R, h) points of one (r, j) share it;
-    the memo keeps the most recent key only.  The groups are read-only
-    (a mapping proxy over tuples), so no caller can corrupt them.
+    The squaring side of two oracles: the difference root multiset
+    (build_root_multiset, method "oracle") and the bare root-difference
+    sum (expsums.esum_jh, form "bare"); neither calls the solver.  It
+    depends only on (n, j mod n), so criterion 3's (R, h) points of one
+    (r, j) share it; the memo keeps the most recent key only.  energies'
+    brute method and the bare sum refuse n > _ORACLE_MAX_R before they
+    reach it.  The groups are read-only (a mapping proxy over tuples), so
+    no caller can corrupt them.
     """
     jinv = mod_inverse(j, n)
     groups: Dict[int, List[int]] = {}

@@ -13,6 +13,7 @@ import numpy as np
 
 from sievelab import acceptance, charsums, energies, sqrtmod
 from sievelab.acceptance import CRITERIA
+from sievelab.arith import factorize
 
 #: the pinned detail string of every criterion; criterion 10's floats may
 #: differ in the last bits across platforms, so it is not compared
@@ -50,6 +51,20 @@ def test_criterion_01_rejects_misordered_rows(monkeypatch):
         result = acceptance.criterion_1_sqrt_oracle(r_max=12, sample=0)
         assert not result.passed
         assert result.detail == f"r={r}: rows not strictly increasing in (m, k)"
+
+
+def test_criterion_01_rejects_an_unreduced_m(monkeypatch):
+    # m + r in the last row keeps k^2 = m (mod r), the permutation and the
+    # (m, k) order; only the reduced square check k^2 mod r = m sees it
+    def last_m_plus_r(r):
+        rp = sqrtmod.root_pairs(r).copy()
+        rp[-1, 0] += r
+        return rp
+
+    monkeypatch.setattr(acceptance, "root_pairs", last_m_plus_r)
+    result = acceptance.criterion_1_sqrt_oracle(r_max=200, sample=50)
+    assert not result.passed
+    assert result.detail == "invalid pair m=1 k=0 r=1"
 
 
 def test_criterion_02_root_count_formula():
@@ -154,6 +169,18 @@ def test_criterion_09_gcd_power_sums():
     # sum gcd(h,r)^sigma <= H tau(r), H <= 10^3, r <= 10^4,
     # sigma in {1/5, 1/2, 1}
     _run(9)
+
+
+def test_gcd_row_equals_np_gcd():
+    # criterion 9 cannot see a wrong row (a row too small still passes
+    # sigma = 1), so the row is checked here, at H = 1000 for every
+    # r <= 2000 and at r = H = 1
+    hs = np.arange(1, 1001, dtype=np.int64)
+    for r in range(1, 2001):
+        row = acceptance._gcd_row(factorize(r), 1000)
+        assert row.dtype == np.int64
+        assert np.array_equal(row, np.gcd(hs, r)), r
+    assert acceptance._gcd_row(factorize(1), 1).tolist() == [1]
 
 
 def test_criterion_10_monitors_report():

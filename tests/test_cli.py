@@ -301,6 +301,26 @@ def test_brute_energy_at_a_huge_modulus_is_refused(capsys):
         "counts pair sums in r bins, so r must be <= 1048576\n")
 
 
+def test_bare_root_difference_sum_at_a_huge_modulus_is_refused(capsys):
+    # the bare oracle squares every residue mod r: refused at once
+    code = main(["expsum", "jh", "--l", "1", "--n", "2", "--j", "1", "--h", "1",
+                 "--r", "1048577", "--form", "bare"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: r = 1048577 too large for form 'bare': it squares every "
+        "residue mod r, so r must be <= 1048576\n")
+
+
+def test_paired_and_bare_root_difference_sums_count_the_same_terms(capsys):
+    terms = set()
+    for form in ("paired", "bare"):
+        code, out = run_cli(capsys, "expsum", "jh", "--l", "1", "--n", "2",
+                            "--j", "1", "--h", "1", "--r", "45", "--form", form)
+        assert code == 0
+        terms.add(json.loads(out)["terms"])
+    assert len(terms) == 1
+
+
 @pytest.mark.parametrize("r, energy", [(2 ** 63 - 25, 44), (2 ** 63, 45056)])
 def test_energy_near_2_63_is_exact(r, energy, capsys):
     # a + b of two roots passes 2^63 here, and r = 2^63 is not an int64;

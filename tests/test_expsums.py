@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from sievelab import energies, expsums
 from sievelab.acceptance import BOMBIERI_CORPUS
+from sievelab.arith import factorize
 from sievelab.expsums import (RationalFunctionModP, _unit_inverses,
                               e_frac, esum_jh,
                               gauss_sum_closed, gauss_sum_direct, gcal,
@@ -107,6 +109,22 @@ def test_esum_paired_equals_bare():
         b = esum_jh(l, n, j, h, r, form="bare")
         assert abs(p.value - b.value) < 1e-9 * r, (r, l, n, j, h)
         assert p.terms == b.terms
+
+
+def test_bare_esum_refuses_a_huge_modulus_before_any_work(monkeypatch):
+    # one bound with energies' brute method, which squares the same table
+    assert expsums._ORACLE_MAX_R == energies._ORACLE_MAX_R == 1 << 20
+
+    def squared(*args):
+        raise AssertionError("squared the residues")
+
+    monkeypatch.setattr(expsums, "_square_groups", squared)
+    for r in (2 ** 20 + 1, 2 ** 63, factorize(2 ** 20 + 1)):
+        with pytest.raises(ValueError, match="r must be <= 1048576"):
+            esum_jh(1, 2, 1, 1, r, form="bare")
+    # r = 2^20 itself passes the bound and reaches the table
+    with pytest.raises(AssertionError, match="squared the residues"):
+        esum_jh(1, 2, 1, 1, 2 ** 20, form="bare")
 
 
 def test_esum_margin_bound():

@@ -12,6 +12,9 @@ cannot route an oracle through the path it checks.  The pairs:
 - root multisets: the plain fast builder and the difference oracle square
   every residue, the plain oracle and the difference fast builder call the
   solver sqrt_mod_all;
+- root-difference sums: the bare oracle squares every residue
+  (sqrtmod._square_groups), the paired fast path reads the bulk root table
+  built by root_pairs; neither calls the solver sqrt_mod_all;
 - 32-bit residue kernels: the fast tables and sums choose their dtype by
   sqrtmod._fits_int32_square, which no oracle consults.
 """
@@ -60,7 +63,8 @@ def no_phase_table(monkeypatch):
 @pytest.fixture
 def no_solver(monkeypatch):
     patched = _patch_everywhere(monkeypatch, sqrtmod, "sqrt_mod_all")
-    assert {"sievelab.sqrtmod", "sievelab.expsums"} <= patched
+    # the root-difference sums bind no solver at all
+    assert "sievelab.sqrtmod" in patched and "sievelab.expsums" not in patched
     _patch_everywhere(monkeypatch, sqrtmod, "root_pairs")
 
 
@@ -146,6 +150,15 @@ def test_squaring_builder_does_not_use_the_solver(kind, method, no_solver):
 def test_solver_builder_uses_the_solver(kind, method, no_solver):
     with pytest.raises(KernelCalled):
         _multiset(kind, method)
+
+
+def test_bare_esum_does_not_use_the_solver_or_the_root_table(no_solver):
+    assert ORACLES["esum_jh bare"]().terms > 0
+
+
+def test_paired_esum_uses_the_root_table(no_solver):
+    with pytest.raises(KernelCalled):
+        FAST_PATHS["esum_jh paired"]()
 
 
 @pytest.fixture
