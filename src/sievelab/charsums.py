@@ -4,7 +4,12 @@ ways (a finite Poisson identity), and the cubic-form Legendre sum.
 
 The closed form has one evaluator, s4_closed_rows, over many h rows at
 one (j, r): the pair profiles and Gauss-sum Legendre values are shared
-across its rows, and s4_closed is its one-row call.
+across its rows, and s4_closed is its one-row call.  Each pair sum, as a
+function of l = k1 + k2, has one of two shapes: a point mass (r at
+l = 0) or a prefactor times e_r(jbar c l^2), the constant r being the
+latter with c = 0.  A row's value is the product of the two prefactors,
+times the quadratic Gauss sum at c1 + c2 when neither pair is a point
+mass.
 
 Schwartz cutoffs are replaced throughout by finitely supported Fourier
 data, which turns every Poisson-summation step into a finite exact
@@ -144,26 +149,23 @@ def s4_direct(inp: S4Input, via: str = "pairs") -> ExpSumValue:
     return ExpSumValue(complex(np.sum(t12 * t34)), r ** 3, r)
 
 
-# Pair-sum shapes: over k1 + k2 = l, the sum of e_r(jbar(a k1^2 + b k2^2))
-# is one of three exact profiles in l.
-_CONST = "const"    # a = b = 0: identically r
-_DELTA = "delta"    # a + b = 0, b != 0: r at l = 0, else 0
-_GAUSS = "gauss"    # a + b != 0: pref * e_r(jbar * c * l^2)
+def _s2_profile(a: int, b: int, r: int, legendre: Callable[[int], complex]
+                ) -> Tuple[bool, int, complex | int]:
+    """The profile (point_mass, c, prefactor) of the pair sum over
+    k1 + k2 = l of e_r(jbar(a k1^2 + b k2^2)), for residues a, b mod r.
 
-
-def _s2_profile(a: int, b: int, r: int, legendre: Callable[[int], complex]):
-    """The profile of the pair sum for residues a, b mod r.
-
-    legendre(s) is the quadratic Gauss sum over l of e_r(jbar s l^2) for
-    a residue s != 0, i.e. eps_r sqrt(r) (j/r) (s/r)."""
+    A point mass is prefactor r at l = 0 and 0 elsewhere; any other
+    profile is prefactor * e_r(jbar c l^2).  legendre(s) is the quadratic
+    Gauss sum over l of e_r(jbar s l^2) for a residue s != 0, i.e.
+    eps_r sqrt(r) (j/r) (s/r).  The prefactor r stays an int: as
+    complex(r) it would flip the sign of some zero imaginary parts."""
     if (a + b) % r == 0:
-        if b == 0:
-            return (_CONST, 0, 0j)
-        return (_DELTA, 0, 0j)
+        # a = b = 0 is the constant r, the shape with c = 0
+        return (b != 0, 0, r)
     # completing the square: c = a*b / (a+b), with the prefactor a plain
     # quadratic Gauss sum in the leading coefficient a + b
     c = a * b * mod_inverse(a + b, r) % r
-    return (_GAUSS, c, legendre((a + b) % r))
+    return (False, c, legendre((a + b) % r))
 
 
 def s4_closed_rows(j: int, r: int,
@@ -210,19 +212,14 @@ def _s4_closed_values(j: int, r: int,
         return prof
 
     for h1, h2, h3, h4 in rows:
-        kind1, c1, p1 = profile(h1, h2)
-        kind2, c2, p2 = profile(h3, h4)
-        if kind1 == _GAUSS and kind2 == _GAUSS:
-            value = p1 * p2 * quad_sum(c1 + c2)
-        elif kind1 == _GAUSS:   # kind2 const or delta
-            value = r * p1 * (quad_sum(c1) if kind2 == _CONST else 1.0)
-        elif kind2 == _GAUSS:
-            value = r * p2 * (quad_sum(c2) if kind1 == _CONST else 1.0)
-        elif kind1 == _CONST and kind2 == _CONST:
-            value = complex(r ** 3)
-        else:                   # const x delta, delta x const, delta x delta
-            value = complex(r * r)
-        yield complex(value)
+        mass1, c1, p1 = profile(h1, h2)
+        mass2, c2, p2 = profile(h3, h4)
+        # the sum over l of the two profiles' product: a point mass reads
+        # the other profile at l = 0, where it is its prefactor
+        if mass1 or mass2:
+            yield complex(p1 * p2)
+        else:
+            yield complex(p1 * p2 * quad_sum(c1 + c2))
 
 
 def s4_closed(inp: S4Input) -> ExpSumValue:
@@ -231,11 +228,11 @@ def s4_closed(inp: S4Input) -> ExpSumValue:
 
     Factors the constrained sum through the two pair sums, each of which
     collapses (by completing the square, with the convention
-    a1*a2/(a1+a2) := 0 when a1 + a2 = 0) to a constant, a point mass at
-    l = 0, or a Gauss-sum multiple of e_r(jbar c l^2); the outer sum over
-    l is then itself a quadratic Gauss sum.  Agrees with s4_direct for
-    every h, including the degenerate patterns where exactly one entry of
-    a pair vanishes.
+    a1*a2/(a1+a2) := 0 when a1 + a2 = 0) to a point mass at l = 0 or a
+    multiple of e_r(jbar c l^2), the constant r included (c = 0); the
+    outer sum over l is then a prefactor product or a quadratic Gauss
+    sum.  Agrees with s4_direct for every h, including the degenerate
+    patterns where exactly one entry of a pair vanishes.
     """
     r = inp.r
     return ExpSumValue(next(_s4_closed_values(inp.j, r, (inp.h,))), r ** 3, r)

@@ -115,7 +115,7 @@ def _cmd_px(args) -> int:
 def _cmd_approx(args) -> int:
     frame = build_frame(args.x, args.N)
     _emit(args, {"x": str(frame.x), "N": frame.N, "b": frame.b, "r": frame.r,
-                 "z": str(frame.z), "j": frame.j, "Q": frame.Q})
+                 "z": str(frame.z), "j": frame.j})
     return 0
 
 

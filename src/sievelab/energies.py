@@ -166,8 +166,7 @@ def _energy(R: int, j: int, h: int | None, r: int | FactoredModulus,
                          f"pair sums in r bins, so r must be <= {_ORACLE_MAX_R}")
     fm = factorize(r) if isinstance(r, int) else r
     keys, counts = build_root_multiset(
-        R, j, fm, "plain" if h is None else "difference", h=h,
-        method="fast" if method == "conv" else "oracle")
+        R, j, fm, h, method="fast" if method == "conv" else "oracle")
     return _energy_from_multiset(keys, counts, fm.n, fold, method), fm.n
 
 

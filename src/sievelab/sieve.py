@@ -110,7 +110,6 @@ class ApproxFrame:
     b: int
     r: int
     z: Fraction
-    Q: int = 1
 
     def __post_init__(self):
         if math.gcd(self.b, self.r) != 1:
@@ -125,10 +124,6 @@ class ApproxFrame:
     @property
     def tau(self) -> int:
         return math.isqrt(self.N)
-
-    @property
-    def delta(self) -> Fraction:
-        return Fraction(1, self.N)
 
     @property
     def j(self) -> int:
@@ -166,10 +161,10 @@ def dirichlet_approx(x: Fraction, tau: int) -> Tuple[int, int, Fraction]:
     return b, r, z
 
 
-def build_frame(x: Fraction, N: int, Q: int = 1) -> ApproxFrame:
+def build_frame(x: Fraction, N: int) -> ApproxFrame:
     tau = math.isqrt(N)
     b, r, z = dirichlet_approx(x, tau)
-    return ApproxFrame(Fraction(x), N, b, r, z, Q)
+    return ApproxFrame(Fraction(x), N, b, r, z)
 
 
 @dataclass(frozen=True)
@@ -252,7 +247,7 @@ def px_monitor(x: Fraction, Q: int, N: int,
     """P(x) against the published brackets at eps = 0 (ratios, not pass/fail)."""
     x = Fraction(x)
     delta = Fraction(1, N)
-    frame = build_frame(x, N, Q)
+    frame = build_frame(x, N)
     count = px_count(PxQuery(x, Q, delta), budget=budget)
     out: Dict[str, object] = {
         "x": str(x), "Q": Q, "N": N, "count": count,

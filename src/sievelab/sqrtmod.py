@@ -23,18 +23,24 @@ from .arith import FactoredModulus, factorize, is_prime, mod_inverse
 
 @dataclass(frozen=True)
 class RootSet:
-    """All k in [0, r) with k^2 = m (mod r), sorted."""
+    """All k in [0, r) with k^2 = m (mod r), sorted, for m in [0, r)."""
 
     modulus: int
     m: int
     roots: Tuple[int, ...]
 
     def __post_init__(self):
+        if not 0 <= self.m < self.modulus:
+            raise ValueError(f"m = {self.m} is not in [0, {self.modulus})")
         for k in self.roots:
             if (k * k - self.m) % self.modulus != 0:
                 raise ValueError(f"{k} is not a root of {self.m} mod {self.modulus}")
         if list(self.roots) != sorted(set(self.roots)):
             raise ValueError("roots must be sorted and duplicate-free")
+        # sorted, so the ends bound every root
+        if self.roots and not (0 <= self.roots[0]
+                               and self.roots[-1] < self.modulus):
+            raise ValueError(f"roots must lie in [0, {self.modulus})")
 
     def __len__(self) -> int:
         return len(self.roots)
@@ -395,19 +401,19 @@ def build_root_multiset(
     R: int,
     j: int,
     r: int | FactoredModulus,
-    kind: str = "plain",
     h: int | None = None,
     method: str = "fast",
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The root multiset for m in [1, R], as int64 arrays (keys, counts).
 
-    kind "plain" counts the roots lam of j*m:
+    h decides the kind.  With h None the plain multiset counts the roots
+    lam of j*m:
         count(lam) = #{m in [1,R] : lam^2 = j*m (mod r)};
-    kind "difference" counts the differences kt - k between roots of
-    j(m+h) and jm:
+    with an integer h the difference multiset counts the differences
+    kt - k between roots of j(m+h) and jm:
         count(lam) = #{(m,k,kt) : 1<=m<=R, k^2=jm, kt^2=j(m+h),
                                   kt-k = lam (mod r)}.
-    For every kind and method the keys are the residues lam in [0, r)
+    For both kinds and methods the keys are the residues lam in [0, r)
     with count(lam) >= 1, strictly ascending, and counts holds their
     counts; an empty multiset is two empty arrays.
 
@@ -430,14 +436,10 @@ def build_root_multiset(
         raise ValueError("need 1 <= R <= r")
     if math.gcd(j, n) != 1:
         raise ValueError("need gcd(j, r) = 1")
-    if kind not in ("plain", "difference"):
-        raise ValueError(f"unknown kind {kind!r}")
-    if kind == "difference" and h is None:
-        raise ValueError("difference kind needs h")
     if method not in ("fast", "oracle"):
         raise ValueError(f"unknown method {method!r}")
 
-    if kind == "plain" and method == "fast":
+    if h is None and method == "fast":
         # every k is a root of exactly one m, so each kept k counts once
         _require_int64_square(n, "r")
         jinv = mod_inverse(j, n)
@@ -451,12 +453,11 @@ def build_root_multiset(
         return keys, np.ones_like(keys)
 
     table: Dict[int, int] = {}
-    if kind == "plain":
+    if h is None:
         for m in range(1, R + 1):
             for k in sqrt_mod_all(j * m % n, fm).roots:
                 table[k] = table.get(k, 0) + 1
     else:
-        assert h is not None
         if method == "fast":
             def roots_of(m: int) -> Sequence[int]:
                 return sqrt_mod_all(j * m % n, fm).roots

@@ -7,9 +7,11 @@ bench/reference/accept_details.json.
 """
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from sievelab import acceptance, charsums, energies, sqrtmod
 from sievelab.acceptance import CRITERIA
@@ -29,6 +31,38 @@ def _run(number):
     if number != 10:
         assert result.detail == REFERENCE_DETAILS[str(number)]
     return result
+
+
+#: each criterion's name, and small parameters that keep it under a second
+SMALL_RUNS = {
+    1: ("sqrt oracle", dict(r_max=10, sample=5)),
+    2: ("root counts", dict(q_max=31)),
+    3: ("energy oracle", dict(r_max=6, R_max=2)),
+    4: ("Gauss closed form", dict(q_max=31, extra=5)),
+    5: ("appendix algebra", dict(pairs=5, pp_max=31, esum_rmax=10)),
+    6: ("sieve constants", dict(instances=5)),
+    7: ("Bombieri margin", dict(p_max=31)),
+    8: ("S4 closed form", dict(full_rs=(3,), sampled_rs=(5,), samples=5)),
+    9: ("gcd power sums", dict(H_max=10, r_max=31)),
+    10: ("monitors", dict(prime_max=31, esum_rmax=31)),
+}
+
+
+def test_suite_all_lists_each_criterion_once():
+    assert sorted(acceptance.SUITES["all"]) == list(range(1, 11))
+    assert sorted(CRITERIA) == list(range(1, 11))
+
+
+@pytest.mark.parametrize("number", sorted(SMALL_RUNS))
+def test_criterion_reports_its_number_and_name(number):
+    name, params = SMALL_RUNS[number]
+    result = CRITERIA[number](**params)
+    assert (result.number, result.name) == (number, name)
+    assert result.monitor == (number == 10)
+    status = "REPORT" if number == 10 else "PASS"
+    assert re.fullmatch(rf"\[{status}\] criterion {number} "
+                        rf"\({re.escape(name)}\): .+ \[\d+\.\ds\]",
+                        result.line), result.line
 
 
 def test_criterion_01_sqrt_oracle_all_moduli():
@@ -67,6 +101,23 @@ def test_criterion_01_rejects_an_unreduced_m(monkeypatch):
     assert result.detail == "invalid pair m=1 k=0 r=1"
 
 
+def test_criterion_01_rejects_a_negative_root(monkeypatch):
+    # k - r in the last row at r = 5 keeps (k - r)^2 = m (mod 5); the
+    # permutation check must report it, not raise from np.bincount
+    def last_k_minus_r(r):
+        rp = sqrtmod.root_pairs(r).copy()
+        if r == 5:
+            rp[-1, 1] -= r
+        return rp
+
+    monkeypatch.setattr(acceptance, "root_pairs", last_k_minus_r)
+    result = acceptance.criterion_1_sqrt_oracle(r_max=10, sample=0)
+    assert not result.passed
+    assert result.line.startswith(
+        "[FAIL] criterion 1 (sqrt oracle): r=5: root table is not a "
+        "permutation [")
+
+
 def test_criterion_02_root_count_formula():
     # #roots(0 mod p^alpha) = p^floor(alpha/2) for every prime power <= 10^4
     _run(2)
@@ -84,9 +135,9 @@ def test_criterion_03_rejects_a_moved_root_difference(monkeypatch):
     # residue keeps the mass; brute reads the oracle builder, so F2 differs
     build = energies.build_root_multiset
 
-    def moved(R, j, r, kind="plain", h=None, method="fast"):
-        keys, counts = build(R, j, r, kind, h=h, method=method)
-        if kind != "difference" or method != "fast" or not keys.size:
+    def moved(R, j, r, h=None, method="fast"):
+        keys, counts = build(R, j, r, h, method=method)
+        if h is None or method != "fast" or not keys.size:
             return keys, counts
         # r is the FactoredModulus the energies pass on
         values = np.repeat(keys, counts)

@@ -77,6 +77,7 @@ def test_px_and_approx(capsys):
     assert code == 0
     payload = json.loads(out)
     assert (payload["b"], payload["r"]) == (1, 3)
+    assert sorted(payload) == ["N", "b", "j", "r", "x", "z"]
 
 
 def test_charsum_commands(capsys):

@@ -106,7 +106,7 @@ def test_kssz_requires_prime():
 
 def test_large_prime_energies_match_literal_counts():
     # every bin lies far apart at r ~ 1e9, so the kernel keeps sparse bins
-    keys, counts = build_root_multiset(8, 1, BIG_PRIME, "plain", method="oracle")
+    keys, counts = build_root_multiset(8, 1, BIG_PRIME, method="oracle")
     values = np.repeat(keys, counts).tolist()
     assert (_energy_from_multiset(keys, counts, BIG_PRIME, 2, "conv")
             == brute_e2(8, 1, BIG_PRIME))

@@ -40,6 +40,12 @@ def test_rootset_validates():
         RootSet(7, 2, (1,))  # 1*1 != 2 mod 7
     with pytest.raises(ValueError):
         RootSet(15, 4, (7, 2))  # unsorted
+    # each passes the square check mod 7: (-3)^2 = 10^2 = 2 and 3^2 = 9
+    for roots in ((-3,), (3, 10)):
+        with pytest.raises(ValueError, match="roots must lie in"):
+            RootSet(7, 2, roots)
+    with pytest.raises(ValueError, match="m = 9 is not in"):
+        RootSet(7, 9, (3,))
     rs = RootSet(15, 4, (2, 7, 8, 13))
     assert len(rs) == 4 and 7 in rs
 
@@ -282,10 +288,10 @@ def test_root_pairs_tonelli_prime():
     assert np.all(np.bincount(rp[:, 1], minlength=p) == 1)
 
 
-def checked_multiset(R, j, r, kind, h=None, method="fast"):
+def checked_multiset(R, j, r, h=None, method="fast"):
     """build_root_multiset's (keys, counts), after checking its format:
     int64 arrays, keys strictly ascending in [0, r), every count >= 1."""
-    keys, counts = build_root_multiset(R, j, r, kind, h=h, method=method)
+    keys, counts = build_root_multiset(R, j, r, h, method=method)
     assert keys.dtype == counts.dtype == np.int64
     assert keys.ndim == 1 and keys.shape == counts.shape
     assert np.all(np.diff(keys) > 0)
@@ -304,12 +310,12 @@ def test_build_root_multiset_plain_methods_agree():
             if np.gcd(j, r) != 1:
                 continue
             for R in (1, 3, r):
-                fast = checked_multiset(R, j, r, "plain", method="fast")
-                oracle = checked_multiset(R, j, r, "plain", method="oracle")
+                fast = checked_multiset(R, j, r, method="fast")
+                oracle = checked_multiset(R, j, r, method="oracle")
                 assert same_multiset(fast, oracle), (r, j, R)
     # 3 is a non-residue mod 7, so m = 1 has no root at j = 3
     for method in ("fast", "oracle"):
-        keys, _ = checked_multiset(1, 3, 7, "plain", method=method)
+        keys, _ = checked_multiset(1, 3, 7, method=method)
         assert keys.size == 0
 
 
@@ -324,9 +330,8 @@ def test_build_root_multiset_plain_blocks(r):
             # at R = r every residue is counted whatever j is
             key = (R, j if R < r else 1)
             if key not in oracles:
-                oracles[key] = checked_multiset(R, key[1], r, "plain",
-                                                method="oracle")
-            fast = checked_multiset(R, j, r, "plain", method="fast")
+                oracles[key] = checked_multiset(R, key[1], r, method="oracle")
+            fast = checked_multiset(R, j, r, method="fast")
             assert same_multiset(fast, oracles[key]), (R, j)
 
 
@@ -336,19 +341,19 @@ def test_build_root_multiset_plain_refuses_int64_overflow(monkeypatch):
 
     monkeypatch.setattr(np, "arange", no_arrays)
     with pytest.raises(ValueError, match="2\\^63"):
-        build_root_multiset(1, 1, 3037000500, "plain", method="fast")
+        build_root_multiset(1, 1, 3037000500, method="fast")
 
 
 def test_build_root_multiset_plain_mass():
     # mass = number of (m, k) pairs with m <= R
-    _, counts = checked_multiset(8, 1, 15, "plain")
+    _, counts = checked_multiset(8, 1, 15)
     direct = sum(len(sqrt_mod_all(m, 15).roots) for m in range(1, 9))
     assert sum(counts.tolist()) == direct
 
 
 def test_build_root_multiset_difference():
     r, j, h, R = 21, 2, 1, 8
-    _, counts = checked_multiset(R, j, r, "difference", h=h)
+    _, counts = checked_multiset(R, j, r, h=h)
     count = 0
     for m in range(1, R + 1):
         ks = sqrt_mod_all(j * m % r, r).roots
@@ -359,7 +364,7 @@ def test_build_root_multiset_difference():
     # test_f2_pair_sums_near_2_63_do_not_wrap
     for r in (2 ** 63 - 25, 2 ** 63):
         for R, h in ((12, 3), (8, 7), (16, 2)):
-            keys, counts = checked_multiset(R, 1, r, "difference", h=h)
+            keys, counts = checked_multiset(R, 1, r, h=h)
             literal = Counter((kt - k) % r for m in range(1, R + 1)
                               for k in sqrt_mod_all(m, r).roots
                               for kt in sqrt_mod_all(m + h, r).roots)
@@ -375,13 +380,12 @@ def test_build_root_multiset_difference_methods_agree():
                 continue
             for R in {1, min(4, r), min(8, r), r}:
                 for h in (-3, 0, 1, 2, r + 1):
-                    fast = checked_multiset(R, j, r, "difference", h=h)
-                    oracle = checked_multiset(R, j, r, "difference", h=h,
-                                              method="oracle")
+                    fast = checked_multiset(R, j, r, h=h)
+                    oracle = checked_multiset(R, j, r, h=h, method="oracle")
                     assert same_multiset(fast, oracle), (r, j, R, h)
     # 3 is a non-residue mod 7, so m = 1 has no root at j = 3
     for method in ("fast", "oracle"):
-        keys, _ = checked_multiset(1, 3, 7, "difference", h=1, method=method)
+        keys, _ = checked_multiset(1, 3, 7, h=1, method=method)
         assert keys.size == 0
 
 
@@ -395,10 +399,9 @@ def test_difference_oracle_groups_are_memoized_read_only():
         cold = []
         for R, h in points:
             memo.cache_clear()
-            cold.append(build_root_multiset(R, j, r, "difference", h=h,
-                                            method="oracle"))
+            cold.append(build_root_multiset(R, j, r, h=h, method="oracle"))
         memo.cache_clear()
-        warm = [build_root_multiset(R, j, r, "difference", h=h,
+        warm = [build_root_multiset(R, j, r, h=h,
                                     method="oracle") for R, h in points]
         assert all(map(same_multiset, warm, cold)), (r, j)
         info = memo.cache_info()
@@ -416,14 +419,12 @@ def test_difference_oracle_groups_are_memoized_read_only():
 
 def test_build_root_multiset_validates():
     with pytest.raises(ValueError):
-        build_root_multiset(0, 1, 7, "plain")
+        build_root_multiset(0, 1, 7)
     with pytest.raises(ValueError):
-        build_root_multiset(3, 7, 7, "plain")  # gcd(j, r) != 1
-    with pytest.raises(ValueError):
-        build_root_multiset(3, 1, 7, "difference")  # missing h
-    for kind, h in (("plain", None), ("difference", 1)):
+        build_root_multiset(3, 7, 7)  # gcd(j, r) != 1
+    for h in (None, 1):  # plain and difference
         with pytest.raises(ValueError, match="unknown method"):
-            build_root_multiset(3, 1, 7, kind, h=h, method="fsat")
+            build_root_multiset(3, 1, 7, h, method="fsat")
 
 
 def test_root_table_slices_match_scalar_solver():
