@@ -5,7 +5,8 @@ Prime-power moduli are handled by one fixed-schedule Tonelli-Shanks, for
 a Python int and over a numpy array, plus Hensel lifting (explicit case
 analysis at p = 2); composite moduli by CRT recombination of the
 prime-power root sets with the idempotents FactoredModulus.crt_idempotents,
-in the scalar solver and in the bulk root tables alike.
+in the scalar solver, the array solver of many residues and the bulk root
+tables alike.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ def _unit_roots_mod_odd_prime_power(m: int, p: int, gamma: int) -> List[int]:
     x = _unit_root_mod_prime(m % p, p)
     if x is None:
         return []
-    # Hensel, as in _unit_root_pairs: the root of m mod p^(k+1) is x + t p^k
+    # Hensel, as in _hensel_roots: the root of m mod p^(k+1) is x + t p^k
     # with t = -((x^2 - m) / p^k) (2x)^-1 mod p, and x stays x mod p
     inv2x = mod_inverse(2 * x, p)
     pk = p
@@ -310,44 +311,62 @@ def _vec_unit_root_mod_prime(m: np.ndarray, p: int) -> np.ndarray:
     return np.where(residue, x, -1)
 
 
-def _unit_root_pairs(p: int, gamma: int,
-                     dtype: type) -> Tuple[np.ndarray, np.ndarray]:
-    """(m, x) for every unit m mod p^gamma and every root x of m, unsorted.
+def _hensel_roots(m: np.ndarray, x: np.ndarray, p: int,
+                  gamma: int) -> np.ndarray:
+    """Both roots mod p^gamma of each unit m, odd p, from its root x mod p:
+    the lifted roots, then their negatives.
 
-    Odd p: the roots mod p from _vec_unit_root_mod_prime, lifted by
-    Hensel to every unit m = u + s p above each square u; the root of m
-    mod p^(k+1) is x + t p^k with t = -((x^2 - m) / p^k) (2x)^-1 mod p,
-    and -x is the other root.  p = 2: the case analysis of
-    _unit_roots_mod_2power, with the lift from mod 8 run on every
-    m = 1 mod 8 at once.  Every product stays below p^(2 gamma).
+    The root of m mod p^(k+1) is x + t p^k with
+    t = -((x^2 - m) / p^k) (2x)^-1 mod p; m may be any representative
+    below p^gamma, and every product stays below p^(2 gamma).
     """
-    pg = p ** gamma
-    if p == 2:
-        if gamma == 1:
-            return np.array([1], dtype=dtype), np.array([1], dtype=dtype)
-        if gamma == 2:
-            return np.array([1, 1], dtype=dtype), np.array([1, 3], dtype=dtype)
-        m = np.arange(1, pg, 8, dtype=dtype)
-        x = np.ones_like(m)
-        for k in range(3, gamma):
-            x += np.where((x * x - m) % (1 << (k + 1)) != 0, 1 << (k - 1), 0)
-        half = pg // 2
-        return (np.tile(m, 4),
-                np.concatenate([x, pg - x, (x + half) % pg, (half - x) % pg]))
-    units = np.arange(1, p, dtype=dtype)
-    x = _vec_unit_root_mod_prime(units, p)
-    m = units[x >= 0]
-    x = x[x >= 0]
     if gamma > 1:
-        lifts = p ** (gamma - 1)
-        m = (m[:, None] + np.arange(lifts, dtype=dtype) * p).ravel()
-        x = np.repeat(x, lifts)
         inv2x = _vec_pow_mod(2 * x % p, p - 2, p)
         pk = p
         for _ in range(gamma - 1):
             x = x + (-((x * x - m) // pk) * inv2x % p) * pk
             pk *= p
-    return np.concatenate([m, m]), np.concatenate([x, pg - x])
+    return np.concatenate([x, p ** gamma - x])
+
+
+def _two_adic_roots(m: np.ndarray, gamma: int) -> np.ndarray:
+    """The four roots mod 2^gamma (gamma >= 3) of each m = 1 mod 8, in
+    four blocks: x, -x, x + 2^(gamma-1) and 2^(gamma-1) - x.
+
+    The case analysis of _unit_roots_mod_2power, with the lift from mod 8
+    (x -> x or x + 2^(k-1) works mod 2^(k+1)) run on every m at once.
+    """
+    pg = 1 << gamma
+    x = np.ones_like(m)
+    for k in range(3, gamma):
+        x += np.where((x * x - m) % (1 << (k + 1)) != 0, 1 << (k - 1), 0)
+    half = pg // 2
+    return np.concatenate([x, pg - x, (x + half) % pg, (half - x) % pg])
+
+
+def _unit_root_pairs(p: int, gamma: int,
+                     dtype: type) -> Tuple[np.ndarray, np.ndarray]:
+    """(m, x) for every unit m mod p^gamma and every root x of m, unsorted.
+
+    Odd p: the roots mod p from _vec_unit_root_mod_prime, lifted by
+    _hensel_roots to every unit m = u + s p above each square u.  p = 2:
+    m = 1 mod 2 and m = 1 mod 4 by hand, else _two_adic_roots of every
+    m = 1 mod 8.
+    """
+    if p == 2:
+        if gamma == 1:
+            return np.array([1], dtype=dtype), np.array([1], dtype=dtype)
+        if gamma == 2:
+            return np.array([1, 1], dtype=dtype), np.array([1, 3], dtype=dtype)
+        m = np.arange(1, 1 << gamma, 8, dtype=dtype)
+        return np.tile(m, 4), _two_adic_roots(m, gamma)
+    units = np.arange(1, p, dtype=dtype)
+    x = _vec_unit_root_mod_prime(units, p)
+    m = units[x >= 0]
+    x = x[x >= 0]
+    lifts = p ** (gamma - 1)
+    m = (m[:, None] + np.arange(lifts, dtype=dtype) * p).ravel()
+    return np.tile(m, 2), _hensel_roots(m, np.repeat(x, lifts), p, gamma)
 
 
 def _prime_power_pairs(p: int, a: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -388,12 +407,108 @@ def _prime_power_pairs(p: int, a: int) -> Tuple[np.ndarray, np.ndarray]:
     return out
 
 
+def _matching_pairs(ta: np.ndarray, tb: np.ndarray,
+                    size: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, ib) of every pair with ta[i] == tb[ib], for owners
+    in [0, size) and tb ascending: each i is repeated once per element of
+    its owner's run in tb, and ib runs through that run."""
+    sizes = np.bincount(tb, minlength=size)
+    reps = sizes[ta]
+    ends = np.cumsum(reps)
+    starts = (np.cumsum(sizes) - sizes)[ta]
+    total = int(ends[-1]) if ends.size else 0
+    return (np.repeat(np.arange(ta.size), reps),
+            np.repeat(starts - ends + reps, reps) + np.arange(total))
+
+
+def _prime_power_residue_roots(v: np.ndarray, p: int,
+                               a: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(t, k) for every root k mod p^a of every v[t] in [0, p^a), ordered
+    by t: the int64 array analogue of _sqrt_mod_prime_power.
+
+    Unit residues run through _vec_unit_root_mod_prime and _hensel_roots
+    (odd p) or _two_adic_roots (p = 2) all at once.  Each distinct
+    non-unit residue, one of at most p^(a-1), is solved once by the
+    scalar _sqrt_mod_prime_power.
+    """
+    q = p ** a
+    unit = v % p != 0
+    t, m = np.flatnonzero(unit), v[unit]
+    if p != 2:
+        x = _vec_unit_root_mod_prime(m % p, p)
+        square = x >= 0
+        t, k = np.tile(t[square], 2), _hensel_roots(m[square], x[square], p, a)
+    elif a >= 3:
+        square = m % 8 == 1
+        t, k = np.tile(t[square], 4), _two_adic_roots(m[square], a)
+    else:
+        # 1 is the root of every unit mod 2, and 1, 3 are those of 1 mod 4
+        square = m % q == 1
+        t, k = np.tile(t[square], a), np.repeat(np.arange(1, q, 2),
+                                                 np.count_nonzero(square))
+    rest = np.flatnonzero(~unit)
+    if rest.size:
+        values, which = np.unique(v[rest], return_inverse=True)
+        tables = [_sqrt_mod_prime_power(u, p, a) for u in values.tolist()]
+        owner = np.repeat(np.arange(values.size),
+                          [len(roots) for roots in tables])
+        flat = np.array([root for roots in tables for root in roots],
+                        dtype=np.int64)
+        i, ib = _matching_pairs(which, owner, values.size)
+        t, k = np.concatenate([t, rest[i]]), np.concatenate([k, flat[ib]])
+    order = np.argsort(t, kind="stable")
+    return t[order], k[order]
+
+
+def _residue_roots(v: np.ndarray, fm: FactoredModulus
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """(t, k) for every root k mod n of every residue v[t] in [0, n),
+    ordered by t: sqrt_mod_all over an int64 array, n^2 < 2^63.
+
+    Each prime power q_i of n contributes the roots of v mod q_i
+    (_prime_power_residue_roots) scaled by its CRT idempotent e_i, and
+    each (t, partial root) pair is matched with every root of v[t] mod
+    q_i; a residue with no root mod some q_i drops out.  Each scaled root is
+    below n, so the running sums stay below omega(n) n < n^2 until the
+    final reduction.
+    """
+    n = fm.n
+    t = np.arange(v.size)
+    k = np.zeros(v.size, dtype=np.int64)
+    for (p, a), e in zip(fm.factors, fm.crt_idempotents):
+        tq, kq = _prime_power_residue_roots(v % p ** a, p, a)
+        i, iq = _matching_pairs(t, tq, v.size)
+        t, k = t[i], k[i] + (kq * e % n)[iq]
+    return t, k % n
+
+
+def _difference_multiset(R: int, j: int, h: int, fm: FactoredModulus
+                         ) -> Tuple[np.ndarray, np.ndarray]:
+    """The fast difference multiset for R >= _ARRAY_MIN_R, n^2 < 2^63: the
+    2R residues jm and j(m+h) are solved in one _residue_roots pass, each
+    root k of jm is paired with every root kt of j(m+h), and the
+    differences kt - k mod n are counted by np.unique."""
+    n = fm.n
+    m = np.arange(1, R + 1, dtype=np.int64)
+    v = np.concatenate([m, m + h % n]) % n * (j % n) % n
+    t, k = _residue_roots(v, fm)
+    split = np.searchsorted(t, R)
+    i, it = _matching_pairs(t[:split], t[split:] - R, R)
+    keys, counts = np.unique((k[split:][it] - k[i]) % n, return_counts=True)
+    return keys, counts.astype(np.int64)
+
+
 #: residues squared per numpy pass of the fast plain multiset (flat memory in r)
 _MULTISET_BLOCK = 1 << 16
+#: smallest R at which the fast difference builder solves its residues in
+#: one numpy pass (_difference_multiset); below it numpy's fixed cost per
+#: call exceeds the per-m solver's memo hits, as on criterion 3's grid
+#: (R <= 8), and the per-m loop runs
+_ARRAY_MIN_R = 32
 #: largest r of the oracles that read _square_groups, whose groups hold
-#: O(r) Python tuples: energies' brute method (which also counts its pair
-#: sums in r bins, 8 MB of int64) and esum_jh's bare form refuse a larger
-#: r before any work
+#: O(r) Python tuples: the difference multiset oracle, energies' brute
+#: method (which also counts its pair sums in r bins, 8 MB of int64) and
+#: esum_jh's bare form refuse a larger r before any work
 _ORACLE_MAX_R = 1 << 20
 
 
@@ -421,23 +536,33 @@ def build_root_multiset(
     numpy passes of at most _MULTISET_BLOCK residues, keeping k (count 1)
     when m = j^-1 k^2 mod r (with 0 read as r) is at most R; it requires
     r^2 < 2^63.  Method "oracle" iterates m and calls sqrt_mod_all per
-    value.  The difference kind mirrors this: method "fast" calls
-    sqrt_mod_all per m, so it serves r far beyond any table, and method
-    "oracle" squares every k in [0, r), groups k by m = j^-1 k^2 mod r
-    and pairs the k of m with the kt of m + h, with no solver call.  The
+    value.  The difference kind mirrors this: method "fast" solves, so it
+    serves r far beyond any table, in one of two regimes chosen by size.
+    When R >= _ARRAY_MIN_R and r^2 < 2^63 it solves all 2R residues jm
+    and j(m+h) in one numpy pass (_residue_roots: array Tonelli-Shanks,
+    Hensel and 2-adic lifts per prime power, CRT idempotents), pairs
+    each m's roots with np.repeat and counts the differences with
+    np.unique; otherwise it calls sqrt_mod_all per m.  Method "oracle"
+    squares every k in [0, r), groups k by m = j^-1 k^2 mod r and pairs
+    the k of m with the kt of m + h, with no solver call; it refuses
+    r > _ORACLE_MAX_R before any work, factorization included.  The
     oracle's groups are memoized per (r, j), most recent key only, so the
-    (R, h) points of one (r, j) square the residues once.  Every path but
-    the plain fast one counts its residues in a dict and sorts the keys
-    once.
+    (R, h) points of one (r, j) square the residues once.  The plain
+    oracle and the per-m difference loop count their residues in a dict
+    and sort the keys once.
     """
-    fm = r if isinstance(r, FactoredModulus) else factorize(r)
-    n = fm.n
+    n = r.n if isinstance(r, FactoredModulus) else r
     if not 1 <= R <= n:
         raise ValueError("need 1 <= R <= r")
     if math.gcd(j, n) != 1:
         raise ValueError("need gcd(j, r) = 1")
     if method not in ("fast", "oracle"):
         raise ValueError(f"unknown method {method!r}")
+    if h is not None and method == "oracle" and n > _ORACLE_MAX_R:
+        raise ValueError(f"r = {n} too large for the difference oracle: it "
+                         "squares every residue mod r, so r must be "
+                         f"<= {_ORACLE_MAX_R}")
+    fm = r if isinstance(r, FactoredModulus) else factorize(r)
 
     if h is None and method == "fast":
         # every k is a root of exactly one m, so each kept k counts once
@@ -451,6 +576,9 @@ def build_root_multiset(
             kept.append(k[m <= R])
         keys = np.concatenate(kept)
         return keys, np.ones_like(keys)
+    if (h is not None and method == "fast" and R >= _ARRAY_MIN_R
+            and n * n < 2 ** 63):
+        return _difference_multiset(R, j, h, fm)
 
     table: Dict[int, int] = {}
     if h is None:
@@ -488,9 +616,8 @@ def _square_groups(n: int, j: int) -> Mapping[int, Tuple[int, ...]]:
     (build_root_multiset, method "oracle") and the bare root-difference
     sum (expsums.esum_jh, form "bare"); neither calls the solver.  It
     depends only on (n, j mod n), so criterion 3's (R, h) points of one
-    (r, j) share it; the memo keeps the most recent key only.  energies'
-    brute method and the bare sum refuse n > _ORACLE_MAX_R before they
-    reach it.  The groups are read-only (a mapping proxy over tuples), so
+    (r, j) share it; the memo keeps the most recent key only.  Both
+    oracles refuse n > _ORACLE_MAX_R before they reach it.  The groups are read-only (a mapping proxy over tuples), so
     no caller can corrupt them.
     """
     jinv = mod_inverse(j, n)

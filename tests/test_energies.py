@@ -148,11 +148,14 @@ def test_sparse_bins_merge_across_blocks():
 
 def test_conv_matches_brute_at_scan_sizes():
     # the dense bins over many blocks of pair sums, at the scan-energy
-    # workload's sizes: E4 at r = 13 * 17 * 19, E2 and F2 at r ~ 1e5
+    # workload's sizes: E4 at r = 13 * 17 * 19, E2 and F2 at r ~ 1e5; F2's
+    # fast multiset comes from the array regime (R >= _ARRAY_MIN_R)
     for rep in (lambda m: energy_e4(48, 1, 4199, m),
                 lambda m: energy_e2(600, 1, 99991, m),
-                lambda m: energy_f2(600, 1, 1, 100005, m)):
+                lambda m: energy_f2(600, 1, 1, 100005, m),
+                lambda m: energy_f2(600, 1, 1, 99991, m)):
         assert rep("conv").energy == rep("brute").energy
+    assert energy_f2(600, 1, 1, 99991).energy == 3387304
 
 
 def test_sparse_bins_match_brute_on_grid(monkeypatch):

@@ -10,8 +10,9 @@ cannot route an oracle through the path it checks.  The pairs:
   with a certified int64 dot (_square_sum), brute enumerates every pair
   sum (_dense_pair_hist);
 - root multisets: the plain fast builder and the difference oracle square
-  every residue, the plain oracle and the difference fast builder call the
-  solver sqrt_mod_all;
+  every residue, the plain oracle and the difference fast builder solve:
+  sqrt_mod_all per m, or, for the difference kind at R >= _ARRAY_MIN_R,
+  the array solver sqrtmod._residue_roots;
 - root-difference sums: the bare oracle squares every residue
   (sqrtmod._square_groups), the paired fast path reads the bulk root table
   built by root_pairs; neither calls the solver sqrt_mod_all;
@@ -66,6 +67,8 @@ def no_solver(monkeypatch):
     # the root-difference sums bind no solver at all
     assert "sievelab.sqrtmod" in patched and "sievelab.expsums" not in patched
     _patch_everywhere(monkeypatch, sqrtmod, "root_pairs")
+    assert _patch_everywhere(monkeypatch, sqrtmod,
+                             "_residue_roots") == {"sievelab.sqrtmod"}
 
 
 ORACLES = {
@@ -148,9 +151,12 @@ def test_squaring_builder_does_not_use_the_solver(kind, method, no_solver):
 
 @pytest.mark.parametrize("kind, method", [("plain", "oracle"),
                                           ("difference", "fast")])
-def test_solver_builder_uses_the_solver(kind, method, no_solver):
-    with pytest.raises(KernelCalled):
-        _multiset(kind, method)
+def test_solver_builder_uses_the_solver(kind, method, no_solver, monkeypatch):
+    # both regimes of the difference fast builder: per m and one array pass
+    for threshold in (sys.maxsize, 0):
+        monkeypatch.setattr(sqrtmod, "_ARRAY_MIN_R", threshold)
+        with pytest.raises(KernelCalled):
+            _multiset(kind, method)
 
 
 def test_bare_esum_does_not_use_the_solver_or_the_root_table(no_solver):

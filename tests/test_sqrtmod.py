@@ -1,5 +1,6 @@
 import hashlib
 import signal
+import sys
 from collections import Counter
 
 import numpy as np
@@ -387,6 +388,63 @@ def test_build_root_multiset_difference_methods_agree():
     for method in ("fast", "oracle"):
         keys, _ = checked_multiset(1, 3, 7, h=1, method=method)
         assert keys.size == 0
+
+
+@pytest.fixture(params=["array", "loop"])
+def difference_regime(request, monkeypatch):
+    """Force the fast difference builder into one regime, with the other
+    regime's solver patched to raise, so the regime under test runs."""
+    def other_regime(*args, **kwargs):
+        raise AssertionError("ran the other regime")
+
+    if request.param == "array":
+        monkeypatch.setattr(sqrtmod, "_ARRAY_MIN_R", 0)
+        monkeypatch.setattr(sqrtmod, "sqrt_mod_all", other_regime)
+    else:
+        monkeypatch.setattr(sqrtmod, "_ARRAY_MIN_R", sys.maxsize)
+        monkeypatch.setattr(sqrtmod, "_residue_roots", other_regime)
+
+
+def test_difference_regimes_match_the_oracle_on_criterion_3(difference_regime):
+    # a seeded slice of criterion 3's grid: r <= 60, a unit j, R <= 8
+    rng = np.random.default_rng(3)
+    for r in sorted(rng.choice(np.arange(1, 61), 24, replace=False).tolist()):
+        units = [j for j in range(1, r + 1) if np.gcd(j, r) == 1]
+        j = units[int(rng.integers(len(units)))]
+        for R in {1, min(int(rng.integers(2, 9)), r), min(8, r)}:
+            for h in (0, 1, 2, -5, r + 3):
+                fast = checked_multiset(R, j, r, h=h)
+                oracle = checked_multiset(R, j, r, h=h, method="oracle")
+                assert same_multiset(fast, oracle), (r, j, R, h)
+
+
+@pytest.mark.parametrize("r", [
+    99991, 11 * 5381, 3 * 101 * 241,  # omega = 1, 2, 3
+    2 ** 6 * 1499, 2 ** 4 * 7 * 857,  # 2-power cofactors
+    3 ** 12, 7 ** 7,  # the non-unit residues of R = 600 have many roots
+])
+def test_difference_regimes_match_the_oracle_at_R_600(r, difference_regime):
+    for j, h in ((1, 1), (5, -5)):
+        fast = checked_multiset(600, j, r, h=h)
+        oracle = checked_multiset(600, j, r, h=h, method="oracle")
+        assert same_multiset(fast, oracle), (j, h)
+
+
+def test_difference_oracle_refuses_a_huge_modulus_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("worked before the size check")
+
+    monkeypatch.setattr(sqrtmod, "_square_groups", no_work)
+    with monkeypatch.context() as before_factorizing:
+        before_factorizing.setattr(sqrtmod, "factorize", no_work)
+        for r in (2 ** 20 + 1, 2 ** 63):
+            with pytest.raises(ValueError, match="r must be <= 1048576"):
+                build_root_multiset(8, 1, r, 1, method="oracle")
+    # r = 2^20 itself passes the bound and reaches the table
+    with pytest.raises(AssertionError, match="worked before"):
+        build_root_multiset(8, 1, 2 ** 20, 1, method="oracle")
+    # the plain oracle solves per m, so it serves any r
+    assert checked_multiset(8, 1, 10 ** 9 + 7, method="oracle")[0].size > 0
 
 
 def test_difference_oracle_groups_are_memoized_read_only():
