@@ -2,19 +2,25 @@
 
 Fast path: cyclic self-convolution of the root multiset's sparse count
 vector in int64 numpy, in blocks of pair sums, once for E2/F2 and once
-more on the nonzero bins for E4.  Each pair sum is formed as
-lam[a] + (lam[b] - r), which lies in [-r, r) and so fits int64 for every
-r <= 2^63 with no division.  The bins are a dense histogram, indexed by
-these sums directly, only while r is small next to the pair count;
-otherwise they stay sparse and sorted, so neither time nor memory grows
-with r.  The sum of squared bins is one int64 dot whenever
-max(h) * sum(h) < 2^63 certifies it, and Python ints otherwise.  Oracle
-path: repeat each key of build_root_multiset's oracle multiset by its
-count and enumerate every pair sum densely with numpy bincount into r
-bins, so it refuses r > 2^20 before any work.  Both read the multiset
-as sorted int64 (keys, counts) and return exact integers; before either
-runs, the certificate mass^fold < 2^63 (mass = number of roots counted
-with multiplicity) proves that no int64 count or weight can wrap.
+more on the nonzero bins for E4.  Once the pairs outgrow one block, each
+unordered pair is formed once: a row block meets only the columns from
+its own start on, and a column past the block stands for both orders of
+its pair, so its weight is doubled.  A doubled weight is at most the bin
+it lands in, which holds both orders, so it cannot wrap where the bin
+does not.  Each pair sum is formed as lam[a] + (lam[b] - r), which lies
+in [-r, r) and so fits int64 for every r <= 2^63 with no division.  The
+bins are a dense histogram, indexed by these sums directly, only while r
+is small next to the pair count; otherwise they stay sparse and sorted,
+so neither time nor memory grows with r.  The sum of squared bins is
+one int64 dot whenever max(h) * sum(h) < 2^63 certifies it, and Python
+ints otherwise.  Oracle path: repeat each key of build_root_multiset's
+oracle multiset by its count and enumerate every ordered pair sum
+densely with numpy bincount into r bins, so it refuses r > 2^20 before
+any work.  Both read the multiset as sorted int64 (keys, counts) and
+return exact integers; before either runs, the certificate
+mass^fold < 2^63 (mass = number of roots counted with multiplicity)
+bounds every bin, and so every int64 count and weight (doubled ones
+included), so none can wrap.
 """
 
 from __future__ import annotations
@@ -56,7 +62,14 @@ def _self_convolve(lam: np.ndarray, cnt: np.ndarray,
     h[k] = sum of cnt[a] * cnt[b] over lam[a] + lam[b] = keys[k] (mod r), int64.
 
     Exact when every bin fits int64; callers certify that.  lam holds
-    residues in [0, r), r <= 2^63.  Each block's rows are added to
+    residues in [0, r), r <= 2^63.  When one block of rows covers lam,
+    it forms every ordered pair.  Otherwise the row block [i, i + rows)
+    meets only the columns i.., so each unordered pair is formed once:
+    inside the block's own square a pair keeps its weight cnt[a] * cnt[b]
+    (both orders appear there), and a column past the block stands for
+    both orders, so its weight is 2 * cnt[a] * cnt[b].  That doubled
+    weight is at most the bin it lands in, which holds both orders, so no
+    weight wraps where the bins do not.  Each block's rows are added to
     lam - r, so every pair sum s lies in [-r, r) and fits int64; r itself
     is never converted to int64 (2^63 does not fit, -2^63 does).  A dense
     histogram of length r is used only when r is at most _DENSE_BINS and
@@ -69,9 +82,15 @@ def _self_convolve(lam: np.ndarray, cnt: np.ndarray,
     minus_r = np.int64(-r)
     shifted = lam + minus_r
     rows = max(1, _BLOCK // max(1, lam.size))
-    blocks = ((np.add.outer(lam[i:i + rows], shifted).ravel(),
-               np.multiply.outer(cnt[i:i + rows], cnt).ravel())
-              for i in range(0, lam.size, rows))
+    if rows >= lam.size:  # one block of every ordered pair
+        blocks = [(np.add.outer(lam, shifted).ravel(),
+                   np.multiply.outer(cnt, cnt).ravel())] if lam.size else []
+    else:  # each unordered pair once: rows [i, i + rows) meet columns i..
+        twice = cnt << 1
+        blocks = ((np.add.outer(lam[i:i + rows], shifted[i:]).ravel(),
+                   np.multiply.outer(cnt[i:i + rows], np.concatenate(
+                       (cnt[i:i + rows], twice[i + rows:]))).ravel())
+                  for i in range(0, lam.size, rows))
     if r <= min(_DENSE_BINS, max(_BLOCK, lam.size * lam.size)):
         h = np.zeros(r, dtype=np.int64)
         for sums, weights in blocks:

@@ -168,6 +168,46 @@ def test_sparse_bins_match_brute_on_grid(monkeypatch):
                     == energy_f2(R, 1, 2, r, "brute").energy)
 
 
+@pytest.mark.parametrize("dense_bins", [energies._DENSE_BINS, 0])
+@pytest.mark.parametrize("block", [1, 2, 5, 2 ** 62])
+def test_pair_blocks_match_brute_on_criterion_3_subgrid(block, dense_bins,
+                                                        monkeypatch):
+    # blocks of 1, 2 and 5 pair sums split even these tiny tables into
+    # row blocks, each pairing only with the columns from its own start,
+    # with a doubled weight past the block; 2^62 keeps every table in one
+    # block of every ordered pair.  Dense and sparse bins both run.
+    monkeypatch.setattr(energies, "_BLOCK", block)
+    monkeypatch.setattr(energies, "_DENSE_BINS", dense_bins)
+    compared = 0
+    for r in range(1, 31):
+        for j in (1, 2, 3):
+            if math.gcd(j, r) != 1:
+                continue
+            for R in range(1, min(8, r) + 1):
+                reps = [lambda m: energy_e2(R, j, r, m),
+                        lambda m: energy_e4(R, j, r, m)]
+                reps += [lambda m, h=h: energy_f2(R, j, h, r, m) for h in (0, 1, 2)]
+                for rep in reps:
+                    assert rep("conv").energy == rep("brute").energy
+                    compared += 1
+    assert compared == 2275
+
+
+def test_doubled_weight_at_the_certificate_edge(monkeypatch):
+    # with one pair sum per block, {0: a, 1: a} forms the weight 2 a^2 of
+    # the pair (0, 1) past the row block of 0; (2a)^2 < 2^63 still holds,
+    # and at a = 27554 the mass 55108 is the largest fold 4 admits
+    monkeypatch.setattr(energies, "_BLOCK", 1)
+    a = 1518500249
+    assert (2 * a) ** 2 < 2 ** 63
+    assert (_energy_from_multiset(*multiset({0: a, 1: a}), 7, 2, "conv")
+            == 31901471815810146514474952569620744006)  # 6 a^4
+    a = 27554
+    assert (2 * a) ** 4 < 2 ** 63 <= (2 * a + 1) ** 4
+    assert (_energy_from_multiset(*multiset({0: a, 1: a}), 7, 4, "conv")
+            == 23258155648387961713069597867047339520)  # 70 a^8
+
+
 def test_brute_refuses_r_above_its_bins_before_any_work(monkeypatch):
     # 2^20 bins are allowed (2^20 + 1 is 17 * 61681); the refusal comes
     # before factorize, so even r = 2^63 costs nothing

@@ -1,11 +1,14 @@
 """Property tests of the fast energy kernel; skipped without hypothesis."""
 
+from unittest import mock
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from sievelab import energies  # noqa: E402
 from sievelab.energies import _energy_from_multiset  # noqa: E402
 from test_energies import multiset  # noqa: E402
 
@@ -38,6 +41,20 @@ def test_conv_equals_brute_on_sparse_tables(case):
     for fold in (2, 4):
         assert (_energy_from_multiset(*multiset(table), r, fold, "conv")
                 == _energy_from_multiset(*multiset(table), r, fold, "brute"))
+
+
+@given(case=sparse_tables(max_r=400, max_keys=12, max_count=99),
+       block=st.sampled_from([1, 2, 3, 7]))
+@settings(max_examples=60, deadline=None)
+def test_conv_equals_brute_with_small_pair_blocks(case, block):
+    # tiny blocks split every table into row blocks that pair each
+    # unordered pair once; patched in the body, since a function-scoped
+    # monkeypatch is not undone between hypothesis examples
+    r, table = case
+    with mock.patch.object(energies, "_BLOCK", block):
+        for fold in (2, 4):
+            assert (_energy_from_multiset(*multiset(table), r, fold, "conv")
+                    == _energy_from_multiset(*multiset(table), r, fold, "brute"))
 
 
 @given(case=sparse_tables(max_r=400, max_keys=4, max_count=3))
