@@ -26,10 +26,8 @@ from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 import numpy as np
 
 from .arith import eps_q, is_prime, jacobi, mod_inverse
-from .expsums import ExpSumValue, e_frac, unit_phases
+from .expsums import ExpSumValue, unit_phases
 from .sieve import DEFAULT_BUDGET, BudgetExceeded
-
-S4_DIRECT_CAP = 150
 
 
 @dataclass(frozen=True)
@@ -116,32 +114,15 @@ def _pair_sum_table(r: int, j: int, a1: int, a2: int) -> np.ndarray:
     return np.fft.ifft(np.fft.fft(w1) * np.fft.fft(w2))
 
 
-def s4_direct(inp: S4Input, via: str = "pairs") -> ExpSumValue:
+def s4_direct(inp: S4Input) -> ExpSumValue:
     """Literal evaluation of the constrained quadruple exponential sum.
 
     Sum over (k1..k4) mod r with k1 + k2 = k3 + k4 (mod r) of
-    e_r(jbar(h1 k1^2 + h2 k2^2 + h3 k3^2 + h4 k4^2)).
-
-    via "pairs": factor through two pair-sum tables (exact rearrangement,
-    O(r^2) work).  via "loops": the raw triple loop (O(r^3)), capped.
+    e_r(jbar(h1 k1^2 + h2 k2^2 + h3 k3^2 + h4 k4^2)), factored through
+    two pair-sum tables (exact rearrangement, O(r^2) work).
     """
     r, j = inp.r, inp.j
     h1, h2, h3, h4 = inp.h
-    if via == "loops":
-        if r > S4_DIRECT_CAP:
-            raise BudgetExceeded(r ** 3, S4_DIRECT_CAP ** 3)
-        jinv = mod_inverse(j, r)
-        total = 0j
-        for k1 in range(r):
-            for k2 in range(r):
-                for k3 in range(r):
-                    k4 = (k1 + k2 - k3) % r
-                    ph = (h1 * k1 * k1 + h2 * k2 * k2
-                          + h3 * k3 * k3 + h4 * k4 * k4) * jinv
-                    total += e_frac(ph, r)
-        return ExpSumValue(total, r ** 3, r)
-    if via != "pairs":
-        raise ValueError(f"unknown evaluation path {via!r}")
     if r * r > 10 ** 9:
         raise BudgetExceeded(r * r, 10 ** 9)
     t12 = _pair_sum_table(r, j, h1, h2)

@@ -482,32 +482,36 @@ def _residue_roots(v: np.ndarray, fm: FactoredModulus
     return t, k % n
 
 
-def _difference_multiset(R: int, j: int, h: int, fm: FactoredModulus
-                         ) -> Tuple[np.ndarray, np.ndarray]:
-    """The fast difference multiset for R >= _ARRAY_MIN_R, n^2 < 2^63: the
-    2R residues jm and j(m+h) are solved in one _residue_roots pass, each
-    root k of jm is paired with every root kt of j(m+h), and the
-    differences kt - k mod n are counted by np.unique."""
+def _array_multiset(R: int, j: int, h: int | None, fm: FactoredModulus
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+    """The fast multiset for R >= _ARRAY_MIN_R, n^2 < 2^63, from one
+    _residue_roots pass over the residues jm (plain kind) or the 2R
+    residues jm and j(m+h) (difference kind).  Each k is a root of
+    exactly one m, so the plain keys are the sorted roots, each counted
+    once; the difference kind pairs each root k of jm with every root kt
+    of j(m+h) and counts the differences kt - k mod n by np.unique."""
     n = fm.n
     m = np.arange(1, R + 1, dtype=np.int64)
-    v = np.concatenate([m, m + h % n]) % n * (j % n) % n
-    t, k = _residue_roots(v, fm)
+    if h is not None:
+        m = np.concatenate([m, m + h % n])
+    t, k = _residue_roots(m % n * (j % n) % n, fm)
+    if h is None:
+        k.sort()
+        return k, np.ones_like(k)
     split = np.searchsorted(t, R)
     i, it = _matching_pairs(t[:split], t[split:] - R, R)
     keys, counts = np.unique((k[split:][it] - k[i]) % n, return_counts=True)
     return keys, counts.astype(np.int64)
 
 
-#: residues squared per numpy pass of the fast plain multiset (flat memory in r)
-_MULTISET_BLOCK = 1 << 16
-#: smallest R at which the fast difference builder solves its residues in
-#: one numpy pass (_difference_multiset); below it numpy's fixed cost per
-#: call exceeds the per-m solver's memo hits, as on criterion 3's grid
-#: (R <= 8), and the per-m loop runs
+#: smallest R at which the fast builder solves its residues in one numpy
+#: pass (_array_multiset); below it numpy's fixed cost per call exceeds
+#: the per-m solver's memo hits, as on criterion 3's grid (R <= 8), and
+#: the per-m loop runs
 _ARRAY_MIN_R = 32
 #: largest r of the oracles that read _square_groups, whose groups hold
-#: O(r) Python tuples: the difference multiset oracle, energies' brute
-#: method (which also counts its pair sums in r bins, 8 MB of int64) and
+#: O(r) Python tuples: the root multiset oracle, energies' brute method
+#: (which also counts its pair sums in r bins, 8 MB of int64) and
 #: esum_jh's bare form refuse a larger r before any work
 _ORACLE_MAX_R = 1 << 20
 
@@ -532,24 +536,18 @@ def build_root_multiset(
     with count(lam) >= 1, strictly ascending, and counts holds their
     counts; an empty multiset is two empty arrays.
 
-    For the plain kind method "fast" squares every k in [0, r) in blocked
-    numpy passes of at most _MULTISET_BLOCK residues, keeping k (count 1)
-    when m = j^-1 k^2 mod r (with 0 read as r) is at most R; it requires
-    r^2 < 2^63.  Method "oracle" iterates m and calls sqrt_mod_all per
-    value.  The difference kind mirrors this: method "fast" solves, so it
-    serves r far beyond any table, in one of two regimes chosen by size.
-    When R >= _ARRAY_MIN_R and r^2 < 2^63 it solves all 2R residues jm
-    and j(m+h) in one numpy pass (_residue_roots: array Tonelli-Shanks,
-    Hensel and 2-adic lifts per prime power, CRT idempotents), pairs
-    each m's roots with np.repeat and counts the differences with
-    np.unique; otherwise it calls sqrt_mod_all per m.  Method "oracle"
-    squares every k in [0, r), groups k by m = j^-1 k^2 mod r and pairs
-    the k of m with the kt of m + h, with no solver call; it refuses
-    r > _ORACLE_MAX_R before any work, factorization included.  The
-    oracle's groups are memoized per (r, j), most recent key only, so the
-    (R, h) points of one (r, j) square the residues once.  The plain
-    oracle and the per-m difference loop count their residues in a dict
-    and sort the keys once.
+    Both kinds are built the same way.  Method "fast" solves, so it
+    serves r far beyond any table, in one of two regimes chosen by size:
+    when R >= _ARRAY_MIN_R and r^2 < 2^63 it solves every residue jm
+    (and j(m+h)) in one numpy pass (_array_multiset over _residue_roots:
+    array Tonelli-Shanks, Hensel and 2-adic lifts per prime power, CRT
+    idempotents); otherwise it calls sqrt_mod_all per m.  Method
+    "oracle" squares every k in [0, r) and groups k by m = j^-1 k^2 mod r
+    (_square_groups), with no solver call; it refuses r > _ORACLE_MAX_R
+    before any work, factorization included.  The per-m loop of either
+    method takes the roots of each m as they are (plain) or pairs the k
+    of m with the kt of m + h (difference), counts the residues in a
+    dict and sorts the keys once.
     """
     n = r.n if isinstance(r, FactoredModulus) else r
     if not 1 <= R <= n:
@@ -558,51 +556,30 @@ def build_root_multiset(
         raise ValueError("need gcd(j, r) = 1")
     if method not in ("fast", "oracle"):
         raise ValueError(f"unknown method {method!r}")
-    if h is not None and method == "oracle" and n > _ORACLE_MAX_R:
-        raise ValueError(f"r = {n} too large for the difference oracle: it "
-                         "squares every residue mod r, so r must be "
-                         f"<= {_ORACLE_MAX_R}")
+    if method == "oracle" and n > _ORACLE_MAX_R:
+        raise ValueError(f"r = {n} too large for the oracle: it squares "
+                         f"every residue mod r, so r must be <= {_ORACLE_MAX_R}")
     fm = r if isinstance(r, FactoredModulus) else factorize(r)
 
-    if h is None and method == "fast":
-        # every k is a root of exactly one m, so each kept k counts once
-        _require_int64_square(n, "r")
-        jinv = mod_inverse(j, n)
-        kept = []
-        for lo in range(0, n, _MULTISET_BLOCK):
-            k = np.arange(lo, min(lo + _MULTISET_BLOCK, n), dtype=np.int64)
-            m = k * k % n * jinv % n
-            m[m == 0] = n
-            kept.append(k[m <= R])
-        keys = np.concatenate(kept)
-        return keys, np.ones_like(keys)
-    if (h is not None and method == "fast" and R >= _ARRAY_MIN_R
-            and n * n < 2 ** 63):
-        return _difference_multiset(R, j, h, fm)
+    if method == "fast":
+        if R >= _ARRAY_MIN_R and n * n < 2 ** 63:
+            return _array_multiset(R, j, h, fm)
 
-    table: Dict[int, int] = {}
-    if h is None:
-        for m in range(1, R + 1):
-            for k in sqrt_mod_all(j * m % n, fm).roots:
-                table[k] = table.get(k, 0) + 1
+        def roots_of(m: int) -> Sequence[int]:
+            return sqrt_mod_all(j * m % n, fm).roots
     else:
-        if method == "fast":
-            def roots_of(m: int) -> Sequence[int]:
-                return sqrt_mod_all(j * m % n, fm).roots
-        else:
-            groups = _square_groups(n, j % n)
+        groups = _square_groups(n, j % n)
 
-            def roots_of(m: int) -> Sequence[int]:
-                return groups.get(m % n, ())
-        for m in range(1, R + 1):
-            ks = roots_of(m)
-            if not ks:
-                continue
+        def roots_of(m: int) -> Sequence[int]:
+            return groups.get(m % n, ())
+    table: Dict[int, int] = {}
+    for m in range(1, R + 1):
+        lams = roots_of(m)
+        if h is not None and lams:
             kts = roots_of(m + h)
-            for k in ks:
-                for kt in kts:
-                    lam = (kt - k) % n
-                    table[lam] = table.get(lam, 0) + 1
+            lams = [(kt - k) % n for k in lams for kt in kts]
+        for lam in lams:
+            table[lam] = table.get(lam, 0) + 1
     keys = sorted(table)
     return (np.array(keys, dtype=np.int64),
             np.array([table[k] for k in keys], dtype=np.int64))
@@ -612,13 +589,14 @@ def build_root_multiset(
 def _square_groups(n: int, j: int) -> Mapping[int, Tuple[int, ...]]:
     """Every k in [0, n), grouped by m = j^-1 k^2 mod n, ascending in k.
 
-    The squaring side of two oracles: the difference root multiset
-    (build_root_multiset, method "oracle") and the bare root-difference
-    sum (expsums.esum_jh, form "bare"); neither calls the solver.  It
-    depends only on (n, j mod n), so criterion 3's (R, h) points of one
-    (r, j) share it; the memo keeps the most recent key only.  Both
-    oracles refuse n > _ORACLE_MAX_R before they reach it.  The groups are read-only (a mapping proxy over tuples), so
-    no caller can corrupt them.
+    The squaring side of three oracles: the plain and difference root
+    multisets (build_root_multiset, method "oracle") and the bare
+    root-difference sum (expsums.esum_jh, form "bare"); none calls the
+    solver.  It depends only on (n, j mod n), so criterion 3's points of
+    one (r, j), plain and difference alike, share it; the memo keeps the
+    most recent key only.  Every oracle refuses n > _ORACLE_MAX_R before
+    it reaches it.  The groups are read-only (a mapping proxy over
+    tuples), so no caller can corrupt them.
     """
     jinv = mod_inverse(j, n)
     groups: Dict[int, List[int]] = {}

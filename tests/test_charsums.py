@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from sievelab.charsums import (S4_DIRECT_CAP, S4Input, TrigWeight,
-                               cubic_form_charsum, s4_closed, s4_closed_rows,
-                               s4_direct, weighted_energy)
+from sievelab.charsums import (S4Input, TrigWeight, cubic_form_charsum,
+                               s4_closed, s4_closed_rows, s4_direct,
+                               weighted_energy)
 from sievelab.sieve import BudgetExceeded
 
 
@@ -51,20 +51,6 @@ def test_s4_all_zero_h():
         inp = S4Input(1, (0, 0, 0, 0), r)
         assert abs(s4_direct(inp).value - r ** 3) < 1e-9
         assert s4_closed(inp).value == r ** 3
-
-
-def test_s4_pairs_path_matches_loops():
-    for r in (3, 5, 7):
-        for h in ((1, 0, 0, 0), (1, 1, 1, 1), (1, 2, 3, 4)):
-            inp = S4Input(2, h, r)
-            assert abs(s4_direct(inp, via="pairs").value
-                       - s4_direct(inp, via="loops").value) < 1e-9 * r ** 3
-
-
-def test_s4_loops_budget():
-    with pytest.raises(BudgetExceeded) as exc:
-        s4_direct(S4Input(1, (1, 1, 1, 1), 151), via="loops")
-    assert (exc.value.cost, exc.value.budget) == (151 ** 3, S4_DIRECT_CAP ** 3)
 
 
 def test_s4_closed_full_sweep_small():

@@ -106,7 +106,7 @@ def test_kssz_requires_prime():
 
 def test_large_prime_energies_match_literal_counts():
     # every bin lies far apart at r ~ 1e9, so the kernel keeps sparse bins
-    keys, counts = build_root_multiset(8, 1, BIG_PRIME, method="oracle")
+    keys, counts = build_root_multiset(8, 1, BIG_PRIME)
     values = np.repeat(keys, counts).tolist()
     assert (_energy_from_multiset(keys, counts, BIG_PRIME, 2, "conv")
             == brute_e2(8, 1, BIG_PRIME))
@@ -115,6 +115,14 @@ def test_large_prime_energies_match_literal_counts():
     R, j, h = 6, 3, 1
     assert (energy_f2(R, j, h, BIG_PRIME).energy
             == literal_energy(root_differences(R, j, h, BIG_PRIME), BIG_PRIME, 2))
+
+
+def test_e2_serves_r_squared_past_2_63():
+    # the fast plain builder solves per m here; the CLI check of
+    # energy --kind e2 --R 12 --j 1 --r 1000000000039 pins the same 950
+    r = 10 ** 12 + 39
+    roots = [k for m in range(1, 13) for k in sqrt_mod_all(m, r).roots]
+    assert literal_energy(roots, r, 2) == energy_e2(12, 1, r).energy == 950
 
 
 @pytest.mark.parametrize("r", [PRIME_BELOW_2_63, 2 ** 63])
@@ -129,7 +137,7 @@ def test_f2_pair_sums_near_2_63_do_not_wrap(r):
 
 @pytest.mark.parametrize("r", [PRIME_BELOW_2_63, 2 ** 63])
 def test_tables_near_2_63_do_not_wrap(r):
-    # both convolutions see keys near r; the plain builders refuse such r
+    # both convolutions see keys near r
     table = {r - 1: 2, r - 2: 1, r // 2: 3, r // 3: 1, 5: 2}
     values = [lam for lam, c in table.items() for _ in range(c)]
     for fold in (2, 4):

@@ -9,10 +9,9 @@ cannot route an oracle through the path it checks.  The pairs:
 - energies: conv self-convolves (_self_convolve) and sums the squared bins
   with a certified int64 dot (_square_sum), brute enumerates every pair
   sum (_dense_pair_hist);
-- root multisets: the plain fast builder and the difference oracle square
-  every residue, the plain oracle and the difference fast builder solve:
-  sqrt_mod_all per m, or, for the difference kind at R >= _ARRAY_MIN_R,
-  the array solver sqrtmod._residue_roots;
+- root multisets: for both kinds the oracle squares every residue
+  (sqrtmod._square_groups) and the fast builder solves: sqrt_mod_all per
+  m, or, at R >= _ARRAY_MIN_R, the array solver sqrtmod._residue_roots;
 - root-difference sums: the bare oracle squares every residue
   (sqrtmod._square_groups), the paired fast path reads the bulk root table
   built by root_pairs; neither calls the solver sqrt_mod_all;
@@ -77,8 +76,6 @@ ORACLES = {
     "s4_closed": lambda: s4_closed(S4Input(2, (1, 2, 3, 4), 7)),
     "s4_closed_rows": lambda: list(s4_closed_rows(2, 7, [(1, 2, 3, 4),
                                                          (0, 5, -1, 9)])),
-    "s4_direct loops": lambda: s4_direct(S4Input(2, (1, 2, 3, 4), 7),
-                                         via="loops"),
     "gcal literal": lambda: gcal_literal(45, 1, 2, 1, 3, 4, 2),
     "rational literal": lambda: rational_literal((1, 0, 1), (0, 1), 13),
 }
@@ -90,8 +87,7 @@ FAST_PATHS = {
     "rational_expsum": lambda: rational_expsum(
         RationalFunctionModP((1, 0, 1), (0, 1), 13)),
     "ls_lhs": lambda: ls_lhs(SieveInstance(0, np.ones(8), 3)),
-    "s4_direct pairs": lambda: s4_direct(S4Input(2, (1, 2, 3, 4), 7),
-                                         via="pairs"),
+    "s4_direct pairs": lambda: s4_direct(S4Input(2, (1, 2, 3, 4), 7)),
 }
 
 
@@ -142,21 +138,19 @@ def _multiset(kind, method):
     return sqrtmod.build_root_multiset(8, 2, 21, h, method=method)
 
 
-@pytest.mark.parametrize("kind, method", [("plain", "fast"),
-                                          ("difference", "oracle")])
-def test_squaring_builder_does_not_use_the_solver(kind, method, no_solver):
-    keys, _ = _multiset(kind, method)
+@pytest.mark.parametrize("kind", ["plain", "difference"])
+def test_squaring_builder_does_not_use_the_solver(kind, no_solver):
+    keys, _ = _multiset(kind, "oracle")
     assert keys.size > 0
 
 
-@pytest.mark.parametrize("kind, method", [("plain", "oracle"),
-                                          ("difference", "fast")])
-def test_solver_builder_uses_the_solver(kind, method, no_solver, monkeypatch):
-    # both regimes of the difference fast builder: per m and one array pass
+@pytest.mark.parametrize("kind", ["plain", "difference"])
+def test_solver_builder_uses_the_solver(kind, no_solver, monkeypatch):
+    # both regimes of the fast builder: per m and one array pass
     for threshold in (sys.maxsize, 0):
         monkeypatch.setattr(sqrtmod, "_ARRAY_MIN_R", threshold)
         with pytest.raises(KernelCalled):
-            _multiset(kind, method)
+            _multiset(kind, "fast")
 
 
 def test_bare_esum_does_not_use_the_solver_or_the_root_table(no_solver):

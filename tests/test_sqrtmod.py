@@ -320,29 +320,16 @@ def test_build_root_multiset_plain_methods_agree():
         assert keys.size == 0
 
 
-@pytest.mark.parametrize("r", [2 ** 16 - 1, 2 ** 16 + 1, 3 * 2 ** 16 + 5, 200003])
-def test_build_root_multiset_plain_blocks(r):
-    # moduli on either side of one and of three numpy blocks (2^16 residues);
-    # r = 200003 runs only at R = 1 to keep the oracle cheap
-    assert sqrtmod._MULTISET_BLOCK == 2 ** 16
-    oracles = {}
-    for R in ((1,) if r == 200003 else (1, r // 2, r)):
-        for j in (1, 2):  # 2 is a unit: every r here is odd
-            # at R = r every residue is counted whatever j is
-            key = (R, j if R < r else 1)
-            if key not in oracles:
-                oracles[key] = checked_multiset(R, key[1], r, method="oracle")
-            fast = checked_multiset(R, j, r, method="fast")
-            assert same_multiset(fast, oracles[key]), (R, j)
-
-
-def test_build_root_multiset_plain_refuses_int64_overflow(monkeypatch):
-    def no_arrays(*args, **kwargs):
-        raise AssertionError("allocated before the int64 check")
-
-    monkeypatch.setattr(np, "arange", no_arrays)
-    with pytest.raises(ValueError, match="2\\^63"):
-        build_root_multiset(1, 1, 3037000500, method="fast")
+@pytest.mark.parametrize("r", [3037000500, 10 ** 12 + 39])
+def test_build_root_multiset_plain_serves_r_squared_past_2_63(r):
+    # r^2 >= 2^63, so the fast builder solves per m even at R >= _ARRAY_MIN_R
+    R, j = 40, 7
+    keys, counts = checked_multiset(R, j, r)
+    jinv = pow(j, -1, r)
+    assert all(1 <= k * k * jinv % r <= R for k in keys.tolist())
+    assert np.all(counts == 1)
+    assert keys.size == sum(len(sqrt_mod_all(j * m, r)) for m in range(1, R + 1))
+    assert keys.size > 0
 
 
 def test_build_root_multiset_plain_mass():
@@ -391,9 +378,9 @@ def test_build_root_multiset_difference_methods_agree():
 
 
 @pytest.fixture(params=["array", "loop"])
-def difference_regime(request, monkeypatch):
-    """Force the fast difference builder into one regime, with the other
-    regime's solver patched to raise, so the regime under test runs."""
+def fast_regime(request, monkeypatch):
+    """Force the fast builder, of either kind, into one regime, with the
+    other regime's solver patched to raise, so the regime under test runs."""
     def other_regime(*args, **kwargs):
         raise AssertionError("ran the other regime")
 
@@ -405,14 +392,15 @@ def difference_regime(request, monkeypatch):
         monkeypatch.setattr(sqrtmod, "_residue_roots", other_regime)
 
 
-def test_difference_regimes_match_the_oracle_on_criterion_3(difference_regime):
-    # a seeded slice of criterion 3's grid: r <= 60, a unit j, R <= 8
+def test_difference_regimes_match_the_oracle_on_criterion_3(fast_regime):
+    # a seeded slice of criterion 3's grid: r <= 60, a unit j, R <= 8, and
+    # both kinds (h None is the plain kind)
     rng = np.random.default_rng(3)
     for r in sorted(rng.choice(np.arange(1, 61), 24, replace=False).tolist()):
         units = [j for j in range(1, r + 1) if np.gcd(j, r) == 1]
         j = units[int(rng.integers(len(units)))]
         for R in {1, min(int(rng.integers(2, 9)), r), min(8, r)}:
-            for h in (0, 1, 2, -5, r + 3):
+            for h in (None, 0, 1, 2, -5, r + 3):
                 fast = checked_multiset(R, j, r, h=h)
                 oracle = checked_multiset(R, j, r, h=h, method="oracle")
                 assert same_multiset(fast, oracle), (r, j, R, h)
@@ -422,29 +410,32 @@ def test_difference_regimes_match_the_oracle_on_criterion_3(difference_regime):
     99991, 11 * 5381, 3 * 101 * 241,  # omega = 1, 2, 3
     2 ** 6 * 1499, 2 ** 4 * 7 * 857,  # 2-power cofactors
     3 ** 12, 7 ** 7,  # the non-unit residues of R = 600 have many roots
+    2 ** 16 + 1,  # R = 1, r // 2 and r: at R = r every residue is counted
 ])
-def test_difference_regimes_match_the_oracle_at_R_600(r, difference_regime):
-    for j, h in ((1, 1), (5, -5)):
-        fast = checked_multiset(600, j, r, h=h)
-        oracle = checked_multiset(600, j, r, h=h, method="oracle")
-        assert same_multiset(fast, oracle), (j, h)
+def test_difference_regimes_match_the_oracle_at_R_600(r, fast_regime):
+    # both kinds: h None is the plain kind
+    for R in ((1, r // 2, r) if r == 2 ** 16 + 1 else (600,)):
+        for j, h in ((1, None), (1, 1), (5, None), (5, -5)):
+            fast = checked_multiset(R, j, r, h=h)
+            oracle = checked_multiset(R, j, r, h=h, method="oracle")
+            assert same_multiset(fast, oracle), (R, j, h)
 
 
 def test_difference_oracle_refuses_a_huge_modulus_before_any_work(monkeypatch):
+    # both kinds: h None is the plain kind
     def no_work(*args):
         raise AssertionError("worked before the size check")
 
     monkeypatch.setattr(sqrtmod, "_square_groups", no_work)
-    with monkeypatch.context() as before_factorizing:
-        before_factorizing.setattr(sqrtmod, "factorize", no_work)
-        for r in (2 ** 20 + 1, 2 ** 63):
-            with pytest.raises(ValueError, match="r must be <= 1048576"):
-                build_root_multiset(8, 1, r, 1, method="oracle")
-    # r = 2^20 itself passes the bound and reaches the table
-    with pytest.raises(AssertionError, match="worked before"):
-        build_root_multiset(8, 1, 2 ** 20, 1, method="oracle")
-    # the plain oracle solves per m, so it serves any r
-    assert checked_multiset(8, 1, 10 ** 9 + 7, method="oracle")[0].size > 0
+    for h in (None, 1):
+        with monkeypatch.context() as before_factorizing:
+            before_factorizing.setattr(sqrtmod, "factorize", no_work)
+            for r in (2 ** 20 + 1, 2 ** 63):
+                with pytest.raises(ValueError, match="r must be <= 1048576"):
+                    build_root_multiset(8, 1, r, h, method="oracle")
+        # r = 2^20 itself passes the bound and reaches the table
+        with pytest.raises(AssertionError, match="worked before"):
+            build_root_multiset(8, 1, 2 ** 20, h, method="oracle")
 
 
 def test_difference_oracle_groups_are_memoized_read_only():
