@@ -1,12 +1,14 @@
 """Complete sets of square roots of m modulo r, for arbitrary composite r.
 
 A "square root of m mod r" means every k in [0, r) with k^2 = m (mod r).
-Prime-power moduli are handled by one fixed-schedule Tonelli-Shanks, for
-a Python int and over a numpy array, plus Hensel lifting (explicit case
-analysis at p = 2); composite moduli by CRT recombination of the
-prime-power root sets with the idempotents FactoredModulus.crt_idempotents,
-in the scalar solver, the array solver of many residues and the bulk root
-tables alike.
+Prime powers p^a have two solvers on one schedule: _sqrt_mod_prime_power
+for one Python int, and _prime_power_residue_roots for every residue of a
+numpy array at once.  Both solve the unit part w of m = w p^beta (beta
+even) by a fixed-schedule Tonelli-Shanks and Hensel lifting (explicit case
+analysis at p = 2) and scale its roots by p^(beta/2).  The array solver
+builds the bulk root tables (root_pairs) and the root multisets' array
+pass (_residue_roots) alike.  Composite moduli recombine the prime-power
+roots by CRT with the idempotents FactoredModulus.crt_idempotents.
 """
 
 from __future__ import annotations
@@ -212,7 +214,8 @@ def _sqrt_mod_all(m: int, fm: FactoredModulus) -> RootSet:
 def root_pairs(r: int | FactoredModulus) -> np.ndarray:
     """All (m, k) with k^2 = m (mod r), as an (r, 2) int64 array sorted by (m, k).
 
-    Built from the prime-power solver plus a vectorized CRT, i.e. the same
+    Built from the prime-power tables of _prime_power_pairs (the array
+    solver over every residue) plus a vectorized CRT, i.e. the same
     pipeline as sqrt_mod_all but amortized over every m.  The prime-power
     pairs are recombined with the CRT idempotents e_i of
     FactoredModulus.crt_idempotents: each factor's residues are scaled by e_i
@@ -291,7 +294,8 @@ def _vec_pow_mod(base: np.ndarray, e: int, p: int) -> np.ndarray:
 
 
 def _vec_unit_root_mod_prime(m: np.ndarray, p: int) -> np.ndarray:
-    """One root for each unit entry of m mod odd prime p, -1 for non-residues.
+    """One root of each entry of m mod odd prime p, -1 for non-residues
+    and multiples of p.
 
     The schedule of _unit_root_mod_prime over an array: c is one Python
     int per step, and only the x, t update is masked.
@@ -344,42 +348,15 @@ def _two_adic_roots(m: np.ndarray, gamma: int) -> np.ndarray:
     return np.concatenate([x, pg - x, (x + half) % pg, (half - x) % pg])
 
 
-def _unit_root_pairs(p: int, gamma: int,
-                     dtype: type) -> Tuple[np.ndarray, np.ndarray]:
-    """(m, x) for every unit m mod p^gamma and every root x of m, unsorted.
-
-    Odd p: the roots mod p from _vec_unit_root_mod_prime, lifted by
-    _hensel_roots to every unit m = u + s p above each square u.  p = 2:
-    m = 1 mod 2 and m = 1 mod 4 by hand, else _two_adic_roots of every
-    m = 1 mod 8.
-    """
-    if p == 2:
-        if gamma == 1:
-            return np.array([1], dtype=dtype), np.array([1], dtype=dtype)
-        if gamma == 2:
-            return np.array([1, 1], dtype=dtype), np.array([1, 3], dtype=dtype)
-        m = np.arange(1, 1 << gamma, 8, dtype=dtype)
-        return np.tile(m, 4), _two_adic_roots(m, gamma)
-    units = np.arange(1, p, dtype=dtype)
-    x = _vec_unit_root_mod_prime(units, p)
-    m = units[x >= 0]
-    x = x[x >= 0]
-    lifts = p ** (gamma - 1)
-    m = (m[:, None] + np.arange(lifts, dtype=dtype) * p).ravel()
-    return np.tile(m, 2), _hensel_roots(m, np.repeat(x, lifts), p, gamma)
-
-
 def _prime_power_pairs(p: int, a: int) -> Tuple[np.ndarray, np.ndarray]:
     """Every (m, k) with k^2 = m (mod p^a), sorted by (m, k).
 
-    The roots follow _sqrt_mod_prime_power, for every m at once: m = 0
-    has the roots t p^ceil(a/2), and m = m1 p^beta (m1 a unit, beta even,
-    gamma = a - beta) has p^(beta/2) (x + t p^gamma) for every root x of
-    m1 mod p^gamma (_unit_root_pairs) and 0 <= t < p^(beta/2).  No
-    table is built by squaring every residue: that is how criterion 1
-    checks it.
-    Tables are built straight into int32 when (p^a)^2 < 2^31, else into
-    int64; those with p^a <= _PP_CACHE_MAX are cached.
+    The array solver _prime_power_residue_roots solves every m in
+    [0, p^a) at once, and the (m, k) pairs are sorted as one key m p^a + k.
+    No table is built by squaring every residue: that is how criterion 1
+    checks it.  Tables are built straight into int32 when
+    (p^a)^2 < 2^31, else into int64; those with p^a <= _PP_CACHE_MAX are
+    cached.
     """
     key = (p, a)
     hit = _PP_PAIR_CACHE.get(key)
@@ -390,21 +367,68 @@ def _prime_power_pairs(p: int, a: int) -> Tuple[np.ndarray, np.ndarray]:
     # every k is a root of one m, so the table has q rows; allocating it
     # before the temporaries leaves their freed memory above it
     table = np.empty((2, q), dtype=dtype)
-    ms = [np.zeros(p ** (a // 2), dtype=dtype)]
-    ks = [np.arange(0, q, p ** ((a + 1) // 2), dtype=dtype)]
-    for beta in range(0, a, 2):
-        gamma = a - beta
-        half = p ** (beta // 2)
-        m1, x = _unit_root_pairs(p, gamma, dtype)
-        ms.append(np.repeat(m1 * p ** beta, half))
-        ks.append((half * (x[:, None] + np.arange(half, dtype=dtype)
-                           * p ** gamma)).ravel())
-    keys = np.concatenate(ms) * q + np.concatenate(ks)
+    ms, ks = _prime_power_residue_roots(np.arange(q, dtype=dtype), p, a)
+    keys = ms.astype(dtype, copy=False) * q + ks
     keys.sort()
     out = np.divmod(keys, q, out=(table[0], table[1]))
     if q <= _PP_CACHE_MAX:
         _PP_PAIR_CACHE[key] = out
     return out
+
+
+def _unit_residue_roots(w: np.ndarray, p: int,
+                        gamma: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(i, x) for every root x mod p^gamma of every unit w[i], for w in
+    [0, p^gamma); the non-units of w get no roots here.
+
+    Odd p: _vec_unit_root_mod_prime, which reads every multiple of p as a
+    non-residue, and _hensel_roots.  p = 2: 1 is the root of every unit
+    mod 2 and 1, 3 are those of 1 mod 4; above, _two_adic_roots of every
+    w = 1 mod 8.
+    """
+    if p != 2:
+        # a w longer than p reads its roots mod p from a table of all p
+        u = w % p
+        x = (_vec_unit_root_mod_prime(np.arange(p, dtype=w.dtype), p)[u]
+             if w.size > p else _vec_unit_root_mod_prime(u, p))
+        i = np.flatnonzero(x >= 0)
+        return np.tile(i, 2), _hensel_roots(w[i], x[i], p, gamma)
+    if gamma >= 3:
+        i = np.flatnonzero(w % 8 == 1)
+        return np.tile(i, 4), _two_adic_roots(w[i], gamma)
+    i = np.flatnonzero(w % (1 << gamma) == 1)
+    return np.tile(i, gamma), np.repeat(
+        np.arange(1, 1 << gamma, 2, dtype=w.dtype), i.size)
+
+
+def _prime_power_residue_roots(v: np.ndarray, p: int,
+                               a: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(t, k) for every root k mod p^a of every v[t] in [0, p^a), unordered:
+    the array analogue of _sqrt_mod_prime_power, and the one numpy solver
+    of prime powers.  k has v's dtype, which must hold (p^a)^2: int32 for
+    the small tables, else int64.
+
+    v = w p^beta, w a unit and beta even, has the roots
+    p^(beta/2) x + s p^(a-beta/2) for every root x of w mod p^(a-beta)
+    (_unit_residue_roots) and 0 <= s < p^(beta/2).  Each pass over beta
+    divides the residues that p^2 divides by p^2, so an odd beta drops
+    out, and what is left at the end is v = 0, with the roots s p^ceil(a/2).
+    """
+    q = p ** a
+    t, w = np.arange(v.size), v
+    ts, ks = [], []
+    for beta in range(0, a, 2):
+        half = p ** (beta // 2)
+        i, x = _unit_residue_roots(w, p, a - beta)
+        ts.append(np.repeat(t[i], half))
+        ks.append((half * x[:, None] + np.arange(0, q, q // half,
+                                                 dtype=v.dtype)).ravel())
+        deeper = np.flatnonzero(w % (p * p) == 0)
+        t, w = t[deeper], w[deeper] // (p * p)
+    step = p ** ((a + 1) // 2)
+    ts.append(np.repeat(t, q // step))
+    ks.append(np.tile(np.arange(0, q, step, dtype=v.dtype), t.size))
+    return np.concatenate(ts), np.concatenate(ks)
 
 
 def _matching_pairs(ta: np.ndarray, tb: np.ndarray,
@@ -421,64 +445,27 @@ def _matching_pairs(ta: np.ndarray, tb: np.ndarray,
             np.repeat(starts - ends + reps, reps) + np.arange(total))
 
 
-def _prime_power_residue_roots(v: np.ndarray, p: int,
-                               a: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(t, k) for every root k mod p^a of every v[t] in [0, p^a), ordered
-    by t: the int64 array analogue of _sqrt_mod_prime_power.
-
-    Unit residues run through _vec_unit_root_mod_prime and _hensel_roots
-    (odd p) or _two_adic_roots (p = 2) all at once.  Each distinct
-    non-unit residue, one of at most p^(a-1), is solved once by the
-    scalar _sqrt_mod_prime_power.
-    """
-    q = p ** a
-    unit = v % p != 0
-    t, m = np.flatnonzero(unit), v[unit]
-    if p != 2:
-        x = _vec_unit_root_mod_prime(m % p, p)
-        square = x >= 0
-        t, k = np.tile(t[square], 2), _hensel_roots(m[square], x[square], p, a)
-    elif a >= 3:
-        square = m % 8 == 1
-        t, k = np.tile(t[square], 4), _two_adic_roots(m[square], a)
-    else:
-        # 1 is the root of every unit mod 2, and 1, 3 are those of 1 mod 4
-        square = m % q == 1
-        t, k = np.tile(t[square], a), np.repeat(np.arange(1, q, 2),
-                                                 np.count_nonzero(square))
-    rest = np.flatnonzero(~unit)
-    if rest.size:
-        values, which = np.unique(v[rest], return_inverse=True)
-        tables = [_sqrt_mod_prime_power(u, p, a) for u in values.tolist()]
-        owner = np.repeat(np.arange(values.size),
-                          [len(roots) for roots in tables])
-        flat = np.array([root for roots in tables for root in roots],
-                        dtype=np.int64)
-        i, ib = _matching_pairs(which, owner, values.size)
-        t, k = np.concatenate([t, rest[i]]), np.concatenate([k, flat[ib]])
-    order = np.argsort(t, kind="stable")
-    return t[order], k[order]
-
-
 def _residue_roots(v: np.ndarray, fm: FactoredModulus
                    ) -> Tuple[np.ndarray, np.ndarray]:
     """(t, k) for every root k mod n of every residue v[t] in [0, n),
     ordered by t: sqrt_mod_all over an int64 array, n^2 < 2^63.
 
-    Each prime power q_i of n contributes the roots of v mod q_i
-    (_prime_power_residue_roots) scaled by its CRT idempotent e_i, and
-    each (t, partial root) pair is matched with every root of v[t] mod
-    q_i; a residue with no root mod some q_i drops out.  Each scaled root is
-    below n, so the running sums stay below omega(n) n < n^2 until the
-    final reduction.
+    Each prime power q_i of n contributes the roots of v mod q_i from the
+    array solver _prime_power_residue_roots, sorted stably by t for
+    _matching_pairs, and scaled by its CRT idempotent e_i; each
+    (t, partial root) pair is matched with every root of v[t] mod q_i,
+    so a residue with no root mod some q_i drops out.  Each scaled root
+    is below n, so the running sums stay below omega(n) n < n^2 until
+    the final reduction.
     """
     n = fm.n
     t = np.arange(v.size)
     k = np.zeros(v.size, dtype=np.int64)
     for (p, a), e in zip(fm.factors, fm.crt_idempotents):
         tq, kq = _prime_power_residue_roots(v % p ** a, p, a)
-        i, iq = _matching_pairs(t, tq, v.size)
-        t, k = t[i], k[i] + (kq * e % n)[iq]
+        order = np.argsort(tq, kind="stable")
+        i, iq = _matching_pairs(t, tq[order], v.size)
+        t, k = t[i], k[i] + (kq * e % n)[order[iq]]
     return t, k % n
 
 

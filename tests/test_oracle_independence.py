@@ -15,6 +15,9 @@ cannot route an oracle through the path it checks.  The pairs:
 - root-difference sums: the bare oracle squares every residue
   (sqrtmod._square_groups), the paired fast path reads the bulk root table
   built by root_pairs; neither calls the solver sqrt_mod_all;
+- the bulk root tables and the array solver share one prime-power solver,
+  sqrtmod._prime_power_residue_roots; the squaring oracles above run with
+  it patched too, so none reaches it through a table;
 - 32-bit residue kernels: the fast tables and sums choose their dtype by
   sqrtmod._fits_int32_square, which no oracle consults.
 """
@@ -68,6 +71,8 @@ def no_solver(monkeypatch):
     _patch_everywhere(monkeypatch, sqrtmod, "root_pairs")
     assert _patch_everywhere(monkeypatch, sqrtmod,
                              "_residue_roots") == {"sievelab.sqrtmod"}
+    assert _patch_everywhere(monkeypatch, sqrtmod,
+                             "_prime_power_residue_roots") == {"sievelab.sqrtmod"}
 
 
 ORACLES = {

@@ -251,7 +251,7 @@ PP_TABLES_SHA256 = ("45541a75a5eafc4a4ddaeb604048f598"
 
 
 def test_prime_power_tables_equal_the_loop_built_ones(monkeypatch):
-    # the Hensel-lifted tables, built cold: int32 for q^2 < 2^31 and
+    # the array solver's tables, built cold: int32 for q^2 < 2^31 and
     # cached for q <= 5000 only, int64 and uncached beyond (3^10, 2^16)
     monkeypatch.setattr(sqrtmod, "_PP_PAIR_CACHE", {})
     digest = hashlib.sha256()
@@ -287,6 +287,42 @@ def test_root_pairs_tonelli_prime():
     rp = root_pairs(p)
     assert np.all((rp[:, 1] * rp[:, 1] - rp[:, 0]) % p == 0)
     assert np.all(np.bincount(rp[:, 1], minlength=p) == 1)
+
+
+def solver_root_sets(v, p, a):
+    """_prime_power_residue_roots(v, p, a) grouped by t: one sorted tuple
+    of roots per entry of v, after checking the output's shape and dtype."""
+    t, k = sqrtmod._prime_power_residue_roots(v, p, a)
+    assert t.shape == k.shape and k.dtype == v.dtype
+    groups = [[] for _ in range(v.size)]
+    for ti, ki in zip(t.tolist(), k.tolist()):
+        groups[ti].append(ki)
+    return [tuple(sorted(roots)) for roots in groups]
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_prime_power_array_solver_matches_the_scalar_one(dtype):
+    # the one array solver behind the root tables and the multisets' array
+    # pass, root set by root set: every residue of small p^a (int32 holds
+    # them, as in the tables, since q^2 < 2^31), then seeded residues of
+    # every valuation beta and v = 0 in int64, in shuffled order, where
+    # the roots p^(beta/2) x + s p^(a - beta/2) of even beta are many
+    for p, a in ((2, 1), (2, 2), (2, 3), (3, 5), (5, 4), (7, 3), (2, 11),
+                 (9973, 1)):
+        v = np.arange(p ** a, dtype=dtype)
+        want = [sqrtmod._sqrt_mod_prime_power(m, p, a) for m in range(p ** a)]
+        assert solver_root_sets(v, p, a) == want, (p, a)
+    if dtype is np.int32:
+        return
+    rng = np.random.default_rng(22)
+    for p, a in ((2, 20), (3, 12), (7, 7)):
+        v = [0]
+        for beta in range(a):
+            v += [int(w) * p ** beta
+                  for w in rng.integers(1, p ** (a - beta), 12) if w % p]
+        v = rng.permutation(np.array(v, dtype=dtype))
+        want = [sqrtmod._sqrt_mod_prime_power(m, p, a) for m in v.tolist()]
+        assert solver_root_sets(v, p, a) == want, (p, a)
 
 
 def checked_multiset(R, j, r, h=None, method="fast"):
@@ -392,7 +428,8 @@ def fast_regime(request, monkeypatch):
         monkeypatch.setattr(sqrtmod, "_residue_roots", other_regime)
 
 
-def test_difference_regimes_match_the_oracle_on_criterion_3(fast_regime):
+def test_fast_regimes_of_both_kinds_match_the_oracle_on_criterion_3(
+        fast_regime):
     # a seeded slice of criterion 3's grid: r <= 60, a unit j, R <= 8, and
     # both kinds (h None is the plain kind)
     rng = np.random.default_rng(3)
@@ -413,7 +450,8 @@ def test_difference_regimes_match_the_oracle_on_criterion_3(fast_regime):
     2 ** 16 + 1,  # R = 1, r // 2 and r: at R = r every residue is counted
 ])
 def test_difference_regimes_match_the_oracle_at_R_600(r, fast_regime):
-    # both kinds: h None is the plain kind
+    """Both kinds (h None is the plain kind) in both fast regimes at
+    R = 600, and at 2^16 + 1 at R = 1, r // 2 and r instead."""
     for R in ((1, r // 2, r) if r == 2 ** 16 + 1 else (600,)):
         for j, h in ((1, None), (1, 1), (5, None), (5, -5)):
             fast = checked_multiset(R, j, r, h=h)
@@ -421,8 +459,9 @@ def test_difference_regimes_match_the_oracle_at_R_600(r, fast_regime):
             assert same_multiset(fast, oracle), (R, j, h)
 
 
-def test_difference_oracle_refuses_a_huge_modulus_before_any_work(monkeypatch):
-    # both kinds: h None is the plain kind
+def test_multiset_oracle_of_both_kinds_refuses_a_huge_modulus_before_any_work(
+        monkeypatch):
+    # h None is the plain kind
     def no_work(*args):
         raise AssertionError("worked before the size check")
 
