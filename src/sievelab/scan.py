@@ -1,14 +1,14 @@
-"""Parameter-grid scan driver with deterministic ordering and lossless
-CSV/JSON persistence.
+"""Parameter-grid scan driver with deterministic ordering and
+byte-identical CSV/JSON output.
 
 SCAN_PARAMETERS is the one table of each operation's grid parameters and
 of how their values are written; parse_grid reads the command-line form
 from it, and ScanSpec refuses a grid that lacks a parameter its operation
-reads or names one it does not."""
+reads or names one it does not.  records_to_csv and records_to_json
+write scan files; nothing here reads them back."""
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 from dataclasses import dataclass
@@ -49,7 +49,6 @@ class ResultRecord:
     operation: str
     parameters: Dict[str, object]
     outputs: Dict[str, object]
-    version: str = __version__
 
 
 def _op_e2(p):
@@ -137,20 +136,18 @@ SCAN_PARAMETERS: Dict[str, Dict[str, Callable]] = {
     "px": {"x": parse_rational, "Q": int, "N": int},
 }
 
-_COEFFICIENT_PARAMETERS = {k for params in SCAN_PARAMETERS.values()
-                           for k, parse in params.items()
-                           if parse is parse_coefficients}
-
-
 def parse_grid(op: str, items: Sequence[str]) -> Dict[str, list]:
     """The grid of op from NAME=v1,v2,... items, or NAME=START:STOP[:STEP]
-    (STOP included) for an int parameter.  A name op does not read keeps
-    its text unparsed, for ScanSpec to refuse by name."""
+    (STOP included, STEP > 0) for an int parameter.  A name op does not
+    read keeps its text unparsed, for ScanSpec to refuse by name; a name
+    given twice is refused here."""
     grid: Dict[str, list] = {}
     for item in items:
         name, _, spec = item.partition("=")
         if not spec:
             raise ValueError(f"--param {item!r} is not NAME=VALUES")
+        if name in grid:
+            raise ValueError(f"--param {name} is given more than once")
         parse = SCAN_PARAMETERS[op].get(name)
         parts = spec.split(":")
         if parse is None:
@@ -160,9 +157,14 @@ def parse_grid(op: str, items: Sequence[str]) -> Dict[str, list]:
         elif parse is not int:
             raise ValueError(f"--param {name} has no range form; only int "
                              "parameters do")
+        elif len(parts) > 3:
+            raise ValueError(f"--param {item!r} is not NAME=START:STOP[:STEP]")
         else:
             start, stop = int(parts[0]), int(parts[1])
             step = int(parts[2]) if len(parts) > 2 else 1
+            if step <= 0:
+                raise ValueError(f"--param {name} has STEP {step}; "
+                                 "it must be positive")
             grid[name] = list(range(start, stop + 1, step))
     return grid
 
@@ -208,52 +210,13 @@ def _encode_value(v) -> str:
         return format(v, ".17g")
     if isinstance(v, Fraction):
         return f"{v.numerator}/{v.denominator}"
-    if isinstance(v, complex):
-        return f"{format(v.real, '.17g')}+{format(v.imag, '.17g')}i"
     if isinstance(v, tuple):
         return ";".join(str(c) for c in v)
     return str(v)
 
 
-def _decode_value(s: str):
-    if s == "":
-        return None
-    if s in ("true", "false"):
-        return s == "true"
-    try:
-        return int(s)
-    except ValueError:
-        pass
-    if "/" in s and s.endswith(tuple("0123456789")):
-        try:
-            num, den = s.split("/")
-            return Fraction(int(num), int(den))
-        except ValueError:
-            pass
-    if s.endswith("i"):
-        try:
-            body = s[:-1]
-            cut = max(body.rfind("+", 1), body.rfind("-", 1))
-            return complex(float(body[:cut]), float(body[cut:]))
-        except ValueError:
-            pass
-    try:
-        return float(s)
-    except ValueError:
-        return s
-
-
-def _decode_param(name: str, v):
-    """The value v of column name: a coefficient tuple for the
-    parameters SCAN_PARAMETERS parses with parse_coefficients and the
-    summary's argmax_ of them, else as _decode_value reads it."""
-    if name.removeprefix("argmax_") in _COEFFICIENT_PARAMETERS:
-        return parse_coefficients(v)
-    return _decode_value(v) if isinstance(v, str) else v
-
-
 def records_to_csv(records: Sequence[ResultRecord]) -> str:
-    """Serialize records to CSV.  A fixed (spec, version) yields
+    """Serialize records to CSV.  A fixed (spec, __version__) yields
     byte-identical files across runs."""
     pkeys = sorted({k for r in records for k in r.parameters})
     okeys = sorted({k for r in records for k in r.outputs})
@@ -266,51 +229,19 @@ def records_to_csv(records: Sequence[ResultRecord]) -> str:
                   for k in pkeys]
         cells += [_encode_value(r.outputs[k]) if k in r.outputs else ""
                   for k in okeys]
-        cells.append(r.version)
+        cells.append(__version__)
         rows.append(",".join(cells))
     return "\n".join(rows) + "\n"
-
-
-def records_from_csv(text: str) -> List[ResultRecord]:
-    lines = [row for row in csv.reader(text.splitlines()) if row]
-    header = lines[0]
-    out: List[ResultRecord] = []
-    for row in lines[1:]:
-        params: Dict[str, object] = {}
-        outputs: Dict[str, object] = {}
-        rec = {"operation": "", "version": ""}
-        for col, cell in zip(header, row):
-            if col == "operation":
-                rec["operation"] = cell
-            elif col == "version":
-                rec["version"] = cell
-            elif col.startswith("param_") and cell != "":
-                params[col[6:]] = _decode_param(col[6:], cell)
-            elif col.startswith("out_") and cell != "":
-                outputs[col[4:]] = _decode_param(col[4:], cell)
-        out.append(ResultRecord(rec["operation"], params, outputs,
-                                rec["version"]))
-    return out
 
 
 def records_to_json(records: Sequence[ResultRecord]) -> str:
     """Serialize records to JSON, byte-identical as records_to_csv is."""
     def enc(d):
         return {k: _encode_value(v)
-                if isinstance(v, (float, Fraction, complex, bool, tuple))
+                if isinstance(v, (float, Fraction, bool, tuple))
                 else v for k, v in d.items()}
 
     payload = [{"operation": r.operation, "parameters": enc(r.parameters),
-                "outputs": enc(r.outputs), "version": r.version}
+                "outputs": enc(r.outputs), "version": __version__}
                for r in records]
     return json.dumps(payload, indent=1, sort_keys=True) + "\n"
-
-
-def records_from_json(text: str) -> List[ResultRecord]:
-    out = []
-    for item in json.loads(text):
-        params = {k: _decode_param(k, v) for k, v in item["parameters"].items()}
-        outputs = {k: _decode_param(k, v) for k, v in item["outputs"].items()}
-        out.append(ResultRecord(item["operation"], params, outputs,
-                                item["version"]))
-    return out

@@ -1,12 +1,14 @@
+import csv
 import hashlib
+import io
 import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from sievelab.scan import (ResultRecord, ScanSpec, parse_grid,
-                           records_from_csv, records_from_json, records_to_csv,
+from sievelab import __version__
+from sievelab.scan import (ResultRecord, ScanSpec, parse_grid, records_to_csv,
                            records_to_json, run_scan)
 
 
@@ -65,40 +67,40 @@ def test_scan_determinism():
     assert a == b
 
 
-def test_csv_round_trip():
-    spec = ScanSpec("e2", {"r": [7, 11], "j": [1], "R": [2]})
-    records = run_scan(spec)
-    back = records_from_csv(records_to_csv(records))
-    assert len(back) == len(records)
-    for x, y in zip(records, back):
-        assert x.operation == y.operation
-        assert x.parameters == y.parameters
-        assert set(x.outputs) == set(y.outputs)
-        for k in x.outputs:
-            assert x.outputs[k] == y.outputs[k], k
-
-
-def test_json_round_trip():
-    records = [ResultRecord("demo", {"x": Fraction(1, 3), "n": 4},
+def test_values_are_encoded_exactly():
+    # floats with .17g (17 significant digits, so float() reads the same
+    # double back), Fractions p/q, bools true/false, tuples c0;c1;...
+    records = [ResultRecord("demo", {"x": Fraction(1, 3), "n": 4,
+                                     "numerator": (0, 0, 1, 1)},
                             {"ratio": 0.1234567890123456789, "flag": True})]
-    back = records_from_json(records_to_json(records))
-    assert back[0].parameters == {"x": Fraction(1, 3), "n": 4}
-    assert back[0].outputs["ratio"] == records[0].outputs["ratio"]
-    assert back[0].outputs["flag"] is True
+    assert records_to_csv(records) == (
+        "operation,param_n,param_numerator,param_x,out_flag,out_ratio,version\n"
+        f"demo,4,0;0;1;1,1/3,true,0.12345678901234568,{__version__}\n")
+    assert json.loads(records_to_json(records)) == [{
+        "operation": "demo",
+        "parameters": {"n": 4, "numerator": "0;0;1;1", "x": "1/3"},
+        "outputs": {"flag": "true", "ratio": "0.12345678901234568"},
+        "version": __version__}]
+    assert float("0.12345678901234568") == 0.1234567890123456789
 
 
-def test_csv_and_json_decode_equal():
-    spec = ScanSpec("f2", {"r": [15], "j": [2], "h": [1], "R": [3]})
+def test_csv_and_json_write_the_same_values():
+    spec = ScanSpec("f2", {"r": [7, 11, 15], "j": [2], "h": [1], "R": [3]})
     records = run_scan(spec)
-    a = records_from_csv(records_to_csv(records))
-    b = records_from_json(records_to_json(records))
-    for x, y in zip(a, b):
-        assert x.operation == y.operation
-        assert x.parameters == y.parameters
-        assert x.outputs == y.outputs
+    rows = list(csv.DictReader(io.StringIO(records_to_csv(records))))
+    items = json.loads(records_to_json(records))
+    assert len(rows) == len(items) == len(records)
+    for rec, row, item in zip(records, rows, items):
+        cells = {"operation": item["operation"], "version": item["version"]}
+        cells.update({f"param_{k}": v for k, v in item["parameters"].items()})
+        cells.update({f"out_{k}": v for k, v in item["outputs"].items()})
+        assert {k: v for k, v in row.items() if v != ""} == \
+            {k: str(v) for k, v in cells.items()}
+        for k, v in rec.outputs.items():
+            assert (float if isinstance(v, float) else int)(row[f"out_{k}"]) == v
 
 
-def test_coefficient_parameters_round_trip():
+def test_coefficient_parameters_encoding():
     spec = ScanSpec("bombieri", {"p": [5, 7],
                                  "numerator": [(1, 0, 1), (0, 0, 1, 1)],
                                  "denominator": [(0, 1), (1,)]})
@@ -107,29 +109,20 @@ def test_coefficient_parameters_round_trip():
     assert records[-1].outputs["argmax_denominator"] in ((0, 1), (1,))
     text = records_to_csv(records)
     assert "bombieri,0;1,0;0;1;1,5," in text
-    for back in (records_from_csv(text),
-                 records_from_json(records_to_json(records))):
-        for x, y in zip(records, back):
-            assert x.parameters == y.parameters
-            assert x.outputs == y.outputs
 
 
-def test_rational_parameters_round_trip():
+def test_rational_parameters_encoding():
     spec = ScanSpec("px", {"x": [Fraction(1, 3), Fraction(2, 7)], "Q": [4],
                            "N": [64]})
     records = run_scan(spec)
     assert records[-1].outputs["argmax_x"] == Fraction(1, 3)
     text = records_to_csv(records)
     assert "px,64,4,1/3," in text
-    for back in (records_from_csv(text),
-                 records_from_json(records_to_json(records))):
-        for x, y in zip(records, back):
-            assert x.parameters == y.parameters
-        assert back[-1].outputs == records[-1].outputs
 
 
 #: the seven grids of CI's byte-identity step, as (op, --param values),
-#: with the sha256 of the CSV each wrote before this pin was added
+#: with the sha256 of the CSV (sha256) and of the JSON (json_sha256) each
+#: wrote before its pin was added
 SCAN_SHA256 = json.loads((Path(__file__).parent / "reference"
                           / "scan_sha256.json").read_text())
 
@@ -138,5 +131,20 @@ SCAN_SHA256 = json.loads((Path(__file__).parent / "reference"
 def test_ci_scan_grids_are_pinned(name):
     ref = SCAN_SHA256[name]
     spec = ScanSpec(ref["op"], parse_grid(ref["op"], ref["param"]))
-    csv_text = records_to_csv(run_scan(spec))
+    records = run_scan(spec)
+    csv_text, json_text = records_to_csv(records), records_to_json(records)
     assert hashlib.sha256(csv_text.encode()).hexdigest() == ref["sha256"]
+    assert hashlib.sha256(json_text.encode()).hexdigest() == ref["json_sha256"]
+
+
+@pytest.mark.parametrize("items, message", [
+    (["r=5", "r=7"], "r is given more than once"),
+    (["r=5", "r=1:3"], "r is given more than once"),
+    (["r=10:1:-3"], "STEP -3; it must be positive"),
+    (["r=1:10:0"], "STEP 0; it must be positive"),
+    (["r=1:10:3:99"], "is not NAME=START:STOP\\[:STEP\\]"),
+], ids=["repeated", "repeated-range", "negative-step", "zero-step",
+        "four-fields"])
+def test_parse_grid_refuses_malformed_ranges(items, message):
+    with pytest.raises(ValueError, match=message):
+        parse_grid("e2", items)
