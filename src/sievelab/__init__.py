@@ -11,7 +11,6 @@ __version__ = "1.0.0"
 
 from .arith import (  # noqa: E402,F401
     FactoredModulus,
-    divisor_count,
     eps_q,
     factorize,
     gcd_power_sum,
@@ -24,7 +23,6 @@ from .sqrtmod import (  # noqa: F401
     build_root_multiset,
     root_pairs,
     sqrt_mod_all,
-    sqrt_mod_prime_power,
 )
 from .energies import (  # noqa: F401
     EnergyReport,

@@ -27,7 +27,7 @@ from .energies import energy_e2, energy_e4, energy_f2, kssz_check
 from .expsums import (RationalFunctionModP, esum_jh, gauss_sum_closed,
                       gauss_sum_direct, gcal, gcal_bound, rational_expsum)
 from .sieve import SieveInstance, double_sieve_check, ls_lhs, px_monitor
-from .sqrtmod import root_pairs, sqrt_mod_all, sqrt_mod_prime_power
+from .sqrtmod import root_pairs, sqrt_mod_all
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,7 @@ def criterion_2_root_counts(q_max: int = 10 ** 4):
             continue
         alpha = 1
         while p ** alpha <= q_max:
-            got = len(sqrt_mod_prime_power(0, p, alpha).roots)
+            got = len(sqrt_mod_all(0, p ** alpha).roots)
             want = p ** (alpha // 2)
             if got != want:
                 return False, f"p={p} alpha={alpha}: {got} != {want}"

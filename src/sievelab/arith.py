@@ -207,10 +207,6 @@ def mod_inverse(a: int, m: int) -> int:
         raise ValueError(f"{a} has no inverse mod {m}") from None
 
 
-def divisor_count(r: int) -> int:
-    return factorize(r).divisor_count()
-
-
 def gcd_power_sum(H: int, r: int, sigma: Fraction | float) -> float:
     """Sum of gcd(h, r)^sigma over 1 <= h <= H.
 

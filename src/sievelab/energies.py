@@ -15,12 +15,12 @@ so neither time nor memory grows with r.  The sum of squared bins is
 one int64 dot whenever max(h) * sum(h) < 2^63 certifies it, and Python
 ints otherwise.  Oracle path: repeat each key of build_root_multiset's
 oracle multiset by its count and enumerate every ordered pair sum
-densely with numpy bincount into r bins, so it refuses r > 2^20 before
-any work.  Both read the multiset as sorted int64 (keys, counts) and
-return exact integers; before either runs, the certificate
-mass^fold < 2^63 (mass = number of roots counted with multiplicity)
-bounds every bin, and so every int64 count and weight (doubled ones
-included), so none can wrap.
+densely with numpy bincount into r bins, which the oracle's squaring
+(sqrtmod._square_groups) bounds by refusing r > 2^20 first.  Both read
+the multiset as sorted int64 (keys, counts) and return exact integers;
+before either runs, the certificate mass^fold < 2^63 (mass = number of
+roots counted with multiplicity) bounds every bin, and so every int64
+count and weight (doubled ones included), so none can wrap.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .arith import FactoredModulus, factorize, is_prime
-from .sqrtmod import _ORACLE_MAX_R, build_root_multiset
+from .arith import FactoredModulus, is_prime
+from .sqrtmod import build_root_multiset
 
 #: pair sums per block of the fast convolution (about 1 MB of int64 temporaries)
 _BLOCK = 1 << 16
@@ -175,18 +175,13 @@ def _energy(R: int, j: int, h: int | None, r: int | FactoredModulus,
             fold: int, method: str) -> Tuple[int, int]:
     """(energy, r as an int) of the plain multiset (h None) or the
     difference multiset of h.  Method conv reads the fast builder, brute
-    the oracle; brute refuses r > _ORACLE_MAX_R before any work,
-    factorization included."""
+    the oracle, which factorizes nothing; r is passed through as given."""
     if method not in ("conv", "brute"):
         raise ValueError(f"unknown method {method!r}")
     n = r.n if isinstance(r, FactoredModulus) else r
-    if method == "brute" and n > _ORACLE_MAX_R:
-        raise ValueError(f"r = {n} too large for method 'brute': it counts "
-                         f"pair sums in r bins, so r must be <= {_ORACLE_MAX_R}")
-    fm = factorize(r) if isinstance(r, int) else r
     keys, counts = build_root_multiset(
-        R, j, fm, h, method="fast" if method == "conv" else "oracle")
-    return _energy_from_multiset(keys, counts, fm.n, fold, method), fm.n
+        R, j, r, h, method="fast" if method == "conv" else "oracle")
+    return _energy_from_multiset(keys, counts, n, fold, method), n
 
 
 def energy_e2(R: int, j: int, r: int, method: str = "conv") -> EnergyReport:

@@ -8,7 +8,7 @@ exp per term; _phase_sum adds the gathered values.  The table entries are
 within a few ulp of e_q(t) whatever the modulus.  The scalar oracles
 (gauss_sum_closed, esum_jh(form="bare")) call e_frac per term instead;
 the bare sum reads its roots from sqrtmod._square_groups, which squares
-every residue once, and calls no square-root solver.
+every residue once, and neither factorizes nor calls a square-root solver.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .arith import FactoredModulus, eps_q, factorize, is_prime, jacobi, mod_inverse
-from .sqrtmod import (_ORACLE_MAX_R, _fits_int32_square, _require_int64_square,
+from .sqrtmod import (_fits_int32_square, _require_int64_square,
                       _square_groups, root_table)
 
 
@@ -159,23 +159,23 @@ def esum_jh(
     pass over the bulk root table (root_table), which needs r^2 < 2^63,
     with the exact residue phases summed through unit_phases(r).  bare is
     the oracle: it squares every k in [0, r) once (sqrtmod._square_groups,
-    k grouped by j^-1 k^2), calls no square-root solver, and adds one
-    e_frac per term; it refuses r > _ORACLE_MAX_R = 2^20 before any work.
+    k grouped by j^-1 k^2, which refuses r > 2^20 before any work),
+    factorizes nothing, calls no solver, and adds one e_frac per term.
     Their computed values may differ in the last bits, since the terms are
     added in another order; terms is equal.
     margin is |value| / (r^{4/5} (h,r) (l,r)^{1/5}), eps = 0.
     """
     rr = r.n if isinstance(r, FactoredModulus) else r
-    if form == "bare" and rr > _ORACLE_MAX_R:
-        raise ValueError(f"r = {rr} too large for form 'bare': it squares "
-                         f"every residue mod r, so r must be <= {_ORACLE_MAX_R}")
-    fm = r if isinstance(r, FactoredModulus) else factorize(r)
+    if form not in ("paired", "bare"):
+        raise ValueError(f"unknown form {form!r}")
+    if rr < 1:
+        raise ValueError("need r >= 1")
     if math.gcd(j, rr) != 1:
         raise ValueError("need gcd(j, r) = 1")
     total = 0j
     terms = 0
     if form == "paired":
-        offsets, roots = root_table(fm)
+        offsets, roots = root_table(r)
         jinv = mod_inverse(j, rr) if rr > 1 else 0
         k = np.arange(rr, dtype=np.int64)
         target = (k * k + j * h % rr) % rr
@@ -189,7 +189,7 @@ def esum_jh(
         # each product is reduced mod r before adding, so nothing exceeds r^2
         phase = (l % rr * (kt - k) % rr + n * jinv % rr * (k * k % rr) % rr) % rr
         total = _phase_sum(phase, rr)
-    elif form == "bare":
+    else:
         # the k with k^2 = j*m mod r are the group of m
         groups = _square_groups(rr, j % rr)
         for a in range(1, rr + 1):
@@ -201,8 +201,6 @@ def esum_jh(
                 for kt in kts:
                     total += e_frac(l * (kt - k) + n * a, rr)
                     terms += 1
-    else:
-        raise ValueError(f"unknown form {form!r}")
     hr = math.gcd(h, rr)
     lr = math.gcd(l, rr)
     bound = rr ** 0.8 * (hr if hr else rr) * (lr if lr else rr) ** 0.2

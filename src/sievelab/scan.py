@@ -140,11 +140,12 @@ def parse_grid(op: str, items: Sequence[str]) -> Dict[str, list]:
     """The grid of op from NAME=v1,v2,... items, or NAME=START:STOP[:STEP]
     (STOP included, STEP > 0) for an int parameter.  A name op does not
     read keeps its text unparsed, for ScanSpec to refuse by name; a name
-    given twice is refused here."""
+    given twice is refused here, and so is a malformed item, by a message
+    that quotes it."""
     grid: Dict[str, list] = {}
     for item in items:
         name, _, spec = item.partition("=")
-        if not spec:
+        if not name or not spec:
             raise ValueError(f"--param {item!r} is not NAME=VALUES")
         if name in grid:
             raise ValueError(f"--param {name} is given more than once")
@@ -152,20 +153,24 @@ def parse_grid(op: str, items: Sequence[str]) -> Dict[str, list]:
         parts = spec.split(":")
         if parse is None:
             grid[name] = [spec]
-        elif len(parts) == 1:
-            grid[name] = [parse(v) for v in parts[0].split(",")]
-        elif parse is not int:
+            continue
+        if len(parts) > 1 and parse is not int:
             raise ValueError(f"--param {name} has no range form; only int "
                              "parameters do")
-        elif len(parts) > 3:
+        if len(parts) > 3:
             raise ValueError(f"--param {item!r} is not NAME=START:STOP[:STEP]")
-        else:
-            start, stop = int(parts[0]), int(parts[1])
-            step = int(parts[2]) if len(parts) > 2 else 1
+        try:
+            values = [parse(v) for v in
+                      (spec.split(",") if len(parts) == 1 else parts)]
+        except ValueError as exc:
+            raise ValueError(f"--param {item!r}: {exc}") from None
+        if len(parts) > 1:
+            start, stop, step = (values + [1])[:3]
             if step <= 0:
                 raise ValueError(f"--param {name} has STEP {step}; "
                                  "it must be positive")
-            grid[name] = list(range(start, stop + 1, step))
+            values = list(range(start, stop + 1, step))
+        grid[name] = values
     return grid
 
 

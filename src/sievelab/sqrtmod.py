@@ -21,7 +21,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .arith import FactoredModulus, factorize, is_prime, mod_inverse
+from .arith import FactoredModulus, factorize, mod_inverse
 
 
 @dataclass(frozen=True)
@@ -129,28 +129,15 @@ def _unit_roots_mod_odd_prime_power(m: int, p: int, gamma: int) -> List[int]:
     return sorted((x, pk - x))
 
 
-def sqrt_mod_prime_power(m: int, p: int, alpha: int) -> RootSet:
-    """All square roots of m modulo p^alpha.
+def _sqrt_mod_prime_power(m: int, p: int, alpha: int) -> Tuple[int, ...]:
+    """The sorted roots of m mod p^alpha, for the prime p and alpha >= 1
+    of a FactoredModulus.
 
     m = 0 has exactly p^floor(alpha/2) roots.  Otherwise write
     m = m1 * p^beta with (m1, p) = 1: solvable only for even beta with m1
     a square modulo p^(alpha-beta), and the roots are the scaled lifts
-    p^(beta/2) * (x + t * p^(alpha-beta)).
-    """
-    if alpha < 1:
-        raise ValueError("alpha must be >= 1")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    q = p ** alpha
-    return RootSet(q, m % q, _sqrt_mod_prime_power(m, p, alpha))
-
-
-def _sqrt_mod_prime_power(m: int, p: int, alpha: int) -> Tuple[int, ...]:
-    """The sorted roots of m mod p^alpha, for a prime p and alpha >= 1
-    already validated.
-
-    A bare tuple, not a RootSet: sqrt_mod_all validates only the
-    recombined roots, and sqrt_mod_prime_power wraps the tuple itself.
+    p^(beta/2) * (x + t * p^(alpha-beta)).  A bare tuple, not a RootSet:
+    sqrt_mod_all validates only the recombined roots.
     """
     q = p ** alpha
     m %= q
@@ -496,10 +483,9 @@ def _array_multiset(R: int, j: int, h: int | None, fm: FactoredModulus
 #: the per-m solver's memo hits, as on criterion 3's grid (R <= 8), and
 #: the per-m loop runs
 _ARRAY_MIN_R = 32
-#: largest r of the oracles that read _square_groups, whose groups hold
-#: O(r) Python tuples: the root multiset oracle, energies' brute method
-#: (which also counts its pair sums in r bins, 8 MB of int64) and
-#: esum_jh's bare form refuse a larger r before any work
+#: largest r that _square_groups squares: its groups hold O(r) Python
+#: tuples, and energies' brute method counts its pair sums in r bins
+#: (8 MB of int64)
 _ORACLE_MAX_R = 1 << 20
 
 
@@ -528,13 +514,13 @@ def build_root_multiset(
     when R >= _ARRAY_MIN_R and r^2 < 2^63 it solves every residue jm
     (and j(m+h)) in one numpy pass (_array_multiset over _residue_roots:
     array Tonelli-Shanks, Hensel and 2-adic lifts per prime power, CRT
-    idempotents); otherwise it calls sqrt_mod_all per m.  Method
-    "oracle" squares every k in [0, r) and groups k by m = j^-1 k^2 mod r
-    (_square_groups), with no solver call; it refuses r > _ORACLE_MAX_R
-    before any work, factorization included.  The per-m loop of either
-    method takes the roots of each m as they are (plain) or pairs the k
-    of m with the kt of m + h (difference), counts the residues in a
-    dict and sorts the keys once.
+    idempotents); otherwise it calls sqrt_mod_all per m.  Only "fast"
+    factorizes r.  Method "oracle" squares every k in [0, r) and groups
+    k by m = j^-1 k^2 mod r (_square_groups), with no solver call; the
+    size refusal of _square_groups is its first work.  The per-m loop of
+    either method takes the roots of each m as they are (plain) or pairs
+    the k of m with the kt of m + h (difference), counts the residues in
+    a dict and sorts the keys once.
     """
     n = r.n if isinstance(r, FactoredModulus) else r
     if not 1 <= R <= n:
@@ -543,12 +529,9 @@ def build_root_multiset(
         raise ValueError("need gcd(j, r) = 1")
     if method not in ("fast", "oracle"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "oracle" and n > _ORACLE_MAX_R:
-        raise ValueError(f"r = {n} too large for the oracle: it squares "
-                         f"every residue mod r, so r must be <= {_ORACLE_MAX_R}")
-    fm = r if isinstance(r, FactoredModulus) else factorize(r)
 
     if method == "fast":
+        fm = r if isinstance(r, FactoredModulus) else factorize(r)
         if R >= _ARRAY_MIN_R and n * n < 2 ** 63:
             return _array_multiset(R, j, h, fm)
 
@@ -581,10 +564,15 @@ def _square_groups(n: int, j: int) -> Mapping[int, Tuple[int, ...]]:
     root-difference sum (expsums.esum_jh, form "bare"); none calls the
     solver.  It depends only on (n, j mod n), so criterion 3's points of
     one (r, j), plain and difference alike, share it; the memo keeps the
-    most recent key only.  Every oracle refuses n > _ORACLE_MAX_R before
-    it reaches it.  The groups are read-only (a mapping proxy over
-    tuples), so no caller can corrupt them.
+    most recent key only.  It refuses n > _ORACLE_MAX_R first, and no
+    oracle factorizes or solves before it, so that refusal comes before
+    any work.  The groups are read-only (a mapping proxy over tuples), so
+    no caller can corrupt them.
     """
+    if n > _ORACLE_MAX_R:
+        raise ValueError(f"r = {n} too large for the squaring oracle: it "
+                         "squares every residue mod r, so r must be <= "
+                         f"{_ORACLE_MAX_R}")
     jinv = mod_inverse(j, n)
     groups: Dict[int, List[int]] = {}
     for k in range(n):

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from sievelab import arith
-from sievelab.arith import (FactoredModulus, divisor_count, eps_q,
-                            factorize, gcd_power_sum, is_prime, jacobi,
-                            mod_inverse)
+from sievelab.arith import (FactoredModulus, eps_q, factorize,
+                            gcd_power_sum, is_prime, jacobi, mod_inverse)
 
 #: the ten smallest primes above the trial-division bound 10^3
 PRIMES_ABOVE_TRIAL = (1009, 1013, 1019, 1021, 1031, 1033, 1039, 1049, 1051, 1061)
@@ -207,10 +206,10 @@ def test_crt_idempotents():
 
 
 def test_divisor_count():
-    assert divisor_count(1) == 1
-    assert divisor_count(12) == 6
-    assert divisor_count(9973) == 2
-    assert divisor_count(360) == 24
+    assert factorize(1).divisor_count() == 1
+    assert factorize(12).divisor_count() == 6
+    assert factorize(9973).divisor_count() == 2
+    assert factorize(360).divisor_count() == 24
 
 
 def test_gcd_power_sum_matches_direct():
@@ -224,7 +223,7 @@ def test_gcd_power_sum_matches_direct():
 def test_gcd_power_sum_divisor_bound():
     # the explicit bound with constant 1: sum <= H * tau(r)
     for r in (12, 36, 97, 720, 2310):
-        tau = divisor_count(r)
+        tau = factorize(r).divisor_count()
         for H in (1, 10, 100):
             for sigma in (0.2, 0.5, 1.0):
                 assert gcd_power_sum(H, r, sigma) <= H * tau + 1e-9

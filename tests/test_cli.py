@@ -303,13 +303,13 @@ def test_energy_beyond_int64_certificate_is_refused(capsys):
 
 
 def test_brute_energy_at_a_huge_modulus_is_refused(capsys):
-    # brute counts pair sums in r bins: refused at once, not run for ever
+    # brute squares every residue mod r: refused at once, not run for ever
     code = main(["energy", "--kind", "f2", "--R", "12", "--j", "1", "--h", "3",
                  "--r", str(2 ** 63), "--method", "brute"])
     assert code == 2
     assert capsys.readouterr().err == (
-        "error: r = 9223372036854775808 too large for method 'brute': it "
-        "counts pair sums in r bins, so r must be <= 1048576\n")
+        "error: r = 9223372036854775808 too large for the squaring oracle: "
+        "it squares every residue mod r, so r must be <= 1048576\n")
 
 
 def test_bare_root_difference_sum_at_a_huge_modulus_is_refused(capsys):
@@ -318,8 +318,8 @@ def test_bare_root_difference_sum_at_a_huge_modulus_is_refused(capsys):
                  "--r", "1048577", "--form", "bare"])
     assert code == 2
     assert capsys.readouterr().err == (
-        "error: r = 1048577 too large for form 'bare': it squares every "
-        "residue mod r, so r must be <= 1048576\n")
+        "error: r = 1048577 too large for the squaring oracle: it squares "
+        "every residue mod r, so r must be <= 1048576\n")
 
 
 def test_paired_and_bare_root_difference_sums_count_the_same_terms(capsys):

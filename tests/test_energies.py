@@ -157,8 +157,10 @@ def test_sparse_bins_merge_across_blocks():
 def test_conv_matches_brute_at_scan_sizes():
     # the dense bins over many blocks of pair sums, at the scan-energy
     # workload's sizes: E4 at r = 13 * 17 * 19, E2 and F2 at r ~ 1e5; F2's
-    # fast multiset comes from the array regime (R >= _ARRAY_MIN_R)
+    # fast multiset comes from the array regime (R >= _ARRAY_MIN_R); and
+    # E2 at the squaring oracle's largest r, 2^20
     for rep in (lambda m: energy_e4(48, 1, 4199, m),
+                lambda m: energy_e2(1, 1, 2 ** 20, m),
                 lambda m: energy_e2(600, 1, 99991, m),
                 lambda m: energy_f2(600, 1, 1, 100005, m),
                 lambda m: energy_f2(600, 1, 1, 99991, m)):
@@ -214,24 +216,6 @@ def test_doubled_weight_at_the_certificate_edge(monkeypatch):
     assert (2 * a) ** 4 < 2 ** 63 <= (2 * a + 1) ** 4
     assert (_energy_from_multiset(*multiset({0: a, 1: a}), 7, 4, "conv")
             == 23258155648387961713069597867047339520)  # 70 a^8
-
-
-def test_brute_refuses_r_above_its_bins_before_any_work(monkeypatch):
-    # 2^20 bins are allowed (2^20 + 1 is 17 * 61681); the refusal comes
-    # before factorize, so even r = 2^63 costs nothing
-    assert (energy_e2(1, 1, 2 ** 20, "brute").energy
-            == energy_e2(1, 1, 2 ** 20, "conv").energy)
-
-    def no_work(*args, **kwargs):
-        raise AssertionError("worked before the brute size check")
-
-    monkeypatch.setattr(energies, "factorize", no_work)
-    for r in (2 ** 20 + 1, 2 ** 63):
-        for rep in (lambda m: energy_e2(1, 1, r, m),
-                    lambda m: energy_e4(1, 1, r, m),
-                    lambda m: energy_f2(1, 1, 1, r, m)):
-            with pytest.raises(ValueError, match="must be <= 1048576"):
-                rep("brute")
 
 
 def test_int64_certificate_at_boundary():

@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from sievelab import energies, expsums
+from sievelab import expsums, sqrtmod
 from sievelab.acceptance import BOMBIERI_CORPUS
-from sievelab.arith import factorize
 from sievelab.expsums import (RationalFunctionModP, _unit_inverses,
                               e_frac, esum_jh,
                               gauss_sum_closed, gauss_sum_direct, gcal,
@@ -111,22 +110,6 @@ def test_esum_paired_equals_bare():
         assert p.terms == b.terms
 
 
-def test_bare_esum_refuses_a_huge_modulus_before_any_work(monkeypatch):
-    # one bound with energies' brute method, which squares the same table
-    assert expsums._ORACLE_MAX_R == energies._ORACLE_MAX_R == 1 << 20
-
-    def squared(*args):
-        raise AssertionError("squared the residues")
-
-    monkeypatch.setattr(expsums, "_square_groups", squared)
-    for r in (2 ** 20 + 1, 2 ** 63, factorize(2 ** 20 + 1)):
-        with pytest.raises(ValueError, match="r must be <= 1048576"):
-            esum_jh(1, 2, 1, 1, r, form="bare")
-    # r = 2^20 itself passes the bound and reaches the table
-    with pytest.raises(AssertionError, match="squared the residues"):
-        esum_jh(1, 2, 1, 1, 2 ** 20, form="bare")
-
-
 def test_esum_margin_bound():
     # explicit bracket r^{4/5} (h,r) (l,r)^{1/5} with the (0,r)=r convention
     v = esum_jh(0, 0, 1, 0, 45)
@@ -136,6 +119,24 @@ def test_esum_margin_bound():
 def test_esum_rejects_noncoprime_j():
     with pytest.raises(ValueError):
         esum_jh(1, 1, 3, 1, 45)
+
+
+def test_esum_refuses_a_modulus_below_one():
+    # the bare form factorizes nothing, so it checks r itself
+    for r in (0, -45):
+        for form in ("paired", "bare"):
+            with pytest.raises(ValueError):
+                esum_jh(1, 2, 1, 1, r, form=form)
+
+
+def test_esum_refuses_an_unknown_form_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("factorized before the form check")
+
+    for module in (expsums, sqrtmod):
+        monkeypatch.setattr(module, "factorize", no_work)
+    with pytest.raises(ValueError, match="unknown form 'pared'"):
+        esum_jh(1, 2, 1, 1, 45, form="pared")
 
 
 def test_gcal_direct_value():

@@ -19,7 +19,11 @@ cannot route an oracle through the path it checks.  The pairs:
   sqrtmod._prime_power_residue_roots; the squaring oracles above run with
   it patched too, so none reaches it through a table;
 - 32-bit residue kernels: the fast tables and sums choose their dtype by
-  sqrtmod._fits_int32_square, which no oracle consults.
+  sqrtmod._fits_int32_square, which no oracle consults;
+- factorization: only the fast paths factorize r.  The squaring oracles
+  (both multiset kinds, brute E2, E4 and F2, bare esum_jh) run with
+  factorize patched, and so does their one size refusal, in
+  sqrtmod._square_groups, which therefore comes before any work.
 """
 
 import sys
@@ -27,7 +31,8 @@ import sys
 import numpy as np
 import pytest
 
-from sievelab import energies, expsums, sqrtmod
+from sievelab import arith, energies, expsums, sqrtmod
+from sievelab.arith import factorize
 from sievelab.charsums import S4Input, s4_closed, s4_closed_rows, s4_direct
 from sievelab.energies import energy_e2, energy_e4, energy_f2
 from sievelab.expsums import (RationalFunctionModP, esum_jh, gauss_sum_closed,
@@ -201,3 +206,57 @@ def test_oracle_does_not_use_the_width_predicate(name, no_width_predicate):
 def test_fast_path_uses_the_width_predicate(name, no_width_predicate):
     with pytest.raises(KernelCalled):
         WIDTH_FAST_PATHS[name]()
+
+
+#: each squaring oracle and its fast twin, as functions of r
+SQUARING_ORACLES = {
+    "plain multiset": (
+        lambda r: sqrtmod.build_root_multiset(8, 1, r, method="oracle"),
+        lambda r: sqrtmod.build_root_multiset(8, 1, r)),
+    "difference multiset": (
+        lambda r: sqrtmod.build_root_multiset(8, 1, r, 1, method="oracle"),
+        lambda r: sqrtmod.build_root_multiset(8, 1, r, 1)),
+    "E2 brute": (lambda r: energy_e2(8, 1, r, "brute"),
+                 lambda r: energy_e2(8, 1, r, "conv")),
+    "E4 brute": (lambda r: energy_e4(8, 1, r, "brute"),
+                 lambda r: energy_e4(8, 1, r, "conv")),
+    "F2 brute": (lambda r: energy_f2(8, 1, 1, r, "brute"),
+                 lambda r: energy_f2(8, 1, 1, r, "conv")),
+    "esum_jh bare": (lambda r: esum_jh(3, 5, 1, 1, r, form="bare"),
+                     lambda r: esum_jh(3, 5, 1, 1, r, form="paired")),
+}
+
+#: moduli above the squaring bound 2^20, factored before any test patches
+#: factorize
+HUGE_MODULI = (2 ** 20 + 1, 2 ** 63, factorize(2 ** 20 + 1))
+
+
+@pytest.fixture
+def no_factorize(monkeypatch):
+    patched = _patch_everywhere(monkeypatch, arith, "factorize")
+    assert {"sievelab.arith", "sievelab.sqrtmod"} <= patched
+
+
+@pytest.mark.parametrize("name", sorted(SQUARING_ORACLES))
+def test_squaring_oracle_does_not_factorize(name, no_factorize):
+    oracle, fast = SQUARING_ORACLES[name]
+    assert oracle(21) is not None
+    with pytest.raises(KernelCalled):
+        fast(21)
+
+
+@pytest.mark.parametrize("name", sorted(SQUARING_ORACLES))
+def test_squaring_oracle_refuses_a_huge_modulus_before_any_work(
+        name, no_factorize, monkeypatch):
+    oracle, _ = SQUARING_ORACLES[name]
+    for r in HUGE_MODULI:
+        with pytest.raises(ValueError) as refusal:
+            oracle(r)
+        assert str(refusal.value) == (
+            f"r = {getattr(r, 'n', r)} too large for the squaring oracle: it "
+            "squares every residue mod r, so r must be <= 1048576")
+    # r = 2^20 itself passes the bound and starts squaring
+    sqrtmod._square_groups.cache_clear()
+    monkeypatch.setattr(sqrtmod, "mod_inverse", _kernel_called)
+    with pytest.raises(KernelCalled):
+        oracle(2 ** 20)

@@ -143,8 +143,14 @@ def test_ci_scan_grids_are_pinned(name):
     (["r=10:1:-3"], "STEP -3; it must be positive"),
     (["r=1:10:0"], "STEP 0; it must be positive"),
     (["r=1:10:3:99"], "is not NAME=START:STOP\\[:STEP\\]"),
+    (["r=5,"], "^--param 'r=5,': invalid literal for int\\(\\)"),
+    (["r=5:"], "^--param 'r=5:': invalid literal for int\\(\\)"),
+    (["r=a:9"], "^--param 'r=a:9': invalid literal for int\\(\\)"),
+    (["j=x"], "^--param 'j=x': invalid literal for int\\(\\)"),
+    (["=5"], "^--param '=5' is not NAME=VALUES$"),
 ], ids=["repeated", "repeated-range", "negative-step", "zero-step",
-        "four-fields"])
+        "four-fields", "trailing-comma", "empty-stop", "non-int-start",
+        "non-int-value", "empty-name"])
 def test_parse_grid_refuses_malformed_ranges(items, message):
     with pytest.raises(ValueError, match=message):
         parse_grid("e2", items)

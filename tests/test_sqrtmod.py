@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from sievelab import sqrtmod
-from sievelab.arith import factorize, is_prime
+from sievelab import arith
+from sievelab.arith import FactoredModulus, factorize, is_prime
 from sievelab.sqrtmod import (RootSet, _prime_power_pairs,
                               _require_int64_square, _vec_pow_mod,
                               build_root_multiset, root_pairs, root_table,
-                              sqrt_mod_all, sqrt_mod_prime_power)
+                              sqrt_mod_all)
 
 
 def oracle_roots(m, r):
@@ -57,7 +58,7 @@ def test_sqrt_mod_prime_exhaustive():
     # 5 (97) and 8 (257)
     for p in (3, 5, 7, 11, 13, 17, 97, 101, 257):
         for m in range(p):
-            assert sqrt_mod_prime_power(m, p, 1).roots == oracle_roots(m, p)
+            assert sqrt_mod_all(m, p).roots == oracle_roots(m, p)
 
 
 def test_unit_root_mod_prime_at_large_two_adic_valuations():
@@ -85,9 +86,11 @@ def test_unit_root_mod_prime_at_large_two_adic_valuations():
 
 
 def test_sqrt_mod_prime_rejects_two_and_composites(monkeypatch, cold_memo):
+    # the prime-power solver is reached only through a FactoredModulus,
+    # which refuses a factor that is not prime
     for n in (1, 9, 15):
-        with pytest.raises(ValueError):
-            sqrt_mod_prime_power(1, n, 1)
+        with pytest.raises(ValueError, match="is not prime"):
+            sqrt_mod_all(1, FactoredModulus(n, ((n, 1),)))
 
     # p = 2 never reaches the odd-prime solver: the 2-power branch takes it
     def odd_only(m, p):
@@ -96,7 +99,7 @@ def test_sqrt_mod_prime_rejects_two_and_composites(monkeypatch, cold_memo):
     monkeypatch.setattr(sqrtmod, "_unit_root_mod_prime", odd_only)
     for a in range(1, 5):
         for m in range(2 ** a):
-            assert sqrt_mod_prime_power(m, 2, a).roots == oracle_roots(m, 2 ** a)
+            assert sqrt_mod_all(m, 2 ** a).roots == oracle_roots(m, 2 ** a)
 
 
 def test_sqrt_mod_prime_power_exhaustive():
@@ -104,7 +107,7 @@ def test_sqrt_mod_prime_power_exhaustive():
         for a in range(1, amax + 1):
             q = p ** a
             for m in range(q):
-                got = sqrt_mod_prime_power(m, p, a).roots
+                got = sqrt_mod_all(m, q).roots
                 assert got == oracle_roots(m, q), (m, p, a)
 
 
@@ -114,14 +117,14 @@ def test_root_count_of_zero():
         for a in range(1, 8):
             if p ** a > 10 ** 4:
                 break
-            assert len(sqrt_mod_prime_power(0, p, a).roots) == p ** (a // 2)
+            assert len(sqrt_mod_all(0, p ** a).roots) == p ** (a // 2)
 
 
 def test_odd_power_of_p_has_no_roots():
     # m = p^beta * unit with odd beta is never a square mod p^alpha
-    assert sqrt_mod_prime_power(3, 3, 3).roots == ()
-    assert sqrt_mod_prime_power(2, 2, 4).roots == ()
-    assert sqrt_mod_prime_power(5 * 3, 5, 4).roots == ()
+    assert sqrt_mod_all(3, 3 ** 3).roots == ()
+    assert sqrt_mod_all(2, 2 ** 4).roots == ()
+    assert sqrt_mod_all(5 * 3, 5 ** 4).roots == ()
 
 
 def test_sqrt_mod_all_examples():
@@ -459,24 +462,6 @@ def test_difference_regimes_match_the_oracle_at_R_600(r, fast_regime):
             assert same_multiset(fast, oracle), (R, j, h)
 
 
-def test_multiset_oracle_of_both_kinds_refuses_a_huge_modulus_before_any_work(
-        monkeypatch):
-    # h None is the plain kind
-    def no_work(*args):
-        raise AssertionError("worked before the size check")
-
-    monkeypatch.setattr(sqrtmod, "_square_groups", no_work)
-    for h in (None, 1):
-        with monkeypatch.context() as before_factorizing:
-            before_factorizing.setattr(sqrtmod, "factorize", no_work)
-            for r in (2 ** 20 + 1, 2 ** 63):
-                with pytest.raises(ValueError, match="r must be <= 1048576"):
-                    build_root_multiset(8, 1, r, h, method="oracle")
-        # r = 2^20 itself passes the bound and reaches the table
-        with pytest.raises(AssertionError, match="worked before"):
-            build_root_multiset(8, 1, 2 ** 20, h, method="oracle")
-
-
 def test_difference_oracle_groups_are_memoized_read_only():
     # one (r, j) at a time: a warm build equals a cold one, and a caller
     # cannot change the cached groups
@@ -567,15 +552,15 @@ def test_sqrt_mod_all_trusts_factored_primes(monkeypatch, cold_memo):
         calls.append(p)
         return is_prime(p)
 
-    monkeypatch.setattr(sqrtmod, "is_prime", counting_is_prime)
-    for r in (8, 9, 360, 1001):
-        fm = factorize(r)
-        for m in range(r):
-            assert sqrt_mod_all(m, fm).roots == oracle_roots(m, r)
+    fms = [factorize(r) for r in (8, 9, 360, 1001)]
+    monkeypatch.setattr(arith, "is_prime", counting_is_prime)
+    for fm in fms:
+        for m in range(fm.n):
+            assert sqrt_mod_all(m, fm).roots == oracle_roots(m, fm.n)
     assert calls == []
-    # the public prime-power solver keeps both of its checks
-    with pytest.raises(ValueError):
-        sqrt_mod_prime_power(0, 4, 1)
-    with pytest.raises(ValueError):
-        sqrt_mod_prime_power(0, 5, 0)
+    # a FactoredModulus checks its exponents, then its primes, when built
+    with pytest.raises(ValueError, match="is not prime"):
+        FactoredModulus(4, ((4, 1),))
+    with pytest.raises(ValueError, match="exponent 0"):
+        FactoredModulus(1, ((5, 0),))
     assert calls == [4]
