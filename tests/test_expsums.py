@@ -7,6 +7,7 @@ import pytest
 
 from sievelab import expsums, sqrtmod
 from sievelab.acceptance import BOMBIERI_CORPUS
+from sievelab.arith import factorize
 from sievelab.expsums import (RationalFunctionModP, _unit_inverses,
                               e_frac, esum_jh,
                               gauss_sum_closed, gauss_sum_direct, gcal,
@@ -108,6 +109,24 @@ def test_esum_paired_equals_bare():
         b = esum_jh(l, n, j, h, r, form="bare")
         assert abs(p.value - b.value) < 1e-9 * r, (r, l, n, j, h)
         assert p.terms == b.terms
+
+
+def test_bare_esum_refuses_a_huge_modulus_before_any_work(monkeypatch):
+    # the one bound of the squaring oracle, checked in sqrtmod alone
+    assert sqrtmod._ORACLE_MAX_R == 1 << 20
+
+    def squared(*args):
+        raise AssertionError("squared the residues")
+
+    # mod_inverse is the first work _square_groups does past its guard
+    monkeypatch.setattr(sqrtmod, "mod_inverse", squared)
+    sqrtmod._square_groups.cache_clear()
+    for r in (2 ** 20 + 1, 2 ** 63, factorize(2 ** 20 + 1)):
+        with pytest.raises(ValueError, match="r must be <= 1048576"):
+            esum_jh(1, 2, 1, 1, r, form="bare")
+    # r = 2^20 itself passes the bound and starts squaring
+    with pytest.raises(AssertionError, match="squared the residues"):
+        esum_jh(1, 2, 1, 1, 2 ** 20, form="bare")
 
 
 def test_esum_margin_bound():
