@@ -11,16 +11,23 @@ does not.  Each pair sum is formed as lam[a] + (lam[b] - r), which lies
 in [-r, r) and so fits int64 for every r <= 2^63 with no division.  The
 bins are a dense histogram, indexed by these sums directly, only while r
 is small next to the pair count; otherwise they stay sparse and sorted,
-so neither time nor memory grows with r.  The sum of squared bins is
-one int64 dot whenever max(h) * sum(h) < 2^63 certifies it, and Python
-ints otherwise.  Oracle path: repeat each key of build_root_multiset's
-oracle multiset by its count and enumerate every ordered pair sum
-densely with numpy bincount into r bins, which the oracle's squaring
-(sqrtmod._square_groups) bounds by refusing r > 2^20 first.  Both read
-the multiset as sorted int64 (keys, counts) and return exact integers;
-before either runs, the certificate mass^fold < 2^63 (mass = number of
-roots counted with multiplicity) bounds every bin, and so every int64
-count and weight (doubled ones included), so none can wrap.
+so neither time nor memory grows with r.  Dense bins whose pairs exceed
+_TRANSFORM_PAIRS_PER_BIN times the transform length L (the power of 2
+>= 2r - 1) come from one float64 rfft/irfft self-convolution instead,
+in O(r log r), rounded to int64 and folded mod r.  It runs only when
+Percival's rounding bound puts every bin's error below 1/4 (else the
+pair blocks run), and every transformed result must have nonnegative
+bins summing exactly to (sum of counts)^2, or it raises.  The sum of
+squared bins is one int64 dot whenever max(h) * sum(h) < 2^63 certifies
+it, and Python ints otherwise.  Oracle path: repeat each key of
+build_root_multiset's oracle multiset by its count and enumerate every
+ordered pair sum densely with numpy bincount into r bins, which the
+oracle's squaring (sqrtmod._square_groups) bounds by refusing r > 2^20
+first.  Both read the multiset as sorted int64 (keys, counts) and return
+exact integers; before either runs, the certificate mass^fold < 2^63
+(mass = number of roots counted with multiplicity) bounds every bin, and
+so every int64 count and weight (doubled ones included), so none can
+wrap.
 """
 
 from __future__ import annotations
@@ -38,6 +45,9 @@ from .sqrtmod import build_root_multiset
 _BLOCK = 1 << 16
 #: largest dense histogram of the fast convolution (8 MB of int64)
 _DENSE_BINS = 1 << 20
+#: the dense bins come from one transform of length L, not from pair
+#: blocks, once the pair count exceeds this many pairs per transform bin
+_TRANSFORM_PAIRS_PER_BIN = 16
 
 
 @dataclass(frozen=True)
@@ -75,9 +85,11 @@ def _self_convolve(lam: np.ndarray, cnt: np.ndarray,
     histogram of length r is used only when r is at most _DENSE_BINS and
     no larger than the pair count (or one block); it takes s as an index
     unreduced, since numpy reads a negative index s as r + s, which is
-    (a + b) mod r.  Otherwise each block adds r back to its negative sums,
-    and pending sums are merged into the sorted bins whenever they
-    outnumber them.
+    (a + b) mod r.  Dense bins come from a transform instead of pair
+    blocks when the pairs outnumber _TRANSFORM_PAIRS_PER_BIN times the
+    transform length and its rounding bound holds (_transform_bins).
+    Otherwise each block adds r back to its negative sums, and pending
+    sums are merged into the sorted bins whenever they outnumber them.
     """
     minus_r = np.int64(-r)
     shifted = lam + minus_r
@@ -92,9 +104,14 @@ def _self_convolve(lam: np.ndarray, cnt: np.ndarray,
                        (cnt[i:i + rows], twice[i + rows:]))).ravel())
                   for i in range(0, lam.size, rows))
     if r <= min(_DENSE_BINS, max(_BLOCK, lam.size * lam.size)):
-        h = np.zeros(r, dtype=np.int64)
-        for sums, weights in blocks:
-            np.add.at(h, sums, weights)
+        length = 1 << (2 * r - 2).bit_length()  # least power of 2 >= 2r - 1
+        h = (_transform_bins(lam, cnt, r, length)
+             if lam.size * lam.size > _TRANSFORM_PAIRS_PER_BIN * length
+             else None)
+        if h is None:
+            h = np.zeros(r, dtype=np.int64)
+            for sums, weights in blocks:
+                np.add.at(h, sums, weights)
         keys = np.flatnonzero(h)
         return keys, h[keys]
     keys = h = np.zeros(0, dtype=np.int64)
@@ -108,6 +125,58 @@ def _self_convolve(lam: np.ndarray, cnt: np.ndarray,
             keys, h = _merge_bins([(keys, h)] + pending)
             pending, size = [], 0
     return _merge_bins([(keys, h)] + pending) if pending else (keys, h)
+
+
+def _transform_error_bound(norm2: float, length: int) -> float:
+    """Percival's bound (Math. Comp. 72, 2003, Thm 5.1; Brent and
+    Zimmermann, Modern Computer Arithmetic, Thm 3.3.2) on every bin's
+    error of the float64 FFT self-convolution of a vector x with
+    ||x||_2^2 = norm2, of a power-of-2 length 2^n:
+    norm2 * ((1 + e)^(3n) (1 + e sqrt 5)^(3n + 1) (1 + b)^(3n) - 1), with
+    e = 2^-53 the unit roundoff and b the twiddle factors' error.  It
+    assumes b <= 2^-52 (one ulp at 1), above the sqrt(2) 2^-53 of
+    correctly rounded twiddles.  The product is formed as expm1 of a sum
+    of log1p, since 1 + e rounds to 1.
+    """
+    n = length.bit_length() - 1
+    e, b = 2.0 ** -53, 2.0 ** -52
+    return norm2 * math.expm1(3 * n * (math.log1p(e) + math.log1p(b))
+                              + (3 * n + 1) * math.log1p(e * math.sqrt(5)))
+
+
+def _transform_bins(lam: np.ndarray, cnt: np.ndarray, r: int,
+                    length: int) -> np.ndarray | None:
+    """The dense int64 bins of _self_convolve by one float64 transform of
+    the given power-of-2 length >= 2r - 1, or None when its rounding bound
+    does not put every bin's error below 1/4 (then the pair blocks run).
+
+    The counts are placed at lam in a float64 vector x of length r; rfft,
+    a square and irfft give the linear self-convolution z, of length
+    2r - 1, with no wrap.  Rounding needs an error below 1/2, so the bound
+    of 1/4 keeps a factor 2 for numpy's transform, which is pocketfft's
+    mixed-radix real FFT rather than the radix-2 complex one the bound is
+    proved for.  The bound also caps every bin (each is at most ||x||^2)
+    far below 2^53, so every count and bin is an exact float64.  After
+    the transform, z is rounded to int64 and checked: every bin >= 0, and
+    the bins sum exactly to (sum of cnt)^2, summed in 32-bit halves so the
+    int64 sums cannot wrap.  A failed check raises ArithmeticError; it
+    never falls back.  z[r:] then folds onto z[:r - 1], the wrap mod r.
+    numpy.fft is read here, so it is imported on first use only.
+    """
+    x = np.zeros(r)
+    x[lam] = cnt
+    if _transform_error_bound(float(np.dot(x, x)), length) >= 0.25:
+        return None
+    f = np.fft.rfft(x, length)
+    z = np.rint(np.fft.irfft(f * f, length)[:2 * r - 1]).astype(np.int64)
+    total = int(cnt.sum()) ** 2
+    if int(z.min()) < 0 or (
+            (int(np.sum(z >> 32)) << 32) + int(np.sum(z & 0xFFFFFFFF)) != total):
+        raise ArithmeticError(
+            f"transform self-convolution at r = {r} failed its exact check: "
+            f"bins must be >= 0 and sum to {total}")
+    z[:r - 1] += z[r:]
+    return z[:r]
 
 
 def _merge_bins(parts: Sequence[Tuple[np.ndarray, np.ndarray]]

@@ -222,13 +222,35 @@ def root_pairs(r: int | FactoredModulus) -> np.ndarray:
     for (p, a), e in zip(fm.factors, fm.crt_idempotents):
         ms, ks = _prime_power_pairs(p, a)
         # int32 factor tables of an int64 r widen before scaling by e < r
-        acc_m = np.add.outer(ms.astype(dtype, copy=False) * e % n, acc_m).ravel()
-        acc_k = np.add.outer(ks.astype(dtype, copy=False) * e % n, acc_k).ravel()
-    key = acc_m % n * n + acc_k % n
+        acc_m = np.add.outer(_mod(ms.astype(dtype, copy=False) * e, n), acc_m).ravel()
+        acc_k = np.add.outer(_mod(ks.astype(dtype, copy=False) * e, n), acc_k).ravel()
+    key = _mod(acc_m, n) * n + _mod(acc_k, n)
     key.sort()
     pairs = np.empty((n, 2), dtype=np.int64)
     np.divmod(key, n, out=(pairs[:, 0], pairs[:, 1]))
     return pairs
+
+
+#: smallest array that _mod reduces as a - a // p * p; below it the
+#: three numpy calls cost more than one %
+_MOD_MIN_SIZE = 512
+
+
+def _mod(a: np.ndarray, p: int) -> np.ndarray:
+    """a % p for an integer array a and an int p >= 1: for arrays of at
+    least _MOD_MIN_SIZE entries as a - a // p * p in one temporary.
+
+    numpy's // by a scalar divides with a precomputed reciprocal, which
+    its % does not, so this form is the faster one on long arrays.
+    a // p * p may wrap for a near the dtype's minimum; the difference is
+    then taken mod 2^bits as well, so the result, which lies in [0, p),
+    is exact.
+    """
+    if a.size < _MOD_MIN_SIZE:
+        return a % p
+    q = a // p
+    q *= p
+    return np.subtract(a, q, out=q)
 
 
 def _require_int64_square(n: int, name: str) -> None:
@@ -271,11 +293,11 @@ def _vec_pow_mod(base: np.ndarray, e: int, p: int) -> np.ndarray:
         raise ValueError(f"exponent e = {e} must be >= 0")
     _require_int64_square(p, "p")
     result = np.full_like(base, 1 % p)
-    b = base % p
+    b = _mod(base, p)
     while e:
         if e & 1:
-            result = result * b % p
-        b = b * b % p
+            result = _mod(result * b, p)
+        b = _mod(b * b, p)
         e >>= 1
     return result
 
@@ -289,15 +311,15 @@ def _vec_unit_root_mod_prime(m: np.ndarray, p: int) -> np.ndarray:
     """
     q, s = _two_adic(p)
     y = _vec_pow_mod(m, (q - 1) // 2, p)
-    x = m * y % p
-    t = x * y % p
+    x = _mod(m * y, p)
+    t = _mod(x * y, p)
     residue = _vec_pow_mod(t, 1 << (s - 1), p) == 1
     if s > 1:
         c = _nonresidue_power(p, q)
         for i in range(s - 1, 0, -1):
             flip = _vec_pow_mod(t, 1 << (i - 1), p) != 1
-            x = np.where(flip, x * c % p, x)
-            t = np.where(flip, t * (c * c % p) % p, t)
+            x = np.where(flip, _mod(x * c, p), x)
+            t = np.where(flip, _mod(t * (c * c % p), p), t)
             c = c * c % p
     return np.where(residue, x, -1)
 
@@ -312,10 +334,10 @@ def _hensel_roots(m: np.ndarray, x: np.ndarray, p: int,
     below p^gamma, and every product stays below p^(2 gamma).
     """
     if gamma > 1:
-        inv2x = _vec_pow_mod(2 * x % p, p - 2, p)
+        inv2x = _vec_pow_mod(_mod(2 * x, p), p - 2, p)
         pk = p
         for _ in range(gamma - 1):
-            x = x + (-((x * x - m) // pk) * inv2x % p) * pk
+            x = x + _mod(-((x * x - m) // pk) * inv2x, p) * pk
             pk *= p
     return np.concatenate([x, p ** gamma - x])
 
@@ -330,9 +352,9 @@ def _two_adic_roots(m: np.ndarray, gamma: int) -> np.ndarray:
     pg = 1 << gamma
     x = np.ones_like(m)
     for k in range(3, gamma):
-        x += np.where((x * x - m) % (1 << (k + 1)) != 0, 1 << (k - 1), 0)
+        x += np.where(_mod(x * x - m, 1 << (k + 1)) != 0, 1 << (k - 1), 0)
     half = pg // 2
-    return np.concatenate([x, pg - x, (x + half) % pg, (half - x) % pg])
+    return np.concatenate([x, pg - x, _mod(x + half, pg), _mod(half - x, pg)])
 
 
 def _prime_power_pairs(p: int, a: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -375,15 +397,15 @@ def _unit_residue_roots(w: np.ndarray, p: int,
     """
     if p != 2:
         # a w longer than p reads its roots mod p from a table of all p
-        u = w % p
+        u = _mod(w, p)
         x = (_vec_unit_root_mod_prime(np.arange(p, dtype=w.dtype), p)[u]
              if w.size > p else _vec_unit_root_mod_prime(u, p))
         i = np.flatnonzero(x >= 0)
         return np.tile(i, 2), _hensel_roots(w[i], x[i], p, gamma)
     if gamma >= 3:
-        i = np.flatnonzero(w % 8 == 1)
+        i = np.flatnonzero(_mod(w, 8) == 1)
         return np.tile(i, 4), _two_adic_roots(w[i], gamma)
-    i = np.flatnonzero(w % (1 << gamma) == 1)
+    i = np.flatnonzero(_mod(w, 1 << gamma) == 1)
     return np.tile(i, gamma), np.repeat(
         np.arange(1, 1 << gamma, 2, dtype=w.dtype), i.size)
 
@@ -410,7 +432,7 @@ def _prime_power_residue_roots(v: np.ndarray, p: int,
         ts.append(np.repeat(t[i], half))
         ks.append((half * x[:, None] + np.arange(0, q, q // half,
                                                  dtype=v.dtype)).ravel())
-        deeper = np.flatnonzero(w % (p * p) == 0)
+        deeper = np.flatnonzero(_mod(w, p * p) == 0)
         t, w = t[deeper], w[deeper] // (p * p)
     step = p ** ((a + 1) // 2)
     ts.append(np.repeat(t, q // step))
@@ -449,11 +471,11 @@ def _residue_roots(v: np.ndarray, fm: FactoredModulus
     t = np.arange(v.size)
     k = np.zeros(v.size, dtype=np.int64)
     for (p, a), e in zip(fm.factors, fm.crt_idempotents):
-        tq, kq = _prime_power_residue_roots(v % p ** a, p, a)
+        tq, kq = _prime_power_residue_roots(_mod(v, p ** a), p, a)
         order = np.argsort(tq, kind="stable")
         i, iq = _matching_pairs(t, tq[order], v.size)
-        t, k = t[i], k[i] + (kq * e % n)[order[iq]]
-    return t, k % n
+        t, k = t[i], k[i] + _mod(kq * e, n)[order[iq]]
+    return t, _mod(k, n)
 
 
 def _array_multiset(R: int, j: int, h: int | None, fm: FactoredModulus
@@ -468,13 +490,13 @@ def _array_multiset(R: int, j: int, h: int | None, fm: FactoredModulus
     m = np.arange(1, R + 1, dtype=np.int64)
     if h is not None:
         m = np.concatenate([m, m + h % n])
-    t, k = _residue_roots(m % n * (j % n) % n, fm)
+    t, k = _residue_roots(_mod(_mod(m, n) * (j % n), n), fm)
     if h is None:
         k.sort()
         return k, np.ones_like(k)
     split = np.searchsorted(t, R)
     i, it = _matching_pairs(t[:split], t[split:] - R, R)
-    keys, counts = np.unique((k[split:][it] - k[i]) % n, return_counts=True)
+    keys, counts = np.unique(_mod(k[split:][it] - k[i], n), return_counts=True)
     return keys, counts.astype(np.int64)
 
 

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -188,6 +191,7 @@ def test_pair_blocks_match_brute_on_criterion_3_subgrid(block, dense_bins,
     # block of every ordered pair.  Dense and sparse bins both run.
     monkeypatch.setattr(energies, "_BLOCK", block)
     monkeypatch.setattr(energies, "_DENSE_BINS", dense_bins)
+    monkeypatch.setattr(energies, "_TRANSFORM_PAIRS_PER_BIN", math.inf)
     compared = 0
     for r in range(1, 31):
         for j in (1, 2, 3):
@@ -274,3 +278,95 @@ def test_square_sum_certificate_on_both_sides(fold, a, dot, monkeypatch):
 def test_square_sum_of_an_empty_table():
     assert _square_sum(np.zeros(0, dtype=np.int64), 0) == 0
     assert _energy_from_multiset(*multiset({}), 7, 4, "conv") == 0
+
+
+def count_transforms(monkeypatch):
+    """Patch np.fft.rfft to record each transform length it is called with."""
+    lengths, rfft = [], np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", lambda x, n: lengths.append(n) or rfft(x, n))
+    return lengths
+
+
+@pytest.mark.parametrize("threshold", [0, math.inf])
+def test_transform_regime_matches_brute_on_criterion_3_subgrid(threshold,
+                                                               monkeypatch):
+    # threshold 0 sends every nonempty self-convolution through the
+    # transform, both E4 passes included; infinity sends none
+    monkeypatch.setattr(energies, "_TRANSFORM_PAIRS_PER_BIN", threshold)
+    lengths = count_transforms(monkeypatch)
+    nonempty, convolve = [], energies._self_convolve
+    monkeypatch.setattr(energies, "_self_convolve", lambda lam, cnt, r: (
+        nonempty.append(lam.size > 0) or convolve(lam, cnt, r)))
+    compared = 0
+    for r in range(1, 31):
+        for j in (1, 2, 3):
+            if math.gcd(j, r) != 1:
+                continue
+            for R in range(1, min(8, r) + 1):
+                reps = [lambda m: energy_e2(R, j, r, m),
+                        lambda m: energy_e4(R, j, r, m)]
+                reps += [lambda m, h=h: energy_f2(R, j, h, r, m) for h in (0, 1, 2)]
+                for rep in reps:
+                    assert rep("conv").energy == rep("brute").energy
+                    compared += 1
+    assert compared == 2275
+    assert len(lengths) == (sum(nonempty) if threshold == 0 else 0)
+    assert sum(nonempty) == 2159
+    assert all(n & (n - 1) == 0 for n in lengths)
+
+
+def test_transform_gives_literal_energies_at_scale(monkeypatch):
+    # with R = r every k is a root of exactly one m, so every residue has
+    # count 1 and each pass spreads its mass evenly: E2 = r^3, E4 = r^7
+    lengths = count_transforms(monkeypatch)
+    assert energy_e2(100003, 1, 100003).energy == 100003 ** 3
+    assert lengths == [2 ** 18]
+    assert energy_e4(10007, 1, 10007).energy == 10007 ** 7
+    assert lengths[1:] == [2 ** 15, 2 ** 15]
+
+
+def test_transform_bound_failure_takes_the_pair_blocks(monkeypatch):
+    # ||cnt||^2 = 2 a^2 ~ 4.6e18 is far past the rounding bound (1 / (4
+    # bound) ~ 4e13 at length 16), so even at threshold 0 the pair blocks
+    # run, and stay exact; a = 10^6 passes the bound and transforms
+    monkeypatch.setattr(energies, "_TRANSFORM_PAIRS_PER_BIN", 0)
+    lengths = count_transforms(monkeypatch)
+    a = 1518500249
+    assert energies._transform_error_bound(2.0 * a * a, 16) >= 0.25
+    assert (_energy_from_multiset(*multiset({0: a, 1: a}), 7, 2, "conv")
+            == 6 * a ** 4)
+    assert lengths == []
+    a = 10 ** 6
+    assert energies._transform_error_bound(2.0 * a * a, 16) < 0.25
+    assert (_energy_from_multiset(*multiset({0: a, 1: a}), 7, 2, "conv")
+            == 6 * a ** 4)
+    assert lengths == [16]
+
+
+@pytest.mark.parametrize("shift", [0.6, -0.6])
+def test_transform_exact_check_raises_on_a_moved_bin(shift, monkeypatch):
+    # +0.6 rounds one bin up by 1, so the bins miss their exact total;
+    # -0.6 on the empty bin r makes it negative
+    monkeypatch.setattr(energies, "_TRANSFORM_PAIRS_PER_BIN", 0)
+    irfft = np.fft.irfft
+
+    def moved(f, n):
+        z = irfft(f, n)
+        z[7] += shift
+        return z
+
+    monkeypatch.setattr(np.fft, "irfft", moved)
+    table = {0: 2, 1: 1, 3: 1}  # bins 0, 1, 2, 3, 4 and 6; bin 7 (r) is empty
+    with pytest.raises(ArithmeticError, match="exact check"):
+        _energy_from_multiset(*multiset(table), 7, 2, "conv")
+
+
+def test_importing_the_cli_does_not_load_numpy_fft():
+    src = os.path.dirname(os.path.dirname(energies.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, sievelab.cli; "
+         "print('numpy' in sys.modules, 'numpy.fft' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True).stdout
+    assert out.split() == ["True", "False"]

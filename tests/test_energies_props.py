@@ -1,5 +1,6 @@
 """Property tests of the fast energy kernel; skipped without hypothesis."""
 
+import math
 from unittest import mock
 
 import pytest
@@ -52,6 +53,19 @@ def test_conv_equals_brute_with_small_pair_blocks(case, block):
     # monkeypatch is not undone between hypothesis examples
     r, table = case
     with mock.patch.object(energies, "_BLOCK", block):
+        for fold in (2, 4):
+            assert (_energy_from_multiset(*multiset(table), r, fold, "conv")
+                    == _energy_from_multiset(*multiset(table), r, fold, "brute"))
+
+
+@given(case=sparse_tables(max_r=400, max_keys=12, max_count=99),
+       threshold=st.sampled_from([0, 1, 16, math.inf]))
+@settings(max_examples=60, deadline=None)
+def test_conv_equals_brute_with_any_transform_threshold(case, threshold):
+    # threshold 0 transforms every nonempty dense self-convolution, and
+    # infinity none; patched in the body, as above
+    r, table = case
+    with mock.patch.object(energies, "_TRANSFORM_PAIRS_PER_BIN", threshold):
         for fold in (2, 4):
             assert (_energy_from_multiset(*multiset(table), r, fold, "conv")
                     == _energy_from_multiset(*multiset(table), r, fold, "brute"))

@@ -529,6 +529,24 @@ def test_int64_square_preconditions_at_boundary():
         root_pairs(3037000500)
 
 
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint32, np.uint64])
+def test_mod_helper_equals_numpy_remainder(dtype):
+    # the ends of each dtype, where a // p * p wraps for negative a, and
+    # random operands of both signs
+    info = np.iinfo(dtype)
+    a = np.concatenate([
+        np.array([info.min, info.min + 1, info.max - 1, info.max, 0, 1],
+                 dtype=dtype),
+        np.random.default_rng(5).integers(info.min, info.max, 2000,
+                                          dtype=dtype, endpoint=True)])
+    assert a.size >= sqrtmod._MOD_MIN_SIZE > 6
+    for p in (1, 2, 3, 8, 9973, 2 ** 16 + 1, 46340, int(info.max)):
+        for part in (a, a[:6]):  # both forms of the helper
+            got = sqrtmod._mod(part, p)
+            assert got.dtype == a.dtype
+            assert np.array_equal(got, part % p), p
+
+
 def test_vec_pow_mod_refuses_negative_exponent():
     # e >>= 1 never leaves -1, so a missing check loops forever; the alarm
     # turns that into a failure instead of a hung test run
