@@ -136,18 +136,17 @@ def criterion_3_energy_oracle(r_max: int = 60, R_max: int = 8):
     """conv and brute energies agree exactly on the full small grid."""
     compared = 0
     for r in range(1, r_max + 1):
-        fm = factorize(r)
         for j in range(1, r + 1):
             if math.gcd(j, r) != 1:
                 continue
             for R in range(1, min(R_max, r) + 1):
                 pairs = [
-                    (energy_e2(R, j, fm, "conv"), energy_e2(R, j, fm, "brute")),
-                    (energy_e4(R, j, fm, "conv"), energy_e4(R, j, fm, "brute")),
+                    (energy_e2(R, j, r, "conv"), energy_e2(R, j, r, "brute")),
+                    (energy_e4(R, j, r, "conv"), energy_e4(R, j, r, "brute")),
                 ]
                 for h in (0, 1, 2):
-                    pairs.append((energy_f2(R, j, h, fm, "conv"),
-                                  energy_f2(R, j, h, fm, "brute")))
+                    pairs.append((energy_f2(R, j, h, r, "conv"),
+                                  energy_f2(R, j, h, r, "brute")))
                 for a, b in pairs:
                     compared += 1
                     if a.energy != b.energy:

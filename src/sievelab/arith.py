@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import List, Tuple
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -134,6 +134,7 @@ class FactoredModulus:
 _TRIAL_LIMIT = 10 ** 3
 
 
+@lru_cache(maxsize=256)
 def factorize(n: int) -> FactoredModulus:
     """Full prime factorization: trial division, then Miller-Rabin / Brent's rho.
 
@@ -144,6 +145,14 @@ def factorize(n: int) -> FactoredModulus:
     the square root of its smallest prime factor: n near 10^12 costs on
     the order of 10^3 steps, not the ~2.7 * 10^5 of trial division to 10^6.
     Intended for n <= 2^63; rejects n = 0.
+
+    Memoized, at most 256 entries (the bound of sqrtmod._sqrt_mod_all and
+    expsums._unit_inverses), so every caller passes r as an int and a
+    repeated r is factorized once.  The FactoredModulus returned is the
+    cached object itself: it is frozen, so callers share it safely.  The
+    memo holds only these small objects; factorize.cache_clear() releases
+    them.  An exception is never cached, so a refused n is refused again
+    on every call.
     """
     if n < 1:
         raise ValueError("factorize requires n >= 1")

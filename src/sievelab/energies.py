@@ -27,7 +27,8 @@ first.  Both read the multiset as sorted int64 (keys, counts) and return
 exact integers; before either runs, the certificate mass^fold < 2^63
 (mass = number of roots counted with multiplicity) bounds every bin, and
 so every int64 count and weight (doubled ones included), so none can
-wrap.
+wrap.  r is an int, passed through as given: only the fast builder
+factorizes it.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .arith import FactoredModulus, is_prime
+from .arith import is_prime
 from .sqrtmod import build_root_multiset
 
 #: pair sums per block of the fast convolution (about 1 MB of int64 temporaries)
@@ -240,43 +241,42 @@ def _energy_from_multiset(keys: np.ndarray, counts: np.ndarray, r: int,
     return sum(c * c for c in h.tolist())
 
 
-def _energy(R: int, j: int, h: int | None, r: int | FactoredModulus,
-            fold: int, method: str) -> Tuple[int, int]:
-    """(energy, r as an int) of the plain multiset (h None) or the
-    difference multiset of h.  Method conv reads the fast builder, brute
-    the oracle, which factorizes nothing; r is passed through as given."""
+def _energy(R: int, j: int, h: int | None, r: int, fold: int,
+            method: str) -> int:
+    """The energy of the plain multiset (h None) or the difference
+    multiset of h.  Method conv reads the fast builder, brute the oracle,
+    which factorizes nothing."""
     if method not in ("conv", "brute"):
         raise ValueError(f"unknown method {method!r}")
-    n = r.n if isinstance(r, FactoredModulus) else r
     keys, counts = build_root_multiset(
         R, j, r, h, method="fast" if method == "conv" else "oracle")
-    return _energy_from_multiset(keys, counts, n, fold, method), n
+    return _energy_from_multiset(keys, counts, r, fold, method)
 
 
 def energy_e2(R: int, j: int, r: int, method: str = "conv") -> EnergyReport:
     """Quadruples (k1..k4) with ki^2 = j*mi, mi in [1,R], k1+k2 = k3+k4 mod r."""
-    e, n = _energy(R, j, None, r, 2, method)
-    return EnergyReport("E2", R, j, None, n, e, R ** 4 / n + R ** 2, method)
+    e = _energy(R, j, None, r, 2, method)
+    return EnergyReport("E2", R, j, None, r, e, R ** 4 / r + R ** 2, method)
 
 
 def energy_e4(R: int, j: int, r: int, method: str = "conv") -> EnergyReport:
     """8-tuple analogue of energy_e2 (4-vs-4 sums)."""
-    e, n = _energy(R, j, None, r, 4, method)
-    return EnergyReport("E4", R, j, None, n, e, R ** 8 / n + R ** 4, method)
+    e = _energy(R, j, None, r, 4, method)
+    return EnergyReport("E4", R, j, None, r, e, R ** 8 / r + R ** 4, method)
 
 
 def energy_f2(R: int, j: int, h: int, r: int, method: str = "conv") -> EnergyReport:
     """Additive energy of root differences f(m) = sqrt(j(m+h)) - sqrt(jm)."""
-    e, n = _energy(R, j, h, r, 2, method)
-    hr = math.gcd(h % n, n) if (h % n) != 0 else n
-    return EnergyReport("F2", R, j, h, n, e, hr * R ** 4 / n + R ** 2, method)
+    e = _energy(R, j, h, r, 2, method)
+    hr = math.gcd(h % r, r) if (h % r) != 0 else r
+    return EnergyReport("F2", R, j, h, r, e, hr * R ** 4 / r + R ** 2, method)
 
 
-def kssz_check(r: int, j: int, R: int, with_e4: bool = False) -> Dict[str, float]:
-    """E2 (optionally E4) against the prime-modulus theorem brackets, eps = 0.
+def kssz_check(r: int, j: int, R: int) -> Dict[str, float]:
+    """E2 against the prime-modulus theorem bracket, eps = 0.
 
-    Constant-tracking monitor; the theorems' implied constants are not
-    explicit, so ratios are reported, never asserted.
+    Constant-tracking monitor; the theorem's implied constant is not
+    explicit, so the ratio is reported, never asserted.
     """
     if not is_prime(r):
         raise ValueError("kssz_check requires prime r")
@@ -284,11 +284,5 @@ def kssz_check(r: int, j: int, R: int, with_e4: bool = False) -> Dict[str, float
         raise ValueError("need R <= r")
     e2 = energy_e2(R, j, r).energy
     b2 = (R ** 1.5 / r ** 0.5 + 1) * R ** 2
-    out = {"r": r, "j": j, "R": R, "e2": e2, "e2_bound": b2, "e2_ratio": e2 / b2}
-    if with_e4:
-        e4 = energy_e4(R, j, r).energy
-        b4 = (R ** (5 / 8) / r ** (1 / 8) + R ** 5.5 / r ** 0.5
-              + R ** 3 / r ** 0.25) * R ** 6 + R ** 5
-        out.update({"e4": e4, "e4_bound": b4, "e4_ratio": e4 / b4})
-    return out
+    return {"r": r, "j": j, "R": R, "e2": e2, "e2_bound": b2, "e2_ratio": e2 / b2}
 

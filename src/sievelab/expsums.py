@@ -9,6 +9,7 @@ within a few ulp of e_q(t) whatever the modulus.  The scalar oracles
 (gauss_sum_closed, esum_jh(form="bare")) call e_frac per term instead;
 the bare sum reads its roots from sqrtmod._square_groups, which squares
 every residue once, and neither factorizes nor calls a square-root solver.
+Every modulus is an int.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .arith import FactoredModulus, eps_q, factorize, is_prime, jacobi, mod_inverse
-from .sqrtmod import (_fits_int32_square, _require_int64_square,
-                      _square_groups, root_table)
+from .arith import eps_q, factorize, is_prime, jacobi, mod_inverse
+from .sqrtmod import (_fits_int32_square, _matching_pairs,
+                      _require_int64_square, _square_groups, root_pairs)
 
 
 def e_frac(num: int, den: int) -> complex:
@@ -146,7 +147,7 @@ def esum_jh(
     n: int,
     j: int,
     h: int,
-    r: int | FactoredModulus,
+    r: int,
     form: str = "paired",
 ) -> ExpSumValue:
     """The complete root-difference sum over Z/rZ.
@@ -156,55 +157,52 @@ def esum_jh(
     bare:   sum over a mod r and root pairs k^2 = ja, kt^2 = j(a+h) of
             e_r(l(kt - k) + n*a).
     The two are the same sum.  paired is the fast path: one vectorized
-    pass over the bulk root table (root_table), which needs r^2 < 2^63,
-    with the exact residue phases summed through unit_phases(r).  bare is
-    the oracle: it squares every k in [0, r) once (sqrtmod._square_groups,
-    k grouped by j^-1 k^2, which refuses r > 2^20 before any work),
-    factorizes nothing, calls no solver, and adds one e_frac per term.
+    pass over the bulk root table root_pairs(r), which needs r^2 < 2^63:
+    sqrtmod._matching_pairs pairs each k with the run of roots kt of
+    k^2 + jh, and the exact residue phases are summed through
+    unit_phases(r).  bare is the oracle: it squares every k in [0, r) once
+    (sqrtmod._square_groups, k grouped by j^-1 k^2, which refuses
+    r > 2^20 before any work), factorizes nothing, calls no solver, and
+    adds one e_frac per term.
     Their computed values may differ in the last bits, since the terms are
     added in another order; terms is equal.
     margin is |value| / (r^{4/5} (h,r) (l,r)^{1/5}), eps = 0.
     """
-    rr = r.n if isinstance(r, FactoredModulus) else r
     if form not in ("paired", "bare"):
         raise ValueError(f"unknown form {form!r}")
-    if rr < 1:
+    if r < 1:
         raise ValueError("need r >= 1")
-    if math.gcd(j, rr) != 1:
+    if math.gcd(j, r) != 1:
         raise ValueError("need gcd(j, r) = 1")
     total = 0j
     terms = 0
     if form == "paired":
-        offsets, roots = root_table(r)
-        jinv = mod_inverse(j, rr) if rr > 1 else 0
-        k = np.arange(rr, dtype=np.int64)
-        target = (k * k + j * h % rr) % rr
-        starts = offsets[target]
-        counts = offsets[target + 1] - starts
-        terms = int(counts.sum())
-        # gather every kt with kt^2 = k^2 + jh, grouped by k
-        first = np.cumsum(counts) - counts
-        kt = roots[np.repeat(starts - first, counts) + np.arange(terms)]
-        k = np.repeat(k, counts)
+        pairs = root_pairs(r)
+        jinv = mod_inverse(j, r) if r > 1 else 0
+        k = np.arange(r, dtype=np.int64)
+        # every kt with kt^2 = k^2 + jh, grouped by k
+        k, i = _matching_pairs((k * k + j * h % r) % r, pairs[:, 0], r)
+        kt = pairs[i, 1]
+        terms = k.size
         # each product is reduced mod r before adding, so nothing exceeds r^2
-        phase = (l % rr * (kt - k) % rr + n * jinv % rr * (k * k % rr) % rr) % rr
-        total = _phase_sum(phase, rr)
+        phase = (l % r * (kt - k) % r + n * jinv % r * (k * k % r) % r) % r
+        total = _phase_sum(phase, r)
     else:
         # the k with k^2 = j*m mod r are the group of m
-        groups = _square_groups(rr, j % rr)
-        for a in range(1, rr + 1):
-            ks = groups.get(a % rr, ())
+        groups = _square_groups(r, j % r)
+        for a in range(1, r + 1):
+            ks = groups.get(a % r, ())
             if not ks:
                 continue
-            kts = groups.get((a + h) % rr, ())
+            kts = groups.get((a + h) % r, ())
             for k in ks:
                 for kt in kts:
-                    total += e_frac(l * (kt - k) + n * a, rr)
+                    total += e_frac(l * (kt - k) + n * a, r)
                     terms += 1
-    hr = math.gcd(h, rr)
-    lr = math.gcd(l, rr)
-    bound = rr ** 0.8 * (hr if hr else rr) * (lr if lr else rr) ** 0.2
-    return ExpSumValue(total, terms, rr, abs(total) / bound)
+    hr = math.gcd(h, r)
+    lr = math.gcd(l, r)
+    bound = r ** 0.8 * (hr if hr else r) * (lr if lr else r) ** 0.2
+    return ExpSumValue(total, terms, r, abs(total) / bound)
 
 
 @lru_cache(maxsize=256)

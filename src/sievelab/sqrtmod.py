@@ -9,6 +9,10 @@ analysis at p = 2) and scale its roots by p^(beta/2).  The array solver
 builds the bulk root tables (root_pairs) and the root multisets' array
 pass (_residue_roots) alike.  Composite moduli recombine the prime-power
 roots by CRT with the idempotents FactoredModulus.crt_idempotents.
+
+Every public function takes r as an int.  An int r is factorized on
+every call, through arith.factorize, whose memo makes a repeated r cost
+one lookup; the FactoredModulus stays inside the private helpers.
 """
 
 from __future__ import annotations
@@ -160,18 +164,18 @@ def _sqrt_mod_prime_power(m: int, p: int, alpha: int) -> Tuple[int, ...]:
     return tuple(sorted(half * (x + t * pg) for x in base for t in range(half)))
 
 
-def sqrt_mod_all(m: int, r: int | FactoredModulus) -> RootSet:
+def sqrt_mod_all(m: int, r: int) -> RootSet:
     """All square roots of m modulo r, via CRT over the prime powers of r.
 
-    An int r is factorized on every call; the roots come from
-    _sqrt_mod_all, a memo of at most 256 entries (the bound of
-    expsums._unit_inverses) keyed on the reduced residue m mod r and the
-    FactoredModulus, so m, m + r and m - r share one entry.  The RootSet
+    r is factorized on every call, through arith.factorize's memo; the
+    roots come from _sqrt_mod_all, a memo of at most 256 entries (the
+    bound of expsums._unit_inverses) keyed on the reduced residue m mod r
+    and the FactoredModulus, so m, m + r and m - r share one entry.  The RootSet
     returned is the cached object itself: it is frozen and holds a tuple,
     so callers share it safely.
     """
-    fm = r if isinstance(r, FactoredModulus) else factorize(r)
-    return _sqrt_mod_all(m % fm.n, fm)
+    fm = factorize(r)  # refuses r < 1 before m % r is taken
+    return _sqrt_mod_all(m % r, fm)
 
 
 @lru_cache(maxsize=256)
@@ -198,7 +202,7 @@ def _sqrt_mod_all(m: int, fm: FactoredModulus) -> RootSet:
     return RootSet(n, m, tuple(sorted(v % n for v in combos)))
 
 
-def root_pairs(r: int | FactoredModulus) -> np.ndarray:
+def root_pairs(r: int) -> np.ndarray:
     """All (m, k) with k^2 = m (mod r), as an (r, 2) int64 array sorted by (m, k).
 
     Built from the prime-power tables of _prime_power_pairs (the array
@@ -213,21 +217,20 @@ def root_pairs(r: int | FactoredModulus) -> np.ndarray:
     int64 columns are written by the final divmod either way.  There are
     exactly r pairs since every k is a root of exactly one m.
     """
-    fm = r if isinstance(r, FactoredModulus) else factorize(r)
-    n = fm.n
-    _require_int64_square(n, "r")
-    dtype = np.int32 if _fits_int32_square(n) else np.int64
+    fm = factorize(r)
+    _require_int64_square(r, "r")
+    dtype = np.int32 if _fits_int32_square(r) else np.int64
     acc_m = np.zeros(1, dtype=dtype)
     acc_k = np.zeros(1, dtype=dtype)
     for (p, a), e in zip(fm.factors, fm.crt_idempotents):
         ms, ks = _prime_power_pairs(p, a)
         # int32 factor tables of an int64 r widen before scaling by e < r
-        acc_m = np.add.outer(_mod(ms.astype(dtype, copy=False) * e, n), acc_m).ravel()
-        acc_k = np.add.outer(_mod(ks.astype(dtype, copy=False) * e, n), acc_k).ravel()
-    key = _mod(acc_m, n) * n + _mod(acc_k, n)
+        acc_m = np.add.outer(_mod(ms.astype(dtype, copy=False) * e, r), acc_m).ravel()
+        acc_k = np.add.outer(_mod(ks.astype(dtype, copy=False) * e, r), acc_k).ravel()
+    key = _mod(acc_m, r) * r + _mod(acc_k, r)
     key.sort()
-    pairs = np.empty((n, 2), dtype=np.int64)
-    np.divmod(key, n, out=(pairs[:, 0], pairs[:, 1]))
+    pairs = np.empty((r, 2), dtype=np.int64)
+    np.divmod(key, r, out=(pairs[:, 0], pairs[:, 1]))
     return pairs
 
 
@@ -265,19 +268,6 @@ def _fits_int32_square(n: int) -> bool:
     32 bits: a product of two residues mod n, or a difference of such
     products, fits int32, and a sum of two products fits uint32."""
     return n * n < 2 ** 31
-
-
-def root_table(r: int | FactoredModulus) -> Tuple[np.ndarray, np.ndarray]:
-    """Compressed root_pairs(r): the roots of m are roots[offsets[m]:offsets[m+1]].
-
-    offsets has r + 1 entries and roots has r, both int64 and sorted as in
-    root_pairs.  root_pairs requires r^2 < 2^63, so callers may square
-    entries.
-    """
-    fm = r if isinstance(r, FactoredModulus) else factorize(r)
-    pairs = root_pairs(fm)
-    offsets = np.searchsorted(pairs[:, 0], np.arange(fm.n + 1))
-    return offsets, pairs[:, 1]
 
 
 #: prime-power pair tables for q <= _PP_CACHE_MAX: criterion 1 asks for
@@ -514,7 +504,7 @@ _ORACLE_MAX_R = 1 << 20
 def build_root_multiset(
     R: int,
     j: int,
-    r: int | FactoredModulus,
+    r: int,
     h: int | None = None,
     method: str = "fast",
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -537,39 +527,38 @@ def build_root_multiset(
     (and j(m+h)) in one numpy pass (_array_multiset over _residue_roots:
     array Tonelli-Shanks, Hensel and 2-adic lifts per prime power, CRT
     idempotents); otherwise it calls sqrt_mod_all per m.  Only "fast"
-    factorizes r.  Method "oracle" squares every k in [0, r) and groups
-    k by m = j^-1 k^2 mod r (_square_groups), with no solver call; the
-    size refusal of _square_groups is its first work.  The per-m loop of
+    factorizes r: the array regime once, and sqrt_mod_all on each call
+    through arith.factorize's memo.  Method "oracle" squares every k in
+    [0, r) and groups k by m = j^-1 k^2 mod r (_square_groups), with no
+    solver call; the size refusal of _square_groups is its first work.  The per-m loop of
     either method takes the roots of each m as they are (plain) or pairs
     the k of m with the kt of m + h (difference), counts the residues in
     a dict and sorts the keys once.
     """
-    n = r.n if isinstance(r, FactoredModulus) else r
-    if not 1 <= R <= n:
+    if not 1 <= R <= r:
         raise ValueError("need 1 <= R <= r")
-    if math.gcd(j, n) != 1:
+    if math.gcd(j, r) != 1:
         raise ValueError("need gcd(j, r) = 1")
     if method not in ("fast", "oracle"):
         raise ValueError(f"unknown method {method!r}")
 
     if method == "fast":
-        fm = r if isinstance(r, FactoredModulus) else factorize(r)
-        if R >= _ARRAY_MIN_R and n * n < 2 ** 63:
-            return _array_multiset(R, j, h, fm)
+        if R >= _ARRAY_MIN_R and r * r < 2 ** 63:
+            return _array_multiset(R, j, h, factorize(r))
 
         def roots_of(m: int) -> Sequence[int]:
-            return sqrt_mod_all(j * m % n, fm).roots
+            return sqrt_mod_all(j * m % r, r).roots
     else:
-        groups = _square_groups(n, j % n)
+        groups = _square_groups(r, j % r)
 
         def roots_of(m: int) -> Sequence[int]:
-            return groups.get(m % n, ())
+            return groups.get(m % r, ())
     table: Dict[int, int] = {}
     for m in range(1, R + 1):
         lams = roots_of(m)
         if h is not None and lams:
             kts = roots_of(m + h)
-            lams = [(kt - k) % n for k in lams for kt in kts]
+            lams = [(kt - k) % r for k in lams for kt in kts]
         for lam in lams:
             table[lam] = table.get(lam, 0) + 1
     keys = sorted(table)
@@ -586,9 +575,12 @@ def _square_groups(n: int, j: int) -> Mapping[int, Tuple[int, ...]]:
     root-difference sum (expsums.esum_jh, form "bare"); none calls the
     solver.  It depends only on (n, j mod n), so criterion 3's points of
     one (r, j), plain and difference alike, share it; the memo keeps the
-    most recent key only.  It refuses n > _ORACLE_MAX_R first, and no
-    oracle factorizes or solves before it, so that refusal comes before
-    any work.  The groups are read-only (a mapping proxy over tuples), so
+    most recent key only.  So after a call the groups of that (n, j) stay
+    alive: O(n) tuples, about 79 MB at n = 2^20.  A command-line call
+    exits and frees them; a library caller releases them with
+    sqrtmod._square_groups.cache_clear().  It refuses n > _ORACLE_MAX_R
+    first, and no oracle factorizes or solves before it, so that refusal
+    comes before any work.  The groups are read-only (a mapping proxy over tuples), so
     no caller can corrupt them.
     """
     if n > _ORACLE_MAX_R:

@@ -139,9 +139,8 @@ def test_criterion_03_rejects_a_moved_root_difference(monkeypatch):
         keys, counts = build(R, j, r, h, method=method)
         if h is None or method != "fast" or not keys.size:
             return keys, counts
-        # r is the FactoredModulus the energies pass on
         values = np.repeat(keys, counts)
-        values[0] = (values[0] + 1) % r.n
+        values[0] = (values[0] + 1) % r
         keys, counts = np.unique(values, return_counts=True)
         return keys, counts.astype(np.int64)
 

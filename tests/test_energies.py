@@ -102,9 +102,9 @@ def test_f2_bound_uses_gcd_h_r():
 def test_kssz_requires_prime():
     with pytest.raises(ValueError):
         kssz_check(15, 1, 3)
-    out = kssz_check(29, 1, 3, with_e4=True)
+    out = kssz_check(29, 1, 3)
     assert out["e2"] == energy_e2(3, 1, 29).energy
-    assert out["e4_ratio"] >= 0
+    assert out["e2_ratio"] == out["e2"] / out["e2_bound"] >= 0
 
 
 def test_large_prime_energies_match_literal_counts():

@@ -1,6 +1,7 @@
 """Every module-level import in the package modules is used, every
-function parameter is read, and every module-level private name is read
-somewhere in the package."""
+function parameter is read, every module-level private name is read
+somewhere in the package, and a modulus is an int at every public entry
+point: FactoredModulus stays inside arith and private helpers."""
 
 import ast
 from pathlib import Path
@@ -74,6 +75,38 @@ def unread_private_names(sources):
     return sorted(found)
 
 
+def factored_modulus_entry_points(source: str):
+    """(line, function, parameter) of each parameter of a public module
+    function, or a public method of a public class, annotated with
+    FactoredModulus."""
+    tree = ast.parse(source)
+    functions = [(node, node.name) for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+            functions += [(node, f"{cls.name}.{node.name}") for node in cls.body
+                          if isinstance(node, (ast.FunctionDef,
+                                               ast.AsyncFunctionDef))]
+    found = []
+    for node, name in functions:
+        if name.split(".")[-1].startswith("_"):
+            continue
+        a = node.args
+        found += [(node.lineno, name, p.arg)
+                  for p in (*a.posonlyargs, *a.args, *a.kwonlyargs)
+                  if p.annotation is not None
+                  and "FactoredModulus" in ast.unparse(p.annotation)]
+    return sorted(found)
+
+
+def factored_modulus_isinstance_calls(source: str):
+    """Lines of each isinstance(..., FactoredModulus) call."""
+    return sorted(n.lineno for n in ast.walk(ast.parse(source))
+                  if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                  and n.func.id == "isinstance" and len(n.args) == 2
+                  and "FactoredModulus" in ast.unparse(n.args[1]))
+
+
 def test_checker_finds_an_unused_import():
     src = "import os\nimport sys\nfrom typing import Dict, List\nx: List = sys.argv\n"
     assert unused_imports(src) == [(1, "os"), (3, "Dict")]
@@ -88,6 +121,22 @@ def test_checker_finds_an_unread_parameter():
            "        return lambda e, f: f * d\n")
     assert unread_parameters(src) == [(2, "f", "b"), (2, "f", "c"),
                                       (2, "f", "rest"), (6, "<lambda>", "e")]
+
+
+def test_checker_finds_a_factored_modulus_entry_point():
+    src = ("def f(m: int, r: int | FactoredModulus):\n"
+           "    n = r.n if isinstance(r, FactoredModulus) else r\n"
+           "    return isinstance(m, (int, arith.FactoredModulus))\n"
+           "def _g(fm: FactoredModulus):\n"
+           "    return fm\n"
+           "class C:\n"
+           "    def h(self, *, fm: 'FactoredModulus', k: int):\n"
+           "        return fm, k\n"
+           "    def _i(self, fm: FactoredModulus):\n"
+           "        return fm\n")
+    assert factored_modulus_entry_points(src) == [(1, "f", "r"),
+                                                  (7, "C.h", "fm")]
+    assert factored_modulus_isinstance_calls(src) == [2, 3]
 
 
 def test_checker_finds_an_unread_private_name():
@@ -110,3 +159,14 @@ def test_function_parameters_are_read(path):
 
 def test_private_names_are_read_in_the_package():
     assert unread_private_names({p.name: p.read_text() for p in PACKAGE}) == []
+
+
+def test_a_modulus_is_an_int_at_every_public_entry_point():
+    """A public function takes r as an int, and only arith tells a
+    FactoredModulus from an int: factorize's memo serves every caller
+    that needs the factors."""
+    for path in PACKAGE:
+        source = path.read_text()
+        assert factored_modulus_entry_points(source) == [], path.name
+        if path.name != "arith.py":
+            assert factored_modulus_isinstance_calls(source) == [], path.name

@@ -32,7 +32,6 @@ import numpy as np
 import pytest
 
 from sievelab import arith, energies, expsums, sqrtmod
-from sievelab.arith import factorize
 from sievelab.charsums import S4Input, s4_closed, s4_closed_rows, s4_direct
 from sievelab.energies import energy_e2, energy_e4, energy_f2
 from sievelab.expsums import (RationalFunctionModP, esum_jh, gauss_sum_closed,
@@ -226,9 +225,8 @@ SQUARING_ORACLES = {
                      lambda r: esum_jh(3, 5, 1, 1, r, form="paired")),
 }
 
-#: moduli above the squaring bound 2^20, factored before any test patches
-#: factorize
-HUGE_MODULI = (2 ** 20 + 1, 2 ** 63, factorize(2 ** 20 + 1))
+#: moduli above the squaring bound 2^20
+HUGE_MODULI = (2 ** 20 + 1, 2 ** 63)
 
 
 @pytest.fixture
@@ -253,7 +251,7 @@ def test_squaring_oracle_refuses_a_huge_modulus_before_any_work(
         with pytest.raises(ValueError) as refusal:
             oracle(r)
         assert str(refusal.value) == (
-            f"r = {getattr(r, 'n', r)} too large for the squaring oracle: it "
+            f"r = {r} too large for the squaring oracle: it "
             "squares every residue mod r, so r must be <= 1048576")
     # r = 2^20 itself passes the bound and starts squaring
     sqrtmod._square_groups.cache_clear()

@@ -9,10 +9,10 @@ import pytest
 from sievelab import sqrtmod
 from sievelab import arith
 from sievelab.arith import FactoredModulus, factorize, is_prime
+from sievelab.expsums import esum_jh
 from sievelab.sqrtmod import (RootSet, _prime_power_pairs,
                               _require_int64_square, _vec_pow_mod,
-                              build_root_multiset, root_pairs, root_table,
-                              sqrt_mod_all)
+                              build_root_multiset, root_pairs, sqrt_mod_all)
 
 
 def oracle_roots(m, r):
@@ -87,10 +87,10 @@ def test_unit_root_mod_prime_at_large_two_adic_valuations():
 
 def test_sqrt_mod_prime_rejects_two_and_composites(monkeypatch, cold_memo):
     # the prime-power solver is reached only through a FactoredModulus,
-    # which refuses a factor that is not prime
+    # which refuses a factor that is not prime when it is built
     for n in (1, 9, 15):
         with pytest.raises(ValueError, match="is not prime"):
-            sqrt_mod_all(1, FactoredModulus(n, ((n, 1),)))
+            FactoredModulus(n, ((n, 1),))
 
     # p = 2 never reaches the odd-prime solver: the 2-power branch takes it
     def odd_only(m, p):
@@ -139,19 +139,11 @@ def test_sqrt_mod_all_exhaustive_small():
             assert sqrt_mod_all(m, r).roots == oracle_roots(m, r), (m, r)
 
 
-def test_sqrt_mod_all_accepts_factored_modulus():
-    fm = factorize(360)
-    for m in (0, 1, 4, 81, 100, 359):
-        assert sqrt_mod_all(m, fm).roots == oracle_roots(m, 360)
-
-
 def test_sqrt_mod_all_memo_keys_on_the_residue(cold_memo):
     for r in (1, 2, 15, 24, 97, 360):
-        fm = factorize(r)
         for m in range(-3, r + 3):
             rs = sqrt_mod_all(m, r)
             assert rs == sqrt_mod_all(m + r, r) == sqrt_mod_all(m - r, r)
-            assert rs == sqrt_mod_all(m, fm)
             assert rs.m == m % r
     info = sqrtmod._sqrt_mod_all.cache_info()
     assert info.maxsize == 256 and info.hits > 0
@@ -462,7 +454,7 @@ def test_difference_regimes_match_the_oracle_at_R_600(r, fast_regime):
             assert same_multiset(fast, oracle), (R, j, h)
 
 
-def test_difference_oracle_groups_are_memoized_read_only():
+def test_square_groups_are_memoized_read_only():
     # one (r, j) at a time: a warm build equals a cold one, and a caller
     # cannot change the cached groups
     memo = sqrtmod._square_groups
@@ -500,17 +492,17 @@ def test_build_root_multiset_validates():
             build_root_multiset(3, 1, 7, h, method="fsat")
 
 
-def test_root_table_slices_match_scalar_solver():
+def test_root_pairs_m_runs_match_scalar_solver():
     for r in (1, 2, 8, 9, 97, 360, 1024, 9601):
-        offsets, roots = root_table(r)
-        assert offsets.shape == (r + 1,) and roots.shape == (r,)
+        pairs = root_pairs(r)
+        assert pairs.shape == (r, 2)
         # the cached prime-power tables are int32; the CRT output is int64
-        assert offsets.dtype == roots.dtype == root_pairs(r).dtype == np.int64
-        assert offsets[0] == 0 and offsets[r] == r
-        fm = factorize(r)
+        assert pairs.dtype == np.int64
+        ends = np.searchsorted(pairs[:, 0], np.arange(r + 1))
+        assert ends[0] == 0 and ends[r] == r
         for m in range(r):
-            got = tuple(int(k) for k in roots[offsets[m]:offsets[m + 1]])
-            assert got == sqrt_mod_all(m, fm).roots
+            got = tuple(int(k) for k in pairs[ends[m]:ends[m + 1], 1])
+            assert got == sqrt_mod_all(m, r).roots
 
 
 def test_int64_square_preconditions_at_boundary():
@@ -519,11 +511,11 @@ def test_int64_square_preconditions_at_boundary():
     assert _vec_pow_mod(base, 2, 3037000499).tolist() == [4, 9]
     with pytest.raises(ValueError, match="2\\^63"):
         _vec_pow_mod(base, 2, 3037000500)
-    # the guard of root_table, hence of esum_jh's paired form, refuses
+    # the guard of root_pairs, hence of esum_jh's paired form, refuses
     # before any table of that size is built
     _require_int64_square(3037000499, "r")
     with pytest.raises(ValueError, match="2\\^63"):
-        root_table(3037000500)
+        esum_jh(1, 2, 1, 1, 3037000500)
     # root_pairs sorts on the key m*r + k, so it refuses the same r itself
     with pytest.raises(ValueError, match="2\\^63"):
         root_pairs(3037000500)
@@ -570,12 +562,16 @@ def test_sqrt_mod_all_trusts_factored_primes(monkeypatch, cold_memo):
         calls.append(p)
         return is_prime(p)
 
-    fms = [factorize(r) for r in (8, 9, 360, 1001)]
     monkeypatch.setattr(arith, "is_prime", counting_is_prime)
-    for fm in fms:
-        for m in range(fm.n):
-            assert sqrt_mod_all(m, fm).roots == oracle_roots(m, fm.n)
-    assert calls == []
+    for r, primes in ((8, [2]), (9, [3]), (360, [2, 3, 5]), (1001, [7, 11, 13])):
+        # from a cold factorize memo, the first call factorizes r and
+        # validates each of its primes once; later calls reuse it
+        factorize.cache_clear()
+        calls.clear()
+        for m in range(r):
+            assert sqrt_mod_all(m, r).roots == oracle_roots(m, r)
+            assert calls == primes, (m, r)
+    calls.clear()
     # a FactoredModulus checks its exponents, then its primes, when built
     with pytest.raises(ValueError, match="is not prime"):
         FactoredModulus(4, ((4, 1),))
