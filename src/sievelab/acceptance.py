@@ -398,18 +398,20 @@ def _gcd_row(fm: FactoredModulus, H: int) -> np.ndarray:
 def criterion_9_gcd_sums(H_max: int = 1000, r_max: int = 10 ** 4):
     """sum_{h<=H} gcd(h,r)^sigma <= H tau(r) for all H <= H_max, r <= r_max.
 
-    The row gcd(h, r) and tau(r) both come from one factorization of r."""
+    The row gcd(h, r) and tau(r) both come from one factorization of r,
+    and g^sigma is gathered at g from one table of d^sigma, d <= H_max."""
     hs = np.arange(1, H_max + 1, dtype=np.int64)
+    powers = {sigma: np.arange(H_max + 1, dtype=np.float64) ** sigma
+              for sigma in (0.2, 0.5)}
     for r in range(1, r_max + 1):
         fm = factorize(r)
         g = _gcd_row(fm, H_max)
         tau = fm.divisor_count()
         rhs = hs.astype(np.float64) * tau
-        gf = g.astype(np.float64)
         # sigma = 1 in exact integers, then the float sums with a tolerance
         overs = [(1, np.cumsum(g) > hs * tau)] + [
-            (sigma, np.cumsum(gf ** sigma) > rhs * (1 + 1e-12))
-            for sigma in (0.2, 0.5)]
+            (sigma, np.cumsum(table[g]) > rhs * (1 + 1e-12))
+            for sigma, table in powers.items()]
         for sigma, over in overs:
             if over.any():
                 H = int(np.argmax(over)) + 1

@@ -146,9 +146,9 @@ def factorize(n: int) -> FactoredModulus:
     the order of 10^3 steps, not the ~2.7 * 10^5 of trial division to 10^6.
     Intended for n <= 2^63; rejects n = 0.
 
-    Memoized, at most 256 entries (the bound of sqrtmod._sqrt_mod_all and
-    expsums._unit_inverses), so every caller passes r as an int and a
-    repeated r is factorized once.  The FactoredModulus returned is the
+    Memoized, at most 256 entries (the bound of sqrtmod._sqrt_mod_all
+    too), so every caller passes r as an int and a repeated r is
+    factorized once.  The FactoredModulus returned is the
     cached object itself: it is frozen, so callers share it safely.  The
     memo holds only these small objects; factorize.cache_clear() releases
     them.  An exception is never cached, so a refused n is refused again

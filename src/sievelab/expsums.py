@@ -10,20 +10,28 @@ within a few ulp of e_q(t) whatever the modulus.  The scalar oracles
 the bare sum reads its roots from sqrtmod._square_groups, which squares
 every residue once, and neither factorizes nor calls a square-root solver.
 Every modulus is an int.
+
+unit_phases and _unit_inverses keep their tables in one memo, _TABLES: the
+arrays are read-only and shared by every caller, the least recently used
+table goes first, and all of them together hold at most _TABLE_BUDGET
+bytes.  A library caller releases them with unit_phases.cache_clear().
+The fast paths reduce arrays by a scalar modulus through sqrtmod._mod;
+the oracles keep numpy's %.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
 from .arith import eps_q, factorize, is_prime, jacobi, mod_inverse
-from .sqrtmod import (_fits_int32_square, _matching_pairs,
+from .sqrtmod import (_fits_int32_square, _matching_pairs, _mod,
                       _require_int64_square, _square_groups, root_pairs)
 
 
@@ -32,6 +40,74 @@ def e_frac(num: int, den: int) -> complex:
     return cmath.exp(math.tau * 1j * ((num % den) / den))
 
 
+#: bytes that the tables of _TABLES may hold together (4 MiB)
+_TABLE_BUDGET = 2 ** 22
+
+_TableInfo = namedtuple("TableInfo", "hits misses tables nbytes budget")
+
+
+def _owned_nbytes(a: np.ndarray) -> int:
+    """Bytes of the buffer that a (or the array it views) holds."""
+    return (a if a.base is None else a.base).nbytes
+
+
+class _TableMemo:
+    """Read-only numpy tables keyed by (function, modulus), least recently
+    used evicted first, all within _TABLE_BUDGET bytes (read on every
+    call).  A table larger than the budget is returned and not kept.
+
+    Decorating a function of q with the memo gives it lru_cache's
+    cache_info() and cache_clear(): its own hits and misses, and the
+    tables and bytes of the whole memo, which its functions share.
+    cache_clear() empties the memo and resets every count.
+    """
+
+    def __init__(self) -> None:
+        self.tables: OrderedDict = OrderedDict()  # key -> (value, bytes)
+        self.nbytes = 0
+        self.counts: List[List[int]] = []  # [hits, misses] per function
+
+    def clear(self) -> None:
+        self.tables.clear()
+        self.nbytes = 0
+        for count in self.counts:
+            count[:] = [0, 0]
+
+    def __call__(self, build: Callable) -> Callable:
+        count = [0, 0]
+        self.counts.append(count)
+
+        @functools.wraps(build)
+        def cached(q: int):
+            key = (build.__name__, q)
+            kept = self.tables.get(key)
+            if kept is not None:
+                self.tables.move_to_end(key)
+                count[0] += 1
+                return kept[0]
+            count[1] += 1
+            value = build(q)
+            arrays = value if isinstance(value, tuple) else (value,)
+            for a in arrays:
+                a.flags.writeable = False
+            size = sum(_owned_nbytes(a) for a in arrays)
+            if size <= _TABLE_BUDGET:
+                while self.nbytes + size > _TABLE_BUDGET:
+                    self.nbytes -= self.tables.popitem(last=False)[1][1]
+                self.tables[key] = (value, size)
+                self.nbytes += size
+            return value
+
+        cached.cache_info = lambda: _TableInfo(
+            count[0], count[1], len(self.tables), self.nbytes, _TABLE_BUDGET)
+        cached.cache_clear = self.clear
+        return cached
+
+
+_TABLES = _TableMemo()
+
+
+@_TABLES
 def unit_phases(q: int) -> np.ndarray:
     """Array of e_q(t) for t in [0, q), q >= 1.
 
@@ -39,7 +115,7 @@ def unit_phases(q: int) -> np.ndarray:
     t = aB + b (0 <= b < B), e_q(t) = e_q(aB) e_q(b), so the table is the
     flattened outer product of the two short rows cut to length q: q
     complex multiplies, each entry within a few ulp of e_q(t), and entry
-    0 exactly 1.
+    0 exactly 1.  The table is read-only and shared through _TABLES.
     """
     B = math.isqrt(q - 1) + 1
     low = np.exp(math.tau * 1j * (np.arange(B) / q))
@@ -116,7 +192,7 @@ def gauss_sum_direct(q: int, a: int, b: int) -> ExpSumValue:
     _require_int64_square(q, "q")
     dtype = np.uint32 if _fits_int32_square(q) else np.uint64
     n = np.arange(1, q + 1, dtype=dtype)
-    phases = ((a % q) * (n * n % q) + (b % q) * n) % q
+    phases = _mod((a % q) * _mod(n * n, q) + (b % q) * n, q)
     return ExpSumValue(_phase_sum(phases, q), q, q)
 
 
@@ -181,11 +257,12 @@ def esum_jh(
         jinv = mod_inverse(j, r) if r > 1 else 0
         k = np.arange(r, dtype=np.int64)
         # every kt with kt^2 = k^2 + jh, grouped by k
-        k, i = _matching_pairs((k * k + j * h % r) % r, pairs[:, 0], r)
+        k, i = _matching_pairs(_mod(k * k + j * h % r, r), pairs[:, 0], r)
         kt = pairs[i, 1]
         terms = k.size
         # each product is reduced mod r before adding, so nothing exceeds r^2
-        phase = (l % r * (kt - k) % r + n * jinv % r * (k * k % r) % r) % r
+        phase = _mod(_mod(l % r * (kt - k), r)
+                     + _mod(n * jinv % r * _mod(k * k, r), r), r)
         total = _phase_sum(phase, r)
     else:
         # the k with k^2 = j*m mod r are the group of m
@@ -205,7 +282,7 @@ def esum_jh(
     return ExpSumValue(total, terms, r, abs(total) / bound)
 
 
-@lru_cache(maxsize=256)
+@_TABLES
 def _unit_inverses(q: int) -> Tuple[np.ndarray, np.ndarray]:
     """(units, inverses) unsigned arrays mod q: the units c in [1, q] with
     gcd(c, q) = 1, ascending, and their inverses mod q (0 at q = 1);
@@ -219,6 +296,7 @@ def _unit_inverses(q: int) -> Tuple[np.ndarray, np.ndarray]:
     down as inv(left) = inv(node) * right and inv(right) = inv(node) *
     left.  Every product is of two residues, so it fits the dtype;
     q^2 < 2^63 is required and refused before anything is allocated.
+    Both arrays are read-only and shared through _TABLES.
     tests/test_expsums.py checks the tables against pow(c, -1, q) for
     every q <= 2000 (each padding pattern up to about a thousand leaves),
     for q = 2^k + 1 (phi(q) = 2^k, no padding), 2^k - 1 and 2^k + 3, and
@@ -236,13 +314,13 @@ def _unit_inverses(q: int) -> Tuple[np.ndarray, np.ndarray]:
         level = levels[-1]
         if level.size % 2:
             level = levels[-1] = np.append(level, dtype(1))
-        levels.append(level[0::2] * level[1::2] % q)
+        levels.append(_mod(level[0::2] * level[1::2], q))
     inv = np.array([pow(int(levels[-1][0]), -1, q)], dtype=dtype)
     for level in reversed(levels[:-1]):
         inv = inv[:level.size // 2]  # a padding 1 has no children
         down = np.empty(level.size, dtype=dtype)
-        down[0::2] = inv * level[1::2] % q
-        down[1::2] = inv * level[0::2] % q
+        down[0::2] = _mod(inv * level[1::2], q)
+        down[1::2] = _mod(inv * level[0::2], q)
         inv = down
     return units, inv[:units.size]
 
@@ -255,7 +333,7 @@ def gcal(q: int, a: int, b: int, j: int, k: int, u: int, s: int) -> ExpSumValue:
     array is built).  q = 1 returns the single term 1.  Expanding the
     square, the phase is a c + A c^-2 + C c^2 + D mod q with
     B = b (4 j s^3)^-1, A = B (jk)^2, C = B u^2 s^4 and D = -2 B jk u s^2
-    reduced as Python ints; the terms run over the cached _unit_inverses
+    reduced as Python ints; the terms run over the memoized _unit_inverses
     table in its own unsigned dtype (uint32 when q^2 < 2^31, else
     uint64), where each sum of two products below q^2 cannot wrap, and
     the residue phases are summed through unit_phases(q).
@@ -274,7 +352,8 @@ def gcal(q: int, a: int, b: int, j: int, k: int, u: int, s: int) -> ExpSumValue:
     B = b * mod_inverse(4 * j * s ** 3, q)
     jk, us2 = j * k, u * s * s
     A, C, D = B * jk * jk % q, B * us2 * us2 % q, -2 * B * jk * us2 % q
-    phase = ((a % q * c + A * (ic * ic % q)) % q + C * (c * c % q) + D) % q
+    phase = _mod(_mod(a % q * c + A * _mod(ic * ic, q), q)
+                 + C * _mod(c * c, q) + D, q)
     return ExpSumValue(_phase_sum(phase, q), len(c), q)
 
 
@@ -301,8 +380,8 @@ def rational_expsum(f: RationalFunctionModP) -> ExpSumValue:
     keep = v2 != 0
     units, invs = _unit_inverses(p)
     inv_table = np.zeros(p, dtype=np.int64)
-    inv_table[units % p] = invs
-    phase = v1[keep] * inv_table[v2[keep]] % p
+    inv_table[_mod(units, p)] = invs
+    phase = _mod(v1[keep] * inv_table[v2[keep]], p)
     value = _phase_sum(phase, p)
     bound = 2 * f.total_degree() * math.sqrt(p)
     return ExpSumValue(value, int(keep.sum()), p, abs(value) / bound)
@@ -311,5 +390,5 @@ def rational_expsum(f: RationalFunctionModP) -> ExpSumValue:
 def _poly_eval_mod(coeffs: Sequence[int], xs: np.ndarray, p: int) -> np.ndarray:
     out = np.zeros_like(xs)
     for c in reversed(coeffs):
-        out = (out * xs + c) % p
+        out = _mod(out * xs + c, p)
     return out

@@ -5,7 +5,8 @@ constant 5).
 
 x, Delta, z and b/r are exact rationals end to end; doubles appear only
 in the final trigonometric evaluations.  The large-sieve phases na/q are
-exact residues, gathered from the expsums.unit_phases table.
+exact residues (reduced by sqrtmod._mod), gathered from the
+expsums.unit_phases table.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 
 from .arith import mod_inverse
 from .expsums import unit_phases
+from .sqrtmod import _mod
 
 
 class BudgetExceeded(RuntimeError):
@@ -78,7 +80,7 @@ def ls_lhs(inst: SieveInstance, moduli: str = "classical",
         den = q if moduli == "classical" else q * q
         a_vals = np.arange(1, den + 1, dtype=np.int64)
         a_vals = a_vals[np.gcd(a_vals, q) == 1]
-        phases = np.multiply.outer(a_vals, ns % den) % den
+        phases = _mod(np.multiply.outer(a_vals, _mod(ns, den)), den)
         inner = unit_phases(den)[phases] @ inst.coefficients
         total += float(np.sum(np.abs(inner) ** 2))
     return total

@@ -169,7 +169,7 @@ def sqrt_mod_all(m: int, r: int) -> RootSet:
 
     r is factorized on every call, through arith.factorize's memo; the
     roots come from _sqrt_mod_all, a memo of at most 256 entries (the
-    bound of expsums._unit_inverses) keyed on the reduced residue m mod r
+    bound of arith.factorize too) keyed on the reduced residue m mod r
     and the FactoredModulus, so m, m + r and m - r share one entry.  The RootSet
     returned is the cached object itself: it is frozen and holds a tuple,
     so callers share it safely.
@@ -214,7 +214,8 @@ def root_pairs(r: int) -> np.ndarray:
     the end.  The rows are then sorted as one key m*r + k, so r^2 < 2^63
     is required.  Every step runs in int32 when r^2 < 2^31 (each scaled
     residue is below r^2, each key too) and in int64 otherwise; the
-    int64 columns are written by the final divmod either way.  There are
+    int64 columns are written as key // r and key - (key // r) r either
+    way.  There are
     exactly r pairs since every k is a root of exactly one m.
     """
     fm = factorize(r)
@@ -229,8 +230,11 @@ def root_pairs(r: int) -> np.ndarray:
         acc_k = np.add.outer(_mod(ks.astype(dtype, copy=False) * e, r), acc_k).ravel()
     key = _mod(acc_m, r) * r + _mod(acc_k, r)
     key.sort()
+    m = key // r
     pairs = np.empty((r, 2), dtype=np.int64)
-    np.divmod(key, r, out=(pairs[:, 0], pairs[:, 1]))
+    pairs[:, 0] = m
+    m *= r
+    np.subtract(key, m, out=pairs[:, 1])
     return pairs
 
 
@@ -369,7 +373,13 @@ def _prime_power_pairs(p: int, a: int) -> Tuple[np.ndarray, np.ndarray]:
     ms, ks = _prime_power_residue_roots(np.arange(q, dtype=dtype), p, a)
     keys = ms.astype(dtype, copy=False) * q + ks
     keys.sort()
-    out = np.divmod(keys, q, out=(table[0], table[1]))
+    # key // q and key - (key // q) q: numpy's // by a scalar divides
+    # with a precomputed reciprocal, which its divmod does not
+    m, k = table
+    np.floor_divide(keys, q, out=m)
+    np.multiply(m, q, out=k)
+    np.subtract(keys, k, out=k)
+    out = (m, k)
     if q <= _PP_CACHE_MAX:
         _PP_PAIR_CACHE[key] = out
     return out

@@ -11,6 +11,7 @@ from sievelab.expsums import (RationalFunctionModP, _unit_inverses,
                               e_frac, esum_jh,
                               gauss_sum_closed, gauss_sum_direct, gcal,
                               gcal_bound, rational_expsum, unit_phases)
+from sievelab.sieve import SieveInstance, ls_lhs
 
 
 def test_e_frac_exact_reduction():
@@ -349,3 +350,114 @@ def test_rational_expsum_matches_literal_sum():
             assert v.terms == terms
             compared += 1
     assert compared > 400
+
+
+@pytest.fixture
+def fresh_tables():
+    """An empty table memo before and after the test."""
+    unit_phases.cache_clear()
+    yield
+    unit_phases.cache_clear()
+
+
+def test_table_memo_hit_returns_the_same_read_only_object(fresh_tables):
+    ph = unit_phases(97)
+    assert unit_phases(97) is ph
+    tables = _unit_inverses(97)
+    assert _unit_inverses(97) is tables
+    for a in (ph, *tables):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+
+
+def test_table_memo_evicts_the_least_recently_used_first(fresh_tables,
+                                                         monkeypatch):
+    sizes = {q: expsums._owned_nbytes(unit_phases(q)) for q in (1000, 1001, 1002)}
+    unit_phases.cache_clear()
+    monkeypatch.setattr(expsums, "_TABLE_BUDGET", sizes[1000] + sizes[1001])
+    first = unit_phases(1000)
+    unit_phases(1001)
+    assert unit_phases(1000) is first  # 1000 is now the most recent
+    unit_phases(1002)  # evicts 1001
+    assert [q for _, q in expsums._TABLES.tables] == [1000, 1002]
+    info = unit_phases.cache_info()
+    assert (info.hits, info.misses, info.tables) == (1, 3, 2)
+    assert info.nbytes == sizes[1000] + sizes[1002]
+    assert unit_phases(1000) is first
+
+
+def test_table_memo_stays_within_its_budget(fresh_tables, monkeypatch):
+    budget = 2 ** 16
+    monkeypatch.setattr(expsums, "_TABLE_BUDGET", budget)
+    for q in [101, 997, 1999, 3001, 101, 45, 1999, 2003, 4001]:
+        unit_phases(q)
+        _unit_inverses(q)
+        info = unit_phases.cache_info()
+        assert info.budget == budget
+        assert 0 < info.nbytes <= budget
+        assert info.nbytes == sum(size for _, size in
+                                  expsums._TABLES.tables.values())
+        assert info.tables == len(expsums._TABLES.tables)
+
+
+def test_table_memo_does_not_keep_a_table_over_its_budget(fresh_tables,
+                                                          monkeypatch):
+    monkeypatch.setattr(expsums, "_TABLE_BUDGET", 1000)
+    small = unit_phases(7)  # a 3 x 3 table, 144 bytes
+    big = unit_phases(1000)  # 16 kB
+    assert big.shape == (1000,) and not big.flags.writeable
+    assert abs(big[250] - 1j) < 1e-14
+    assert unit_phases(1000) is not big
+    info = unit_phases.cache_info()
+    assert (info.hits, info.misses, info.tables) == (0, 3, 1)
+    assert unit_phases(7) is small
+
+
+def test_table_memo_cache_info_and_cache_clear(fresh_tables):
+    empty = unit_phases.cache_info()
+    assert (empty.hits, empty.misses, empty.tables, empty.nbytes) == (0, 0, 0, 0)
+    assert empty.budget == 2 ** 22
+    _unit_inverses(45)
+    _unit_inverses(45)
+    unit_phases(45)
+    # each function counts its own lookups; tables and bytes are shared
+    inv, ph = _unit_inverses.cache_info(), unit_phases.cache_info()
+    assert (inv.hits, inv.misses) == (1, 1)
+    assert (ph.hits, ph.misses) == (0, 1)
+    assert inv.tables == ph.tables == 2 and inv.nbytes == ph.nbytes > 0
+    # clearing through either function empties the one memo
+    _unit_inverses.cache_clear()
+    for f in (unit_phases, _unit_inverses):
+        assert f.cache_info()[:4] == (0, 0, 0, 0)
+
+
+def _complete_sum_values():
+    """Every fast complete sum that reads the table memo, and ls_lhs."""
+    out = [gauss_sum_direct(q, a, b).value
+           for q in list(range(1, 302, 3)) + [46341] for a, b in ((2, 3), (5, 0))]
+    out += [gcal(q, 3, 2, 1, 5, 4, 2).value for q in range(1, 302, 2)]
+    for p in [p for p in range(2, 102) if all(p % d for d in range(2, p))]:
+        for num, den in BOMBIERI_CORPUS:
+            try:
+                out.append(rational_expsum(RationalFunctionModP(num, den, p)).value)
+            except ValueError:
+                continue
+    rng = np.random.default_rng(27)
+    inst = SieveInstance(5, rng.standard_normal(96) + 1j * rng.standard_normal(96), 9)
+    out += [ls_lhs(inst, moduli) for moduli in ("classical", "squares")]
+    return out
+
+
+def test_table_memo_budget_leaves_every_value_bit_identical(fresh_tables,
+                                                            monkeypatch):
+    # the standing rule for a fast path with regimes: no table kept, and
+    # every table kept (the second pass reads them all from the memo)
+    monkeypatch.setattr(expsums, "_TABLE_BUDGET", 0)
+    none_kept = _complete_sum_values()
+    assert unit_phases.cache_info().tables == 0
+    monkeypatch.setattr(expsums, "_TABLE_BUDGET", math.inf)
+    _complete_sum_values()
+    all_kept = _complete_sum_values()
+    assert unit_phases.cache_info().hits > 0
+    assert np.array(all_kept).tobytes() == np.array(none_kept).tobytes()
