@@ -53,6 +53,7 @@ from .sieve import (  # noqa: F401
     ls_lhs,
     propmain_bounds,
     px_count,
+    px_count_literal,
     px_monitor,
 )
 from .charsums import (  # noqa: F401

@@ -93,7 +93,11 @@ def criterion_1_sqrt_oracle(r_max: int = 10 ** 4, sample: int = 2000):
         if rp.shape != (r, 2):
             return False, f"r={r}: {rp.shape[0]} pairs, expected {r}"
         m, k = rp[:, 0], rp[:, 1]
-        invalid = k * k % r != m
+        # k^2 - floor(k^2 / r) r is k^2 mod r, written here rather than
+        # read from the fast paths' sqrtmod._mod
+        s = k * k
+        s -= s // r * r
+        invalid = s != m
         if invalid.any():
             bad = rp[invalid][0]
             return False, f"invalid pair m={bad[0]} k={bad[1]} r={r}"
@@ -101,7 +105,8 @@ def criterion_1_sqrt_oracle(r_max: int = 10 ** 4, sample: int = 2000):
         if k.min() < 0 or not np.all(np.bincount(k, minlength=r) == 1):
             return False, f"r={r}: root table is not a permutation"
         # m and k now lie in [0, r), so the key orders rows as (m, k) does
-        if not np.all(np.diff(m * r + k) > 0):
+        key = m * r + k
+        if not (key[1:] > key[:-1]).all():
             return False, f"r={r}: rows not strictly increasing in (m, k)"
     checked = 0
     for m, r in _sqrt_spot_calls(np.random.default_rng(20260823), r_max,

@@ -19,7 +19,7 @@ from . import __version__
 from .energies import energy_e2, energy_e4, energy_f2
 from .expsums import (RationalFunctionModP, esum_jh, gauss_sum_closed,
                       gauss_sum_direct, rational_expsum)
-from .sieve import DEFAULT_BUDGET, px_monitor
+from .sieve import DEFAULT_BUDGET, px_cost, px_monitor
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ def _op_bombieri(p):
 def _op_px(p):
     out = dict(px_monitor(p["x"], p["Q"], p["N"]))
     out["ratio"] = out.get("conj_ratio", 0.0)
-    return out, p["Q"] ** 2 * p["N"]
+    return out, px_cost(p["Q"])
 
 
 SCAN_OPERATIONS: Dict[str, Callable] = {

@@ -18,7 +18,7 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .arith import mod_inverse
+from .arith import factorize, mod_inverse
 from .expsums import unit_phases
 from .sqrtmod import _mod
 
@@ -184,13 +184,85 @@ class PxQuery:
             raise ValueError("Q must be >= 1")
 
 
+def _px_omega_max(n: int) -> int:
+    """The most distinct prime factors of any m <= n: the number of
+    primorials 2, 2*3, 2*3*5, ... that do not exceed n."""
+    omega, primorial, p = 0, 1, 1
+    while True:
+        p += 1
+        if any(p % d == 0 for d in range(2, p)):
+            continue
+        if primorial * p > n:
+            return omega
+        omega, primorial = omega + 1, primorial * p
+
+
+def px_cost(Q: int) -> int:
+    """Work px_count declares for Q: a bound on its inclusion-exclusion
+    terms, one sum over the 2^omega(q) squarefree divisors of each q in
+    (Q, 2Q], by the largest omega of any m <= 2Q."""
+    return Q * 2 ** _px_omega_max(2 * Q)
+
+
+def _units_between(lo: int, hi: int, primes: Sequence[int]) -> int:
+    """#{lo <= a <= hi : gcd(a, p) = 1 for every p in primes}, for any
+    integers lo <= hi + 1, by Legendre's inclusion-exclusion
+    sum over d | prod(primes) of mu(d) (floor(hi/d) - floor((lo-1)/d))."""
+    divisors = [(1, 1)]
+    for p in primes:
+        divisors += [(d * p, -mu) for d, mu in divisors]
+    return sum(mu * (hi // d - (lo - 1) // d) for d, mu in divisors)
+
+
 def px_count(query: PxQuery, budget: int = DEFAULT_BUDGET) -> int:
     """Exact count of distinct reduced fractions a/q^2, Q < q <= 2Q,
-    gcd(a,q) = 1, with ||a/q^2 - x|| <= Delta.
+    gcd(a,q) = 1, with ||a/q^2 - x|| <= Delta (x is taken mod 1).
 
-    Window membership is decided in exact rational arithmetic.
+    Counts without enumerating.  With x reduced to [0, 1), the a in
+    [1, q^2] within Delta of x are the residues mod q^2 of the integers
+    in the window [ceil((x-Delta) q^2), floor((x+Delta) q^2)]; the
+    windows around x - 1, x and x + 1 that the oracle walks are this one
+    shifted by q^2.  A window of q^2 or more integers holds every
+    residue, so every a in [1, q^2] counts; a shorter one holds each
+    residue at most once, and gcd(a, q) is periodic in a with period q,
+    so its units are counted on the window itself by _units_between
+    over the primes of factorize(q).  The window ends come from the
+    numerators and denominators of x and Delta in integer arithmetic,
+    so the count is exact.  No set is needed: gcd(a, q) = 1 is
+    gcd(a, q^2) = 1, so each counted a/q^2 is reduced, and distinct q
+    give distinct denominators.
+
+    Charges px_cost(Q), a bound on its inclusion-exclusion terms, before
+    any window is counted; px_count_literal is the oracle.
     """
-    x, Q, delta = Fraction(query.x), query.Q, Fraction(query.delta)
+    x, Q, delta = Fraction(query.x) % 1, query.Q, Fraction(query.delta)
+    cost = px_cost(Q)
+    if cost > budget:
+        raise BudgetExceeded(cost, budget)
+    # (x -/+ Delta) q^2 = (num -/+ rad) q^2 / den exactly
+    den = x.denominator * delta.denominator
+    num = x.numerator * delta.denominator
+    rad = delta.numerator * x.denominator
+    total = 0
+    for q in range(Q + 1, 2 * Q + 1):
+        q2 = q * q
+        lo, hi = -((rad - num) * q2 // den), (num + rad) * q2 // den
+        if hi - lo + 1 >= q2:
+            lo, hi = 1, q2
+        total += _units_between(lo, hi, [p for p, _ in factorize(q).factors])
+    return total
+
+
+def px_count_literal(query: PxQuery, budget: int = DEFAULT_BUDGET) -> int:
+    """px_count's oracle: the same count by enumeration.
+
+    Every a in the windows around x - 1, x and x + 1 (x taken mod 1) is
+    tested with math.gcd, and its circular distance to x decided in
+    exact Fraction arithmetic; a set removes the a that two overlapping
+    windows share.  Charges the candidates it enumerates, about
+    sum over q of 2 Delta q^2, before the loop starts.
+    """
+    x, Q, delta = Fraction(query.x) % 1, query.Q, Fraction(query.delta)
     cost = sum(min(q * q, int(2 * delta * q * q) + 4)
                for q in range(Q + 1, 2 * Q + 1))
     if cost > budget:

@@ -23,20 +23,26 @@ cannot route an oracle through the path it checks.  The pairs:
 - factorization: only the fast paths factorize r.  The squaring oracles
   (both multiset kinds, brute E2, E4 and F2, bare esum_jh) run with
   factorize patched, and so does their one size refusal, in
-  sqrtmod._square_groups, which therefore comes before any work.
+  sqrtmod._square_groups, which therefore comes before any work;
+- window counts P(x): px_count counts the units of each window by
+  inclusion-exclusion (sieve._units_between) over the primes of
+  arith.factorize(q), px_count_literal enumerates the window with
+  math.gcd and Fraction and calls neither.
 """
 
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from sievelab import arith, energies, expsums, sqrtmod
+from sievelab import arith, energies, expsums, sieve, sqrtmod
 from sievelab.charsums import S4Input, s4_closed, s4_closed_rows, s4_direct
 from sievelab.energies import energy_e2, energy_e4, energy_f2
 from sievelab.expsums import (RationalFunctionModP, esum_jh, gauss_sum_closed,
                               gauss_sum_direct, gcal, rational_expsum)
-from sievelab.sieve import SieveInstance, ls_lhs
+from sievelab.sieve import (PxQuery, SieveInstance, ls_lhs, px_count,
+                            px_count_literal)
 from test_expsums import gcal_literal, rational_literal
 
 
@@ -258,3 +264,14 @@ def test_squaring_oracle_refuses_a_huge_modulus_before_any_work(
     monkeypatch.setattr(sqrtmod, "mod_inverse", _kernel_called)
     with pytest.raises(KernelCalled):
         oracle(2 ** 20)
+
+
+def test_literal_window_count_does_not_use_inclusion_exclusion(monkeypatch):
+    assert _patch_everywhere(monkeypatch, sieve,
+                             "_units_between") == {"sievelab.sieve"}
+    assert "sievelab.sieve" in _patch_everywhere(monkeypatch, arith,
+                                                 "factorize")
+    query = PxQuery(Fraction(3, 10), 8, Fraction(1, 64))
+    assert px_count_literal(query) > 0
+    with pytest.raises(KernelCalled):
+        px_count(query)

@@ -120,6 +120,15 @@ def test_rational_parameters_encoding():
     assert "px,64,4,1/3," in text
 
 
+def test_px_scan_at_large_Q_is_not_truncated():
+    # the declared cost is px_count's bound Q 2^omega, not Q^2 N = 10^13
+    spec = ScanSpec("px", {"x": [Fraction(1, 3)], "Q": [10 ** 4],
+                           "N": [10 ** 5]})
+    records = run_scan(spec)
+    assert [r.operation for r in records] == ["px", "summary"]
+    assert records[0].outputs["count"] > 0
+
+
 #: the seven grids of CI's byte-identity step, as (op, --param values),
 #: with the sha256 of the CSV (sha256) and of the JSON (json_sha256) each
 #: wrote before its pin was added

@@ -7,7 +7,8 @@ import pytest
 from sievelab.sieve import (ApproxFrame, BudgetExceeded, PxQuery,
                             SieveInstance, build_frame, dirichlet_approx,
                             double_sieve_check, ls_bound_table, ls_lhs,
-                            propmain_bounds, px_count, px_monitor)
+                            propmain_bounds, px_cost, px_count,
+                            px_count_literal, px_monitor)
 
 
 def make_instance(rng, N, Q, M=0):
@@ -117,6 +118,40 @@ def test_px_count_wraparound():
 def test_px_count_budget():
     with pytest.raises(BudgetExceeded):
         px_count(PxQuery(Fraction(1, 3), 100, Fraction(1, 2)), budget=5)
+
+
+PX_GRID_X = (Fraction(0), Fraction(1, 2), Fraction(3, 10), Fraction(-7, 10),
+             Fraction(13, 10), Fraction(5, 2), 0.3)
+PX_GRID_DELTA = (Fraction(1, 512), Fraction(1, 64), Fraction(1, 8),
+                 Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(2))
+
+
+@pytest.mark.parametrize("delta", PX_GRID_DELTA, ids=str)
+def test_px_count_equals_the_literal_count_on_a_fixed_grid(delta):
+    # x = 1/2 and 0 put fractions at distance exactly Delta (1/4, 1/8, ...);
+    # Delta >= 1/2 makes the windows around x - 1, x, x + 1 overlap
+    for x in PX_GRID_X:
+        for Q in range(1, 13):
+            query = PxQuery(x, Q, delta)
+            assert px_count(query) == px_count_literal(query), (x, Q)
+
+
+@pytest.mark.parametrize("count", [px_count, px_count_literal])
+def test_px_count_is_periodic_in_x(count):
+    for x in (Fraction(1, 2), Fraction(3, 10), 0.3):
+        want = count(PxQuery(x, 8, Fraction(1, 64)))
+        assert want > 0
+        for n in (-3, -1, 1, 2, 5):
+            assert count(PxQuery(x + n, 8, Fraction(1, 64))) == want, (x, n)
+
+
+def test_px_count_charges_its_bound_before_counting():
+    # 2^omega(q) <= 2^3 for every q <= 2Q = 60 < 2*3*5*7
+    assert px_cost(30) == 30 * 8
+    with pytest.raises(BudgetExceeded):
+        px_count(PxQuery(Fraction(1, 3), 30, Fraction(1, 2)), budget=239)
+    assert px_count(PxQuery(Fraction(1, 3), 30, Fraction(1, 2)),
+                    budget=240) > 0
 
 
 def test_px_monitor_keys():
