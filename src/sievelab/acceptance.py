@@ -122,17 +122,12 @@ def criterion_1_sqrt_oracle(r_max: int = 10 ** 4, sample: int = 2000):
 def criterion_2_root_counts(q_max: int = 10 ** 4):
     """#roots(0 mod p^alpha) = p^floor(alpha/2) for every prime power <= q_max."""
     tested = 0
-    for p in range(2, q_max + 1):
-        if not is_prime(p):
-            continue
-        alpha = 1
-        while p ** alpha <= q_max:
-            got = len(sqrt_mod_all(0, p ** alpha).roots)
-            want = p ** (alpha // 2)
-            if got != want:
-                return False, f"p={p} alpha={alpha}: {got} != {want}"
-            tested += 1
-            alpha += 1
+    for p, alpha in _prime_powers(q_max):
+        got = len(sqrt_mod_all(0, p ** alpha).roots)
+        want = p ** (alpha // 2)
+        if got != want:
+            return False, f"p={p} alpha={alpha}: {got} != {want}"
+        tested += 1
     return True, f"{tested} prime powers"
 
 
@@ -195,16 +190,14 @@ def criterion_4_gauss(q_max: int = 3000, extra: int = 1000):
     return True, f"{tested} comparisons"
 
 
-def _odd_prime_powers(limit: int) -> List[int]:
-    out = []
-    for p in range(3, limit + 1, 2):
-        if not is_prime(p):
-            continue
-        q = p
-        while q <= limit:
-            out.append(q)
-            q *= p
-    return sorted(out)
+def _prime_powers(limit: int) -> Iterator[Tuple[int, int]]:
+    """(p, alpha) for every prime power p^alpha <= limit, by p, then alpha."""
+    for p in range(2, limit + 1):
+        if is_prime(p):
+            alpha = 1
+            while p ** alpha <= limit:
+                yield p, alpha
+                alpha += 1
 
 
 def _gcal_draw(rng: np.random.Generator,
@@ -239,7 +232,7 @@ def criterion_5_appendix(pairs: int = 1000, pp_max: int = 10 ** 4,
                            f"a={a} b={b} j={j} k={k} u={u} s={s}")
         done += 1
     bound_checked = 0
-    for q in _odd_prime_powers(pp_max):
+    for q in sorted(p ** alpha for p, alpha in _prime_powers(pp_max) if p > 2):
         for _ in range(2):
             a, b, k, u, j, s = _gcal_draw(rng, q)
             if math.gcd(j * s, q) != 1:

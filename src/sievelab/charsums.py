@@ -82,9 +82,13 @@ class TrigWeight:
         return TrigWeight(tuple(max(0.0, 1 - h / width) for h in range(width)))
 
 
-def _check_s4_modulus(j: int, r: int) -> None:
+def _check_odd_prime(r: int) -> None:
     if r % 2 == 0 or not is_prime(r):
         raise ValueError("r must be an odd prime")
+
+
+def _check_s4_modulus(j: int, r: int) -> None:
+    _check_odd_prime(r)
     if math.gcd(j, r) != 1:
         raise ValueError("need gcd(j, r) = 1")
 
@@ -230,8 +234,7 @@ def weighted_energy(R: int, j: int, r: int, weight: TrigWeight,
     rows in one s4_closed_rows call, accumulated in lattice order.
     The two agree exactly up to floating error (finite Poisson identity).
     """
-    if not is_prime(r) or r % 2 == 0:
-        raise ValueError("r must be an odd prime")
+    _check_odd_prime(r)
     if not 1 <= R <= r:
         raise ValueError("need 1 <= R <= r")
     cost = max(r * r, (2 * weight.width + 1) ** 4)
@@ -279,8 +282,7 @@ def cubic_form_charsum(M: int, r: int, weight: TrigWeight,
     reported against (M^{1/2} r^{3/2} + M^2 r^{1/2} + M^3) and, when
     M = floor(sqrt(r)), against r^{7/4}; both are monitors at eps = 0.
     """
-    if not is_prime(r) or r % 2 == 0:
-        raise ValueError("r must be an odd prime")
+    _check_odd_prime(r)
     if M < 1:
         raise ValueError("M must be >= 1")
     half = M * weight.width

@@ -268,7 +268,7 @@ def energy_e4(R: int, j: int, r: int, method: str = "conv") -> EnergyReport:
 def energy_f2(R: int, j: int, h: int, r: int, method: str = "conv") -> EnergyReport:
     """Additive energy of root differences f(m) = sqrt(j(m+h)) - sqrt(jm)."""
     e = _energy(R, j, h, r, 2, method)
-    hr = math.gcd(h % r, r) if (h % r) != 0 else r
+    hr = math.gcd(h, r)
     return EnergyReport("F2", R, j, h, r, e, hr * R ** 4 / r + R ** 2, method)
 
 
@@ -280,8 +280,6 @@ def kssz_check(r: int, j: int, R: int) -> Dict[str, float]:
     """
     if not is_prime(r):
         raise ValueError("kssz_check requires prime r")
-    if R > r:
-        raise ValueError("need R <= r")
     e2 = energy_e2(R, j, r).energy
     b2 = (R ** 1.5 / r ** 0.5 + 1) * R ** 2
     return {"r": r, "j": j, "R": R, "e2": e2, "e2_bound": b2, "e2_ratio": e2 / b2}

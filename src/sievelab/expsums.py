@@ -254,7 +254,7 @@ def esum_jh(
     terms = 0
     if form == "paired":
         pairs = root_pairs(r)
-        jinv = mod_inverse(j, r) if r > 1 else 0
+        jinv = mod_inverse(j, r)
         k = np.arange(r, dtype=np.int64)
         # every kt with kt^2 = k^2 + jh, grouped by k
         k, i = _matching_pairs(_mod(k * k + j * h % r, r), pairs[:, 0], r)
@@ -278,7 +278,7 @@ def esum_jh(
                     terms += 1
     hr = math.gcd(h, r)
     lr = math.gcd(l, r)
-    bound = r ** 0.8 * (hr if hr else r) * (lr if lr else r) ** 0.2
+    bound = r ** 0.8 * hr * lr ** 0.2
     return ExpSumValue(total, terms, r, abs(total) / bound)
 
 
@@ -360,7 +360,6 @@ def gcal(q: int, a: int, b: int, j: int, k: int, u: int, s: int) -> ExpSumValue:
 def gcal_bound(q: int, a: int, b: int, k: int, u: int) -> float:
     """Prime-power bound 12 q^{4/5} gcd(b u^2, a, b k^2, q)^{1/5}."""
     g = math.gcd(math.gcd(b * u * u, a), math.gcd(b * k * k, q))
-    g = math.gcd(g, q)
     return 12 * q ** 0.8 * g ** 0.2
 
 
@@ -380,7 +379,7 @@ def rational_expsum(f: RationalFunctionModP) -> ExpSumValue:
     keep = v2 != 0
     units, invs = _unit_inverses(p)
     inv_table = np.zeros(p, dtype=np.int64)
-    inv_table[_mod(units, p)] = invs
+    inv_table[units] = invs
     phase = _mod(v1[keep] * inv_table[v2[keep]], p)
     value = _phase_sum(phase, p)
     bound = 2 * f.total_degree() * math.sqrt(p)

@@ -18,7 +18,7 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .arith import factorize, mod_inverse
+from .arith import factorize, is_prime, mod_inverse
 from .expsums import unit_phases
 from .sqrtmod import _mod
 
@@ -130,8 +130,6 @@ class ApproxFrame:
     @property
     def j(self) -> int:
         """j = -inverse(b) mod r, so j*b = -1 (mod r)."""
-        if self.r == 1:
-            return 0
         return (-mod_inverse(self.b, self.r)) % self.r
 
 
@@ -164,6 +162,8 @@ def dirichlet_approx(x: Fraction, tau: int) -> Tuple[int, int, Fraction]:
 
 
 def build_frame(x: Fraction, N: int) -> ApproxFrame:
+    if N < 1:
+        raise ValueError("need N >= 1")
     tau = math.isqrt(N)
     b, r, z = dirichlet_approx(x, tau)
     return ApproxFrame(Fraction(x), N, b, r, z)
@@ -190,7 +190,7 @@ def _px_omega_max(n: int) -> int:
     omega, primorial, p = 0, 1, 1
     while True:
         p += 1
-        if any(p % d == 0 for d in range(2, p)):
+        if not is_prime(p):
             continue
         if primorial * p > n:
             return omega
@@ -320,8 +320,8 @@ def px_monitor(x: Fraction, Q: int, N: int,
                budget: int = DEFAULT_BUDGET) -> Dict[str, object]:
     """P(x) against the published brackets at eps = 0 (ratios, not pass/fail)."""
     x = Fraction(x)
-    delta = Fraction(1, N)
     frame = build_frame(x, N)
+    delta = Fraction(1, N)
     count = px_count(PxQuery(x, Q, delta), budget=budget)
     out: Dict[str, object] = {
         "x": str(x), "Q": Q, "N": N, "count": count,

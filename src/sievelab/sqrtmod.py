@@ -205,18 +205,18 @@ def _sqrt_mod_all(m: int, fm: FactoredModulus) -> RootSet:
 def root_pairs(r: int) -> np.ndarray:
     """All (m, k) with k^2 = m (mod r), as an (r, 2) int64 array sorted by (m, k).
 
-    Built from the prime-power tables of _prime_power_pairs (the array
-    solver over every residue) plus a vectorized CRT, i.e. the same
-    pipeline as sqrt_mod_all but amortized over every m.  The prime-power
-    pairs are recombined with the CRT idempotents e_i of
+    Built from the unordered prime-power tables of _prime_power_pairs
+    (the array solver over every residue) plus a vectorized CRT, i.e. the
+    same pipeline as sqrt_mod_all but amortized over every m.  The
+    prime-power pairs are recombined with the CRT idempotents e_i of
     FactoredModulus.crt_idempotents: each factor's residues are scaled by e_i
     once and outer-added into the accumulator, which is reduced mod r at
-    the end.  The rows are then sorted as one key m*r + k, so r^2 < 2^63
-    is required.  Every step runs in int32 when r^2 < 2^31 (each scaled
-    residue is below r^2, each key too) and in int64 otherwise; the
-    int64 columns are written as key // r and key - (key // r) r either
-    way.  There are
-    exactly r pairs since every k is a root of exactly one m.
+    the end.  The rows are then sorted once, as one key m*r + k, so
+    r^2 < 2^63 is required.  Every step runs in int32 when r^2 < 2^31
+    (each scaled residue is below r^2, each key too) and in int64
+    otherwise; the int64 columns are written as key // r and
+    key - (key // r) r either way.  There are exactly r pairs since every
+    k is a root of exactly one m.
     """
     fm = factorize(r)
     _require_int64_square(r, "r")
@@ -352,14 +352,14 @@ def _two_adic_roots(m: np.ndarray, gamma: int) -> np.ndarray:
 
 
 def _prime_power_pairs(p: int, a: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Every (m, k) with k^2 = m (mod p^a), sorted by (m, k).
+    """Every (m, k) with k^2 = m (mod p^a), unordered.
 
     The array solver _prime_power_residue_roots solves every m in
-    [0, p^a) at once, and the (m, k) pairs are sorted as one key m p^a + k.
-    No table is built by squaring every residue: that is how criterion 1
-    checks it.  Tables are built straight into int32 when
-    (p^a)^2 < 2^31, else into int64; those with p^a <= _PP_CACHE_MAX are
-    cached.
+    [0, p^a) at once, and its pairs are written as they come: root_pairs
+    sorts the recombined rows.  No table is built by squaring every
+    residue: that is how criterion 1 checks it.  Tables are built
+    straight into int32 when (p^a)^2 < 2^31, else into int64; those with
+    p^a <= _PP_CACHE_MAX are cached.
     """
     key = (p, a)
     hit = _PP_PAIR_CACHE.get(key)
@@ -370,15 +370,8 @@ def _prime_power_pairs(p: int, a: int) -> Tuple[np.ndarray, np.ndarray]:
     # every k is a root of one m, so the table has q rows; allocating it
     # before the temporaries leaves their freed memory above it
     table = np.empty((2, q), dtype=dtype)
-    ms, ks = _prime_power_residue_roots(np.arange(q, dtype=dtype), p, a)
-    keys = ms.astype(dtype, copy=False) * q + ks
-    keys.sort()
-    # key // q and key - (key // q) q: numpy's // by a scalar divides
-    # with a precomputed reciprocal, which its divmod does not
     m, k = table
-    np.floor_divide(keys, q, out=m)
-    np.multiply(m, q, out=k)
-    np.subtract(keys, k, out=k)
+    m[:], k[:] = _prime_power_residue_roots(np.arange(q, dtype=dtype), p, a)
     out = (m, k)
     if q <= _PP_CACHE_MAX:
         _PP_PAIR_CACHE[key] = out

@@ -503,6 +503,45 @@ def test_unread_or_misplaced_option_is_a_usage_error(argv, tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+def _leaf(cmd, **values):
+    """cmd's LEAVES invocation with the named flags' values replaced."""
+    argv = list(LEAVES[cmd])
+    for flag, value in values.items():
+        argv[argv.index("--" + flag) + 1] = str(value)
+    return [*cmd, *argv]
+
+
+@pytest.mark.parametrize("argv", [
+    _leaf(("sqrt",), r=-5),
+    _leaf(("energy",), r=0),
+    _leaf(("expsum", "jh"), r=0),
+    _leaf(("expsum", "gcal"), q=0),
+    _leaf(("expsum", "gauss"), q=-3),
+    _leaf(("sieve", "lhs"), Q=0),
+    _leaf(("sieve", "lhs"), N=0),
+    _leaf(("charsum", "s4"), r=1),
+    _leaf(("charsum", "cubic"), M=0),
+    _leaf(("charsum", "energy"), R=0),
+    _leaf(("charsum", "energy"), j=7, r=7),
+    _leaf(("approx",), N=0),
+    _leaf(("px",), Q=0),
+    _leaf(("px",), N=-4),
+    ["px", "--x", "1/3", "--Q", "4", "--N", "0"],
+    ["scan", "--op", "gauss", "--param", "q=0", "--param", "a=1",
+     "--param", "b=0"],
+    ["scan", "--op", "e2", "--param", "r=0", "--param", "j=1",
+     "--param", "R=1"],
+    ["scan", "--op", "bombieri", "--param", "p=4", "--param",
+     "numerator=0;1", "--param", "denominator=1"],
+    ["scan", "--op", "px", "--param", "x=1/3", "--param", "Q=4",
+     "--param", "N=0"],
+], ids=" ".join)
+def test_degenerate_sizes_exit_2_without_traceback(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_charsum_energy_budget_refusal(capsys):
     code = main(["charsum", "energy", "--r", "31", "--R", "10", "--j", "3",
                  "--budget", "10"])

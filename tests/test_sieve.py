@@ -163,6 +163,16 @@ def test_px_monitor_keys():
         assert "previous_ratio" not in exact
 
 
+@pytest.mark.parametrize("N", [0, -4])
+def test_frame_and_px_monitor_refuse_N_below_1(N):
+    # the frame refuses N before px_monitor forms Delta = 1/N, so N = 0
+    # raises no ZeroDivisionError
+    with pytest.raises(ValueError, match="need N >= 1"):
+        build_frame(Fraction(1, 3), N)
+    with pytest.raises(ValueError, match="need N >= 1"):
+        px_monitor(Fraction(1, 3), 4, N)
+
+
 def test_propmain_regime_selection():
     out = propmain_bounds(10, 1e-3, 5)
     assert out["regime"] in (1, 2, 3, 4)
