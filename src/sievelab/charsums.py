@@ -234,7 +234,7 @@ def weighted_energy(R: int, j: int, r: int, weight: TrigWeight,
     rows in one s4_closed_rows call, accumulated in lattice order.
     The two agree exactly up to floating error (finite Poisson identity).
     """
-    _check_odd_prime(r)
+    _check_s4_modulus(j, r)
     if not 1 <= R <= r:
         raise ValueError("need 1 <= R <= r")
     cost = max(r * r, (2 * weight.width + 1) ** 4)

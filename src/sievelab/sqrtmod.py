@@ -209,14 +209,15 @@ def root_pairs(r: int) -> np.ndarray:
     (the array solver over every residue) plus a vectorized CRT, i.e. the
     same pipeline as sqrt_mod_all but amortized over every m.  The
     prime-power pairs are recombined with the CRT idempotents e_i of
-    FactoredModulus.crt_idempotents: each factor's residues are scaled by e_i
-    once and outer-added into the accumulator, which is reduced mod r at
-    the end.  The rows are then sorted once, as one key m*r + k, so
-    r^2 < 2^63 is required.  Every step runs in int32 when r^2 < 2^31
-    (each scaled residue is below r^2, each key too) and in int64
-    otherwise; the int64 columns are written as key // r and
-    key - (key // r) r either way.  There are exactly r pairs since every
-    k is a root of exactly one m.
+    FactoredModulus.crt_idempotents: each factor's residues are widened
+    from their table's dtype (int16 up to 2^15, int32 or int64 above) to
+    the working dtype, scaled by e_i once and outer-added into the
+    accumulator, which is reduced mod r at the end.  The rows are then
+    sorted once, as one key m*r + k, so r^2 < 2^63 is required.  Every
+    step runs in int32 when r^2 < 2^31 (each scaled residue is below r^2,
+    each key too) and in int64 otherwise; the int64 columns are written
+    as key // r and key - (key // r) r either way.  There are exactly r
+    pairs since every k is a root of exactly one m.
     """
     fm = factorize(r)
     _require_int64_square(r, "r")
@@ -225,7 +226,7 @@ def root_pairs(r: int) -> np.ndarray:
     acc_k = np.zeros(1, dtype=dtype)
     for (p, a), e in zip(fm.factors, fm.crt_idempotents):
         ms, ks = _prime_power_pairs(p, a)
-        # int32 factor tables of an int64 r widen before scaling by e < r
+        # int16 and int32 factor tables widen before scaling by e < r
         acc_m = np.add.outer(_mod(ms.astype(dtype, copy=False) * e, r), acc_m).ravel()
         acc_k = np.add.outer(_mod(ks.astype(dtype, copy=False) * e, r), acc_k).ravel()
     key = _mod(acc_m, r) * r + _mod(acc_k, r)
@@ -276,8 +277,11 @@ def _fits_int32_square(n: int) -> bool:
 
 #: prime-power pair tables for q <= _PP_CACHE_MAX: criterion 1 asks for
 #: each larger one once (at r = q, since 2q > 10^4), so caching it would
-#: only hold memory
+#: only hold memory.  The 711 cached tables are int16, 4q bytes each:
+#: 6,398,452 bytes in all once every one is built
 _PP_CACHE_MAX = 5 * 10 ** 3
+#: largest q whose pair table is stored in int16: its values lie in [0, q)
+_INT16_MAX_Q = 1 << 15
 _PP_PAIR_CACHE: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -352,14 +356,17 @@ def _two_adic_roots(m: np.ndarray, gamma: int) -> np.ndarray:
 
 
 def _prime_power_pairs(p: int, a: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Every (m, k) with k^2 = m (mod p^a), unordered.
+    """Every (m, k) with k^2 = m (mod p^a), unordered, as two read-only
+    columns of one table.
 
     The array solver _prime_power_residue_roots solves every m in
     [0, p^a) at once, and its pairs are written as they come: root_pairs
     sorts the recombined rows.  No table is built by squaring every
-    residue: that is how criterion 1 checks it.  Tables are built
-    straight into int32 when (p^a)^2 < 2^31, else into int64; those with
-    p^a <= _PP_CACHE_MAX are cached.
+    residue: that is how criterion 1 checks it.  The solver runs in int32
+    when (p^a)^2 < 2^31, else in int64, and its rows are copied into a
+    table of int16 when p^a <= _INT16_MAX_Q (every m and k lies below
+    p^a, so int16 holds each exactly), else of the solver's dtype.  The
+    tables with p^a <= _PP_CACHE_MAX are cached.
     """
     key = (p, a)
     hit = _PP_PAIR_CACHE.get(key)
@@ -369,10 +376,11 @@ def _prime_power_pairs(p: int, a: int) -> Tuple[np.ndarray, np.ndarray]:
     dtype = np.int32 if _fits_int32_square(q) else np.int64
     # every k is a root of one m, so the table has q rows; allocating it
     # before the temporaries leaves their freed memory above it
-    table = np.empty((2, q), dtype=dtype)
-    m, k = table
-    m[:], k[:] = _prime_power_residue_roots(np.arange(q, dtype=dtype), p, a)
-    out = (m, k)
+    table = np.empty((2, q), dtype=np.int16 if q <= _INT16_MAX_Q else dtype)
+    table[0], table[1] = _prime_power_residue_roots(
+        np.arange(q, dtype=dtype), p, a)
+    table.flags.writeable = False
+    out = (table[0], table[1])
     if q <= _PP_CACHE_MAX:
         _PP_PAIR_CACHE[key] = out
     return out

@@ -162,8 +162,12 @@ def test_weighted_energy_constant_weight():
 
 
 def test_weighted_energy_validates():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="odd prime"):
         weighted_energy(3, 1, 9, TrigWeight.fejer(2))
+    # j must be a unit mod r, as in S4, and that is checked before the budget
+    for j in (7, 14, -7, 0):
+        with pytest.raises(ValueError, match=r"need gcd\(j, r\) = 1"):
+            weighted_energy(5, j, 7, TrigWeight.fejer(2), budget=1)
     with pytest.raises(BudgetExceeded) as exc:
         weighted_energy(3, 1, 61, TrigWeight.fejer(2), budget=10)
     assert (exc.value.cost, exc.value.budget) == (61 ** 2, 10)

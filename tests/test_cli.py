@@ -542,6 +542,15 @@ def test_degenerate_sizes_exit_2_without_traceback(argv, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_charsum_energy_refuses_a_non_unit_j(capsys):
+    # the S4 message, before the budget is read and without a traceback
+    for budget in ([], ["--budget", "1"]):
+        code = main(["charsum", "energy", "--r", "7", "--R", "5", "--j", "7",
+                     *budget])
+        assert code == 2
+        assert capsys.readouterr().err == "error: need gcd(j, r) = 1\n"
+
+
 def test_charsum_energy_budget_refusal(capsys):
     code = main(["charsum", "energy", "--r", "31", "--R", "10", "--j", "3",
                  "--budget", "10"])

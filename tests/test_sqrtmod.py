@@ -192,7 +192,7 @@ def test_roots_closed_under_negation():
 
 def test_root_pairs_matches_squaring():
     # every r <= 2000, then prime powers, smooth r, a prime = 1 mod 8, a
-    # prime above 10^4 and twice it; 967381 = 97 * 9973 has two int32
+    # prime above 10^4 and twice it; 967381 = 97 * 9973 has two int16
     # factor tables and idempotents near 10^6, so a CRT that scales them
     # without widening to int64 wraps.  46340 and 46341 sit on either
     # side of r^2 < 2^31, where root_pairs leaves int32 for int64, and
@@ -217,19 +217,21 @@ def sorted_table(ms, ks):
 
 def test_prime_pair_table_equals_squaring():
     # two primes from each class mod 8: s = v(p - 1) is 1 for p = 3 mod 4,
-    # 2 for p = 5 mod 8 and at least 3 for p = 1 mod 8; all int32 since
-    # p^2 < 2^31
+    # 2 for p = 5 mod 8 and at least 3 for p = 1 mod 8; all stored in
+    # int16 since p <= 2^15
     for p in (17, 9601, 3, 11, 5, 9973, 7, 10007):
         ms, ks = sorted_table(*_prime_power_pairs(p, 1))
-        assert ms.dtype == ks.dtype == np.int32
+        assert ms.dtype == ks.dtype == np.int16
         assert np.array_equal(np.stack([ms, ks], axis=1), squaring_pairs(p)), p
 
 
 @pytest.mark.parametrize("p, a, dtype", [
-    (10007, 1, np.int32), (46337, 1, np.int32), (3, 9, np.int32),
-    (211, 2, np.int32), (46349, 1, np.int64), (3, 10, np.int64),
-    (2, 16, np.int64)])
+    (10007, 1, np.int16), (2, 15, np.int16), (32771, 1, np.int32),
+    (46337, 1, np.int32), (3, 9, np.int16), (211, 2, np.int32),
+    (46349, 1, np.int64), (3, 10, np.int64), (2, 16, np.int64)])
 def test_pair_tables_on_both_sides_of_the_int32_bound(p, a, dtype):
+    # stored in int16 up to q = 2^15, whose largest value 2^15 - 1 int16
+    # still holds, and in int32 from 32771, the least prime above it;
     # int32 exactly when q^2 < 2^31 (q <= 46340): 46337 = 1 mod 8 is the
     # largest prime below the bound, 46349 = 5 mod 8 the least above it,
     # and 3^10, 2^16 whose keys m*q + k pass 2^31 must not run in int32
@@ -247,13 +249,14 @@ def loop_built_pairs(p, a):
 
 
 #: sha256 of every table with p^a <= 10^4 (p ascending, then a; ms bytes,
-#: then ks bytes, int32) as the scalar solver's loop over m built them
+#: then ks bytes, widened to int32) as the scalar solver's loop over m
+#: built them
 PP_TABLES_SHA256 = ("45541a75a5eafc4a4ddaeb604048f598"
                     "4d39837abc3cbb2db6d979885f346df4")
 
 
 def test_prime_power_tables_equal_the_loop_built_ones(monkeypatch):
-    # the array solver's tables, built cold: int32 for q^2 < 2^31 and
+    # the array solver's tables, built cold: int16 for q <= 2^15 and
     # cached for q <= 5000 only, int64 and uncached beyond (3^10, 2^16)
     monkeypatch.setattr(sqrtmod, "_PP_PAIR_CACHE", {})
     digest = hashlib.sha256()
@@ -264,7 +267,7 @@ def test_prime_power_tables_equal_the_loop_built_ones(monkeypatch):
             if p ** a > 10 ** 4:
                 break
             ms, ks = sqrtmod._prime_power_pairs(p, a)
-            assert ms.dtype == ks.dtype == np.int32
+            assert ms.dtype == ks.dtype == np.int16
             if p ** a <= 5000:
                 assert sqrtmod._PP_PAIR_CACHE[p, a][0] is ms
             else:
@@ -273,8 +276,8 @@ def test_prime_power_tables_equal_the_loop_built_ones(monkeypatch):
             if a >= 2:
                 assert np.array_equal(np.stack([ms, ks], axis=1),
                                       loop_built_pairs(p, a)), (p, a)
-            digest.update(ms.tobytes())
-            digest.update(ks.tobytes())
+            digest.update(ms.astype(np.int32).tobytes())
+            digest.update(ks.astype(np.int32).tobytes())
     assert digest.hexdigest() == PP_TABLES_SHA256
     for p, a in ((3, 10), (2, 16)):
         ms, ks = sqrtmod._prime_power_pairs(p, a)
@@ -283,6 +286,58 @@ def test_prime_power_tables_equal_the_loop_built_ones(monkeypatch):
         ms, ks = sorted_table(ms, ks)
         assert np.array_equal(np.stack([ms, ks], axis=1),
                               loop_built_pairs(p, a)), (p, a)
+
+
+def test_cached_pair_tables_are_read_only(monkeypatch):
+    # a hit returns the cached columns themselves, so a write through them
+    # would corrupt every later root table of that prime power
+    monkeypatch.setattr(sqrtmod, "_PP_PAIR_CACHE", {})
+    ms, ks = sqrtmod._prime_power_pairs(7, 2)
+    assert sqrtmod._prime_power_pairs(7, 2)[0] is ms
+    for column in (ms, ks):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 1
+    assert np.array_equal(np.stack(sorted_table(ms, ks), axis=1),
+                          squaring_pairs(49))
+
+
+#: fixed moduli <= 10^4: prime powers on both sides of the cache bound
+#: 5000 (4999, 5003, 7919 and 9973 are prime), smooth r and products of
+#: a cached table with an uncached one
+CACHE_SAMPLE = (1, 2, 8, 12, 97, 360, 625, 2310, 4096, 4999, 5000, 5003,
+                6561, 7919, 8192, 9240, 9973, 9999, 10000)
+
+
+@pytest.mark.parametrize("cache_max", [0, 10 ** 9])
+def test_root_pairs_with_the_pair_cache_off_and_unbounded(monkeypatch,
+                                                          cache_max):
+    monkeypatch.setattr(sqrtmod, "_PP_CACHE_MAX", cache_max)
+    monkeypatch.setattr(sqrtmod, "_PP_PAIR_CACHE", {})
+    for r in CACHE_SAMPLE:
+        # twice, so the unbounded cache serves the second from its hits
+        for _ in range(2):
+            assert np.array_equal(root_pairs(r), squaring_pairs(r)), r
+    wanted = {pa for r in CACHE_SAMPLE for pa in factorize(r).factors}
+    assert set(sqrtmod._PP_PAIR_CACHE) == (wanted if cache_max else set())
+
+
+def test_pair_cache_holds_four_bytes_per_entry(monkeypatch):
+    # every cached table is int16, its two columns one buffer of 4q bytes:
+    # 711 tables of 1,599,613 entries in all
+    monkeypatch.setattr(sqrtmod, "_PP_PAIR_CACHE", {})
+    for p in range(2, 5001):
+        if not is_prime(p):
+            continue
+        for a in range(1, 13):
+            if p ** a > 5000:
+                break
+            sqrtmod._prime_power_pairs(p, a)
+    tables = sqrtmod._PP_PAIR_CACHE
+    assert len(tables) == 711
+    assert sum(p ** a for p, a in tables) == 1_599_613
+    for (p, a), (ms, ks) in tables.items():
+        assert ms.base is ks.base and ms.base.nbytes == 4 * p ** a
+    assert sum(ms.base.nbytes for ms, _ in tables.values()) == 6_398_452
 
 
 def test_root_pairs_tonelli_prime():
