@@ -10,10 +10,10 @@ on concrete instances.
 __version__ = "1.0.0"
 
 from .arith import (  # noqa: E402,F401
+    BudgetExceeded,
     FactoredModulus,
     eps_q,
     factorize,
-    gcd_power_sum,
     is_prime,
     jacobi,
     mod_inverse,
@@ -43,7 +43,6 @@ from .expsums import (  # noqa: F401
 )
 from .sieve import (  # noqa: F401
     ApproxFrame,
-    BudgetExceeded,
     PxQuery,
     SieveInstance,
     build_frame,
@@ -53,8 +52,11 @@ from .sieve import (  # noqa: F401
     ls_lhs,
     propmain_bounds,
     px_count,
-    px_count_literal,
     px_monitor,
+)
+from .oracles import (  # noqa: F401
+    gcd_power_sum,
+    px_count_literal,
 )
 from .charsums import (  # noqa: F401
     S4Input,

@@ -26,6 +26,7 @@ from .charsums import _pair_sum_table
 from .energies import energy_e2, energy_e4, energy_f2, kssz_check
 from .expsums import (RationalFunctionModP, esum_jh, gauss_sum_closed,
                       gauss_sum_direct, gcal, gcal_bound, rational_expsum)
+from .oracles import gcd_power_sum
 from .sieve import SieveInstance, double_sieve_check, ls_lhs, px_monitor
 from .sqrtmod import root_pairs, sqrt_mod_all
 
@@ -397,7 +398,10 @@ def criterion_9_gcd_sums(H_max: int = 1000, r_max: int = 10 ** 4):
     """sum_{h<=H} gcd(h,r)^sigma <= H tau(r) for all H <= H_max, r <= r_max.
 
     The row gcd(h, r) and tau(r) both come from one factorization of r,
-    and g^sigma is gathered at g from one table of d^sigma, d <= H_max."""
+    and g^sigma is gathered at g from one table of d^sigma, d <= H_max.
+    A row too small still passes every bound, so after the bounds each
+    sum at H = H_max is compared with oracles.gcd_power_sum, to relative
+    1e-12, at every r <= 100 and every 100th r."""
     hs = np.arange(1, H_max + 1, dtype=np.int64)
     powers = {sigma: np.arange(H_max + 1, dtype=np.float64) ** sigma
               for sigma in (0.2, 0.5)}
@@ -407,13 +411,19 @@ def criterion_9_gcd_sums(H_max: int = 1000, r_max: int = 10 ** 4):
         tau = fm.divisor_count()
         rhs = hs.astype(np.float64) * tau
         # sigma = 1 in exact integers, then the float sums with a tolerance
-        overs = [(1, np.cumsum(g) > hs * tau)] + [
-            (sigma, np.cumsum(table[g]) > rhs * (1 + 1e-12))
-            for sigma, table in powers.items()]
-        for sigma, over in overs:
+        sums = [(1, np.cumsum(g))] + [(sigma, np.cumsum(table[g]))
+                                      for sigma, table in powers.items()]
+        for sigma, s in sums:
+            over = (s > hs * tau) if sigma == 1 else (s > rhs * (1 + 1e-12))
             if over.any():
                 H = int(np.argmax(over)) + 1
                 return False, f"sigma={sigma} fails at r={r} H={H}"
+        if r <= 100 or r % 100 == 0:
+            for sigma, s in sums:
+                want = gcd_power_sum(H_max, r, sigma)
+                if abs(float(s[-1]) - want) > 1e-12 * want:
+                    return False, (f"sigma={sigma} sum at r={r} H={H_max}: "
+                                   f"{float(s[-1])} != oracle {want}")
     return True, f"all H <= {H_max}, r <= {r_max}, sigma in (1/5, 1/2, 1)"
 
 

@@ -1,18 +1,29 @@
 """Exact integer / modular arithmetic primitives.
 
 Everything in this module is pure integer arithmetic: factorization,
-Jacobi symbols, CRT idempotents and gcd power sums.  No floating point
-except in the final value of gcd_power_sum (whose exponent may be
-fractional).
+Jacobi symbols and CRT idempotents.  It also holds the work-budget
+refusal, BudgetExceeded with its DEFAULT_BUDGET, which the evaluators
+and the oracles raise alike.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import List, Tuple
+
+
+class BudgetExceeded(RuntimeError):
+    """Raised when an exact evaluation would exceed the work budget."""
+
+    def __init__(self, cost: int, budget: int):
+        super().__init__(f"estimated cost {cost} exceeds budget {budget}")
+        self.cost = cost
+        self.budget = budget
+
+
+DEFAULT_BUDGET = 10 ** 9
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -214,22 +225,6 @@ def mod_inverse(a: int, m: int) -> int:
         return pow(a % m, -1, m)
     except ValueError:
         raise ValueError(f"{a} has no inverse mod {m}") from None
-
-
-def gcd_power_sum(H: int, r: int, sigma: Fraction | float) -> float:
-    """Sum of gcd(h, r)^sigma over 1 <= h <= H.
-
-    Bounded by H * tau(r) for 0 < sigma <= 1 (constant exactly 1).
-    """
-    if H < 1 or r < 1:
-        raise ValueError("H and r must be >= 1")
-    s = float(sigma)
-    if not 0 < s <= 1:
-        raise ValueError("sigma must lie in (0, 1]")
-    total = 0.0
-    for h in range(1, H + 1):
-        total += math.gcd(h, r) ** s
-    return total
 
 
 def eps_q(q: int) -> complex:

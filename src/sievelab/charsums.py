@@ -25,9 +25,9 @@ from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .arith import eps_q, is_prime, jacobi, mod_inverse
+from .arith import (DEFAULT_BUDGET, BudgetExceeded, eps_q, is_prime, jacobi,
+                    mod_inverse)
 from .expsums import ExpSumValue, unit_phases
-from .sieve import DEFAULT_BUDGET, BudgetExceeded
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Command-line front end: evaluation subcommands, grid scans, and the
 acceptance-suite runner.
 
-Exit codes: 0 ok, 1 test failure, 2 usage error, 3 budget refusal.
+Exit codes: 0 ok, 1 test failure, 2 usage error, 3 budget refusal (a
+declared cost over the budget, or an allocation that ran out of memory).
 """
 
 from __future__ import annotations
@@ -17,14 +18,15 @@ import numpy as np
 
 from . import __version__
 from .acceptance import SUITES, run_suite
+from .arith import DEFAULT_BUDGET, BudgetExceeded
 from .charsums import (S4Input, TrigWeight, cubic_form_charsum, s4_closed,
                        s4_direct, weighted_energy)
 from .energies import energy_e2, energy_e4, energy_f2
 from .expsums import ExpSumValue, esum_jh, gauss_sum_closed, gauss_sum_direct, gcal
 from .scan import (ScanSpec, parse_grid, parse_rational, records_to_csv,
                    records_to_json, run_scan, SCAN_OPERATIONS)
-from .sieve import (DEFAULT_BUDGET, BudgetExceeded, SieveInstance, build_frame,
-                    ls_bound_table, ls_lhs, px_monitor)
+from .sieve import (SieveInstance, build_frame, ls_bound_table, ls_lhs,
+                    px_monitor)
 from .sqrtmod import sqrt_mod_all
 
 
@@ -266,6 +268,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except BudgetExceeded as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("budget refusal: out of memory", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

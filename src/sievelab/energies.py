@@ -19,16 +19,15 @@ Percival's rounding bound puts every bin's error below 1/4 (else the
 pair blocks run), and every transformed result must have nonnegative
 bins summing exactly to (sum of counts)^2, or it raises.  The sum of
 squared bins is one int64 dot whenever max(h) * sum(h) < 2^63 certifies
-it, and Python ints otherwise.  Oracle path: repeat each key of
-build_root_multiset's oracle multiset by its count and enumerate every
-ordered pair sum densely with numpy bincount into r bins, which the
-oracle's squaring (sqrtmod._square_groups) bounds by refusing r > 2^20
-first.  Both read the multiset as sorted int64 (keys, counts) and return
-exact integers; before either runs, the certificate mass^fold < 2^63
-(mass = number of roots counted with multiplicity) bounds every bin, and
-so every int64 count and weight (doubled ones included), so none can
-wrap.  r is an int, passed through as given: only the fast builder
-factorizes it.
+it, and Python ints otherwise.  Oracle path (method "brute"):
+oracles.root_multiset squares every residue, and oracles.pair_energy
+enumerates every ordered pair sum densely into r bins, which the
+squaring bounds by refusing r > 2^20 first.  Both read the multiset as
+sorted int64 (keys, counts) and return exact integers; before either
+runs, the certificate mass^fold < 2^63 (mass = number of roots counted
+with multiplicity) bounds every bin, and so every int64 count and
+weight (doubled ones included), so none can wrap.  r is an int, passed
+through as given: only the fast builder factorizes it.
 """
 
 from __future__ import annotations
@@ -40,6 +39,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .arith import is_prime
+from .oracles import pair_energy, root_multiset
 from .sqrtmod import build_root_multiset
 
 #: pair sums per block of the fast convolution (about 1 MB of int64 temporaries)
@@ -203,14 +203,6 @@ def _square_sum(h: np.ndarray, total: int) -> int:
     return sum(c * c for c in h.tolist())
 
 
-def _dense_pair_hist(values: np.ndarray, r: int) -> np.ndarray:
-    """Histogram of (v1 + v2) mod r over all ordered pairs, by enumeration."""
-    if values.size == 0:
-        return np.zeros(r, dtype=np.int64)
-    sums = np.add.outer(values, values).ravel() % r
-    return np.bincount(sums, minlength=r).astype(np.int64)
-
-
 def _energy_from_multiset(keys: np.ndarray, counts: np.ndarray, r: int,
                           fold: int, method: str) -> int:
     """fold = 2 for E2/F2 (pair sums), 4 for E4 (quadruple sums), of the
@@ -220,37 +212,30 @@ def _energy_from_multiset(keys: np.ndarray, counts: np.ndarray, r: int,
     Every count, weight and bin of either method is at most mass^fold, so
     mass^fold < 2^63 is required before any work and int64 never wraps;
     the mass is summed as Python ints, so a wrapping int64 sum of the
-    counts cannot pass the test.
+    counts cannot pass the test.  Method conv self-convolves, brute
+    enumerates (oracles.pair_energy).
     """
     mass = sum(counts.tolist())
     if mass ** fold >= 2 ** 63:
         raise ValueError(f"multiset mass = {mass} too large: mass^{fold} must "
                          "be < 2^63 for exact int64 energies")
-    if method == "conv":
-        keys, h = _self_convolve(keys, counts, r)
-        if fold == 4:
-            keys, h = _self_convolve(keys, h, r)
-        return _square_sum(h, mass ** fold)
-    h = _dense_pair_hist(np.repeat(keys, counts), r)
+    if method == "brute":
+        return pair_energy(keys, counts, r, fold)
+    keys, h = _self_convolve(keys, counts, r)
     if fold == 4:
-        support = np.nonzero(h)[0]
-        sums = np.add.outer(support, support).ravel() % r
-        weights = np.multiply.outer(h[support], h[support]).ravel()
-        h = np.zeros(r, dtype=np.int64)
-        np.add.at(h, sums, weights)
-    return sum(c * c for c in h.tolist())
+        keys, h = _self_convolve(keys, h, r)
+    return _square_sum(h, mass ** fold)
 
 
 def _energy(R: int, j: int, h: int | None, r: int, fold: int,
             method: str) -> int:
     """The energy of the plain multiset (h None) or the difference
-    multiset of h.  Method conv reads the fast builder, brute the oracle,
-    which factorizes nothing."""
+    multiset of h.  Method conv reads the fast builder, brute the oracle
+    builder oracles.root_multiset, which factorizes nothing."""
     if method not in ("conv", "brute"):
         raise ValueError(f"unknown method {method!r}")
-    keys, counts = build_root_multiset(
-        R, j, r, h, method="fast" if method == "conv" else "oracle")
-    return _energy_from_multiset(keys, counts, r, fold, method)
+    build = build_root_multiset if method == "conv" else root_multiset
+    return _energy_from_multiset(*build(R, j, r, h), r, fold, method)
 
 
 def energy_e2(R: int, j: int, r: int, method: str = "conv") -> EnergyReport:

@@ -5,23 +5,19 @@ sums modulo primes, each with its explicit-constant bound margin.
 Every fast path reduces its phases exactly to integer residues t mod q
 and gathers e_q(t) from one table, unit_phases(q), instead of calling
 exp per term; _phase_sum adds the gathered values.  The table entries are
-within a few ulp of e_q(t) whatever the modulus.  The scalar oracles
-(gauss_sum_closed, esum_jh(form="bare")) call e_frac per term instead;
-the bare sum reads its roots from sqrtmod._square_groups, which squares
-every residue once, and neither factorizes nor calls a square-root solver.
-Every modulus is an int.
+within a few ulp of e_q(t) whatever the modulus.  The closed Gauss sum
+and the bare root-difference sum call the scalar oracles.e_frac instead;
+esum_jh(form="bare") is oracles.esum_bare.  Every modulus is an int.
 
 unit_phases and _unit_inverses keep their tables in one memo, _TABLES: the
 arrays are read-only and shared by every caller, the least recently used
 table goes first, and all of them together hold at most _TABLE_BUDGET
 bytes.  A library caller releases them with unit_phases.cache_clear().
-The fast paths reduce arrays by a scalar modulus through sqrtmod._mod;
-the oracles keep numpy's %.
+The fast paths reduce arrays by a scalar modulus through sqrtmod._mod.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from collections import OrderedDict, namedtuple
@@ -31,13 +27,9 @@ from typing import Callable, List, Sequence, Tuple
 import numpy as np
 
 from .arith import eps_q, factorize, is_prime, jacobi, mod_inverse
+from .oracles import e_frac, esum_bare
 from .sqrtmod import (_fits_int32_square, _matching_pairs, _mod,
-                      _require_int64_square, _square_groups, root_pairs)
-
-
-def e_frac(num: int, den: int) -> complex:
-    """e(num/den) with the argument reduced exactly in integers."""
-    return cmath.exp(math.tau * 1j * ((num % den) / den))
+                      _require_int64_square, root_pairs)
 
 
 #: bytes that the tables of _TABLES may hold together (4 MiB)
@@ -236,10 +228,10 @@ def esum_jh(
     pass over the bulk root table root_pairs(r), which needs r^2 < 2^63:
     sqrtmod._matching_pairs pairs each k with the run of roots kt of
     k^2 + jh, and the exact residue phases are summed through
-    unit_phases(r).  bare is the oracle: it squares every k in [0, r) once
-    (sqrtmod._square_groups, k grouped by j^-1 k^2, which refuses
-    r > 2^20 before any work), factorizes nothing, calls no solver, and
-    adds one e_frac per term.
+    unit_phases(r).  bare is the oracle, oracles.esum_bare: it squares
+    every k in [0, r) once (k grouped by j^-1 k^2, which refuses r > 2^20
+    before any work), factorizes nothing, calls no solver, and adds one
+    e_frac per term.
     Their computed values may differ in the last bits, since the terms are
     added in another order; terms is equal.
     margin is |value| / (r^{4/5} (h,r) (l,r)^{1/5}), eps = 0.
@@ -250,8 +242,6 @@ def esum_jh(
         raise ValueError("need r >= 1")
     if math.gcd(j, r) != 1:
         raise ValueError("need gcd(j, r) = 1")
-    total = 0j
-    terms = 0
     if form == "paired":
         pairs = root_pairs(r)
         jinv = mod_inverse(j, r)
@@ -265,17 +255,7 @@ def esum_jh(
                      + _mod(n * jinv % r * _mod(k * k, r), r), r)
         total = _phase_sum(phase, r)
     else:
-        # the k with k^2 = j*m mod r are the group of m
-        groups = _square_groups(r, j % r)
-        for a in range(1, r + 1):
-            ks = groups.get(a % r, ())
-            if not ks:
-                continue
-            kts = groups.get((a + h) % r, ())
-            for k in ks:
-                for kt in kts:
-                    total += e_frac(l * (kt - k) + n * a, r)
-                    terms += 1
+        total, terms = esum_bare(l, n, j, h, r)
     hr = math.gcd(h, r)
     lr = math.gcd(l, r)
     bound = r ** 0.8 * hr * lr ** 0.2
@@ -337,8 +317,8 @@ def gcal(q: int, a: int, b: int, j: int, k: int, u: int, s: int) -> ExpSumValue:
     table in its own unsigned dtype (uint32 when q^2 < 2^31, else
     uint64), where each sum of two products below q^2 cannot wrap, and
     the residue phases are summed through unit_phases(q).
-    tests/test_expsums.py checks it against a literal scalar sum with
-    pow(c, -1, q) and e_frac per term.
+    tests/test_expsums.py checks it against oracles.gcal_literal, a
+    scalar sum with pow(c, -1, q) and e_frac per term.
     """
     if q < 1:
         raise ValueError("q must be >= 1")

@@ -16,10 +16,11 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 from . import __version__
+from .arith import DEFAULT_BUDGET
 from .energies import energy_e2, energy_e4, energy_f2
 from .expsums import (RationalFunctionModP, esum_jh, gauss_sum_closed,
                       gauss_sum_direct, rational_expsum)
-from .sieve import DEFAULT_BUDGET, px_cost, px_monitor
+from .sieve import px_cost, px_monitor
 
 
 @dataclass(frozen=True)

@@ -18,21 +18,10 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .arith import factorize, is_prime, mod_inverse
+from .arith import (DEFAULT_BUDGET, BudgetExceeded, factorize, is_prime,
+                    mod_inverse)
 from .expsums import unit_phases
 from .sqrtmod import _mod
-
-
-class BudgetExceeded(RuntimeError):
-    """Raised when an exact evaluation would exceed the work budget."""
-
-    def __init__(self, cost: int, budget: int):
-        super().__init__(f"estimated cost {cost} exceeds budget {budget}")
-        self.cost = cost
-        self.budget = budget
-
-
-DEFAULT_BUDGET = 10 ** 9
 
 
 @dataclass
@@ -233,7 +222,7 @@ def px_count(query: PxQuery, budget: int = DEFAULT_BUDGET) -> int:
     give distinct denominators.
 
     Charges px_cost(Q), a bound on its inclusion-exclusion terms, before
-    any window is counted; px_count_literal is the oracle.
+    any window is counted; oracles.px_count_literal is the oracle.
     """
     x, Q, delta = Fraction(query.x) % 1, query.Q, Fraction(query.delta)
     cost = px_cost(Q)
@@ -251,38 +240,6 @@ def px_count(query: PxQuery, budget: int = DEFAULT_BUDGET) -> int:
             lo, hi = 1, q2
         total += _units_between(lo, hi, [p for p, _ in factorize(q).factors])
     return total
-
-
-def px_count_literal(query: PxQuery, budget: int = DEFAULT_BUDGET) -> int:
-    """px_count's oracle: the same count by enumeration.
-
-    Every a in the windows around x - 1, x and x + 1 (x taken mod 1) is
-    tested with math.gcd, and its circular distance to x decided in
-    exact Fraction arithmetic; a set removes the a that two overlapping
-    windows share.  Charges the candidates it enumerates, about
-    sum over q of 2 Delta q^2, before the loop starts.
-    """
-    x, Q, delta = Fraction(query.x) % 1, query.Q, Fraction(query.delta)
-    cost = sum(min(q * q, int(2 * delta * q * q) + 4)
-               for q in range(Q + 1, 2 * Q + 1))
-    if cost > budget:
-        raise BudgetExceeded(cost, budget)
-    seen = set()
-    for q in range(Q + 1, 2 * Q + 1):
-        q2 = q * q
-        for shift in (-1, 0, 1):
-            lo = (x + shift - delta) * q2
-            hi = (x + shift + delta) * q2
-            a_lo = max(1, math.ceil(lo))
-            a_hi = min(q2, math.floor(hi))
-            for a in range(a_lo, a_hi + 1):
-                if math.gcd(a, q) != 1:
-                    continue
-                d = abs(Fraction(a, q2) - x)
-                dist = min(d % 1, 1 - d % 1)
-                if dist <= delta:
-                    seen.add(Fraction(a, q2))
-    return len(seen)
 
 
 def propmain_bounds(Q: int, delta: float, r: int) -> Dict[str, float]:

@@ -20,8 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from types import MappingProxyType
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -506,10 +505,6 @@ def _array_multiset(R: int, j: int, h: int | None, fm: FactoredModulus
 #: the per-m solver's memo hits, as on criterion 3's grid (R <= 8), and
 #: the per-m loop runs
 _ARRAY_MIN_R = 32
-#: largest r that _square_groups squares: its groups hold O(r) Python
-#: tuples, and energies' brute method counts its pair sums in r bins
-#: (8 MB of int64)
-_ORACLE_MAX_R = 1 << 20
 
 
 def build_root_multiset(
@@ -517,7 +512,6 @@ def build_root_multiset(
     j: int,
     r: int,
     h: int | None = None,
-    method: str = "fast",
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The root multiset for m in [1, R], as int64 arrays (keys, counts).
 
@@ -528,78 +522,35 @@ def build_root_multiset(
     kt - k between roots of j(m+h) and jm:
         count(lam) = #{(m,k,kt) : 1<=m<=R, k^2=jm, kt^2=j(m+h),
                                   kt-k = lam (mod r)}.
-    For both kinds and methods the keys are the residues lam in [0, r)
-    with count(lam) >= 1, strictly ascending, and counts holds their
-    counts; an empty multiset is two empty arrays.
+    For both kinds the keys are the residues lam in [0, r) with
+    count(lam) >= 1, strictly ascending, and counts holds their counts;
+    an empty multiset is two empty arrays.
 
-    Both kinds are built the same way.  Method "fast" solves, so it
-    serves r far beyond any table, in one of two regimes chosen by size:
-    when R >= _ARRAY_MIN_R and r^2 < 2^63 it solves every residue jm
-    (and j(m+h)) in one numpy pass (_array_multiset over _residue_roots:
-    array Tonelli-Shanks, Hensel and 2-adic lifts per prime power, CRT
-    idempotents); otherwise it calls sqrt_mod_all per m.  Only "fast"
-    factorizes r: the array regime once, and sqrt_mod_all on each call
-    through arith.factorize's memo.  Method "oracle" squares every k in
-    [0, r) and groups k by m = j^-1 k^2 mod r (_square_groups), with no
-    solver call; the size refusal of _square_groups is its first work.  The per-m loop of
-    either method takes the roots of each m as they are (plain) or pairs
-    the k of m with the kt of m + h (difference), counts the residues in
-    a dict and sorts the keys once.
+    Both kinds are built by solving, so r is served far beyond any
+    table, in one of two regimes chosen by size: when R >= _ARRAY_MIN_R
+    and r^2 < 2^63 every residue jm (and j(m+h)) is solved in one numpy
+    pass (_array_multiset over _residue_roots: array Tonelli-Shanks,
+    Hensel and 2-adic lifts per prime power, CRT idempotents), which
+    factorizes r once; otherwise sqrt_mod_all is called per m, through
+    arith.factorize's memo, and the per-m loop takes the roots of each m
+    as they are (plain) or pairs the k of m with the kt of m + h
+    (difference), counts the residues in a dict and sorts the keys once.
+    Its oracle is oracles.root_multiset.
     """
     if not 1 <= R <= r:
         raise ValueError("need 1 <= R <= r")
     if math.gcd(j, r) != 1:
         raise ValueError("need gcd(j, r) = 1")
-    if method not in ("fast", "oracle"):
-        raise ValueError(f"unknown method {method!r}")
-
-    if method == "fast":
-        if R >= _ARRAY_MIN_R and r * r < 2 ** 63:
-            return _array_multiset(R, j, h, factorize(r))
-
-        def roots_of(m: int) -> Sequence[int]:
-            return sqrt_mod_all(j * m % r, r).roots
-    else:
-        groups = _square_groups(r, j % r)
-
-        def roots_of(m: int) -> Sequence[int]:
-            return groups.get(m % r, ())
+    if R >= _ARRAY_MIN_R and r * r < 2 ** 63:
+        return _array_multiset(R, j, h, factorize(r))
     table: Dict[int, int] = {}
     for m in range(1, R + 1):
-        lams = roots_of(m)
+        lams = sqrt_mod_all(j * m % r, r).roots
         if h is not None and lams:
-            kts = roots_of(m + h)
+            kts = sqrt_mod_all(j * (m + h) % r, r).roots
             lams = [(kt - k) % r for k in lams for kt in kts]
         for lam in lams:
             table[lam] = table.get(lam, 0) + 1
     keys = sorted(table)
     return (np.array(keys, dtype=np.int64),
             np.array([table[k] for k in keys], dtype=np.int64))
-
-
-@lru_cache(maxsize=1)
-def _square_groups(n: int, j: int) -> Mapping[int, Tuple[int, ...]]:
-    """Every k in [0, n), grouped by m = j^-1 k^2 mod n, ascending in k.
-
-    The squaring side of three oracles: the plain and difference root
-    multisets (build_root_multiset, method "oracle") and the bare
-    root-difference sum (expsums.esum_jh, form "bare"); none calls the
-    solver.  It depends only on (n, j mod n), so criterion 3's points of
-    one (r, j), plain and difference alike, share it; the memo keeps the
-    most recent key only.  So after a call the groups of that (n, j) stay
-    alive: O(n) tuples, about 79 MB at n = 2^20.  A command-line call
-    exits and frees them; a library caller releases them with
-    sqrtmod._square_groups.cache_clear().  It refuses n > _ORACLE_MAX_R
-    first, and no oracle factorizes or solves before it, so that refusal
-    comes before any work.  The groups are read-only (a mapping proxy over tuples), so
-    no caller can corrupt them.
-    """
-    if n > _ORACLE_MAX_R:
-        raise ValueError(f"r = {n} too large for the squaring oracle: it "
-                         "squares every residue mod r, so r must be <= "
-                         f"{_ORACLE_MAX_R}")
-    jinv = mod_inverse(j, n)
-    groups: Dict[int, List[int]] = {}
-    for k in range(n):
-        groups.setdefault(k * k * jinv % n, []).append(k)
-    return MappingProxyType({m: tuple(ks) for m, ks in groups.items()})

@@ -135,9 +135,9 @@ def test_criterion_03_rejects_a_moved_root_difference(monkeypatch):
     # residue keeps the mass; brute reads the oracle builder, so F2 differs
     build = energies.build_root_multiset
 
-    def moved(R, j, r, h=None, method="fast"):
-        keys, counts = build(R, j, r, h, method=method)
-        if h is None or method != "fast" or not keys.size:
+    def moved(R, j, r, h=None):
+        keys, counts = build(R, j, r, h)
+        if h is None or not keys.size:
             return keys, counts
         values = np.repeat(keys, counts)
         values[0] = (values[0] + 1) % r
@@ -231,6 +231,17 @@ def test_gcd_row_equals_np_gcd():
         assert row.dtype == np.int64
         assert np.array_equal(row, np.gcd(hs, r)), r
     assert acceptance._gcd_row(factorize(1), 1).tolist() == [1]
+
+
+def test_criterion_09_rejects_a_gcd_row_of_ones(monkeypatch):
+    # a row of ones passes every bound (each sum is H <= H tau(r)), so only
+    # the comparison with oracles.gcd_power_sum sees it: at r = 2 the even
+    # h have gcd 2, and the sigma = 1 sum of H = 10 is 15, not 10
+    monkeypatch.setattr(acceptance, "_gcd_row",
+                        lambda fm, H: np.ones(H, dtype=np.int64))
+    result = acceptance.criterion_9_gcd_sums(H_max=10, r_max=200)
+    assert not result.passed
+    assert result.detail == "sigma=1 sum at r=2 H=10: 10.0 != oracle 15.0"
 
 
 def test_criterion_10_monitors_report():

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from sievelab import arith
-from sievelab.arith import (FactoredModulus, eps_q, factorize,
-                            gcd_power_sum, is_prime, jacobi, mod_inverse)
+from sievelab.arith import (FactoredModulus, eps_q, factorize, is_prime,
+                            jacobi, mod_inverse)
+from sievelab.oracles import gcd_power_sum
 
 #: the ten smallest primes above the trial-division bound 10^3
 PRIMES_ABOVE_TRIAL = (1009, 1013, 1019, 1021, 1031, 1033, 1039, 1049, 1051, 1061)

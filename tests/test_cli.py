@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from sievelab import cli
 from sievelab.cli import build_parser, main
 
 
@@ -117,6 +118,20 @@ def test_budget_refusal_exit_code(capsys):
     code, _ = run_cli(capsys, "charsum", "cubic", "--r", "101", "--M", "50",
                       "--weight", "fejer:5", "--budget", "10")
     assert code == 3
+
+
+def test_out_of_memory_is_a_budget_refusal(monkeypatch, capsys):
+    # sqrt --m 0 --r 2^62 asks for 2^31 roots; under an address-space
+    # limit the solver raises MemoryError, which exits 3 with one line
+    def out_of_memory(m, r):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "sqrt_mod_all", out_of_memory)
+    code = main(["sqrt", "--m", "0", "--r", str(2 ** 62)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "budget refusal: out of memory\n"
 
 
 def test_value_error_exit_code(capsys):

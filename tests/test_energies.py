@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from sievelab import energies
+from sievelab import energies, oracles
 from sievelab.energies import (_energy_from_multiset, _square_sum, energy_e2,
                                energy_e4, energy_f2, kssz_check)
 from sievelab.sqrtmod import build_root_multiset, sqrt_mod_all
@@ -246,7 +246,7 @@ def test_int64_certificate_sums_counts_without_wrapping(method, monkeypatch):
         raise AssertionError("a kernel ran before the certificate")
 
     monkeypatch.setattr(energies, "_self_convolve", no_kernel)
-    monkeypatch.setattr(energies, "_dense_pair_hist", no_kernel)
+    monkeypatch.setattr(oracles, "_dense_pair_hist", no_kernel)
     monkeypatch.setattr(np, "repeat", no_kernel)
     for fold in (2, 4):
         with pytest.raises(ValueError, match="mass = 18446744073709551616"):

@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from sievelab import expsums, sqrtmod
+from sievelab import expsums, oracles, sqrtmod
 from sievelab.acceptance import BOMBIERI_CORPUS
-from sievelab.expsums import (RationalFunctionModP, _unit_inverses,
-                              e_frac, esum_jh,
+from sievelab.expsums import (RationalFunctionModP, _unit_inverses, esum_jh,
                               gauss_sum_closed, gauss_sum_direct, gcal,
                               gcal_bound, rational_expsum, unit_phases)
+from sievelab.oracles import e_frac, gcal_literal, rational_literal
 from sievelab.sieve import SieveInstance, ls_lhs
 
 
@@ -112,15 +112,15 @@ def test_esum_paired_equals_bare():
 
 
 def test_bare_esum_refuses_a_huge_modulus_before_any_work(monkeypatch):
-    # the one bound of the squaring oracle, checked in sqrtmod alone
-    assert sqrtmod._ORACLE_MAX_R == 1 << 20
+    # the one bound of the squaring oracle, checked in oracles alone
+    assert oracles._ORACLE_MAX_R == 1 << 20
 
     def squared(*args):
         raise AssertionError("squared the residues")
 
     # mod_inverse is the first work _square_groups does past its guard
-    monkeypatch.setattr(sqrtmod, "mod_inverse", squared)
-    sqrtmod._square_groups.cache_clear()
+    monkeypatch.setattr(oracles, "mod_inverse", squared)
+    oracles._square_groups.cache_clear()
     for r in (2 ** 20 + 1, 2 ** 63):
         with pytest.raises(ValueError, match="r must be <= 1048576"):
             esum_jh(1, 2, 1, 1, r, form="bare")
@@ -284,16 +284,6 @@ def test_unit_inverses_refuses_int64_overflow(monkeypatch):
         rational_expsum(RationalFunctionModP((0, 1), (1,), 3037000507))
 
 
-def gcal_literal(q, a, b, j, k, u, s):
-    """G(q;a,b,j,k,u,s) term by term, one pow(., -1, q) and e_frac each."""
-    total = 0j
-    for c in range(1, q + 1):
-        if math.gcd(c, q) == 1:
-            inv = pow(4 * j * s ** 3 * c * c, -1, q)
-            total += e_frac(a * c + b * (j * k - u * s * s * c * c) ** 2 * inv, q)
-    return total
-
-
 def test_gcal_matches_literal_sum():
     rng = np.random.default_rng(8)
     for q in range(1, 302, 2):
@@ -318,18 +308,6 @@ def test_gcal_matches_literal_sum_at_the_uint32_bound(q):
     a, b, k, u = (int(v) for v in rng.integers(0, q, 4))
     v = gcal(q, a, b, 1, k, u, 1)
     assert abs(v.value - gcal_literal(q, a, b, 1, k, u, 1)) < 1e-9 * q
-
-
-def rational_literal(num, den, p):
-    """(S(f,p), terms) over n mod p with f2(n) != 0, term by term."""
-    total, terms = 0j, 0
-    for n in range(p):
-        f2 = sum(c * n ** i for i, c in enumerate(den)) % p
-        if f2:
-            f1 = sum(c * n ** i for i, c in enumerate(num))
-            total += e_frac(f1 * pow(f2, -1, p), p)
-            terms += 1
-    return total, terms
 
 
 def test_rational_expsum_matches_literal_sum():

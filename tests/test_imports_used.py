@@ -1,7 +1,8 @@
 """Every module-level import in the package modules is used, every
 function parameter is read, every module-level private name is read
-somewhere in the package, and a modulus is an int at every public entry
-point: FactoredModulus stays inside arith and private helpers."""
+somewhere in the package, a modulus is an int at every public entry
+point (FactoredModulus stays inside arith and private helpers), and the
+oracles module imports nothing of the fast paths it checks."""
 
 import ast
 from pathlib import Path
@@ -107,6 +108,36 @@ def factored_modulus_isinstance_calls(source: str):
                   and "FactoredModulus" in ast.unparse(n.args[1]))
 
 
+#: the modules sievelab.oracles may import, and the arith names it may
+#: take; anything else (another sievelab module, importlib, __import__)
+#: could route an oracle through a fast path
+ORACLE_MODULES = {"__future__", "cmath", "fractions", "functools", "math",
+                  "types", "typing", "numpy"}
+ORACLE_ARITH_NAMES = {"BudgetExceeded", "DEFAULT_BUDGET", "mod_inverse"}
+
+
+def oracle_import_violations(source: str):
+    """(line, text) of each import anywhere in source, module-level or
+    nested, outside ORACLE_MODULES and `from .arith import` of
+    ORACLE_ARITH_NAMES, and of each use of importlib or __import__."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            allowed = all(a.name in ORACLE_MODULES for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            allowed = (node.module in ORACLE_MODULES if node.level == 0
+                       else node.level == 1 and node.module == "arith"
+                       and {a.name for a in node.names} <= ORACLE_ARITH_NAMES)
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            allowed = name not in ("importlib", "__import__", "import_module")
+        else:
+            continue
+        if not allowed:
+            found.append((node.lineno, ast.unparse(node)))
+    return sorted(found)
+
+
 def test_checker_finds_an_unused_import():
     src = "import os\nimport sys\nfrom typing import Dict, List\nx: List = sys.argv\n"
     assert unused_imports(src) == [(1, "os"), (3, "Dict")]
@@ -145,6 +176,36 @@ def test_checker_finds_an_unread_private_name():
                "b": "import a\n_D: int = a._C\n"}
     assert unread_private_names(sources) == [("a", 1, "_A"), ("a", 4, "_f"),
                                              ("b", 2, "_D")]
+
+
+def test_checker_finds_an_oracle_import_of_the_fast_paths():
+    src = ("from __future__ import annotations\n"
+           "import math, numpy as np\n"
+           "from typing import Dict\n"
+           "from .arith import BudgetExceeded, mod_inverse\n"
+           "from .arith import factorize\n"
+           "import os\n"
+           "from sievelab import sqrtmod\n"
+           "def f():\n"
+           "    from .sqrtmod import _mod\n"
+           "    from . import expsums\n"
+           "    return __import__('sievelab.sieve')\n"
+           "class C:\n"
+           "    import importlib\n"
+           "    g = importlib.import_module\n")
+    assert oracle_import_violations(src) == [
+        (5, "from .arith import factorize"), (6, "import os"),
+        (7, "from sievelab import sqrtmod"), (9, "from .sqrtmod import _mod"),
+        (10, "from . import expsums"), (11, "__import__"),
+        (13, "import importlib"), (14, "importlib"),
+        (14, "importlib.import_module")]
+
+
+def test_oracles_import_no_fast_path():
+    """oracles.py reaches the rest of sievelab only through three arith
+    names, so no oracle can call the fast path it checks."""
+    source = (Path(sievelab.__file__).parent / "oracles.py").read_text()
+    assert oracle_import_violations(source) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

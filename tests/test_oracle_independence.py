@@ -1,19 +1,25 @@
 """Each oracle stays off the kernel of the fast path it checks.
 
-With a fast path's kernel patched to raise wherever it is bound, the
-oracle must still return and the fast path must raise, so a later speed-up
-cannot route an oracle through the path it checks.  The pairs:
+Every oracle lives in sievelab.oracles, and the import rule in
+tests/test_imports_used.py pins what that module may import: a few
+standard modules, numpy, and BudgetExceeded, DEFAULT_BUDGET and
+mod_inverse from arith; no fast module.  The fixtures here check the
+same at run time, from the other side: with a fast path's kernel patched
+to raise wherever it is bound, the oracle must still return and the fast
+path must raise, so a later speed-up cannot route an oracle through the
+path it checks.  The pairs:
 
 - complete sums: every fast sum gathers e_q(t) from expsums.unit_phases,
-  every scalar oracle evaluates e_frac term by term;
+  every scalar oracle evaluates oracles.e_frac term by term;
 - energies: conv self-convolves (_self_convolve) and sums the squared bins
   with a certified int64 dot (_square_sum), brute enumerates every pair
-  sum (_dense_pair_hist);
-- root multisets: for both kinds the oracle squares every residue
-  (sqrtmod._square_groups) and the fast builder solves: sqrt_mod_all per
-  m, or, at R >= _ARRAY_MIN_R, the array solver sqrtmod._residue_roots;
+  sum (oracles._dense_pair_hist);
+- root multisets: for both kinds the oracle (oracles.root_multiset)
+  squares every residue (oracles._square_groups) and the fast builder
+  solves: sqrt_mod_all per m, or, at R >= _ARRAY_MIN_R, the array solver
+  sqrtmod._residue_roots;
 - root-difference sums: the bare oracle squares every residue
-  (sqrtmod._square_groups), the paired fast path reads the bulk root table
+  (oracles._square_groups), the paired fast path reads the bulk root table
   built by root_pairs; neither calls the solver sqrt_mod_all;
 - the bulk root tables and the array solver share one prime-power solver,
   sqrtmod._prime_power_residue_roots; the squaring oracles above run with
@@ -23,10 +29,10 @@ cannot route an oracle through the path it checks.  The pairs:
 - factorization: only the fast paths factorize r.  The squaring oracles
   (both multiset kinds, brute E2, E4 and F2, bare esum_jh) run with
   factorize patched, and so does their one size refusal, in
-  sqrtmod._square_groups, which therefore comes before any work;
+  oracles._square_groups, which therefore comes before any work;
 - window counts P(x): px_count counts the units of each window by
   inclusion-exclusion (sieve._units_between) over the primes of
-  arith.factorize(q), px_count_literal enumerates the window with
+  arith.factorize(q), oracles.px_count_literal enumerates the window with
   math.gcd and Fraction and calls neither.
 """
 
@@ -36,14 +42,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sievelab import arith, energies, expsums, sieve, sqrtmod
+from sievelab import arith, energies, expsums, oracles, sieve, sqrtmod
 from sievelab.charsums import S4Input, s4_closed, s4_closed_rows, s4_direct
 from sievelab.energies import energy_e2, energy_e4, energy_f2
 from sievelab.expsums import (RationalFunctionModP, esum_jh, gauss_sum_closed,
                               gauss_sum_direct, gcal, rational_expsum)
-from sievelab.sieve import (PxQuery, SieveInstance, ls_lhs, px_count,
-                            px_count_literal)
-from test_expsums import gcal_literal, rational_literal
+from sievelab.oracles import gcal_literal, px_count_literal, rational_literal
+from sievelab.sieve import PxQuery, SieveInstance, ls_lhs, px_count
 
 
 class KernelCalled(Exception):
@@ -142,20 +147,20 @@ def test_brute_energy_does_not_use_the_certified_dot(name, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(ENERGIES))
 def test_conv_energy_does_not_enumerate_pairs(name, monkeypatch):
-    monkeypatch.setattr(energies, "_dense_pair_hist", _kernel_called)
+    monkeypatch.setattr(oracles, "_dense_pair_hist", _kernel_called)
     assert ENERGIES[name]("conv").energy > 0
     with pytest.raises(KernelCalled):
         ENERGIES[name]("brute")
 
 
-def _multiset(kind, method):
+def _multiset(kind, build):
     h = None if kind == "plain" else 1
-    return sqrtmod.build_root_multiset(8, 2, 21, h, method=method)
+    return build(8, 2, 21, h)
 
 
 @pytest.mark.parametrize("kind", ["plain", "difference"])
 def test_squaring_builder_does_not_use_the_solver(kind, no_solver):
-    keys, _ = _multiset(kind, "oracle")
+    keys, _ = _multiset(kind, oracles.root_multiset)
     assert keys.size > 0
 
 
@@ -165,7 +170,7 @@ def test_solver_builder_uses_the_solver(kind, no_solver, monkeypatch):
     for threshold in (sys.maxsize, 0):
         monkeypatch.setattr(sqrtmod, "_ARRAY_MIN_R", threshold)
         with pytest.raises(KernelCalled):
-            _multiset(kind, "fast")
+            _multiset(kind, sqrtmod.build_root_multiset)
 
 
 def test_bare_esum_does_not_use_the_solver_or_the_root_table(no_solver):
@@ -216,10 +221,10 @@ def test_fast_path_uses_the_width_predicate(name, no_width_predicate):
 #: each squaring oracle and its fast twin, as functions of r
 SQUARING_ORACLES = {
     "plain multiset": (
-        lambda r: sqrtmod.build_root_multiset(8, 1, r, method="oracle"),
+        lambda r: oracles.root_multiset(8, 1, r),
         lambda r: sqrtmod.build_root_multiset(8, 1, r)),
     "difference multiset": (
-        lambda r: sqrtmod.build_root_multiset(8, 1, r, 1, method="oracle"),
+        lambda r: oracles.root_multiset(8, 1, r, 1),
         lambda r: sqrtmod.build_root_multiset(8, 1, r, 1)),
     "E2 brute": (lambda r: energy_e2(8, 1, r, "brute"),
                  lambda r: energy_e2(8, 1, r, "conv")),
@@ -260,8 +265,8 @@ def test_squaring_oracle_refuses_a_huge_modulus_before_any_work(
             f"r = {r} too large for the squaring oracle: it "
             "squares every residue mod r, so r must be <= 1048576")
     # r = 2^20 itself passes the bound and starts squaring
-    sqrtmod._square_groups.cache_clear()
-    monkeypatch.setattr(sqrtmod, "mod_inverse", _kernel_called)
+    oracles._square_groups.cache_clear()
+    monkeypatch.setattr(oracles, "mod_inverse", _kernel_called)
     with pytest.raises(KernelCalled):
         oracle(2 ** 20)
 

@@ -4,11 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from sievelab.oracles import px_count_literal
 from sievelab.sieve import (ApproxFrame, BudgetExceeded, PxQuery,
                             SieveInstance, build_frame, dirichlet_approx,
                             double_sieve_check, ls_bound_table, ls_lhs,
-                            propmain_bounds, px_cost, px_count,
-                            px_count_literal, px_monitor)
+                            propmain_bounds, px_cost, px_count, px_monitor)
 
 
 def make_instance(rng, N, Q, M=0):
@@ -179,6 +179,16 @@ def test_propmain_regime_selection():
     assert out["bound"] == out["all_bounds"][out["regime"] - 1]
     t1, t2, t3 = out["thresholds"]
     assert t1 >= 0 and t2 >= 0 and t3 >= 0
+    # the constants of all four brackets and thresholds, pinned: at
+    # Q = 10, delta = 1e-3 each regime is reached at one r
+    for r, regime in ((20, 1), (5, 2), (2, 3), (1, 4)):
+        assert propmain_bounds(10, 1e-3, r)["regime"] == regime, r
+    assert out["all_bounds"] == pytest.approx(
+        (6.819861946909871, 10.694029247683254, 14.393564081728227,
+         14.159360643709853), rel=1e-12)
+    assert out["thresholds"] == pytest.approx(
+        (13.219411484660286, 3.7503696379226916, 1.674482438011535),
+        rel=1e-12)
 
 
 def test_double_sieve_slack_nonnegative():

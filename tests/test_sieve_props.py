@@ -9,7 +9,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from sievelab.sieve import PxQuery, px_count, px_count_literal  # noqa: E402
+from sievelab.oracles import px_count_literal  # noqa: E402
+from sievelab.sieve import PxQuery, px_count  # noqa: E402
 
 # x = n/d with |n| <= 240 and d <= 60: negative and above 1 included
 xs = st.builds(Fraction, st.integers(-240, 240), st.integers(1, 60))

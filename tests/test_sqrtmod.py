@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from sievelab import sqrtmod
-from sievelab import arith
+from sievelab import arith, oracles
 from sievelab.arith import FactoredModulus, factorize, is_prime
 from sievelab.expsums import esum_jh
+from sievelab.oracles import root_multiset
 from sievelab.sqrtmod import (RootSet, _prime_power_pairs,
                               _require_int64_square, _vec_pow_mod,
                               build_root_multiset, root_pairs, sqrt_mod_all)
@@ -43,9 +44,10 @@ def test_rootset_validates():
     with pytest.raises(ValueError):
         RootSet(15, 4, (7, 2))  # unsorted
     # each passes the square check mod 7: (-3)^2 = 10^2 = 2 and 3^2 = 9
-    for roots in ((-3,), (3, 10)):
+    # and (0, 7) both square to 0 mod 7: 7 sits on the range's open end
+    for m, roots in ((2, (-3,)), (2, (3, 10)), (0, (0, 7))):
         with pytest.raises(ValueError, match="roots must lie in"):
-            RootSet(7, 2, roots)
+            RootSet(7, m, roots)
     with pytest.raises(ValueError, match="m = 9 is not in"):
         RootSet(7, 9, (3,))
     rs = RootSet(15, 4, (2, 7, 8, 13))
@@ -384,10 +386,11 @@ def test_prime_power_array_solver_matches_the_scalar_one(dtype):
         assert solver_root_sets(v, p, a) == want, (p, a)
 
 
-def checked_multiset(R, j, r, h=None, method="fast"):
-    """build_root_multiset's (keys, counts), after checking its format:
-    int64 arrays, keys strictly ascending in [0, r), every count >= 1."""
-    keys, counts = build_root_multiset(R, j, r, h, method=method)
+def checked_multiset(R, j, r, h=None, build=build_root_multiset):
+    """The (keys, counts) of build_root_multiset, or of its oracle
+    root_multiset, after checking their format: int64 arrays, keys
+    strictly ascending in [0, r), every count >= 1."""
+    keys, counts = build(R, j, r, h)
     assert keys.dtype == counts.dtype == np.int64
     assert keys.ndim == 1 and keys.shape == counts.shape
     assert np.all(np.diff(keys) > 0)
@@ -406,12 +409,12 @@ def test_build_root_multiset_plain_methods_agree():
             if np.gcd(j, r) != 1:
                 continue
             for R in (1, 3, r):
-                fast = checked_multiset(R, j, r, method="fast")
-                oracle = checked_multiset(R, j, r, method="oracle")
+                fast = checked_multiset(R, j, r)
+                oracle = checked_multiset(R, j, r, build=root_multiset)
                 assert same_multiset(fast, oracle), (r, j, R)
     # 3 is a non-residue mod 7, so m = 1 has no root at j = 3
-    for method in ("fast", "oracle"):
-        keys, _ = checked_multiset(1, 3, 7, method=method)
+    for build in (build_root_multiset, root_multiset):
+        keys, _ = checked_multiset(1, 3, 7, build=build)
         assert keys.size == 0
 
 
@@ -464,11 +467,11 @@ def test_build_root_multiset_difference_methods_agree():
             for R in {1, min(4, r), min(8, r), r}:
                 for h in (-3, 0, 1, 2, r + 1):
                     fast = checked_multiset(R, j, r, h=h)
-                    oracle = checked_multiset(R, j, r, h=h, method="oracle")
+                    oracle = checked_multiset(R, j, r, h=h, build=root_multiset)
                     assert same_multiset(fast, oracle), (r, j, R, h)
     # 3 is a non-residue mod 7, so m = 1 has no root at j = 3
-    for method in ("fast", "oracle"):
-        keys, _ = checked_multiset(1, 3, 7, h=1, method=method)
+    for build in (build_root_multiset, root_multiset):
+        keys, _ = checked_multiset(1, 3, 7, h=1, build=build)
         assert keys.size == 0
 
 
@@ -498,7 +501,7 @@ def test_fast_regimes_of_both_kinds_match_the_oracle_on_criterion_3(
         for R in {1, min(int(rng.integers(2, 9)), r), min(8, r)}:
             for h in (None, 0, 1, 2, -5, r + 3):
                 fast = checked_multiset(R, j, r, h=h)
-                oracle = checked_multiset(R, j, r, h=h, method="oracle")
+                oracle = checked_multiset(R, j, r, h=h, build=root_multiset)
                 assert same_multiset(fast, oracle), (r, j, R, h)
 
 
@@ -514,24 +517,23 @@ def test_difference_regimes_match_the_oracle_at_R_600(r, fast_regime):
     for R in ((1, r // 2, r) if r == 2 ** 16 + 1 else (600,)):
         for j, h in ((1, None), (1, 1), (5, None), (5, -5)):
             fast = checked_multiset(R, j, r, h=h)
-            oracle = checked_multiset(R, j, r, h=h, method="oracle")
+            oracle = checked_multiset(R, j, r, h=h, build=root_multiset)
             assert same_multiset(fast, oracle), (R, j, h)
 
 
 def test_square_groups_are_memoized_read_only():
     # one (r, j) at a time: a warm build equals a cold one, and a caller
     # cannot change the cached groups
-    memo = sqrtmod._square_groups
+    memo = oracles._square_groups
     assert memo.cache_info().maxsize == 1
     points = [(R, h) for R in (1, 4, 8) for h in (0, 1, 2, -5)]
     for r, j in ((21, 2), (45, 7), (97, 5), (128, 3)):
         cold = []
         for R, h in points:
             memo.cache_clear()
-            cold.append(build_root_multiset(R, j, r, h=h, method="oracle"))
+            cold.append(root_multiset(R, j, r, h=h))
         memo.cache_clear()
-        warm = [build_root_multiset(R, j, r, h=h,
-                                    method="oracle") for R, h in points]
+        warm = [root_multiset(R, j, r, h=h) for R, h in points]
         assert all(map(same_multiset, warm, cold)), (r, j)
         info = memo.cache_info()
         assert (info.hits, info.misses) == (len(points) - 1, 1)
@@ -547,13 +549,13 @@ def test_square_groups_are_memoized_read_only():
 
 
 def test_build_root_multiset_validates():
-    with pytest.raises(ValueError):
-        build_root_multiset(0, 1, 7)
-    with pytest.raises(ValueError):
-        build_root_multiset(3, 7, 7)  # gcd(j, r) != 1
-    for h in (None, 1):  # plain and difference
-        with pytest.raises(ValueError, match="unknown method"):
-            build_root_multiset(3, 1, 7, h, method="fsat")
+    # the fast builder and its oracle refuse alike, for both kinds
+    for build in (build_root_multiset, root_multiset):
+        for h in (None, 1):
+            with pytest.raises(ValueError, match="need 1 <= R <= r"):
+                build(0, 1, 7, h)
+            with pytest.raises(ValueError, match="need gcd"):
+                build(3, 7, 7, h)
 
 
 def test_root_pairs_m_runs_match_scalar_solver():
