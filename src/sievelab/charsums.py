@@ -103,6 +103,11 @@ class S4Input:
         _check_s4_modulus(self.j, self.r)
 
 
+def _cyclic_pair_sums(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    """T[l] = sum_k w1[k] * w2[(l - k) mod r], r = len(w1), by one FFT."""
+    return np.fft.ifft(np.fft.fft(w1) * np.fft.fft(w2))
+
+
 def _pair_sum_table(r: int, j: int, a1: int, a2: int) -> np.ndarray:
     """T[l] = sum over k1 + k2 = l (mod r) of e_r(jbar(a1 k1^2 + a2 k2^2)).
 
@@ -112,10 +117,8 @@ def _pair_sum_table(r: int, j: int, a1: int, a2: int) -> np.ndarray:
     ks = np.arange(r, dtype=np.int64)
     sq = ks * ks % r
     phases = unit_phases(r)
-    w1 = phases[jinv * a1 % r * sq % r]
-    w2 = phases[jinv * a2 % r * sq % r]
-    # cyclic pair-sum histogram: T[l] = sum_k w1[k] * w2[(l-k) mod r]
-    return np.fft.ifft(np.fft.fft(w1) * np.fft.fft(w2))
+    return _cyclic_pair_sums(phases[jinv * a1 % r * sq % r],
+                             phases[jinv * a2 % r * sq % r])
 
 
 def s4_direct(inp: S4Input) -> ExpSumValue:
@@ -123,15 +126,17 @@ def s4_direct(inp: S4Input) -> ExpSumValue:
 
     Sum over (k1..k4) mod r with k1 + k2 = k3 + k4 (mod r) of
     e_r(jbar(h1 k1^2 + h2 k2^2 + h3 k3^2 + h4 k4^2)), factored through
-    two pair-sum tables (exact rearrangement, O(r^2) work).
+    two pair-sum tables (exact rearrangement, one transform each).  Its
+    charge r*ceil(log2 r) also keeps r^2 < 2^63 for the int64 ks * ks.
     """
     r, j = inp.r, inp.j
     h1, h2, h3, h4 = inp.h
-    if r * r > 10 ** 9:
-        raise BudgetExceeded(r * r, 10 ** 9)
+    cost = r * (r - 1).bit_length()
+    if cost > DEFAULT_BUDGET:
+        raise BudgetExceeded(cost, DEFAULT_BUDGET)
     t12 = _pair_sum_table(r, j, h1, h2)
     t34 = _pair_sum_table(r, j, h3, h4)
-    return ExpSumValue(complex(np.sum(t12 * t34)), r ** 3, r)
+    return ExpSumValue(complex(np.sum(t12 * t34)), r ** 3)
 
 
 def _s2_profile(a: int, b: int, r: int, legendre: Callable[[int], complex]
@@ -220,32 +225,33 @@ def s4_closed(inp: S4Input) -> ExpSumValue:
     patterns where exactly one entry of a pair vanishes.
     """
     r = inp.r
-    return ExpSumValue(next(_s4_closed_values(inp.j, r, (inp.h,))), r ** 3, r)
+    return ExpSumValue(next(_s4_closed_values(inp.j, r, (inp.h,))), r ** 3)
 
 
 def weighted_energy(R: int, j: int, r: int, weight: TrigWeight,
                     budget: int = DEFAULT_BUDGET) -> Dict[str, float]:
     """Weighted quadruple energy, evaluated two independent ways.
 
-    direct: sum over k1 + k2 = k3 + k4 (mod r) of the product of the four
-    pointwise weights v(k) = (R/r) * phi(jbar k^2 / r).
+    direct: sum over l of g(l)^2, g(l) the sum over k1 + k2 = l (mod r) of
+    v(k1) v(k2) from the cyclic pair-sum transform, for the pointwise
+    weights v(k) = (R/r) * phi(jbar k^2 / r); it never reads S4.
     spectral: (R/r)^4 * sum over the finite h-lattice of the coefficient
     products times S4(j; h) from the closed form, all nonzero-coefficient
     rows in one s4_closed_rows call, accumulated in lattice order.
     The two agree exactly up to floating error (finite Poisson identity).
+    Cost: max(r (width + ceil(log2 r)), (2 width + 1)^4 lattice rows).
     """
     _check_s4_modulus(j, r)
     if not 1 <= R <= r:
         raise ValueError("need 1 <= R <= r")
-    cost = max(r * r, (2 * weight.width + 1) ** 4)
+    cost = max(r * (weight.width + (r - 1).bit_length()),
+               (2 * weight.width + 1) ** 4)
     if cost > budget:
         raise BudgetExceeded(cost, budget)
     nu = R / r
     jinv = mod_inverse(j, r)
     v = np.array([nu * weight.phi((jinv * k * k % r) / r) for k in range(r)])
-    ks = np.arange(r)
-    g = np.zeros(r)
-    np.add.at(g, np.add.outer(ks, ks) % r, np.multiply.outer(v, v))
+    g = _cyclic_pair_sums(v, v).real
     direct = float(np.dot(g, g))
     hs = list(weight.support())
 

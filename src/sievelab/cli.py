@@ -190,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", action="append", default=[],
                    metavar="NAME=START:STOP[:STEP] | NAME=v1,v2,...",
                    help="a grid parameter the operation reads, its values "
-                        "written as scan.SCAN_PARAMETERS parses them")
+                        "parsed by its entry in scan.SCAN_OPERATIONS")
     p.add_argument("--format", choices=("csv", "json"), default="json")
     p.set_defaults(fn=_cmd_scan)
 

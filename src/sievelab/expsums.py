@@ -124,7 +124,6 @@ def _phase_sum(t: np.ndarray, q: int) -> complex:
 class ExpSumValue:
     value: complex
     terms: int
-    modulus: int
     margin: float | None = None
 
     @property
@@ -185,7 +184,7 @@ def gauss_sum_direct(q: int, a: int, b: int) -> ExpSumValue:
     dtype = np.uint32 if _fits_int32_square(q) else np.uint64
     n = np.arange(1, q + 1, dtype=dtype)
     phases = _mod((a % q) * _mod(n * n, q) + (b % q) * n, q)
-    return ExpSumValue(_phase_sum(phases, q), q, q)
+    return ExpSumValue(_phase_sum(phases, q), q)
 
 
 def gauss_sum_closed(q: int, a: int, b: int) -> ExpSumValue:
@@ -198,16 +197,16 @@ def gauss_sum_closed(q: int, a: int, b: int) -> ExpSumValue:
     if q % 2 == 0 or q < 1:
         raise ValueError("closed form requires odd q")
     if q == 1:
-        return ExpSumValue(1 + 0j, 1, 1)
+        return ExpSumValue(1 + 0j, 1)
     d = math.gcd(a, q)
     if d > 1:
         if b % d != 0:
-            return ExpSumValue(0j, q, q)
+            return ExpSumValue(0j, q)
         inner = gauss_sum_closed(q // d, a // d, b // d)
-        return ExpSumValue(d * inner.value, q, q)
+        return ExpSumValue(d * inner.value, q)
     inv4a = mod_inverse(4 * a, q)
     value = (eps_q(q) * e_frac(-inv4a * b * b, q) * jacobi(a, q) * math.sqrt(q))
-    return ExpSumValue(value, q, q)
+    return ExpSumValue(value, q)
 
 
 def esum_jh(
@@ -259,7 +258,7 @@ def esum_jh(
     hr = math.gcd(h, r)
     lr = math.gcd(l, r)
     bound = r ** 0.8 * hr * lr ** 0.2
-    return ExpSumValue(total, terms, r, abs(total) / bound)
+    return ExpSumValue(total, terms, abs(total) / bound)
 
 
 @_TABLES
@@ -323,7 +322,7 @@ def gcal(q: int, a: int, b: int, j: int, k: int, u: int, s: int) -> ExpSumValue:
     if q < 1:
         raise ValueError("q must be >= 1")
     if q == 1:
-        return ExpSumValue(1 + 0j, 1, 1)
+        return ExpSumValue(1 + 0j, 1)
     if q % 2 == 0:
         raise ValueError("gcal handles odd q only")
     if math.gcd(j * s, q) != 1:
@@ -334,7 +333,7 @@ def gcal(q: int, a: int, b: int, j: int, k: int, u: int, s: int) -> ExpSumValue:
     A, C, D = B * jk * jk % q, B * us2 * us2 % q, -2 * B * jk * us2 % q
     phase = _mod(_mod(a % q * c + A * _mod(ic * ic, q), q)
                  + C * _mod(c * c, q) + D, q)
-    return ExpSumValue(_phase_sum(phase, q), len(c), q)
+    return ExpSumValue(_phase_sum(phase, q), len(c))
 
 
 def gcal_bound(q: int, a: int, b: int, k: int, u: int) -> float:
@@ -363,7 +362,7 @@ def rational_expsum(f: RationalFunctionModP) -> ExpSumValue:
     phase = _mod(v1[keep] * inv_table[v2[keep]], p)
     value = _phase_sum(phase, p)
     bound = 2 * f.total_degree() * math.sqrt(p)
-    return ExpSumValue(value, int(keep.sum()), p, abs(value) / bound)
+    return ExpSumValue(value, int(keep.sum()), abs(value) / bound)
 
 
 def _poly_eval_mod(coeffs: Sequence[int], xs: np.ndarray, p: int) -> np.ndarray:

@@ -1,11 +1,13 @@
 """Parameter-grid scan driver with deterministic ordering and
 byte-identical CSV/JSON output.
 
-SCAN_PARAMETERS is the one table of each operation's grid parameters and
-of how their values are written; parse_grid reads the command-line form
-from it, and ScanSpec refuses a grid that lacks a parameter its operation
-reads or names one it does not.  records_to_csv and records_to_json
-write scan files; nothing here reads them back."""
+SCAN_OPERATIONS is the one table of operations: each one's grid
+parameters and how their values are written, its declared cost and its
+evaluator.  parse_grid reads the command-line form from it, ScanSpec
+refuses a grid that lacks a parameter its operation reads or names one
+it does not, and run_scan evaluates and charges each point through it.
+records_to_csv and records_to_json write scan files; nothing here reads
+them back."""
 
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ class ScanSpec:
             raise ValueError(f"unknown operation {self.operation!r}")
         if not self.grid or any(len(v) == 0 for v in self.grid.values()):
             raise ValueError("grid must be non-empty in every parameter")
-        declared = SCAN_PARAMETERS[self.operation]
+        declared = SCAN_OPERATIONS[self.operation][0]
         missing = [k for k in declared if k not in self.grid]
         if missing:
             raise ValueError(f"operation {self.operation!r} needs grid "
@@ -52,62 +54,6 @@ class ResultRecord:
     outputs: Dict[str, object]
 
 
-def _op_e2(p):
-    rep = energy_e2(p["R"], p["j"], p["r"])
-    return {"energy": rep.energy, "bound": rep.hyp_bound, "ratio": rep.ratio}, \
-        p["r"] * p["R"] ** 2
-
-
-def _op_e4(p):
-    rep = energy_e4(p["R"], p["j"], p["r"])
-    return {"energy": rep.energy, "bound": rep.hyp_bound, "ratio": rep.ratio}, \
-        p["r"] * p["R"] ** 4
-
-
-def _op_f2(p):
-    rep = energy_f2(p["R"], p["j"], p["h"], p["r"])
-    return {"energy": rep.energy, "bound": rep.hyp_bound, "ratio": rep.ratio}, \
-        p["r"] * p["R"] ** 2
-
-
-def _op_esum(p):
-    v = esum_jh(p["l"], p["n"], p["j"], p["h"], p["r"])
-    return {"abs": v.abs, "ratio": v.margin}, p["r"]
-
-
-def _op_gauss(p):
-    q, a, b = p["q"], p["a"], p["b"]
-    direct = gauss_sum_direct(q, a, b)
-    out = {"abs": direct.abs, "re": direct.value.real, "im": direct.value.imag}
-    if q % 2 == 1:
-        closed = gauss_sum_closed(q, a, b)
-        out["closed_error"] = abs(direct.value - closed.value)
-        out["ratio"] = out["closed_error"] / max(q * 1e-9, 1e-30)
-    return out, q
-
-
-def _op_bombieri(p):
-    f = RationalFunctionModP(tuple(p["numerator"]), tuple(p["denominator"]), p["p"])
-    v = rational_expsum(f)
-    return {"abs": v.abs, "ratio": v.margin}, p["p"]
-
-
-def _op_px(p):
-    out = dict(px_monitor(p["x"], p["Q"], p["N"]))
-    out["ratio"] = out.get("conj_ratio", 0.0)
-    return out, px_cost(p["Q"])
-
-
-SCAN_OPERATIONS: Dict[str, Callable] = {
-    "e2": _op_e2,
-    "e4": _op_e4,
-    "f2": _op_f2,
-    "esum": _op_esum,
-    "gauss": _op_gauss,
-    "bombieri": _op_bombieri,
-    "px": _op_px,
-}
-
 def parse_coefficients(text: str) -> Tuple[int, ...]:
     """The coefficient tuple written c0;c1;... ("0;1" is (0, 1))."""
     return tuple(int(c) for c in text.split(";"))
@@ -121,21 +67,66 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"{text!r} has a zero denominator") from None
 
 
-#: each operation's grid parameters, in the order a missing one is named,
-#: with the parser of its command-line values: int (the only one with a
-#: start:stop[:step] range form), parse_coefficients (c0;c1;... integer
-#: tuples, ascending powers) or parse_rational (p/q or a decimal, exactly);
-#: CSV/JSON files write tuples c0;c1;... and rationals p/q
-SCAN_PARAMETERS: Dict[str, Dict[str, Callable]] = {
-    "e2": {"r": int, "j": int, "R": int},
-    "e4": {"r": int, "j": int, "R": int},
-    "f2": {"r": int, "j": int, "R": int, "h": int},
-    "esum": {"l": int, "n": int, "j": int, "h": int, "r": int},
-    "gauss": {"q": int, "a": int, "b": int},
-    "bombieri": {"numerator": parse_coefficients,
-                 "denominator": parse_coefficients, "p": int},
-    "px": {"x": parse_rational, "Q": int, "N": int},
+def _energy_outputs(rep) -> Dict[str, object]:
+    return {"energy": rep.energy, "bound": rep.hyp_bound, "ratio": rep.ratio}
+
+
+def _sum_outputs(v) -> Dict[str, object]:
+    return {"abs": v.abs, "ratio": v.margin}
+
+
+def _gauss_outputs(p) -> Dict[str, object]:
+    q, a, b = p["q"], p["a"], p["b"]
+    direct = gauss_sum_direct(q, a, b)
+    out = {"abs": direct.abs, "re": direct.value.real, "im": direct.value.imag}
+    if q % 2 == 1:
+        closed = gauss_sum_closed(q, a, b)
+        out["closed_error"] = abs(direct.value - closed.value)
+        out["ratio"] = out["closed_error"] / max(q * 1e-9, 1e-30)
+    return out
+
+
+def _px_outputs(p) -> Dict[str, object]:
+    out = dict(px_monitor(p["x"], p["Q"], p["N"]))
+    out["ratio"] = out.get("conj_ratio", 0.0)
+    return out
+
+
+#: the one table of scan operations: each name maps to (its grid
+#: parameters, in the order a missing one is named, with the parser of
+#: their command-line values; the declared cost of one point; the
+#: evaluator of one point's outputs).  A parser is int (the only one with
+#: a start:stop[:step] range form), parse_coefficients (c0;c1;... integer
+#: tuples, ascending powers) or parse_rational (p/q or a decimal,
+#: exactly); CSV/JSON files write tuples c0;c1;... and rationals p/q.
+#: run_scan adds a point's cost to the spent total after evaluating it.
+SCAN_OPERATIONS: Dict[str, Tuple[Dict[str, Callable], Callable, Callable]] = {
+    "e2": ({"r": int, "j": int, "R": int},
+           lambda p: p["r"] * p["R"] ** 2,
+           lambda p: _energy_outputs(energy_e2(p["R"], p["j"], p["r"]))),
+    "e4": ({"r": int, "j": int, "R": int},
+           lambda p: p["r"] * p["R"] ** 4,
+           lambda p: _energy_outputs(energy_e4(p["R"], p["j"], p["r"]))),
+    "f2": ({"r": int, "j": int, "R": int, "h": int},
+           lambda p: p["r"] * p["R"] ** 2,
+           lambda p: _energy_outputs(energy_f2(p["R"], p["j"], p["h"],
+                                               p["r"]))),
+    "esum": ({"l": int, "n": int, "j": int, "h": int, "r": int},
+             lambda p: p["r"],
+             lambda p: _sum_outputs(esum_jh(p["l"], p["n"], p["j"], p["h"],
+                                            p["r"]))),
+    "gauss": ({"q": int, "a": int, "b": int}, lambda p: p["q"],
+              _gauss_outputs),
+    "bombieri": ({"numerator": parse_coefficients,
+                  "denominator": parse_coefficients, "p": int},
+                 lambda p: p["p"],
+                 lambda p: _sum_outputs(rational_expsum(RationalFunctionModP(
+                     tuple(p["numerator"]), tuple(p["denominator"]),
+                     p["p"])))),
+    "px": ({"x": parse_rational, "Q": int, "N": int},
+           lambda p: px_cost(p["Q"]), _px_outputs),
 }
+
 
 def parse_grid(op: str, items: Sequence[str]) -> Dict[str, list]:
     """The grid of op from NAME=v1,v2,... items, or NAME=START:STOP[:STEP]
@@ -150,7 +141,7 @@ def parse_grid(op: str, items: Sequence[str]) -> Dict[str, list]:
             raise ValueError(f"--param {item!r} is not NAME=VALUES")
         if name in grid:
             raise ValueError(f"--param {name} is given more than once")
-        parse = SCAN_PARAMETERS[op].get(name)
+        parse = SCAN_OPERATIONS[op][0].get(name)
         parts = spec.split(":")
         if parse is None:
             grid[name] = [spec]
@@ -179,7 +170,7 @@ def run_scan(spec: ScanSpec) -> List[ResultRecord]:
     """Evaluate every grid point within budget, in deterministic
     lexicographic parameter order, then append a summary row; budget
     exhaustion emits the partial results plus a truncation marker."""
-    op = SCAN_OPERATIONS[spec.operation]
+    _, cost, evaluate = SCAN_OPERATIONS[spec.operation]
     keys = sorted(spec.grid)
     points = sorted(itertools.product(*(spec.grid[k] for k in keys)))
     records: List[ResultRecord] = []
@@ -187,8 +178,8 @@ def run_scan(spec: ScanSpec) -> List[ResultRecord]:
     truncated = False
     for values in points:
         params = dict(zip(keys, values))
-        outputs, cost = op(params)
-        spent += cost
+        outputs = evaluate(params)
+        spent += cost(params)
         records.append(ResultRecord(spec.operation, params, outputs))
         if spent > spec.budget:
             truncated = True

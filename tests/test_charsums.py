@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from sievelab.charsums import (S4Input, TrigWeight, cubic_form_charsum,
                                s4_closed, s4_closed_rows, s4_direct,
                                weighted_energy)
+from sievelab.arith import DEFAULT_BUDGET, is_prime
 from sievelab.sieve import BudgetExceeded
 
 
@@ -168,13 +170,49 @@ def test_weighted_energy_validates():
     for j in (7, 14, -7, 0):
         with pytest.raises(ValueError, match=r"need gcd\(j, r\) = 1"):
             weighted_energy(5, j, 7, TrigWeight.fejer(2), budget=1)
+    # the cost is max(r (width + ceil(log2 r)), lattice size): fejer(2) has
+    # width 1 and a 3^4 lattice, so at r = 61 it is 61 * (1 + 6)
+    cost = 61 * (1 + 6)
     with pytest.raises(BudgetExceeded) as exc:
         weighted_energy(3, 1, 61, TrigWeight.fejer(2), budget=10)
-    assert (exc.value.cost, exc.value.budget) == (61 ** 2, 10)
-    # the cost is max(r^2, lattice size), refused only when it exceeds the budget
-    weighted_energy(3, 1, 61, TrigWeight.fejer(2), budget=61 ** 2)
+    assert (exc.value.cost, exc.value.budget) == (cost, 10)
+    # refused only when it exceeds the budget
+    weighted_energy(3, 1, 61, TrigWeight.fejer(2), budget=cost)
     with pytest.raises(BudgetExceeded):
-        weighted_energy(3, 1, 61, TrigWeight.fejer(2), budget=61 ** 2 - 1)
+        weighted_energy(3, 1, 61, TrigWeight.fejer(2), budget=cost - 1)
+
+
+def test_weighted_energy_paths_agree_at_large_r():
+    # the direct side's pair sums come from one transform, not r^2 scatters
+    for r in (1009, 4099):
+        out = weighted_energy(40, 2, r, TrigWeight.fejer(2))
+        assert out["rel_error"] < 1e-12, r
+
+
+def test_weighted_energy_direct_side_allocates_no_r_by_r_table():
+    # an r x r pair table at r = 4099 would take about 134 MB per array
+    tracemalloc.start()
+    try:
+        weighted_energy(40, 2, 4099, TrigWeight.fejer(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20, peak
+
+
+def test_s4_direct_charges_a_transform_not_r_squared():
+    # r^2 > 10^9 at r = 40009, but two length-r transforms are cheap
+    r = 40009
+    for h in ((1, 2, 3, 4), (0, 0, 0, 1), (1, -1, 2, 5)):
+        inp = S4Input(1, h, r)
+        assert abs(s4_direct(inp).value - s4_closed(inp).value) < 1e-9 * r ** 3
+    # the first prime r with r * ceil(log2 r) > DEFAULT_BUDGET is refused
+    # before any table is built
+    r = next(n for n in range(DEFAULT_BUDGET // 26 | 1, 2 ** 26, 2)
+             if n * 26 > DEFAULT_BUDGET and is_prime(n))
+    with pytest.raises(BudgetExceeded) as exc:
+        s4_direct(S4Input(1, (1, 2, 3, 4), r))
+    assert (exc.value.cost, exc.value.budget) == (r * 26, DEFAULT_BUDGET)
 
 
 def test_cubic_form_small():

@@ -567,8 +567,13 @@ def test_charsum_energy_refuses_a_non_unit_j(capsys):
 
 
 def test_charsum_energy_budget_refusal(capsys):
-    code = main(["charsum", "energy", "--r", "31", "--R", "10", "--j", "3",
-                 "--budget", "10"])
-    err = capsys.readouterr().err
-    assert code == 3
-    assert err == "budget refusal: estimated cost 961 exceeds budget 10\n"
+    # the default weight fejer:3 has width 2, so its 5^4 lattice rows
+    # outweigh the r (width + ceil(log2 r)) = 31 * 7 of the direct side
+    args = ["charsum", "energy", "--r", "31", "--R", "10", "--j", "3"]
+    for budget in (10, 624):
+        code = main([*args, "--budget", str(budget)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == ("budget refusal: estimated cost 625 exceeds budget "
+                       f"{budget}\n")
+    assert main([*args, "--budget", "625"]) == 0

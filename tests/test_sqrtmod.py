@@ -505,20 +505,32 @@ def test_fast_regimes_of_both_kinds_match_the_oracle_on_criterion_3(
                 assert same_multiset(fast, oracle), (r, j, R, h)
 
 
-@pytest.mark.parametrize("r", [
-    99991, 11 * 5381, 3 * 101 * 241,  # omega = 1, 2, 3
-    2 ** 6 * 1499, 2 ** 4 * 7 * 857,  # 2-power cofactors
-    3 ** 12, 7 ** 7,  # the non-unit residues of R = 600 have many roots
-    2 ** 16 + 1,  # R = 1, r // 2 and r: at R = r every residue is counted
-])
-def test_difference_regimes_match_the_oracle_at_R_600(r, fast_regime):
-    """Both kinds (h None is the plain kind) in both fast regimes at
-    R = 600, and at 2^16 + 1 at R = 1, r // 2 and r instead."""
+#: moduli with omega = 1, 2, 3 distinct odd primes
+OMEGA_MODULI_AT_R_600 = [99991, 11 * 5381, 3 * 101 * 241]
+
+
+def assert_both_kinds_match_the_oracle(r):
+    """Both kinds (h None is the plain kind) at R = 600, and at 2^16 + 1
+    at R = 1, r // 2 and r instead."""
     for R in ((1, r // 2, r) if r == 2 ** 16 + 1 else (600,)):
         for j, h in ((1, None), (1, 1), (5, None), (5, -5)):
             fast = checked_multiset(R, j, r, h=h)
             oracle = checked_multiset(R, j, r, h=h, build=root_multiset)
             assert same_multiset(fast, oracle), (R, j, h)
+
+
+@pytest.mark.parametrize("r", OMEGA_MODULI_AT_R_600)
+def test_fast_regimes_of_both_kinds_match_the_oracle_at_R_600(r, fast_regime):
+    assert_both_kinds_match_the_oracle(r)
+
+
+@pytest.mark.parametrize("r", [
+    2 ** 6 * 1499, 2 ** 4 * 7 * 857,  # 2-power cofactors
+    3 ** 12, 7 ** 7,  # the non-unit residues of R = 600 have many roots
+    2 ** 16 + 1,  # R = 1, r // 2 and r: at R = r every residue is counted
+])
+def test_difference_regimes_match_the_oracle_at_R_600(r, fast_regime):
+    assert_both_kinds_match_the_oracle(r)
 
 
 def test_square_groups_are_memoized_read_only():
