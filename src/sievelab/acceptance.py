@@ -333,7 +333,7 @@ def criterion_8_s4(full_rs: Sequence[int] = (3, 5, 7, 11, 13),
     compared = 0
     for r in full_rs:
         pairs = [(a, b) for a in range(r) for b in range(r)]
-        for j in (1, r - 1) if r > 2 else (1,):
+        for j in (1, r - 1):
             # batch all r^4 direct values through the pair-sum tables
             tables = np.stack([_pair_sum_table(r, j, h1, h2)
                                for h1, h2 in pairs])
@@ -434,7 +434,7 @@ def criterion_10_monitors(prime_max: int = 2000, esum_rmax: int = 3000):
     h1 = h2 = h3 = 0.0
     e2theo = 0.0
     for r in primes:
-        R = max(1, math.floor(r ** (1 / 3) + 1e-9))
+        R = math.floor(r ** (1 / 3) + 1e-9)
         h1 = max(h1, energy_e2(R, 1, r).ratio)
         h2 = max(h2, energy_e4(R, 1, r).ratio)
         h3 = max(h3, energy_f2(R, 1, 1, r).ratio)

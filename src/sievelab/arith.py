@@ -65,9 +65,7 @@ def is_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
-    """Return a nontrivial factor of composite n (Brent's cycle variant)."""
-    if n % 2 == 0:
-        return 2
+    """Return a nontrivial factor of odd composite n (Brent's cycle variant)."""
     seed = 1
     while True:
         seed += 1

@@ -28,6 +28,7 @@ import numpy as np
 from .arith import (DEFAULT_BUDGET, BudgetExceeded, eps_q, is_prime, jacobi,
                     mod_inverse)
 from .expsums import ExpSumValue, unit_phases
+from .sqrtmod import _require_int64_square
 
 
 @dataclass(frozen=True)
@@ -57,20 +58,19 @@ class TrigWeight:
     def support(self) -> range:
         return range(-self.width, self.width + 1)
 
-    def phi(self, y: float) -> float:
+    def phi(self, y):
+        """phi at y, elementwise over an array y (the bare c(0) at width 0)."""
         out = self.coeffs[0]
         for h in range(1, len(self.coeffs)):
-            out += 2 * self.coeffs[h] * math.cos(math.tau * h * y)
+            out = out + 2 * self.coeffs[h] * np.cos(math.tau * h * y)
         return out
 
     def profile(self, t: float) -> float:
-        """Piecewise-linear interpolation of the coefficient profile at |t|.
-
-        For the Fejer weight this is exactly max(0, 1 - |t| / width).
-        """
+        """Piecewise-linear interpolation at |t| of c(0), ..., c(width) and
+        0 at width + 1: max(0, 1 - |t| / W) for TrigWeight.fejer(W)."""
         t = abs(t)
         lo = int(math.floor(t))
-        if lo >= self.width:
+        if lo > self.width:
             return 0.0
         hi = self.coeffs[lo + 1] if lo + 1 <= self.width else 0.0
         return self.coeffs[lo] * (1 - (t - lo)) + hi * (t - lo)
@@ -250,7 +250,9 @@ def weighted_energy(R: int, j: int, r: int, weight: TrigWeight,
         raise BudgetExceeded(cost, budget)
     nu = R / r
     jinv = mod_inverse(j, r)
-    v = np.array([nu * weight.phi((jinv * k * k % r) / r) for k in range(r)])
+    _require_int64_square(r, "r")
+    ks = np.arange(r, dtype=np.int64)
+    v = np.broadcast_to(nu * weight.phi(ks * ks % r * jinv % r / r), r)
     g = _cyclic_pair_sums(v, v).real
     direct = float(np.dot(g, g))
     hs = list(weight.support())

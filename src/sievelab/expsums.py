@@ -196,8 +196,6 @@ def gauss_sum_closed(q: int, a: int, b: int) -> ExpSumValue:
     """
     if q % 2 == 0 or q < 1:
         raise ValueError("closed form requires odd q")
-    if q == 1:
-        return ExpSumValue(1 + 0j, 1)
     d = math.gcd(a, q)
     if d > 1:
         if b % d != 0:
@@ -321,8 +319,6 @@ def gcal(q: int, a: int, b: int, j: int, k: int, u: int, s: int) -> ExpSumValue:
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    if q == 1:
-        return ExpSumValue(1 + 0j, 1)
     if q % 2 == 0:
         raise ValueError("gcal handles odd q only")
     if math.gcd(j * s, q) != 1:

@@ -82,13 +82,13 @@ def _gauss_outputs(p) -> Dict[str, object]:
     if q % 2 == 1:
         closed = gauss_sum_closed(q, a, b)
         out["closed_error"] = abs(direct.value - closed.value)
-        out["ratio"] = out["closed_error"] / max(q * 1e-9, 1e-30)
+        out["ratio"] = out["closed_error"] / (q * 1e-9)
     return out
 
 
 def _px_outputs(p) -> Dict[str, object]:
     out = dict(px_monitor(p["x"], p["Q"], p["N"]))
-    out["ratio"] = out.get("conj_ratio", 0.0)
+    out["ratio"] = out["conj_ratio"]
     return out
 
 

@@ -55,7 +55,8 @@ def ls_lhs(inst: SieveInstance, moduli: str = "classical",
     classical: sum over q <= Q and reduced a <= q of |sum a_n e(na/q)|^2.
     squares:   denominators q^2 with reduced numerators a <= q^2.
     Each denominator's phases n a mod q (or q^2) are exact residues, and
-    e(na/q) is gathered from unit_phases of the denominator.
+    e(na/q) is gathered from unit_phases of the denominator; n enters as
+    (M + 1) mod den, a Python int, plus 0..N-1, so M may be any integer.
     """
     if moduli not in ("classical", "squares"):
         raise ValueError(f"unknown moduli family {moduli!r}")
@@ -63,13 +64,13 @@ def ls_lhs(inst: SieveInstance, moduli: str = "classical",
     cost = N * Q ** (2 if moduli == "classical" else 3)
     if cost > budget:
         raise BudgetExceeded(cost, budget)
-    ns = np.arange(inst.M + 1, inst.M + N + 1, dtype=np.int64)
+    ns = np.arange(N, dtype=np.int64)
     total = 0.0
     for q in range(1, Q + 1):
         den = q if moduli == "classical" else q * q
         a_vals = np.arange(1, den + 1, dtype=np.int64)
         a_vals = a_vals[np.gcd(a_vals, q) == 1]
-        phases = _mod(np.multiply.outer(a_vals, _mod(ns, den)), den)
+        phases = _mod(np.multiply.outer(a_vals, ns + (inst.M + 1) % den), den)
         inner = unit_phases(den)[phases] @ inst.coefficients
         total += float(np.sum(np.abs(inner) ** 2))
     return total
@@ -134,7 +135,7 @@ def dirichlet_approx(x: Fraction, tau: int) -> Tuple[int, int, Fraction]:
     x = Fraction(x)
     p0, q0, p1, q1 = 0, 1, 1, 0
     num, den = x.numerator, x.denominator
-    best: Tuple[int, int] | None = None
+    best: Tuple[int, int] | None = None  # set on the first pass: q1 = 1
     while den:
         a = num // den
         num, den = den, num - a * den
@@ -142,8 +143,6 @@ def dirichlet_approx(x: Fraction, tau: int) -> Tuple[int, int, Fraction]:
         if q1 > tau:
             break
         best = (p1, q1)
-    if best is None:
-        best = (x.numerator // x.denominator, 1)
     b, r = best
     z = x - Fraction(b, r)
     assert abs(z) <= Fraction(1, r * tau)

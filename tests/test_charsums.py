@@ -30,6 +30,23 @@ def test_trigweight_phi_matches_expansion():
         assert abs(expansion.imag) < 1e-12
 
 
+def test_trigweight_phi_takes_arrays():
+    w = TrigWeight.fejer(4)
+    ys = np.array([0.0, 0.17, 0.5, 0.99])
+    assert w.phi(ys).tolist() == [w.phi(y) for y in ys]
+    assert TrigWeight((0.5,)).phi(ys) == 0.5
+
+
+@pytest.mark.parametrize("W", [2, 3, 5])
+def test_trigweight_profile_is_the_fejer_triangle(W):
+    # linear down to 0 at |t| = W, the last piece included
+    w = TrigWeight.fejer(W)
+    for t in [k / 2 for k in range(2 * W + 3)]:
+        want = max(0.0, 1 - t / W)
+        assert w.profile(t) == pytest.approx(want, abs=1e-15), t
+        assert w.profile(-t) == w.profile(t)
+
+
 def test_trigweight_validates():
     with pytest.raises(ValueError):
         TrigWeight(())
@@ -180,6 +197,9 @@ def test_weighted_energy_validates():
     weighted_energy(3, 1, 61, TrigWeight.fejer(2), budget=cost)
     with pytest.raises(BudgetExceeded):
         weighted_energy(3, 1, 61, TrigWeight.fejer(2), budget=cost - 1)
+    # a budget that admits r^2 >= 2^63 meets the int64 refusal instead
+    with pytest.raises(ValueError, match=r"r\^2 must be < 2\^63"):
+        weighted_energy(3, 1, 3037000507, TrigWeight.fejer(2), budget=10 ** 12)
 
 
 def test_weighted_energy_paths_agree_at_large_r():

@@ -2,6 +2,7 @@ import argparse
 import csv
 import io
 import json
+import runpy
 import shlex
 from pathlib import Path
 
@@ -526,7 +527,8 @@ def _leaf(cmd, **values):
     return [*cmd, *argv]
 
 
-@pytest.mark.parametrize("argv", [
+#: one refused size per leaf command, each exit 2 with one error line
+DEGENERATE_ARGV = [
     _leaf(("sqrt",), r=-5),
     _leaf(("energy",), r=0),
     _leaf(("expsum", "jh"), r=0),
@@ -550,11 +552,34 @@ def _leaf(cmd, **values):
      "numerator=0;1", "--param", "denominator=1"],
     ["scan", "--op", "px", "--param", "x=1/3", "--param", "Q=4",
      "--param", "N=0"],
-], ids=" ".join)
+]
+
+
+@pytest.mark.parametrize("argv", DEGENERATE_ARGV, ids=" ".join)
 def test_degenerate_sizes_exit_2_without_traceback(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("M", [2 ** 63 - 1, -2 ** 63 - 2])
+def test_sieve_lhs_at_the_int64_edges_of_M(M, capsys):
+    code, out = run_cli(capsys, "sieve", "lhs", "--Q", "2", "--N", "3",
+                        "--M", str(M))
+    assert code == 0
+    assert json.loads(out)["lhs"] > 0
+
+
+# runpy warns that this module, imported above, runs a second time
+@pytest.mark.filterwarnings("ignore:.*found in sys.modules:RuntimeWarning")
+def test_module_runs_as_a_script(monkeypatch, capsys):
+    # python -m sievelab.cli, as CI's scan steps run it
+    monkeypatch.setattr("sys.argv", ["sievelab", "approx", "--x", "3/10",
+                                     "--N", "10"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("sievelab.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert json.loads(capsys.readouterr().out)["r"] == 3
 
 
 def test_charsum_energy_refuses_a_non_unit_j(capsys):

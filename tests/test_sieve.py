@@ -41,6 +41,18 @@ def test_ls_lhs_shift_invariance_classical():
     assert a == pytest.approx(b)
 
 
+def test_ls_lhs_reads_M_past_the_int64_range():
+    # e(n a/q^2) at Q = 3 depends only on n mod 36, and 36 * 10^17 moves M
+    # from either int64 edge to well inside the range
+    coeffs = np.random.default_rng(6).standard_normal(5)
+    M = 2 ** 63 - 1
+    values = [ls_lhs(SieveInstance(M=m, coefficients=coeffs, Q=3),
+                     moduli="squares")
+              for m in (M, M - 36 * 10 ** 17, -M - 3, -M - 3 + 36 * 10 ** 17)]
+    assert all(map(math.isfinite, values))
+    assert values[0] == values[1] and values[2] == values[3]
+
+
 def test_ls_lhs_budget():
     inst = SieveInstance(M=0, coefficients=np.ones(100), Q=30)
     with pytest.raises(BudgetExceeded):

@@ -507,6 +507,9 @@ def test_fast_regimes_of_both_kinds_match_the_oracle_on_criterion_3(
 
 #: moduli with omega = 1, 2, 3 distinct odd primes
 OMEGA_MODULI_AT_R_600 = [99991, 11 * 5381, 3 * 101 * 241]
+#: 2-power cofactors, and 3^12, whose non-unit residues of R = 600 have
+#: many roots
+COFACTOR_MODULI_AT_R_600 = [2 ** 6 * 1499, 2 ** 4 * 7 * 857, 3 ** 12]
 
 
 def assert_both_kinds_match_the_oracle(r):
@@ -519,14 +522,13 @@ def assert_both_kinds_match_the_oracle(r):
             assert same_multiset(fast, oracle), (R, j, h)
 
 
-@pytest.mark.parametrize("r", OMEGA_MODULI_AT_R_600)
+@pytest.mark.parametrize("r", OMEGA_MODULI_AT_R_600 + COFACTOR_MODULI_AT_R_600)
 def test_fast_regimes_of_both_kinds_match_the_oracle_at_R_600(r, fast_regime):
     assert_both_kinds_match_the_oracle(r)
 
 
 @pytest.mark.parametrize("r", [
-    2 ** 6 * 1499, 2 ** 4 * 7 * 857,  # 2-power cofactors
-    3 ** 12, 7 ** 7,  # the non-unit residues of R = 600 have many roots
+    7 ** 7,  # the non-unit residues of R = 600 have many roots
     2 ** 16 + 1,  # R = 1, r // 2 and r: at R = r every residue is counted
 ])
 def test_difference_regimes_match_the_oracle_at_R_600(r, fast_regime):
