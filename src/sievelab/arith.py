@@ -8,6 +8,7 @@ and the oracles raise alike.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -27,17 +28,24 @@ DEFAULT_BUDGET = 10 ** 9
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
-#: psi_13, the least strong pseudoprime to all of _SMALL_PRIMES (Sorenson
-#: and Webster, Math. Comp. 86, 2017); the first twelve bases alone are
-#: fooled from psi_12 = 318665857834031151167461 on
-_MR_LIMIT = 3317044064679887385961981
+#: psi_k for k = 1..13, the least strong pseudoprime to the first k of
+#: _SMALL_PRIMES (OEIS A014233; Jaeschke, Math. Comp. 61, 1993; Sorenson
+#: and Webster, Math. Comp. 86, 2017): below psi_k those k bases decide
+#: primality exactly
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747,
+        3474749660383, 341550071728321, 341550071728321,
+        3825123056546413051, 3825123056546413051, 3825123056546413051,
+        318665857834031151167461, 3317044064679887385961981)
+_MR_LIMIT = _PSI[-1]
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin with the 13 prime bases 2..41.
+    """Deterministic Miller-Rabin with the first k prime bases 2, 3, 5, ...
 
-    Proven exact for every n < psi_13 = 3317044064679887385961981; larger
-    n raise ValueError instead of risking a strong pseudoprime.
+    After trial division by the 13 primes up to 41, n is tested to the
+    first k bases, k the least with n < psi_k (_PSI): one base below 2047,
+    two below 1373653, all 13 below psi_13 = 3317044064679887385961981.
+    Larger n raise ValueError instead of risking a strong pseudoprime.
     """
     if n < 2:
         return False
@@ -51,7 +59,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _SMALL_PRIMES:
+    for a in _SMALL_PRIMES[:bisect.bisect_right(_PSI, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -202,7 +202,9 @@ def _sqrt_mod_all(m: int, fm: FactoredModulus) -> RootSet:
 
 
 def root_pairs(r: int) -> np.ndarray:
-    """All (m, k) with k^2 = m (mod r), as an (r, 2) int64 array sorted by (m, k).
+    """All (m, k) with k^2 = m (mod r), as an (r, 2) array sorted by (m, k):
+    int32 when r^2 < 2^31 (r <= 46340), int64 above, column-major, so
+    that each column is contiguous.
 
     Built from the unordered prime-power tables of _prime_power_pairs
     (the array solver over every residue) plus a vectorized CRT, i.e. the
@@ -210,13 +212,14 @@ def root_pairs(r: int) -> np.ndarray:
     prime-power pairs are recombined with the CRT idempotents e_i of
     FactoredModulus.crt_idempotents: each factor's residues are widened
     from their table's dtype (int16 up to 2^15, int32 or int64 above) to
-    the working dtype, scaled by e_i once and outer-added into the
-    accumulator, which is reduced mod r at the end.  The rows are then
-    sorted once, as one key m*r + k, so r^2 < 2^63 is required.  Every
-    step runs in int32 when r^2 < 2^31 (each scaled residue is below r^2,
-    each key too) and in int64 otherwise; the int64 columns are written
-    as key // r and key - (key // r) r either way.  There are exactly r
-    pairs since every k is a root of exactly one m.
+    the working dtype, scaled by e_i < r and outer-added into the
+    accumulator, which is reduced mod r once at the end: each sum is
+    below r * sum(q_i) <= r^2.  The rows are then sorted once, as one key
+    m*r + k, so r^2 < 2^63 is required.  Every step runs in the working
+    dtype, int32 when r^2 < 2^31 (each sum and each key is below r^2) and
+    int64 otherwise, and the columns are written as key // r and
+    key - (key // r) r.  There are exactly r pairs since every k is a
+    root of exactly one m.
     """
     fm = factorize(r)
     _require_int64_square(r, "r")
@@ -226,15 +229,17 @@ def root_pairs(r: int) -> np.ndarray:
     for (p, a), e in zip(fm.factors, fm.crt_idempotents):
         ms, ks = _prime_power_pairs(p, a)
         # int16 and int32 factor tables widen before scaling by e < r
-        acc_m = np.add.outer(_mod(ms.astype(dtype, copy=False) * e, r), acc_m).ravel()
-        acc_k = np.add.outer(_mod(ks.astype(dtype, copy=False) * e, r), acc_k).ravel()
-    key = _mod(acc_m, r) * r + _mod(acc_k, r)
+        acc_m = np.add.outer(ms.astype(dtype, copy=False) * e, acc_m).ravel()
+        acc_k = np.add.outer(ks.astype(dtype, copy=False) * e, acc_k).ravel()
+    key = _mod(acc_m, r)
+    key *= r
+    key += _mod(acc_k, r)
     key.sort()
-    m = key // r
-    pairs = np.empty((r, 2), dtype=np.int64)
-    pairs[:, 0] = m
-    m *= r
-    np.subtract(key, m, out=pairs[:, 1])
+    pairs = np.empty((r, 2), dtype=dtype, order="F")
+    m, k = pairs[:, 0], pairs[:, 1]
+    np.floor_divide(key, r, out=m)
+    np.multiply(m, r, out=k)
+    np.subtract(key, k, out=k)
     return pairs
 
 

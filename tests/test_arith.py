@@ -63,6 +63,73 @@ def test_is_prime_beyond_twelve_bases():
         is_prime(psi13)
 
 
+#: psi_1..psi_13 (OEIS A014233): psi_k is the least strong pseudoprime to
+#: every one of the first k prime bases 2, 3, 5, ...
+PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+       341550071728321, 341550071728321, 3825123056546413051,
+       3825123056546413051, 3825123056546413051, 318665857834031151167461,
+       3317044064679887385961981)
+FIRST_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def strong_probable_prime(n, a):
+    """Whether odd n > 2 passes the strong Fermat test to base a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def trial_division_primes(lo, hi):
+    """Whether each n in [lo, hi) is prime, by every trial divisor up to
+    isqrt(hi), for 2 <= lo."""
+    n = np.arange(lo, hi, dtype=np.int64)
+    prime = np.ones(n.size, dtype=bool)
+    for d in range(2, math.isqrt(hi) + 1):
+        prime &= (n % d != 0) | (n == d)
+    return prime
+
+
+@pytest.fixture(params=["chosen", "all13"])
+def mr_bases(request, monkeypatch):
+    """is_prime as it chooses its bases, and with every n below its
+    refusal bound tested to all 13."""
+    if request.param == "all13":
+        monkeypatch.setattr(arith, "_PSI", (0,) * 12 + (PSI[-1],))
+
+
+def test_is_prime_matches_a_sieve_below_2_20(mr_bases):
+    # one base below psi_1 = 2047, two below psi_2 = 1373653
+    limit = 1 << 20
+    spf = spf_sieve(limit - 1)
+    want = np.flatnonzero(spf == np.arange(limit))[2:]
+    got = [n for n in range(limit) if is_prime(n)]
+    assert got == want.tolist()
+
+
+@pytest.mark.parametrize("psi", [PSI[1], PSI[2]])
+def test_is_prime_matches_trial_division_around_psi(psi, mr_bases):
+    lo, hi = psi - 10 ** 4, psi + 10 ** 4 + 1
+    want = np.flatnonzero(trial_division_primes(lo, hi)) + lo
+    assert [n for n in range(lo, hi) if is_prime(n)] == want.tolist()
+
+
+def test_is_prime_refuses_each_psi_k_its_bases_pass(mr_bases):
+    # psi_k fools the first k bases, so a base count chosen by n <= psi_k
+    # instead of n < psi_k calls it prime
+    for k, psi in enumerate(PSI[:12], start=1):
+        assert all(strong_probable_prime(psi, a)
+                   for a in FIRST_PRIME_BASES[:k]), k
+        assert not is_prime(psi), k
+
+
 def test_factorize_reconstructs():
     for n in list(range(1, 200)) + [360, 1024, 9973, 2 ** 20 - 1, 10 ** 9 + 6]:
         fm = factorize(n)

@@ -206,7 +206,10 @@ def test_root_pairs_matches_squaring():
                                  65537, 786433, 967381]
     for r in rs:
         rp = root_pairs(r)
-        assert rp.dtype == np.int64
+        # the table is in the working dtype, and column-major, so that each
+        # column a caller reads is contiguous
+        assert rp.dtype == (np.int32 if r <= 46340 else np.int64), r
+        assert rp[:, 0].flags.c_contiguous and rp[:, 1].flags.c_contiguous
         assert np.array_equal(rp, squaring_pairs(r)), r
 
 
@@ -510,6 +513,9 @@ OMEGA_MODULI_AT_R_600 = [99991, 11 * 5381, 3 * 101 * 241]
 #: 2-power cofactors, and 3^12, whose non-unit residues of R = 600 have
 #: many roots
 COFACTOR_MODULI_AT_R_600 = [2 ** 6 * 1499, 2 ** 4 * 7 * 857, 3 ** 12]
+#: 7^7, whose non-unit residues of R = 600 have many roots, and 2^16 + 1
+#: at R = 1, r // 2 and r: at R = r every residue is counted
+PRIME_POWER_AND_FULL_RANGE_MODULI = [7 ** 7, 2 ** 16 + 1]
 
 
 def assert_both_kinds_match_the_oracle(r):
@@ -522,16 +528,9 @@ def assert_both_kinds_match_the_oracle(r):
             assert same_multiset(fast, oracle), (R, j, h)
 
 
-@pytest.mark.parametrize("r", OMEGA_MODULI_AT_R_600 + COFACTOR_MODULI_AT_R_600)
+@pytest.mark.parametrize("r", OMEGA_MODULI_AT_R_600 + COFACTOR_MODULI_AT_R_600
+                         + PRIME_POWER_AND_FULL_RANGE_MODULI)
 def test_fast_regimes_of_both_kinds_match_the_oracle_at_R_600(r, fast_regime):
-    assert_both_kinds_match_the_oracle(r)
-
-
-@pytest.mark.parametrize("r", [
-    7 ** 7,  # the non-unit residues of R = 600 have many roots
-    2 ** 16 + 1,  # R = 1, r // 2 and r: at R = r every residue is counted
-])
-def test_difference_regimes_match_the_oracle_at_R_600(r, fast_regime):
     assert_both_kinds_match_the_oracle(r)
 
 
@@ -576,8 +575,9 @@ def test_root_pairs_m_runs_match_scalar_solver():
     for r in (1, 2, 8, 9, 97, 360, 1024, 9601):
         pairs = root_pairs(r)
         assert pairs.shape == (r, 2)
-        # the cached prime-power tables are int32; the CRT output is int64
-        assert pairs.dtype == np.int64
+        # the cached prime-power tables are int16; the CRT output is in the
+        # working dtype, int32 at these r
+        assert pairs.dtype == np.int32
         ends = np.searchsorted(pairs[:, 0], np.arange(r + 1))
         assert ends[0] == 0 and ends[r] == r
         for m in range(r):
