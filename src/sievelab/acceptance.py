@@ -26,7 +26,7 @@ from .charsums import _pair_sum_table
 from .energies import energy_e2, energy_e4, energy_f2, kssz_check
 from .expsums import (RationalFunctionModP, esum_jh, gauss_sum_closed,
                       gauss_sum_direct, gcal, gcal_bound, rational_expsum)
-from .oracles import gcd_power_sum
+from .oracles import gcd_power_sum, ls_lhs_literal
 from .sieve import SieveInstance, double_sieve_check, ls_lhs, px_monitor
 from .sqrtmod import root_pairs, sqrt_mod_all
 
@@ -258,9 +258,22 @@ def criterion_5_appendix(pairs: int = 1000, pp_max: int = 10 ** 4,
                   f"checks, paired=bare for r <= {esum_rmax}")
 
 
+def _totient_sum(Q: int, square: bool) -> int:
+    """sum over q <= Q of phi(d_q), d_q = q or q^2 (phi(q^2) = q phi(q)),
+    with phi(q) counted by math.gcd: the diagonal weight of ls_lhs."""
+    return sum((q if square else 1)
+               * sum(math.gcd(a, q) == 1 for a in range(1, q + 1))
+               for q in range(1, Q + 1))
+
+
 @_criterion(6, "sieve constants")
 def criterion_6_sieve_constants(instances: int = 1000):
-    """Classical large sieve with constant exactly 1; double sieve slack >= 0."""
+    """Classical large sieve with constant exactly 1; double sieve slack >= 0.
+
+    Every 20th classical instance also compares ls_lhs with its oracle,
+    oracles.ls_lhs_literal, within 1e-9 of the diagonal term
+    sum phi(d_q) ||a||^2, and so do its square moduli when Q <= 8.
+    """
     rng = np.random.default_rng(6)
     for i in range(instances):
         N = int(rng.integers(1, 257))
@@ -269,10 +282,21 @@ def criterion_6_sieve_constants(instances: int = 1000):
         inst = SieveInstance(M=int(rng.integers(0, 1000)),
                              coefficients=tuple(coeffs), Q=Q)
         lhs = ls_lhs(inst, moduli="classical")
-        rhs = (Q * Q + N - 1) * float(np.sum(np.abs(coeffs) ** 2))
+        Z = float(np.sum(np.abs(coeffs) ** 2))
+        rhs = (Q * Q + N - 1) * Z
         if lhs > rhs * (1 + 1e-12):
             return False, (f"classical LS fails: instance {i} N={N} Q={Q} "
                            f"lhs={lhs} rhs={rhs}")
+        if i % 20:
+            continue
+        for moduli in ("classical", "squares")[:2 if Q <= 8 else 1]:
+            fast = ls_lhs(inst, moduli=moduli)
+            literal = ls_lhs_literal(inst, moduli=moduli)
+            diagonal = _totient_sum(Q, moduli == "squares") * Z
+            if abs(fast - literal) > 1e-9 * diagonal:
+                return False, (f"ls_lhs != ls_lhs_literal: instance {i} "
+                               f"moduli={moduli} N={N} Q={Q} fast={fast} "
+                               f"literal={literal}")
     for i in range(instances):
         na = int(rng.integers(1, 50))
         nb = int(rng.integers(1, 50))

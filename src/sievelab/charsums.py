@@ -284,16 +284,18 @@ def cubic_form_charsum(M: int, r: int, weight: TrigWeight,
                        budget: int = DEFAULT_BUDGET) -> Dict[str, float]:
     """Weighted cubic-form Legendre sum with bound margins.
 
-    sum over the truncated h-lattice of prod W(h_i / M) times the Jacobi
-    symbol of h1 h2 h3 + h1 h2 h4 + h1 h3 h4 + h2 h3 h4, where W is the
-    weight's coefficient profile rescaled to cutoff M.  Margins are
+    sum over the h-lattice of prod W(h_i / M) times the Jacobi symbol of
+    h1 h2 h3 + h1 h2 h4 + h1 h3 h4 + h2 h3 h4, where W is the weight's
+    coefficient profile rescaled to cutoff M.  W(t) can be nonzero for
+    |t| < width + 1, so the lattice is every |h_i| < M (width + 1), and
+    its (2 M (width + 1) - 1)^4 points are charged first.  Margins are
     reported against (M^{1/2} r^{3/2} + M^2 r^{1/2} + M^3) and, when
     M = floor(sqrt(r)), against r^{7/4}; both are monitors at eps = 0.
     """
     _check_odd_prime(r)
     if M < 1:
         raise ValueError("M must be >= 1")
-    half = M * weight.width
+    half = M * (weight.width + 1) - 1
     cost = (2 * half + 1) ** 4
     if cost > budget:
         raise BudgetExceeded(cost, budget)

@@ -11,6 +11,8 @@ sievelab is checked against, each written from its definition.
   expsums.rational_expsum: one pow(., -1, q) and e_frac per term;
 - px_count_literal, for sieve.px_count: every a of the windows, tested
   with math.gcd and Fraction;
+- ls_lhs_literal, for sieve.ls_lhs: every reduced fraction a/d_q, its
+  phases e(na/d_q) from one table of exponentials per denominator;
 - gcd_power_sum, for criterion 9's sums: gcd(h, r)^sigma term by term.
 
 e_frac, the scalar phase, lives here too; expsums reads it back for the
@@ -213,6 +215,38 @@ def px_count_literal(query, budget: int = DEFAULT_BUDGET) -> int:
                 if dist <= delta:
                     seen.add(Fraction(a, q2))
     return len(seen)
+
+
+def ls_lhs_literal(inst, moduli: str = "classical",
+                   budget: int = DEFAULT_BUDGET) -> float:
+    """sieve.ls_lhs's oracle: the large-sieve left-hand side by its
+    definition, for a sieve.SieveInstance (any object with M, Q, N and
+    the complex coefficients of n in (M, M + N]).
+
+    classical: sum over q <= Q and reduced a <= q of |sum a_n e(na/q)|^2;
+    squares:   denominators q^2 with reduced numerators a <= q^2.  For
+    each denominator d the phases n a mod d are exact residues, n
+    entering as (M + 1) mod d, a Python int, plus 0..N-1, so M may be
+    any integer; e(t/d) is gathered from the d exponentials formed here.
+    Charges N Q^2 (classical) or N Q^3 (squares) before the loop starts.
+    """
+    if moduli not in ("classical", "squares"):
+        raise ValueError(f"unknown moduli family {moduli!r}")
+    N, Q = inst.N, inst.Q
+    cost = N * Q ** (2 if moduli == "classical" else 3)
+    if cost > budget:
+        raise BudgetExceeded(cost, budget)
+    ns = np.arange(N, dtype=np.int64)
+    total = 0.0
+    for q in range(1, Q + 1):
+        den = q if moduli == "classical" else q * q
+        a_vals = np.arange(1, den + 1, dtype=np.int64)
+        a_vals = a_vals[np.gcd(a_vals, q) == 1]
+        phases = np.multiply.outer(a_vals, ns + (inst.M + 1) % den) % den
+        table = np.exp(math.tau * 1j * np.arange(den) / den)
+        inner = table[phases] @ inst.coefficients
+        total += float(np.sum(np.abs(inner) ** 2))
+    return total
 
 
 def gcd_power_sum(H: int, r: int, sigma: Fraction | float) -> float:

@@ -4,9 +4,9 @@ approximation frames and the explicit-constant inequality checks
 constant 5).
 
 x, Delta, z and b/r are exact rationals end to end; doubles appear only
-in the final trigonometric evaluations.  The large-sieve phases na/q are
-exact residues (reduced by sqrtmod._mod), gathered from the
-expsums.unit_phases table.
+in the final trigonometric evaluations.  The large-sieve left-hand side
+forms no phase: it is an integer-weighted sum of squared residue-class
+sums of the coefficients.
 """
 
 from __future__ import annotations
@@ -14,14 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .arith import (DEFAULT_BUDGET, BudgetExceeded, factorize, is_prime,
                     mod_inverse)
-from .expsums import unit_phases
-from .sqrtmod import _mod
 
 
 @dataclass
@@ -48,31 +46,93 @@ class SieveInstance:
         return float(np.sum(np.abs(self.coefficients) ** 2))
 
 
+def ls_lhs_cost(N: int, Q: int) -> int:
+    """Work ls_lhs declares for (N, Q): K + N min(N, K), where
+    K = Q (bit_length(Q) + 1) >= Q (1 + ln Q) bounds both the steps of
+    the Mobius sieve and the pairs (s, k) of _class_weights, and each of at
+    most min(N, K) class moduli D < N sums the N coefficients once."""
+    K = Q * (Q.bit_length() + 1)
+    return K + N * min(N, K)
+
+
+def _mobius(n: int) -> List[int]:
+    """mu(m) for 0 <= m <= n, mu(0) = 0, by one sieve: each prime p flips
+    the sign of its multiples and zeroes those of p^2."""
+    mu = [1] * (n + 1)
+    mu[0] = 0
+    composite = bytearray(n + 1)
+    for p in range(2, n + 1):
+        if composite[p]:
+            continue
+        for m in range(p, n + 1, p):
+            composite[m] = 1
+            mu[m] = -mu[m]
+        for m in range(p * p, n + 1, p * p):
+            mu[m] = 0
+    return mu
+
+
+def _class_weights(Q: int, N: int, square: bool) -> Tuple[Dict[int, int], int]:
+    """The class weights of ls_lhs: ({D: w_D} for the class moduli D < N
+    with w_D != 0, the summed w_D of every D >= N).
+
+    By c_d(t) = sum over squarefree s | d of mu(s) (d/s) [d/s divides t],
+    the pair (q, s), s | q squarefree, contributes mu(s) D to w_D at
+    D = d_q / s; with q = s k that is D = k (classical, d_q = q) or
+    D = s k^2 (squares, d_q = q^2), for every squarefree s <= Q and
+    k <= Q / s.  So classical w_d = d M(Q // d), M the Mertens function.
+    """
+    weights: Dict[int, int] = {}
+    beyond = 0
+    for s, sign in enumerate(_mobius(Q)):
+        if not sign:
+            continue
+        for k in range(1, Q // s + 1):
+            D = s * k * k if square else k
+            if D < N:
+                weights[D] = weights.get(D, 0) + sign * D
+            else:
+                beyond += sign * D
+    return {D: w for D, w in weights.items() if w}, beyond
+
+
 def ls_lhs(inst: SieveInstance, moduli: str = "classical",
            budget: int = DEFAULT_BUDGET) -> float:
-    """Exact large-sieve left-hand side.
+    """The large-sieve left-hand side, from the residue-class sums of the
+    coefficients.
 
-    classical: sum over q <= Q and reduced a <= q of |sum a_n e(na/q)|^2.
-    squares:   denominators q^2 with reduced numerators a <= q^2.
-    Each denominator's phases n a mod q (or q^2) are exact residues, and
-    e(na/q) is gathered from unit_phases of the denominator; n enters as
-    (M + 1) mod den, a Python int, plus 0..N-1, so M may be any integer.
+    classical: sum over q <= Q and reduced a <= q of |sum a_n e(na/q)|^2;
+    squares: the same over the denominators d_q = q^2.  Expanding the
+    square, sum over reduced a mod d of e(ta/d) is the Ramanujan sum
+    c_d(t) (Hardy and Wright, Thm 272), and summing c_{d_q}(n - m) over q
+    turns the sum into sum over D of w_D sum over c mod D of |S_{D,c}|^2,
+    S_{D,c} the sum of the a_n with n = c mod D, for the weights of
+    _class_weights.  A class modulus D >= N puts each a_n in its own
+    class, so those D add their weights times ||a||^2.  Each D < N costs
+    one reshape-and-sum of the coefficients, so the work is O(N K + Q)
+    with K <= Q class moduli (classical) or sum over q <= Q of
+    2^omega(q) (squares), against N sum phi(d_q) phase gathers for the
+    literal sum, oracles.ls_lhs_literal.  A shift of n permutes the
+    classes, so M is not read and the result is equal for every M.  The
+    result is a float sum; with Gaussian-integer coefficients every class
+    sum is an exact integer, but the float total is not certified.
+    Charges ls_lhs_cost(N, Q) before any array is built.
     """
     if moduli not in ("classical", "squares"):
         raise ValueError(f"unknown moduli family {moduli!r}")
     N, Q = inst.N, inst.Q
-    cost = N * Q ** (2 if moduli == "classical" else 3)
+    cost = ls_lhs_cost(N, Q)
     if cost > budget:
         raise BudgetExceeded(cost, budget)
-    ns = np.arange(N, dtype=np.int64)
-    total = 0.0
-    for q in range(1, Q + 1):
-        den = q if moduli == "classical" else q * q
-        a_vals = np.arange(1, den + 1, dtype=np.int64)
-        a_vals = a_vals[np.gcd(a_vals, q) == 1]
-        phases = _mod(np.multiply.outer(a_vals, ns + (inst.M + 1) % den), den)
-        inner = unit_phases(den)[phases] @ inst.coefficients
-        total += float(np.sum(np.abs(inner) ** 2))
+    weights, beyond = _class_weights(Q, N, moduli == "squares")
+    a = inst.coefficients
+    total = beyond * float(np.vdot(a, a).real)
+    # a zero-padded copy, so each D < N reshapes ceil(N / D) full rows
+    padded = np.zeros(2 * N, dtype=complex)
+    padded[:N] = a
+    for D, w in weights.items():
+        sums = padded[:-(-N // D) * D].reshape(-1, D).sum(axis=0)
+        total += w * float(np.vdot(sums, sums).real)
     return total
 
 

@@ -167,6 +167,21 @@ def test_criterion_06_sieve_constants():
     _run(6)
 
 
+@pytest.mark.parametrize("scale", [0.5, 1.9])
+def test_criterion_06_rejects_a_scaled_lhs(scale, monkeypatch):
+    # both scalings keep the constant-1 inequality on the random
+    # instances (they reach at most about 0.51 of it); only the
+    # comparison with ls_lhs_literal on instance 0 sees them
+    lhs = acceptance.ls_lhs
+    monkeypatch.setattr(acceptance, "ls_lhs",
+                        lambda *args, **kwargs: scale * lhs(*args, **kwargs))
+    result = acceptance.criterion_6_sieve_constants(instances=1)
+    assert not result.passed
+    assert result.detail.startswith(
+        "ls_lhs != ls_lhs_literal: instance 0 moduli=classical "), \
+        result.detail
+
+
 def test_criterion_07_bombieri_margin():
     # |S(f,p)| <= 2 d_p(f) sqrt(p) for all p <= 2000 over the fixed corpus
     _run(7)

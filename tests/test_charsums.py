@@ -8,7 +8,7 @@ import pytest
 from sievelab.charsums import (S4Input, TrigWeight, cubic_form_charsum,
                                s4_closed, s4_closed_rows, s4_direct,
                                weighted_energy)
-from sievelab.arith import DEFAULT_BUDGET, is_prime
+from sievelab.arith import DEFAULT_BUDGET, is_prime, jacobi
 from sievelab.sieve import BudgetExceeded
 
 
@@ -251,5 +251,25 @@ def test_cubic_form_sqrt_margin():
 def test_cubic_form_budget():
     with pytest.raises(BudgetExceeded) as exc:
         cubic_form_charsum(50, 101, TrigWeight.fejer(5), budget=100)
-    # M * width = 200, so the lattice has 401^4 points
-    assert (exc.value.cost, exc.value.budget) == (401 ** 4, 100)
+    # the profile of fejer(5) (width 4) is nonzero for |h| < 50 * 5, so
+    # the lattice |h| <= 249 has 499^4 points
+    assert (exc.value.cost, exc.value.budget) == (499 ** 4, 100)
+
+
+@pytest.mark.parametrize("M, r", [(1, 7), (1, 13), (2, 13)])
+def test_cubic_form_matches_a_literal_sum_past_the_profile(M, r):
+    # fejer(2) has width 1 and W(t) = max(0, 1 - |t| / 2), nonzero for
+    # |t| < width + 1 = 2.  At M = 2 the point h = 3 has W(3/2) = 1/4 but
+    # lies past M * width; the literal sum runs over |h| <= M (width + 2),
+    # where W is 0 at the ends.  At r = 3 mod 4 the symbol is odd and the
+    # sum vanishes, so r = 13 is the point that sees a missing h
+    weight = TrigWeight.fejer(2)
+    hs = range(-M * (weight.width + 2), M * (weight.width + 2) + 1)
+    literal = 0.0
+    for h1, h2, h3, h4 in itertools.product(hs, repeat=4):
+        w = (weight.profile(h1 / M) * weight.profile(h2 / M)
+             * weight.profile(h3 / M) * weight.profile(h4 / M))
+        sym = h1 * h2 * h3 + h1 * h2 * h4 + h1 * h3 * h4 + h2 * h3 * h4
+        literal += w * jacobi(sym % r, r)
+    assert cubic_form_charsum(M, r, weight)["value"] == pytest.approx(
+        literal, abs=1e-9)

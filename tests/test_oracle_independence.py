@@ -11,6 +11,10 @@ path it checks.  The pairs:
 
 - complete sums: every fast sum gathers e_q(t) from expsums.unit_phases,
   every scalar oracle evaluates oracles.e_frac term by term;
+- large-sieve sums: ls_lhs sums residue classes with the weights of
+  sieve._class_weights and forms no phase, oracles.ls_lhs_literal
+  gathers e(na/d) from exponentials of its own and reads neither
+  the weights nor unit_phases;
 - energies: conv self-convolves (_self_convolve) and sums the squared bins
   with a certified int64 dot (_square_sum), brute enumerates every pair
   sum (oracles._dense_pair_hist);
@@ -47,7 +51,8 @@ from sievelab.charsums import S4Input, s4_closed, s4_closed_rows, s4_direct
 from sievelab.energies import energy_e2, energy_e4, energy_f2
 from sievelab.expsums import (RationalFunctionModP, esum_jh, gauss_sum_closed,
                               gauss_sum_direct, gcal, rational_expsum)
-from sievelab.oracles import gcal_literal, px_count_literal, rational_literal
+from sievelab.oracles import (gcal_literal, ls_lhs_literal, px_count_literal,
+                              rational_literal)
 from sievelab.sieve import PxQuery, SieveInstance, ls_lhs, px_count
 
 
@@ -74,8 +79,7 @@ def _patch_everywhere(monkeypatch, module, attr):
 @pytest.fixture
 def no_phase_table(monkeypatch):
     patched = _patch_everywhere(monkeypatch, expsums, "unit_phases")
-    assert {"sievelab.expsums", "sievelab.sieve",
-            "sievelab.charsums"} <= patched
+    assert {"sievelab.expsums", "sievelab.charsums"} <= patched
 
 
 @pytest.fixture
@@ -98,6 +102,9 @@ ORACLES = {
                                                          (0, 5, -1, 9)])),
     "gcal literal": lambda: gcal_literal(45, 1, 2, 1, 3, 4, 2),
     "rational literal": lambda: rational_literal((1, 0, 1), (0, 1), 13),
+    "ls_lhs literal": lambda: [
+        ls_lhs_literal(SieveInstance(0, np.ones(8), 3), moduli=moduli)
+        for moduli in ("classical", "squares")],
 }
 
 FAST_PATHS = {
@@ -106,7 +113,6 @@ FAST_PATHS = {
     "gcal": lambda: gcal(45, 1, 2, 1, 3, 4, 2),
     "rational_expsum": lambda: rational_expsum(
         RationalFunctionModP((1, 0, 1), (0, 1), 13)),
-    "ls_lhs": lambda: ls_lhs(SieveInstance(0, np.ones(8), 3)),
     "s4_direct pairs": lambda: s4_direct(S4Input(2, (1, 2, 3, 4), 7)),
 }
 
@@ -280,3 +286,13 @@ def test_literal_window_count_does_not_use_inclusion_exclusion(monkeypatch):
     assert px_count_literal(query) > 0
     with pytest.raises(KernelCalled):
         px_count(query)
+
+
+@pytest.mark.parametrize("moduli", ["classical", "squares"])
+def test_fast_lhs_uses_the_class_weights(moduli, monkeypatch):
+    assert _patch_everywhere(monkeypatch, sieve,
+                             "_class_weights") == {"sievelab.sieve"}
+    inst = SieveInstance(0, np.ones(8), 3)
+    assert ls_lhs_literal(inst, moduli=moduli) > 0
+    with pytest.raises(KernelCalled):
+        ls_lhs(inst, moduli=moduli)

@@ -4,11 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sievelab.oracles import px_count_literal
+from sievelab import sieve
+from sievelab.acceptance import _totient_sum
+from sievelab.oracles import ls_lhs_literal, px_count_literal
 from sievelab.sieve import (ApproxFrame, BudgetExceeded, PxQuery,
                             SieveInstance, build_frame, dirichlet_approx,
                             double_sieve_check, ls_bound_table, ls_lhs,
-                            propmain_bounds, px_cost, px_count, px_monitor)
+                            ls_lhs_cost, propmain_bounds, px_cost, px_count,
+                            px_monitor)
 
 
 def make_instance(rng, N, Q, M=0):
@@ -42,7 +45,7 @@ def test_ls_lhs_shift_invariance_classical():
 
 
 def test_ls_lhs_reads_M_past_the_int64_range():
-    # e(n a/q^2) at Q = 3 depends only on n mod 36, and 36 * 10^17 moves M
+    # the sum at Q = 3 depends only on n mod 36, and 36 * 10^17 moves M
     # from either int64 edge to well inside the range
     coeffs = np.random.default_rng(6).standard_normal(5)
     M = 2 ** 63 - 1
@@ -57,6 +60,59 @@ def test_ls_lhs_budget():
     inst = SieveInstance(M=0, coefficients=np.ones(100), Q=30)
     with pytest.raises(BudgetExceeded):
         ls_lhs(inst, moduli="squares", budget=10)
+
+
+class SieveStarted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("moduli", ["classical", "squares"])
+def test_ls_lhs_charges_its_bound_before_the_sieve(moduli, monkeypatch):
+    # K = 30 * (5 + 1) bounds the sieve and the weight loop, and at most
+    # min(N, K) = 100 class moduli each sum the 100 coefficients
+    assert ls_lhs_cost(100, 30) == 180 + 100 * 100
+    inst = SieveInstance(M=0, coefficients=np.ones(100), Q=30)
+
+    def started(n):
+        raise SieveStarted
+
+    # the Mobius sieve is the first array ls_lhs builds
+    monkeypatch.setattr(sieve, "_mobius", started)
+    with pytest.raises(BudgetExceeded) as exc:
+        ls_lhs(inst, moduli=moduli, budget=10179)
+    assert (exc.value.cost, exc.value.budget) == (10180, 10179)
+    with pytest.raises(SieveStarted):
+        ls_lhs(inst, moduli=moduli, budget=10180)
+
+
+def test_ls_lhs_reaches_the_cube_point_of_square_moduli():
+    # N = Q^3 at Q = 60, where the literal sum needs about 9.6 * 10^9
+    # phases, is charged 420 + 216000 * 420 < DEFAULT_BUDGET
+    coeffs = np.random.default_rng(60).standard_normal(60 ** 3)
+    inst = SieveInstance(M=0, coefficients=coeffs, Q=60)
+    assert ls_lhs_cost(inst.N, 60) == 420 + 216000 * 420
+    lhs = ls_lhs(inst, moduli="squares")
+    # the fractions a/q^2 are distinct with denominators <= Q^2, so they
+    # are 1/Q^4-spaced and the large sieve with constant N - 1 + Q^4 holds
+    assert 0 < lhs <= (inst.N - 1 + 60 ** 4) * inst.Z
+
+
+@pytest.mark.parametrize("moduli, cost", [("classical", 100 * 30 ** 2),
+                                          ("squares", 100 * 30 ** 3)])
+def test_ls_lhs_literal_keeps_the_per_phase_charge(moduli, cost):
+    inst = SieveInstance(M=0, coefficients=np.ones(100), Q=30)
+    with pytest.raises(BudgetExceeded) as exc:
+        ls_lhs_literal(inst, moduli=moduli, budget=cost - 1)
+    assert exc.value.cost == cost
+
+
+def test_ls_lhs_matches_the_literal_sum_on_a_seeded_squares_grid():
+    rng = np.random.default_rng(35)
+    for Q, N in [(1, 1), (2, 5), (3, 36), (5, 125), (6, 216), (9, 40)]:
+        inst = make_instance(rng, N, Q, M=int(rng.integers(-10 ** 6, 10 ** 6)))
+        fast = ls_lhs(inst, moduli="squares")
+        literal = ls_lhs_literal(inst, moduli="squares")
+        assert abs(fast - literal) <= 1e-9 * _totient_sum(Q, True) * inst.Z
 
 
 def test_ls_bound_table():
