@@ -26,9 +26,11 @@ from .charsums import _pair_sum_table
 from .energies import energy_e2, energy_e4, energy_f2, kssz_check
 from .expsums import (RationalFunctionModP, esum_jh, gauss_sum_closed,
                       gauss_sum_direct, gcal, gcal_bound, rational_expsum)
-from .oracles import gcd_power_sum, ls_lhs_literal
+from .oracles import (gcal_literal, gcd_power_sum, ls_lhs_literal,
+                      rational_literal)
 from .sieve import SieveInstance, double_sieve_check, ls_lhs, px_monitor
 from .sqrtmod import root_pairs, sqrt_mod_all
+from .sqrtmod import _prime_power_residue_roots
 
 
 @dataclass(frozen=True)
@@ -84,11 +86,15 @@ def criterion_1_sqrt_oracle(r_max: int = 10 ** 4, sample: int = 2000):
     permutation of [0, r) (which pins k to [0, r)), and the rows strictly
     increasing in (m, k).  With m and k in [0, r), that order is the
     order of the key m r + k, so the last check is that the key strictly
-    increases.  sqrt_mod_all is checked by about 2,300 spot calls (fixed
-    moduli, then `sample` random (m, r)) against exhaustive squaring.
-    Both run the same Tonelli-Shanks schedule at odd primes, scalar and
-    over arrays.
+    increases.  root_pairs squares every residue, so at every prime
+    power r <= r_max the array solver sqrtmod._prime_power_residue_roots
+    is checked against it: its pairs over all r residues, sorted by the
+    key m r + k, must be the table's keys.  sqrt_mod_all is checked by
+    about 2,300 spot calls (fixed moduli, then `sample` random (m, r))
+    against exhaustive squaring.  The two solvers run the same
+    Tonelli-Shanks schedule at odd primes, scalar and over arrays.
     """
+    prime_powers = {p ** a: (p, a) for p, a in _prime_powers(r_max)}
     for r in range(1, r_max + 1):
         rp = root_pairs(r)
         if rp.shape != (r, 2):
@@ -109,6 +115,11 @@ def criterion_1_sqrt_oracle(r_max: int = 10 ** 4, sample: int = 2000):
         key = m * r + k
         if not (key[1:] > key[:-1]).all():
             return False, f"r={r}: rows not strictly increasing in (m, k)"
+        if r in prime_powers:
+            t, ks = _prime_power_residue_roots(np.arange(r, dtype=np.int64),
+                                               *prime_powers[r])
+            if not np.array_equal(np.sort(t * r + ks), key):
+                return False, f"r={r}: array solver pairs != root_pairs"
     checked = 0
     for m, r in _sqrt_spot_calls(np.random.default_rng(20260823), r_max,
                                  sample):
@@ -212,8 +223,10 @@ def _gcal_draw(rng: np.random.Generator,
 @_criterion(5, "appendix algebra")
 def criterion_5_appendix(pairs: int = 1000, pp_max: int = 10 ** 4,
                          esum_rmax: int = 500):
-    """G multiplicativity, the prime-power bound with constant 12, and the
-    paired = bare identity for the root-difference sum."""
+    """G multiplicativity, the prime-power bound with constant 12, the
+    paired = bare identity for the root-difference sum, and gcal against
+    its oracle oracles.gcal_literal at every odd q <= 301, within 1e-9 q,
+    at the fixed (a, b, j, k, u, s) = (1, 2, 1, 3, 4, 1)."""
     rng = np.random.default_rng(5)
     done = 0
     while done < pairs:
@@ -254,6 +267,10 @@ def criterion_5_appendix(pairs: int = 1000, pp_max: int = 10 ** 4,
         bq = esum_jh(l, n, j, h, r, form="bare").value
         if abs(p - bq) > 1e-9 * r:
             return False, f"paired != bare at r={r} l={l} n={n} j={j} h={h}"
+    for q in range(1, 302, 2):
+        v = gcal(q, 1, 2, 1, 3, 4, 1).value
+        if abs(v - gcal_literal(q, 1, 2, 1, 3, 4, 1)) > 1e-9 * q:
+            return False, f"gcal != gcal_literal at q={q}: {v}"
     return True, (f"{done} multiplicativity pairs, {bound_checked} bound "
                   f"checks, paired=bare for r <= {esum_rmax}")
 
@@ -331,7 +348,9 @@ BOMBIERI_CORPUS: Sequence = (
 
 @_criterion(7, "Bombieri margin")
 def criterion_7_bombieri(p_max: int = 2000):
-    """|S(f,p)| <= 2 d_p(f) sqrt(p) over the fixed corpus, all p <= p_max."""
+    """|S(f,p)| <= 2 d_p(f) sqrt(p) over the fixed corpus, all p <= p_max;
+    at p <= 101 rational_expsum is also compared with its oracle
+    oracles.rational_literal, within 1e-9 p and with equal terms."""
     tested = 0
     for p in range(2, p_max + 1):
         if not is_prime(p):
@@ -344,6 +363,11 @@ def criterion_7_bombieri(p_max: int = 2000):
                 continue  # constant mod p or vanishing denominator
             if v.margin > 1 + 1e-12:
                 return False, f"margin {v.margin} > 1 at p={p} f={num}/{den}"
+            if p <= 101:
+                want, terms = rational_literal(num, den, p)
+                if abs(v.value - want) > 1e-9 * p or v.terms != terms:
+                    return False, (f"rational_expsum != rational_literal at "
+                                   f"p={p} f={num}/{den}: {v.value}")
             tested += 1
     return True, f"{tested} sums, margin <= 1"
 

@@ -1,8 +1,9 @@
 """Command-line front end: evaluation subcommands, grid scans, and the
 acceptance-suite runner.
 
-Exit codes: 0 ok, 1 test failure, 2 usage error, 3 budget refusal (a
-declared cost over the budget, or an allocation that ran out of memory).
+Exit codes: 0 ok, 1 test failure, 2 usage error (an --out path that
+cannot be written included), 3 budget refusal (a declared cost over the
+budget, or an allocation that ran out of memory).
 """
 
 from __future__ import annotations
@@ -272,7 +273,8 @@ def main(argv=None) -> int:
     except MemoryError:
         print("budget refusal: out of memory", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
+        # OSError: an --out path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,13 +6,16 @@ for one Python int, and _prime_power_residue_roots for every residue of a
 numpy array at once.  Both solve the unit part w of m = w p^beta (beta
 even) by a fixed-schedule Tonelli-Shanks and Hensel lifting (explicit case
 analysis at p = 2) and scale its roots by p^(beta/2).  The array solver
-builds the bulk root tables (root_pairs) and the root multisets' array
-pass (_residue_roots) alike.  Composite moduli recombine the prime-power
-roots by CRT with the idempotents FactoredModulus.crt_idempotents.
+serves the root multisets' array pass (_residue_roots).  Composite
+moduli recombine the prime-power roots by CRT with the idempotents
+FactoredModulus.crt_idempotents.  The bulk root tables (root_pairs) are
+built by their definition instead, by squaring every residue, and
+criterion 1 checks the array solver against them.
 
-Every public function takes r as an int.  An int r is factorized on
-every call, through arith.factorize, whose memo makes a repeated r cost
-one lookup; the FactoredModulus stays inside the private helpers.
+Every public function takes r as an int.  The solvers' callers
+factorize it on every call, through arith.factorize, whose memo makes a
+repeated r cost one lookup; the FactoredModulus stays inside the private
+helpers.
 """
 
 from __future__ import annotations
@@ -206,34 +209,24 @@ def root_pairs(r: int) -> np.ndarray:
     int32 when r^2 < 2^31 (r <= 46340), int64 above, column-major, so
     that each column is contiguous.
 
-    Built from the unordered prime-power tables of _prime_power_pairs
-    (the array solver over every residue) plus a vectorized CRT, i.e. the
-    same pipeline as sqrt_mod_all but amortized over every m.  The
-    prime-power pairs are recombined with the CRT idempotents e_i of
-    FactoredModulus.crt_idempotents: each factor's residues are widened
-    from their table's dtype (int16 up to 2^15, int32 or int64 above) to
-    the working dtype, scaled by e_i < r and outer-added into the
-    accumulator, which is reduced mod r once at the end: each sum is
-    below r * sum(q_i) <= r^2.  The rows are then sorted once, as one key
-    m*r + k, so r^2 < 2^63 is required.  Every step runs in the working
-    dtype, int32 when r^2 < 2^31 (each sum and each key is below r^2) and
-    int64 otherwise, and the columns are written as key // r and
-    key - (key // r) r.  There are exactly r pairs since every k is a
-    root of exactly one m.
+    Built by the definition: every k in [0, r) is squared mod r, and the
+    rows are sorted once, as one key m*r + k, so r^2 < 2^63 is required
+    and refused before any array is built.  Every step runs in the
+    working dtype, int32 when r^2 < 2^31 (each square and each key is
+    below r^2) and int64 otherwise, and the columns are written as
+    key // r and key - (key // r) r.  There are exactly r pairs since
+    every k is a root of exactly one m.  Neither r's factors nor the
+    solver are used: criterion 1 checks the array solver against these
+    tables.
     """
-    fm = factorize(r)
+    if r < 1:
+        raise ValueError("root_pairs requires r >= 1")
     _require_int64_square(r, "r")
     dtype = np.int32 if _fits_int32_square(r) else np.int64
-    acc_m = np.zeros(1, dtype=dtype)
-    acc_k = np.zeros(1, dtype=dtype)
-    for (p, a), e in zip(fm.factors, fm.crt_idempotents):
-        ms, ks = _prime_power_pairs(p, a)
-        # int16 and int32 factor tables widen before scaling by e < r
-        acc_m = np.add.outer(ms.astype(dtype, copy=False) * e, acc_m).ravel()
-        acc_k = np.add.outer(ks.astype(dtype, copy=False) * e, acc_k).ravel()
-    key = _mod(acc_m, r)
+    k = np.arange(r, dtype=dtype)
+    key = _mod(k * k, r)
     key *= r
-    key += _mod(acc_k, r)
+    key += k
     key.sort()
     pairs = np.empty((r, 2), dtype=dtype, order="F")
     m, k = pairs[:, 0], pairs[:, 1]
@@ -277,16 +270,6 @@ def _fits_int32_square(n: int) -> bool:
     32 bits: a product of two residues mod n, or a difference of such
     products, fits int32, and a sum of two products fits uint32."""
     return n * n < 2 ** 31
-
-
-#: prime-power pair tables for q <= _PP_CACHE_MAX: criterion 1 asks for
-#: each larger one once (at r = q, since 2q > 10^4), so caching it would
-#: only hold memory.  The 711 cached tables are int16, 4q bytes each:
-#: 6,398,452 bytes in all once every one is built
-_PP_CACHE_MAX = 5 * 10 ** 3
-#: largest q whose pair table is stored in int16: its values lie in [0, q)
-_INT16_MAX_Q = 1 << 15
-_PP_PAIR_CACHE: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _vec_pow_mod(base: np.ndarray, e: int, p: int) -> np.ndarray:
@@ -359,37 +342,6 @@ def _two_adic_roots(m: np.ndarray, gamma: int) -> np.ndarray:
     return np.concatenate([x, pg - x, _mod(x + half, pg), _mod(half - x, pg)])
 
 
-def _prime_power_pairs(p: int, a: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Every (m, k) with k^2 = m (mod p^a), unordered, as two read-only
-    columns of one table.
-
-    The array solver _prime_power_residue_roots solves every m in
-    [0, p^a) at once, and its pairs are written as they come: root_pairs
-    sorts the recombined rows.  No table is built by squaring every
-    residue: that is how criterion 1 checks it.  The solver runs in int32
-    when (p^a)^2 < 2^31, else in int64, and its rows are copied into a
-    table of int16 when p^a <= _INT16_MAX_Q (every m and k lies below
-    p^a, so int16 holds each exactly), else of the solver's dtype.  The
-    tables with p^a <= _PP_CACHE_MAX are cached.
-    """
-    key = (p, a)
-    hit = _PP_PAIR_CACHE.get(key)
-    if hit is not None:
-        return hit
-    q = p ** a
-    dtype = np.int32 if _fits_int32_square(q) else np.int64
-    # every k is a root of one m, so the table has q rows; allocating it
-    # before the temporaries leaves their freed memory above it
-    table = np.empty((2, q), dtype=np.int16 if q <= _INT16_MAX_Q else dtype)
-    table[0], table[1] = _prime_power_residue_roots(
-        np.arange(q, dtype=dtype), p, a)
-    table.flags.writeable = False
-    out = (table[0], table[1])
-    if q <= _PP_CACHE_MAX:
-        _PP_PAIR_CACHE[key] = out
-    return out
-
-
 def _unit_residue_roots(w: np.ndarray, p: int,
                         gamma: int) -> Tuple[np.ndarray, np.ndarray]:
     """(i, x) for every root x mod p^gamma of every unit w[i], for w in
@@ -419,8 +371,9 @@ def _prime_power_residue_roots(v: np.ndarray, p: int,
                                a: int) -> Tuple[np.ndarray, np.ndarray]:
     """(t, k) for every root k mod p^a of every v[t] in [0, p^a), unordered:
     the array analogue of _sqrt_mod_prime_power, and the one numpy solver
-    of prime powers.  k has v's dtype, which must hold (p^a)^2: int32 for
-    the small tables, else int64.
+    of prime powers.  k has v's dtype, which must hold (p^a)^2: int64
+    from both callers, _residue_roots and criterion 1's check against
+    root_pairs.
 
     v = w p^beta, w a unit and beta even, has the roots
     p^(beta/2) x + s p^(a-beta/2) for every root x of w mod p^(a-beta)

@@ -6,6 +6,7 @@ The detail strings of criteria 1-9 must equal the ones pinned in
 bench/reference/accept_details.json.
 """
 
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -118,6 +119,27 @@ def test_criterion_01_rejects_a_negative_root(monkeypatch):
         "permutation [")
 
 
+@pytest.mark.parametrize("fault", ["drop a root", "shift a root"])
+def test_criterion_01_rejects_a_solver_mutant(fault, monkeypatch):
+    # root_pairs squares, so only the comparison at the prime powers sees
+    # a fault in the array solver; r = 2 is the first prime power
+    solve = sqrtmod._prime_power_residue_roots
+
+    def mutant(v, p, a):
+        t, k = solve(v, p, a)
+        if fault == "drop a root":
+            return t[1:], k[1:]
+        k = k.copy()
+        k[0] += 1
+        return t, k
+
+    for module in (acceptance, sqrtmod):
+        monkeypatch.setattr(module, "_prime_power_residue_roots", mutant)
+    result = acceptance.criterion_1_sqrt_oracle(r_max=12, sample=0)
+    assert not result.passed
+    assert result.detail == "r=2: array solver pairs != root_pairs"
+
+
 def test_criterion_02_root_count_formula():
     # #roots(0 mod p^alpha) = p^floor(alpha/2) for every prime power <= 10^4
     _run(2)
@@ -157,8 +179,27 @@ def test_criterion_04_gauss_closed_form():
 
 def test_criterion_05_appendix_algebra():
     # multiplicativity to 1e-6 on 10^3 coprime odd pairs; prime-power bound
-    # with constant 12 up to 10^4; paired = bare to 1e-9*r for r <= 500
+    # with constant 12 up to 10^4; paired = bare to 1e-9*r for r <= 500;
+    # gcal = gcal_literal to 1e-9*q for odd q <= 301
     _run(5)
+
+
+def conjugate_value(fn):
+    """fn with the value of the ExpSumValue it returns conjugated."""
+    def mutant(*args):
+        v = fn(*args)
+        return dataclasses.replace(v, value=v.value.conjugate())
+    return mutant
+
+
+def test_criterion_05_rejects_a_conjugated_gcal(monkeypatch):
+    # conjugation keeps multiplicativity, the bound and paired = bare; only
+    # the comparison with gcal_literal sees it, first at q = 3
+    monkeypatch.setattr(acceptance, "gcal", conjugate_value(acceptance.gcal))
+    result = acceptance.criterion_5_appendix(pairs=5, pp_max=31, esum_rmax=10)
+    assert not result.passed
+    assert result.detail.startswith("gcal != gcal_literal at q=3: "), \
+        result.detail
 
 
 def test_criterion_06_sieve_constants():
@@ -183,8 +224,20 @@ def test_criterion_06_rejects_a_scaled_lhs(scale, monkeypatch):
 
 
 def test_criterion_07_bombieri_margin():
-    # |S(f,p)| <= 2 d_p(f) sqrt(p) for all p <= 2000 over the fixed corpus
+    # |S(f,p)| <= 2 d_p(f) sqrt(p) for all p <= 2000 over the fixed corpus;
+    # rational_expsum = rational_literal to 1e-9*p for p <= 101
     _run(7)
+
+
+def test_criterion_07_rejects_a_conjugated_rational_expsum(monkeypatch):
+    # conjugation keeps every margin; only the comparison with
+    # rational_literal sees it
+    monkeypatch.setattr(acceptance, "rational_expsum",
+                        conjugate_value(acceptance.rational_expsum))
+    result = acceptance.criterion_7_bombieri(p_max=31)
+    assert not result.passed
+    assert result.detail.startswith("rational_expsum != rational_literal "
+                                    "at p="), result.detail
 
 
 def test_criterion_08_s4_closed_form():

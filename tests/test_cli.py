@@ -140,6 +140,21 @@ def test_value_error_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_out_path_exits_2_with_one_line(where, tmp_path, capsys):
+    # the value is computed, then open() raises FileNotFoundError or
+    # IsADirectoryError; both are usage errors, not test failures
+    out = tmp_path / "missing" / "x.json" if where == "missing directory" \
+        else tmp_path
+    code = main(["sqrt", "--m", "4", "--r", "15", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno ")
+    assert captured.err.count("\n") == 1 and str(out) in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["energy", "--kind", "nope", "--R", "1", "--j", "1", "--r", "7"])

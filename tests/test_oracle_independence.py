@@ -25,15 +25,17 @@ path it checks.  The pairs:
 - root-difference sums: the bare oracle squares every residue
   (oracles._square_groups), the paired fast path reads the bulk root table
   built by root_pairs; neither calls the solver sqrt_mod_all;
-- the bulk root tables and the array solver share one prime-power solver,
-  sqrtmod._prime_power_residue_roots; the squaring oracles above run with
-  it patched too, so none reaches it through a table;
+- the bulk root tables (root_pairs) square every residue and share
+  nothing with the array solver sqrtmod._prime_power_residue_roots, which
+  criterion 1 checks against them; the squaring oracles above run with
+  the solver patched too, so none reaches it;
 - 32-bit residue kernels: the fast tables and sums choose their dtype by
   sqrtmod._fits_int32_square, which no oracle consults;
-- factorization: only the fast paths factorize r.  The squaring oracles
-  (both multiset kinds, brute E2, E4 and F2, bare esum_jh) run with
-  factorize patched, and so does their one size refusal, in
-  oracles._square_groups, which therefore comes before any work;
+- factorization: the squaring oracles (both multiset kinds, brute E2, E4
+  and F2, bare esum_jh) run with factorize patched, and so does their one
+  size refusal, in oracles._square_groups, which therefore comes before
+  any work.  Their fast twins factorize r, except paired esum_jh, whose
+  root table squares;
 - window counts P(x): px_count counts the units of each window by
   inclusion-exclusion (sieve._units_between) over the primes of
   arith.factorize(q), oracles.px_count_literal enumerates the window with
@@ -90,8 +92,10 @@ def no_solver(monkeypatch):
     _patch_everywhere(monkeypatch, sqrtmod, "root_pairs")
     assert _patch_everywhere(monkeypatch, sqrtmod,
                              "_residue_roots") == {"sievelab.sqrtmod"}
-    assert _patch_everywhere(monkeypatch, sqrtmod,
-                             "_prime_power_residue_roots") == {"sievelab.sqrtmod"}
+    # criterion 1 binds the array solver too, to check it against root_pairs
+    patched = _patch_everywhere(monkeypatch, sqrtmod,
+                                "_prime_power_residue_roots")
+    assert patched - {"sievelab.acceptance"} == {"sievelab.sqrtmod"}
 
 
 ORACLES = {
@@ -256,6 +260,10 @@ def no_factorize(monkeypatch):
 def test_squaring_oracle_does_not_factorize(name, no_factorize):
     oracle, fast = SQUARING_ORACLES[name]
     assert oracle(21) is not None
+    if name == "esum_jh bare":
+        # paired esum_jh reads root_pairs, which squares every residue
+        assert fast(21).terms > 0
+        return
     with pytest.raises(KernelCalled):
         fast(21)
 

@@ -11,8 +11,7 @@ from sievelab import arith, oracles
 from sievelab.arith import FactoredModulus, factorize, is_prime
 from sievelab.expsums import esum_jh
 from sievelab.oracles import root_multiset
-from sievelab.sqrtmod import (RootSet, _prime_power_pairs,
-                              _require_int64_square, _vec_pow_mod,
+from sievelab.sqrtmod import (RootSet, _require_int64_square, _vec_pow_mod,
                               build_root_multiset, root_pairs, sqrt_mod_all)
 
 
@@ -194,16 +193,12 @@ def test_roots_closed_under_negation():
 
 def test_root_pairs_matches_squaring():
     # every r <= 2000, then prime powers, smooth r, a prime = 1 mod 8, a
-    # prime above 10^4 and twice it; 967381 = 97 * 9973 has two int16
-    # factor tables and idempotents near 10^6, so a CRT that scales them
-    # without widening to int64 wraps.  46340 and 46341 sit on either
-    # side of r^2 < 2^31, where root_pairs leaves int32 for int64, and
-    # the keys m*r + k of 46349 pass 2^31, so an int32 run there wraps.
-    # 40961, 65537 and 786433 have 2-adic valuations s = 13, 16 and 18 in
-    # p - 1: every step of the Tonelli-Shanks schedule runs
+    # prime above 10^4 and twice it, and 967381 = 97 * 9973.  46340 and
+    # 46341 sit on either side of r^2 < 2^31, where root_pairs leaves
+    # int32 for int64, and the keys m*r + k of 46349 pass 2^31, so an
+    # int32 run there wraps
     rs = list(range(1, 2001)) + [5040, 6561, 8192, 9240, 9601, 10007,
-                                 2 * 10007, 40961, 46340, 46341, 46349,
-                                 65537, 786433, 967381]
+                                 2 * 10007, 46340, 46341, 46349, 967381]
     for r in rs:
         rp = root_pairs(r)
         # the table is in the working dtype, and column-major, so that each
@@ -213,37 +208,49 @@ def test_root_pairs_matches_squaring():
         assert np.array_equal(rp, squaring_pairs(r)), r
 
 
-def sorted_table(ms, ks):
-    """A prime-power pair table's columns, its rows sorted by (m, k):
-    _prime_power_pairs leaves them in the solver's order."""
-    order = np.lexsort((ks, ms))
-    return ms[order], ks[order]
+def test_root_pairs_neither_factorizes_nor_solves(monkeypatch):
+    # root_pairs squares, so it is the table criterion 1 checks the array
+    # solver against; its refusal of r < 1 is its own
+    def called(*args):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(sqrtmod, "factorize", called)
+    monkeypatch.setattr(sqrtmod, "_prime_power_residue_roots", called)
+    for r in (1, 45, 9240, 46349):
+        assert np.array_equal(root_pairs(r), squaring_pairs(r)), r
+    with pytest.raises(ValueError, match="r >= 1"):
+        root_pairs(0)
+
+
+def sorted_pairs(t, k):
+    """An array solver's (t, k) over every residue, t the residue itself,
+    as a table sorted by (m, k) = (t, k)."""
+    order = np.lexsort((k, t))
+    return np.stack([t[order], k[order]], axis=1)
+
+
+def prime_power_table(p, a):
+    """The array solver's pairs over every residue mod p^a, in int64, as
+    a table sorted by (m, k)."""
+    v = np.arange(p ** a, dtype=np.int64)
+    return sorted_pairs(*sqrtmod._prime_power_residue_roots(v, p, a))
 
 
 def test_prime_pair_table_equals_squaring():
-    # two primes from each class mod 8: s = v(p - 1) is 1 for p = 3 mod 4,
-    # 2 for p = 5 mod 8 and at least 3 for p = 1 mod 8; all stored in
-    # int16 since p <= 2^15
-    for p in (17, 9601, 3, 11, 5, 9973, 7, 10007):
-        ms, ks = sorted_table(*_prime_power_pairs(p, 1))
-        assert ms.dtype == ks.dtype == np.int16
-        assert np.array_equal(np.stack([ms, ks], axis=1), squaring_pairs(p)), p
+    # the array solver at primes, two from each class mod 8: s = v(p - 1)
+    # is 1 for p = 3 mod 4, 2 for p = 5 mod 8 and at least 3 for
+    # p = 1 mod 8; 40961, 65537 and 786433 have s = 13, 16 and 18, so
+    # every step of the Tonelli-Shanks schedule runs
+    for p in (17, 9601, 3, 11, 5, 9973, 7, 10007, 40961, 65537, 786433):
+        assert np.array_equal(prime_power_table(p, 1), squaring_pairs(p)), p
 
 
-@pytest.mark.parametrize("p, a, dtype", [
-    (10007, 1, np.int16), (2, 15, np.int16), (32771, 1, np.int32),
-    (46337, 1, np.int32), (3, 9, np.int16), (211, 2, np.int32),
-    (46349, 1, np.int64), (3, 10, np.int64), (2, 16, np.int64)])
-def test_pair_tables_on_both_sides_of_the_int32_bound(p, a, dtype):
-    # stored in int16 up to q = 2^15, whose largest value 2^15 - 1 int16
-    # still holds, and in int32 from 32771, the least prime above it;
-    # int32 exactly when q^2 < 2^31 (q <= 46340): 46337 = 1 mod 8 is the
-    # largest prime below the bound, 46349 = 5 mod 8 the least above it,
-    # and 3^10, 2^16 whose keys m*q + k pass 2^31 must not run in int32
-    ms, ks = sorted_table(*_prime_power_pairs(p, a))
-    assert ms.dtype == ks.dtype == dtype
-    assert np.array_equal(np.stack([ms, ks], axis=1),
-                          squaring_pairs(p ** a)), (p, a)
+@pytest.mark.parametrize("n", [5040, 9240, 20014, 967381])
+def test_residue_roots_of_every_residue_equal_squaring(n):
+    # the multisets' array pass: smooth n, 2 * 10007, and 967381 = 97 * 9973,
+    # whose CRT idempotents lie near 10^6
+    t, k = sqrtmod._residue_roots(np.arange(n, dtype=np.int64), factorize(n))
+    assert np.array_equal(sorted_pairs(t, k), squaring_pairs(n)), n
 
 
 def loop_built_pairs(p, a):
@@ -260,10 +267,9 @@ PP_TABLES_SHA256 = ("45541a75a5eafc4a4ddaeb604048f598"
                     "4d39837abc3cbb2db6d979885f346df4")
 
 
-def test_prime_power_tables_equal_the_loop_built_ones(monkeypatch):
-    # the array solver's tables, built cold: int16 for q <= 2^15 and
-    # cached for q <= 5000 only, int64 and uncached beyond (3^10, 2^16)
-    monkeypatch.setattr(sqrtmod, "_PP_PAIR_CACHE", {})
+def test_prime_power_tables_equal_the_loop_built_ones():
+    # the array solver's tables at every prime power <= 10^4, then at 3^10
+    # and 2^16, whose keys m*q + k pass 2^31
     digest = hashlib.sha256()
     for p in range(2, 10 ** 4 + 1):
         if not is_prime(p):
@@ -271,82 +277,20 @@ def test_prime_power_tables_equal_the_loop_built_ones(monkeypatch):
         for a in range(1, 14):
             if p ** a > 10 ** 4:
                 break
-            ms, ks = sqrtmod._prime_power_pairs(p, a)
-            assert ms.dtype == ks.dtype == np.int16
-            if p ** a <= 5000:
-                assert sqrtmod._PP_PAIR_CACHE[p, a][0] is ms
-            else:
-                assert (p, a) not in sqrtmod._PP_PAIR_CACHE
-            ms, ks = sorted_table(ms, ks)
+            table = prime_power_table(p, a)
             if a >= 2:
-                assert np.array_equal(np.stack([ms, ks], axis=1),
-                                      loop_built_pairs(p, a)), (p, a)
-            digest.update(ms.astype(np.int32).tobytes())
-            digest.update(ks.astype(np.int32).tobytes())
+                assert np.array_equal(table, loop_built_pairs(p, a)), (p, a)
+            digest.update(table[:, 0].astype(np.int32).tobytes())
+            digest.update(table[:, 1].astype(np.int32).tobytes())
     assert digest.hexdigest() == PP_TABLES_SHA256
     for p, a in ((3, 10), (2, 16)):
-        ms, ks = sqrtmod._prime_power_pairs(p, a)
-        assert ms.dtype == ks.dtype == np.int64
-        assert (p, a) not in sqrtmod._PP_PAIR_CACHE
-        ms, ks = sorted_table(ms, ks)
-        assert np.array_equal(np.stack([ms, ks], axis=1),
+        assert np.array_equal(prime_power_table(p, a),
                               loop_built_pairs(p, a)), (p, a)
 
 
-def test_cached_pair_tables_are_read_only(monkeypatch):
-    # a hit returns the cached columns themselves, so a write through them
-    # would corrupt every later root table of that prime power
-    monkeypatch.setattr(sqrtmod, "_PP_PAIR_CACHE", {})
-    ms, ks = sqrtmod._prime_power_pairs(7, 2)
-    assert sqrtmod._prime_power_pairs(7, 2)[0] is ms
-    for column in (ms, ks):
-        with pytest.raises(ValueError, match="read-only"):
-            column[0] = 1
-    assert np.array_equal(np.stack(sorted_table(ms, ks), axis=1),
-                          squaring_pairs(49))
-
-
-#: fixed moduli <= 10^4: prime powers on both sides of the cache bound
-#: 5000 (4999, 5003, 7919 and 9973 are prime), smooth r and products of
-#: a cached table with an uncached one
-CACHE_SAMPLE = (1, 2, 8, 12, 97, 360, 625, 2310, 4096, 4999, 5000, 5003,
-                6561, 7919, 8192, 9240, 9973, 9999, 10000)
-
-
-@pytest.mark.parametrize("cache_max", [0, 10 ** 9])
-def test_root_pairs_with_the_pair_cache_off_and_unbounded(monkeypatch,
-                                                          cache_max):
-    monkeypatch.setattr(sqrtmod, "_PP_CACHE_MAX", cache_max)
-    monkeypatch.setattr(sqrtmod, "_PP_PAIR_CACHE", {})
-    for r in CACHE_SAMPLE:
-        # twice, so the unbounded cache serves the second from its hits
-        for _ in range(2):
-            assert np.array_equal(root_pairs(r), squaring_pairs(r)), r
-    wanted = {pa for r in CACHE_SAMPLE for pa in factorize(r).factors}
-    assert set(sqrtmod._PP_PAIR_CACHE) == (wanted if cache_max else set())
-
-
-def test_pair_cache_holds_four_bytes_per_entry(monkeypatch):
-    # every cached table is int16, its two columns one buffer of 4q bytes:
-    # 711 tables of 1,599,613 entries in all
-    monkeypatch.setattr(sqrtmod, "_PP_PAIR_CACHE", {})
-    for p in range(2, 5001):
-        if not is_prime(p):
-            continue
-        for a in range(1, 13):
-            if p ** a > 5000:
-                break
-            sqrtmod._prime_power_pairs(p, a)
-    tables = sqrtmod._PP_PAIR_CACHE
-    assert len(tables) == 711
-    assert sum(p ** a for p, a in tables) == 1_599_613
-    for (p, a), (ms, ks) in tables.items():
-        assert ms.base is ks.base and ms.base.nbytes == 4 * p ** a
-    assert sum(ms.base.nbytes for ms, _ in tables.values()) == 6_398_452
-
-
 def test_root_pairs_tonelli_prime():
-    # a prime = 1 mod 8 exercises the vectorized Tonelli-Shanks branch
+    # a prime = 1 mod 8, where the array solver needs Tonelli-Shanks steps;
+    # the squared table has every root and one row per k
     p = 9601
     rp = root_pairs(p)
     assert np.all((rp[:, 1] * rp[:, 1] - rp[:, 0]) % p == 0)
@@ -366,9 +310,9 @@ def solver_root_sets(v, p, a):
 
 @pytest.mark.parametrize("dtype", [np.int32, np.int64])
 def test_prime_power_array_solver_matches_the_scalar_one(dtype):
-    # the one array solver behind the root tables and the multisets' array
-    # pass, root set by root set: every residue of small p^a (int32 holds
-    # them, as in the tables, since q^2 < 2^31), then seeded residues of
+    # the one array solver, behind the multisets' array pass, root set by
+    # root set: every residue of small p^a (int32 holds them too, since
+    # q^2 < 2^31), then seeded residues of
     # every valuation beta and v = 0 in int64, in shuffled order, where
     # the roots p^(beta/2) x + s p^(a - beta/2) of even beta are many
     for p, a in ((2, 1), (2, 2), (2, 3), (3, 5), (5, 4), (7, 3), (2, 11),
@@ -575,8 +519,7 @@ def test_root_pairs_m_runs_match_scalar_solver():
     for r in (1, 2, 8, 9, 97, 360, 1024, 9601):
         pairs = root_pairs(r)
         assert pairs.shape == (r, 2)
-        # the cached prime-power tables are int16; the CRT output is in the
-        # working dtype, int32 at these r
+        # root_pairs squares in the working dtype, int32 at these r
         assert pairs.dtype == np.int32
         ends = np.searchsorted(pairs[:, 0], np.arange(r + 1))
         assert ends[0] == 0 and ends[r] == r
