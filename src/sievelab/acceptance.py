@@ -30,7 +30,7 @@ from .oracles import (gcal_literal, gcd_power_sum, ls_lhs_literal,
                       rational_literal)
 from .sieve import SieveInstance, double_sieve_check, ls_lhs, px_monitor
 from .sqrtmod import root_pairs, sqrt_mod_all
-from .sqrtmod import _prime_power_residue_roots
+from .sqrtmod import _prime_power_residue_roots, _residue_dtype
 
 
 @dataclass(frozen=True)
@@ -116,8 +116,8 @@ def criterion_1_sqrt_oracle(r_max: int = 10 ** 4, sample: int = 2000):
         if not (key[1:] > key[:-1]).all():
             return False, f"r={r}: rows not strictly increasing in (m, k)"
         if r in prime_powers:
-            t, ks = _prime_power_residue_roots(np.arange(r, dtype=np.int64),
-                                               *prime_powers[r])
+            t, ks = _prime_power_residue_roots(
+                np.arange(r, dtype=_residue_dtype(r)), *prime_powers[r])
             if not np.array_equal(np.sort(t * r + ks), key):
                 return False, f"r={r}: array solver pairs != root_pairs"
     checked = 0

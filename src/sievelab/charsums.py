@@ -28,7 +28,7 @@ import numpy as np
 from .arith import (DEFAULT_BUDGET, BudgetExceeded, eps_q, is_prime, jacobi,
                     mod_inverse)
 from .expsums import ExpSumValue, unit_phases
-from .sqrtmod import _require_int64_square
+from .sqrtmod import _require_int64_square, _residue_dtype
 
 
 @dataclass(frozen=True)
@@ -112,9 +112,10 @@ def _pair_sum_table(r: int, j: int, a1: int, a2: int) -> np.ndarray:
     """T[l] = sum over k1 + k2 = l (mod r) of e_r(jbar(a1 k1^2 + a2 k2^2)).
 
     The weights e_r(c k^2) are gathered from unit_phases(r) at the exact
-    residues c k^2 mod r (products below r^2)."""
+    residues c k^2 mod r, taken in sqrtmod._residue_dtype(r), where each
+    product, below r^2, fits."""
     jinv = mod_inverse(j, r)
-    ks = np.arange(r, dtype=np.int64)
+    ks = np.arange(r, dtype=_residue_dtype(r))
     sq = ks * ks % r
     phases = unit_phases(r)
     return _cyclic_pair_sums(phases[jinv * a1 % r * sq % r],
@@ -127,7 +128,8 @@ def s4_direct(inp: S4Input) -> ExpSumValue:
     Sum over (k1..k4) mod r with k1 + k2 = k3 + k4 (mod r) of
     e_r(jbar(h1 k1^2 + h2 k2^2 + h3 k3^2 + h4 k4^2)), factored through
     two pair-sum tables (exact rearrangement, one transform each).  Its
-    charge r*ceil(log2 r) also keeps r^2 < 2^63 for the int64 ks * ks.
+    charge r*ceil(log2 r) also keeps r^2 < 2^63 for their squares k^2,
+    int64 once r > 46340.
     """
     r, j = inp.r, inp.j
     h1, h2, h3, h4 = inp.h
@@ -251,7 +253,7 @@ def weighted_energy(R: int, j: int, r: int, weight: TrigWeight,
     nu = R / r
     jinv = mod_inverse(j, r)
     _require_int64_square(r, "r")
-    ks = np.arange(r, dtype=np.int64)
+    ks = np.arange(r, dtype=_residue_dtype(r))
     v = np.broadcast_to(nu * weight.phi(ks * ks % r * jinv % r / r), r)
     g = _cyclic_pair_sums(v, v).real
     direct = float(np.dot(g, g))

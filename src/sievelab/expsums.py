@@ -29,7 +29,7 @@ import numpy as np
 from .arith import eps_q, factorize, is_prime, jacobi, mod_inverse
 from .oracles import e_frac, esum_bare
 from .sqrtmod import (_fits_int32_square, _matching_pairs, _mod,
-                      _require_int64_square, root_pairs)
+                      _require_int64_square, _residue_dtype, root_pairs)
 
 
 #: bytes that the tables of _TABLES may hold together (4 MiB)
@@ -225,7 +225,9 @@ def esum_jh(
     pass over the bulk root table root_pairs(r), which needs r^2 < 2^63:
     sqrtmod._matching_pairs pairs each k with the run of roots kt of
     k^2 + jh, and the exact residue phases are summed through
-    unit_phases(r).  bare is the oracle, oracles.esum_bare: it squares
+    unit_phases(r).  It runs in the table's dtype, sqrtmod._residue_dtype
+    (int32 while r^2 < 2^31, else int64), where every product of two
+    residues fits.  bare is the oracle, oracles.esum_bare: it squares
     every k in [0, r) once (k grouped by j^-1 k^2, which refuses r > 2^20
     before any work), factorizes nothing, calls no solver, and adds one
     e_frac per term.
@@ -242,10 +244,11 @@ def esum_jh(
     if form == "paired":
         pairs = root_pairs(r)
         jinv = mod_inverse(j, r)
-        k = np.arange(r, dtype=np.int64)
-        # every kt with kt^2 = k^2 + jh, grouped by k
-        k, i = _matching_pairs(_mod(k * k + j * h % r, r), pairs[:, 0], r)
-        kt = pairs[i, 1]
+        k = np.arange(r, dtype=_residue_dtype(r))
+        # every kt with kt^2 = k^2 + jh, grouped by k; the k are gathered,
+        # not taken from _matching_pairs' int64 indices, to keep their dtype
+        ik, i = _matching_pairs(_mod(k * k + j * h % r, r), pairs[:, 0], r)
+        k, kt = k[ik], pairs[i, 1]
         terms = k.size
         # each product is reduced mod r before adding, so nothing exceeds r^2
         phase = _mod(_mod(l % r * (kt - k), r)
@@ -342,26 +345,31 @@ def rational_expsum(f: RationalFunctionModP) -> ExpSumValue:
     """S(f,p) over n mod p with f2(n) != 0; margin against 2 d_p(f) sqrt(p).
 
     The phases f1(n) f2(n)^-1 are exact residues mod p (p^2 < 2^63),
-    summed through unit_phases(p)."""
+    summed through unit_phases(p).  f1 and f2 are evaluated by Horner's
+    rule in sqrtmod._residue_dtype(p), int32 while p^2 < 2^31 and int64
+    above, and each inverse is read from _unit_inverses(p) at f2(n) - 1,
+    since the units of a prime are 1, ..., p - 1."""
     if f.is_constant():
         raise ValueError("bound requires f nonconstant mod p")
     p = f.p
     _require_int64_square(p, "p")
     f1, f2 = f.reduced()
-    ns = np.arange(p, dtype=np.int64)
+    ns = np.arange(p, dtype=_residue_dtype(p))
     v1 = _poly_eval_mod(f1, ns, p)
     v2 = _poly_eval_mod(f2, ns, p)
     keep = v2 != 0
-    units, invs = _unit_inverses(p)
-    inv_table = np.zeros(p, dtype=np.int64)
-    inv_table[units] = invs
-    phase = _mod(v1[keep] * inv_table[v2[keep]], p)
+    # the unsigned inverses take v1's signed dtype: an unsigned times a
+    # signed array of one width promotes to the next width
+    invs = _unit_inverses(p)[1][v2[keep] - 1].astype(v1.dtype)
+    phase = _mod(v1[keep] * invs, p)
     value = _phase_sum(phase, p)
     bound = 2 * f.total_degree() * math.sqrt(p)
     return ExpSumValue(value, int(keep.sum()), abs(value) / bound)
 
 
 def _poly_eval_mod(coeffs: Sequence[int], xs: np.ndarray, p: int) -> np.ndarray:
+    """The polynomial with coefficients in [0, p), ascending, at every
+    residue of xs mod p, in xs's dtype, which must hold p^2."""
     out = np.zeros_like(xs)
     for c in reversed(coeffs):
         out = _mod(out * xs + c, p)

@@ -222,7 +222,7 @@ def root_pairs(r: int) -> np.ndarray:
     if r < 1:
         raise ValueError("root_pairs requires r >= 1")
     _require_int64_square(r, "r")
-    dtype = np.int32 if _fits_int32_square(r) else np.int64
+    dtype = _residue_dtype(r)
     k = np.arange(r, dtype=dtype)
     key = _mod(k * k, r)
     key *= r
@@ -272,6 +272,13 @@ def _fits_int32_square(n: int) -> bool:
     return n * n < 2 ** 31
 
 
+def _residue_dtype(n: int) -> type:
+    """The signed dtype of the residue kernels mod n: int32 while
+    n**2 < 2**31 (n <= 46340), int64 above, so that a product of two
+    residues, or a difference of two such products, never wraps."""
+    return np.int32 if _fits_int32_square(n) else np.int64
+
+
 def _vec_pow_mod(base: np.ndarray, e: int, p: int) -> np.ndarray:
     """Elementwise base**e mod p by square-and-multiply (p**2 < 2**63, e >= 0)."""
     if e < 0:
@@ -282,8 +289,9 @@ def _vec_pow_mod(base: np.ndarray, e: int, p: int) -> np.ndarray:
     while e:
         if e & 1:
             result = _mod(result * b, p)
-        b = _mod(b * b, p)
         e >>= 1
+        if e:  # no square past the exponent's top bit
+            b = _mod(b * b, p)
     return result
 
 
@@ -371,9 +379,9 @@ def _prime_power_residue_roots(v: np.ndarray, p: int,
                                a: int) -> Tuple[np.ndarray, np.ndarray]:
     """(t, k) for every root k mod p^a of every v[t] in [0, p^a), unordered:
     the array analogue of _sqrt_mod_prime_power, and the one numpy solver
-    of prime powers.  k has v's dtype, which must hold (p^a)^2: int64
-    from both callers, _residue_roots and criterion 1's check against
-    root_pairs.
+    of prime powers.  t and k have v's dtype, which must hold (p^a)^2
+    and v.size: int64 from _residue_roots, and _residue_dtype(p^a) from
+    criterion 1's check against root_pairs, int32 at every p^a <= 10^4.
 
     v = w p^beta, w a unit and beta even, has the roots
     p^(beta/2) x + s p^(a-beta/2) for every root x of w mod p^(a-beta)
@@ -382,7 +390,7 @@ def _prime_power_residue_roots(v: np.ndarray, p: int,
     out, and what is left at the end is v = 0, with the roots s p^ceil(a/2).
     """
     q = p ** a
-    t, w = np.arange(v.size), v
+    t, w = np.arange(v.size, dtype=v.dtype), v
     ts, ks = [], []
     for beta in range(0, a, 2):
         half = p ** (beta // 2)

@@ -7,6 +7,7 @@ bench/reference/accept_details.json.
 """
 
 import dataclasses
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -138,6 +139,37 @@ def test_criterion_01_rejects_a_solver_mutant(fault, monkeypatch):
     result = acceptance.criterion_1_sqrt_oracle(r_max=12, sample=0)
     assert not result.passed
     assert result.detail == "r=2: array solver pairs != root_pairs"
+
+
+def solver_pass(monkeypatch):
+    """(input dtype, sha256 of t and k as int64) of every call that
+    criterion 1 makes to the array solver, all of them passing."""
+    solve = sqrtmod._prime_power_residue_roots
+    calls = []
+
+    def recorded(v, p, a):
+        t, k = solve(v, p, a)
+        assert t.dtype == k.dtype == v.dtype
+        digest = hashlib.sha256(t.astype(np.int64).tobytes())
+        digest.update(k.astype(np.int64).tobytes())
+        calls.append((v.dtype, digest.hexdigest()))
+        return t, k
+
+    monkeypatch.setattr(acceptance, "_prime_power_residue_roots", recorded)
+    assert acceptance.criterion_1_sqrt_oracle(sample=0).passed
+    return calls
+
+
+def test_criterion_01_solver_pass_is_the_same_in_int64(monkeypatch, request):
+    # criterion 1 solves every prime power <= 10^4 in int32; with the
+    # dtype rule forced to int64 every (t, k) is the same, in one order
+    int32_calls = solver_pass(monkeypatch)
+    assert {dtype for dtype, _ in int32_calls} == {np.dtype(np.int32)}
+    request.getfixturevalue("int64_residues")
+    int64_calls = solver_pass(monkeypatch)
+    assert [dtype for dtype, _ in int64_calls] == [np.dtype(np.int64)] * len(
+        int32_calls)
+    assert [d for _, d in int64_calls] == [d for _, d in int32_calls]
 
 
 def test_criterion_02_root_count_formula():

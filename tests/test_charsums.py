@@ -170,6 +170,24 @@ def test_weighted_energy_paths_agree():
         assert out["rel_error"] < 1e-6
 
 
+def pair_sum_kernels():
+    """s4_direct values and weighted_energy dicts at small primes and at
+    46337, the largest prime with r^2 < 2^31."""
+    out = []
+    for r in (5, 31, 61, 46337):
+        out.append(s4_direct(S4Input(2, (1, -2, 3, r + 4), r)).value)
+        out.append(weighted_energy(r // 2, 3, r, TrigWeight.fejer(2)))
+    return out
+
+
+def test_pair_sum_kernels_are_the_same_in_int64(request):
+    # the squares c k^2 mod r are taken in int32 at every one of these r;
+    # forced to int64 they gather the same phases, bit for bit
+    int32_values = pair_sum_kernels()
+    request.getfixturevalue("int64_residues")
+    assert pair_sum_kernels() == int32_values
+
+
 def test_weighted_energy_constant_weight():
     # support only at h = 0: both paths reduce to (c0 R/r)^4 r^3
     r, R = 7, 3

@@ -7,6 +7,7 @@ import pytest
 
 from sievelab import expsums, oracles, sqrtmod
 from sievelab.acceptance import BOMBIERI_CORPUS
+from sievelab.arith import is_prime
 from sievelab.expsums import (RationalFunctionModP, _unit_inverses, esum_jh,
                               gauss_sum_closed, gauss_sum_direct, gcal,
                               gcal_bound, rational_expsum, unit_phases)
@@ -105,6 +106,38 @@ def test_esum_paired_equals_bare():
               (27, 57, 29, 5, -1), (49, -1, 51, 1, -1), (125, -1, 127, 7, -1),
               (360, -362, 362, 1, 0), (360, 720, -3, 1, 0)]
     for r, l, n, j, h in cases:
+        p = esum_jh(l, n, j, h, r, form="paired")
+        b = esum_jh(l, n, j, h, r, form="bare")
+        assert abs(p.value - b.value) < 1e-9 * r, (r, l, n, j, h)
+        assert p.terms == b.terms
+
+
+def paired_sums():
+    """paired esum_jh at every r <= 300 and at r = 46340, the last int32
+    modulus, as (value, terms, margin) tuples."""
+    out = []
+    for r in list(range(1, 301)) + [46340]:
+        for l, n, j, h in ((1, 2, 1, 1), (-3, 5, r - 1, 0), (7, -1, 1, -2)):
+            v = esum_jh(l, n, j, h, r)
+            out.append((v.value, v.terms, v.margin))
+    return out
+
+
+def test_paired_esum_is_the_same_in_int64(request):
+    # int32 kernels at every one of these r; forced to int64 every value
+    # is bit-identical, since each phase is the same exact residue
+    int32_sums = paired_sums()
+    assert sqrtmod.root_pairs(46340).dtype == np.int32
+    request.getfixturevalue("int64_residues")
+    assert sqrtmod.root_pairs(46340).dtype == np.int64
+    assert paired_sums() == int32_sums
+
+
+@pytest.mark.parametrize("r", [46340, 46341])
+def test_esum_paired_equals_bare_at_the_int32_bound(r):
+    # paired runs in int32 at 46340 = 2^2 5 7 331 and in int64 at
+    # 46341 = 3 13 29 41, where a product of two residues may pass 2^31
+    for l, n, j, h in ((1, 2, 1, 1), (-5, r + 3, 11, -1)):
         p = esum_jh(l, n, j, h, r, form="paired")
         b = esum_jh(l, n, j, h, r, form="bare")
         assert abs(p.value - b.value) < 1e-9 * r, (r, l, n, j, h)
@@ -328,6 +361,42 @@ def test_rational_expsum_matches_literal_sum():
             assert v.terms == terms
             compared += 1
     assert compared > 400
+
+
+def corpus_sums(ps):
+    """rational_expsum over criterion 7's corpus at each p of ps, as
+    (value, terms, margin) tuples, or the refusal's message."""
+    out = []
+    for p in ps:
+        for num, den in BOMBIERI_CORPUS:
+            try:
+                v = rational_expsum(RationalFunctionModP(num, den, p))
+            except ValueError as e:
+                out.append(str(e))
+                continue
+            out.append((v.value, v.terms, v.margin))
+    return out
+
+
+def test_rational_expsum_is_the_same_in_int64(request):
+    # criterion 7's corpus at every prime p <= 101 and at 46337, the
+    # largest prime with p^2 < 2^31: int32 kernels, then int64 ones
+    ps = [p for p in range(2, 102) if is_prime(p)] + [46337]
+    int32_sums = corpus_sums(ps)
+    request.getfixturevalue("int64_residues")
+    assert corpus_sums(ps) == int32_sums
+
+
+@pytest.mark.parametrize("p", [46337, 46349])
+def test_rational_expsum_matches_literal_sum_at_the_int32_bound(p):
+    # int32 at 46337, int64 at 46349, the next prime: degree 6 numerators,
+    # an inverse alone and a quartic denominator
+    for num, den in (((0, 1, 0, 0, 0, 0, 1), (1,)), ((1,), (0, 1)),
+                     ((0, 1, 1), (1, 0, 0, 0, 1))):
+        v = rational_expsum(RationalFunctionModP(num, den, p))
+        want, terms = rational_literal(num, den, p)
+        assert abs(v.value - want) < 1e-9 * p, (p, num, den)
+        assert v.terms == terms
 
 
 @pytest.fixture

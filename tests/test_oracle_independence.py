@@ -30,7 +30,8 @@ path it checks.  The pairs:
   criterion 1 checks against them; the squaring oracles above run with
   the solver patched too, so none reaches it;
 - 32-bit residue kernels: the fast tables and sums choose their dtype by
-  sqrtmod._fits_int32_square, which no oracle consults;
+  sqrtmod._fits_int32_square, the signed ones through
+  sqrtmod._residue_dtype, which no oracle consults;
 - factorization: the squaring oracles (both multiset kinds, brute E2, E4
   and F2, bare esum_jh) run with factorize patched, and so does their one
   size refusal, in oracles._square_groups, which therefore comes before
@@ -214,6 +215,7 @@ WIDTH_FAST_PATHS = {
     "esum_jh paired": FAST_PATHS["esum_jh paired"],
     "gcal": FAST_PATHS["gcal"],
     "rational_expsum": FAST_PATHS["rational_expsum"],
+    "s4_direct pairs": FAST_PATHS["s4_direct pairs"],
 }
 
 

@@ -312,11 +312,15 @@ def solver_root_sets(v, p, a):
 def test_prime_power_array_solver_matches_the_scalar_one(dtype):
     # the one array solver, behind the multisets' array pass, root set by
     # root set: every residue of small p^a (int32 holds them too, since
-    # q^2 < 2^31), then seeded residues of
+    # q^2 < 2^31), in int32 also the largest prime, power of 2 and power
+    # of 3 and a prime square below 46341, then seeded residues of
     # every valuation beta and v = 0 in int64, in shuffled order, where
     # the roots p^(beta/2) x + s p^(a - beta/2) of even beta are many
-    for p, a in ((2, 1), (2, 2), (2, 3), (3, 5), (5, 4), (7, 3), (2, 11),
-                 (9973, 1)):
+    cases = [(2, 1), (2, 2), (2, 3), (3, 5), (5, 4), (7, 3), (2, 11),
+             (9973, 1)]
+    if dtype is np.int32:
+        cases += [(46337, 1), (2, 15), (3, 9), (181, 2)]
+    for p, a in cases:
         v = np.arange(p ** a, dtype=dtype)
         want = [sqrtmod._sqrt_mod_prime_power(m, p, a) for m in range(p ** a)]
         assert solver_root_sets(v, p, a) == want, (p, a)
@@ -560,6 +564,19 @@ def test_mod_helper_equals_numpy_remainder(dtype):
             got = sqrtmod._mod(part, p)
             assert got.dtype == a.dtype
             assert np.array_equal(got, part % p), p
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_vec_pow_mod_equals_pow_for_every_small_exponent(dtype):
+    # bases of both signs and past p, which the helper reduces first; the
+    # largest p whose square each dtype holds, and p = 1
+    base = np.array([-7, -1, 0, 1, 2, 3, 5, 46339, 46340], dtype=dtype)
+    big = 46340 if dtype is np.int32 else 3037000499
+    for p in (1, 2, 7, 9973, big):
+        for e in range(131):
+            got = _vec_pow_mod(base, e, p)
+            assert got.dtype == dtype
+            assert got.tolist() == [pow(int(b), e, p) for b in base], (p, e)
 
 
 def test_vec_pow_mod_refuses_negative_exponent():
