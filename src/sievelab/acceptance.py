@@ -386,17 +386,17 @@ def criterion_8_s4(full_rs: Sequence[int] = (3, 5, 7, 11, 13),
             tables = np.stack([_pair_sum_table(r, j, h1, h2)
                                for h1, h2 in pairs])
             direct = tables @ tables.T  # direct[(h1,h2),(h3,h4)]
-            closed = list(s4_closed_rows(j, r, (p12 + p34 for p12 in pairs
-                                                for p34 in pairs)))
-            bad = (np.abs(np.reshape(closed, direct.shape) - direct)
-                   > 1e-9 * r ** 3)
+            closed = np.fromiter(s4_closed_rows(j, r, (
+                p12 + p34 for p12 in pairs for p34 in pairs)),
+                complex, count=len(pairs) ** 2)
+            bad = np.abs(closed.reshape(direct.shape) - direct) > 1e-9 * r ** 3
             if bad.any():
                 # the first failing h in (h1, h2)-major scan order
                 first = int(np.argmax(bad))
                 i1, i2 = divmod(first, len(pairs))
                 (h1, h2), (h3, h4) = pairs[i1], pairs[i2]
                 return False, (f"r={r} j={j} h=({h1},{h2},{h3},{h4}): "
-                               f"closed={closed[first]} "
+                               f"closed={complex(closed[first])} "
                                f"direct={direct[i1, i2]}")
             compared += len(closed)
     rng = np.random.default_rng(8)

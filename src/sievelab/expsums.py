@@ -9,11 +9,19 @@ within a few ulp of e_q(t) whatever the modulus.  The closed Gauss sum
 and the bare root-difference sum call the scalar oracles.e_frac instead;
 esum_jh(form="bare") is oracles.esum_bare.  Every modulus is an int.
 
-unit_phases and _unit_inverses keep their tables in one memo, _TABLES: the
-arrays are read-only and shared by every caller, the least recently used
-table goes first, and all of them together hold at most _TABLE_BUDGET
-bytes.  A library caller releases them with unit_phases.cache_clear().
-The fast paths reduce arrays by a scalar modulus through sqrtmod._mod.
+The units and inverses mod q come from two classical facts, not from
+inverting anything: (Z/p^a)* is cyclic for an odd prime p, so
+_unit_inverses(p^a) lists the powers g^t of its least generator and
+their inverses g^-t = g^(phi - t); and for a composite q, _unit_pairs
+combines its prime powers' tables with the CRT idempotents.
+
+unit_phases, _unit_inverses and _inverse_table keep their tables in one
+memo, _TABLES: the arrays are read-only and shared by every caller, the
+least recently used table goes first, and all of them together hold at
+most _TABLE_BUDGET bytes.  gcal keeps no table of a composite modulus,
+which criterion 5 asks for once each.  A library caller releases the
+tables with unit_phases.cache_clear().  The fast paths reduce arrays by
+a scalar modulus through sqrtmod._mod.
 """
 
 from __future__ import annotations
@@ -51,7 +59,9 @@ class _TableMemo:
     Decorating a function of q with the memo gives it lru_cache's
     cache_info() and cache_clear(): its own hits and misses, and the
     tables and bytes of the whole memo, which its functions share.
-    cache_clear() empties the memo and resets every count.
+    cache_clear() empties the memo and resets every count.  A call with
+    keep=False, for a table no later call is likely to read, returns a
+    kept table but keeps none that it builds.
     """
 
     def __init__(self) -> None:
@@ -70,7 +80,7 @@ class _TableMemo:
         self.counts.append(count)
 
         @functools.wraps(build)
-        def cached(q: int):
+        def cached(q: int, keep: bool = True):
             key = (build.__name__, q)
             kept = self.tables.get(key)
             if kept is not None:
@@ -80,10 +90,12 @@ class _TableMemo:
             count[1] += 1
             value = build(q)
             arrays = value if isinstance(value, tuple) else (value,)
+            sizes = {}  # by buffer: views of one buffer count it once
             for a in arrays:
                 a.flags.writeable = False
-            size = sum(_owned_nbytes(a) for a in arrays)
-            if size <= _TABLE_BUDGET:
+                sizes[id(a if a.base is None else a.base)] = _owned_nbytes(a)
+            size = sum(sizes.values())
+            if keep and size <= _TABLE_BUDGET:
                 while self.nbytes + size > _TABLE_BUDGET:
                     self.nbytes -= self.tables.popitem(last=False)[1][1]
                 self.tables[key] = (value, size)
@@ -115,9 +127,10 @@ def unit_phases(q: int) -> np.ndarray:
     return np.multiply.outer(high, low).ravel()[:q]
 
 
-def _phase_sum(t: np.ndarray, q: int) -> complex:
-    """Sum of e_q(t) over an int array t of residues in [0, q)."""
-    return complex(unit_phases(q)[t].sum())
+def _phase_sum(t: np.ndarray, q: int, keep: bool = True) -> complex:
+    """Sum of e_q(t) over an int array t of residues in [0, q), read from
+    unit_phases(q, keep=keep)."""
+    return complex(unit_phases(q, keep=keep)[t].sum())
 
 
 @dataclass(frozen=True)
@@ -146,9 +159,14 @@ class RationalFunctionModP:
             raise ValueError("denominator vanishes identically mod p")
 
     def reduced(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        f1 = _trim([c % self.p for c in self.numerator])
-        f2 = _trim([c % self.p for c in self.denominator])
-        return tuple(f1), tuple(f2)
+        return self._reduced
+
+    @functools.cached_property
+    def _reduced(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """(f1, f2) mod p without trailing zeros, computed once per
+        instance; not a field, so equality and hashing read the inputs."""
+        return (tuple(_trim([c % self.p for c in self.numerator])),
+                tuple(_trim([c % self.p for c in self.denominator])))
 
     def total_degree(self) -> int:
         f1, f2 = self.reduced()
@@ -262,47 +280,78 @@ def esum_jh(
     return ExpSumValue(total, terms, abs(total) / bound)
 
 
+def _least_generator(p: int, a: int) -> int:
+    """The least generator of the cyclic group (Z/p^a)*, p prime (a = 1
+    when p = 2): the least g that is a primitive root mod p, tested on the
+    primes l of p - 1 (g^((p-1)/l) != 1 mod p), and for a >= 2 also has
+    g^(p-1) != 1 mod p^2, since such a g generates (Z/p^a)* for every a
+    (Ireland and Rosen, A Classical Introduction to Modern Number Theory,
+    ch. 4).  At p = 40487 the least primitive root 5 fails mod p^2, and
+    the least generator mod p^a, a >= 2, is 10."""
+    primes = [l for l, _ in factorize(p - 1).factors]
+    return next(g for g in range(1, p ** a)
+                if all(pow(g, (p - 1) // l, p) != 1 for l in primes)
+                and (a == 1 or pow(g, p - 1, p * p) != 1))
+
+
 @_TABLES
 def _unit_inverses(q: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(units, inverses) unsigned arrays mod q: the units c in [1, q] with
-    gcd(c, q) = 1, ascending, and their inverses mod q (0 at q = 1);
-    uint32 when q^2 < 2^31, uint64 otherwise.
+    """(g^t mod q, g^-t mod q) for t in [0, phi(q)), g the least generator
+    of the cyclic group (Z/q)*, for q = 2 or q = p^a with p an odd prime:
+    unsigned arrays, uint32 when q^2 < 2^31, uint64 otherwise.
 
-    O(phi(q)) work.  The units are what remains of [1, q] once the
-    multiples of each prime of q are struck out.  The inverses come from
-    one batch inversion (Montgomery's trick) over a product tree: pairs
-    are multiplied mod q level by level up to the root, odd levels padded
-    with 1; the root is inverted once, and each node hands its inverse
-    down as inv(left) = inv(node) * right and inv(right) = inv(node) *
-    left.  Every product is of two residues, so it fits the dtype;
-    q^2 < 2^63 is required and refused before anything is allocated.
-    Both arrays are read-only and shared through _TABLES.
-    tests/test_expsums.py checks the tables against pow(c, -1, q) for
-    every q <= 2000 (each padding pattern up to about a thousand leaves),
-    for q = 2^k + 1 (phi(q) = 2^k, no padding), 2^k - 1 and 2^k + 3, and
-    on both sides of the uint32 bound.
+    g is _least_generator(p, a).  The powers g^0, ..., g^phi are the
+    flattened outer product of two rows of about sqrt(phi) powers, g^b
+    and g^(kB), as in unit_phases; each product is of two residues, so it
+    fits the dtype, and q^2 < 2^63 is required.
+    The inverses g^-t = g^(phi - t) are the same array read backwards
+    from g^phi = 1: one buffer, no inversion, scatter or sort.  Both
+    arrays are read-only and shared through _TABLES.
     """
     _require_int64_square(q, "q")
+    factors = factorize(q).factors
+    if len(factors) != 1 or (q % 2 == 0 and q != 2):
+        raise ValueError(f"q = {q} must be 2 or a power of an odd prime")
+    (p, a), = factors
+    g = _least_generator(p, a)
+    phi = q - q // p
+    B = math.isqrt(phi) + 1  # B^2 > phi, so the rows reach g^phi
     dtype = np.uint32 if _fits_int32_square(q) else np.uint64
-    keep = np.ones(q + 1, dtype=bool)
-    keep[0] = False
-    for p, _ in factorize(q).factors:
-        keep[::p] = False
-    units = np.flatnonzero(keep).astype(dtype)
-    levels = [units]
-    while levels[-1].size > 1:
-        level = levels[-1]
-        if level.size % 2:
-            level = levels[-1] = np.append(level, dtype(1))
-        levels.append(_mod(level[0::2] * level[1::2], q))
-    inv = np.array([pow(int(levels[-1][0]), -1, q)], dtype=dtype)
-    for level in reversed(levels[:-1]):
-        inv = inv[:level.size // 2]  # a padding 1 has no children
-        down = np.empty(level.size, dtype=dtype)
-        down[0::2] = _mod(inv * level[1::2], q)
-        down[1::2] = _mod(inv * level[0::2], q)
-        inv = down
-    return units, inv[:units.size]
+    rows = []
+    for step, size in ((g, B), (pow(g, B, q), phi // B + 1)):
+        row = [1]
+        while len(row) < size:
+            row.append(row[-1] * step % q)
+        rows.append(np.array(row, dtype=dtype))
+    powers = _mod(np.multiply.outer(rows[1], rows[0]).ravel()[:phi + 1], q)
+    return powers[:phi], powers[phi:0:-1]
+
+
+def _unit_pairs(q: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(units, inverses) mod an odd q >= 1, the table gcal sums over:
+    _unit_inverses(q) when q is a prime power, else the CRT outer sums of
+    its prime powers' tables, built per call and never kept in _TABLES.
+
+    With q_1 < q_2 < ... the prime powers of q and e_i their CRT
+    idempotents, the units are sum_i c_i e_i mod q over every choice of
+    c_i from _unit_inverses(q_i), the first index varying slowest, and
+    sum_i c_i^-1 e_i is the inverse of each; q = 1 gives ([0], [0]).
+    q^2 < 2^63 is refused before any table is built; each c_i e_i is
+    below q^2 and each sum below 2q, so uint32 holds them while
+    q^2 < 2^31, and uint64 above.
+    """
+    _require_int64_square(q, "q")
+    fm = factorize(q)
+    if len(fm.factors) == 1:
+        return _unit_inverses(q)
+    dtype = np.uint32 if _fits_int32_square(q) else np.uint64
+    units = inverses = np.zeros(1, dtype=dtype)
+    for qi, e in zip(fm.prime_powers, fm.crt_idempotents):
+        c, ic = (_mod(t.astype(dtype) * dtype(e), q)
+                 for t in _unit_inverses(qi))
+        units = _mod(np.add.outer(units, c).ravel(), q)
+        inverses = _mod(np.add.outer(inverses, ic).ravel(), q)
+    return units, inverses
 
 
 def gcal(q: int, a: int, b: int, j: int, k: int, u: int, s: int) -> ExpSumValue:
@@ -313,10 +362,11 @@ def gcal(q: int, a: int, b: int, j: int, k: int, u: int, s: int) -> ExpSumValue:
     array is built).  q = 1 returns the single term 1.  Expanding the
     square, the phase is a c + A c^-2 + C c^2 + D mod q with
     B = b (4 j s^3)^-1, A = B (jk)^2, C = B u^2 s^4 and D = -2 B jk u s^2
-    reduced as Python ints; the terms run over the memoized _unit_inverses
-    table in its own unsigned dtype (uint32 when q^2 < 2^31, else
-    uint64), where each sum of two products below q^2 cannot wrap, and
-    the residue phases are summed through unit_phases(q).
+    reduced as Python ints; the terms run over _unit_pairs(q), in
+    generator order for a prime power and CRT order otherwise, in its
+    unsigned dtype (uint32 when q^2 < 2^31, else uint64), where each sum
+    of two products below q^2 cannot wrap, and the residue phases are
+    summed through unit_phases(q), kept in _TABLES only for a prime power.
     tests/test_expsums.py checks it against oracles.gcal_literal, a
     scalar sum with pow(c, -1, q) and e_frac per term.
     """
@@ -326,13 +376,14 @@ def gcal(q: int, a: int, b: int, j: int, k: int, u: int, s: int) -> ExpSumValue:
         raise ValueError("gcal handles odd q only")
     if math.gcd(j * s, q) != 1:
         raise ValueError("need gcd(js, q) = 1")
-    c, ic = _unit_inverses(q)
+    c, ic = _unit_pairs(q)
     B = b * mod_inverse(4 * j * s ** 3, q)
     jk, us2 = j * k, u * s * s
     A, C, D = B * jk * jk % q, B * us2 * us2 % q, -2 * B * jk * us2 % q
     phase = _mod(_mod(a % q * c + A * _mod(ic * ic, q), q)
                  + C * _mod(c * c, q) + D, q)
-    return ExpSumValue(_phase_sum(phase, q), len(c))
+    prime_power = len(factorize(q).factors) == 1
+    return ExpSumValue(_phase_sum(phase, q, keep=prime_power), len(c))
 
 
 def gcal_bound(q: int, a: int, b: int, k: int, u: int) -> float:
@@ -341,14 +392,25 @@ def gcal_bound(q: int, a: int, b: int, k: int, u: int) -> float:
     return 12 * q ** 0.8 * g ** 0.2
 
 
+@_TABLES
+def _inverse_table(p: int) -> np.ndarray:
+    """c^-1 mod p at index c in [1, p), and 0 at index 0, for a prime p:
+    one scatter of _unit_inverses(p), which it does not keep, in
+    sqrtmod._residue_dtype(p), the dtype of rational_expsum's residues.
+    Read-only, shared through _TABLES."""
+    units, inverses = _unit_inverses(p, keep=False)
+    table = np.zeros(p, dtype=_residue_dtype(p))
+    table[units] = inverses
+    return table
+
+
 def rational_expsum(f: RationalFunctionModP) -> ExpSumValue:
     """S(f,p) over n mod p with f2(n) != 0; margin against 2 d_p(f) sqrt(p).
 
     The phases f1(n) f2(n)^-1 are exact residues mod p (p^2 < 2^63),
     summed through unit_phases(p).  f1 and f2 are evaluated by Horner's
     rule in sqrtmod._residue_dtype(p), int32 while p^2 < 2^31 and int64
-    above, and each inverse is read from _unit_inverses(p) at f2(n) - 1,
-    since the units of a prime are 1, ..., p - 1."""
+    above, and each inverse is read from _inverse_table(p) at f2(n)."""
     if f.is_constant():
         raise ValueError("bound requires f nonconstant mod p")
     p = f.p
@@ -358,10 +420,7 @@ def rational_expsum(f: RationalFunctionModP) -> ExpSumValue:
     v1 = _poly_eval_mod(f1, ns, p)
     v2 = _poly_eval_mod(f2, ns, p)
     keep = v2 != 0
-    # the unsigned inverses take v1's signed dtype: an unsigned times a
-    # signed array of one width promotes to the next width
-    invs = _unit_inverses(p)[1][v2[keep] - 1].astype(v1.dtype)
-    phase = _mod(v1[keep] * invs, p)
+    phase = _mod(v1[keep] * _inverse_table(p)[v2[keep]], p)
     value = _phase_sum(phase, p)
     bound = 2 * f.total_degree() * math.sqrt(p)
     return ExpSumValue(value, int(keep.sum()), abs(value) / bound)

@@ -8,7 +8,8 @@ import pytest
 from sievelab import expsums, oracles, sqrtmod
 from sievelab.acceptance import BOMBIERI_CORPUS
 from sievelab.arith import is_prime
-from sievelab.expsums import (RationalFunctionModP, _unit_inverses, esum_jh,
+from sievelab.expsums import (RationalFunctionModP, _inverse_table,
+                              _unit_inverses, _unit_pairs, esum_jh,
                               gauss_sum_closed, gauss_sum_direct, gcal,
                               gcal_bound, rational_expsum, unit_phases)
 from sievelab.oracles import e_frac, gcal_literal, rational_literal
@@ -280,37 +281,121 @@ def test_esum_paired_refuses_int64_overflow():
         esum_jh(1, 2, 1, 1, 3037000500)
 
 
+def prime_power_parts(q):
+    """The prime powers of q, ascending, by trial division."""
+    parts, p = [], 2
+    while q > 1:
+        if p * p > q:
+            p = q
+        if q % p == 0:
+            parts.append(1)
+            while q % p == 0:
+                q //= p
+                parts[-1] *= p
+        p += 1
+    return parts
+
+
+def generator_powers(q):
+    """g^t mod q for t < phi(q), g the least generator of (Z/q)*, for a
+    cyclic (Z/q)*: each unit's powers are listed until they return to 1."""
+    phi = sum(math.gcd(c, q) == 1 for c in range(1, q + 1))
+    for g in range(1, q + 1):
+        powers = [1 % q]
+        while len(powers) <= phi and (powers[-1] * g - 1) % q:
+            powers.append(powers[-1] * g % q)
+        if len(powers) == phi:
+            return powers
+
+
 def test_unit_inverses():
-    assert [a.tolist() for a in _unit_inverses(1)] == [[1], [0]]
-    # every q <= 2000 covers each padding pattern of the product tree up
-    # to about a thousand leaves; phi(q) is even for q > 2, so odd level
-    # sizes come from halving (phi = 6: 6 -> 3 -> 2 -> 1).  Beyond that:
-    # phi(q) = 2^k (q = 17, 257, 65537: no padding at any level), q next
-    # to 2^k, and moduli near 4e4 as the benchmark's cold gcal calls use.
-    # The tables are uint32 while q^2 < 2^31 (46339 below, 46341 above)
-    # and uint64 beyond, where products mod 2^16 + 3 pass 2^32
+    # a prime power's table lists the powers of the least generator of its
+    # unit group; a composite q's lists sum_i c_i e_i mod q over every
+    # choice of c_i from its prime powers' tables, the smallest prime power
+    # varying slowest (e_i the CRT idempotents); every inverse is pow's.
+    # Every odd q <= 2000, q = 2, phi(q) = 2^k (q = 17, 257, 65537), q next
+    # to 2^k, and odd moduli near 4e4 as the benchmark's cold gcal calls
+    # use.  The tables are uint32 while q^2 < 2^31 (46339 below, 46341
+    # above) and uint64 beyond, where products mod 2^16 + 3 pass 2^32
+    assert [a.tolist() for a in _unit_pairs(1)] == [[0], [0]]
+    assert [a.tolist() for a in _unit_inverses(2)] == [[1], [1]]
     rng = np.random.default_rng(7)
-    qs = list(range(1, 2001))
+    qs = list(range(3, 2001, 2))
     qs += [2 ** e + d for e in (8, 12, 16) for d in (-1, 1, 3)]
     qs += [9999, 39601, 46339, 46341]
-    qs += [int(q) for q in rng.integers(2, 40000, 20)]
+    qs += [int(q) for q in 2 * rng.integers(1, 20000, 20) + 1]
     for q in qs:
-        units, invs = _unit_inverses(q)
+        units, invs = _unit_pairs(q)
         assert units.dtype == invs.dtype == (np.uint32 if q <= 46340
                                              else np.uint64)
-        want = [c for c in range(1, q + 1) if math.gcd(c, q) == 1]
+        parts = prime_power_parts(q)
+        if len(parts) == 1:
+            assert all(a is b for a, b in zip(_unit_inverses(q), (units, invs)))
+        idempotents = [q // qi * pow(q // qi, -1, qi) % q for qi in parts]
+        want = [sum(c * e for c, e in zip(choice, idempotents)) % q
+                for choice in itertools.product(*map(generator_powers, parts))]
         assert units.tolist() == want, q
         assert invs.tolist() == [pow(c, -1, q) for c in want], q
 
 
+def test_least_generator_passes_a_root_that_fails_mod_p_squared():
+    # 5 is the least primitive root mod 40487, but 5^(p-1) = 1 mod p^2, so
+    # 5 generates no (Z/p^a)* with a >= 2.  Checked by the orders mod p^a
+    # alone: g^(phi/l) != 1 for each prime l of phi, and every smaller
+    # g' fails that test
+    p = 40487
+    for a in (1, 2, 3):
+        q, phi = p ** a, p ** (a - 1) * (p - 1)
+        primes = [l for l in (2, 31, 653, p) if phi % l == 0]
+        g = expsums._least_generator(p, a)
+        assert g == (5 if a == 1 else 10)
+        for h in range(1, g + 1):
+            generates = all(pow(h, phi // l, q) != 1 for l in primes)
+            assert generates == (h == g), (a, h)
+
+
+def test_unit_inverses_refuses_a_non_cyclic_or_composite_modulus():
+    # (Z/2^a)* is not cyclic for a >= 3; 4, 1 and composite q have no
+    # prime-power table either: _unit_pairs combines their factors'
+    for q in (4, 8, 2 ** 10, 1, 15, 45, 2 * 49):
+        with pytest.raises(ValueError, match="2 or a power of an odd prime"):
+            _unit_inverses(q)
+
+
+def test_inverse_table():
+    # c^-1 mod p at index c, 0 at index 0, in the signed dtype of
+    # rational_expsum's residues: int32 at 46337, int64 at 46349
+    for p in [p for p in range(2, 2001) if is_prime(p)] + [46337, 46349]:
+        table = _inverse_table(p)
+        assert table.dtype == sqrtmod._residue_dtype(p)
+        assert table.tolist() == [0] + [pow(c, -1, p) for c in range(1, p)], p
+
+
+def test_gcal_keeps_no_table_of_a_composite_modulus(fresh_tables):
+    # G(45 * 49) reads the tables of 5, 9 and 49 and keeps only those; the
+    # tables of 2205 and its phase table are built for the call alone
+    want = gcal_literal(2205, 3, 2, 1, 5, 4, 2)
+    assert abs(gcal(2205, 3, 2, 1, 5, 4, 2).value - want) < 1e-9 * 2205
+    assert sorted(expsums._TABLES.tables) == [
+        ("_unit_inverses", 5), ("_unit_inverses", 9), ("_unit_inverses", 49)]
+    gcal(49, 3, 2, 1, 5, 4, 2)
+    assert ("unit_phases", 49) in expsums._TABLES.tables
+    # keep=False still reads a table that another caller kept
+    kept = unit_phases(2205)
+    assert unit_phases(2205, keep=False) is kept
+
+
 def test_unit_inverses_refuses_int64_overflow(monkeypatch):
     # 3037000501^2 >= 2^63: gcal and rational_expsum refuse q (a product
-    # 313 * 9702877) and the prime p before any length-q array is built
+    # 313 * 9702877) and the prime p before any length-q array or any
+    # prime-power table is built
     def no_arrays(*args, **kwargs):
         raise AssertionError("allocated before the int64 check")
 
     monkeypatch.setattr(np, "arange", no_arrays)
     monkeypatch.setattr(np, "ones", no_arrays)
+    monkeypatch.setattr(np, "zeros", no_arrays)
+    monkeypatch.setattr(expsums, "_unit_inverses", no_arrays)
     with pytest.raises(ValueError, match="2\\^63"):
         gcal(3037000501, 1, 1, 1, 1, 1, 1)
     with pytest.raises(ValueError, match="2\\^63"):
@@ -333,10 +418,11 @@ def test_gcal_matches_literal_sum():
             done += 1
 
 
-@pytest.mark.parametrize("q", [46339, 46341, 65537])
+@pytest.mark.parametrize("q", [46335, 46339, 46341, 65537])
 def test_gcal_matches_literal_sum_at_the_uint32_bound(q):
-    # the phases run in uint32 below q^2 = 2^31 (46339) and in uint64
-    # above it (46341); at 65537 a product of two residues reaches 2^32
+    # the phases run in uint32 below q^2 = 2^31 (46339, and 3 * 5 * 3089
+    # from CRT tables) and in uint64 above it (3^2 * 19 * 271); at 65537 a
+    # product of two residues reaches 2^32
     rng = np.random.default_rng(q)
     a, b, k, u = (int(v) for v in rng.integers(0, q, 4))
     v = gcal(q, a, b, 1, k, u, 1)
@@ -437,7 +523,7 @@ def test_table_memo_evicts_the_least_recently_used_first(fresh_tables,
 def test_table_memo_stays_within_its_budget(fresh_tables, monkeypatch):
     budget = 2 ** 16
     monkeypatch.setattr(expsums, "_TABLE_BUDGET", budget)
-    for q in [101, 997, 1999, 3001, 101, 45, 1999, 2003, 4001]:
+    for q in [101, 997, 1999, 3001, 101, 49, 1999, 2003, 4001]:
         unit_phases(q)
         _unit_inverses(q)
         info = unit_phases.cache_info()
@@ -465,14 +551,18 @@ def test_table_memo_cache_info_and_cache_clear(fresh_tables):
     empty = unit_phases.cache_info()
     assert (empty.hits, empty.misses, empty.tables, empty.nbytes) == (0, 0, 0, 0)
     assert empty.budget == 2 ** 22
-    _unit_inverses(45)
-    _unit_inverses(45)
-    unit_phases(45)
+    _unit_inverses(49)
+    _unit_inverses(49)
+    unit_phases(49)
     # each function counts its own lookups; tables and bytes are shared
     inv, ph = _unit_inverses.cache_info(), unit_phases.cache_info()
     assert (inv.hits, inv.misses) == (1, 1)
     assert (ph.hits, ph.misses) == (0, 1)
     assert inv.tables == ph.tables == 2 and inv.nbytes == ph.nbytes > 0
+    # a unit table's two arrays view one buffer, counted once
+    units, invs = _unit_inverses(49)
+    assert units.base is invs.base
+    assert inv.nbytes == unit_phases(49).nbytes + units.base.nbytes
     # clearing through either function empties the one memo
     _unit_inverses.cache_clear()
     for f in (unit_phases, _unit_inverses):
