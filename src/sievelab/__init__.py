@@ -27,6 +27,7 @@ from .sqrtmod import (  # noqa: F401
 from .energies import (  # noqa: F401
     EnergyReport,
     energy_e2,
+    energy_e2_e4,
     energy_e4,
     energy_f2,
     kssz_check,

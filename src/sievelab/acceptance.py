@@ -23,7 +23,7 @@ from .arith import FactoredModulus, factorize, is_prime
 from .charsums import (S4Input, TrigWeight, s4_closed, s4_closed_rows,
                        s4_direct, weighted_energy)
 from .charsums import _pair_sum_table
-from .energies import energy_e2, energy_e4, energy_f2, kssz_check
+from .energies import energy_e2_e4, energy_f2, kssz_check
 from .expsums import (RationalFunctionModP, esum_jh, gauss_sum_closed,
                       gauss_sum_direct, gcal, gcal_bound, rational_expsum)
 from .oracles import (gcal_literal, gcd_power_sum, ls_lhs_literal,
@@ -145,17 +145,16 @@ def criterion_2_root_counts(q_max: int = 10 ** 4):
 
 @_criterion(3, "energy oracle")
 def criterion_3_energy_oracle(r_max: int = 60, R_max: int = 8):
-    """conv and brute energies agree exactly on the full small grid."""
+    """conv and brute energies agree exactly on the full small grid; each
+    side reads E2 and E4 from one energy_e2_e4 call."""
     compared = 0
     for r in range(1, r_max + 1):
         for j in range(1, r + 1):
             if math.gcd(j, r) != 1:
                 continue
             for R in range(1, min(R_max, r) + 1):
-                pairs = [
-                    (energy_e2(R, j, r, "conv"), energy_e2(R, j, r, "brute")),
-                    (energy_e4(R, j, r, "conv"), energy_e4(R, j, r, "brute")),
-                ]
+                pairs = list(zip(energy_e2_e4(R, j, r, "conv"),
+                                 energy_e2_e4(R, j, r, "brute")))
                 for h in (0, 1, 2):
                     pairs.append((energy_f2(R, j, h, r, "conv"),
                                   energy_f2(R, j, h, r, "brute")))
@@ -483,8 +482,8 @@ def criterion_10_monitors(prime_max: int = 2000, esum_rmax: int = 3000):
     e2theo = 0.0
     for r in primes:
         R = math.floor(r ** (1 / 3) + 1e-9)
-        h1 = max(h1, energy_e2(R, 1, r).ratio)
-        h2 = max(h2, energy_e4(R, 1, r).ratio)
+        e2, e4 = energy_e2_e4(R, 1, r)
+        h1, h2 = max(h1, e2.ratio), max(h2, e4.ratio)
         h3 = max(h3, energy_f2(R, 1, 1, r).ratio)
         e2theo = max(e2theo, kssz_check(r, 1, R)["e2_ratio"])
     esum_margin = 0.0

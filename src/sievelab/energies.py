@@ -2,7 +2,8 @@
 
 Fast path: cyclic self-convolution of the root multiset's sparse count
 vector in int64 numpy, in blocks of pair sums, once for E2/F2 and once
-more on the nonzero bins for E4.  Once the pairs outgrow one block, each
+more on the nonzero bins for E4 (energy_e2_e4 reads E2 from the same
+first pass).  Once the pairs outgrow one block, each
 unordered pair is formed once: a row block meets only the columns from
 its own start on, and a column past the block stands for both orders of
 its pair, so its weight is doubled.  A doubled weight is at most the bin
@@ -20,7 +21,7 @@ pair blocks run), and every transformed result must have nonnegative
 bins summing exactly to (sum of counts)^2, or it raises.  The sum of
 squared bins is one int64 dot whenever max(h) * sum(h) < 2^63 certifies
 it, and Python ints otherwise.  Oracle path (method "brute"):
-oracles.root_multiset squares every residue, and oracles.pair_energy
+oracles.root_multiset squares every residue, and oracles.pair_energies
 enumerates every ordered pair sum densely into r bins, which the
 squaring bounds by refusing r > 2^20 first.  Both read the multiset as
 sorted int64 (keys, counts) and return exact integers; before either
@@ -39,7 +40,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .arith import is_prime
-from .oracles import pair_energy, root_multiset
+from .oracles import pair_energies, root_multiset
 from .sqrtmod import build_root_multiset
 
 #: pair sums per block of the fast convolution (about 1 MB of int64 temporaries)
@@ -68,9 +69,10 @@ class EnergyReport:
 
 
 def _self_convolve(lam: np.ndarray, cnt: np.ndarray,
-                   r: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Nonzero bins (keys, h) of the cyclic self-convolution, keys ascending:
-    h[k] = sum of cnt[a] * cnt[b] over lam[a] + lam[b] = keys[k] (mod r), int64.
+                   r: int) -> Tuple[np.ndarray | None, np.ndarray]:
+    """Bins (keys, h) of the cyclic self-convolution, keys ascending: h[k] =
+    sum of cnt[a] * cnt[b] over lam[a] + lam[b] = keys[k] (mod r), int64.
+    Sparse bins are the nonzero ones; dense bins are all r, keys None.
 
     Exact when every bin fits int64; callers certify that.  lam holds
     residues in [0, r), r <= 2^63.  When one block of rows covers lam,
@@ -88,16 +90,17 @@ def _self_convolve(lam: np.ndarray, cnt: np.ndarray,
     unreduced, since numpy reads a negative index s as r + s, which is
     (a + b) mod r.  Dense bins come from a transform instead of pair
     blocks when the pairs outnumber _TRANSFORM_PAIRS_PER_BIN times the
-    transform length and its rounding bound holds (_transform_bins).
-    Otherwise each block adds r back to its negative sums, and pending
-    sums are merged into the sorted bins whenever they outnumber them.
+    transform length and its rounding bound holds (_transform_bins),
+    and then no block is formed.  Otherwise each block adds r back to
+    its negative sums, and pending sums are merged into the sorted bins
+    whenever they outnumber them.
     """
     minus_r = np.int64(-r)
     shifted = lam + minus_r
     rows = max(1, _BLOCK // max(1, lam.size))
-    if rows >= lam.size:  # one block of every ordered pair
-        blocks = [(np.add.outer(lam, shifted).ravel(),
-                   np.multiply.outer(cnt, cnt).ravel())] if lam.size else []
+    if rows >= lam.size:  # one block of every ordered pair, formed when read
+        blocks = ((np.add.outer(lam, shifted).ravel(),
+                   np.multiply.outer(cnt, cnt).ravel()) for _ in lam[:1])
     else:  # each unordered pair once: rows [i, i + rows) meet columns i..
         twice = cnt << 1
         blocks = ((np.add.outer(lam[i:i + rows], shifted[i:]).ravel(),
@@ -113,8 +116,7 @@ def _self_convolve(lam: np.ndarray, cnt: np.ndarray,
             h = np.zeros(r, dtype=np.int64)
             for sums, weights in blocks:
                 np.add.at(h, sums, weights)
-        keys = np.flatnonzero(h)
-        return keys, h[keys]
+        return None, h
     keys = h = np.zeros(0, dtype=np.int64)
     pending: List[Tuple[np.ndarray, np.ndarray]] = []
     size = 0
@@ -204,32 +206,36 @@ def _square_sum(h: np.ndarray, total: int) -> int:
 
 
 def _energy_from_multiset(keys: np.ndarray, counts: np.ndarray, r: int,
-                          fold: int, method: str) -> int:
-    """fold = 2 for E2/F2 (pair sums), 4 for E4 (quadruple sums), of the
-    multiset build_root_multiset returns: int64 keys strictly ascending in
-    [0, r) and their int64 counts.
+                          fold: int, method: str) -> Tuple[int, ...]:
+    """(E2,) for fold 2 (pair sums), (E2, E4) for fold 4 (and quadruple
+    sums from E2's nonzero bins), of the multiset build_root_multiset
+    returns: int64 keys strictly ascending in [0, r) and their int64 counts.
 
     Every count, weight and bin of either method is at most mass^fold, so
     mass^fold < 2^63 is required before any work and int64 never wraps;
     the mass is summed as Python ints, so a wrapping int64 sum of the
     counts cannot pass the test.  Method conv self-convolves, brute
-    enumerates (oracles.pair_energy).
+    enumerates (oracles.pair_energies).
     """
     mass = sum(counts.tolist())
     if mass ** fold >= 2 ** 63:
         raise ValueError(f"multiset mass = {mass} too large: mass^{fold} must "
                          "be < 2^63 for exact int64 energies")
     if method == "brute":
-        return pair_energy(keys, counts, r, fold)
+        return pair_energies(keys, counts, r, fold)
     keys, h = _self_convolve(keys, counts, r)
-    if fold == 4:
-        keys, h = _self_convolve(keys, h, r)
-    return _square_sum(h, mass ** fold)
+    if fold == 2:
+        return (_square_sum(h, mass ** 2),)
+    if keys is None:
+        keys = np.flatnonzero(h)
+        h = h[keys]
+    return (_square_sum(h, mass ** 2),
+            _square_sum(_self_convolve(keys, h, r)[1], mass ** 4))
 
 
 def _energy(R: int, j: int, h: int | None, r: int, fold: int,
-            method: str) -> int:
-    """The energy of the plain multiset (h None) or the difference
+            method: str) -> Tuple[int, ...]:
+    """The energies of the plain multiset (h None) or the difference
     multiset of h.  Method conv reads the fast builder, brute the oracle
     builder oracles.root_multiset, which factorizes nothing."""
     if method not in ("conv", "brute"):
@@ -240,19 +246,26 @@ def _energy(R: int, j: int, h: int | None, r: int, fold: int,
 
 def energy_e2(R: int, j: int, r: int, method: str = "conv") -> EnergyReport:
     """Quadruples (k1..k4) with ki^2 = j*mi, mi in [1,R], k1+k2 = k3+k4 mod r."""
-    e = _energy(R, j, None, r, 2, method)
+    e, = _energy(R, j, None, r, 2, method)
     return EnergyReport("E2", R, j, None, r, e, R ** 4 / r + R ** 2, method)
+
+
+def energy_e2_e4(R: int, j: int, r: int, method: str = "conv"
+                 ) -> Tuple[EnergyReport, EnergyReport]:
+    """energy_e2 and energy_e4 from one build and one first pass."""
+    e2, e4 = _energy(R, j, None, r, 4, method)
+    return (EnergyReport("E2", R, j, None, r, e2, R ** 4 / r + R ** 2, method),
+            EnergyReport("E4", R, j, None, r, e4, R ** 8 / r + R ** 4, method))
 
 
 def energy_e4(R: int, j: int, r: int, method: str = "conv") -> EnergyReport:
     """8-tuple analogue of energy_e2 (4-vs-4 sums)."""
-    e = _energy(R, j, None, r, 4, method)
-    return EnergyReport("E4", R, j, None, r, e, R ** 8 / r + R ** 4, method)
+    return energy_e2_e4(R, j, r, method)[1]
 
 
 def energy_f2(R: int, j: int, h: int, r: int, method: str = "conv") -> EnergyReport:
     """Additive energy of root differences f(m) = sqrt(j(m+h)) - sqrt(jm)."""
-    e = _energy(R, j, h, r, 2, method)
+    e, = _energy(R, j, h, r, 2, method)
     hr = math.gcd(h, r)
     return EnergyReport("F2", R, j, h, r, e, hr * R ** 4 / r + R ** 2, method)
 

@@ -3,8 +3,8 @@ sievelab is checked against, each written from its definition.
 
 - root_multiset, for sqrtmod.build_root_multiset: squares every residue
   (_square_groups) and counts the roots of each m in a dict;
-- pair_energy, for the energies' method "brute": enumerates every
-  ordered pair sum (_dense_pair_hist);
+- pair_energies, for the energies' method "brute": enumerates every
+  ordered pair sum once (_dense_pair_hist), for E2 and E4 alike;
 - esum_bare, for expsums.esum_jh(form="bare"): the root-difference sum
   over the squaring groups, one e_frac per term;
 - gcal_literal and rational_literal, for expsums.gcal and
@@ -47,7 +47,7 @@ def e_frac(num: int, den: int) -> complex:
 
 
 #: largest r that _square_groups squares: its groups hold O(r) Python
-#: tuples, and pair_energy counts its pair sums in r bins (8 MB of int64)
+#: tuples, and pair_energies counts its pair sums in r bins (8 MB of int64)
 _ORACLE_MAX_R = 1 << 20
 
 
@@ -115,25 +115,28 @@ def _dense_pair_hist(values: np.ndarray, r: int) -> np.ndarray:
     return np.bincount(sums, minlength=r).astype(np.int64)
 
 
-def pair_energy(keys: np.ndarray, counts: np.ndarray, r: int,
-                fold: int) -> int:
-    """The energy of a multiset (keys, counts) mod r, by enumeration: the
-    sum of squared bins of its pair sums (fold 2) or of the pair sums of
-    those bins (fold 4).
+def pair_energies(keys: np.ndarray, counts: np.ndarray, r: int,
+                  fold: int) -> Tuple[int, ...]:
+    """The energies of a multiset (keys, counts) mod r, by enumeration:
+    (E2,) for fold 2, the sum of squared bins of its pair sums, and
+    (E2, E4) for fold 4, E4 that of the pair sums of the same bins.
 
     Each key is repeated by its count and every ordered pair summed into
-    r dense bins; fold 4 then adds the bins' own pair sums, weighted by
-    the product of two bins.  The caller certifies mass^fold < 2^63, so
-    no int64 bin wraps; the squares are summed as Python ints.
+    r dense bins, once; fold 4 then adds the bins' own pair sums,
+    weighted by the product of two bins.  The caller certifies
+    mass^fold < 2^63, so no int64 bin wraps; the squares are summed as
+    Python ints.
     """
     h = _dense_pair_hist(np.repeat(keys, counts), r)
+    energies = [sum(c * c for c in h.tolist())]
     if fold == 4:
         support = np.nonzero(h)[0]
         sums = np.add.outer(support, support).ravel() % r
         weights = np.multiply.outer(h[support], h[support]).ravel()
         h = np.zeros(r, dtype=np.int64)
         np.add.at(h, sums, weights)
-    return sum(c * c for c in h.tolist())
+        energies.append(sum(c * c for c in h.tolist()))
+    return tuple(energies)
 
 
 def esum_bare(l: int, n: int, j: int, h: int, r: int) -> Tuple[complex, int]:

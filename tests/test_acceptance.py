@@ -184,24 +184,65 @@ def test_criterion_03_energy_oracle_full_grid():
     assert result.elapsed_s <= 120
 
 
-def test_criterion_03_rejects_a_moved_root_difference(monkeypatch):
-    # a fast difference builder that moves one difference to the next
-    # residue keeps the mass; brute reads the oracle builder, so F2 differs
-    build = energies.build_root_multiset
-
+def moved_root_builder(build, plain):
+    """build with one value of each plain (plain True) or each difference
+    multiset moved to the next residue; the mass is kept."""
     def moved(R, j, r, h=None):
         keys, counts = build(R, j, r, h)
-        if h is None or not keys.size:
+        if (h is None) != plain or not keys.size:
             return keys, counts
         values = np.repeat(keys, counts)
         values[0] = (values[0] + 1) % r
         keys, counts = np.unique(values, return_counts=True)
         return keys, counts.astype(np.int64)
+    return moved
 
-    monkeypatch.setattr(energies, "build_root_multiset", moved)
+
+def test_criterion_03_rejects_a_moved_root_difference(monkeypatch):
+    # a fast difference builder that moves one difference to the next
+    # residue keeps the mass; brute reads the oracle builder, so F2 differs
+    monkeypatch.setattr(energies, "build_root_multiset", moved_root_builder(
+        energies.build_root_multiset, plain=False))
     result = acceptance.criterion_3_energy_oracle(r_max=12, R_max=4)
     assert not result.passed
     assert result.detail.startswith("F2 mismatch"), result.detail
+
+
+def test_criterion_03_rejects_a_moved_plain_root(monkeypatch):
+    # the plain multiset feeds E2 and E4 through one first pass; one root
+    # moved must show in the E2 comparison, which comes first
+    monkeypatch.setattr(energies, "build_root_multiset", moved_root_builder(
+        energies.build_root_multiset, plain=True))
+    result = acceptance.criterion_3_energy_oracle(r_max=12, R_max=4)
+    assert not result.passed
+    assert result.detail.startswith("E2 mismatch"), result.detail
+
+
+def test_criterion_03_rejects_a_moved_bin_of_the_e4_pass(monkeypatch):
+    # E4's second pass, the second self-convolution of one energy, moves
+    # one unit of its first nonzero bin to the next residue; E2 reads the
+    # first pass alone, so only the E4 comparison can see it
+    energy, convolve = energies._energy_from_multiset, energies._self_convolve
+    passes = []
+
+    def counted(*args):
+        passes.clear()
+        return energy(*args)
+
+    def moved(lam, cnt, r):
+        keys, h = convolve(lam, cnt, r)
+        passes.append(1)
+        if len(passes) == 2 and h.any():  # dense bins: h[k] is bin k
+            k = int(np.flatnonzero(h)[0])
+            h[k] -= 1
+            h[(k + 1) % r] += 1
+        return keys, h
+
+    monkeypatch.setattr(energies, "_energy_from_multiset", counted)
+    monkeypatch.setattr(energies, "_self_convolve", moved)
+    result = acceptance.criterion_3_energy_oracle(r_max=12, R_max=4)
+    assert not result.passed
+    assert result.detail.startswith("E4 mismatch"), result.detail
 
 
 def test_criterion_04_gauss_closed_form():

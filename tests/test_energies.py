@@ -9,7 +9,7 @@ import pytest
 
 from sievelab import energies, oracles
 from sievelab.energies import (_energy_from_multiset, _square_sum, energy_e2,
-                               energy_e4, energy_f2, kssz_check)
+                               energy_e2_e4, energy_e4, energy_f2, kssz_check)
 from sievelab.sqrtmod import build_root_multiset, sqrt_mod_all
 
 #: a prime far above any dense histogram of the fast kernel
@@ -111,9 +111,9 @@ def test_large_prime_energies_match_literal_counts():
     # every bin lies far apart at r ~ 1e9, so the kernel keeps sparse bins
     keys, counts = build_root_multiset(8, 1, BIG_PRIME)
     values = np.repeat(keys, counts).tolist()
-    assert (_energy_from_multiset(keys, counts, BIG_PRIME, 2, "conv")
+    assert (_energy_from_multiset(keys, counts, BIG_PRIME, 2, "conv")[-1]
             == brute_e2(8, 1, BIG_PRIME))
-    assert (_energy_from_multiset(keys, counts, BIG_PRIME, 4, "conv")
+    assert (_energy_from_multiset(keys, counts, BIG_PRIME, 4, "conv")[-1]
             == literal_energy(values, BIG_PRIME, 4))
     R, j, h = 6, 3, 1
     assert (energy_f2(R, j, h, BIG_PRIME).energy
@@ -144,7 +144,7 @@ def test_tables_near_2_63_do_not_wrap(r):
     table = {r - 1: 2, r - 2: 1, r // 2: 3, r // 3: 1, 5: 2}
     values = [lam for lam, c in table.items() for _ in range(c)]
     for fold in (2, 4):
-        assert (_energy_from_multiset(*multiset(table), r, fold, "conv")
+        assert (_energy_from_multiset(*multiset(table), r, fold, "conv")[-1]
                 == literal_energy(values, r, fold))
 
 
@@ -153,7 +153,7 @@ def test_sparse_bins_merge_across_blocks():
     r = 10 ** 12 + 39
     table = {(k * 7919 ** 3) % r: 1 + k % 3 for k in range(400)}
     values = [lam for lam, c in table.items() for _ in range(c)]
-    assert (_energy_from_multiset(*multiset(table), r, 2, "conv")
+    assert (_energy_from_multiset(*multiset(table), r, 2, "conv")[-1]
             == literal_energy(values, r, 2))
 
 
@@ -181,6 +181,37 @@ def test_sparse_bins_match_brute_on_grid(monkeypatch):
                     == energy_f2(R, 1, 2, r, "brute").energy)
 
 
+def criterion_3_subgrid():
+    """(r, j, R) of criterion 3's grid at r <= 30 and j in (1, 2, 3)."""
+    for r in range(1, 31):
+        for j in (1, 2, 3):
+            if math.gcd(j, r) == 1:
+                for R in range(1, min(8, r) + 1):
+                    yield r, j, R
+
+
+def conv_matches_brute_on_criterion_3_subgrid():
+    """Compare conv with brute for E2, E4 and F2 (h = 0, 1, 2) at every
+    point of the subgrid; returns the number of comparisons."""
+    compared = 0
+    for r, j, R in criterion_3_subgrid():
+        reps = [lambda m: energy_e2(R, j, r, m),
+                lambda m: energy_e4(R, j, r, m)]
+        reps += [lambda m, h=h: energy_f2(R, j, h, r, m) for h in (0, 1, 2)]
+        for rep in reps:
+            assert rep("conv").energy == rep("brute").energy
+            compared += 1
+    return compared
+
+
+def e2_e4_match_the_single_energies_on_criterion_3_subgrid():
+    """energy_e2_e4 equals (energy_e2, energy_e4) exactly, both methods."""
+    for r, j, R in criterion_3_subgrid():
+        for m in ("conv", "brute"):
+            assert (energy_e2_e4(R, j, r, m)
+                    == (energy_e2(R, j, r, m), energy_e4(R, j, r, m)))
+
+
 @pytest.mark.parametrize("dense_bins", [energies._DENSE_BINS, 0])
 @pytest.mark.parametrize("block", [1, 2, 5, 2 ** 62])
 def test_pair_blocks_match_brute_on_criterion_3_subgrid(block, dense_bins,
@@ -188,23 +219,13 @@ def test_pair_blocks_match_brute_on_criterion_3_subgrid(block, dense_bins,
     # blocks of 1, 2 and 5 pair sums split even these tiny tables into
     # row blocks, each pairing only with the columns from its own start,
     # with a doubled weight past the block; 2^62 keeps every table in one
-    # block of every ordered pair.  Dense and sparse bins both run.
+    # block of every ordered pair.  Dense and sparse bins both run, and
+    # E2 and E4 from one first pass equal those of separate calls.
     monkeypatch.setattr(energies, "_BLOCK", block)
     monkeypatch.setattr(energies, "_DENSE_BINS", dense_bins)
     monkeypatch.setattr(energies, "_TRANSFORM_PAIRS_PER_BIN", math.inf)
-    compared = 0
-    for r in range(1, 31):
-        for j in (1, 2, 3):
-            if math.gcd(j, r) != 1:
-                continue
-            for R in range(1, min(8, r) + 1):
-                reps = [lambda m: energy_e2(R, j, r, m),
-                        lambda m: energy_e4(R, j, r, m)]
-                reps += [lambda m, h=h: energy_f2(R, j, h, r, m) for h in (0, 1, 2)]
-                for rep in reps:
-                    assert rep("conv").energy == rep("brute").energy
-                    compared += 1
-    assert compared == 2275
+    assert conv_matches_brute_on_criterion_3_subgrid() == 2275
+    e2_e4_match_the_single_energies_on_criterion_3_subgrid()
 
 
 def test_doubled_weight_at_the_certificate_edge(monkeypatch):
@@ -214,11 +235,11 @@ def test_doubled_weight_at_the_certificate_edge(monkeypatch):
     monkeypatch.setattr(energies, "_BLOCK", 1)
     a = 1518500249
     assert (2 * a) ** 2 < 2 ** 63
-    assert (_energy_from_multiset(*multiset({0: a, 1: a}), 7, 2, "conv")
+    assert (_energy_from_multiset(*multiset({0: a, 1: a}), 7, 2, "conv")[-1]
             == 31901471815810146514474952569620744006)  # 6 a^4
     a = 27554
     assert (2 * a) ** 4 < 2 ** 63 <= (2 * a + 1) ** 4
-    assert (_energy_from_multiset(*multiset({0: a, 1: a}), 7, 4, "conv")
+    assert (_energy_from_multiset(*multiset({0: a, 1: a}), 7, 4, "conv")[-1]
             == 23258155648387961713069597867047339520)  # 70 a^8
 
 
@@ -226,7 +247,7 @@ def test_int64_certificate_at_boundary():
     # 3037000499^2 < 2^63 <= 3037000500^2 and 55108^4 < 2^63 <= 55109^4;
     # accepted cases run "conv" only, since "brute" expands the multiset
     for fold, mass in ((2, 3037000499), (4, 55108)):
-        assert (_energy_from_multiset(*multiset({0: mass}), 7, fold, "conv")
+        assert (_energy_from_multiset(*multiset({0: mass}), 7, fold, "conv")[-1]
                 == mass ** (2 * fold))
         for method in ("conv", "brute"):
             with pytest.raises(ValueError, match="2\\^63"):
@@ -270,14 +291,14 @@ def test_square_sum_certificate_on_both_sides(fold, a, dot, monkeypatch):
     assert _square_sum(h, mass ** fold) == python_sum
     monkeypatch.undo()
     assert len(dots) == dot
-    assert (_energy_from_multiset(*multiset({0: a, 1: a}), 7, fold, "conv")
+    assert (_energy_from_multiset(*multiset({0: a, 1: a}), 7, fold, "conv")[-1]
             == python_sum)
     assert python_sum == (6 * a ** 4 if fold == 2 else 70 * a ** 8)
 
 
 def test_square_sum_of_an_empty_table():
     assert _square_sum(np.zeros(0, dtype=np.int64), 0) == 0
-    assert _energy_from_multiset(*multiset({}), 7, 4, "conv") == 0
+    assert _energy_from_multiset(*multiset({}), 7, 4, "conv") == (0, 0)
 
 
 def count_transforms(monkeypatch):
@@ -291,28 +312,53 @@ def count_transforms(monkeypatch):
 def test_transform_regime_matches_brute_on_criterion_3_subgrid(threshold,
                                                                monkeypatch):
     # threshold 0 sends every nonempty self-convolution through the
-    # transform, both E4 passes included; infinity sends none
+    # transform, both E4 passes included; infinity sends none.  Then E2
+    # and E4 from one first pass equal those of separate calls.
     monkeypatch.setattr(energies, "_TRANSFORM_PAIRS_PER_BIN", threshold)
     lengths = count_transforms(monkeypatch)
     nonempty, convolve = [], energies._self_convolve
     monkeypatch.setattr(energies, "_self_convolve", lambda lam, cnt, r: (
         nonempty.append(lam.size > 0) or convolve(lam, cnt, r)))
-    compared = 0
-    for r in range(1, 31):
-        for j in (1, 2, 3):
-            if math.gcd(j, r) != 1:
-                continue
-            for R in range(1, min(8, r) + 1):
-                reps = [lambda m: energy_e2(R, j, r, m),
-                        lambda m: energy_e4(R, j, r, m)]
-                reps += [lambda m, h=h: energy_f2(R, j, h, r, m) for h in (0, 1, 2)]
-                for rep in reps:
-                    assert rep("conv").energy == rep("brute").energy
-                    compared += 1
-    assert compared == 2275
+    assert conv_matches_brute_on_criterion_3_subgrid() == 2275
     assert len(lengths) == (sum(nonempty) if threshold == 0 else 0)
     assert sum(nonempty) == 2159
     assert all(n & (n - 1) == 0 for n in lengths)
+    e2_e4_match_the_single_energies_on_criterion_3_subgrid()
+
+
+def test_transform_forms_no_pair_sum(monkeypatch):
+    # the transform reads the counts alone, so a single-block call that
+    # takes it forms no block of pair sums: at threshold 0 no np.add.outer
+    # runs inside energies, while at infinity the same call forms one
+    outer = []
+
+    class CountingAdd:
+        def __getattr__(self, name):
+            return getattr(np.add, name)
+
+        @staticmethod
+        def outer(a, b):
+            outer.append(1)
+            return np.add.outer(a, b)
+
+    class CountingNumpy:
+        add = CountingAdd()
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    monkeypatch.setattr(energies, "np", CountingNumpy())
+    lengths = count_transforms(monkeypatch)
+    lam, cnt = multiset({0: 1, 3: 2, 5: 1})
+    bins = []
+    for threshold, formed in ((0, 0), (math.inf, 1)):
+        monkeypatch.setattr(energies, "_TRANSFORM_PAIRS_PER_BIN", threshold)
+        outer.clear()
+        keys, h = energies._self_convolve(lam, cnt, 7)
+        assert keys is None and len(outer) == formed
+        bins.append(h.tolist())
+    assert lengths == [16]
+    assert bins[0] == bins[1] == [1, 4, 0, 5, 0, 2, 4]
 
 
 def test_transform_gives_literal_energies_at_scale(monkeypatch):
@@ -333,12 +379,12 @@ def test_transform_bound_failure_takes_the_pair_blocks(monkeypatch):
     lengths = count_transforms(monkeypatch)
     a = 1518500249
     assert energies._transform_error_bound(2.0 * a * a, 16) >= 0.25
-    assert (_energy_from_multiset(*multiset({0: a, 1: a}), 7, 2, "conv")
+    assert (_energy_from_multiset(*multiset({0: a, 1: a}), 7, 2, "conv")[-1]
             == 6 * a ** 4)
     assert lengths == []
     a = 10 ** 6
     assert energies._transform_error_bound(2.0 * a * a, 16) < 0.25
-    assert (_energy_from_multiset(*multiset({0: a, 1: a}), 7, 2, "conv")
+    assert (_energy_from_multiset(*multiset({0: a, 1: a}), 7, 2, "conv")[-1]
             == 6 * a ** 4)
     assert lengths == [16]
 

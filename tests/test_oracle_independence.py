@@ -17,7 +17,8 @@ path it checks.  The pairs:
   the weights nor unit_phases;
 - energies: conv self-convolves (_self_convolve) and sums the squared bins
   with a certified int64 dot (_square_sum), brute enumerates every pair
-  sum (oracles._dense_pair_hist);
+  sum (oracles._dense_pair_hist); energy_e2_e4 reads both E2 and E4 of
+  one side from one first pass, so neither side reaches the other's;
 - root multisets: for both kinds the oracle (oracles.root_multiset)
   squares every residue (oracles._square_groups) and the fast builder
   solves: sqrt_mod_all per m, or, at R >= _ARRAY_MIN_R, the array solver
@@ -51,7 +52,7 @@ import pytest
 
 from sievelab import arith, energies, expsums, oracles, sieve, sqrtmod
 from sievelab.charsums import S4Input, s4_closed, s4_closed_rows, s4_direct
-from sievelab.energies import energy_e2, energy_e4, energy_f2
+from sievelab.energies import energy_e2, energy_e2_e4, energy_e4, energy_f2
 from sievelab.expsums import (RationalFunctionModP, esum_jh, gauss_sum_closed,
                               gauss_sum_direct, gcal, rational_expsum)
 from sievelab.oracles import (gcal_literal, ls_lhs_literal, px_count_literal,
@@ -136,6 +137,7 @@ def test_fast_path_uses_the_phase_table(name, no_phase_table):
 ENERGIES = {
     "E2": lambda method: energy_e2(8, 2, 21, method),
     "E4": lambda method: energy_e4(8, 2, 21, method),
+    "E2 E4": lambda method: energy_e2_e4(8, 2, 21, method)[0],
     "F2": lambda method: energy_f2(8, 2, 1, 21, method),
 }
 
@@ -242,6 +244,8 @@ SQUARING_ORACLES = {
                  lambda r: energy_e2(8, 1, r, "conv")),
     "E4 brute": (lambda r: energy_e4(8, 1, r, "brute"),
                  lambda r: energy_e4(8, 1, r, "conv")),
+    "E2 E4 brute": (lambda r: energy_e2_e4(8, 1, r, "brute"),
+                    lambda r: energy_e2_e4(8, 1, r, "conv")),
     "F2 brute": (lambda r: energy_f2(8, 1, 1, r, "brute"),
                  lambda r: energy_f2(8, 1, 1, r, "conv")),
     "esum_jh bare": (lambda r: esum_jh(3, 5, 1, 1, r, form="bare"),
