@@ -5,8 +5,8 @@ monitors (10).  Monitors only report ratios and never fail.
 
 Every criterion reports through one path: its body returns (passed,
 detail), and the @_criterion(number, name, monitor) decorator times the
-body and builds the CriterionResult, so no body names its number, its
-name or a clock.
+body, builds the CriterionResult and enters the criterion in CRITERIA
+under its number, so no body names its number, its name or a clock.
 """
 
 from __future__ import annotations
@@ -50,9 +50,14 @@ class CriterionResult:
                 f"{self.detail} [{self.elapsed_s:.1f}s]")
 
 
+#: every criterion by its number, entered by @_criterion
+CRITERIA: Dict[int, Callable[..., CriterionResult]] = {}
+
+
 def _criterion(number: int, name: str, monitor: bool = False):
     """Decorate a criterion body returning (passed, detail) into a function
-    with the same parameters that returns the timed CriterionResult."""
+    with the same parameters that returns the timed CriterionResult, and
+    enter it in CRITERIA as criterion `number`."""
     def decorate(body: Callable[..., Tuple[bool, str]]
                  ) -> Callable[..., CriterionResult]:
         @functools.wraps(body)
@@ -61,6 +66,7 @@ def _criterion(number: int, name: str, monitor: bool = False):
             passed, detail = body(*args, **kwargs)
             return CriterionResult(number, name, passed, monitor, detail,
                                    time.perf_counter() - t0)
+        CRITERIA[number] = run
         return run
     return decorate
 
@@ -117,7 +123,7 @@ def criterion_1_sqrt_oracle(r_max: int = 10 ** 4, sample: int = 2000):
             return False, f"r={r}: rows not strictly increasing in (m, k)"
         if r in prime_powers:
             t, ks = _prime_power_residue_roots(
-                np.arange(r, dtype=_residue_dtype(r)), *prime_powers[r])
+                np.arange(r, dtype=_residue_dtype(r, "r")), *prime_powers[r])
             if not np.array_equal(np.sort(t * r + ks), key):
                 return False, f"r={r}: array solver pairs != root_pairs"
     checked = 0
@@ -502,19 +508,6 @@ def criterion_10_monitors(prime_max: int = 2000, esum_rmax: int = 3000):
                   f"{e2theo:.3f}; root-difference sum margin {esum_margin:.3f} "
                   f"(odd r <= {esum_rmax}); P(x): " + "; ".join(px_lines))
 
-
-CRITERIA: Dict[int, Callable[[], CriterionResult]] = {
-    1: criterion_1_sqrt_oracle,
-    2: criterion_2_root_counts,
-    3: criterion_3_energy_oracle,
-    4: criterion_4_gauss,
-    5: criterion_5_appendix,
-    6: criterion_6_sieve_constants,
-    7: criterion_7_bombieri,
-    8: criterion_8_s4,
-    9: criterion_9_gcd_sums,
-    10: criterion_10_monitors,
-}
 
 SUITES: Dict[str, Sequence[int]] = {
     "oracles": (1, 2, 3),

@@ -28,7 +28,7 @@ import numpy as np
 from .arith import (DEFAULT_BUDGET, BudgetExceeded, eps_q, is_prime, jacobi,
                     mod_inverse)
 from .expsums import ExpSumValue, unit_phases
-from .sqrtmod import _require_int64_square, _residue_dtype
+from .sqrtmod import _residue_dtype
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ def _pair_sum_table(r: int, j: int, a1: int, a2: int) -> np.ndarray:
     residues c k^2 mod r, taken in sqrtmod._residue_dtype(r), where each
     product, below r^2, fits."""
     jinv = mod_inverse(j, r)
-    ks = np.arange(r, dtype=_residue_dtype(r))
+    ks = np.arange(r, dtype=_residue_dtype(r, "r"))
     sq = ks * ks % r
     phases = unit_phases(r)
     return _cyclic_pair_sums(phases[jinv * a1 % r * sq % r],
@@ -127,9 +127,8 @@ def s4_direct(inp: S4Input) -> ExpSumValue:
 
     Sum over (k1..k4) mod r with k1 + k2 = k3 + k4 (mod r) of
     e_r(jbar(h1 k1^2 + h2 k2^2 + h3 k3^2 + h4 k4^2)), factored through
-    two pair-sum tables (exact rearrangement, one transform each).  Its
-    charge r*ceil(log2 r) also keeps r^2 < 2^63 for their squares k^2,
-    int64 once r > 46340.
+    two pair-sum tables (exact rearrangement, one transform each), after
+    the charge r*ceil(log2 r); the tables' width rule refuses r^2 >= 2^63.
     """
     r, j = inp.r, inp.j
     h1, h2, h3, h4 = inp.h
@@ -252,8 +251,7 @@ def weighted_energy(R: int, j: int, r: int, weight: TrigWeight,
         raise BudgetExceeded(cost, budget)
     nu = R / r
     jinv = mod_inverse(j, r)
-    _require_int64_square(r, "r")
-    ks = np.arange(r, dtype=_residue_dtype(r))
+    ks = np.arange(r, dtype=_residue_dtype(r, "r"))
     v = np.broadcast_to(nu * weight.phi(ks * ks % r * jinv % r / r), r)
     g = _cyclic_pair_sums(v, v).real
     direct = float(np.dot(g, g))

@@ -32,9 +32,13 @@ from .sqrtmod import sqrt_mod_all
 
 
 def _parse_weight(text: str) -> TrigWeight:
+    """fejer:<width>, with a refusal's reason shown in argparse's usage error."""
     kind, _, arg = text.partition(":")
-    if kind == "fejer":
-        return TrigWeight.fejer(int(arg))
+    try:
+        if kind == "fejer":
+            return TrigWeight.fejer(int(arg))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     raise argparse.ArgumentTypeError(f"unknown weight {text!r} (try fejer:<width>)")
 
 
@@ -59,15 +63,16 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit(args, payload) -> None:
+def _emit(args, payload) -> int:
+    """Write payload as JSON and return the exit code 0."""
     _write(args, json.dumps(payload, indent=1, sort_keys=True, default=str) + "\n")
+    return 0
 
 
 def _cmd_sqrt(args) -> int:
     rs = sqrt_mod_all(args.m, args.r)
-    _emit(args, {"m": rs.m, "r": rs.modulus, "roots": list(rs.roots),
-                 "count": len(rs)})
-    return 0
+    return _emit(args, {"m": rs.m, "r": rs.modulus, "roots": list(rs.roots),
+                        "count": len(rs)})
 
 
 def _cmd_energy(args) -> int:
@@ -81,10 +86,10 @@ def _cmd_energy(args) -> int:
         rep = energy_e2(args.R, args.j, args.r, args.method)
     else:
         rep = energy_e4(args.R, args.j, args.r, args.method)
-    _emit(args, {"kind": rep.kind, "R": rep.R, "j": rep.j, "h": rep.h,
-                 "r": rep.r, "energy": rep.energy, "bound": rep.hyp_bound,
-                 "ratio": rep.ratio, "method": rep.method})
-    return 0
+    return _emit(args, {"kind": rep.kind, "R": rep.R, "j": rep.j,
+                        "h": rep.h, "r": rep.r, "energy": rep.energy,
+                        "bound": rep.hyp_bound, "ratio": rep.ratio,
+                        "method": rep.method})
 
 
 def _cmd_expsum(args) -> int:
@@ -95,8 +100,7 @@ def _cmd_expsum(args) -> int:
         v = fn(args.q, args.a, args.b)
     else:
         v = gcal(args.q, args.a, args.b, args.j, args.k, args.u, args.s)
-    _emit(args, _expsum_payload(v))
-    return 0
+    return _emit(args, _expsum_payload(v))
 
 
 def _cmd_sieve(args) -> int:
@@ -106,20 +110,17 @@ def _cmd_sieve(args) -> int:
     lhs = ls_lhs(inst, moduli=args.moduli, budget=args.budget)
     payload = {"lhs": lhs, "moduli": args.moduli, "Z": inst.Z}
     payload.update(ls_bound_table(args.Q, args.N))
-    _emit(args, payload)
-    return 0
+    return _emit(args, payload)
 
 
 def _cmd_px(args) -> int:
-    _emit(args, px_monitor(args.x, args.Q, args.N, budget=args.budget))
-    return 0
+    return _emit(args, px_monitor(args.x, args.Q, args.N, budget=args.budget))
 
 
 def _cmd_approx(args) -> int:
     frame = build_frame(args.x, args.N)
-    _emit(args, {"x": str(frame.x), "N": frame.N, "b": frame.b, "r": frame.r,
-                 "z": str(frame.z), "j": frame.j})
-    return 0
+    return _emit(args, {"x": str(frame.x), "N": frame.N, "b": frame.b,
+                        "r": frame.r, "z": str(frame.z), "j": frame.j})
 
 
 def _cmd_charsum(args) -> int:
@@ -129,14 +130,12 @@ def _cmd_charsum(args) -> int:
             raise ValueError(f"charsum s4 --h needs four values h1,h2,h3,h4, "
                              f"got {len(h)}")
         fn = s4_closed if args.closed else s4_direct
-        _emit(args, _expsum_payload(fn(S4Input(args.j, h, args.r))))
-    elif args.charsum_cmd == "cubic":
-        _emit(args, cubic_form_charsum(args.M, args.r, args.weight,
+        return _emit(args, _expsum_payload(fn(S4Input(args.j, h, args.r))))
+    if args.charsum_cmd == "cubic":
+        return _emit(args, cubic_form_charsum(args.M, args.r, args.weight,
+                                              budget=args.budget))
+    return _emit(args, weighted_energy(args.R, args.j, args.r, args.weight,
                                        budget=args.budget))
-    else:
-        _emit(args, weighted_energy(args.R, args.j, args.r, args.weight,
-                                    budget=args.budget))
-    return 0
 
 
 def _cmd_scan(args) -> int:

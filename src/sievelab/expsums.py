@@ -36,8 +36,7 @@ import numpy as np
 
 from .arith import eps_q, factorize, is_prime, jacobi, mod_inverse
 from .oracles import e_frac, esum_bare
-from .sqrtmod import (_fits_int32_square, _matching_pairs, _mod,
-                      _require_int64_square, _residue_dtype, root_pairs)
+from .sqrtmod import _matching_pairs, _mod, _residue_dtype, root_pairs
 
 
 #: bytes that the tables of _TABLES may hold together (4 MiB)
@@ -192,15 +191,12 @@ def gauss_sum_direct(q: int, a: int, b: int) -> ExpSumValue:
     """G(q;a,b) = sum_{n=1..q} e_q(a n^2 + b n), by literal summation.
 
     The phases are exact integer residues, summed through the unit_phases
-    table: q^2 < 2^63 is required, so each product is below 2^63 and
-    their sum, taken in uint64, below 2^64; when q^2 < 2^31 the same
-    bounds hold in uint32, and the phases are taken there.
+    table, in the unsigned dtype of _residue_dtype(q), which refuses
+    q^2 >= 2^63: each product is below q^2 and a sum of two below 2q^2.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    _require_int64_square(q, "q")
-    dtype = np.uint32 if _fits_int32_square(q) else np.uint64
-    n = np.arange(1, q + 1, dtype=dtype)
+    n = np.arange(1, q + 1, dtype=_residue_dtype(q, "q", unsigned=True))
     phases = _mod((a % q) * _mod(n * n, q) + (b % q) * n, q)
     return ExpSumValue(_phase_sum(phases, q), q)
 
@@ -262,7 +258,7 @@ def esum_jh(
     if form == "paired":
         pairs = root_pairs(r)
         jinv = mod_inverse(j, r)
-        k = np.arange(r, dtype=_residue_dtype(r))
+        k = np.arange(r, dtype=pairs.dtype)
         # every kt with kt^2 = k^2 + jh, grouped by k; the k are gathered,
         # not taken from _matching_pairs' int64 indices, to keep their dtype
         ik, i = _matching_pairs(_mod(k * k + j * h % r, r), pairs[:, 0], r)
@@ -298,17 +294,18 @@ def _least_generator(p: int, a: int) -> int:
 def _unit_inverses(q: int) -> Tuple[np.ndarray, np.ndarray]:
     """(g^t mod q, g^-t mod q) for t in [0, phi(q)), g the least generator
     of the cyclic group (Z/q)*, for q = 2 or q = p^a with p an odd prime:
-    unsigned arrays, uint32 when q^2 < 2^31, uint64 otherwise.
+    arrays in the unsigned dtype of _residue_dtype(q), which refuses
+    q^2 >= 2^63 first.
 
     g is _least_generator(p, a).  The powers g^0, ..., g^phi are the
     flattened outer product of two rows of about sqrt(phi) powers, g^b
     and g^(kB), as in unit_phases; each product is of two residues, so it
-    fits the dtype, and q^2 < 2^63 is required.
+    fits the dtype.
     The inverses g^-t = g^(phi - t) are the same array read backwards
     from g^phi = 1: one buffer, no inversion, scatter or sort.  Both
     arrays are read-only and shared through _TABLES.
     """
-    _require_int64_square(q, "q")
+    dtype = _residue_dtype(q, "q", unsigned=True)
     factors = factorize(q).factors
     if len(factors) != 1 or (q % 2 == 0 and q != 2):
         raise ValueError(f"q = {q} must be 2 or a power of an odd prime")
@@ -316,7 +313,6 @@ def _unit_inverses(q: int) -> Tuple[np.ndarray, np.ndarray]:
     g = _least_generator(p, a)
     phi = q - q // p
     B = math.isqrt(phi) + 1  # B^2 > phi, so the rows reach g^phi
-    dtype = np.uint32 if _fits_int32_square(q) else np.uint64
     rows = []
     for step, size in ((g, B), (pow(g, B, q), phi // B + 1)):
         row = [1]
@@ -336,15 +332,14 @@ def _unit_pairs(q: int) -> Tuple[np.ndarray, np.ndarray]:
     idempotents, the units are sum_i c_i e_i mod q over every choice of
     c_i from _unit_inverses(q_i), the first index varying slowest, and
     sum_i c_i^-1 e_i is the inverse of each; q = 1 gives ([0], [0]).
-    q^2 < 2^63 is refused before any table is built; each c_i e_i is
-    below q^2 and each sum below 2q, so uint32 holds them while
-    q^2 < 2^31, and uint64 above.
+    They run in the unsigned dtype of _residue_dtype(q), which refuses
+    q^2 >= 2^63 before any table is built: each c_i e_i is below q^2 and
+    each sum below 2q.
     """
-    _require_int64_square(q, "q")
+    dtype = _residue_dtype(q, "q", unsigned=True)
     fm = factorize(q)
     if len(fm.factors) == 1:
         return _unit_inverses(q)
-    dtype = np.uint32 if _fits_int32_square(q) else np.uint64
     units = inverses = np.zeros(1, dtype=dtype)
     for qi, e in zip(fm.prime_powers, fm.crt_idempotents):
         c, ic = (_mod(t.astype(dtype) * dtype(e), q)
@@ -399,7 +394,7 @@ def _inverse_table(p: int) -> np.ndarray:
     sqrtmod._residue_dtype(p), the dtype of rational_expsum's residues.
     Read-only, shared through _TABLES."""
     units, inverses = _unit_inverses(p, keep=False)
-    table = np.zeros(p, dtype=_residue_dtype(p))
+    table = np.zeros(p, dtype=_residue_dtype(p, "p"))
     table[units] = inverses
     return table
 
@@ -414,9 +409,8 @@ def rational_expsum(f: RationalFunctionModP) -> ExpSumValue:
     if f.is_constant():
         raise ValueError("bound requires f nonconstant mod p")
     p = f.p
-    _require_int64_square(p, "p")
     f1, f2 = f.reduced()
-    ns = np.arange(p, dtype=_residue_dtype(p))
+    ns = np.arange(p, dtype=_residue_dtype(p, "p"))
     v1 = _poly_eval_mod(f1, ns, p)
     v2 = _poly_eval_mod(f2, ns, p)
     keep = v2 != 0

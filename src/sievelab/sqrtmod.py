@@ -12,10 +12,13 @@ FactoredModulus.crt_idempotents.  The bulk root tables (root_pairs) are
 built by their definition instead, by squaring every residue, and
 criterion 1 checks the array solver against them.
 
-Every public function takes r as an int.  The solvers' callers
-factorize it on every call, through arith.factorize, whose memo makes a
-repeated r cost one lookup; the FactoredModulus stays inside the private
-helpers.
+Every public function takes r as an int.  sqrt_mod_all's memo is keyed
+on the integers (m mod r, r), and factorizes r only on a miss, through
+arith.factorize; the FactoredModulus stays inside the private helpers.
+
+One rule, _residue_dtype, decides the width of each residue kernel that
+may run in 32 bits: it refuses n^2 >= 2^63 and picks 32 bits while
+n^2 < 2^31, 64 above, signed or unsigned as the kernel asks.
 """
 
 from __future__ import annotations
@@ -169,20 +172,21 @@ def _sqrt_mod_prime_power(m: int, p: int, alpha: int) -> Tuple[int, ...]:
 def sqrt_mod_all(m: int, r: int) -> RootSet:
     """All square roots of m modulo r, via CRT over the prime powers of r.
 
-    r is factorized on every call, through arith.factorize's memo; the
-    roots come from _sqrt_mod_all, a memo of at most 256 entries (the
-    bound of arith.factorize too) keyed on the reduced residue m mod r
-    and the FactoredModulus, so m, m + r and m - r share one entry.  The RootSet
-    returned is the cached object itself: it is frozen and holds a tuple,
-    so callers share it safely.
+    r < 1 is refused here, on every call; the roots come from
+    _sqrt_mod_all, a memo of at most 256 entries keyed on the integers
+    (m mod r, r), so m, m + r and m - r share one entry and a hit does not
+    factorize r.  The RootSet returned is the cached object itself: it is
+    frozen and holds a tuple, so callers share it safely.
     """
-    fm = factorize(r)  # refuses r < 1 before m % r is taken
-    return _sqrt_mod_all(m % r, fm)
+    if r < 1:
+        raise ValueError("sqrt_mod_all requires r >= 1")
+    return _sqrt_mod_all(m % r, r)
 
 
 @lru_cache(maxsize=256)
-def _sqrt_mod_all(m: int, fm: FactoredModulus) -> RootSet:
-    """sqrt_mod_all for a residue 0 <= m < fm.n.
+def _sqrt_mod_all(m: int, n: int) -> RootSet:
+    """sqrt_mod_all for a residue 0 <= m < n, n factorized by
+    arith.factorize, which refuses n > 2^63; a refusal is never cached.
 
     Each prime power q_i contributes its roots x scaled by the CRT
     idempotent e_i of FactoredModulus.crt_idempotents, and the
@@ -191,7 +195,7 @@ def _sqrt_mod_all(m: int, fm: FactoredModulus) -> RootSet:
     mod every q_i, and CRT is a bijection, so the combined roots are
     distinct exactly when each factor's roots are.
     """
-    n = fm.n
+    fm = factorize(n)
     partial: List[Tuple[int, ...]] = []
     for p, a in fm.factors:
         roots = _sqrt_mod_prime_power(m, p, a)
@@ -205,24 +209,22 @@ def _sqrt_mod_all(m: int, fm: FactoredModulus) -> RootSet:
 
 
 def root_pairs(r: int) -> np.ndarray:
-    """All (m, k) with k^2 = m (mod r), as an (r, 2) array sorted by (m, k):
-    int32 when r^2 < 2^31 (r <= 46340), int64 above, column-major, so
-    that each column is contiguous.
+    """All (m, k) with k^2 = m (mod r), as an (r, 2) array sorted by (m, k)
+    in the signed dtype _residue_dtype(r), int32 while r <= 46340, int64
+    above, column-major, so that each column is contiguous.
 
     Built by the definition: every k in [0, r) is squared mod r, and the
-    rows are sorted once, as one key m*r + k, so r^2 < 2^63 is required
-    and refused before any array is built.  Every step runs in the
-    working dtype, int32 when r^2 < 2^31 (each square and each key is
-    below r^2) and int64 otherwise, and the columns are written as
-    key // r and key - (key // r) r.  There are exactly r pairs since
+    rows are sorted once, as one key m*r + k.  Each square and each key
+    is below r^2, so every step runs in that dtype, whose rule refuses
+    r^2 >= 2^63 before any array is built, and the columns are written
+    as key // r and key - (key // r) r.  There are exactly r pairs since
     every k is a root of exactly one m.  Neither r's factors nor the
     solver are used: criterion 1 checks the array solver against these
     tables.
     """
     if r < 1:
         raise ValueError("root_pairs requires r >= 1")
-    _require_int64_square(r, "r")
-    dtype = _residue_dtype(r)
+    dtype = _residue_dtype(r, "r")
     k = np.arange(r, dtype=dtype)
     key = _mod(k * k, r)
     key *= r
@@ -258,32 +260,27 @@ def _mod(a: np.ndarray, p: int) -> np.ndarray:
     return np.subtract(a, q, out=q)
 
 
-def _require_int64_square(n: int, name: str) -> None:
-    """Refuse n unless n**2 < 2**63, so products of residues mod n fit int64."""
+def _residue_dtype(n: int, name: str = "n", unsigned: bool = False) -> type:
+    """The dtype of the numpy residue kernels mod n, once n is refused
+    unless n**2 < 2**63: 32 bits while n**2 < 2**31 (n <= 46340), 64 above.
+
+    Signed (int32, int64) for kernels that form a product of two residues,
+    or a difference of two such products; unsigned (uint32, uint64) for
+    kernels that add two products, whose sum stays below 2^32 or 2^64.
+    The refusal names n as `name`."""
     if n * n >= 2 ** 63:
         raise ValueError(f"{name} = {n} too large: {name}^2 must be < 2^63 "
                          "for exact int64 arithmetic")
-
-
-def _fits_int32_square(n: int) -> bool:
-    """Whether n**2 < 2**31 (n <= 46340), so the residue kernels may run in
-    32 bits: a product of two residues mod n, or a difference of such
-    products, fits int32, and a sum of two products fits uint32."""
-    return n * n < 2 ** 31
-
-
-def _residue_dtype(n: int) -> type:
-    """The signed dtype of the residue kernels mod n: int32 while
-    n**2 < 2**31 (n <= 46340), int64 above, so that a product of two
-    residues, or a difference of two such products, never wraps."""
-    return np.int32 if _fits_int32_square(n) else np.int64
+    if n * n < 2 ** 31:
+        return np.uint32 if unsigned else np.int32
+    return np.uint64 if unsigned else np.int64
 
 
 def _vec_pow_mod(base: np.ndarray, e: int, p: int) -> np.ndarray:
     """Elementwise base**e mod p by square-and-multiply (p**2 < 2**63, e >= 0)."""
     if e < 0:
         raise ValueError(f"exponent e = {e} must be >= 0")
-    _require_int64_square(p, "p")
+    _residue_dtype(p, "p")  # the refusal only: the powers keep base's dtype
     result = np.full_like(base, 1 % p)
     b = _mod(base, p)
     while e:
@@ -498,7 +495,7 @@ def build_root_multiset(
     pass (_array_multiset over _residue_roots: array Tonelli-Shanks,
     Hensel and 2-adic lifts per prime power, CRT idempotents), which
     factorizes r once; otherwise sqrt_mod_all is called per m, through
-    arith.factorize's memo, and the per-m loop takes the roots of each m
+    its memo, and the per-m loop takes the roots of each m
     as they are (plain) or pairs the k of m with the kt of m + h
     (difference), counts the residues in a dict and sorts the keys once.
     Its oracle is oracles.root_multiset.

@@ -161,6 +161,23 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("weight, reason", [
+    ("fejer:0", "width must be >= 1"),
+    ("fejer:-1", "width must be >= 1"),
+    ("fejer:", "invalid literal for int() with base 10: ''"),
+    ("fejer:x", "invalid literal for int() with base 10: 'x'"),
+])
+def test_weight_refusal_shows_its_reason(weight, reason, capsys):
+    # the usage error names the reason, not a private parser's name
+    with pytest.raises(SystemExit) as exc:
+        main(["charsum", "energy", "--r", "3", "--R", "3", "--j", "1",
+              "--weight", weight])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: argument --weight: {reason}\n")
+    assert "_parse_weight" not in err
+
+
 def test_accept_suite_smoke(capsys):
     # the full criteria run lives in test_acceptance; this only checks the
     # runner wiring and per-criterion reporting on the fastest suite

@@ -473,6 +473,32 @@ def test_rational_expsum_is_the_same_in_int64(request):
     assert corpus_sums(ps) == int32_sums
 
 
+def unsigned_sums():
+    """gauss_sum_direct at every odd q < 400 and its double, and gcal at
+    every odd q < 400, then both at 46335 = 3 * 5 * 3089 and the prime
+    46339, the last moduli whose phases run in uint32, as (value, terms)
+    pairs."""
+    out = []
+    for q in list(range(1, 400, 2)) + [46335, 46339]:
+        for v in (gauss_sum_direct(q, 3, 5), gcal(q, 2, 3, 1, 5, 4, 2)):
+            out.append((v.value, v.terms))
+        if q < 400:
+            v = gauss_sum_direct(2 * q, 3, 5)
+            out.append((v.value, v.terms))
+    return out
+
+
+def test_unsigned_kernels_are_the_same_in_uint64(request):
+    # gauss_sum_direct and gcal add two products in uint32 at every one
+    # of these q; forced to uint64 every value is bit-identical
+    uint32_sums = unsigned_sums()
+    assert _unit_pairs(46335)[0].dtype == np.uint32
+    request.getfixturevalue("int64_residues")
+    assert expsums._residue_dtype(3, "q", unsigned=True) is np.uint64
+    assert _unit_pairs(46335)[0].dtype == _unit_pairs(3)[0].dtype == np.uint64
+    assert unsigned_sums() == uint32_sums
+
+
 @pytest.mark.parametrize("p", [46337, 46349])
 def test_rational_expsum_matches_literal_sum_at_the_int32_bound(p):
     # int32 at 46337, int64 at 46349, the next prime: degree 6 numerators,

@@ -30,8 +30,8 @@ path it checks.  The pairs:
   nothing with the array solver sqrtmod._prime_power_residue_roots, which
   criterion 1 checks against them; the squaring oracles above run with
   the solver patched too, so none reaches it;
-- 32-bit residue kernels: the fast tables and sums choose their dtype by
-  sqrtmod._fits_int32_square, the signed ones through
+- 32-bit residue kernels: the fast tables and sums choose their dtype,
+  signed or unsigned, and refuse n^2 >= 2^63 by one rule,
   sqrtmod._residue_dtype, which no oracle consults;
 - factorization: the squaring oracles (both multiset kinds, brute E2, E4
   and F2, bare esum_jh) run with factorize patched, and so does their one
@@ -197,9 +197,9 @@ def test_paired_esum_uses_the_root_table(no_solver):
 
 @pytest.fixture
 def no_width_predicate(monkeypatch):
-    patched = _patch_everywhere(monkeypatch, sqrtmod, "_fits_int32_square")
+    patched = _patch_everywhere(monkeypatch, sqrtmod, "_residue_dtype")
     assert {"sievelab.sqrtmod", "sievelab.expsums"} <= patched
-    # cached unit tables would skip the predicate
+    # cached unit tables would skip the width rule
     expsums._unit_inverses.cache_clear()
     yield
     expsums._unit_inverses.cache_clear()
@@ -260,6 +260,9 @@ HUGE_MODULI = (2 ** 20 + 1, 2 ** 63)
 def no_factorize(monkeypatch):
     patched = _patch_everywhere(monkeypatch, arith, "factorize")
     assert {"sievelab.arith", "sievelab.sqrtmod"} <= patched
+    # sqrt_mod_all factorizes on a memo miss only; no root set is cached
+    # while factorize raises
+    sqrtmod._sqrt_mod_all.cache_clear()
 
 
 @pytest.mark.parametrize("name", sorted(SQUARING_ORACLES))

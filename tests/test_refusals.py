@@ -34,6 +34,9 @@ REFUSALS = {
     "unknown weight": (
         lambda: _parse_weight("gauss:2"), argparse.ArgumentTypeError,
         "unknown weight 'gauss:2' (try fejer:<width>)"),
+    "weight of width 0": (
+        lambda: _parse_weight("fejer:0"), argparse.ArgumentTypeError,
+        "width must be >= 1"),
     "unknown energy method": (
         lambda: energy_e2(3, 1, 35, method="bogus"), ValueError,
         "unknown method 'bogus'"),

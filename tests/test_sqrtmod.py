@@ -11,7 +11,7 @@ from sievelab import arith, oracles
 from sievelab.arith import FactoredModulus, factorize, is_prime
 from sievelab.expsums import esum_jh
 from sievelab.oracles import root_multiset
-from sievelab.sqrtmod import (RootSet, _require_int64_square, _vec_pow_mod,
+from sievelab.sqrtmod import (RootSet, _residue_dtype, _vec_pow_mod,
                               build_root_multiset, root_pairs, sqrt_mod_all)
 
 
@@ -161,6 +161,45 @@ def test_sqrt_mod_all_memo_cold_and_warm_equal_oracle(cold_memo):
                 assert sqrt_mod_all(m, r).roots == oracle_roots(m, r), (m, r)
         info = memo.cache_info()
         assert (info.hits, info.misses) == ((r, r) if r <= 256 else (0, 2 * r))
+
+
+def test_sqrt_mod_all_hits_do_not_factorize(monkeypatch, cold_memo):
+    # r < 1 and r > 2^63 are refused on every call, the first by
+    # sqrt_mod_all itself and the second by factorize, since a refusal
+    # is never cached
+    for _ in range(2):
+        for r in (0, -5):
+            with pytest.raises(ValueError, match="sqrt_mod_all requires r >= 1"):
+                sqrt_mod_all(1, r)
+        with pytest.raises(ValueError, match="factorize caps n at 2\\^63"):
+            sqrt_mod_all(1, 2 ** 63 + 1)
+    # the memo is keyed on the integers (m mod r, r): after one pass over
+    # 233 residues, every call hits and none reaches factorize
+    moduli = (1, 15, 97, 120)
+    for r in moduli:
+        for m in range(r):
+            sqrt_mod_all(m, r)
+
+    def no_factorize(n):
+        raise AssertionError(f"factorize({n}) on a memo hit")
+
+    for mod in (arith, sqrtmod):
+        monkeypatch.setattr(mod, "factorize", no_factorize)
+    for r in moduli:
+        for m in range(-r, 2 * r):
+            assert sqrt_mod_all(m, r).roots == oracle_roots(m, r), (m, r)
+
+
+@pytest.mark.parametrize("ta, tb", [([], [0, 0, 2]), ([0, 1, 2], []),
+                                    ([1, 3], [0, 0, 2])],
+                         ids=["no owners", "no runs", "empty runs"])
+def test_matching_pairs_with_an_empty_side(ta, tb):
+    # no owner, no run at all, or owners 1 and 3 whose runs in tb are
+    # empty: no pair, as two empty integer arrays
+    i, ib = sqrtmod._matching_pairs(np.array(ta, dtype=np.int64),
+                                    np.array(tb, dtype=np.int64), 4)
+    for a in (i, ib):
+        assert a.shape == (0,) and a.dtype.kind == "i"
 
 
 @pytest.mark.parametrize("fault", ["non-root", "duplicate"])
@@ -540,7 +579,7 @@ def test_int64_square_preconditions_at_boundary():
         _vec_pow_mod(base, 2, 3037000500)
     # the guard of root_pairs, hence of esum_jh's paired form, refuses
     # before any table of that size is built
-    _require_int64_square(3037000499, "r")
+    _residue_dtype(3037000499, "r")
     with pytest.raises(ValueError, match="2\\^63"):
         esum_jh(1, 2, 1, 1, 3037000500)
     # root_pairs sorts on the key m*r + k, so it refuses the same r itself
