@@ -21,6 +21,7 @@ from .arith import (  # noqa: E402,F401
 from .sqrtmod import (  # noqa: F401
     RootSet,
     build_root_multiset,
+    build_root_multiset_ladder,
     root_pairs,
     sqrt_mod_all,
 )
@@ -28,8 +29,10 @@ from .energies import (  # noqa: F401
     EnergyReport,
     energy_e2,
     energy_e2_e4,
+    energy_e2_e4_ladder,
     energy_e4,
     energy_f2,
+    energy_f2_ladder,
     kssz_check,
 )
 from .expsums import (  # noqa: F401

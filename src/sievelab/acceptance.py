@@ -12,6 +12,7 @@ under its number, so no body names its number, its name or a clock.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -23,7 +24,8 @@ from .arith import FactoredModulus, factorize, is_prime
 from .charsums import (S4Input, TrigWeight, s4_closed, s4_closed_rows,
                        s4_direct, weighted_energy)
 from .charsums import _pair_sum_table
-from .energies import energy_e2_e4, energy_f2, kssz_check
+from .energies import (energy_e2_e4, energy_e2_e4_ladder, energy_f2,
+                       energy_f2_ladder, kssz_check)
 from .expsums import (RationalFunctionModP, esum_jh, gauss_sum_closed,
                       gauss_sum_direct, gcal, gcal_bound, rational_expsum)
 from .oracles import (gcal_literal, gcd_power_sum, ls_lhs_literal,
@@ -151,24 +153,26 @@ def criterion_2_root_counts(q_max: int = 10 ** 4):
 
 @_criterion(3, "energy oracle")
 def criterion_3_energy_oracle(r_max: int = 60, R_max: int = 8):
-    """conv and brute energies agree exactly on the full small grid; each
-    side reads E2 and E4 from one energy_e2_e4 call."""
+    """conv and brute energies agree exactly on the full small grid.  Each
+    side reads each kind's R loop at one (r, j) from one ladder: E2 and
+    E4 from energy_e2_e4_ladder, F2 at h = 0, 1, 2 from energy_f2_ladder;
+    they are compared by R, then E2, E4 and F2 at h = 0, 1, 2."""
     compared = 0
     for r in range(1, r_max + 1):
         for j in range(1, r + 1):
             if math.gcd(j, r) != 1:
                 continue
-            for R in range(1, min(R_max, r) + 1):
-                pairs = list(zip(energy_e2_e4(R, j, r, "conv"),
-                                 energy_e2_e4(R, j, r, "brute")))
-                for h in (0, 1, 2):
-                    pairs.append((energy_f2(R, j, h, r, "conv"),
-                                  energy_f2(R, j, h, r, "brute")))
-                for a, b in pairs:
-                    compared += 1
-                    if a.energy != b.energy:
-                        return False, (f"{a.kind} mismatch r={r} j={j} R={R} "
-                                       f"h={a.h}: {a.energy} != {b.energy}")
+            Rs = range(1, min(R_max, r) + 1)
+            conv, brute = (
+                [(*e2_e4, *f2s) for e2_e4, *f2s in zip(
+                    energy_e2_e4_ladder(Rs, j, r, method),
+                    *(energy_f2_ladder(Rs, j, h, r, method) for h in (0, 1, 2)))]
+                for method in ("conv", "brute"))
+            for a, b in zip(itertools.chain(*conv), itertools.chain(*brute)):
+                compared += 1
+                if a.energy != b.energy:
+                    return False, (f"{a.kind} mismatch r={r} j={j} R={a.R} "
+                                   f"h={a.h}: {a.energy} != {b.energy}")
     return True, f"{compared} exact integer comparisons"
 
 

@@ -29,19 +29,34 @@ runs, the certificate mass^fold < 2^63 (mass = number of roots counted
 with multiplicity) bounds every bin, and so every int64 count and
 weight (doubled ones included), so none can wrap.  r is an int, passed
 through as given: only the fast builder factorizes it.
+
+Ladders: energy_e2_e4_ladder(Rs, ...) and energy_f2_ladder(Rs, ...)
+return the reports at every rung of R_1 < ... < R_L, and energy_e2,
+energy_e4, energy_e2_e4 and energy_f2 are their one-rung calls, which
+run the passes above and nothing more.  Past one rung the fast side
+builds once (sqrtmod.build_root_multiset_ladder, each rung's increment)
+and certifies the top rung's mass before any work.  Then one levelled
+pass forms each pair of the top rung's multiset once and adds its weight
+at row (rung of its later element) and column (sum mod r) of an L x r
+int64 array; the rows, cumulated, are every rung's histogram, whose
+square sums are E2.  E4's second pass is levelled the same way over the
+rows' increments.  Where a levelled pass does not apply (L r >
+_DENSE_BINS, sparse bins or the transform), each rung runs the pass
+above on its own multiset.  The brute side runs the oracle rung by rung.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from .arith import is_prime
 from .oracles import pair_energies, root_multiset
-from .sqrtmod import build_root_multiset
+from .sqrtmod import _rungs, build_root_multiset_ladder
 
 #: pair sums per block of the fast convolution (about 1 MB of int64 temporaries)
 _BLOCK = 1 << 16
@@ -95,32 +110,19 @@ def _self_convolve(lam: np.ndarray, cnt: np.ndarray,
     its negative sums, and pending sums are merged into the sorted bins
     whenever they outnumber them.
     """
-    minus_r = np.int64(-r)
-    shifted = lam + minus_r
-    rows = max(1, _BLOCK // max(1, lam.size))
-    if rows >= lam.size:  # one block of every ordered pair, formed when read
-        blocks = ((np.add.outer(lam, shifted).ravel(),
-                   np.multiply.outer(cnt, cnt).ravel()) for _ in lam[:1])
-    else:  # each unordered pair once: rows [i, i + rows) meet columns i..
-        twice = cnt << 1
-        blocks = ((np.add.outer(lam[i:i + rows], shifted[i:]).ravel(),
-                   np.multiply.outer(cnt[i:i + rows], np.concatenate(
-                       (cnt[i:i + rows], twice[i + rows:]))).ravel())
-                  for i in range(0, lam.size, rows))
-    if r <= min(_DENSE_BINS, max(_BLOCK, lam.size * lam.size)):
-        length = 1 << (2 * r - 2).bit_length()  # least power of 2 >= 2r - 1
-        h = (_transform_bins(lam, cnt, r, length)
-             if lam.size * lam.size > _TRANSFORM_PAIRS_PER_BIN * length
-             else None)
+    dense, length = _regime(lam.size, r)
+    if dense:
+        h = None if length is None else _transform_bins(lam, cnt, r, length)
         if h is None:
             h = np.zeros(r, dtype=np.int64)
-            for sums, weights in blocks:
+            for sums, weights in _pair_blocks(lam, cnt, r):
                 np.add.at(h, sums, weights)
         return None, h
+    minus_r = np.int64(-r)
     keys = h = np.zeros(0, dtype=np.int64)
     pending: List[Tuple[np.ndarray, np.ndarray]] = []
     size = 0
-    for sums, weights in blocks:
+    for sums, weights in _pair_blocks(lam, cnt, r):
         sums -= (sums >> 63) & minus_r  # s < 0 becomes s + r
         pending.append((sums, weights))
         size += sums.size
@@ -128,6 +130,47 @@ def _self_convolve(lam: np.ndarray, cnt: np.ndarray,
             keys, h = _merge_bins([(keys, h)] + pending)
             pending, size = [], 0
     return _merge_bins([(keys, h)] + pending) if pending else (keys, h)
+
+
+def _regime(size: int, r: int) -> Tuple[bool, int | None]:
+    """How _self_convolve bins the pair sums of `size` keys mod r, as
+    (dense, length): dense bins while r is at most _DENSE_BINS and no
+    larger than the pair count size^2 (or one block), else sparse ones;
+    length is the transform length L (the least power of 2 >= 2r - 1)
+    when dense pairs outnumber _TRANSFORM_PAIRS_PER_BIN times it, else
+    None (the pair blocks)."""
+    pairs = size * size
+    if r > min(_DENSE_BINS, max(_BLOCK, pairs)):
+        return False, None
+    length = 1 << (2 * r - 2).bit_length()
+    return True, (length if pairs > _TRANSFORM_PAIRS_PER_BIN * length
+                  else None)
+
+
+def _pair_blocks(lam: np.ndarray, cnt: np.ndarray, r: int,
+                 rung: np.ndarray | None = None) -> Iterator[Tuple[np.ndarray, ...]]:
+    """The blocks of pair sums of _self_convolve, each formed when read:
+    (sums, weights), every sum lam[a] + (lam[b] - r) in [-r, r), and with
+    `rung` (one rung per key) also rows, max(rung[a], rung[b]), the rung
+    of the pair's later element.  One block of every ordered pair when
+    it covers lam; otherwise the rows [i, i + step) meet the columns
+    i.., and a column past the block carries the doubled weight."""
+    step = max(1, _BLOCK // max(1, lam.size))
+    shifted = lam + np.int64(-r)
+    if step >= lam.size:
+        spans = [(slice(None), 0, cnt)] if lam.size else []
+    else:
+        twice = cnt << 1
+        spans = ((slice(i, i + step), i,
+                  np.concatenate((cnt[i:i + step], twice[i + step:])))
+                 for i in range(0, lam.size, step))
+    for rows, i, columns in spans:
+        sums = np.add.outer(lam[rows], shifted[i:]).ravel()
+        weights = np.multiply.outer(cnt[rows], columns).ravel()
+        if rung is None:
+            yield sums, weights
+        else:
+            yield sums, weights, np.maximum.outer(rung[rows], rung[i:]).ravel()
 
 
 def _transform_error_bound(norm2: float, length: int) -> float:
@@ -193,37 +236,36 @@ def _merge_bins(parts: Sequence[Tuple[np.ndarray, np.ndarray]]
     return keys[starts], np.add.reduceat(weights, starts) if starts.size else weights
 
 
-def _square_sum(h: np.ndarray, total: int) -> int:
-    """Sum of h^2 over nonnegative int64 bins h whose sum is total, exactly.
+def _square_sum(h: np.ndarray, total: int) -> int | List[int]:
+    """Sum of h^2 over nonnegative int64 bins h whose sum is total, exactly;
+    for a stack of such rows (2-D h), each summing to at most total, the
+    list of the rows' sums.
 
     sum(h^2) <= max(h) * total, so an int64 dot cannot wrap when total^2
     (a test free of numpy calls) or max(h) * total is below 2^63;
     otherwise the squares are summed as Python ints.
     """
     if total * total < 2 ** 63 or int(h.max()) * total < 2 ** 63:
-        return int(np.dot(h, h))
-    return sum(c * c for c in h.tolist())
+        return (int(np.dot(h, h)) if h.ndim == 1
+                else np.einsum("ij,ij->i", h, h).tolist())
+    if h.ndim == 1:
+        return sum(c * c for c in h.tolist())
+    return [sum(c * c for c in row) for row in h.tolist()]
 
 
-def _energy_from_multiset(keys: np.ndarray, counts: np.ndarray, r: int,
-                          fold: int, method: str) -> Tuple[int, ...]:
-    """(E2,) for fold 2 (pair sums), (E2, E4) for fold 4 (and quadruple
-    sums from E2's nonzero bins), of the multiset build_root_multiset
-    returns: int64 keys strictly ascending in [0, r) and their int64 counts.
-
-    Every count, weight and bin of either method is at most mass^fold, so
-    mass^fold < 2^63 is required before any work and int64 never wraps;
-    the mass is summed as Python ints, so a wrapping int64 sum of the
-    counts cannot pass the test.  Method conv self-convolves, brute
-    enumerates (oracles.pair_energies).
-    """
-    mass = sum(counts.tolist())
+def _certify(mass: int, fold: int) -> None:
+    """Refuse a multiset of this mass unless mass^fold < 2^63, which bounds
+    every count, weight and bin of either method, so int64 never wraps."""
     if mass ** fold >= 2 ** 63:
         raise ValueError(f"multiset mass = {mass} too large: mass^{fold} must "
                          "be < 2^63 for exact int64 energies")
-    if method == "brute":
-        return pair_energies(keys, counts, r, fold)
-    keys, h = _self_convolve(keys, counts, r)
+
+
+def _energies_from_bins(keys: np.ndarray | None, h: np.ndarray, mass: int,
+                        r: int, fold: int) -> Tuple[int, ...]:
+    """(E2,) for fold 2, (E2, E4) for fold 4, of a multiset of the given
+    mass from the bins (keys, h) of its first pass (keys None: dense);
+    E4 convolves the nonzero bins once more."""
     if fold == 2:
         return (_square_sum(h, mass ** 2),)
     if keys is None:
@@ -233,29 +275,126 @@ def _energy_from_multiset(keys: np.ndarray, counts: np.ndarray, r: int,
             _square_sum(_self_convolve(keys, h, r)[1], mass ** 4))
 
 
-def _energy(R: int, j: int, h: int | None, r: int, fold: int,
-            method: str) -> Tuple[int, ...]:
-    """The energies of the plain multiset (h None) or the difference
-    multiset of h.  Method conv reads the fast builder, brute the oracle
-    builder oracles.root_multiset, which factorizes nothing."""
-    if method not in ("conv", "brute"):
-        raise ValueError(f"unknown method {method!r}")
-    build = build_root_multiset if method == "conv" else root_multiset
-    return _energy_from_multiset(*build(R, j, r, h), r, fold, method)
+def _energy_from_multiset(keys: np.ndarray, counts: np.ndarray, r: int,
+                          fold: int, method: str) -> Tuple[int, ...]:
+    """(E2,) for fold 2 (pair sums), (E2, E4) for fold 4 (and quadruple
+    sums from E2's nonzero bins), of the multiset build_root_multiset
+    returns: int64 keys strictly ascending in [0, r) and their int64 counts.
+
+    The certificate mass^fold < 2^63 is required before any work; the
+    mass is summed as Python ints, so a wrapping int64 sum of the counts
+    cannot pass the test.  Method conv self-convolves, brute enumerates
+    (oracles.pair_energies).
+    """
+    mass = sum(counts.tolist())
+    _certify(mass, fold)
+    if method == "brute":
+        return pair_energies(keys, counts, r, fold)
+    return _energies_from_bins(*_self_convolve(keys, counts, r), mass, r, fold)
+
+
+def _levelled_bins(lam: np.ndarray, cnt: np.ndarray, rung: np.ndarray,
+                   r: int, levels: int) -> np.ndarray | None:
+    """The dense pair-sum bins of every rung at once, as a levels x r
+    int64 array, or None where this levelled pass does not apply:
+    levels * r > _DENSE_BINS, or _regime puts the pairs of lam in sparse
+    bins or the transform.  Each pair of (lam, cnt) is formed once, and
+    its weight is added at the row of its later element's rung and the
+    column of its sum mod r (a negative sum s indexes r + s).  So the
+    rows, cumulated, give each rung's histogram: row i the pairs whose
+    elements both lie at rungs <= i.  Every entry is at most the top
+    rung's bin, which the caller certifies."""
+    if levels * r > _DENSE_BINS or _regime(lam.size, r) != (True, None):
+        return None
+    h = np.zeros((levels, r), dtype=np.int64)
+    for sums, weights, rows in _pair_blocks(lam, cnt, r, rung):
+        np.add.at(h, (rows, sums), weights)
+    return h
+
+
+def _ladder_energies(parts: Sequence[Tuple[np.ndarray, np.ndarray]], r: int,
+                     fold: int) -> List[Tuple[int, ...]]:
+    """The conv energies at every rung of a ladder, from the increments
+    (keys, counts) that build_root_multiset_ladder returns.
+
+    One rung is _energy_from_multiset's pass.  Past one, the certificate
+    is checked once, at the top rung's mass, before any work.  The
+    increments, concatenated with each key's rung, take one levelled pass
+    (_levelled_bins); E2 is each cumulated row's square sum.  E4's second
+    pass is levelled the same way over the rows' increments, the nonzero
+    entries of the levelled bins, each at its own row.  Where a levelled
+    pass does not apply, each rung runs _self_convolve on its own
+    multiset: the increments merged so far, or for E4 the nonzero bins
+    of its row.
+    """
+    if len(parts) == 1:
+        return [_energy_from_multiset(*parts[0], r, fold, "conv")]
+    sizes = [k.size for k, _ in parts]
+    cnt = np.concatenate([c for _, c in parts])
+    prefix = list(itertools.accumulate(cnt.tolist(), initial=0))
+    masses = [prefix[end] for end in itertools.accumulate(sizes)]
+    _certify(masses[-1], fold)
+    levels = len(parts)
+    raw = _levelled_bins(np.concatenate([k for k, _ in parts]), cnt,
+                         np.repeat(np.arange(levels), sizes), r, levels)
+    if raw is None:
+        cumulative = itertools.accumulate(parts, lambda a, b: _merge_bins([a, b]))
+        return [_energies_from_bins(*_self_convolve(*multiset, r), mass, r, fold)
+                for multiset, mass in zip(cumulative, masses)]
+    bins = np.cumsum(raw, axis=0)
+    e2 = _square_sum(bins, masses[-1] ** 2)
+    if fold == 2:
+        return [(e,) for e in e2]
+    rows, keys = np.nonzero(raw)
+    raw = _levelled_bins(keys, raw[rows, keys], rows, r, levels)
+    if raw is None:
+        e4 = [_square_sum(_self_convolve(nonzero, h[nonzero], r)[1], mass ** 4)
+              for h, mass in zip(bins, masses)
+              for nonzero in [np.flatnonzero(h)]]
+    else:
+        e4 = _square_sum(np.cumsum(raw, axis=0), masses[-1] ** 4)
+    return list(zip(e2, e4))
+
+
+def _energies(Rs: Sequence[int], j: int, h: int | None, r: int, fold: int,
+              method: str) -> List[Tuple[int, ...]]:
+    """The energies at every rung R of Rs of the plain multiset (h None)
+    or the difference multiset of h.  Method conv reads one ladder of the
+    fast builder; brute reads the oracle builder oracles.root_multiset,
+    which factorizes nothing, rung by rung."""
+    if method == "conv":
+        return _ladder_energies(build_root_multiset_ladder(Rs, j, r, h), r, fold)
+    if method == "brute":
+        return [_energy_from_multiset(*root_multiset(R, j, r, h), r, fold, method)
+                for R in _rungs(Rs, r)]
+    raise ValueError(f"unknown method {method!r}")
+
+
+def _e2_report(R: int, j: int, r: int, energy: int, method: str) -> EnergyReport:
+    """The E2 report of one rung R, with its hypothesis bound."""
+    return EnergyReport("E2", R, j, None, r, energy, R ** 4 / r + R ** 2, method)
 
 
 def energy_e2(R: int, j: int, r: int, method: str = "conv") -> EnergyReport:
     """Quadruples (k1..k4) with ki^2 = j*mi, mi in [1,R], k1+k2 = k3+k4 mod r."""
-    e, = _energy(R, j, None, r, 2, method)
-    return EnergyReport("E2", R, j, None, r, e, R ** 4 / r + R ** 2, method)
+    (e,), = _energies((R,), j, None, r, 2, method)
+    return _e2_report(R, j, r, e, method)
+
+
+def energy_e2_e4_ladder(Rs: Sequence[int], j: int, r: int,
+                        method: str = "conv"
+                        ) -> List[Tuple[EnergyReport, EnergyReport]]:
+    """(energy_e2, energy_e4) at every rung R of the ladder Rs,
+    1 <= R_1 < ... < R_L <= r, from one build and one first pass."""
+    return [(_e2_report(R, j, r, e2, method),
+             EnergyReport("E4", R, j, None, r, e4, R ** 8 / r + R ** 4, method))
+            for R, (e2, e4) in zip(Rs, _energies(Rs, j, None, r, 4, method))]
 
 
 def energy_e2_e4(R: int, j: int, r: int, method: str = "conv"
                  ) -> Tuple[EnergyReport, EnergyReport]:
     """energy_e2 and energy_e4 from one build and one first pass."""
-    e2, e4 = _energy(R, j, None, r, 4, method)
-    return (EnergyReport("E2", R, j, None, r, e2, R ** 4 / r + R ** 2, method),
-            EnergyReport("E4", R, j, None, r, e4, R ** 8 / r + R ** 4, method))
+    return energy_e2_e4_ladder((R,), j, r, method)[0]
 
 
 def energy_e4(R: int, j: int, r: int, method: str = "conv") -> EnergyReport:
@@ -263,11 +402,18 @@ def energy_e4(R: int, j: int, r: int, method: str = "conv") -> EnergyReport:
     return energy_e2_e4(R, j, r, method)[1]
 
 
+def energy_f2_ladder(Rs: Sequence[int], j: int, h: int, r: int,
+                     method: str = "conv") -> List[EnergyReport]:
+    """energy_f2 at every rung R of the ladder Rs, 1 <= R_1 < ... < R_L
+    <= r, from one build and one first pass."""
+    hr = math.gcd(h, r)
+    return [EnergyReport("F2", R, j, h, r, e, hr * R ** 4 / r + R ** 2, method)
+            for R, (e,) in zip(Rs, _energies(Rs, j, h, r, 2, method))]
+
+
 def energy_f2(R: int, j: int, h: int, r: int, method: str = "conv") -> EnergyReport:
     """Additive energy of root differences f(m) = sqrt(j(m+h)) - sqrt(jm)."""
-    e, = _energy(R, j, h, r, 2, method)
-    hr = math.gcd(h, r)
-    return EnergyReport("F2", R, j, h, r, e, hr * R ** 4 / r + R ** 2, method)
+    return energy_f2_ladder((R,), j, h, r, method)[0]
 
 
 def kssz_check(r: int, j: int, R: int) -> Dict[str, float]:

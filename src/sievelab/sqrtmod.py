@@ -12,9 +12,12 @@ FactoredModulus.crt_idempotents.  The bulk root tables (root_pairs) are
 built by their definition instead, by squaring every residue, and
 criterion 1 checks the array solver against them.
 
-Every public function takes r as an int.  sqrt_mod_all's memo is keyed
-on the integers (m mod r, r), and factorizes r only on a miss, through
-arith.factorize; the FactoredModulus stays inside the private helpers.
+Every public function takes r as an int; sqrt_mod_all, root_pairs, the
+multiset builders and the width rule read their integers through
+operator.index, so a numpy integer counts as the int it holds and a
+float raises TypeError.  sqrt_mod_all's memo is keyed on the integers
+(m mod r, r), and factorizes r only on a miss, through arith.factorize;
+the FactoredModulus stays inside the private helpers.
 
 One rule, _residue_dtype, decides the width of each residue kernel that
 may run in 32 bits: it refuses n^2 >= 2^63 and picks 32 bits while
@@ -24,9 +27,10 @@ n^2 < 2^31, 64 above, signed or unsigned as the kernel asks.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -59,6 +63,12 @@ class RootSet:
 
     def __contains__(self, k: int) -> bool:
         return k in self.roots
+
+
+def _as_int(x) -> int:
+    """x as a Python int, through operator.index: a numpy integer or a
+    bool counts as the int it holds, and a float raises TypeError."""
+    return int(operator.index(x))
 
 
 def _two_adic(p: int) -> Tuple[int, int]:
@@ -172,12 +182,16 @@ def _sqrt_mod_prime_power(m: int, p: int, alpha: int) -> Tuple[int, ...]:
 def sqrt_mod_all(m: int, r: int) -> RootSet:
     """All square roots of m modulo r, via CRT over the prime powers of r.
 
-    r < 1 is refused here, on every call; the roots come from
-    _sqrt_mod_all, a memo of at most 256 entries keyed on the integers
-    (m mod r, r), so m, m + r and m - r share one entry and a hit does not
-    factorize r.  The RootSet returned is the cached object itself: it is
-    frozen and holds a tuple, so callers share it safely.
+    m and r are read through operator.index, so a numpy integer counts as
+    the int it holds and a float raises TypeError.  r < 1 is refused here,
+    on every call; the roots come from _sqrt_mod_all, a memo of at most
+    256 entries keyed on the integers (m mod r, r), so m, m + r and m - r
+    share one entry and a hit does not factorize r.  The RootSet returned
+    is the cached object itself: it is frozen and holds a tuple, so
+    callers share it safely.
     """
+    if type(m) is not int or type(r) is not int:  # _as_int, off the hot path
+        m, r = _as_int(m), _as_int(r)
     if r < 1:
         raise ValueError("sqrt_mod_all requires r >= 1")
     return _sqrt_mod_all(m % r, r)
@@ -220,8 +234,9 @@ def root_pairs(r: int) -> np.ndarray:
     as key // r and key - (key // r) r.  There are exactly r pairs since
     every k is a root of exactly one m.  Neither r's factors nor the
     solver are used: criterion 1 checks the array solver against these
-    tables.
+    tables.  r is read through operator.index, as in sqrt_mod_all.
     """
+    r = _as_int(r)
     if r < 1:
         raise ValueError("root_pairs requires r >= 1")
     dtype = _residue_dtype(r, "r")
@@ -267,7 +282,9 @@ def _residue_dtype(n: int, name: str = "n", unsigned: bool = False) -> type:
     Signed (int32, int64) for kernels that form a product of two residues,
     or a difference of two such products; unsigned (uint32, uint64) for
     kernels that add two products, whose sum stays below 2^32 or 2^64.
-    The refusal names n as `name`."""
+    The refusal names n as `name`.  The rule squares the int
+    operator.index(n), so a numpy integer n cannot wrap it."""
+    n = _as_int(n)
     if n * n >= 2 ** 63:
         raise ValueError(f"{name} = {n} too large: {name}^2 must be < 2^63 "
                          "for exact int64 arithmetic")
@@ -441,42 +458,72 @@ def _residue_roots(v: np.ndarray, fm: FactoredModulus
     return t, _mod(k, n)
 
 
-def _array_multiset(R: int, j: int, h: int | None, fm: FactoredModulus
-                    ) -> Tuple[np.ndarray, np.ndarray]:
-    """The fast multiset for R >= _ARRAY_MIN_R, n^2 < 2^63, from one
-    _residue_roots pass over the residues jm (plain kind) or the 2R
-    residues jm and j(m+h) (difference kind).  Each k is a root of
-    exactly one m, so the plain keys are the sorted roots, each counted
+def _array_multiset(Rs: Tuple[int, ...], j: int, h: int | None,
+                    fm: FactoredModulus) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """The fast ladder for R_L >= _ARRAY_MIN_R, n^2 < 2^63, from one
+    _residue_roots pass over the residues jm (plain kind) or the 2 R_L
+    residues jm and j(m+h) (difference kind), m <= R_L.  Each k is a root
+    of exactly one m, so the plain keys are the sorted roots, each counted
     once; the difference kind pairs each root k of jm with every root kt
-    of j(m+h) and counts the differences kt - k mod n by np.unique."""
-    n = fm.n
+    of j(m+h) and counts the differences kt - k mod n by np.unique.  Past
+    one rung, each value v, of the m = t + 1 that _residue_roots returns
+    with it, is keyed as i n + v, i the rung of m, which stays below
+    L n <= n^2 < 2^63; the one sort or np.unique then orders the rungs,
+    and each rung's keys are split off and reduced back to v."""
+    n, R = fm.n, Rs[-1]
     m = np.arange(1, R + 1, dtype=np.int64)
     if h is not None:
         m = np.concatenate([m, m + h % n])
     t, k = _residue_roots(_mod(_mod(m, n) * (j % n), n), fm)
+    if h is not None:
+        split = np.searchsorted(t, R)
+        i, it = _matching_pairs(t[:split], t[split:] - R, R)
+        k = _mod(k[split:][it] - k[i], n)
+    if len(Rs) > 1:
+        k += n * np.searchsorted(Rs, (t if h is None else t[i]) + 1)
     if h is None:
         k.sort()
-        return k, np.ones_like(k)
-    split = np.searchsorted(t, R)
-    i, it = _matching_pairs(t[:split], t[split:] - R, R)
-    keys, counts = np.unique(_mod(k[split:][it] - k[i], n), return_counts=True)
-    return keys, counts.astype(np.int64)
+        keys, counts = k, np.ones_like(k)
+    else:
+        keys, counts = np.unique(k, return_counts=True)
+        counts = counts.astype(np.int64)
+    if len(Rs) == 1:
+        return [(keys, counts)]
+    ends = np.searchsorted(keys, n * np.arange(len(Rs) + 1))
+    keys -= n * np.repeat(np.arange(len(Rs)), np.diff(ends))
+    return _split(keys, counts, ends.tolist())
 
 
-#: smallest R at which the fast builder solves its residues in one numpy
-#: pass (_array_multiset); below it numpy's fixed cost per call exceeds
-#: the per-m solver's memo hits, as on criterion 3's grid (R <= 8), and
-#: the per-m loop runs
+#: smallest top rung R_L at which the fast builder solves its residues in
+#: one numpy pass (_array_multiset); below it numpy's fixed cost per call
+#: exceeds the per-m solver's memo hits, as on criterion 3's grid (R <= 8),
+#: and the per-m loop runs
 _ARRAY_MIN_R = 32
 
 
-def build_root_multiset(
-    R: int,
+def _rungs(Rs: Sequence[int], r: int) -> Tuple[int, ...]:
+    """The rungs Rs as ints (through operator.index), refused unless
+    1 <= R_1 < ... < R_L <= r."""
+    # _as_int inline; a list first, since a tuple built from an iterator
+    # of unknown length parks every freed one on CPython's tuple free list
+    Rs = tuple([int(operator.index(R)) for R in Rs])
+    if not Rs or not all(map(operator.lt, Rs, Rs[1:])):
+        raise ValueError("need rungs R_1 < ... < R_L, at least one")
+    if Rs[0] < 1 or Rs[-1] > r:
+        raise ValueError("need 1 <= R <= r")
+    return Rs
+
+
+def build_root_multiset_ladder(
+    Rs: Sequence[int],
     j: int,
     r: int,
     h: int | None = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The root multiset for m in [1, R], as int64 arrays (keys, counts).
+) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """The root multisets for m in [1, R] at every rung R of the ladder
+    Rs, 1 <= R_1 < ... < R_L <= r, as their increments: entry i is the
+    multiset for m in (R_{i-1}, R_i] (R_0 = 0), as int64 arrays (keys,
+    counts), so the sum of entries 0..i is the multiset at R_i.
 
     h decides the kind.  With h None the plain multiset counts the roots
     lam of j*m:
@@ -485,35 +532,69 @@ def build_root_multiset(
     kt - k between roots of j(m+h) and jm:
         count(lam) = #{(m,k,kt) : 1<=m<=R, k^2=jm, kt^2=j(m+h),
                                   kt-k = lam (mod r)}.
-    For both kinds the keys are the residues lam in [0, r) with
-    count(lam) >= 1, strictly ascending, and counts holds their counts;
-    an empty multiset is two empty arrays.
+    For both kinds each increment's keys are the residues lam in [0, r)
+    with count(lam) >= 1 in its range of m, strictly ascending, and
+    counts holds their counts; an empty increment is two empty arrays.
+    R, j, r and h are read through operator.index, so a numpy integer
+    counts as its int and a float raises TypeError.
 
-    Both kinds are built by solving, so r is served far beyond any
-    table, in one of two regimes chosen by size: when R >= _ARRAY_MIN_R
-    and r^2 < 2^63 every residue jm (and j(m+h)) is solved in one numpy
-    pass (_array_multiset over _residue_roots: array Tonelli-Shanks,
-    Hensel and 2-adic lifts per prime power, CRT idempotents), which
-    factorizes r once; otherwise sqrt_mod_all is called per m, through
-    its memo, and the per-m loop takes the roots of each m
-    as they are (plain) or pairs the k of m with the kt of m + h
-    (difference), counts the residues in a dict and sorts the keys once.
-    Its oracle is oracles.root_multiset.
+    Each residue jm, and j(m+h), is solved once for m <= R_L, in one of
+    two regimes chosen by size, so r is served far beyond any table: when
+    R_L >= _ARRAY_MIN_R and r^2 < 2^63 every residue is solved in one
+    numpy pass (_array_multiset over _residue_roots: array
+    Tonelli-Shanks, Hensel and 2-adic lifts per prime power, CRT
+    idempotents), which factorizes r once and keeps each root's m;
+    otherwise sqrt_mod_all is called per m, through its memo, and the
+    per-m loop takes the roots of each m as they are (plain) or pairs the
+    k of m with the kt of m + h (difference), counts the residues in a
+    dict and sorts the keys once at the end of each rung.  Its oracle is
+    oracles.root_multiset, one rung at a time.
     """
-    if not 1 <= R <= r:
-        raise ValueError("need 1 <= R <= r")
+    j, r = _as_int(j), _as_int(r)
+    h = None if h is None else _as_int(h)
+    Rs = _rungs(Rs, r)
     if math.gcd(j, r) != 1:
         raise ValueError("need gcd(j, r) = 1")
-    if R >= _ARRAY_MIN_R and r * r < 2 ** 63:
-        return _array_multiset(R, j, h, factorize(r))
-    table: Dict[int, int] = {}
-    for m in range(1, R + 1):
-        lams = sqrt_mod_all(j * m % r, r).roots
-        if h is not None and lams:
-            kts = sqrt_mod_all(j * (m + h) % r, r).roots
-            lams = [(kt - k) % r for k in lams for kt in kts]
-        for lam in lams:
-            table[lam] = table.get(lam, 0) + 1
-    keys = sorted(table)
-    return (np.array(keys, dtype=np.int64),
-            np.array([table[k] for k in keys], dtype=np.int64))
+    if Rs[-1] >= _ARRAY_MIN_R and r * r < 2 ** 63:
+        return _array_multiset(Rs, j, h, factorize(r))
+    keys: List[int] = []
+    counts: List[int] = []
+    ends = [0]
+    for low, R in zip((0,) + Rs, Rs):
+        table: Dict[int, int] = {}
+        for m in range(low + 1, R + 1):
+            lams = sqrt_mod_all(j * m % r, r).roots
+            if h is not None and lams:
+                kts = sqrt_mod_all(j * (m + h) % r, r).roots
+                lams = [(kt - k) % r for k in lams for kt in kts]
+            for lam in lams:
+                table[lam] = table.get(lam, 0) + 1
+        increment = sorted(table)
+        keys += increment
+        counts += [table[k] for k in increment]
+        ends.append(len(keys))
+    return _split(np.array(keys, dtype=np.int64),
+                  np.array(counts, dtype=np.int64), ends)
+
+
+def _split(keys: np.ndarray, counts: np.ndarray,
+           ends: Sequence[int]) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """The increments (keys[a:b], counts[a:b]) between consecutive ends;
+    one increment is the arrays themselves."""
+    if len(ends) == 2:
+        return [(keys, counts)]
+    return [(keys[a:b], counts[a:b]) for a, b in zip(ends, ends[1:])]
+
+
+def build_root_multiset(
+    R: int,
+    j: int,
+    r: int,
+    h: int | None = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The root multiset for m in [1, R], as int64 arrays (keys, counts):
+    the one-rung call of build_root_multiset_ladder, whose docstring
+    defines both kinds (h None: plain, an integer h: difference), the
+    format and the two regimes.  Its oracle is oracles.root_multiset.
+    """
+    return build_root_multiset_ladder((R,), j, r, h)[0]

@@ -9,7 +9,9 @@ bench/reference/accept_details.json.
 import dataclasses
 import hashlib
 import json
+import math
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -184,25 +186,48 @@ def test_criterion_03_energy_oracle_full_grid():
     assert result.elapsed_s <= 120
 
 
-def moved_root_builder(build, plain):
-    """build with one value of each plain (plain True) or each difference
-    multiset moved to the next residue; the mass is kept."""
-    def moved(R, j, r, h=None):
-        keys, counts = build(R, j, r, h)
-        if (h is None) != plain or not keys.size:
-            return keys, counts
-        values = np.repeat(keys, counts)
-        values[0] = (values[0] + 1) % r
-        keys, counts = np.unique(values, return_counts=True)
-        return keys, counts.astype(np.int64)
+def test_criterion_03_builds_one_ladder_per_kind(monkeypatch):
+    # the conv side reads each (r, j) from one plain ladder and three F2
+    # ladders over R = 1 .. min(8, r): 4 builds, where one build per R and
+    # kind made 32 at every r >= 8
+    builds, build = Counter(), energies.build_root_multiset_ladder
+
+    def counted(Rs, j, r, h=None):
+        assert list(Rs) == list(range(1, min(8, r) + 1))
+        builds[r, j] += 1
+        return build(Rs, j, r, h)
+
+    monkeypatch.setattr(energies, "build_root_multiset_ladder", counted)
+    result = acceptance.criterion_3_energy_oracle(r_max=12)
+    assert result.passed, result.detail
+    assert builds == {(r, j): 4 for r in range(1, 13) for j in range(1, r + 1)
+                      if math.gcd(j, r) == 1}
+    compared = sum(5 * min(8, r) for r, _ in builds)
+    assert result.detail == f"{compared} exact integer comparisons"
+
+
+def moved_root_ladder(build, plain):
+    """A ladder build with one value of each plain (plain True) or each
+    difference increment moved to the next residue; the mass is kept."""
+    def moved(Rs, j, r, h=None):
+        parts = build(Rs, j, r, h)
+        if (h is None) != plain:
+            return parts
+        for i, (keys, counts) in enumerate(parts):
+            if keys.size:
+                values = np.repeat(keys, counts)
+                values[0] = (values[0] + 1) % r
+                keys, counts = np.unique(values, return_counts=True)
+                parts[i] = keys, counts.astype(np.int64)
+        return parts
     return moved
 
 
 def test_criterion_03_rejects_a_moved_root_difference(monkeypatch):
     # a fast difference builder that moves one difference to the next
     # residue keeps the mass; brute reads the oracle builder, so F2 differs
-    monkeypatch.setattr(energies, "build_root_multiset", moved_root_builder(
-        energies.build_root_multiset, plain=False))
+    monkeypatch.setattr(energies, "build_root_multiset_ladder", moved_root_ladder(
+        energies.build_root_multiset_ladder, plain=False))
     result = acceptance.criterion_3_energy_oracle(r_max=12, R_max=4)
     assert not result.passed
     assert result.detail.startswith("F2 mismatch"), result.detail
@@ -211,38 +236,57 @@ def test_criterion_03_rejects_a_moved_root_difference(monkeypatch):
 def test_criterion_03_rejects_a_moved_plain_root(monkeypatch):
     # the plain multiset feeds E2 and E4 through one first pass; one root
     # moved must show in the E2 comparison, which comes first
-    monkeypatch.setattr(energies, "build_root_multiset", moved_root_builder(
-        energies.build_root_multiset, plain=True))
+    monkeypatch.setattr(energies, "build_root_multiset_ladder", moved_root_ladder(
+        energies.build_root_multiset_ladder, plain=True))
     result = acceptance.criterion_3_energy_oracle(r_max=12, R_max=4)
     assert not result.passed
     assert result.detail.startswith("E2 mismatch"), result.detail
 
 
 def test_criterion_03_rejects_a_moved_bin_of_the_e4_pass(monkeypatch):
-    # E4's second pass, the second self-convolution of one energy, moves
-    # one unit of its first nonzero bin to the next residue; E2 reads the
-    # first pass alone, so only the E4 comparison can see it
-    energy, convolve = energies._energy_from_multiset, energies._self_convolve
+    # E4's pass, the second levelled pass of one ladder, moves one unit of
+    # its first row's first nonzero bin to the next residue, so every rung
+    # cumulated from that row sees it; E2 reads the first pass alone, so
+    # only the E4 comparison can see it
+    ladder, levelled = energies._ladder_energies, energies._levelled_bins
     passes = []
 
     def counted(*args):
         passes.clear()
-        return energy(*args)
+        return ladder(*args)
 
-    def moved(lam, cnt, r):
-        keys, h = convolve(lam, cnt, r)
+    def moved(lam, cnt, rung, r, levels):
+        raw = levelled(lam, cnt, rung, r, levels)
         passes.append(1)
-        if len(passes) == 2 and h.any():  # dense bins: h[k] is bin k
-            k = int(np.flatnonzero(h)[0])
-            h[k] -= 1
-            h[(k + 1) % r] += 1
-        return keys, h
+        if len(passes) == 2 and raw is not None and raw[0].any():
+            k = int(np.flatnonzero(raw[0])[0])
+            raw[0, k] -= 1
+            raw[0, (k + 1) % r] += 1
+        return raw
 
-    monkeypatch.setattr(energies, "_energy_from_multiset", counted)
-    monkeypatch.setattr(energies, "_self_convolve", moved)
+    monkeypatch.setattr(energies, "_ladder_energies", counted)
+    monkeypatch.setattr(energies, "_levelled_bins", moved)
     result = acceptance.criterion_3_energy_oracle(r_max=12, R_max=4)
     assert not result.passed
     assert result.detail.startswith("E4 mismatch"), result.detail
+
+
+def test_criterion_03_rejects_a_pair_binned_at_its_earlier_rung(monkeypatch):
+    # the levelled pass bins each pair at the rung of its later element,
+    # so that row i, cumulated, holds rung i's pairs; binned at the earlier
+    # element's rung instead (numpy's maximum read as minimum inside
+    # energies), a pair reaches rungs below its later element, and the
+    # first pass, E2's, shows it
+    class EarlierRung:
+        maximum = np.minimum
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    monkeypatch.setattr(energies, "np", EarlierRung())
+    result = acceptance.criterion_3_energy_oracle(r_max=12, R_max=4)
+    assert not result.passed
+    assert result.detail.startswith("E2 mismatch"), result.detail
 
 
 def test_criterion_04_gauss_closed_form():

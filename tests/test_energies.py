@@ -7,10 +7,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from sievelab import energies, oracles
+from sievelab import energies, oracles, sqrtmod
 from sievelab.energies import (_energy_from_multiset, _square_sum, energy_e2,
-                               energy_e2_e4, energy_e4, energy_f2, kssz_check)
-from sievelab.sqrtmod import build_root_multiset, sqrt_mod_all
+                               energy_e2_e4, energy_e2_e4_ladder, energy_e4,
+                               energy_f2, energy_f2_ladder, kssz_check)
+from sievelab.oracles import root_multiset
+from sievelab.sqrtmod import (build_root_multiset, build_root_multiset_ladder,
+                              sqrt_mod_all)
 
 #: a prime far above any dense histogram of the fast kernel
 BIG_PRIME = 1000000007
@@ -226,6 +229,91 @@ def test_pair_blocks_match_brute_on_criterion_3_subgrid(block, dense_bins,
     monkeypatch.setattr(energies, "_TRANSFORM_PAIRS_PER_BIN", math.inf)
     assert conv_matches_brute_on_criterion_3_subgrid() == 2275
     e2_e4_match_the_single_energies_on_criterion_3_subgrid()
+
+
+def ladder_points(seed, count):
+    """Seeded (Rs, j, r, h): r <= 160, a unit j, 1 to 5 strictly
+    increasing rungs up to min(r, 48), so the fast builder's top rung
+    falls on both sides of _ARRAY_MIN_R, and h in [-5, r + 5]."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        r = int(rng.integers(1, 161))
+        units = [j for j in range(1, r + 1) if math.gcd(j, r) == 1]
+        j = units[int(rng.integers(len(units)))]
+        top = min(r, 48)
+        size = int(rng.integers(1, min(5, top) + 1))
+        Rs = sorted(rng.choice(np.arange(1, top + 1), size, replace=False).tolist())
+        yield Rs, j, r, int(rng.integers(-5, r + 6))
+
+
+#: each regime threshold of the ladder, forced to both of its values
+LADDER_THRESHOLDS = [
+    (energies, "_DENSE_BINS", 0), (energies, "_DENSE_BINS", 2 ** 20),
+    (energies, "_BLOCK", 1), (energies, "_BLOCK", energies._BLOCK),
+    (energies, "_TRANSFORM_PAIRS_PER_BIN", 0),
+    (energies, "_TRANSFORM_PAIRS_PER_BIN", math.inf),
+    (sqrtmod, "_ARRAY_MIN_R", 0), (sqrtmod, "_ARRAY_MIN_R", sys.maxsize)]
+
+
+@pytest.mark.parametrize("module, name, value", LADDER_THRESHOLDS,
+                         ids=[f"{n}={v}" for _, n, v in LADDER_THRESHOLDS])
+def test_ladders_equal_one_rung_calls_and_brute(module, name, value,
+                                                monkeypatch):
+    # every rung of both ladders equals the one-rung call and the brute
+    # oracle, and the builder's increments, summed up to each rung, equal
+    # oracles.root_multiset there, for both kinds
+    monkeypatch.setattr(module, name, value)
+    levelled, passes = [], energies._levelled_bins
+    monkeypatch.setattr(energies, "_levelled_bins", lambda *args: (
+        lambda raw: levelled.append(raw is not None) or raw)(passes(*args)))
+    for Rs, j, r, h in ladder_points(41, 100):
+        e2_e4 = energy_e2_e4_ladder(Rs, j, r)
+        f2 = energy_f2_ladder(Rs, j, h, r)
+        assert [(a.R, b.R, c.R) for (a, b), c in zip(e2_e4, f2)] == \
+            [(R, R, R) for R in Rs]
+        assert energy_e2_e4_ladder(Rs, j, r, "brute") == \
+            [energy_e2_e4(R, j, r, "brute") for R in Rs]
+        for (e2, e4), f, R in zip(e2_e4, f2, Rs):
+            assert (e2, e4) == energy_e2_e4(R, j, r)
+            assert f == energy_f2(R, j, h, r)
+            assert ([e2.energy, e4.energy, f.energy]
+                    == [rep.energy for rep in (*energy_e2_e4(R, j, r, "brute"),
+                                               energy_f2(R, j, h, r, "brute"))]
+                    ), (Rs, j, r, h, R)
+        for kind in (None, h):
+            cumulative = Counter()
+            for R, (keys, counts) in zip(Rs, build_root_multiset_ladder(
+                    Rs, j, r, kind)):
+                assert keys.dtype == counts.dtype == np.int64
+                assert np.all(np.diff(keys) > 0) and np.all(counts >= 1)
+                cumulative.update(dict(zip(keys.tolist(), counts.tolist())))
+                keys, counts = root_multiset(R, j, r, kind)
+                assert sorted(cumulative.items()) == list(zip(
+                    keys.tolist(), counts.tolist())), (Rs, j, r, kind, R)
+    # no levelled pass without dense bins; with them it runs, and at
+    # transform threshold 0 its fallback runs too
+    if name == "_DENSE_BINS" and value == 0:
+        assert levelled and not any(levelled)
+    else:
+        assert any(levelled)
+    if name == "_TRANSFORM_PAIRS_PER_BIN" and value == 0:
+        assert not all(levelled)
+
+
+def test_ladder_refusals():
+    # the rungs must rise strictly within [1, r], for both methods, and
+    # the top rung's mass is certified before any pass
+    for method in ("conv", "brute"):
+        for Rs in ([], [2, 2], [3, 1], [0, 1], [1, 8]):
+            with pytest.raises(ValueError, match="need"):
+                energy_e2_e4_ladder(Rs, 1, 7, method)
+            with pytest.raises(ValueError, match="need"):
+                energy_f2_ladder(Rs, 1, 1, 7, method)
+    with pytest.raises(ValueError, match="unknown method"):
+        energy_f2_ladder([1, 2], 1, 1, 7, "fast")
+    parts = [multiset({0: 55108}), multiset({1: 1})]
+    with pytest.raises(ValueError, match="mass = 55109"):
+        energies._ladder_energies(parts, 7, 4)
 
 
 def test_doubled_weight_at_the_certificate_edge(monkeypatch):

@@ -18,7 +18,9 @@ path it checks.  The pairs:
 - energies: conv self-convolves (_self_convolve) and sums the squared bins
   with a certified int64 dot (_square_sum), brute enumerates every pair
   sum (oracles._dense_pair_hist); energy_e2_e4 reads both E2 and E4 of
-  one side from one first pass, so neither side reaches the other's;
+  one side from one first pass, so neither side reaches the other's; the
+  ladders' conv side also bins every rung in one levelled pass
+  (_levelled_bins), and their brute side runs the oracle rung by rung;
 - root multisets: for both kinds the oracle (oracles.root_multiset)
   squares every residue (oracles._square_groups) and the fast builder
   solves: sqrt_mod_all per m, or, at R >= _ARRAY_MIN_R, the array solver
@@ -52,7 +54,8 @@ import pytest
 
 from sievelab import arith, energies, expsums, oracles, sieve, sqrtmod
 from sievelab.charsums import S4Input, s4_closed, s4_closed_rows, s4_direct
-from sievelab.energies import energy_e2, energy_e2_e4, energy_e4, energy_f2
+from sievelab.energies import (energy_e2, energy_e2_e4, energy_e2_e4_ladder,
+                               energy_e4, energy_f2, energy_f2_ladder)
 from sievelab.expsums import (RationalFunctionModP, esum_jh, gauss_sum_closed,
                               gauss_sum_direct, gcal, rational_expsum)
 from sievelab.oracles import (gcal_literal, ls_lhs_literal, px_count_literal,
@@ -166,6 +169,21 @@ def test_conv_energy_does_not_enumerate_pairs(name, monkeypatch):
         ENERGIES[name]("brute")
 
 
+LADDERS = {
+    "E2 E4": lambda method: energy_e2_e4_ladder(range(1, 9), 2, 21, method),
+    "F2": lambda method: energy_f2_ladder(range(1, 9), 2, 1, 21, method),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LADDERS))
+def test_brute_ladder_does_not_reach_the_fast_passes(name, monkeypatch):
+    for kernel in ("_levelled_bins", "_self_convolve", "_square_sum"):
+        monkeypatch.setattr(energies, kernel, _kernel_called)
+    assert len(LADDERS[name]("brute")) == 8
+    with pytest.raises(KernelCalled):
+        LADDERS[name]("conv")
+
+
 def _multiset(kind, build):
     h = None if kind == "plain" else 1
     return build(8, 2, 21, h)
@@ -248,6 +266,12 @@ SQUARING_ORACLES = {
                     lambda r: energy_e2_e4(8, 1, r, "conv")),
     "F2 brute": (lambda r: energy_f2(8, 1, 1, r, "brute"),
                  lambda r: energy_f2(8, 1, 1, r, "conv")),
+    "E2 E4 ladder brute": (
+        lambda r: energy_e2_e4_ladder(range(1, 9), 1, r, "brute"),
+        lambda r: energy_e2_e4_ladder(range(1, 9), 1, r, "conv")),
+    "F2 ladder brute": (
+        lambda r: energy_f2_ladder(range(1, 9), 1, 1, r, "brute"),
+        lambda r: energy_f2_ladder(range(1, 9), 1, 1, r, "conv")),
     "esum_jh bare": (lambda r: esum_jh(3, 5, 1, 1, r, form="bare"),
                      lambda r: esum_jh(3, 5, 1, 1, r, form="paired")),
 }

@@ -12,7 +12,8 @@ from sievelab.arith import FactoredModulus, factorize, is_prime
 from sievelab.expsums import esum_jh
 from sievelab.oracles import root_multiset
 from sievelab.sqrtmod import (RootSet, _residue_dtype, _vec_pow_mod,
-                              build_root_multiset, root_pairs, sqrt_mod_all)
+                              build_root_multiset, build_root_multiset_ladder,
+                              root_pairs, sqrt_mod_all)
 
 
 def oracle_roots(m, r):
@@ -585,6 +586,63 @@ def test_int64_square_preconditions_at_boundary():
     # root_pairs sorts on the key m*r + k, so it refuses the same r itself
     with pytest.raises(ValueError, match="2\\^63"):
         root_pairs(3037000500)
+
+
+@pytest.mark.parametrize("n", [46340, 46341, 46349, 3037000499, 3037000500])
+def test_numpy_integers_meet_the_width_rule_as_ints(n):
+    # 46340^2 < 2^31 <= 46341^2 and 3037000499^2 < 2^63 <= 3037000500^2.
+    # The rule squares the int n, so a numpy n can neither pick 32 bits
+    # past the edge (np.int32(46349)^2 wraps) nor pass the refusal
+    # (np.int64(3037000500)^2 wraps); int32 holds n < 2^31 only
+    for kind in [np.int64] + ([np.int32] if n < 2 ** 31 else []):
+        for unsigned in (False, True):
+            if n * n < 2 ** 63:
+                assert (_residue_dtype(kind(n), "r", unsigned)
+                        is _residue_dtype(n, "r", unsigned))
+            else:
+                with pytest.raises(ValueError, match="r = 3037000500 too large"):
+                    _residue_dtype(kind(n), "r", unsigned)
+        if n < 46350:
+            want = root_pairs(n)
+            got = root_pairs(kind(n))
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert sqrt_mod_all(kind(4), kind(n)) == sqrt_mod_all(4, n)
+        for h in (None, 1):
+            assert all(map(np.array_equal, build_root_multiset(
+                kind(40), kind(11), kind(n), h if h is None else kind(h)),
+                build_root_multiset(40, 11, n, h)))
+    if n * n >= 2 ** 63:
+        for r in (n, 2 ** 32):
+            with pytest.raises(ValueError, match="2\\^63"):
+                root_pairs(np.int64(r))
+
+
+def test_float_arguments_raise_type_error():
+    # operator.index refuses a float, where it would otherwise be squared
+    # or reduced as a float
+    for call in (lambda: sqrt_mod_all(4, 15.0), lambda: sqrt_mod_all(4.0, 15),
+                 lambda: root_pairs(15.0), lambda: _residue_dtype(15.0),
+                 lambda: build_root_multiset(3, 1, 15.0),
+                 lambda: build_root_multiset(3, 1, 15, 1.0),
+                 lambda: build_root_multiset_ladder([1, 2.0], 1, 15)):
+        with pytest.raises(TypeError):
+            call()
+
+
+def test_ladder_increments_sum_to_the_one_rung_builds(fast_regime):
+    # each increment holds the m of its own rung only, so the increments
+    # up to a rung, merged, give that rung's one-rung build, in both
+    # regimes of the builder and for both kinds
+    for r, j, Rs in ((45, 2, [1, 4, 8, 30]), (97, 5, [3, 40, 41, 97]),
+                     (360, 7, [1, 2, 50])):
+        for h in (None, 0, 1, -5):
+            table = Counter()
+            for R, (keys, counts) in zip(Rs, build_root_multiset_ladder(
+                    Rs, j, r, h)):
+                table.update(dict(zip(keys.tolist(), counts.tolist())))
+                keys, counts = checked_multiset(R, j, r, h)
+                assert sorted(table.items()) == list(zip(
+                    keys.tolist(), counts.tolist())), (r, j, Rs, h, R)
 
 
 @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint32, np.uint64])
