@@ -27,22 +27,25 @@ squaring bounds by refusing r > 2^20 first.  Both read the multiset as
 sorted int64 (keys, counts) and return exact integers; before either
 runs, the certificate mass^fold < 2^63 (mass = number of roots counted
 with multiplicity) bounds every bin, and so every int64 count and
-weight (doubled ones included), so none can wrap.  r is an int, passed
-through as given: only the fast builder factorizes it.
+weight (doubled ones included), so none can wrap.  Only the fast
+builder factorizes r.
 
 Ladders: energy_e2_e4_ladder(Rs, ...) and energy_f2_ladder(Rs, ...)
 return the reports at every rung of R_1 < ... < R_L, and energy_e2,
-energy_e4, energy_e2_e4 and energy_f2 are their one-rung calls, which
-run the passes above and nothing more.  Past one rung the fast side
-builds once (sqrtmod.build_root_multiset_ladder, each rung's increment)
-and certifies the top rung's mass before any work.  Then one levelled
-pass forms each pair of the top rung's multiset once and adds its weight
-at row (rung of its later element) and column (sum mod r) of an L x r
-int64 array; the rows, cumulated, are every rung's histogram, whose
-square sums are E2.  E4's second pass is levelled the same way over the
-rows' increments.  Where a levelled pass does not apply (L r >
-_DENSE_BINS, sparse bins or the transform), each rung runs the pass
-above on its own multiset.  The brute side runs the oracle rung by rung.
+energy_e4, energy_e2_e4 and energy_f2 are their one-rung calls.  The
+fast side builds each rung's increment once
+(sqrtmod.build_root_multiset_ladder), and _ladder_energies turns the
+increments into energies on one path per rung: it certifies the top
+rung's mass before any work; past one rung a pass is levelled where it
+applies, forming each pair of the top rung's multiset once and adding
+its weight at row (rung of its later element) and column (sum mod r) of
+an L x r int64 array whose rows, cumulated, are every rung's histogram;
+otherwise each rung runs the pass above on its cumulative multiset.
+E4's second pass is treated the same way, levelled only over the rows
+of a levelled E2 pass.  The brute side runs the oracle rung by rung.
+Each rung, j, h and r is read through operator.index where the public
+functions enter, so a numpy integer or a bool counts as its int in
+every report and a float raises TypeError.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ import numpy as np
 
 from .arith import is_prime
 from .oracles import pair_energies, root_multiset
-from .sqrtmod import _rungs, build_root_multiset_ladder
+from .sqrtmod import _as_int, _rungs, build_root_multiset_ladder
 
 #: pair sums per block of the fast convolution (about 1 MB of int64 temporaries)
 _BLOCK = 1 << 16
@@ -237,9 +240,9 @@ def _merge_bins(parts: Sequence[Tuple[np.ndarray, np.ndarray]]
 
 
 def _square_sum(h: np.ndarray, total: int) -> int | List[int]:
-    """Sum of h^2 over nonnegative int64 bins h whose sum is total, exactly;
-    for a stack of such rows (2-D h), each summing to at most total, the
-    list of the rows' sums.
+    """Sum of h^2 over nonnegative int64 bins h summing to at most total,
+    exactly; for a stack of such rows (2-D h), the list of the rows'
+    sums.
 
     sum(h^2) <= max(h) * total, so an int64 dot cannot wrap when total^2
     (a test free of numpy calls) or max(h) * total is below 2^63;
@@ -261,20 +264,6 @@ def _certify(mass: int, fold: int) -> None:
                          "be < 2^63 for exact int64 energies")
 
 
-def _energies_from_bins(keys: np.ndarray | None, h: np.ndarray, mass: int,
-                        r: int, fold: int) -> Tuple[int, ...]:
-    """(E2,) for fold 2, (E2, E4) for fold 4, of a multiset of the given
-    mass from the bins (keys, h) of its first pass (keys None: dense);
-    E4 convolves the nonzero bins once more."""
-    if fold == 2:
-        return (_square_sum(h, mass ** 2),)
-    if keys is None:
-        keys = np.flatnonzero(h)
-        h = h[keys]
-    return (_square_sum(h, mass ** 2),
-            _square_sum(_self_convolve(keys, h, r)[1], mass ** 4))
-
-
 def _energy_from_multiset(keys: np.ndarray, counts: np.ndarray, r: int,
                           fold: int, method: str) -> Tuple[int, ...]:
     """(E2,) for fold 2 (pair sums), (E2, E4) for fold 4 (and quadruple
@@ -283,14 +272,13 @@ def _energy_from_multiset(keys: np.ndarray, counts: np.ndarray, r: int,
 
     The certificate mass^fold < 2^63 is required before any work; the
     mass is summed as Python ints, so a wrapping int64 sum of the counts
-    cannot pass the test.  Method conv self-convolves, brute enumerates
-    (oracles.pair_energies).
+    cannot pass the test.  Method conv is the one-rung call of
+    _ladder_energies, brute enumerates (oracles.pair_energies).
     """
-    mass = sum(counts.tolist())
-    _certify(mass, fold)
     if method == "brute":
+        _certify(sum(counts.tolist()), fold)
         return pair_energies(keys, counts, r, fold)
-    return _energies_from_bins(*_self_convolve(keys, counts, r), mass, r, fold)
+    return _ladder_energies([(keys, counts)], r, fold)[0]
 
 
 def _levelled_bins(lam: np.ndarray, cnt: np.ndarray, rung: np.ndarray,
@@ -314,59 +302,56 @@ def _levelled_bins(lam: np.ndarray, cnt: np.ndarray, rung: np.ndarray,
 
 def _ladder_energies(parts: Sequence[Tuple[np.ndarray, np.ndarray]], r: int,
                      fold: int) -> List[Tuple[int, ...]]:
-    """The conv energies at every rung of a ladder, from the increments
-    (keys, counts) that build_root_multiset_ladder returns.
+    """The conv energies, (E2,) for fold 2 and (E2, E4) for fold 4, at
+    every rung of a ladder, from the increments (keys, counts) that
+    build_root_multiset_ladder returns; one increment is one multiset.
 
-    One rung is _energy_from_multiset's pass.  Past one, the certificate
-    is checked once, at the top rung's mass, before any work.  The
-    increments, concatenated with each key's rung, take one levelled pass
-    (_levelled_bins); E2 is each cumulated row's square sum.  E4's second
-    pass is levelled the same way over the rows' increments, the nonzero
-    entries of the levelled bins, each at its own row.  Where a levelled
-    pass does not apply, each rung runs _self_convolve on its own
-    multiset: the increments merged so far, or for E4 the nonzero bins
-    of its row.
+    The top rung's mass (summed as Python ints) is certified before any
+    work.  E2's pass runs over the multisets and E4's over E2's nonzero
+    bins.  Past one rung a pass is levelled (_levelled_bins) where it
+    applies and its increments are at hand: the builder's, or the
+    nonzero rows of a levelled E2 pass.  Otherwise each rung runs
+    _self_convolve on its cumulative multiset: the increments merged so
+    far, or its nonzero E2 bins.
     """
-    if len(parts) == 1:
-        return [_energy_from_multiset(*parts[0], r, fold, "conv")]
-    sizes = [k.size for k, _ in parts]
-    cnt = np.concatenate([c for _, c in parts])
-    prefix = list(itertools.accumulate(cnt.tolist(), initial=0))
-    masses = [prefix[end] for end in itertools.accumulate(sizes)]
-    _certify(masses[-1], fold)
+    mass = sum(sum(counts.tolist()) for _, counts in parts)
+    _certify(mass, fold)
     levels = len(parts)
-    raw = _levelled_bins(np.concatenate([k for k, _ in parts]), cnt,
-                         np.repeat(np.arange(levels), sizes), r, levels)
-    if raw is None:
-        cumulative = itertools.accumulate(parts, lambda a, b: _merge_bins([a, b]))
-        return [_energies_from_bins(*_self_convolve(*multiset, r), mass, r, fold)
-                for multiset, mass in zip(cumulative, masses)]
-    bins = np.cumsum(raw, axis=0)
-    e2 = _square_sum(bins, masses[-1] ** 2)
-    if fold == 2:
-        return [(e,) for e in e2]
-    rows, keys = np.nonzero(raw)
-    raw = _levelled_bins(keys, raw[rows, keys], rows, r, levels)
-    if raw is None:
-        e4 = [_square_sum(_self_convolve(nonzero, h[nonzero], r)[1], mass ** 4)
-              for h, mass in zip(bins, masses)
-              for nonzero in [np.flatnonzero(h)]]
-    else:
-        e4 = _square_sum(np.cumsum(raw, axis=0), masses[-1] ** 4)
-    return list(zip(e2, e4))
+    cumulative = itertools.accumulate(parts, lambda a, b: _merge_bins([a, b]))
+    increments = None if levels == 1 else (
+        np.concatenate([k for k, _ in parts]),
+        np.concatenate([c for _, c in parts]),
+        np.repeat(np.arange(levels), [k.size for k, _ in parts]))
+    energies = []
+    for power in range(2, fold + 1, 2):
+        raw = None if increments is None else _levelled_bins(*increments, r, levels)
+        if raw is None:
+            bins = [_self_convolve(*multiset, r) for multiset in cumulative]
+            energies.append([_square_sum(h, mass ** power) for _, h in bins])
+            increments, cumulative = None, (
+                (k if keys is None else keys[k], h[k])
+                for keys, h in bins for k in [np.flatnonzero(h)])
+        else:
+            bins = np.cumsum(raw, axis=0)
+            energies.append(_square_sum(bins, mass ** power))
+            if power < fold:
+                rows, keys = np.nonzero(raw)
+                increments = keys, raw[rows, keys], rows
+                cumulative = ((k, h[k]) for h in bins for k in [np.flatnonzero(h)])
+    return list(zip(*energies))
 
 
 def _energies(Rs: Sequence[int], j: int, h: int | None, r: int, fold: int,
               method: str) -> List[Tuple[int, ...]]:
-    """The energies at every rung R of Rs of the plain multiset (h None)
-    or the difference multiset of h.  Method conv reads one ladder of the
-    fast builder; brute reads the oracle builder oracles.root_multiset,
-    which factorizes nothing, rung by rung."""
+    """The energies at every rung R of Rs (checked by _rungs) of the plain
+    multiset (h None) or the difference multiset of h.  Method conv reads
+    one ladder of the fast builder; brute reads the oracle builder
+    oracles.root_multiset, which factorizes nothing, rung by rung."""
     if method == "conv":
         return _ladder_energies(build_root_multiset_ladder(Rs, j, r, h), r, fold)
     if method == "brute":
         return [_energy_from_multiset(*root_multiset(R, j, r, h), r, fold, method)
-                for R in _rungs(Rs, r)]
+                for R in Rs]
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -377,6 +362,8 @@ def _e2_report(R: int, j: int, r: int, energy: int, method: str) -> EnergyReport
 
 def energy_e2(R: int, j: int, r: int, method: str = "conv") -> EnergyReport:
     """Quadruples (k1..k4) with ki^2 = j*mi, mi in [1,R], k1+k2 = k3+k4 mod r."""
+    j, r = _as_int(j), _as_int(r)
+    (R,) = _rungs((R,), r)
     (e,), = _energies((R,), j, None, r, 2, method)
     return _e2_report(R, j, r, e, method)
 
@@ -386,6 +373,8 @@ def energy_e2_e4_ladder(Rs: Sequence[int], j: int, r: int,
                         ) -> List[Tuple[EnergyReport, EnergyReport]]:
     """(energy_e2, energy_e4) at every rung R of the ladder Rs,
     1 <= R_1 < ... < R_L <= r, from one build and one first pass."""
+    j, r = _as_int(j), _as_int(r)
+    Rs = _rungs(Rs, r)
     return [(_e2_report(R, j, r, e2, method),
              EnergyReport("E4", R, j, None, r, e4, R ** 8 / r + R ** 4, method))
             for R, (e2, e4) in zip(Rs, _energies(Rs, j, None, r, 4, method))]
@@ -406,6 +395,8 @@ def energy_f2_ladder(Rs: Sequence[int], j: int, h: int, r: int,
                      method: str = "conv") -> List[EnergyReport]:
     """energy_f2 at every rung R of the ladder Rs, 1 <= R_1 < ... < R_L
     <= r, from one build and one first pass."""
+    j, h, r = _as_int(j), _as_int(h), _as_int(r)
+    Rs = _rungs(Rs, r)
     hr = math.gcd(h, r)
     return [EnergyReport("F2", R, j, h, r, e, hr * R ** 4 / r + R ** 2, method)
             for R, (e,) in zip(Rs, _energies(Rs, j, h, r, 2, method))]
@@ -422,6 +413,7 @@ def kssz_check(r: int, j: int, R: int) -> Dict[str, float]:
     Constant-tracking monitor; the theorem's implied constant is not
     explicit, so the ratio is reported, never asserted.
     """
+    r, j, R = _as_int(r), _as_int(j), _as_int(R)
     if not is_prime(r):
         raise ValueError("kssz_check requires prime r")
     e2 = energy_e2(R, j, r).energy

@@ -458,46 +458,32 @@ def _residue_roots(v: np.ndarray, fm: FactoredModulus
     return t, _mod(k, n)
 
 
-def _array_multiset(Rs: Tuple[int, ...], j: int, h: int | None,
-                    fm: FactoredModulus) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """The fast ladder for R_L >= _ARRAY_MIN_R, n^2 < 2^63, from one
-    _residue_roots pass over the residues jm (plain kind) or the 2 R_L
-    residues jm and j(m+h) (difference kind), m <= R_L.  Each k is a root
-    of exactly one m, so the plain keys are the sorted roots, each counted
-    once; the difference kind pairs each root k of jm with every root kt
-    of j(m+h) and counts the differences kt - k mod n by np.unique.  Past
-    one rung, each value v, of the m = t + 1 that _residue_roots returns
-    with it, is keyed as i n + v, i the rung of m, which stays below
-    L n <= n^2 < 2^63; the one sort or np.unique then orders the rungs,
-    and each rung's keys are split off and reduced back to v."""
-    n, R = fm.n, Rs[-1]
-    m = np.arange(1, R + 1, dtype=np.int64)
+def _array_multiset(low: int, R: int, j: int, h: int | None,
+                    fm: FactoredModulus) -> Tuple[np.ndarray, np.ndarray]:
+    """The multiset for m in (low, R] from one _residue_roots pass over the
+    residues jm (plain kind) or the 2 (R - low) residues jm and j(m+h)
+    (difference kind), n^2 < 2^63.  Each k is a root of exactly one m, so
+    the plain keys are the sorted roots, each counted once; the
+    difference kind pairs each root k of jm with every root kt of j(m+h)
+    and counts the differences kt - k mod n by np.unique."""
+    n, size = fm.n, R - low
+    m = np.arange(low + 1, R + 1, dtype=np.int64)
     if h is not None:
         m = np.concatenate([m, m + h % n])
     t, k = _residue_roots(_mod(_mod(m, n) * (j % n), n), fm)
-    if h is not None:
-        split = np.searchsorted(t, R)
-        i, it = _matching_pairs(t[:split], t[split:] - R, R)
-        k = _mod(k[split:][it] - k[i], n)
-    if len(Rs) > 1:
-        k += n * np.searchsorted(Rs, (t if h is None else t[i]) + 1)
     if h is None:
         k.sort()
-        keys, counts = k, np.ones_like(k)
-    else:
-        keys, counts = np.unique(k, return_counts=True)
-        counts = counts.astype(np.int64)
-    if len(Rs) == 1:
-        return [(keys, counts)]
-    ends = np.searchsorted(keys, n * np.arange(len(Rs) + 1))
-    keys -= n * np.repeat(np.arange(len(Rs)), np.diff(ends))
-    return _split(keys, counts, ends.tolist())
+        return k, np.ones_like(k)
+    split = np.searchsorted(t, size)
+    i, it = _matching_pairs(t[:split], t[split:] - size, size)
+    keys, counts = np.unique(_mod(k[split:][it] - k[i], n), return_counts=True)
+    return keys, counts.astype(np.int64)
 
 
-#: smallest top rung R_L at which the fast builder solves its residues in
-#: one numpy pass (_array_multiset); below it numpy's fixed cost per call
-#: exceeds the per-m solver's memo hits, as on criterion 3's grid (R <= 8),
-#: and the per-m loop runs
+#: smallest top rung R_L at which the fast builder solves each increment's
+#: residues in one numpy pass (_array_multiset); below it numpy's fixed
+#: cost per call exceeds the per-m solver's memo hits, as on criterion 3's
+#: grid (R <= 8), and the per-m loop runs
 _ARRAY_MIN_R = 32
 
 
@@ -538,17 +524,18 @@ def build_root_multiset_ladder(
     R, j, r and h are read through operator.index, so a numpy integer
     counts as its int and a float raises TypeError.
 
-    Each residue jm, and j(m+h), is solved once for m <= R_L, in one of
-    two regimes chosen by size, so r is served far beyond any table: when
-    R_L >= _ARRAY_MIN_R and r^2 < 2^63 every residue is solved in one
-    numpy pass (_array_multiset over _residue_roots: array
-    Tonelli-Shanks, Hensel and 2-adic lifts per prime power, CRT
-    idempotents), which factorizes r once and keeps each root's m;
-    otherwise sqrt_mod_all is called per m, through its memo, and the
-    per-m loop takes the roots of each m as they are (plain) or pairs the
-    k of m with the kt of m + h (difference), counts the residues in a
-    dict and sorts the keys once at the end of each rung.  Its oracle is
-    oracles.root_multiset, one rung at a time.
+    The regime is chosen once, by the top rung, and each increment is
+    built by that regime's one-multiset code, so each residue jm, and
+    j(m+h), is solved once for m <= R_L, and r is served far beyond any
+    table.  When R_L >= _ARRAY_MIN_R and r^2 < 2^63, r is factorized once
+    and each increment is solved in one numpy pass (_array_multiset over
+    _residue_roots: array Tonelli-Shanks, Hensel and 2-adic lifts per
+    prime power, CRT idempotents); otherwise the per-m loop calls
+    sqrt_mod_all per m, through its memo, takes the roots of each m as
+    they are (plain) or pairs the k of m with the kt of m + h
+    (difference), counts the residues in a dict and sorts its keys once
+    per increment.  Its oracle is oracles.root_multiset, one rung at a
+    time.
     """
     j, r = _as_int(j), _as_int(r)
     h = None if h is None else _as_int(h)
@@ -556,10 +543,10 @@ def build_root_multiset_ladder(
     if math.gcd(j, r) != 1:
         raise ValueError("need gcd(j, r) = 1")
     if Rs[-1] >= _ARRAY_MIN_R and r * r < 2 ** 63:
-        return _array_multiset(Rs, j, h, factorize(r))
-    keys: List[int] = []
-    counts: List[int] = []
-    ends = [0]
+        fm = factorize(r)
+        return [_array_multiset(low, R, j, h, fm)
+                for low, R in zip((0,) + Rs, Rs)]
+    parts = []
     for low, R in zip((0,) + Rs, Rs):
         table: Dict[int, int] = {}
         for m in range(low + 1, R + 1):
@@ -569,21 +556,10 @@ def build_root_multiset_ladder(
                 lams = [(kt - k) % r for k in lams for kt in kts]
             for lam in lams:
                 table[lam] = table.get(lam, 0) + 1
-        increment = sorted(table)
-        keys += increment
-        counts += [table[k] for k in increment]
-        ends.append(len(keys))
-    return _split(np.array(keys, dtype=np.int64),
-                  np.array(counts, dtype=np.int64), ends)
-
-
-def _split(keys: np.ndarray, counts: np.ndarray,
-           ends: Sequence[int]) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """The increments (keys[a:b], counts[a:b]) between consecutive ends;
-    one increment is the arrays themselves."""
-    if len(ends) == 2:
-        return [(keys, counts)]
-    return [(keys[a:b], counts[a:b]) for a, b in zip(ends, ends[1:])]
+        keys = sorted(table)
+        parts.append((np.array(keys, dtype=np.int64),
+                      np.array([table[k] for k in keys], dtype=np.int64)))
+    return parts
 
 
 def build_root_multiset(

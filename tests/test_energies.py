@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -314,6 +315,75 @@ def test_ladder_refusals():
     parts = [multiset({0: 55108}), multiset({1: 1})]
     with pytest.raises(ValueError, match="mass = 55109"):
         energies._ladder_energies(parts, 7, 4)
+
+
+#: (function, int arguments) of every public energy function; a rung or
+#: an argument of 0 or 1 takes a bool as well
+ENERGY_CALLS = [
+    (energy_e2, (3, 1, 35)), (energy_e2, (1, 1, 1)), (energy_e4, (3, 1, 35)),
+    (energy_e2_e4, (1, 2, 35)), (energy_f2, (3, 1, 1, 35)),
+    (energy_f2, (2, 1, 0, 35)), (energy_e2_e4_ladder, ([1, 3], 1, 35)),
+    (energy_f2_ladder, ([1, 2], 1, 1, 35))]
+
+
+def as_kind(arg, kind):
+    """arg, or each rung of a list arg, as kind where kind holds it."""
+    if isinstance(arg, list):
+        return [as_kind(R, kind) for R in arg]
+    return kind(arg) if kind is not bool or arg in (0, 1) else arg
+
+
+def report_fields(result):
+    """The fields of every report in an energy function's result."""
+    reports = result if isinstance(result, (list, tuple)) else [result]
+    return [[getattr(rep, field.name) for field in dataclasses.fields(rep)]
+            for item in reports
+            for rep in (item if isinstance(item, tuple) else [item])]
+
+
+@pytest.mark.parametrize("method", ["conv", "brute"])
+def test_energy_arguments_read_as_ints(method):
+    # each rung and j, h and r pass through operator.index where the
+    # public functions enter: numpy integers and bools give the int
+    # call's reports, field for field, with every integer field an int
+    # (an np.int64 r reached int.bit_length in _regime, and an np.int64
+    # R or h was copied into the reports); a float raises TypeError
+    for kind in (np.int32, np.int64, bool):
+        for function, args in ENERGY_CALLS:
+            want = report_fields(function(*args, method=method))
+            got = report_fields(function(*(as_kind(a, kind) for a in args),
+                                         method=method))
+            assert got == want, (function.__name__, args, kind)
+            for _, R, j, h, r, energy, _, _ in got:
+                assert all(type(x) is int for x in (R, j, r, energy))
+                assert h is None or type(h) is int
+        want = kssz_check(97, 1, 4)
+        got = kssz_check(as_kind(97, kind), as_kind(1, kind), as_kind(4, kind))
+        assert got == want
+        assert all(type(got[key]) is int for key in ("r", "j", "R", "e2"))
+    for function, args in ENERGY_CALLS:
+        for i in range(len(args)):
+            floats = list(args)
+            floats[i] = ([float(R) for R in args[i]] if isinstance(args[i], list)
+                         else float(args[i]))
+            with pytest.raises(TypeError):
+                function(*floats, method=method)
+    with pytest.raises(TypeError):
+        kssz_check(97.0, 1, 4)
+
+
+def test_one_rung_calls_keep_their_passes(monkeypatch):
+    # a one-rung call runs the one-multiset passes and no levelled pass:
+    # two self-convolutions for E2 and E4, one for F2
+    calls = Counter()
+    for name in ("_self_convolve", "_levelled_bins"):
+        monkeypatch.setattr(energies, name, lambda *args, name=name, kernel=getattr(
+            energies, name): calls.update([name]) or kernel(*args))
+    energy_e2_e4(48, 1, 4199)
+    assert calls == {"_self_convolve": 2}
+    calls.clear()
+    energy_f2(600, 1, 1, 99991)
+    assert calls == {"_self_convolve": 1}
 
 
 def test_doubled_weight_at_the_certificate_edge(monkeypatch):

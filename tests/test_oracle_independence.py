@@ -19,8 +19,10 @@ path it checks.  The pairs:
   with a certified int64 dot (_square_sum), brute enumerates every pair
   sum (oracles._dense_pair_hist); energy_e2_e4 reads both E2 and E4 of
   one side from one first pass, so neither side reaches the other's; the
-  ladders' conv side also bins every rung in one levelled pass
-  (_levelled_bins), and their brute side runs the oracle rung by rung;
+  ladders' conv side turns the builder's increments into energies on one
+  path per rung, levelled (_levelled_bins) past one rung where that pass
+  applies and _self_convolve on each rung's cumulative multiset
+  otherwise, and their brute side runs the oracle rung by rung;
 - root multisets: for both kinds the oracle (oracles.root_multiset)
   squares every residue (oracles._square_groups) and the fast builder
   solves: sqrt_mod_all per m, or, at R >= _ARRAY_MIN_R, the array solver
