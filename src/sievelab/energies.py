@@ -118,14 +118,14 @@ def _self_convolve(lam: np.ndarray, cnt: np.ndarray,
         h = None if length is None else _transform_bins(lam, cnt, r, length)
         if h is None:
             h = np.zeros(r, dtype=np.int64)
-            for sums, weights in _pair_blocks(lam, cnt, r):
+            for _, _, sums, weights in _pair_blocks(lam, cnt, r):
                 np.add.at(h, sums, weights)
         return None, h
     minus_r = np.int64(-r)
     keys = h = np.zeros(0, dtype=np.int64)
     pending: List[Tuple[np.ndarray, np.ndarray]] = []
     size = 0
-    for sums, weights in _pair_blocks(lam, cnt, r):
+    for _, _, sums, weights in _pair_blocks(lam, cnt, r):
         sums -= (sums >> 63) & minus_r  # s < 0 becomes s + r
         pending.append((sums, weights))
         size += sums.size
@@ -150,14 +150,15 @@ def _regime(size: int, r: int) -> Tuple[bool, int | None]:
                   else None)
 
 
-def _pair_blocks(lam: np.ndarray, cnt: np.ndarray, r: int,
-                 rung: np.ndarray | None = None) -> Iterator[Tuple[np.ndarray, ...]]:
-    """The blocks of pair sums of _self_convolve, each formed when read:
-    (sums, weights), every sum lam[a] + (lam[b] - r) in [-r, r), and with
-    `rung` (one rung per key) also rows, max(rung[a], rung[b]), the rung
-    of the pair's later element.  One block of every ordered pair when
-    it covers lam; otherwise the rows [i, i + step) meet the columns
-    i.., and a column past the block carries the doubled weight."""
+def _pair_blocks(lam: np.ndarray, cnt: np.ndarray,
+                 r: int) -> Iterator[Tuple[slice, int, np.ndarray, np.ndarray]]:
+    """The blocks of pair sums of _self_convolve, each formed when read,
+    as (rows, i, sums, weights): the block's row slice of lam and its
+    first column i, then every sum lam[a] + (lam[b] - r) in [-r, r) of
+    its rows a and columns b >= i, and their weights.  One block of every
+    ordered pair when it covers lam; otherwise the rows [i, i + step)
+    meet the columns i.., and a column past the block carries the
+    doubled weight."""
     step = max(1, _BLOCK // max(1, lam.size))
     shifted = lam + np.int64(-r)
     if step >= lam.size:
@@ -168,12 +169,8 @@ def _pair_blocks(lam: np.ndarray, cnt: np.ndarray, r: int,
                   np.concatenate((cnt[i:i + step], twice[i + step:])))
                  for i in range(0, lam.size, step))
     for rows, i, columns in spans:
-        sums = np.add.outer(lam[rows], shifted[i:]).ravel()
-        weights = np.multiply.outer(cnt[rows], columns).ravel()
-        if rung is None:
-            yield sums, weights
-        else:
-            yield sums, weights, np.maximum.outer(rung[rows], rung[i:]).ravel()
+        yield (rows, i, np.add.outer(lam[rows], shifted[i:]).ravel(),
+               np.multiply.outer(cnt[rows], columns).ravel())
 
 
 def _transform_error_bound(norm2: float, length: int) -> float:
@@ -288,15 +285,18 @@ def _levelled_bins(lam: np.ndarray, cnt: np.ndarray, rung: np.ndarray,
     levels * r > _DENSE_BINS, or _regime puts the pairs of lam in sparse
     bins or the transform.  Each pair of (lam, cnt) is formed once, and
     its weight is added at the row of its later element's rung and the
-    column of its sum mod r (a negative sum s indexes r + s).  So the
-    rows, cumulated, give each rung's histogram: row i the pairs whose
-    elements both lie at rungs <= i.  Every entry is at most the top
-    rung's bin, which the caller certifies."""
+    column of its sum mod r (a negative sum s indexes r + s).  Each block
+    of _pair_blocks gives its row slice and first column i, so that rung
+    is max(rung[a], rung[b]) over the block's rows a and columns b >= i.
+    So the rows, cumulated, give each rung's histogram: row i the pairs
+    whose elements both lie at rungs <= i.  Every entry is at most the
+    top rung's bin, which the caller certifies."""
     if levels * r > _DENSE_BINS or _regime(lam.size, r) != (True, None):
         return None
     h = np.zeros((levels, r), dtype=np.int64)
-    for sums, weights, rows in _pair_blocks(lam, cnt, r, rung):
-        np.add.at(h, (rows, sums), weights)
+    for rows, i, sums, weights in _pair_blocks(lam, cnt, r):
+        np.add.at(h, (np.maximum.outer(rung[rows], rung[i:]).ravel(), sums),
+                  weights)
     return h
 
 

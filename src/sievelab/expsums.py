@@ -7,7 +7,10 @@ and gathers e_q(t) from one table, unit_phases(q), instead of calling
 exp per term; _phase_sum adds the gathered values.  The table entries are
 within a few ulp of e_q(t) whatever the modulus.  The closed Gauss sum
 and the bare root-difference sum call the scalar oracles.e_frac instead;
-esum_jh(form="bare") is oracles.esum_bare.  Every modulus is an int.
+esum_jh(form="bare") is oracles.esum_bare.  Every modulus is an int:
+gauss_sum_direct, gauss_sum_closed, esum_jh and gcal read each integer
+argument through operator.index (sqrtmod._as_int) where they enter, so a
+numpy integer or a bool counts as its int and a float raises TypeError.
 
 The units and inverses mod q come from two classical facts, not from
 inverting anything: (Z/p^a)* is cyclic for an odd prime p, so
@@ -36,7 +39,7 @@ import numpy as np
 
 from .arith import eps_q, factorize, is_prime, jacobi, mod_inverse
 from .oracles import e_frac, esum_bare
-from .sqrtmod import _matching_pairs, _mod, _residue_dtype, root_pairs
+from .sqrtmod import _as_int, _matching_pairs, _mod, _residue_dtype, root_pairs
 
 
 #: bytes that the tables of _TABLES may hold together (4 MiB)
@@ -194,6 +197,7 @@ def gauss_sum_direct(q: int, a: int, b: int) -> ExpSumValue:
     table, in the unsigned dtype of _residue_dtype(q), which refuses
     q^2 >= 2^63: each product is below q^2 and a sum of two below 2q^2.
     """
+    q, a, b = _as_int(q), _as_int(a), _as_int(b)
     if q < 1:
         raise ValueError("q must be >= 1")
     n = np.arange(1, q + 1, dtype=_residue_dtype(q, "q", unsigned=True))
@@ -208,6 +212,7 @@ def gauss_sum_closed(q: int, a: int, b: int) -> ExpSumValue:
     and evaluate eps * e_q(-(4a)^-1 b^2) * (a/q) * sqrt(q) on the coprime
     part.
     """
+    q, a, b = _as_int(q), _as_int(a), _as_int(b)
     if q % 2 == 0 or q < 1:
         raise ValueError("closed form requires odd q")
     d = math.gcd(a, q)
@@ -242,13 +247,14 @@ def esum_jh(
     unit_phases(r).  It runs in the table's dtype, sqrtmod._residue_dtype
     (int32 while r^2 < 2^31, else int64), where every product of two
     residues fits.  bare is the oracle, oracles.esum_bare: it squares
-    every k in [0, r) once (k grouped by j^-1 k^2, which refuses r > 2^20
-    before any work), factorizes nothing, calls no solver, and adds one
-    e_frac per term.
+    every k in [0, r) once (k grouped by k^2, read at ja and j(a + h),
+    which refuses r > 2^20 before any work), factorizes nothing, calls
+    no solver, and adds one e_frac per term.
     Their computed values may differ in the last bits, since the terms are
     added in another order; terms is equal.
     margin is |value| / (r^{4/5} (h,r) (l,r)^{1/5}), eps = 0.
     """
+    l, n, j, h, r = map(_as_int, (l, n, j, h, r))
     if form not in ("paired", "bare"):
         raise ValueError(f"unknown form {form!r}")
     if r < 1:
@@ -365,6 +371,7 @@ def gcal(q: int, a: int, b: int, j: int, k: int, u: int, s: int) -> ExpSumValue:
     tests/test_expsums.py checks it against oracles.gcal_literal, a
     scalar sum with pow(c, -1, q) and e_frac per term.
     """
+    q, a, b, j, k, u, s = map(_as_int, (q, a, b, j, k, u, s))
     if q < 1:
         raise ValueError("q must be >= 1")
     if q % 2 == 0:

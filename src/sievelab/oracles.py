@@ -2,7 +2,8 @@
 sievelab is checked against, each written from its definition.
 
 - root_multiset, for sqrtmod.build_root_multiset: squares every residue
-  (_square_groups) and counts the roots of each m in a dict;
+  once per modulus (_square_groups, the table of squares) and counts the
+  roots of each jm in a dict;
 - pair_energies, for the energies' method "brute": enumerates every
   ordered pair sum once (_dense_pair_hist), for E2 and E4 alike;
 - esum_bare, for expsums.esum_jh(form="bare"): the root-difference sum
@@ -20,8 +21,8 @@ closed Gauss sum, which is an identity under test, not an oracle.
 
 Independence is an import rule: this module imports the standard library
 modules __future__, cmath, fractions, functools, math, types and typing,
-numpy, and from arith only BudgetExceeded, DEFAULT_BUDGET and
-mod_inverse; no fast module and no factorization.
+numpy, and from arith only BudgetExceeded and DEFAULT_BUDGET; no fast
+module, no factorization and no modular inverse.
 tests/test_imports_used.py pins that list, so a speed-up of a fast path
 cannot route its own oracle through it.  None of these oracles
 factorizes r or calls a square-root solver.
@@ -38,7 +39,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .arith import DEFAULT_BUDGET, BudgetExceeded, mod_inverse
+from .arith import DEFAULT_BUDGET, BudgetExceeded
 
 
 def e_frac(num: int, den: int) -> complex:
@@ -52,29 +53,29 @@ _ORACLE_MAX_R = 1 << 20
 
 
 @lru_cache(maxsize=1)
-def _square_groups(n: int, j: int) -> Mapping[int, Tuple[int, ...]]:
-    """Every k in [0, n), grouped by m = j^-1 k^2 mod n, ascending in k.
+def _square_groups(n: int) -> Mapping[int, Tuple[int, ...]]:
+    """The table of squares mod n: every k in [0, n), grouped by k^2 mod
+    n, ascending in k.  So the roots of jm are the group at j * m % n.
 
     The squaring side of three oracles: the plain and difference root
     multisets (root_multiset) and the bare root-difference sum
-    (esum_bare).  It depends only on (n, j mod n), so criterion 3's
-    points of one (r, j), plain and difference alike, share it; the memo
-    keeps the most recent key only.  So after a call the groups of that
-    (n, j) stay alive: O(n) tuples, about 79 MB at n = 2^20.  A
-    command-line call exits and frees them; a library caller releases
-    them with oracles._square_groups.cache_clear().  It refuses
-    n > _ORACLE_MAX_R first, and no oracle factorizes or solves before
-    it, so that refusal comes before any work.  The groups are read-only
-    (a mapping proxy over tuples), so no caller can corrupt them.
+    (esum_bare), which apply j at the lookup.  It depends on n alone, so
+    every point of one r, of any j and kind, shares it; the memo keeps
+    the most recent n only.  So after a call the table of that n stays
+    alive: O(n) tuples, about 79 MB at n = 2^20.  A command-line call
+    exits and frees it; a library caller releases it with
+    oracles._square_groups.cache_clear().  It refuses n > _ORACLE_MAX_R
+    first, and no oracle factorizes or solves before it, so that refusal
+    comes before any work.  The groups are read-only (a mapping proxy
+    over tuples), so no caller can corrupt them.
     """
     if n > _ORACLE_MAX_R:
         raise ValueError(f"r = {n} too large for the squaring oracle: it "
                          "squares every residue mod r, so r must be <= "
                          f"{_ORACLE_MAX_R}")
-    jinv = mod_inverse(j, n)
     groups: Dict[int, List[int]] = {}
     for k in range(n):
-        groups.setdefault(k * k * jinv % n, []).append(k)
+        groups.setdefault(k * k % n, []).append(k)
     return MappingProxyType({m: tuple(ks) for m, ks in groups.items()})
 
 
@@ -85,20 +86,20 @@ def root_multiset(R: int, j: int, r: int,
     the roots of j(m + h) minus those of jm, for m in [1, R], as int64
     (keys, counts) with the keys strictly ascending.
 
-    The roots of each m are its group in _square_groups(r, j mod r); the
-    residues are counted in a dict and the keys sorted once.  r must be
-    at most 2^20.
+    The roots of jm are the group of _square_groups(r), the table of
+    squares, at j * m % r; the residues are counted in a dict and the
+    keys sorted once.  r must be at most 2^20.
     """
     if not 1 <= R <= r:
         raise ValueError("need 1 <= R <= r")
     if math.gcd(j, r) != 1:
         raise ValueError("need gcd(j, r) = 1")
-    groups = _square_groups(r, j % r)
+    groups = _square_groups(r)
     table: Dict[int, int] = {}
     for m in range(1, R + 1):
-        lams = groups.get(m % r, ())
+        lams = groups.get(j * m % r, ())
         if h is not None and lams:
-            kts = groups.get((m + h) % r, ())
+            kts = groups.get(j * (m + h) % r, ())
             lams = [(kt - k) % r for k in lams for kt in kts]
         for lam in lams:
             table[lam] = table.get(lam, 0) + 1
@@ -143,17 +144,18 @@ def esum_bare(l: int, n: int, j: int, h: int, r: int) -> Tuple[complex, int]:
     """(value, terms) of the bare root-difference sum: over a mod r and
     root pairs k^2 = ja, kt^2 = j(a + h), of e_r(l(kt - k) + n a).
 
-    The k with k^2 = ja mod r are the group of a in _square_groups, so r
-    must be at most 2^20; one e_frac per term.
+    The k with k^2 = ja mod r are the group of _square_groups(r), the
+    table of squares, at j * a % r, so r must be at most 2^20; one
+    e_frac per term.
     """
-    groups = _square_groups(r, j % r)
+    groups = _square_groups(r)
     total = 0j
     terms = 0
     for a in range(1, r + 1):
-        ks = groups.get(a % r, ())
+        ks = groups.get(j * a % r, ())
         if not ks:
             continue
-        kts = groups.get((a + h) % r, ())
+        kts = groups.get(j * (a + h) % r, ())
         for k in ks:
             for kt in kts:
                 total += e_frac(l * (kt - k) + n * a, r)

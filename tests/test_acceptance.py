@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sievelab import acceptance, charsums, energies, sqrtmod
+from sievelab import acceptance, charsums, energies, oracles, sqrtmod
 from sievelab.acceptance import CRITERIA
 from sievelab.arith import factorize
 
@@ -181,9 +181,12 @@ def test_criterion_02_root_count_formula():
 
 def test_criterion_03_energy_oracle_full_grid():
     # conv = brute exactly for E2/E4/F2 on R <= 8, r <= 60, all coprime j,
-    # h in {0,1,2}, <= 120 s
+    # h in {0,1,2}, <= 120 s; the brute side squares each r once, for
+    # every j and kind, so the table of squares is built 60 times
+    oracles._square_groups.cache_clear()
     result = _run(3)
     assert result.elapsed_s <= 120
+    assert oracles._square_groups.cache_info().misses == 60
 
 
 def test_criterion_03_builds_one_ladder_per_kind(monkeypatch):

@@ -459,6 +459,26 @@ def test_square_sum_of_an_empty_table():
     assert _energy_from_multiset(*multiset({}), 7, 4, "conv") == (0, 0)
 
 
+def test_levelled_square_sums_past_the_int64_dot(monkeypatch):
+    # two rungs of mass 3000 and 5200 mod 7: both passes are levelled, E2's
+    # rows pass the int64 certificate (one einsum), and E4's 2-D rows, with
+    # max(h) * 5200^4 >= 2^63, are summed as Python ints; each rung equals
+    # the brute energies of its cumulative multiset
+    calls = Counter()
+    for module, name in ((energies, "_levelled_bins"), (np, "einsum")):
+        monkeypatch.setattr(module, name, lambda *args, name=name, kernel=getattr(
+            module, name): calls.update([name]) or kernel(*args))
+    parts = [multiset({0: 2000, 3: 1000}), multiset({1: 700, 5: 1500})]
+    got = energies._ladder_energies(parts, 7, 4)
+    assert calls == {"_levelled_bins": 2, "einsum": 1}
+    assert got == [(33000000000000, 1921000000000000000000000000),
+                   (136512600000000, 79646241443260000000000000000)]
+    monkeypatch.undo()
+    assert got == [oracles.pair_energies(*parts[0], 7, 4),
+                   oracles.pair_energies(*multiset(
+                       {0: 2000, 1: 700, 3: 1000, 5: 1500}), 7, 4)]
+
+
 def count_transforms(monkeypatch):
     """Patch np.fft.rfft to record each transform length it is called with."""
     lengths, rfft = [], np.fft.rfft

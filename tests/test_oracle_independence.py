@@ -2,12 +2,12 @@
 
 Every oracle lives in sievelab.oracles, and the import rule in
 tests/test_imports_used.py pins what that module may import: a few
-standard modules, numpy, and BudgetExceeded, DEFAULT_BUDGET and
-mod_inverse from arith; no fast module.  The fixtures here check the
-same at run time, from the other side: with a fast path's kernel patched
-to raise wherever it is bound, the oracle must still return and the fast
-path must raise, so a later speed-up cannot route an oracle through the
-path it checks.  The pairs:
+standard modules, numpy, and BudgetExceeded and DEFAULT_BUDGET from
+arith; no fast module and no modular inverse.  The fixtures here check
+the same at run time, from the other side: with a fast path's kernel
+patched to raise wherever it is bound, the oracle must still return and
+the fast path must raise, so a later speed-up cannot route an oracle
+through the path it checks.  The pairs:
 
 - complete sums: every fast sum gathers e_q(t) from expsums.unit_phases,
   every scalar oracle evaluates oracles.e_frac term by term;
@@ -24,10 +24,11 @@ path it checks.  The pairs:
   applies and _self_convolve on each rung's cumulative multiset
   otherwise, and their brute side runs the oracle rung by rung;
 - root multisets: for both kinds the oracle (oracles.root_multiset)
-  squares every residue (oracles._square_groups) and the fast builder
-  solves: sqrt_mod_all per m, or, at R >= _ARRAY_MIN_R, the array solver
-  sqrtmod._residue_roots;
-- root-difference sums: the bare oracle squares every residue
+  reads the roots of jm from the table of squares mod r
+  (oracles._square_groups, every residue squared once per r, no inverse
+  of j) and the fast builder solves: sqrt_mod_all per m, or, at
+  R >= _ARRAY_MIN_R, the array solver sqrtmod._residue_roots;
+- root-difference sums: the bare oracle reads the same table of squares
   (oracles._square_groups), the paired fast path reads the bulk root table
   built by root_pairs; neither calls the solver sqrt_mod_all;
 - the bulk root tables (root_pairs) square every residue and share
@@ -40,7 +41,8 @@ path it checks.  The pairs:
 - factorization: the squaring oracles (both multiset kinds, brute E2, E4
   and F2, bare esum_jh) run with factorize patched, and so does their one
   size refusal, in oracles._square_groups, which therefore comes before
-  any work.  Their fast twins factorize r, except paired esum_jh, whose
+  any residue is squared (a raising range in the oracles module marks the
+  first).  Their fast twins factorize r, except paired esum_jh, whose
   root table squares;
 - window counts P(x): px_count counts the units of each window by
   inclusion-exclusion (sieve._units_between) over the primes of
@@ -307,6 +309,10 @@ def test_squaring_oracle_does_not_factorize(name, no_factorize):
 def test_squaring_oracle_refuses_a_huge_modulus_before_any_work(
         name, no_factorize, monkeypatch):
     oracle, _ = SQUARING_ORACLES[name]
+    # the squaring loop of _square_groups is the first range the oracles
+    # module calls, so a range that raises marks the first squared residue
+    oracles._square_groups.cache_clear()
+    monkeypatch.setattr(oracles, "range", _kernel_called, raising=False)
     for r in HUGE_MODULI:
         with pytest.raises(ValueError) as refusal:
             oracle(r)
@@ -314,8 +320,6 @@ def test_squaring_oracle_refuses_a_huge_modulus_before_any_work(
             f"r = {r} too large for the squaring oracle: it "
             "squares every residue mod r, so r must be <= 1048576")
     # r = 2^20 itself passes the bound and starts squaring
-    oracles._square_groups.cache_clear()
-    monkeypatch.setattr(oracles, "mod_inverse", _kernel_called)
     with pytest.raises(KernelCalled):
         oracle(2 ** 20)
 

@@ -14,7 +14,7 @@ from sievelab.arith import (BudgetExceeded, FactoredModulus, eps_q,
 from sievelab.cli import _parse_weight
 from sievelab.energies import energy_e2
 from sievelab.expsums import RationalFunctionModP, rational_expsum
-from sievelab.oracles import gcd_power_sum, px_count_literal
+from sievelab.oracles import gcd_power_sum, ls_lhs_literal, px_count_literal
 from sievelab.sieve import (ApproxFrame, PxQuery, SieveInstance,
                             dirichlet_approx, ls_bound_table, ls_lhs)
 
@@ -57,6 +57,9 @@ REFUSALS = {
         "sigma must lie in (0, 1]"),
     "unknown moduli family": (
         lambda: ls_lhs(SieveInstance(0, [1.0], 2), moduli="bogus"),
+        ValueError, "unknown moduli family 'bogus'"),
+    "unknown moduli family of the literal sum": (
+        lambda: ls_lhs_literal(SieveInstance(0, [1.0], 2), moduli="bogus"),
         ValueError, "unknown moduli family 'bogus'"),
     "bound table at Q = 0": (
         lambda: ls_bound_table(0, 5), ValueError, "Q and N must be >= 1"),

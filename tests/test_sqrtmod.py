@@ -523,8 +523,8 @@ def test_fast_regimes_of_both_kinds_match_the_oracle_at_R_600(r, fast_regime):
 
 
 def test_square_groups_are_memoized_read_only():
-    # one (r, j) at a time: a warm build equals a cold one, and a caller
-    # cannot change the cached groups
+    # one table of squares per r, whatever j: a warm build equals a cold
+    # one, and a caller cannot change the cached groups
     memo = oracles._square_groups
     assert memo.cache_info().maxsize == 1
     points = [(R, h) for R in (1, 4, 8) for h in (0, 1, 2, -5)]
@@ -538,7 +538,9 @@ def test_square_groups_are_memoized_read_only():
         assert all(map(same_multiset, warm, cold)), (r, j)
         info = memo.cache_info()
         assert (info.hits, info.misses) == (len(points) - 1, 1)
-        groups = memo(r, j % r)
+        root_multiset(8, 1, r)
+        assert memo.cache_info().misses == 1
+        groups = memo(r)
         m, ks = next(iter(groups.items()))
         with pytest.raises(TypeError):
             groups[m] = ks + (0,)
@@ -546,7 +548,7 @@ def test_square_groups_are_memoized_read_only():
             del groups[m]
         with pytest.raises(AttributeError):
             ks.append(0)
-        assert groups == memo(r, j % r) and groups[m] == ks
+        assert groups == memo(r) and groups[m] == ks
 
 
 def test_build_root_multiset_validates():
