@@ -3,13 +3,15 @@
 Everything in this module is pure integer arithmetic: factorization,
 Jacobi symbols and CRT idempotents.  It also holds the work-budget
 refusal, BudgetExceeded with its DEFAULT_BUDGET, which the evaluators
-and the oracles raise alike.
+and the oracles raise alike, and the package's one integer rule,
+_as_int, which every module imports from here.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import List, Tuple
@@ -25,6 +27,15 @@ class BudgetExceeded(RuntimeError):
 
 
 DEFAULT_BUDGET = 10 ** 9
+
+
+def _as_int(x) -> int:
+    """x as a Python int, through operator.index: a numpy integer or a
+    bool counts as the int it holds, and a float raises TypeError.  The
+    package reads each integer argument of its public entry points
+    through it, where it enters."""
+    return int(operator.index(x))
+
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 

@@ -25,8 +25,8 @@ from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .arith import (DEFAULT_BUDGET, BudgetExceeded, eps_q, is_prime, jacobi,
-                    mod_inverse)
+from .arith import (DEFAULT_BUDGET, BudgetExceeded, _as_int, eps_q, is_prime,
+                    jacobi, mod_inverse)
 from .expsums import ExpSumValue, unit_phases
 from .sqrtmod import _residue_dtype
 
@@ -77,6 +77,7 @@ class TrigWeight:
 
     @staticmethod
     def fejer(width: int) -> "TrigWeight":
+        width = _as_int(width)
         if width < 1:
             raise ValueError("width must be >= 1")
         return TrigWeight(tuple(max(0.0, 1 - h / width) for h in range(width)))
@@ -95,11 +96,17 @@ def _check_s4_modulus(j: int, r: int) -> None:
 
 @dataclass(frozen=True)
 class S4Input:
+    """(j, h, r) of S4, each integer read through _as_int and stored as
+    that int (h as a tuple), then checked: r an odd prime, gcd(j, r) = 1."""
+
     j: int
     h: Tuple[int, int, int, int]
     r: int
 
     def __post_init__(self):
+        object.__setattr__(self, "j", _as_int(self.j))
+        object.__setattr__(self, "h", tuple([_as_int(x) for x in self.h]))
+        object.__setattr__(self, "r", _as_int(self.r))
         _check_s4_modulus(self.j, self.r)
 
 
@@ -163,15 +170,16 @@ def s4_closed_rows(j: int, r: int,
                    rows: Iterable[Sequence[int]]) -> Iterator[complex]:
     """s4_closed's value for every row h = (h1, h2, h3, h4), at one (j, r).
 
-    Validates (j, r) once, on the call, then shares the work across rows:
-    the profile of each distinct pair (h_a mod r, h_b mod r) and each
-    Gauss-sum Legendre value are computed once, and only their
-    combination runs per row.  The values are yielded as the rows are
+    Reads j and r through _as_int and validates them once, on the call,
+    then shares the work across rows: the profile of each distinct pair
+    (h_a mod r, h_b mod r) and each Gauss-sum Legendre value are computed
+    once, and only their combination runs per row.  The values are yielded as the rows are
     read, so a lattice of any size streams: memory grows only with the
     distinct pairs and residues seen.  Rows may hold any integers,
     negative or >= r, and r may exceed 2^31: every residue is a Python
     int.
     """
+    j, r = _as_int(j), _as_int(r)
     _check_s4_modulus(j, r)
     return _s4_closed_values(j, r, rows)
 
@@ -238,10 +246,14 @@ def weighted_energy(R: int, j: int, r: int, weight: TrigWeight,
     weights v(k) = (R/r) * phi(jbar k^2 / r); it never reads S4.
     spectral: (R/r)^4 * sum over the finite h-lattice of the coefficient
     products times S4(j; h) from the closed form, all nonzero-coefficient
-    rows in one s4_closed_rows call, accumulated in lattice order.
+    rows in one pass of the closed form, accumulated in lattice order.
     The two agree exactly up to floating error (finite Poisson identity).
     Cost: max(r (width + ceil(log2 r)), (2 width + 1)^4 lattice rows).
+    R, j and r are read through _as_int and (j, r) is checked once, here:
+    the spectral side reads the closed form past its check
+    (_s4_closed_values), as s4_closed does.
     """
+    R, j, r = _as_int(R), _as_int(j), _as_int(r)
     _check_s4_modulus(j, r)
     if not 1 <= R <= r:
         raise ValueError("need 1 <= R <= r")
@@ -271,7 +283,7 @@ def weighted_energy(R: int, j: int, r: int, weight: TrigWeight,
 
     # both lattice copies advance in step, so tee buffers one term
     terms, rows = itertools.tee(lattice())
-    values = s4_closed_rows(j, r, (h for _, h in rows))
+    values = _s4_closed_values(j, r, (h for _, h in rows))
     spectral = 0j
     for (cf, _), value in zip(terms, values):
         spectral += cf * value
@@ -291,7 +303,9 @@ def cubic_form_charsum(M: int, r: int, weight: TrigWeight,
     its (2 M (width + 1) - 1)^4 points are charged first.  Margins are
     reported against (M^{1/2} r^{3/2} + M^2 r^{1/2} + M^3) and, when
     M = floor(sqrt(r)), against r^{7/4}; both are monitors at eps = 0.
+    M and r are read through _as_int.
     """
+    M, r = _as_int(M), _as_int(r)
     _check_odd_prime(r)
     if M < 1:
         raise ValueError("M must be >= 1")

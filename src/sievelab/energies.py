@@ -33,8 +33,8 @@ builder factorizes r.
 Ladders: energy_e2_e4_ladder(Rs, ...) and energy_f2_ladder(Rs, ...)
 return the reports at every rung of R_1 < ... < R_L, and energy_e2,
 energy_e4, energy_e2_e4 and energy_f2 are their one-rung calls.  The
-fast side builds each rung's increment once
-(sqrtmod.build_root_multiset_ladder), and _ladder_energies turns the
+fast side builds each rung's increment once (sqrtmod._ladder_increments,
+the builder past its checks), and _ladder_energies turns the
 increments into energies on one path per rung: it certifies the top
 rung's mass before any work; past one rung a pass is levelled where it
 applies, forming each pair of the top rung's multiset once and adding
@@ -43,9 +43,11 @@ an L x r int64 array whose rows, cumulated, are every rung's histogram;
 otherwise each rung runs the pass above on its cumulative multiset.
 E4's second pass is treated the same way, levelled only over the rows
 of a levelled E2 pass.  The brute side runs the oracle rung by rung.
-Each rung, j, h and r is read through operator.index where the public
-functions enter, so a numpy integer or a bool counts as its int in
-every report and a float raises TypeError.
+Each public function reads its rungs, j, h and r once, through
+sqrtmod._ladder_args, the builder's own reader (arith._as_int, that is
+operator.index, then the rung and gcd(j, r) refusals), so a numpy
+integer or a bool counts as its int in every report, a float raises
+TypeError, and both methods refuse alike; no conv call reads them again.
 """
 
 from __future__ import annotations
@@ -57,9 +59,9 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .arith import is_prime
+from .arith import _as_int, is_prime
 from .oracles import pair_energies, root_multiset
-from .sqrtmod import _as_int, _rungs, build_root_multiset_ladder
+from .sqrtmod import _ladder_args, _ladder_increments
 
 #: pair sums per block of the fast convolution (about 1 MB of int64 temporaries)
 _BLOCK = 1 << 16
@@ -227,13 +229,15 @@ def _transform_bins(lam: np.ndarray, cnt: np.ndarray, r: int,
 
 def _merge_bins(parts: Sequence[Tuple[np.ndarray, np.ndarray]]
                 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Sum the weights of equal keys over several (keys, weights) parts."""
+    """Sum the weights of equal keys over several (keys, weights) parts;
+    empty parts give two empty int64 arrays, as np.add.reduceat returns
+    an empty array at empty starts."""
     keys = np.concatenate([k for k, _ in parts])
     weights = np.concatenate([w for _, w in parts])
     order = np.argsort(keys)
     keys, weights = keys[order], weights[order]
     starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    return keys[starts], np.add.reduceat(weights, starts) if starts.size else weights
+    return keys[starts], np.add.reduceat(weights, starts)
 
 
 def _square_sum(h: np.ndarray, total: int) -> int | List[int]:
@@ -304,7 +308,7 @@ def _ladder_energies(parts: Sequence[Tuple[np.ndarray, np.ndarray]], r: int,
                      fold: int) -> List[Tuple[int, ...]]:
     """The conv energies, (E2,) for fold 2 and (E2, E4) for fold 4, at
     every rung of a ladder, from the increments (keys, counts) that
-    build_root_multiset_ladder returns; one increment is one multiset.
+    sqrtmod._ladder_increments returns; one increment is one multiset.
 
     The top rung's mass (summed as Python ints) is certified before any
     work.  E2's pass runs over the multisets and E4's over E2's nonzero
@@ -343,12 +347,14 @@ def _ladder_energies(parts: Sequence[Tuple[np.ndarray, np.ndarray]], r: int,
 
 def _energies(Rs: Sequence[int], j: int, h: int | None, r: int, fold: int,
               method: str) -> List[Tuple[int, ...]]:
-    """The energies at every rung R of Rs (checked by _rungs) of the plain
-    multiset (h None) or the difference multiset of h.  Method conv reads
-    one ladder of the fast builder; brute reads the oracle builder
+    """The energies at every rung R of Rs of the plain multiset (h None)
+    or the difference multiset of h, for the ints that _ladder_args
+    returned, so nothing is read or checked again here.  Method conv
+    reads one ladder of the fast builder past its checks
+    (_ladder_increments); brute reads the oracle builder
     oracles.root_multiset, which factorizes nothing, rung by rung."""
     if method == "conv":
-        return _ladder_energies(build_root_multiset_ladder(Rs, j, r, h), r, fold)
+        return _ladder_energies(_ladder_increments(Rs, j, r, h), r, fold)
     if method == "brute":
         return [_energy_from_multiset(*root_multiset(R, j, r, h), r, fold, method)
                 for R in Rs]
@@ -362,8 +368,7 @@ def _e2_report(R: int, j: int, r: int, energy: int, method: str) -> EnergyReport
 
 def energy_e2(R: int, j: int, r: int, method: str = "conv") -> EnergyReport:
     """Quadruples (k1..k4) with ki^2 = j*mi, mi in [1,R], k1+k2 = k3+k4 mod r."""
-    j, r = _as_int(j), _as_int(r)
-    (R,) = _rungs((R,), r)
+    (R,), j, r, _ = _ladder_args((R,), j, r)
     (e,), = _energies((R,), j, None, r, 2, method)
     return _e2_report(R, j, r, e, method)
 
@@ -373,8 +378,7 @@ def energy_e2_e4_ladder(Rs: Sequence[int], j: int, r: int,
                         ) -> List[Tuple[EnergyReport, EnergyReport]]:
     """(energy_e2, energy_e4) at every rung R of the ladder Rs,
     1 <= R_1 < ... < R_L <= r, from one build and one first pass."""
-    j, r = _as_int(j), _as_int(r)
-    Rs = _rungs(Rs, r)
+    Rs, j, r, _ = _ladder_args(Rs, j, r)
     return [(_e2_report(R, j, r, e2, method),
              EnergyReport("E4", R, j, None, r, e4, R ** 8 / r + R ** 4, method))
             for R, (e2, e4) in zip(Rs, _energies(Rs, j, None, r, 4, method))]
@@ -395,8 +399,8 @@ def energy_f2_ladder(Rs: Sequence[int], j: int, h: int, r: int,
                      method: str = "conv") -> List[EnergyReport]:
     """energy_f2 at every rung R of the ladder Rs, 1 <= R_1 < ... < R_L
     <= r, from one build and one first pass."""
-    j, h, r = _as_int(j), _as_int(h), _as_int(r)
-    Rs = _rungs(Rs, r)
+    # h is read here first, so None is a TypeError, never the plain kind
+    Rs, j, r, h = _ladder_args(Rs, j, r, _as_int(h))
     hr = math.gcd(h, r)
     return [EnergyReport("F2", R, j, h, r, e, hr * R ** 4 / r + R ** 2, method)
             for R, (e,) in zip(Rs, _energies(Rs, j, h, r, 2, method))]

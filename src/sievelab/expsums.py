@@ -9,8 +9,9 @@ within a few ulp of e_q(t) whatever the modulus.  The closed Gauss sum
 and the bare root-difference sum call the scalar oracles.e_frac instead;
 esum_jh(form="bare") is oracles.esum_bare.  Every modulus is an int:
 gauss_sum_direct, gauss_sum_closed, esum_jh and gcal read each integer
-argument through operator.index (sqrtmod._as_int) where they enter, so a
-numpy integer or a bool counts as its int and a float raises TypeError.
+argument through arith._as_int (operator.index) where they enter, and so
+do RationalFunctionModP (p) and gcal_bound, so a numpy integer or a bool
+counts as its int and a float raises TypeError.
 
 The units and inverses mod q come from two classical facts, not from
 inverting anything: (Z/p^a)* is cyclic for an odd prime p, so
@@ -37,9 +38,9 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from .arith import eps_q, factorize, is_prime, jacobi, mod_inverse
+from .arith import _as_int, eps_q, factorize, is_prime, jacobi, mod_inverse
 from .oracles import e_frac, esum_bare
-from .sqrtmod import _as_int, _matching_pairs, _mod, _residue_dtype, root_pairs
+from .sqrtmod import _matching_pairs, _mod, _residue_dtype, root_pairs
 
 
 #: bytes that the tables of _TABLES may hold together (4 MiB)
@@ -155,6 +156,7 @@ class RationalFunctionModP:
     p: int
 
     def __post_init__(self):
+        object.__setattr__(self, "p", _as_int(self.p))
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
         if all(c % self.p == 0 for c in self.denominator):
@@ -389,7 +391,9 @@ def gcal(q: int, a: int, b: int, j: int, k: int, u: int, s: int) -> ExpSumValue:
 
 
 def gcal_bound(q: int, a: int, b: int, k: int, u: int) -> float:
-    """Prime-power bound 12 q^{4/5} gcd(b u^2, a, b k^2, q)^{1/5}."""
+    """Prime-power bound 12 q^{4/5} gcd(b u^2, a, b k^2, q)^{1/5}, its
+    integers read through _as_int."""
+    q, a, b, k, u = map(_as_int, (q, a, b, k, u))
     g = math.gcd(math.gcd(b * u * u, a), math.gcd(b * k * k, q))
     return 12 * q ** 0.8 * g ** 0.2
 

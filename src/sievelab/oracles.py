@@ -109,9 +109,8 @@ def root_multiset(R: int, j: int, r: int,
 
 
 def _dense_pair_hist(values: np.ndarray, r: int) -> np.ndarray:
-    """Histogram of (v1 + v2) mod r over all ordered pairs, by enumeration."""
-    if values.size == 0:
-        return np.zeros(r, dtype=np.int64)
+    """Histogram of (v1 + v2) mod r over all ordered pairs, by enumeration;
+    no values give r zero bins, since np.bincount reads minlength."""
     sums = np.add.outer(values, values).ravel() % r
     return np.bincount(sums, minlength=r).astype(np.int64)
 

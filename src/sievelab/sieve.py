@@ -18,19 +18,21 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .arith import (DEFAULT_BUDGET, BudgetExceeded, factorize, is_prime,
-                    mod_inverse)
+from .arith import (DEFAULT_BUDGET, BudgetExceeded, _as_int, factorize,
+                    is_prime, mod_inverse)
 
 
 @dataclass
 class SieveInstance:
-    """Coefficients a_n for M < n <= M+N with modulus cap Q."""
+    """Coefficients a_n for M < n <= M+N with modulus cap Q; M and Q are
+    read through _as_int."""
 
     M: int
     coefficients: np.ndarray
     Q: int
 
     def __post_init__(self):
+        self.M, self.Q = _as_int(self.M), _as_int(self.Q)
         self.coefficients = np.asarray(self.coefficients, dtype=complex)
         if self.coefficients.size < 1:
             raise ValueError("need N >= 1 coefficients")
@@ -137,7 +139,9 @@ def ls_lhs(inst: SieveInstance, moduli: str = "classical",
 
 
 def ls_bound_table(Q: int, N: int) -> Dict[str, object]:
-    """Evaluate the published bound brackets at eps = 0 for given (Q, N)."""
+    """Evaluate the published bound brackets at eps = 0 for given (Q, N),
+    read through _as_int."""
+    Q, N = _as_int(Q), _as_int(N)
     if Q < 1 or N < 1:
         raise ValueError("Q and N must be >= 1")
     sqN, sqQ = math.sqrt(N), math.sqrt(Q)
@@ -155,7 +159,8 @@ def ls_bound_table(Q: int, N: int) -> Dict[str, object]:
 
 @dataclass(frozen=True)
 class ApproxFrame:
-    """Diophantine data x = b/r + z with r <= tau, gcd(b,r) = 1."""
+    """Diophantine data x = b/r + z with r <= tau, gcd(b,r) = 1; N, b and
+    r are read through _as_int and stored as those ints."""
 
     x: Fraction
     N: int
@@ -164,6 +169,8 @@ class ApproxFrame:
     z: Fraction
 
     def __post_init__(self):
+        for name in ("N", "b", "r"):
+            object.__setattr__(self, name, _as_int(getattr(self, name)))
         if math.gcd(self.b, self.r) != 1:
             raise ValueError("need gcd(b, r) = 1")
         if not 1 <= self.r <= self.tau:
@@ -189,7 +196,9 @@ def dirichlet_approx(x: Fraction, tau: int) -> Tuple[int, int, Fraction]:
     Deterministic: the continued-fraction convergent of x with the
     largest denominator not exceeding tau (this always satisfies the
     required inequality, and reproduces x exactly when possible).
+    tau is read through _as_int.
     """
+    tau = _as_int(tau)
     if tau < 1:
         raise ValueError("tau must be >= 1")
     x = Fraction(x)
@@ -210,6 +219,9 @@ def dirichlet_approx(x: Fraction, tau: int) -> Tuple[int, int, Fraction]:
 
 
 def build_frame(x: Fraction, N: int) -> ApproxFrame:
+    """The ApproxFrame of x at tau = floor(sqrt(N)), N read through
+    _as_int."""
+    N = _as_int(N)
     if N < 1:
         raise ValueError("need N >= 1")
     tau = math.isqrt(N)
@@ -219,13 +231,15 @@ def build_frame(x: Fraction, N: int) -> ApproxFrame:
 
 @dataclass(frozen=True)
 class PxQuery:
-    """Window count parameters: fractions a/q^2 near x within Delta."""
+    """Window count parameters: fractions a/q^2 near x within Delta; Q is
+    read through _as_int and stored as that int."""
 
     x: Fraction
     Q: int
     delta: Fraction
 
     def __post_init__(self):
+        object.__setattr__(self, "Q", _as_int(self.Q))
         if self.delta <= 0:
             raise ValueError("Delta must be positive")
         if self.Q < 1:
@@ -305,8 +319,10 @@ def propmain_bounds(Q: int, delta: float, r: int) -> Dict[str, float]:
     """The four conditional P(x) regime brackets at eps = 0.
 
     Thresholds (general form): r-ranges split at Q^{-71/33} delta^{-12/11},
-    Q^{29/27} delta^{1/6} and Q^{45/67} delta^{10/67}.
+    Q^{29/27} delta^{1/6} and Q^{45/67} delta^{10/67}.  Q and r are read
+    through _as_int.
     """
+    Q, r = _as_int(Q), _as_int(r)
     d = delta
     t1 = Q ** (-71 / 33) * d ** (-12 / 11)
     t2 = Q ** (29 / 27) * d ** (1 / 6)
@@ -334,8 +350,9 @@ def propmain_bounds(Q: int, delta: float, r: int) -> Dict[str, float]:
 
 def px_monitor(x: Fraction, Q: int, N: int,
                budget: int = DEFAULT_BUDGET) -> Dict[str, object]:
-    """P(x) against the published brackets at eps = 0 (ratios, not pass/fail)."""
-    x = Fraction(x)
+    """P(x) against the published brackets at eps = 0 (ratios, not
+    pass/fail); Q and N are read through _as_int."""
+    x, Q, N = Fraction(x), _as_int(Q), _as_int(N)
     frame = build_frame(x, N)
     delta = Fraction(1, N)
     count = px_count(PxQuery(x, Q, delta), budget=budget)

@@ -14,8 +14,12 @@ criterion 1 checks the array solver against them.
 
 Every public function takes r as an int; sqrt_mod_all, root_pairs, the
 multiset builders and the width rule read their integers through
-operator.index, so a numpy integer counts as the int it holds and a
-float raises TypeError.  sqrt_mod_all's memo is keyed on the integers
+arith._as_int (operator.index), so a numpy integer counts as the int it
+holds and a float raises TypeError.  The ladder's arguments (rungs, j, r,
+h) have one reader, _ladder_args, which also refuses bad rungs and a
+non-unit j: the builders and the energies call it once per call, and
+hand the ints it returns to _ladder_increments, which reads nothing.
+sqrt_mod_all's memo is keyed on the integers
 (m mod r, r), and factorizes r only on a miss, through arith.factorize;
 the FactoredModulus stays inside the private helpers.
 
@@ -34,7 +38,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .arith import FactoredModulus, factorize, mod_inverse
+from .arith import FactoredModulus, _as_int, factorize, mod_inverse
 
 
 @dataclass(frozen=True)
@@ -63,12 +67,6 @@ class RootSet:
 
     def __contains__(self, k: int) -> bool:
         return k in self.roots
-
-
-def _as_int(x) -> int:
-    """x as a Python int, through operator.index: a numpy integer or a
-    bool counts as the int it holds, and a float raises TypeError."""
-    return int(operator.index(x))
 
 
 def _two_adic(p: int) -> Tuple[int, int]:
@@ -487,17 +485,23 @@ def _array_multiset(low: int, R: int, j: int, h: int | None,
 _ARRAY_MIN_R = 32
 
 
-def _rungs(Rs: Sequence[int], r: int) -> Tuple[int, ...]:
-    """The rungs Rs as ints (through operator.index), refused unless
-    1 <= R_1 < ... < R_L <= r."""
-    # _as_int inline; a list first, since a tuple built from an iterator
-    # of unknown length parks every freed one on CPython's tuple free list
-    Rs = tuple([int(operator.index(R)) for R in Rs])
+def _ladder_args(Rs: Sequence[int], j: int, r: int, h: int | None = None
+                 ) -> Tuple[Tuple[int, ...], int, int, int | None]:
+    """The ladder's arguments (Rs, j, r, h), each read once through
+    _as_int, and refused unless 1 <= R_1 < ... < R_L <= r and
+    gcd(j, r) = 1: the one reader of the builder and of the energies,
+    on both methods.  h None stays None, the plain kind."""
+    j, r, h = _as_int(j), _as_int(r), h if h is None else _as_int(h)
+    # a list first, since a tuple built from an iterator of unknown
+    # length parks every freed one on CPython's tuple free list
+    Rs = tuple([_as_int(R) for R in Rs])
     if not Rs or not all(map(operator.lt, Rs, Rs[1:])):
         raise ValueError("need rungs R_1 < ... < R_L, at least one")
     if Rs[0] < 1 or Rs[-1] > r:
         raise ValueError("need 1 <= R <= r")
-    return Rs
+    if math.gcd(j, r) != 1:
+        raise ValueError("need gcd(j, r) = 1")
+    return Rs, j, r, h
 
 
 def build_root_multiset_ladder(
@@ -521,8 +525,18 @@ def build_root_multiset_ladder(
     For both kinds each increment's keys are the residues lam in [0, r)
     with count(lam) >= 1 in its range of m, strictly ascending, and
     counts holds their counts; an empty increment is two empty arrays.
-    R, j, r and h are read through operator.index, so a numpy integer
-    counts as its int and a float raises TypeError.
+    The arguments are read and checked once, by _ladder_args, so a numpy
+    integer counts as its int and a float raises TypeError; the
+    multisets come from _ladder_increments, which reads nothing.  Its
+    oracle is oracles.root_multiset, one rung at a time.
+    """
+    return _ladder_increments(*_ladder_args(Rs, j, r, h))
+
+
+def _ladder_increments(Rs: Tuple[int, ...], j: int, r: int, h: int | None
+                       ) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """build_root_multiset_ladder for the ints that _ladder_args returns:
+    it reads and checks no argument.
 
     The regime is chosen once, by the top rung, and each increment is
     built by that regime's one-multiset code, so each residue jm, and
@@ -534,14 +548,8 @@ def build_root_multiset_ladder(
     sqrt_mod_all per m, through its memo, takes the roots of each m as
     they are (plain) or pairs the k of m with the kt of m + h
     (difference), counts the residues in a dict and sorts its keys once
-    per increment.  Its oracle is oracles.root_multiset, one rung at a
-    time.
+    per increment.
     """
-    j, r = _as_int(j), _as_int(r)
-    h = None if h is None else _as_int(h)
-    Rs = _rungs(Rs, r)
-    if math.gcd(j, r) != 1:
-        raise ValueError("need gcd(j, r) = 1")
     if Rs[-1] >= _ARRAY_MIN_R and r * r < 2 ** 63:
         fm = factorize(r)
         return [_array_multiset(low, R, j, h, fm)

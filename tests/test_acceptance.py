@@ -193,14 +193,14 @@ def test_criterion_03_builds_one_ladder_per_kind(monkeypatch):
     # the conv side reads each (r, j) from one plain ladder and three F2
     # ladders over R = 1 .. min(8, r): 4 builds, where one build per R and
     # kind made 32 at every r >= 8
-    builds, build = Counter(), energies.build_root_multiset_ladder
+    builds, build = Counter(), energies._ladder_increments
 
     def counted(Rs, j, r, h=None):
         assert list(Rs) == list(range(1, min(8, r) + 1))
         builds[r, j] += 1
         return build(Rs, j, r, h)
 
-    monkeypatch.setattr(energies, "build_root_multiset_ladder", counted)
+    monkeypatch.setattr(energies, "_ladder_increments", counted)
     result = acceptance.criterion_3_energy_oracle(r_max=12)
     assert result.passed, result.detail
     assert builds == {(r, j): 4 for r in range(1, 13) for j in range(1, r + 1)
@@ -229,8 +229,8 @@ def moved_root_ladder(build, plain):
 def test_criterion_03_rejects_a_moved_root_difference(monkeypatch):
     # a fast difference builder that moves one difference to the next
     # residue keeps the mass; brute reads the oracle builder, so F2 differs
-    monkeypatch.setattr(energies, "build_root_multiset_ladder", moved_root_ladder(
-        energies.build_root_multiset_ladder, plain=False))
+    monkeypatch.setattr(energies, "_ladder_increments", moved_root_ladder(
+        energies._ladder_increments, plain=False))
     result = acceptance.criterion_3_energy_oracle(r_max=12, R_max=4)
     assert not result.passed
     assert result.detail.startswith("F2 mismatch"), result.detail
@@ -239,8 +239,8 @@ def test_criterion_03_rejects_a_moved_root_difference(monkeypatch):
 def test_criterion_03_rejects_a_moved_plain_root(monkeypatch):
     # the plain multiset feeds E2 and E4 through one first pass; one root
     # moved must show in the E2 comparison, which comes first
-    monkeypatch.setattr(energies, "build_root_multiset_ladder", moved_root_ladder(
-        energies.build_root_multiset_ladder, plain=True))
+    monkeypatch.setattr(energies, "_ladder_increments", moved_root_ladder(
+        energies._ladder_increments, plain=True))
     result = acceptance.criterion_3_energy_oracle(r_max=12, R_max=4)
     assert not result.passed
     assert result.detail.startswith("E2 mismatch"), result.detail

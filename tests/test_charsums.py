@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sievelab import charsums
 from sievelab.charsums import (S4Input, TrigWeight, cubic_form_charsum,
                                s4_closed, s4_closed_rows, s4_direct,
                                weighted_energy)
@@ -291,3 +292,18 @@ def test_cubic_form_matches_a_literal_sum_past_the_profile(M, r):
         literal += w * jacobi(sym % r, r)
     assert cubic_form_charsum(M, r, weight)["value"] == pytest.approx(
         literal, abs=1e-9)
+
+
+def test_weighted_energy_checks_its_modulus_once(monkeypatch):
+    # (j, r) is checked where weighted_energy enters, and its spectral side
+    # reads the closed form past the check, so one Miller-Rabin per call
+    want = weighted_energy(5, 2, 13, TrigWeight.fejer(2))
+    checks, check = [], charsums._check_s4_modulus
+
+    def counted(j, r):
+        checks.append((j, r))
+        check(j, r)
+
+    monkeypatch.setattr(charsums, "_check_s4_modulus", counted)
+    assert weighted_energy(5, 2, 13, TrigWeight.fejer(2)) == want
+    assert checks == [(2, 13)]

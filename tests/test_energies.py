@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from sievelab import energies, oracles, sqrtmod
+from sievelab import arith, energies, oracles, sqrtmod
 from sievelab.energies import (_energy_from_multiset, _square_sum, energy_e2,
                                energy_e2_e4, energy_e2_e4_ladder, energy_e4,
                                energy_f2, energy_f2_ladder, kssz_check)
@@ -370,6 +370,76 @@ def test_energy_arguments_read_as_ints(method):
                 function(*floats, method=method)
     with pytest.raises(TypeError):
         kssz_check(97.0, 1, 4)
+
+
+#: (function, int arguments) of the energy functions that read the ladder's
+#: arguments themselves; the one-rung E4 and F2 calls are their ladders'
+ONE_READ_CALLS = [
+    (energy_e2, (3, 2, 35)), (energy_e2, (40, 1, 1009)),
+    (energy_e2_e4_ladder, ([1, 3, 8], 2, 35)),
+    (energy_e2_e4_ladder, ([8, 40], 1, 1009)),
+    (energy_f2_ladder, ([2, 5], 1, 3, 35)), (energy_f2_ladder, ([40], 1, 1, 1009))]
+
+
+@pytest.mark.parametrize("method", ["conv", "brute"])
+@pytest.mark.parametrize("function, args", ONE_READ_CALLS)
+def test_ladder_arguments_are_read_once_per_call(function, args, method,
+                                                 monkeypatch):
+    # each call reaches sqrtmod._ladder_args, the ladder's one reader, once;
+    # the conv side hands the ints it returned to _ladder_increments, which
+    # runs once and reads nothing: in the per-m regime (top rung < 32) no
+    # _as_int call is made under it, where the builder read them again
+    want = function(*args, method=method)
+    reads, events = [], []
+    reader, build = sqrtmod._ladder_args, sqrtmod._ladder_increments
+
+    def read(*argv):
+        events.append("read")
+        return reader(*argv)
+
+    def as_int(x):
+        reads.append(x)
+        return arith._as_int(x)
+
+    def increments(Rs, j, r, h):
+        assert all(type(x) is int for x in (*Rs, j, r))
+        assert h is None or type(h) is int
+        before = len(reads)
+        parts = build(Rs, j, r, h)
+        if Rs[-1] < sqrtmod._ARRAY_MIN_R:
+            assert reads[before:] == []
+        events.append("build")
+        return parts
+
+    for module in (sqrtmod, energies):
+        monkeypatch.setattr(module, "_ladder_args", read)
+        monkeypatch.setattr(module, "_as_int", as_int)
+    monkeypatch.setattr(energies, "_ladder_increments", increments)
+    assert function(*args, method=method) == want
+    assert events == (["read", "build"] if method == "conv" else ["read"])
+
+
+@pytest.mark.parametrize("method", ["conv", "brute"])
+def test_one_reader_refuses_alike_on_both_methods(method):
+    # the refusals of _ladder_args, one bad argument at a time, with the
+    # messages and types the builder and the oracle raise
+    for call, error, message in (
+            (lambda: energy_e2(3, 5, 35, method), ValueError,
+             "need gcd(j, r) = 1"),
+            (lambda: energy_f2(0, 1, 1, 35, method), ValueError,
+             "need 1 <= R <= r"),
+            (lambda: energy_e2(36, 1, 35, method), ValueError,
+             "need 1 <= R <= r"),
+            (lambda: energy_e2_e4_ladder([3, 2], 1, 35, method), ValueError,
+             "need rungs R_1 < ... < R_L, at least one"),
+            (lambda: energy_f2_ladder([], 1, 1, 35, method), ValueError,
+             "need rungs R_1 < ... < R_L, at least one"),
+            (lambda: energy_f2(3, 1, None, 35, method), TypeError, None),
+            (lambda: energy_e2(3.0, 1, 35, method), TypeError, None)):
+        with pytest.raises(error) as info:
+            call()
+        if message is not None:
+            assert str(info.value) == message
 
 
 def test_one_rung_calls_keep_their_passes(monkeypatch):
