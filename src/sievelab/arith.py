@@ -57,7 +57,11 @@ def is_prime(n: int) -> bool:
     first k bases, k the least with n < psi_k (_PSI): one base below 2047,
     two below 1373653, all 13 below psi_13 = 3317044064679887385961981.
     Larger n raise ValueError instead of risking a strong pseudoprime.
+    n is read through _as_int unless it is an int already, since
+    factorize calls this on every factor it finds.
     """
+    if type(n) is not int:
+        n = _as_int(n)
     if n < 2:
         return False
     if n >= _MR_LIMIT:
@@ -115,12 +119,16 @@ def _pollard_rho(n: int) -> int:
 
 @dataclass(frozen=True)
 class FactoredModulus:
-    """A positive integer together with its full prime factorization."""
+    """A positive integer together with its full prime factorization, each
+    integer read through _as_int and stored as an int."""
 
     n: int
     factors: Tuple[Tuple[int, int], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _as_int(self.n))
+        object.__setattr__(self, "factors", tuple(
+            [(_as_int(p), _as_int(a)) for p, a in self.factors]))
         if self.n < 1:
             raise ValueError("modulus must be >= 1")
         prod = 1
@@ -162,7 +170,7 @@ class FactoredModulus:
 _TRIAL_LIMIT = 10 ** 3
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)
 def factorize(n: int) -> FactoredModulus:
     """Full prime factorization: trial division, then Miller-Rabin / Brent's rho.
 
@@ -179,8 +187,11 @@ def factorize(n: int) -> FactoredModulus:
     cached object itself: it is frozen, so callers share it safely.  The
     memo holds only these small objects; factorize.cache_clear() releases
     them.  An exception is never cached, so a refused n is refused again
-    on every call.
+    on every call.  n is read through _as_int on a miss; the memo is
+    typed, so a float never hits the entry of its equal integer and
+    raises TypeError every time.
     """
+    n = _as_int(n)
     if n < 1:
         raise ValueError("factorize requires n >= 1")
     if n > 2 ** 63:
@@ -236,7 +247,8 @@ def jacobi(a: int, q: int) -> int:
 
 def mod_inverse(a: int, m: int) -> int:
     """Inverse of a modulo m >= 1, in [0, m) (0 when m = 1); raises
-    ValueError if gcd(a, m) > 1."""
+    ValueError if gcd(a, m) > 1.  a and m are read through _as_int."""
+    a, m = _as_int(a), _as_int(m)
     try:
         return pow(a % m, -1, m)
     except ValueError:
@@ -244,7 +256,9 @@ def mod_inverse(a: int, m: int) -> int:
 
 
 def eps_q(q: int) -> complex:
-    """The normalized Gauss-sum sign: 1 for q = 1 mod 4, i for q = 3 mod 4."""
+    """The normalized Gauss-sum sign: 1 for q = 1 mod 4, i for q = 3 mod 4,
+    q read through _as_int."""
+    q = _as_int(q)
     if q % 2 == 0 or q < 1:
         raise ValueError("eps_q requires odd positive q")
     return 1 if q % 4 == 1 else 1j

@@ -265,23 +265,6 @@ def _certify(mass: int, fold: int) -> None:
                          "be < 2^63 for exact int64 energies")
 
 
-def _energy_from_multiset(keys: np.ndarray, counts: np.ndarray, r: int,
-                          fold: int, method: str) -> Tuple[int, ...]:
-    """(E2,) for fold 2 (pair sums), (E2, E4) for fold 4 (and quadruple
-    sums from E2's nonzero bins), of the multiset build_root_multiset
-    returns: int64 keys strictly ascending in [0, r) and their int64 counts.
-
-    The certificate mass^fold < 2^63 is required before any work; the
-    mass is summed as Python ints, so a wrapping int64 sum of the counts
-    cannot pass the test.  Method conv is the one-rung call of
-    _ladder_energies, brute enumerates (oracles.pair_energies).
-    """
-    if method == "brute":
-        _certify(sum(counts.tolist()), fold)
-        return pair_energies(keys, counts, r, fold)
-    return _ladder_energies([(keys, counts)], r, fold)[0]
-
-
 def _levelled_bins(lam: np.ndarray, cnt: np.ndarray, rung: np.ndarray,
                    r: int, levels: int) -> np.ndarray | None:
     """The dense pair-sum bins of every rung at once, as a levels x r
@@ -352,12 +335,19 @@ def _energies(Rs: Sequence[int], j: int, h: int | None, r: int, fold: int,
     returned, so nothing is read or checked again here.  Method conv
     reads one ladder of the fast builder past its checks
     (_ladder_increments); brute reads the oracle builder
-    oracles.root_multiset, which factorizes nothing, rung by rung."""
+    oracles.root_multiset, which factorizes nothing, rung by rung, and
+    certifies each rung's mass (summed as Python ints, so a wrapping
+    int64 sum of the counts cannot pass) before oracles.pair_energies
+    enumerates its pairs."""
     if method == "conv":
         return _ladder_energies(_ladder_increments(Rs, j, r, h), r, fold)
     if method == "brute":
-        return [_energy_from_multiset(*root_multiset(R, j, r, h), r, fold, method)
-                for R in Rs]
+        out = []
+        for R in Rs:
+            keys, counts = root_multiset(R, j, r, h)
+            _certify(sum(counts.tolist()), fold)
+            out.append(pair_energies(keys, counts, r, fold))
+        return out
     raise ValueError(f"unknown method {method!r}")
 
 

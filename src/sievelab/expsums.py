@@ -19,22 +19,21 @@ _unit_inverses(p^a) lists the powers g^t of its least generator and
 their inverses g^-t = g^(phi - t); and for a composite q, _unit_pairs
 combines its prime powers' tables with the CRT idempotents.
 
-unit_phases, _unit_inverses and _inverse_table keep their tables in one
-memo, _TABLES: the arrays are read-only and shared by every caller, the
-least recently used table goes first, and all of them together hold at
-most _TABLE_BUDGET bytes.  gcal keeps no table of a composite modulus,
-which criterion 5 asks for once each.  A library caller releases the
-tables with unit_phases.cache_clear().  The fast paths reduce arrays by
-a scalar modulus through sqrtmod._mod.
+unit_phases, _unit_inverses and _inverse_table each keep the table of
+the last modulus they were called with: each is a
+functools.lru_cache(maxsize=1), as oracles._square_groups is, its arrays
+read-only and shared by every caller, and its cache_clear() releases
+that table.  A composite modulus's unit table (_unit_pairs) is built per
+call and never kept.  The fast paths reduce arrays by a scalar modulus
+through sqrtmod._mod.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -43,78 +42,7 @@ from .oracles import e_frac, esum_bare
 from .sqrtmod import _matching_pairs, _mod, _residue_dtype, root_pairs
 
 
-#: bytes that the tables of _TABLES may hold together (4 MiB)
-_TABLE_BUDGET = 2 ** 22
-
-_TableInfo = namedtuple("TableInfo", "hits misses tables nbytes budget")
-
-
-def _owned_nbytes(a: np.ndarray) -> int:
-    """Bytes of the buffer that a (or the array it views) holds."""
-    return (a if a.base is None else a.base).nbytes
-
-
-class _TableMemo:
-    """Read-only numpy tables keyed by (function, modulus), least recently
-    used evicted first, all within _TABLE_BUDGET bytes (read on every
-    call).  A table larger than the budget is returned and not kept.
-
-    Decorating a function of q with the memo gives it lru_cache's
-    cache_info() and cache_clear(): its own hits and misses, and the
-    tables and bytes of the whole memo, which its functions share.
-    cache_clear() empties the memo and resets every count.  A call with
-    keep=False, for a table no later call is likely to read, returns a
-    kept table but keeps none that it builds.
-    """
-
-    def __init__(self) -> None:
-        self.tables: OrderedDict = OrderedDict()  # key -> (value, bytes)
-        self.nbytes = 0
-        self.counts: List[List[int]] = []  # [hits, misses] per function
-
-    def clear(self) -> None:
-        self.tables.clear()
-        self.nbytes = 0
-        for count in self.counts:
-            count[:] = [0, 0]
-
-    def __call__(self, build: Callable) -> Callable:
-        count = [0, 0]
-        self.counts.append(count)
-
-        @functools.wraps(build)
-        def cached(q: int, keep: bool = True):
-            key = (build.__name__, q)
-            kept = self.tables.get(key)
-            if kept is not None:
-                self.tables.move_to_end(key)
-                count[0] += 1
-                return kept[0]
-            count[1] += 1
-            value = build(q)
-            arrays = value if isinstance(value, tuple) else (value,)
-            sizes = {}  # by buffer: views of one buffer count it once
-            for a in arrays:
-                a.flags.writeable = False
-                sizes[id(a if a.base is None else a.base)] = _owned_nbytes(a)
-            size = sum(sizes.values())
-            if keep and size <= _TABLE_BUDGET:
-                while self.nbytes + size > _TABLE_BUDGET:
-                    self.nbytes -= self.tables.popitem(last=False)[1][1]
-                self.tables[key] = (value, size)
-                self.nbytes += size
-            return value
-
-        cached.cache_info = lambda: _TableInfo(
-            count[0], count[1], len(self.tables), self.nbytes, _TABLE_BUDGET)
-        cached.cache_clear = self.clear
-        return cached
-
-
-_TABLES = _TableMemo()
-
-
-@_TABLES
+@functools.lru_cache(maxsize=1)
 def unit_phases(q: int) -> np.ndarray:
     """Array of e_q(t) for t in [0, q), q >= 1.
 
@@ -122,18 +50,21 @@ def unit_phases(q: int) -> np.ndarray:
     t = aB + b (0 <= b < B), e_q(t) = e_q(aB) e_q(b), so the table is the
     flattened outer product of the two short rows cut to length q: q
     complex multiplies, each entry within a few ulp of e_q(t), and entry
-    0 exactly 1.  The table is read-only and shared through _TABLES.
+    0 exactly 1.  The table is read-only; the memo keeps the last q's
+    (about 16 q bytes) until another q or unit_phases.cache_clear().
     """
     B = math.isqrt(q - 1) + 1
     low = np.exp(math.tau * 1j * (np.arange(B) / q))
     high = np.exp(math.tau * 1j * (np.arange(0, q, B) / q))
-    return np.multiply.outer(high, low).ravel()[:q]
+    table = np.multiply.outer(high, low).ravel()[:q]
+    table.flags.writeable = False
+    return table
 
 
-def _phase_sum(t: np.ndarray, q: int, keep: bool = True) -> complex:
+def _phase_sum(t: np.ndarray, q: int) -> complex:
     """Sum of e_q(t) over an int array t of residues in [0, q), read from
-    unit_phases(q, keep=keep)."""
-    return complex(unit_phases(q, keep=keep)[t].sum())
+    unit_phases(q)."""
+    return complex(unit_phases(q)[t].sum())
 
 
 @dataclass(frozen=True)
@@ -298,7 +229,7 @@ def _least_generator(p: int, a: int) -> int:
                 and (a == 1 or pow(g, p - 1, p * p) != 1))
 
 
-@_TABLES
+@functools.lru_cache(maxsize=1)
 def _unit_inverses(q: int) -> Tuple[np.ndarray, np.ndarray]:
     """(g^t mod q, g^-t mod q) for t in [0, phi(q)), g the least generator
     of the cyclic group (Z/q)*, for q = 2 or q = p^a with p an odd prime:
@@ -311,7 +242,8 @@ def _unit_inverses(q: int) -> Tuple[np.ndarray, np.ndarray]:
     fits the dtype.
     The inverses g^-t = g^(phi - t) are the same array read backwards
     from g^phi = 1: one buffer, no inversion, scatter or sort.  Both
-    arrays are read-only and shared through _TABLES.
+    arrays view that read-only buffer, which the memo keeps for the last
+    q until another q or _unit_inverses.cache_clear().
     """
     dtype = _residue_dtype(q, "q", unsigned=True)
     factors = factorize(q).factors
@@ -328,13 +260,14 @@ def _unit_inverses(q: int) -> Tuple[np.ndarray, np.ndarray]:
             row.append(row[-1] * step % q)
         rows.append(np.array(row, dtype=dtype))
     powers = _mod(np.multiply.outer(rows[1], rows[0]).ravel()[:phi + 1], q)
+    powers.flags.writeable = False
     return powers[:phi], powers[phi:0:-1]
 
 
 def _unit_pairs(q: int) -> Tuple[np.ndarray, np.ndarray]:
     """(units, inverses) mod an odd q >= 1, the table gcal sums over:
     _unit_inverses(q) when q is a prime power, else the CRT outer sums of
-    its prime powers' tables, built per call and never kept in _TABLES.
+    its prime powers' tables, built per call and never kept.
 
     With q_1 < q_2 < ... the prime powers of q and e_i their CRT
     idempotents, the units are sum_i c_i e_i mod q over every choice of
@@ -369,7 +302,7 @@ def gcal(q: int, a: int, b: int, j: int, k: int, u: int, s: int) -> ExpSumValue:
     generator order for a prime power and CRT order otherwise, in its
     unsigned dtype (uint32 when q^2 < 2^31, else uint64), where each sum
     of two products below q^2 cannot wrap, and the residue phases are
-    summed through unit_phases(q), kept in _TABLES only for a prime power.
+    summed through unit_phases(q).
     tests/test_expsums.py checks it against oracles.gcal_literal, a
     scalar sum with pow(c, -1, q) and e_frac per term.
     """
@@ -386,8 +319,7 @@ def gcal(q: int, a: int, b: int, j: int, k: int, u: int, s: int) -> ExpSumValue:
     A, C, D = B * jk * jk % q, B * us2 * us2 % q, -2 * B * jk * us2 % q
     phase = _mod(_mod(a % q * c + A * _mod(ic * ic, q), q)
                  + C * _mod(c * c, q) + D, q)
-    prime_power = len(factorize(q).factors) == 1
-    return ExpSumValue(_phase_sum(phase, q, keep=prime_power), len(c))
+    return ExpSumValue(_phase_sum(phase, q), len(c))
 
 
 def gcal_bound(q: int, a: int, b: int, k: int, u: int) -> float:
@@ -398,15 +330,16 @@ def gcal_bound(q: int, a: int, b: int, k: int, u: int) -> float:
     return 12 * q ** 0.8 * g ** 0.2
 
 
-@_TABLES
+@functools.lru_cache(maxsize=1)
 def _inverse_table(p: int) -> np.ndarray:
     """c^-1 mod p at index c in [1, p), and 0 at index 0, for a prime p:
-    one scatter of _unit_inverses(p), which it does not keep, in
-    sqrtmod._residue_dtype(p), the dtype of rational_expsum's residues.
-    Read-only, shared through _TABLES."""
-    units, inverses = _unit_inverses(p, keep=False)
+    one scatter of _unit_inverses(p), in sqrtmod._residue_dtype(p), the
+    dtype of rational_expsum's residues.  Read-only; the memo keeps the
+    last p's until another p or _inverse_table.cache_clear()."""
+    units, inverses = _unit_inverses(p)
     table = np.zeros(p, dtype=_residue_dtype(p, "p"))
     table[units] = inverses
+    table.flags.writeable = False
     return table
 
 

@@ -7,12 +7,28 @@ from sievelab import acceptance, charsums, expsums, sqrtmod
 
 
 @pytest.fixture
-def int64_residues(monkeypatch):
+def fresh_tables():
+    """expsums' three table memos, unit_phases, _unit_inverses and
+    _inverse_table, empty before and after the test, so no table built
+    elsewhere (in another width, say) is read here or outlives it."""
+    memos = (expsums.unit_phases, expsums._unit_inverses,
+             expsums._inverse_table)
+    for memo in memos:
+        memo.cache_clear()
+        assert memo.cache_info().currsize == 0
+    yield
+    for memo in memos:
+        memo.cache_clear()
+
+
+@pytest.fixture
+def int64_residues(monkeypatch, fresh_tables):
     """The residue kernels forced to 64 bits at every modulus, the signed
     ones to int64 and the unsigned ones to uint64: the width rule
     sqrtmod._residue_dtype replaced wherever sievelab binds it, its
-    refusal kept.  expsums' table memo is cleared before and after, so no
-    table built in the other width is read here or outlives the test."""
+    refusal kept.  expsums' table memos are empty before and after
+    (fresh_tables), so no table built in the other width is read here or
+    outlives the test."""
     rule = sqrtmod._residue_dtype
 
     def wide(n, name="n", unsigned=False):
@@ -26,6 +42,3 @@ def int64_residues(monkeypatch):
             monkeypatch.setattr(mod, "_residue_dtype", wide)
             patched.add(mod)
     assert patched == {sqrtmod, expsums, charsums, acceptance}
-    expsums.unit_phases.cache_clear()
-    yield
-    expsums.unit_phases.cache_clear()

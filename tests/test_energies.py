@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from sievelab import arith, energies, oracles, sqrtmod
-from sievelab.energies import (_energy_from_multiset, _square_sum, energy_e2,
-                               energy_e2_e4, energy_e2_e4_ladder, energy_e4,
-                               energy_f2, energy_f2_ladder, kssz_check)
+from sievelab.energies import (_square_sum, energy_e2, energy_e2_e4,
+                               energy_e2_e4_ladder, energy_e4, energy_f2,
+                               energy_f2_ladder, kssz_check)
 from sievelab.oracles import root_multiset
 from sievelab.sqrtmod import (build_root_multiset, build_root_multiset_ladder,
                               sqrt_mod_all)
@@ -28,6 +28,17 @@ def multiset(table):
     keys = sorted(table)
     return (np.array(keys, dtype=np.int64),
             np.array([table[k] for k in keys], dtype=np.int64))
+
+
+def multiset_energies(keys, counts, r, fold, method="conv", monkeypatch=None):
+    """(E2,) for fold 2 or (E2, E4) for fold 4 of one multiset (keys,
+    counts) mod r: conv is the one-rung call of energies._ladder_energies,
+    and brute the brute side of energies._energies, its oracle builder
+    patched through monkeypatch to return this multiset."""
+    if method == "conv":
+        return energies._ladder_energies([(keys, counts)], r, fold)[0]
+    monkeypatch.setattr(energies, "root_multiset", lambda *args: (keys, counts))
+    return energies._energies([1], 1, None, r, fold, "brute")[0]
 
 
 def brute_e2(R, j, r):
@@ -115,9 +126,9 @@ def test_large_prime_energies_match_literal_counts():
     # every bin lies far apart at r ~ 1e9, so the kernel keeps sparse bins
     keys, counts = build_root_multiset(8, 1, BIG_PRIME)
     values = np.repeat(keys, counts).tolist()
-    assert (_energy_from_multiset(keys, counts, BIG_PRIME, 2, "conv")[-1]
+    assert (multiset_energies(keys, counts, BIG_PRIME, 2)[-1]
             == brute_e2(8, 1, BIG_PRIME))
-    assert (_energy_from_multiset(keys, counts, BIG_PRIME, 4, "conv")[-1]
+    assert (multiset_energies(keys, counts, BIG_PRIME, 4)[-1]
             == literal_energy(values, BIG_PRIME, 4))
     R, j, h = 6, 3, 1
     assert (energy_f2(R, j, h, BIG_PRIME).energy
@@ -148,7 +159,7 @@ def test_tables_near_2_63_do_not_wrap(r):
     table = {r - 1: 2, r - 2: 1, r // 2: 3, r // 3: 1, 5: 2}
     values = [lam for lam, c in table.items() for _ in range(c)]
     for fold in (2, 4):
-        assert (_energy_from_multiset(*multiset(table), r, fold, "conv")[-1]
+        assert (multiset_energies(*multiset(table), r, fold)[-1]
                 == literal_energy(values, r, fold))
 
 
@@ -157,7 +168,7 @@ def test_sparse_bins_merge_across_blocks():
     r = 10 ** 12 + 39
     table = {(k * 7919 ** 3) % r: 1 + k % 3 for k in range(400)}
     values = [lam for lam, c in table.items() for _ in range(c)]
-    assert (_energy_from_multiset(*multiset(table), r, 2, "conv")[-1]
+    assert (multiset_energies(*multiset(table), r, 2)[-1]
             == literal_energy(values, r, 2))
 
 
@@ -463,23 +474,24 @@ def test_doubled_weight_at_the_certificate_edge(monkeypatch):
     monkeypatch.setattr(energies, "_BLOCK", 1)
     a = 1518500249
     assert (2 * a) ** 2 < 2 ** 63
-    assert (_energy_from_multiset(*multiset({0: a, 1: a}), 7, 2, "conv")[-1]
+    assert (multiset_energies(*multiset({0: a, 1: a}), 7, 2)[-1]
             == 31901471815810146514474952569620744006)  # 6 a^4
     a = 27554
     assert (2 * a) ** 4 < 2 ** 63 <= (2 * a + 1) ** 4
-    assert (_energy_from_multiset(*multiset({0: a, 1: a}), 7, 4, "conv")[-1]
+    assert (multiset_energies(*multiset({0: a, 1: a}), 7, 4)[-1]
             == 23258155648387961713069597867047339520)  # 70 a^8
 
 
-def test_int64_certificate_at_boundary():
+def test_int64_certificate_at_boundary(monkeypatch):
     # 3037000499^2 < 2^63 <= 3037000500^2 and 55108^4 < 2^63 <= 55109^4;
     # accepted cases run "conv" only, since "brute" expands the multiset
     for fold, mass in ((2, 3037000499), (4, 55108)):
-        assert (_energy_from_multiset(*multiset({0: mass}), 7, fold, "conv")[-1]
+        assert (multiset_energies(*multiset({0: mass}), 7, fold)[-1]
                 == mass ** (2 * fold))
         for method in ("conv", "brute"):
             with pytest.raises(ValueError, match="2\\^63"):
-                _energy_from_multiset(*multiset({0: mass + 1}), 7, fold, method)
+                multiset_energies(*multiset({0: mass + 1}), 7, fold, method,
+                                  monkeypatch)
 
 
 @pytest.mark.parametrize("method", ["conv", "brute"])
@@ -499,7 +511,7 @@ def test_int64_certificate_sums_counts_without_wrapping(method, monkeypatch):
     monkeypatch.setattr(np, "repeat", no_kernel)
     for fold in (2, 4):
         with pytest.raises(ValueError, match="mass = 18446744073709551616"):
-            _energy_from_multiset(keys, counts, 7, fold, method)
+            multiset_energies(keys, counts, 7, fold, method, monkeypatch)
 
 
 @pytest.mark.parametrize("fold, a, dot", [(2, 32767, True), (2, 32768, False),
@@ -519,14 +531,14 @@ def test_square_sum_certificate_on_both_sides(fold, a, dot, monkeypatch):
     assert _square_sum(h, mass ** fold) == python_sum
     monkeypatch.undo()
     assert len(dots) == dot
-    assert (_energy_from_multiset(*multiset({0: a, 1: a}), 7, fold, "conv")[-1]
+    assert (multiset_energies(*multiset({0: a, 1: a}), 7, fold)[-1]
             == python_sum)
     assert python_sum == (6 * a ** 4 if fold == 2 else 70 * a ** 8)
 
 
 def test_square_sum_of_an_empty_table():
     assert _square_sum(np.zeros(0, dtype=np.int64), 0) == 0
-    assert _energy_from_multiset(*multiset({}), 7, 4, "conv") == (0, 0)
+    assert multiset_energies(*multiset({}), 7, 4) == (0, 0)
 
 
 def test_levelled_square_sums_past_the_int64_dot(monkeypatch):
@@ -627,12 +639,12 @@ def test_transform_bound_failure_takes_the_pair_blocks(monkeypatch):
     lengths = count_transforms(monkeypatch)
     a = 1518500249
     assert energies._transform_error_bound(2.0 * a * a, 16) >= 0.25
-    assert (_energy_from_multiset(*multiset({0: a, 1: a}), 7, 2, "conv")[-1]
+    assert (multiset_energies(*multiset({0: a, 1: a}), 7, 2)[-1]
             == 6 * a ** 4)
     assert lengths == []
     a = 10 ** 6
     assert energies._transform_error_bound(2.0 * a * a, 16) < 0.25
-    assert (_energy_from_multiset(*multiset({0: a, 1: a}), 7, 2, "conv")[-1]
+    assert (multiset_energies(*multiset({0: a, 1: a}), 7, 2)[-1]
             == 6 * a ** 4)
     assert lengths == [16]
 
@@ -652,7 +664,7 @@ def test_transform_exact_check_raises_on_a_moved_bin(shift, monkeypatch):
     monkeypatch.setattr(np.fft, "irfft", moved)
     table = {0: 2, 1: 1, 3: 1}  # bins 0, 1, 2, 3, 4 and 6; bin 7 (r) is empty
     with pytest.raises(ArithmeticError, match="exact check"):
-        _energy_from_multiset(*multiset(table), 7, 2, "conv")
+        multiset_energies(*multiset(table), 7, 2)
 
 
 def test_importing_the_cli_does_not_load_numpy_fft():

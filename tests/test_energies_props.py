@@ -10,8 +10,8 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from sievelab import energies  # noqa: E402
-from sievelab.energies import _energy_from_multiset  # noqa: E402
-from test_energies import multiset  # noqa: E402
+from sievelab.oracles import pair_energies  # noqa: E402
+from test_energies import multiset, multiset_energies  # noqa: E402
 
 
 def literal_e4(table, r):
@@ -40,8 +40,8 @@ def sparse_tables(max_r, max_keys, max_count):
 def test_conv_equals_brute_on_sparse_tables(case):
     r, table = case
     for fold in (2, 4):
-        assert (_energy_from_multiset(*multiset(table), r, fold, "conv")
-                == _energy_from_multiset(*multiset(table), r, fold, "brute"))
+        assert (multiset_energies(*multiset(table), r, fold)
+                == pair_energies(*multiset(table), r, fold))
 
 
 @given(case=sparse_tables(max_r=400, max_keys=12, max_count=99),
@@ -54,8 +54,8 @@ def test_conv_equals_brute_with_small_pair_blocks(case, block):
     r, table = case
     with mock.patch.object(energies, "_BLOCK", block):
         for fold in (2, 4):
-            assert (_energy_from_multiset(*multiset(table), r, fold, "conv")
-                    == _energy_from_multiset(*multiset(table), r, fold, "brute"))
+            assert (multiset_energies(*multiset(table), r, fold)
+                    == pair_energies(*multiset(table), r, fold))
 
 
 @given(case=sparse_tables(max_r=400, max_keys=12, max_count=99),
@@ -67,15 +67,15 @@ def test_conv_equals_brute_with_any_transform_threshold(case, threshold):
     r, table = case
     with mock.patch.object(energies, "_TRANSFORM_PAIRS_PER_BIN", threshold):
         for fold in (2, 4):
-            assert (_energy_from_multiset(*multiset(table), r, fold, "conv")
-                    == _energy_from_multiset(*multiset(table), r, fold, "brute"))
+            assert (multiset_energies(*multiset(table), r, fold)
+                    == pair_energies(*multiset(table), r, fold))
 
 
 @given(case=sparse_tables(max_r=400, max_keys=4, max_count=3))
 @settings(max_examples=40, deadline=None)
 def test_conv_e4_equals_literal_four_sum_count(case):
     r, table = case
-    assert (_energy_from_multiset(*multiset(table), r, 4, "conv")[-1]
+    assert (multiset_energies(*multiset(table), r, 4)[-1]
             == literal_e4(table, r))
 
 
@@ -84,5 +84,5 @@ def test_conv_e4_equals_literal_four_sum_count(case):
 @settings(max_examples=40, deadline=None)
 def test_conv_e4_equals_literal_count_at_large_moduli(case):
     r, table = case
-    assert (_energy_from_multiset(*multiset(table), r, 4, "conv")[-1]
+    assert (multiset_energies(*multiset(table), r, 4)[-1]
             == literal_e4(table, r))

@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -400,20 +401,6 @@ def test_inverse_table():
         assert table.tolist() == [0] + [pow(c, -1, p) for c in range(1, p)], p
 
 
-def test_gcal_keeps_no_table_of_a_composite_modulus(fresh_tables):
-    # G(45 * 49) reads the tables of 5, 9 and 49 and keeps only those; the
-    # tables of 2205 and its phase table are built for the call alone
-    want = gcal_literal(2205, 3, 2, 1, 5, 4, 2)
-    assert abs(gcal(2205, 3, 2, 1, 5, 4, 2).value - want) < 1e-9 * 2205
-    assert sorted(expsums._TABLES.tables) == [
-        ("_unit_inverses", 5), ("_unit_inverses", 9), ("_unit_inverses", 49)]
-    gcal(49, 3, 2, 1, 5, 4, 2)
-    assert ("unit_phases", 49) in expsums._TABLES.tables
-    # keep=False still reads a table that another caller kept
-    kept = unit_phases(2205)
-    assert unit_phases(2205, keep=False) is kept
-
-
 def test_unit_inverses_refuses_int64_overflow(monkeypatch):
     # 3037000501^2 >= 2^63: gcal and rational_expsum refuse q (a product
     # 313 * 9702877) and the prime p before any length-q array or any
@@ -540,14 +527,6 @@ def test_rational_expsum_matches_literal_sum_at_the_int32_bound(p):
         assert v.terms == terms
 
 
-@pytest.fixture
-def fresh_tables():
-    """An empty table memo before and after the test."""
-    unit_phases.cache_clear()
-    yield
-    unit_phases.cache_clear()
-
-
 def test_table_memo_hit_returns_the_same_read_only_object(fresh_tables):
     ph = unit_phases(97)
     assert unit_phases(97) is ph
@@ -559,69 +538,34 @@ def test_table_memo_hit_returns_the_same_read_only_object(fresh_tables):
             a[0] = 0
 
 
-def test_table_memo_evicts_the_least_recently_used_first(fresh_tables,
-                                                         monkeypatch):
-    sizes = {q: expsums._owned_nbytes(unit_phases(q)) for q in (1000, 1001, 1002)}
-    unit_phases.cache_clear()
-    monkeypatch.setattr(expsums, "_TABLE_BUDGET", sizes[1000] + sizes[1001])
-    first = unit_phases(1000)
-    unit_phases(1001)
-    assert unit_phases(1000) is first  # 1000 is now the most recent
-    unit_phases(1002)  # evicts 1001
-    assert [q for _, q in expsums._TABLES.tables] == [1000, 1002]
-    info = unit_phases.cache_info()
-    assert (info.hits, info.misses, info.tables) == (1, 3, 2)
-    assert info.nbytes == sizes[1000] + sizes[1002]
-    assert unit_phases(1000) is first
-
-
-def test_table_memo_stays_within_its_budget(fresh_tables, monkeypatch):
-    budget = 2 ** 16
-    monkeypatch.setattr(expsums, "_TABLE_BUDGET", budget)
-    for q in [101, 997, 1999, 3001, 101, 49, 1999, 2003, 4001]:
-        unit_phases(q)
-        _unit_inverses(q)
-        info = unit_phases.cache_info()
-        assert info.budget == budget
-        assert 0 < info.nbytes <= budget
-        assert info.nbytes == sum(size for _, size in
-                                  expsums._TABLES.tables.values())
-        assert info.tables == len(expsums._TABLES.tables)
-
-
-def test_table_memo_does_not_keep_a_table_over_its_budget(fresh_tables,
-                                                          monkeypatch):
-    monkeypatch.setattr(expsums, "_TABLE_BUDGET", 1000)
-    small = unit_phases(7)  # a 3 x 3 table, 144 bytes
-    big = unit_phases(1000)  # 16 kB
-    assert big.shape == (1000,) and not big.flags.writeable
-    assert abs(big[250] - 1j) < 1e-14
-    assert unit_phases(1000) is not big
-    info = unit_phases.cache_info()
-    assert (info.hits, info.misses, info.tables) == (0, 3, 1)
-    assert unit_phases(7) is small
-
-
 def test_table_memo_cache_info_and_cache_clear(fresh_tables):
-    empty = unit_phases.cache_info()
-    assert (empty.hits, empty.misses, empty.tables, empty.nbytes) == (0, 0, 0, 0)
-    assert empty.budget == 2 ** 22
+    # each table function is lru_cache's, of one entry, and counts its own
+    # lookups: CacheInfo(hits, misses, maxsize, currsize)
+    for memo in (unit_phases, _unit_inverses, _inverse_table):
+        assert memo.cache_info() == (0, 0, 1, 0)
     _unit_inverses(49)
     _unit_inverses(49)
     unit_phases(49)
-    # each function counts its own lookups; tables and bytes are shared
-    inv, ph = _unit_inverses.cache_info(), unit_phases.cache_info()
-    assert (inv.hits, inv.misses) == (1, 1)
-    assert (ph.hits, ph.misses) == (0, 1)
-    assert inv.tables == ph.tables == 2 and inv.nbytes == ph.nbytes > 0
-    # a unit table's two arrays view one buffer, counted once
-    units, invs = _unit_inverses(49)
-    assert units.base is invs.base
-    assert inv.nbytes == unit_phases(49).nbytes + units.base.nbytes
-    # clearing through either function empties the one memo
+    assert _unit_inverses.cache_info() == (1, 1, 1, 1)
+    assert unit_phases.cache_info() == (0, 1, 1, 1)
+    assert _inverse_table.cache_info() == (0, 0, 1, 0)
+    # clearing one memo releases its table alone and resets its counts
     _unit_inverses.cache_clear()
-    for f in (unit_phases, _unit_inverses):
-        assert f.cache_info()[:4] == (0, 0, 0, 0)
+    assert _unit_inverses.cache_info() == (0, 0, 1, 0)
+    assert unit_phases.cache_info() == (0, 1, 1, 1)
+
+
+def test_each_table_memo_keeps_only_its_last_modulus(fresh_tables):
+    # a new modulus drops the last one's table: nothing else refers to it
+    for memo, q, next_q in ((unit_phases, 1000, 1001),
+                            (_unit_inverses, 1009, 1013),
+                            (_inverse_table, 1019, 1021)):
+        table = memo(q)
+        first = weakref.ref(table[0] if isinstance(table, tuple) else table)
+        del table
+        memo(next_q)
+        assert memo.cache_info().currsize == 1
+        assert first() is None, memo.__name__
 
 
 def _complete_sum_values():
@@ -643,13 +587,22 @@ def _complete_sum_values():
 
 def test_table_memo_budget_leaves_every_value_bit_identical(fresh_tables,
                                                             monkeypatch):
-    # the standing rule for a fast path with regimes: no table kept, and
-    # every table kept (the second pass reads them all from the memo)
-    monkeypatch.setattr(expsums, "_TABLE_BUDGET", 0)
-    none_kept = _complete_sum_values()
-    assert unit_phases.cache_info().tables == 0
-    monkeypatch.setattr(expsums, "_TABLE_BUDGET", math.inf)
+    # the standing rule for a fast path with regimes: every table built
+    # afresh (each memo cleared before every call) and warm memos (a second
+    # pass, whose repeated moduli hit) give the same bytes
+    memos = {name: getattr(expsums, name)
+             for name in ("unit_phases", "_unit_inverses", "_inverse_table")}
+    for name, memo in memos.items():
+        def cold(q, memo=memo):
+            memo.cache_clear()
+            return memo(q)
+        monkeypatch.setattr(expsums, name, cold)
+    built = _complete_sum_values()
+    monkeypatch.undo()
     _complete_sum_values()
-    all_kept = _complete_sum_values()
+    warm = _complete_sum_values()
+    # consecutive calls here never share a unit table's modulus, so only
+    # the phase and inverse tables are read warm
     assert unit_phases.cache_info().hits > 0
-    assert np.array(all_kept).tobytes() == np.array(none_kept).tobytes()
+    assert _inverse_table.cache_info().hits > 0
+    assert np.array(warm).tobytes() == np.array(built).tobytes()

@@ -218,13 +218,10 @@ def test_paired_esum_uses_the_root_table(no_solver):
 
 
 @pytest.fixture
-def no_width_predicate(monkeypatch):
+def no_width_predicate(monkeypatch, fresh_tables):
+    # fresh_tables: a kept table would skip the width rule
     patched = _patch_everywhere(monkeypatch, sqrtmod, "_residue_dtype")
     assert {"sievelab.sqrtmod", "sievelab.expsums"} <= patched
-    # cached unit tables would skip the width rule
-    expsums._unit_inverses.cache_clear()
-    yield
-    expsums._unit_inverses.cache_clear()
 
 
 WIDTH_ORACLES = dict(ORACLES, **{
