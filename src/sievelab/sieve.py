@@ -385,7 +385,10 @@ def double_sieve_check(
 
     |sum a_k b_l e(alpha_k beta_l)| <= 5 sqrt(AB+1) * (close-alpha pair
     sum)^{1/2} * (close-beta pair sum)^{1/2}.  Returns lhs, rhs and slack.
+    A and B must be positive, since 1/A and 1/B set the closeness.
     """
+    if A <= 0 or B <= 0:
+        raise ValueError("A and B must be positive")
     al = np.asarray(alphas, dtype=float)
     be = np.asarray(betas, dtype=float)
     av = np.asarray(a, dtype=complex)

@@ -3,7 +3,24 @@ import sys
 import numpy as np
 import pytest
 
-from sievelab import acceptance, charsums, expsums, sqrtmod
+from sievelab import expsums, sqrtmod
+
+
+@pytest.fixture
+def patch_everywhere(monkeypatch):
+    """patch(module, attr, new): module.attr replaced by new, for the test,
+    in every sievelab namespace that binds it; patch returns the names of
+    those namespaces."""
+    def patch(module, attr, new):
+        kernel = getattr(module, attr)
+        patched = set()
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "sievelab" and \
+                    getattr(mod, attr, None) is kernel:
+                monkeypatch.setattr(mod, attr, new)
+                patched.add(name)
+        return patched
+    return patch
 
 
 @pytest.fixture
@@ -22,7 +39,7 @@ def fresh_tables():
 
 
 @pytest.fixture
-def int64_residues(monkeypatch, fresh_tables):
+def int64_residues(patch_everywhere, fresh_tables):
     """The residue kernels forced to 64 bits at every modulus, the signed
     ones to int64 and the unsigned ones to uint64: the width rule
     sqrtmod._residue_dtype replaced wherever sievelab binds it, its
@@ -35,10 +52,6 @@ def int64_residues(monkeypatch, fresh_tables):
         rule(n, name, unsigned)
         return np.uint64 if unsigned else np.int64
 
-    patched = set()
-    for name, mod in list(sys.modules.items()):
-        if name.split(".")[0] == "sievelab" and \
-                getattr(mod, "_residue_dtype", None) is rule:
-            monkeypatch.setattr(mod, "_residue_dtype", wide)
-            patched.add(mod)
-    assert patched == {sqrtmod, expsums, charsums, acceptance}
+    assert patch_everywhere(sqrtmod, "_residue_dtype", wide) == {
+        "sievelab.sqrtmod", "sievelab.expsums", "sievelab.charsums",
+        "sievelab.acceptance"}

@@ -228,45 +228,6 @@ def test_factored_modulus_validates():
     assert fm.divisor_count() == 6
 
 
-ARITH_CALLS = [(factorize, (360,)), (factorize, (999985999949,)),
-               (factorize, (1,)), (is_prime, (97,)), (is_prime, (1,)),
-               (is_prime, (2 ** 31 - 1,)), (mod_inverse, (3, 7)),
-               (mod_inverse, (1, 1)), (eps_q, (7,)), (eps_q, (1,))]
-
-
-def test_arith_arguments_read_as_ints():
-    # factorize, is_prime, mod_inverse, eps_q and FactoredModulus read
-    # their integers through operator.index: numpy integers, where they
-    # hold the value, and bools give the int call's result, and a
-    # FactoredModulus stores ints (an np.int64 reached a three-argument pow
-    # in is_prime and mod_inverse, and factorize stored n as given); a
-    # float raises TypeError, also after factorize memoized an equal
-    # numpy integer
-    for function, args in ARITH_CALLS:
-        want = function(*args)
-        for kind in (np.int32, np.int64, bool):
-            if (kind is bool and not set(args) <= {0, 1}
-                    or max(args) > np.iinfo(np.int32).max and kind is np.int32):
-                continue
-            got = function(*map(kind, args))
-            assert got == want, (function.__name__, args, kind)
-            if isinstance(got, FactoredModulus):
-                assert type(got.n) is int
-                assert all(type(x) is int for pair in got.factors for x in pair)
-        for i in range(len(args)):
-            floats = list(args)
-            floats[i] = float(args[i])
-            with pytest.raises(TypeError):
-                function(*floats)
-    fm = FactoredModulus(np.int64(360), ((np.int32(2), np.int64(3)), (3, 2),
-                                         (5, True)))
-    assert fm == FactoredModulus(360, ((2, 3), (3, 2), (5, 1)))
-    assert [type(x) for x in (fm.n, *fm.factors[0], *fm.factors[2])] == [int] * 5
-    for n, factors in ((360.0, ((2, 3), (3, 2), (5, 1))), (2, ((2.0, 1),))):
-        with pytest.raises(TypeError):
-            FactoredModulus(n, factors)
-
-
 def test_jacobi_matches_euler_for_primes():
     for p in (3, 5, 7, 11, 13, 17, 19, 23, 97):
         for a in range(0, p):

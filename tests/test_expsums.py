@@ -146,34 +146,6 @@ def test_esum_paired_equals_bare_at_the_int32_bound(r):
         assert p.terms == b.terms
 
 
-EXPSUM_CALLS = [
-    (esum_jh, (1, 2, 1, 1, 35), {}),
-    (esum_jh, (1, 2, 1, 1, 35), {"form": "bare"}),
-    (esum_jh, (-5, 38, 11, -1, 45), {}), (gcal, (35, 1, 2, 1, 3, 2, 1), {}),
-    (gauss_sum_closed, (35, 1, 0), {}), (gauss_sum_closed, (45, 3, 6), {}),
-    (gauss_sum_direct, (35, 1, 0), {})]
-
-
-def test_expsum_arguments_read_as_ints():
-    # every integer argument passes through operator.index where the
-    # functions enter: numpy integers and bools, where they hold the
-    # value, give the int call's value bit for bit and an int terms (an
-    # np.int64 modulus reached a three-argument pow, and gauss_sum_direct
-    # copied it into terms); a float raises TypeError
-    for function, args, kwargs in EXPSUM_CALLS:
-        want = function(*args, **kwargs)
-        for kind in (np.int32, np.int64, bool):
-            got = function(*(kind(a) if kind is not bool or a in (0, 1) else a
-                             for a in args), **kwargs)
-            assert got == want, (function.__name__, args, kind)
-            assert type(got.terms) is int
-        for i in range(len(args)):
-            floats = list(args)
-            floats[i] = float(args[i])
-            with pytest.raises(TypeError):
-                function(*floats, **kwargs)
-
-
 def test_bare_esum_refuses_a_huge_modulus_before_any_work(monkeypatch):
     # the one bound of the squaring oracle, checked in oracles alone
     assert oracles._ORACLE_MAX_R == 1 << 20

@@ -1,27 +1,21 @@
 """Every module-level import in the package modules is used, every
 function parameter is read, every module-level private name is read
 somewhere in the package, a modulus is an int at every public entry
-point (FactoredModulus stays inside arith and private helpers), the
-charsums, expsums and sieve exports read their integer arguments as
-ints where they enter, and the oracles module imports nothing of the
-fast paths it checks."""
+point (FactoredModulus stays inside arith and private helpers), every
+call of the registry tests/kernels.py reads its integer arguments as
+ints, every export of sievelab has such a call or a reason it takes no
+integer, and the oracles module imports nothing of the fast paths it
+checks."""
 
 import ast
 import dataclasses
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sievelab
-from sievelab import (ApproxFrame, PxQuery, RationalFunctionModP, S4Input,
-                      SieveInstance, TrigWeight, build_frame,
-                      cubic_form_charsum, dirichlet_approx, gcal_bound,
-                      ls_bound_table, ls_lhs, propmain_bounds, px_count,
-                      px_monitor, rational_expsum, s4_closed, s4_direct,
-                      weighted_energy)
-from sievelab.charsums import s4_closed_rows
+from kernels import KERNELS
 
 PACKAGE = sorted(Path(sievelab.__file__).parent.glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
@@ -246,40 +240,6 @@ def test_a_modulus_is_an_int_at_every_public_entry_point():
             assert factored_modulus_isinstance_calls(source) == [], path.name
 
 
-def sieve_instance(M, Q):
-    """An instance's integer fields and its left-hand side."""
-    inst = SieveInstance(M, np.ones(8), Q)
-    return inst.M, inst.Q, ls_lhs(inst)
-
-
-#: (callable, int arguments) of the exports that read their integers
-#: through arith._as_int where they enter; a constructor's case returns
-#: the object, so its fields are checked too
-EXPORT_CALLS = [
-    (lambda j, h1, h2, h3, h4, r: S4Input(j, [h1, h2, h3, h4], r),
-     (1, 1, 2, 3, 4, 13)),
-    (lambda j, r: s4_closed(S4Input(j, (1, 2, 3, 4), r)), (1, 13)),
-    (lambda j, r: s4_direct(S4Input(j, (0, 1, 5, 7), r)), (2, 13)),
-    (lambda j, r: list(s4_closed_rows(j, r, [(1, 2, 3, 4), (0, 1, 5, 7)])),
-     (2, 13)),
-    (lambda R, j, r: weighted_energy(R, j, r, TrigWeight.fejer(2)), (3, 1, 13)),
-    (lambda M, r: cubic_form_charsum(M, r, TrigWeight.fejer(2)), (1, 13)),
-    (TrigWeight.fejer, (3,)),
-    (lambda p: RationalFunctionModP((0, 1), (1,), p), (13,)),
-    (lambda p: rational_expsum(RationalFunctionModP((0, 1), (1,), p)), (13,)),
-    (gcal_bound, (9, 1, 2, 3, 4)),
-    (sieve_instance, (0, 3)),
-    (lambda Q: PxQuery(Fraction(1, 3), Q, Fraction(1, 64)), (8,)),
-    (lambda Q: px_count(PxQuery(Fraction(1, 3), Q, Fraction(1, 64))), (8,)),
-    (lambda N: build_frame(Fraction(1, 3), N), (512,)),
-    (lambda tau: dirichlet_approx(Fraction(2, 7), tau), (8,)),
-    (lambda N, b, r: ApproxFrame(Fraction(1, 3), N, b, r, Fraction(0)),
-     (64, 1, 3)),
-    (ls_bound_table, (4, 64)),
-    (lambda Q, N: px_monitor(Fraction(1, 3), Q, N), (8, 512)),
-    (lambda Q, r: propmain_bounds(Q, 0.01, r), (4, 3))]
-
-
 def leaves(value):
     """Every scalar inside value: a dict's values, a sequence's items and
     a dataclass's fields, recursively."""
@@ -292,22 +252,78 @@ def leaves(value):
     return [value]
 
 
-def test_exports_read_integer_arguments_as_ints():
-    # numpy integers and bools, where they hold the value, give the int
-    # call's result bit for bit, and no numpy scalar reaches the result or
-    # a constructed object's fields (an np.int64 modulus reached a
-    # three-argument pow or int.bit_length, or was copied into the
-    # result); a float raises TypeError
-    for function, args in EXPORT_CALLS:
-        want = function(*args)
+def as_kind(value, kind):
+    """value with each int in it, in lists and tuples too, as kind where
+    kind holds it."""
+    if isinstance(value, (list, tuple)):
+        return type(value)(as_kind(item, kind) for item in value)
+    if type(value) is not int:
+        return value
+    fits = value in (0, 1) if kind is bool else (
+        np.iinfo(kind).min <= value <= np.iinfo(kind).max)
+    return kind(value) if fits else value
+
+
+def floated(value):
+    """Copies of value, one for each int in it, in lists and tuples too,
+    with that int as a float."""
+    if type(value) is int:
+        yield float(value)
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            for item in floated(item):
+                yield type(value)([*value[:i], item, *value[i + 1:]])
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=[pytest.mark.xfail(strict=True,
+                                                reason=kernel.xfail)]
+                 if kernel.xfail else [])
+    for name, kernel in KERNELS.items() if any(floated(kernel.grid))])
+def test_integer_arguments_read_as_ints(name):
+    # each integer argument passes through operator.index where its kernel
+    # enters: numpy integers and bools, where they hold the value, give the
+    # int call's result leaf for leaf, of the same types (arrays by value
+    # and dtype), so no numpy scalar is copied into a result or a field,
+    # as an np.int64 R was into an energy report and n into a
+    # FactoredModulus; a float in any position raises TypeError
+    kernel = KERNELS[name]
+    for ints in kernel.grid:
+        want = leaves(kernel.call(*ints))
         for kind in (np.int32, np.int64, bool):
-            got = function(*(kind(a) if kind is not bool or a in (0, 1) else a
-                             for a in args))
-            assert got == want, (function, args, kind)
-            assert not any(isinstance(leaf, np.generic)
-                           for leaf in leaves(got)), (function, args, kind)
-        for i in range(len(args)):
-            floats = list(args)
-            floats[i] = float(args[i])
+            got = leaves(kernel.call(*as_kind(ints, kind)))
+            assert [type(x) for x in got] == [type(x) for x in want], kind
+            for x, y in zip(got, want):
+                assert (x.dtype == y.dtype and np.array_equal(x, y)
+                        if isinstance(y, np.ndarray) else x == y), kind
+        for floats in floated(ints):
             with pytest.raises(TypeError):
-                function(*floats)
+                kernel.call(*floats)
+
+
+#: each callable export of sievelab that takes no integer argument, and why
+NO_INTEGERS = {
+    "RootSet": "a result record, which the package builds from ints",
+    "EnergyReport": "a result record, which the package builds from ints",
+    "ExpSumValue": "a result record, which the package builds from ints",
+    "BudgetExceeded": "an exception, which the package builds from ints",
+    "double_sieve_check": "takes floats",
+}
+
+
+def called(call):
+    """The names a row's call reaches: its kernel's, or those its lambda
+    calls."""
+    call = getattr(call, "func", call)
+    if call.__name__ == "<lambda>":
+        return set(call.__code__.co_names)
+    return {call.__qualname__.split(".")[0]}
+
+
+def test_every_export_has_a_row():
+    exports = {name for name, value in vars(sievelab).items()
+               if callable(value) and not name.startswith("_")}
+    rows = set().union(*(called(kernel.call) for kernel in KERNELS.values()
+                         if any(floated(kernel.grid))))
+    assert NO_INTEGERS.keys() <= exports
+    assert exports - rows == NO_INTEGERS.keys()
